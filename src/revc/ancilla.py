@@ -30,17 +30,6 @@ class AncillaHeap:
         self.high_water = max(self.high_water, self._frontier - self.base - len(self._free))
         return w
 
-    def alloc_specific(self, w: int) -> None:
-        """Re-acquire a known-free index (used when mirroring a release)."""
-        if w in self._live:
-            raise ValueError(f"wire {w} already allocated")
-        if w >= self._frontier:
-            raise ValueError(f"wire {w} was never allocated")
-        self._free.remove(w)
-        heapq.heapify(self._free)
-        self._live.add(w)
-        self.high_water = max(self.high_water, self._frontier - self.base - len(self._free))
-
     def free(self, w: int) -> None:
         if w not in self._live:
             raise ValueError(f"wire {w} is not allocated")

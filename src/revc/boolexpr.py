@@ -134,25 +134,25 @@ def substitute(e: BoolExp, mapping: dict[int, int]) -> BoolExp:
     return BoolExp(e.op, tuple(substitute(c, mapping) for c in e.args))
 
 
-def evaluate(e: BoolExp, env) -> int:
-    """Classical evaluation; `env` maps variable index to 0/1."""
+def evaluate(e: BoolExp, env, mask: int = 1) -> int:
+    """Bit-sliced classical evaluation: `env[v]` packs variable v's value
+    in every sample, one sample per bit (lane), and `mask` has a 1 in each
+    live lane; the result is packed the same way.  With `mask=1` this is
+    scalar evaluation over 0/1 values."""
     if e.op == VAR:
-        w = e.args[0]
-        if w not in env:
-            raise KeyError(f"unbound wire {w}")
-        return env[w] & 1
+        return env[e.args[0]] & mask
     if e.op == CONST:
-        return int(e.args[0])
+        return mask if e.args[0] else 0
     if e.op == NOT_:
-        return 1 ^ evaluate(e.args[0], env)
+        return evaluate(e.args[0], env, mask) ^ mask
     if e.op == AND:
-        r = 1
+        r = mask
         for c in e.args:
-            r &= evaluate(c, env)
+            r &= evaluate(c, env, mask)
         return r
     r = 0
     for c in e.args:
-        r ^= evaluate(c, env)
+        r ^= evaluate(c, env, mask)
     return r
 
 

@@ -87,28 +87,16 @@ def stats(c: Circuit) -> dict:
 
 
 def simulate(c: Circuit, input_bits) -> list[int]:
-    """Apply the gate list to a full-width bit vector."""
-    if len(input_bits) != c.width:
-        raise ValueError(f"expected {c.width} bits, got {len(input_bits)}")
-    bits = [b & 1 for b in input_bits]
-    for g in c.gates:
-        if g.kind == TOFFOLI:
-            a, b, t = g.wires
-            bits[t] ^= bits[a] & bits[b]
-        elif g.kind == CNOT:
-            a, t = g.wires
-            bits[t] ^= bits[a]
-        else:
-            bits[g.wires[0]] ^= 1
-    return bits
+    """Apply the gate list to one full-width bit vector."""
+    return [b & 1 for b in simulate_batch(c, [b & 1 for b in input_bits])]
 
 
 def simulate_batch(c: Circuit, columns: list[int]) -> list[int]:
     """Simulate many samples at once.
 
-    `columns[w]` holds one bit per sample, packed into a Python int; the
-    gate update rules are the same as `simulate`, applied bitwise across
-    all samples in parallel.
+    `columns[w]` holds one bit per sample, packed into a Python int, and
+    every gate updates its target bitwise across all samples in parallel.
+    A NOT flips every bit, so mask the result to the live samples.
     """
     if len(columns) != c.width:
         raise ValueError(f"expected {c.width} columns, got {len(columns)}")
@@ -139,50 +127,42 @@ class VerifyReport:
 def verify(program, circ: Circuit, samples: int = 200, seed: int = 0) -> VerifyReport:
     """Check a compiled circuit against the classical interpreter.
 
-    For each sampled input u the circuit is run on (u, 0, ..., 0) and we
-    require: output wires read interpret(program, u); input wires that are
-    not output wires still read u; every other wire reads 0.  Input wires
-    may double as output wires when the program updates its inputs in
-    place, in which case the output value wins.
+    For each input u the circuit is run on (u, 0, ..., 0) and we require:
+    output wires read interpret(program, u); input wires that are not
+    output wires still read u; every other wire reads 0.  Input wires may
+    double as output wires when the program updates its inputs in place,
+    in which case the output value wins.  Programs with at most 8 inputs
+    are checked on all 2^n inputs, whatever `samples` says; larger ones on
+    `samples` random inputs drawn from `seed`.  Both sides run every
+    sample at once, one sample per bit of a packed column.
     """
     from . import frontend  # local import: circuit stays importable standalone
 
-    rng = random.Random(seed)
     n = len(program.input_slots)
-    inputs = [[rng.randrange(2) for _ in range(n)] for _ in range(samples)]
-    if n <= 8:  # exhaustive where cheap; still capped at `samples`
-        inputs = [[(v >> i) & 1 for i in range(n)] for v in range(2**n)][:max(samples, 2**n)]
-
-    k = len(inputs)
-    # Pack sample s into bit s of each wire column.
-    cols = [0] * circ.width
-    for s, u in enumerate(inputs):
-        for i, w in enumerate(circ.inputs):
-            cols[w] |= (u[i] & 1) << s
-    out_cols = simulate_batch(circ, cols)
-
-    expected_out = [frontend.interpret(program, u) for u in inputs]
-    out_wires = set(circ.outputs)
-    in_pos = {w: i for i, w in enumerate(circ.inputs)}
-
-    mismatches = []
+    if n <= 8:  # exhaustive: sample v is the input whose bits spell v
+        k = 2**n
+        in_cols = [sum(1 << v for v in range(k) if v >> i & 1) for i in range(n)]
+    else:
+        k = samples
+        rng = random.Random(seed)
+        in_cols = [rng.getrandbits(k) for _ in range(n)]
     mask = (1 << k) - 1
+
+    cols = [0] * circ.width
+    for w, col in zip(circ.inputs, in_cols):
+        cols[w] = col
+    got_cols = simulate_batch(circ, cols)
+    want = dict(zip(circ.inputs, in_cols))
+    want.update(zip(circ.outputs, frontend.interpret_packed(program, in_cols, mask)))
+
+    outputs = set(circ.outputs)
+    mismatches = []
     for w in range(circ.width):
-        if w in out_wires:
-            want = 0
-            j = circ.outputs.index(w)
-            for s in range(k):
-                want |= (expected_out[s][j] & 1) << s
-            role = "output"
-        elif w in in_pos:
-            want = cols[w]
-            role = "input"
-        else:
-            want = 0
-            role = "ancilla"
-        got = out_cols[w] & mask
-        if got != want:
-            bad = [s for s in range(k) if ((got ^ want) >> s) & 1]
+        role = ("output" if w in outputs else
+                "input" if w in want else "ancilla")
+        diff = (got_cols[w] ^ want.get(w, 0)) & mask
+        if diff:
+            bad = [s for s in range(k) if diff >> s & 1]
             mismatches.append({
                 "wire": w,
                 "role": role,
@@ -206,12 +186,6 @@ def format_circuit(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_circuit(path) -> Circuit:
-    with open(path) as f:
-        text = f.read()
-    return parse_circuit(text)
-
-
 def parse_circuit(text: str) -> Circuit:
     width = 0
     inputs: list[int] = []
@@ -223,9 +197,10 @@ def parse_circuit(text: str) -> Circuit:
             continue
         if line.startswith("#"):
             if "width:" in line:
-                body = line.lstrip("#").strip()
-                parts = body.split()
-                for key, val in zip(parts[::2], parts[1::2]):
+                parts = line.lstrip("#").split() + [""]
+                for key, val in zip(parts, parts[1:]):
+                    if val.endswith(":"):  # a key with an empty list
+                        val = ""
                     if key == "width:":
                         width = int(val)
                     elif key == "inputs:":

@@ -25,9 +25,11 @@ slots, so the call *accumulates* onto `x` (e.g. `h <- add h'` means
 form `t <- t <> e` (validated per slot); if not, the aliasing is rolled
 back and the call is inlined out-of-place, which re-binds `x` instead.
 
-`interpret` (on FlatProgram) is the ground-truth oracle used by circuit
-verification.  `interpret_source` evaluates the AST directly under the
-same conventions and serves as a cross-check on flatten itself.
+`run_statements` is the one, bit-sliced evaluator of flat statements (one
+sample per bit of a Python int); `interpret_packed` runs a FlatProgram
+through it and is the ground-truth oracle of circuit verification.
+`interpret_source` evaluates the AST directly under the same conventions
+and serves as an independent cross-check on flatten itself.
 """
 
 from __future__ import annotations
@@ -196,6 +198,7 @@ class EBin:
     op: str  # && || <> + - * / %
     left: object
     right: object
+    line: int = 0
 
 
 @dataclass
@@ -223,6 +226,7 @@ class EApp:
 @dataclass
 class EArrayLit:
     items: list  # compile-time int array literal [| ... |]
+    line: int = 0
 
 
 @dataclass
@@ -488,15 +492,15 @@ class Parser:
     def parse_add(self):
         e = self.parse_mul()
         while self.at("OP", "+") or self.at("OP", "-"):
-            op = self.next().value
-            e = EBin(op, e, self.parse_mul())
+            t = self.next()
+            e = EBin(t.value, e, self.parse_mul(), t.line)
         return e
 
     def parse_mul(self):
         e = self.parse_unary()
         while self.at("OP", "*") or self.at("OP", "/") or self.at("OP", "%"):
-            op = self.next().value
-            e = EBin(op, e, self.parse_unary())
+            t = self.next()
+            e = EBin(t.value, e, self.parse_unary(), t.line)
         return e
 
     def parse_unary(self):
@@ -538,7 +542,7 @@ class Parser:
             self.next()
             e = self.parse_expr()
             self.expect("OP", ")")
-            return self.parse_postfix_on(e)
+            return e
         if t.kind == "OP" and t.value == "[|":
             self.next()
             items = [self.parse_expr()]
@@ -546,7 +550,7 @@ class Parser:
                 self.next()
                 items.append(self.parse_expr())
             self.expect("OP", "|]")
-            return EArrayLit(items)
+            return EArrayLit(items, t.line)
         if t.kind == "OP" and t.value == "[":
             self.next()
             items = [self.parse_expr()]
@@ -572,11 +576,6 @@ class Parser:
             self.expect("OP", "]")
             return EIndex(name, lo, line)
         return EName(name, line)
-
-    def parse_postfix_on(self, e):
-        # parenthesized expressions do not take postfix `.[...]` in this
-        # grammar (index bases are plain names)
-        return e
 
     def parse_if(self):
         t = self.expect("KW", "if")
@@ -633,32 +632,45 @@ class FlatProgram:
     input_layout: list = field(default_factory=list)  # (name, width)
 
 
-def _stmt_eval(stmt, env: dict) -> None:
-    """Apply one flat statement to a slot→bit environment (in place)."""
-    if isinstance(stmt, Compute):
-        for w in variables(stmt.expr):
-            env.setdefault(w, 0)
-        v = evaluate(stmt.expr, env)
-        env[stmt.slot] = v if stmt.fresh else env.get(stmt.slot, 0) ^ v
-    elif isinstance(stmt, InPlaceBlock):
-        for s in stmt.body:
-            _stmt_eval(s, env)
-    elif isinstance(stmt, CleanSlot):
-        if env.get(stmt.slot, 0) != 0:
-            raise InterpretError(f"clean of non-zero slot {stmt.slot}")
-    else:
-        raise TypeError(f"unknown statement {stmt!r}")
+def run_statements(stmts, cols: list[int], mask: int) -> None:
+    """Apply flat statements, in order, to slot-indexed packed columns.
+
+    `cols[s]` holds slot s with one sample per bit (lane); `mask` has a 1
+    in every live lane.  A `CleanSlot` of a slot that is non-zero in any
+    lane raises InterpretError.
+    """
+    for stmt in stmts:
+        if isinstance(stmt, Compute):
+            v = evaluate(stmt.expr, cols, mask)
+            cols[stmt.slot] = v if stmt.fresh else cols[stmt.slot] ^ v
+        elif isinstance(stmt, InPlaceBlock):
+            run_statements(stmt.body, cols, mask)
+        elif isinstance(stmt, CleanSlot):
+            if cols[stmt.slot]:
+                raise InterpretError(f"clean of non-zero slot {stmt.slot}")
+        else:
+            raise TypeError(f"unknown statement {stmt!r}")
+
+
+def interpret_packed(program: FlatProgram, columns, mask: int) -> list[int]:
+    """Evaluate many samples at once; the ground truth for verification.
+
+    `columns[i]` packs input bit i of every sample, one sample per lane of
+    `mask`; returns one packed column per output slot.
+    """
+    if len(columns) != len(program.input_slots):
+        raise InterpretError(
+            f"expected {len(program.input_slots)} input bits, got {len(columns)}")
+    cols = [0] * program.slot_count
+    for s, c in zip(program.input_slots, columns):
+        cols[s] = c & mask
+    run_statements(program.statements, cols, mask)
+    return [cols[s] for s in program.output_slots]
 
 
 def interpret(program: FlatProgram, inputs) -> list[int]:
-    """Classical big-step evaluation; the ground truth for verification."""
-    if len(inputs) != len(program.input_slots):
-        raise InterpretError(
-            f"expected {len(program.input_slots)} input bits, got {len(inputs)}")
-    env = {s: b & 1 for s, b in zip(program.input_slots, inputs)}
-    for stmt in program.statements:
-        _stmt_eval(stmt, env)
-    return [env.get(s, 0) for s in program.output_slots]
+    """One-sample `interpret_packed`: a list of 0/1 in, a list of 0/1 out."""
+    return interpret_packed(program, inputs, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -820,14 +832,19 @@ class Flattener:
                 return a - b
             if e.op == "*":
                 return a * b
-            if e.op == "/":
-                return a // b
-            return a % b
+            if b == 0:
+                raise FlattenError(
+                    f"{'division' if e.op == '/' else 'modulo'} by zero", e.line)
+            return a // b if e.op == "/" else a % b
         if isinstance(e, EIndex):
             v = scope.lookup(e.name)
-            if v is not None and isinstance(v[0], _IntArrVal):
-                return v[0].values[self.eval_int(e.index, scope)]
-            raise _NotInt()
+            if v is None or not isinstance(v[0], _IntArrVal):
+                raise _NotInt()
+            values, i = v[0].values, self.eval_int(e.index, scope)
+            if not 0 <= i < len(values):
+                raise FlattenError(f"index {i} out of range for {e.name!r}"
+                                   f" (size {len(values)})", e.line)
+            return values[i]
         if isinstance(e, EApp):
             if e.fn in ("int", "float"):
                 return self.eval_int(e.args[0], scope)
@@ -847,10 +864,6 @@ class Flattener:
             return self.eval_int(e, scope)
         except _NotInt:
             return None
-        except FlattenError:
-            raise
-        except Exception:
-            return None
 
     # -- boolean expressions -------------------------------------------------
     def eval_scalar(self, e, scope: _Scope) -> BoolExp:
@@ -869,7 +882,8 @@ class Flattener:
             if e.op == "<>":
                 return bxor([self.eval_scalar(e.left, scope),
                              self.eval_scalar(e.right, scope)])
-            raise FlattenError(f"integer operator {e.op!r} in bit context")
+            raise FlattenError(f"integer operator {e.op!r} in bit context",
+                               e.line)
         v = self.eval_value(e, scope)
         if isinstance(v, _BitVal):
             return bvar(v.slot)
@@ -880,13 +894,11 @@ class Flattener:
 
     # -- general values -------------------------------------------------------
     def eval_value(self, e, scope: _Scope):
-        iv = self.try_int(e, scope) if isinstance(e, (EInt, EBin, EApp, EName, EIndex)) else None
-        if iv is not None and isinstance(e, (EInt,)):
-            return _IntVal(iv)
         if isinstance(e, EBool):
             return _ConstBitVal(e.value)
         if isinstance(e, EArrayLit):
-            return _IntArrVal([self.eval_int(x, scope) for x in e.items])
+            return _IntArrVal([self.eval_int_or_fail(x, scope, e.line)
+                               for x in e.items])
         if isinstance(e, EName):
             b = scope.lookup(e.name)
             if b is None:
@@ -900,21 +912,21 @@ class Flattener:
             if b is None:
                 raise FlattenError(f"unknown identifier {e.name!r}", e.line)
             v = b[0]
-            i = self.eval_int(e.index, scope)
+            if isinstance(v, _IntArrVal):
+                return _IntVal(self.eval_int_or_fail(e, scope, e.line))
+            i = self.eval_int_or_fail(e.index, scope, e.line)
             if isinstance(v, _ArrVal):
                 if not 0 <= i < len(v.slots):
                     raise FlattenError(f"index {i} out of range for {e.name!r}"
                                        f" (size {len(v.slots)})", e.line)
                 return _BitVal(v.slots[i])
-            if isinstance(v, _IntArrVal):
-                return _IntVal(v.values[i])
             raise FlattenError(f"{e.name!r} is not an array", e.line)
         if isinstance(e, ESlice):
             b = scope.lookup(e.name)
             if b is None or not isinstance(b[0], _ArrVal):
                 raise FlattenError(f"{e.name!r} is not a bit array", e.line)
-            lo = self.eval_int(e.lo, scope)
-            hi = self.eval_int(e.hi, scope)
+            lo = self.eval_int_or_fail(e.lo, scope, e.line)
+            hi = self.eval_int_or_fail(e.hi, scope, e.line)
             if not (0 <= lo and hi < len(b[0].slots)):
                 raise FlattenError(f"slice [{lo}..{hi}] out of range for "
                                    f"{e.name!r} (size {len(b[0].slots)})", e.line)
@@ -925,7 +937,7 @@ class Flattener:
             return self.if_convert(e, scope)
         if isinstance(e, (EBin, ENot)):
             if isinstance(e, EBin) and e.op in "+-*/%":
-                return _IntVal(self.eval_int(e, scope))
+                return _IntVal(self.eval_int_or_fail(e, scope, e.line))
             return self.materialize(self.eval_scalar(e, scope))
         if isinstance(e, EInt):
             return _IntVal(e.value)
@@ -944,7 +956,7 @@ class Flattener:
     def eval_app(self, e: EApp, scope: _Scope):
         fn = e.fn
         if fn == "Array.zeroCreate":
-            n = self.eval_int(e.args[0], scope)
+            n = self.eval_int_or_fail(e.args[0], scope, e.line)
             if n < 0:
                 raise FlattenError("negative array size", e.line)
             binding = getattr(self, "_alias_binding", None)
@@ -974,14 +986,14 @@ class Flattener:
                 out.extend(v.slots)
             return _ArrVal(out)
         if fn == "rot":
-            k = self.eval_int(e.args[0], scope)
+            k = self.eval_int_or_fail(e.args[0], scope, e.line)
             v = self.eval_value(e.args[1], scope)
             if not isinstance(v, _ArrVal):
                 raise FlattenError("rot expects a bit array", e.line)
             n = len(v.slots)
             return _ArrVal([v.slots[(i + k) % n] for i in range(n)])
         if fn in ("Array.length", "int", "sqrt", "float"):
-            return _IntVal(self.eval_int(e, scope))
+            return _IntVal(self.eval_int_or_fail(e, scope, e.line))
         if fn == "__block__":
             # desugared multi-statement binding body
             return self.inline_call(_FuncVal(e.args[0], scope), [])
@@ -1017,14 +1029,9 @@ class Flattener:
     # -- statements -------------------------------------------------------------
     def run_block(self, block: Block, scope: _Scope, want_value: bool):
         value = None
-        for i, item in enumerate(block.items):
-            is_last = i == len(block.items) - 1
+        for item in block.items:
             if isinstance(item, ExprItem):
-                if is_last and want_value:
-                    value = self.eval_value(item.expr, scope)
-                else:
-                    # expression statement: evaluate for effect
-                    value = self.eval_value(item.expr, scope)
+                value = self.eval_value(item.expr, scope)
             else:
                 self.do_item(item, scope)
         if want_value and value is None:
@@ -1171,7 +1178,7 @@ class Flattener:
         if e.op == "var" and e.args[0] == slot:
             return bconst(False)
         if e.op != "xor":
-            return None if slot in variables(e) else None
+            return None
         hits = [a for a in e.args if a.op == "var" and a.args[0] == slot]
         if len(hits) != 1:
             return None
@@ -1277,30 +1284,30 @@ class Flattener:
 
     def validate_block(self, body, arg_slots, target_slots, local_slots,
                        line, fname) -> None:
-        """An in-place call must restore its arguments and zero its locals."""
+        """An in-place call must restore its arguments and zero its locals.
+
+        Runs the body once over 64 packed lanes: lane 0 all zeros, lane 1
+        all ones, lanes 2-63 random.
+        """
         rng = random.Random(0xB10C)
-        trials = [[0] * (len(arg_slots) + len(target_slots)),
-                  [1] * (len(arg_slots) + len(target_slots))]
-        trials += [[rng.randrange(2) for _ in range(len(arg_slots) +
-                                                    len(target_slots))]
-                   for _ in range(6)]
-        for bits in trials:
-            env = dict(zip(arg_slots + target_slots, bits))
-            before = {s: env[s] for s in arg_slots}
-            try:
-                for stmt in body:
-                    _stmt_eval(stmt, env)
-            except InterpretError as exc:
-                raise FlattenError(
-                    f"in-place call of {fname!r}: {exc}", line) from exc
-            if any(env.get(s, 0) != before[s] for s in arg_slots):
-                raise FlattenError(
-                    f"function {fname!r} used in an in-place update must "
-                    f"restore its arguments", line)
-            if any(env.get(s, 0) != 0 for s in local_slots):
-                raise FlattenError(
-                    f"function {fname!r} used in an in-place update leaves "
-                    f"non-zero local bits", line)
+        mask = (1 << 64) - 1
+        cols = [0] * self.slot_count
+        for s in arg_slots + target_slots:
+            cols[s] = rng.getrandbits(62) << 2 | 0b10
+        before = [cols[s] for s in arg_slots]
+        try:
+            run_statements(body, cols, mask)
+        except InterpretError as exc:
+            raise FlattenError(
+                f"in-place call of {fname!r}: {exc}", line) from exc
+        if [cols[s] for s in arg_slots] != before:
+            raise FlattenError(
+                f"function {fname!r} used in an in-place update must "
+                f"restore its arguments", line)
+        if any(cols[s] for s in local_slots):
+            raise FlattenError(
+                f"function {fname!r} used in an in-place update leaves "
+                f"non-zero local bits", line)
 
     # -- conditionals -------------------------------------------------------------
     def if_convert(self, e: EIf, scope: _Scope):
@@ -1506,23 +1513,6 @@ class _Box:
 def _accumulator_shaped(defn: LetDef, ret_name: str) -> bool:
     """Every write to the returned buffer reads it back exactly once, as the
     leftmost XOR operand (`t <- t <> e`)."""
-    def expr_names(e, out):
-        if isinstance(e, EName):
-            out.add(e.name)
-        elif isinstance(e, (EIndex, ESlice)):
-            out.add(e.name)
-        elif isinstance(e, ENot):
-            expr_names(e.arg, out)
-        elif isinstance(e, EBin):
-            expr_names(e.left, out)
-            expr_names(e.right, out)
-        elif isinstance(e, EApp):
-            for a in e.args:
-                expr_names(a, out)
-        elif isinstance(e, EList):
-            for a in e.items:
-                expr_names(a, out)
-
     def same_ref(a, b):
         if isinstance(a, EName) and isinstance(b, EName):
             return a.name == b.name
@@ -1543,12 +1533,8 @@ def _accumulator_shaped(defn: LetDef, ret_name: str) -> bool:
                     left = left.left
                 if not same_ref(left, it.target):
                     return False
-                names: set = set()
-                expr_names(e, names)
                 # the buffer may appear only as the accumulator itself
-                rest = it.expr
-                cnt = _count_name(rest, ret_name)
-                if cnt != 1:
+                if _count_name(e, ret_name) != 1:
                     return False
             elif isinstance(it, ForLoop):
                 if not check_items(it.body.items):
@@ -1689,8 +1675,13 @@ class SourceInterpreter:
         if isinstance(e, EBin):
             if e.op in "+-*/%":
                 a, b = self.eval_int(e.left, scope), self.eval_int(e.right, scope)
-                return {"+": a + b, "-": a - b, "*": a * b,
-                        "/": a // b if b else 0, "%": a % b if b else 0}[e.op]
+                if e.op in "/%":
+                    if b == 0:
+                        raise InterpretError(
+                            f"{'division' if e.op == '/' else 'modulo'} by zero",
+                            e.line)
+                    return a // b if e.op == "/" else a % b
+                return {"+": a + b, "-": a - b, "*": a * b}[e.op]
             a, b = self.eval_bit(e.left, scope), self.eval_bit(e.right, scope)
             if e.op == "&&":
                 return _Box(a & b)

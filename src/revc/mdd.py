@@ -18,7 +18,7 @@ a path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .boolexpr import variables
 from .frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock, interpret
@@ -59,10 +59,6 @@ class MDD:
 
     def node(self, nid: int) -> MddNode:
         return self.nodes[nid]
-
-    def topo_order(self) -> list:
-        """Creation order is a topological order (ties broken by id)."""
-        return list(self.nodes)
 
     def last_dependent_node(self, nid: int) -> int:
         """Topological index of the last node depending on nid (nid itself
@@ -206,23 +202,15 @@ def build_mdd(program: FlatProgram) -> MDD:
 
 
 def evaluate_mdd(g: MDD, bits) -> list[int]:
-    """Walk nodes in topological order, applying each emission unit once.
+    """Run each emission unit once, in node (topological) order.
 
-    Cross-checks graph construction against the statement interpreter.
+    Cross-checks graph construction against `interpret` on the statements.
     """
-    program = g.program
-    env = {s: b & 1 for s, b in zip(program.input_slots, bits)}
-    from .frontend import _stmt_eval
-    done: set[int] = set()
-    for n in g.topo_order():
-        if n.kind != OP or n.stmt_index in done:
-            continue
-        done.add(n.stmt_index)
-        _stmt_eval(n.stmt, env)
-    for n in g.topo_order():
-        if n.kind == CLEAN and env.get(n.slot, 0) != 0:
-            raise AssertionError(f"clean of non-zero slot {n.slot}")
-    return [env.get(s, 0) for s in program.output_slots]
+    units: dict[int, object] = {}
+    for n in g.nodes:
+        if n.kind in (OP, CLEAN):
+            units.setdefault(n.stmt_index, n.stmt)
+    return interpret(replace(g.program, statements=list(units.values())), bits)
 
 
 def to_dot(g: MDD) -> str:

@@ -2,6 +2,8 @@ import random
 from importlib import resources
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from revc.circuit import (
     Circuit, Gate, cnot, format_circuit, notg, parse_circuit, reverse,
@@ -124,6 +126,28 @@ def test_text_format_round_trip():
     assert c2.width == c.width
     assert c2.gates == c.gates
     assert c2.inputs == c.inputs and c2.outputs == c.outputs
+
+
+@st.composite
+def circuits(draw):
+    width = draw(st.integers(3, 8))
+    wires = st.integers(0, width - 1)
+    gates = draw(st.lists(st.one_of(
+        st.lists(wires, min_size=3, max_size=3, unique=True).map(
+            lambda w: toffoli(*w)),
+        st.lists(wires, min_size=2, max_size=2, unique=True).map(
+            lambda w: cnot(*w)),
+        wires.map(notg)), max_size=6))
+    inputs = draw(st.lists(wires, max_size=width))
+    outputs = draw(st.lists(wires, max_size=width, unique=True))
+    return Circuit(width, gates, inputs, outputs)
+
+
+@given(circuits())
+@example(Circuit(2, [notg(0), cnot(0, 1), notg(0)], [], [1]))  # `true`
+@example(Circuit(3, [], [0, 1], []))
+def test_text_format_round_trip_property(c):
+    assert parse_circuit(format_circuit(c)) == c
 
 
 def test_stats_counts():

@@ -4,6 +4,7 @@ from importlib import resources
 import pytest
 
 from revc.cli import main
+from revc.frontend import FlattenError, flatten, parse
 
 
 def corpus_path(name: str) -> str:
@@ -100,3 +101,73 @@ def test_blif_batch_report(tmp_path, capsys):
 def test_bad_param_is_user_error(capsys):
     rc = main(["compile", corpus_path("adder_ripple.rev"), "--param", "n=ten"])
     assert rc == 1
+
+
+INPLACE_MAIN = """
+let main (y : bool[2]) (z : bool[1]) =
+    z <- f y
+    z
+
+main
+"""
+
+# Each `f` breaks the in-place contract only when both bits of its argument
+# are 1, which the all-zeros validation lane alone would miss.
+INPLACE_REJECTED = [
+    ("""let f (a : bool array) =
+    let r = Array.zeroCreate 1
+    a.[0] <- a.[0] <> a.[1]
+    r.[0] <- r.[0] <> a.[0]
+    r
+""", "function 'f' used in an in-place update must restore its arguments"),
+    ("""let f (a : bool array) =
+    let r = Array.zeroCreate 1
+    let t = a.[0] && a.[1]
+    r.[0] <- r.[0] <> t
+    r
+""", "function 'f' used in an in-place update leaves non-zero local bits"),
+    ("""let f (a : bool array) =
+    let r = Array.zeroCreate 1
+    let t = a.[0] && a.[1]
+    clean t
+    r.[0] <- r.[0] <> a.[0]
+    r
+""", "in-place call of 'f': clean of non-zero slot"),
+]
+
+
+@pytest.mark.parametrize("fdef,message", INPLACE_REJECTED,
+                         ids=["argument", "local", "clean"])
+def test_inplace_contract_violation_is_user_error(tmp_path, capsys, fdef,
+                                                  message):
+    src = fdef + INPLACE_MAIN
+    line = 1 + src.splitlines().index("    z <- f y")
+    with pytest.raises(FlattenError) as exc:
+        flatten(parse(src))
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"line {line}: {message}")
+    path = tmp_path / "inplace.rev"
+    path.write_text(src)
+    rc = main(["compile", str(path), "-o", str(tmp_path / "out.tfc")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("src,message", [
+    ("let f (x : bool[4 / 0]) = x\n\nf\n", "line 1: division by zero"),
+    ("let n = 5 % 0\nlet f (x : bool[4]) = x\n\nf\n", "line 1: modulo by zero"),
+    ("let k = [| 1; 2; 3 |]\nlet f (x : bool[4]) =\n    x.[k.[7]]\n\nf\n",
+     "line 3: index 7 out of range for 'k' (size 3)"),
+    ("let k = [| 1; 2; 3 |]\nlet f (x : bool[4]) =\n    x.[k.[0 - 1]]\n\nf\n",
+     "line 3: index -1 out of range for 'k' (size 3)"),
+    ("let f (a : bool[2]) (x : bool) =\n    a.[x]\n\nf\n",
+     "line 2: bound or index is not a compile-time integer"),
+], ids=["div-zero", "mod-zero", "index-high", "index-negative", "bit-index"])
+def test_bad_compile_time_integer_is_user_error(tmp_path, capsys, src, message):
+    path = tmp_path / "bad.rev"
+    path.write_text(src)
+    rc = main(["compile", str(path), "-o", str(tmp_path / "out.tfc")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -2,11 +2,14 @@ import random
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revc.frontend import (
-    Compute, FlatProgram, FlattenError, InPlaceBlock, ParseError, flatten, interpret,
-    interpret_source, parse,
+    Compute, FlatProgram, FlattenError, InPlaceBlock, InterpretError, ParseError,
+    flatten, interpret, interpret_packed, interpret_source, parse,
 )
+from revc.randprog import random_program
 
 
 def corpus(name: str) -> str:
@@ -304,3 +307,42 @@ def test_sha2_round_matches_reference():
         out = interpret(prog, bits)
         got = [int_of(out[32 * i:32 * i + 32]) for i in range(8)]
         assert got == want
+
+
+@pytest.mark.parametrize("op,word", [("/", "division"), ("%", "modulo")])
+def test_source_interpreter_rejects_zero_divisor(op, word):
+    ast = parse(f"let f (a : bool[4]) =\n    a.[4 {op} 0]\n\nf")
+    with pytest.raises(InterpretError, match=f"line 2: {word} by zero"):
+        interpret_source(ast, [0] * 4)
+
+
+# ---------------------------------------------------------------------------
+# bit-sliced evaluation: every lane of interpret_packed is one interpret
+
+
+def assert_lanes_agree(prog, data):
+    n = len(prog.input_slots)
+    samples = data.draw(st.lists(st.integers(0, 2**n - 1), min_size=1,
+                                 max_size=16))
+    cols = [sum((v >> i & 1) << s for s, v in enumerate(samples))
+            for i in range(n)]
+    out = interpret_packed(prog, cols, (1 << len(samples)) - 1)
+    for s, v in enumerate(samples):
+        assert [c >> s & 1 for c in out] == interpret(prog, bits_of(v, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.data())
+def test_packed_lanes_match_scalar_on_random_programs(seed, data):
+    assert_lanes_agree(random_program(seed), data)
+
+
+@pytest.fixture(scope="module")
+def sha2_round():
+    return flatten(parse(corpus("sha2.rev"), params={"rounds": 1}))
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_packed_lanes_match_scalar_on_sha2(sha2_round, data):
+    assert_lanes_agree(sha2_round, data)
