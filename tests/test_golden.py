@@ -38,12 +38,16 @@ REV_GOLDEN = {
         "c59357dd137042d5669bed7288b7b1ca9370e17a5c8fa4d114b420738c4da828",
     ("sha2.rev", "rounds=4", "incremental", 672):
         "448ea6e2fdbbbf414cd55c748810533dee7bf73aee08ba4fd988e6511f9924af",
+    ("sha2.rev", "rounds=16", "eager", None):
+        "4cebb5b47f1ee37cd330672a20bdaac2a0d0ec9eca3e1a4ba516c4df0e3bb750",
     ("md5.rev", "rounds=2", "bennett", None):
         "ad10d2cbdc9dc17f3d1ce3ddc3ec2a15ccb8da20f558f907d75699965f781ba6",
     ("md5.rev", "rounds=2", "eager", None):
         "2860c03ee5f0971465f7620dfadd4a4568ad60fa62fa589513d939ce33f683e8",
     ("md5.rev", "rounds=2", "incremental", None):
         "ad10d2cbdc9dc17f3d1ce3ddc3ec2a15ccb8da20f558f907d75699965f781ba6",
+    ("md5.rev", "rounds=4", "eager", None):
+        "84475ad7727a563120613437b5fc040b84eec895f382b722cb3d0ff0d475a5c3",
 }
 
 BLIF_GOLDEN = {
