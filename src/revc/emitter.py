@@ -25,14 +25,15 @@ from .frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
 from .scheduler import Action, CleanupPlan
 
 
-def _origin(action: Action, attr: str) -> Action:
-    """Walk the ref chain back to the action that recorded `attr`."""
+def _origin(action: Action, table: dict):
+    """Walk the ref chain back to the action that has an entry in `table`
+    and return that entry."""
     a = action
-    while getattr(a, attr) is None and a.ref is not None:
+    while a not in table and a.ref is not None:
         a = a.ref
-    if getattr(a, attr) is None:
-        raise RuntimeError(f"action {action.kind} has no recorded {attr}")
-    return a
+    if a not in table:
+        raise RuntimeError(f"action {action.kind} has no recorded origin")
+    return table[a]
 
 
 class Emitter:
@@ -43,6 +44,13 @@ class Emitter:
         self.slot_map: dict[int, int] = {s: i for i, s in enumerate(program.input_slots)}
         self.gates: list[Gate] = []
         self.output_wires: list[int] | None = None
+        # per-run records keyed by the action that made them, so that plans
+        # stay read-only: copy -> its fanout wires, remap -> the slot map it
+        # replaced.  `restore` leaves them alone: a record is read only by
+        # actions that come after the one that made it, and running that
+        # action again overwrites it
+        self.copy_wires: dict[Action, list[int]] = {}
+        self.saved_maps: dict[Action, dict] = {}
 
     @property
     def width(self) -> int:
@@ -140,7 +148,7 @@ class Emitter:
         src = [self._wire_of(s) for s in action.slots]
         dst = [self.heap.alloc() for _ in action.slots]
         self.gates += [cnot(a, b) for a, b in zip(src, dst)]
-        action.src_wires, action.dst_wires = src, dst
+        self.copy_wires[action] = dst
         if action.tag == "output":
             self.output_wires = dst
 
@@ -148,23 +156,22 @@ class Emitter:
         # the copied-to wires are pinned for the copy's whole lifetime, but
         # the source values may have migrated to other wires by now: resolve
         # them through the current slot map
-        orig = _origin(action, "dst_wires")
-        src = [self._wire_of(s) for s in orig.slots]
-        self.gates += [cnot(a, b)
-                       for a, b in zip(reversed(src), reversed(orig.dst_wires))]
-        for d in orig.dst_wires:
+        dst = _origin(action, self.copy_wires)
+        src = [self._wire_of(s) for s in action.slots]
+        self.gates += [cnot(a, b) for a, b in zip(reversed(src), reversed(dst))]
+        for d in dst:
             self.heap.free(d)
 
     def _do_remap(self, action: Action) -> None:
-        copy = _origin(action, "dst_wires")
-        action.prev_map = {s: self.slot_map.get(s) for s in action.slots}
-        for s, d in zip(action.slots, copy.dst_wires):
+        dst = _origin(action, self.copy_wires)
+        self.saved_maps[action] = {s: self.slot_map.get(s) for s in action.slots}
+        for s, d in zip(action.slots, dst):
             self.slot_map[s] = d
 
     def _do_unremap(self, action: Action) -> None:
-        remap = _origin(action, "prev_map")
+        prev_map = _origin(action, self.saved_maps)
         for s in action.slots:
-            prev = remap.prev_map[s]
+            prev = prev_map[s]
             if prev is None:
                 del self.slot_map[s]
             else:

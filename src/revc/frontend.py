@@ -722,6 +722,16 @@ class _FuncVal:
         self.env = env
 
 
+def _int_sqrt(x: int, error: type[FrontendError], line: int) -> int:
+    """`sqrt` of a compile-time integer: through a float, then truncated."""
+    if x < 0:
+        raise error("sqrt of a negative number", line)
+    try:
+        return int(math.sqrt(x))
+    except OverflowError:
+        raise error("sqrt argument is too large", line) from None
+
+
 def _slots_of(v) -> list[int] | None:
     if isinstance(v, _BitVal):
         return [v.slot]
@@ -849,7 +859,8 @@ class Flattener:
             if e.fn in ("int", "float"):
                 return self.eval_int(e.args[0], scope)
             if e.fn == "sqrt":
-                return int(math.sqrt(self.eval_int(e.args[0], scope)))
+                return _int_sqrt(self.eval_int(e.args[0], scope), FlattenError,
+                                 e.line)
             if e.fn == "Array.length":
                 v = self.eval_value(e.args[0], scope)
                 if isinstance(v, _ArrVal):
@@ -1435,6 +1446,9 @@ class Flattener:
                             f"entry parameter {pname!r} needs a sized "
                             f"annotation like (x : bool[8])", entry.defn.line)
                     n = self.eval_int_or_fail(ann[1], scope, entry.defn.line)
+                    if n < 0:
+                        raise FlattenError("negative array size",
+                                           entry.defn.line)
                     slots = [self.new_slot() for _ in range(n)]
                     for s in slots:
                         self.fresh.discard(s)
@@ -1742,7 +1756,8 @@ class SourceInterpreter:
         if fn in ("int", "float"):
             return self.eval(e.args[0], scope)
         if fn == "sqrt":
-            return int(math.sqrt(self.eval_int(e.args[0], scope)))
+            return _int_sqrt(self.eval_int(e.args[0], scope), InterpretError,
+                             e.line)
         if fn == "__block__":
             return self.call(_FuncVal(e.args[0], scope), [])
         b = scope.lookup(fn)

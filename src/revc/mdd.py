@@ -11,9 +11,12 @@ element; the members share a `group` tag identifying the block as a single
 emission unit (its internal locals are invisible at this level, they are
 allocated and returned inside the unit).
 
-The cleanup scheduler consumes three queries: the last node depending on a
-given node, the mutation path leading to a node, and the inputs read along
-a path.
+The eager cleanup scheduler consumes five queries: the garbage terminals
+(`garbage_terminals`, one pass over the nodes), the mutation path leading
+to a node (`modification_path`), the inputs read along a path
+(`input_nodes`), the readers of a node (`dependents`) and the next state of
+a node (`mutation_next`).  The last three are lookups in indexes built with
+the graph, and a node's `stmt_index` places it in the plan.
 """
 
 from __future__ import annotations
@@ -65,6 +68,12 @@ class MDD:
         if nothing reads it)."""
         deps = self.dependents.get(nid, ())
         return max(deps, default=nid)
+
+    def garbage_terminals(self) -> list:
+        """OP nodes, in id order, that end a mutation path short of an
+        output: the values left over once the program has run."""
+        return [n for n in self.nodes
+                if n.kind == OP and n.id not in self.mutation_next]
 
     def modification_path(self, nid: int) -> list:
         """Node ids from the Init/Input head of nid's mutation path to nid."""

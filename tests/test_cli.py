@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import revc
 from revc.cli import main
 from revc.frontend import FlattenError, flatten, parse
 
@@ -164,10 +169,26 @@ def test_inplace_contract_violation_is_user_error(tmp_path, capsys, fdef,
      "line 3: index -1 out of range for 'k' (size 3)"),
     ("let f (a : bool[2]) (x : bool) =\n    a.[x]\n\nf\n",
      "line 2: bound or index is not a compile-time integer"),
-], ids=["div-zero", "mod-zero", "index-high", "index-negative", "bit-index"])
+    ("let f (x : bool[0 - 2]) = x\n\nf\n", "line 1: negative array size"),
+    ("let n = sqrt (0 - 4)\nlet f (x : bool[4]) = x\n\nf\n",
+     "line 1: sqrt of a negative number"),
+    (f"let n = sqrt 1{'0' * 400}\nlet f (x : bool[4]) = x\n\nf\n",
+     "line 1: sqrt argument is too large"),
+], ids=["div-zero", "mod-zero", "index-high", "index-negative", "bit-index",
+        "negative-size", "sqrt-negative", "sqrt-huge"])
 def test_bad_compile_time_integer_is_user_error(tmp_path, capsys, src, message):
     path = tmp_path / "bad.rev"
     path.write_text(src)
     rc = main(["compile", str(path), "-o", str(tmp_path / "out.tfc")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(revc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "revc", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: revc")

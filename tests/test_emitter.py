@@ -3,7 +3,7 @@ from importlib import resources
 
 import pytest
 
-from revc.circuit import CNOT, TOFFOLI, stats, verify
+from revc.circuit import CNOT, TOFFOLI, format_circuit, stats, verify
 from revc.emitter import Emitter, compile_flat, emit
 from revc.frontend import flatten, parse
 from revc.mdd import build_mdd
@@ -60,6 +60,18 @@ def test_bennett_mirror_is_gatewise_inverse():
     fwd = circ.gates[:half]
     bwd = circ.gates[-half:]
     assert fwd == list(reversed(bwd))
+
+
+@pytest.mark.parametrize("strategy,budget", [
+    ("bennett", None), ("eager", None), ("incremental", 672)])
+def test_plan_emits_identically_twice(strategy, budget):
+    # emission keeps its per-run records off the plan, so a plan is reusable
+    prog = prog_of(corpus("sha2.rev"), {"rounds": 4})
+    plan = schedule(prog, strategy, budget)
+    first, second = emit(plan), emit(plan)
+    assert format_circuit(first) == format_circuit(second)
+    if budget is not None:
+        assert plan.checkpoints >= 1
 
 
 def test_emitter_snapshot_restore():

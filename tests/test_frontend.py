@@ -316,6 +316,12 @@ def test_source_interpreter_rejects_zero_divisor(op, word):
         interpret_source(ast, [0] * 4)
 
 
+def test_source_interpreter_rejects_sqrt_of_negative():
+    ast = parse("let f (a : bool[4]) =\n    a.[sqrt (0 - 4)]\n\nf")
+    with pytest.raises(InterpretError, match="line 2: sqrt of a negative number"):
+        interpret_source(ast, [0] * 4)
+
+
 # ---------------------------------------------------------------------------
 # bit-sliced evaluation: every lane of interpret_packed is one interpret
 

@@ -1,10 +1,15 @@
+import collections
+import dataclasses
 import random
 from importlib import resources
 
 import pytest
 
-from revc.frontend import flatten, parse
-from revc.mdd import build_mdd
+from revc.boolexpr import band, bor, bvar, bxor
+from revc.circuit import verify
+from revc.emitter import emit
+from revc.frontend import Compute, FlatProgram, flatten, parse
+from revc.mdd import OP, OUTPUT, build_mdd
 from revc.scheduler import (
     BENNETT_CLEANED, CLEANED_EAGERLY, UNCLEAN, Action, BudgetError,
     bennett_cleanup, eager_cleanup, incremental_cleanup, invert, mirror,
@@ -52,6 +57,14 @@ def test_invert_is_involutive():
     c = Action("copy", slots=(1, 2), tag="output")
     assert invert(c).kind == "uncopy"
     assert invert(c).ref is c
+
+
+def test_actions_are_frozen():
+    a = Action("copy", slots=(1, 2), tag="output")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.slots = (3,)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        invert(a).ref = None
 
 
 def test_bennett_shape():
@@ -137,3 +150,84 @@ def test_mirror_round_trip():
     back = mirror(mirror(acts))
     assert [a.kind for a in back] == ["fwd"] * 5
     assert [a.stmt for a in back] == [a.stmt for a in acts]
+
+
+# ---------------------------------------------------------------------------
+# eager against a direct reference: one event list, positions found by
+# search, reversals spliced in place, and the destroyed-input check spelled
+# out.  Quadratic, but plainly the algorithm.
+
+
+def reference_eager(g):
+    """(kind, stmt) rows of the eager plan before any copy-out, and the
+    ids of the Unclean terminals."""
+    events = [("fwd", i) for i in range(len(g.program.statements))]
+    reads = collections.defaultdict(set)  # event -> node ids it reads
+    for n in g.nodes:
+        if n.kind == OP:
+            reads[("fwd", n.stmt_index)] |= set(g.reads[n.id])
+            reads[("bwd", n.id)] = set(g.reads[n.id])
+    undone_by: dict = {}  # node -> reversal events of its cleaned path
+    unclean = set()
+    terminals = [n for n in g.nodes
+                 if n.kind == OP and n.id not in g.mutation_next]
+    for term in sorted(terminals, key=lambda n: -n.id):
+        path = g.modification_path(term.id)
+        ops = [g.node(x) for x in path if g.node(x).kind == OP]
+        if any(n.group is not None for n in ops):
+            unclean.add(term.id)
+            continue
+        d = max([events.index(("fwd", term.stmt_index))]
+                + [p for p, ev in enumerate(events) if term.id in reads[ev]])
+        for u in g.input_nodes(path):
+            w = g.mutation_next.get(u)
+            if (w is not None and g.node(w).kind != OUTPUT
+                    and events.index(("fwd", g.node(w).stmt_index)) <= d):
+                break
+            if any(ev in undone_by.get(u, ()) for ev in events[:d + 1]):
+                break
+        else:
+            undo = [("bwd", n.id) for n in reversed(ops)]
+            events[d + 1:d + 1] = undo
+            undone_by.update((x, set(undo)) for x in path)
+            continue
+        unclean.add(term.id)
+    stmts = g.program.statements
+    rows = [(kind, stmts[x] if kind == "fwd" else g.node(x).stmt)
+            for kind, x in events]
+    return rows, unclean
+
+
+def mutating_program(seed: int) -> FlatProgram:
+    """A random straight-line program that also updates inputs and
+    temporaries in place, so that some values cannot be cleaned eagerly."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    live, stmts = list(range(n)), []
+    for _ in range(rng.randint(3, 20)):
+        target = rng.choice(live) if rng.random() < 0.4 else None
+        srcs = [s for s in live if s != target]
+        args = [bvar(v) for v in rng.sample(srcs, rng.randint(1, min(3, len(srcs))))]
+        expr = args[0] if len(args) == 1 else rng.choice((band, bor, bxor))(args)
+        fresh = target is None
+        if fresh:
+            target = len(live)
+            live.append(target)
+        stmts.append(Compute(target, expr, fresh=fresh))
+    outs = sorted(rng.sample(live, rng.randint(1, min(3, len(live)))))
+    return FlatProgram(name=f"mut{seed}", input_slots=list(range(n)),
+                       output_slots=outs, statements=stmts, slot_count=len(live),
+                       input_layout=[(f"x{i}", 1) for i in range(n)])
+
+
+def test_eager_matches_reference_on_mutating_programs():
+    unclean_seen = 0
+    for seed in range(300):
+        g = build_mdd(mutating_program(seed))
+        plan = eager_cleanup(g)
+        rows, unclean = reference_eager(g)
+        assert [(a.kind, a.stmt) for a in plan.actions[:len(rows)]] == rows, seed
+        assert set(plan.unclean_nodes) == unclean, seed
+        assert verify(g.program, emit(plan)).ok, seed
+        unclean_seen += bool(unclean)
+    assert unclean_seen > 30
