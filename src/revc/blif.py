@@ -270,11 +270,6 @@ def lower(net: BlifNetlist, optimize: bool = False) -> FlatProgram:
                        input_layout=[(s, 1) for s in net.inputs])
 
 
-def load_blif(path, optimize: bool = False) -> FlatProgram:
-    with open(path) as f:
-        return lower(parse_blif(f.read()), optimize=optimize)
-
-
 def cover_semantics(net: BlifNetlist, bits: list[int]) -> list[int]:
     """Reference evaluation straight off the cubes (OR of cube matches)."""
     val = {s: b & 1 for s, b in zip(net.inputs, bits)}

@@ -18,12 +18,18 @@ FlatProgram over numbered bit slots.  Three statement forms survive:
 Slice/rotation/append/aliasing never compute bits; they are pure
 re-labelings of slot lists resolved entirely at flatten time.
 
-The in-place convention: `x <- f args` with `x` holding existing slots
-inlines `f` with its returned zero-initialized buffer aliased onto `x`'s
-slots, so the call *accumulates* onto `x` (e.g. `h <- add h'` means
-`h += ...`).  Every write to the aliased buffer must be of accumulator
-form `t <- t <> e` (validated per slot); if not, the aliasing is rolled
-back and the call is inlined out-of-place, which re-binds `x` instead.
+The in-place convention: `x <- f args` *accumulates* onto `x` (e.g.
+`h <- add h'` means `h += h'`) when `in_place_binding` accepts the call.
+The flattener and `SourceInterpreter` both ask it once, before inlining,
+and the rule is syntactic: `f` returns a body-level
+`let r = Array.zeroCreate n`, every write to `r` has the same element as
+one operand of its top-level `<>` chain and `r` nowhere else on the
+right; `x` holds bits that no argument shares; the call is not nested in
+an in-place body or an `if` branch.  The call is then inlined once with
+`r` bound to `x`'s slots, otherwise once out of place, re-binding `x`.
+Nothing is rolled back: an accepted body that breaks the contract (a
+width other than `x`'s, a write into `x` that does not accumulate,
+arguments not restored, locals not zeroed) is an error with a line.
 
 `run_statements` is the one, bit-sliced evaluator of flat statements (one
 sample per bit of a Python int); `interpret_packed` runs a FlatProgram
@@ -61,10 +67,6 @@ class FlattenError(FrontendError):
 
 class InterpretError(FrontendError):
     pass
-
-
-class _AliasError(Exception):
-    """Internal: in-place aliasing not applicable; retry out-of-place."""
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +234,7 @@ class EArrayLit:
 @dataclass
 class EList:
     items: list  # [a; b; c] (argument of Array.concat)
+    line: int = 0
 
 
 @dataclass
@@ -558,7 +561,7 @@ class Parser:
                 self.next()
                 items.append(self.parse_expr())
             self.expect("OP", "]")
-            return EList(items)
+            return EList(items, t.line)
         if t.kind == "NAME":
             self.next()
             return self.parse_postfix(t.value, t.line)
@@ -740,23 +743,97 @@ def _slots_of(v) -> list[int] | None:
     return None
 
 
-def _returned_binding(defn: LetDef):
-    """The body-level `let name = Array.zeroCreate n` (or `= false`) binding
-    whose name the function returns, if the function has that shape."""
-    items = defn.body.items
-    if not items or not isinstance(items[-1], ExprItem):
+# ---------------------------------------------------------------------------
+# The in-place rule, shared by the flattener and the source interpreter
+
+
+def in_place_binding(defn: LetDef, target: list, args: list, nested: int):
+    """Decide `x <- f args` before inlining: f's result binding if the call
+    accumulates onto `x`, None if it re-binds `x`.
+
+    `target` is x's slots (flattener) or boxes (interpreter), `args` the
+    slots or boxes of each argument, `nested` non-zero inside an in-place
+    body or an `if` branch.  f must return a body-level
+    `let r = Array.zeroCreate n` whose every write accumulates.
+    """
+    if nested or not target or any(set(target).intersection(a) for a in args):
         return None
-    final = items[-1].expr
+    items = defn.body.items
+    final = items[-1].expr if isinstance(items[-1], ExprItem) else None
     if not isinstance(final, EName):
         return None
+    ret = next((it for it in reversed(items) if isinstance(it, (LetBind, LetDef))
+                and it.name == final.name), None)
+    if not (isinstance(ret, LetBind) and isinstance(ret.expr, EApp)
+            and ret.expr.fn == "Array.zeroCreate"):
+        return None
+    return ret if _writes_accumulate(items, final.name) else None
+
+
+def _writes_accumulate(items, name: str) -> bool:
+    """Every write to `name` in `items` (and their for-loops) accumulates."""
     for it in items:
-        if isinstance(it, LetBind) and it.name == final.name:
-            if isinstance(it.expr, EApp) and it.expr.fn == "Array.zeroCreate":
-                return it
-            if isinstance(it.expr, EBool) and not it.expr.value:
-                return it
-            return None
-    return None
+        if isinstance(it, ForLoop) and not _writes_accumulate(it.body.items, name):
+            return False
+        if (isinstance(it, Assign) and it.target.name == name
+                and not _accumulates(it.target, it.expr)):
+            return False
+    return True
+
+
+def _accumulates(target, rhs) -> bool:
+    """`rhs` reads the target's name once, as the target itself in its
+    top-level `<>` chain (`t <- t <> e`, `t <- e <> t`)."""
+    refs = [(e, top) for e, top in _reads(rhs) if e.name == target.name]
+    if len(refs) != 1 or not refs[0][1]:
+        return False
+    e = refs[0][0]
+    return type(e) is type(target) and (
+        isinstance(e, EName) or _int_expr_equal(e.index, target.index))
+
+
+def _reads(e, top: bool = True):
+    """Every name, element or slice that `e` reads, with whether it is an
+    operand of e's top-level `<>` chain (`not a` counts as `a <> true`)."""
+    if isinstance(e, EBin):
+        yield from _reads(e.left, top and e.op == "<>")
+        yield from _reads(e.right, top and e.op == "<>")
+    elif isinstance(e, ENot):
+        yield from _reads(e.arg, top)
+    else:
+        if isinstance(e, (EName, EIndex, ESlice)):
+            yield e, top
+        for sub in (e.args if isinstance(e, EApp) else
+                    e.items if isinstance(e, EList) else
+                    [e.index] if isinstance(e, EIndex) else
+                    [e.lo, e.hi] if isinstance(e, ESlice) else []):
+            yield from _reads(sub, False)
+
+
+def _int_expr_equal(a, b) -> bool:
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, EInt):
+        return a.value == b.value
+    if isinstance(a, EName):
+        return a.name == b.name
+    if isinstance(a, EBin):
+        return a.op == b.op and _int_expr_equal(a.left, b.left) \
+            and _int_expr_equal(a.right, b.right)
+    if isinstance(a, EIndex):
+        return a.name == b.name and _int_expr_equal(a.index, b.index)
+    return False
+
+
+def _check_width(ret: LetBind, n: int, target: list, line: int,
+                 error: type[FrontendError]) -> None:
+    if n != len(target):
+        raise error(f"in-place result {ret.name!r} has {n} bit(s) but its "
+                    f"target has {len(target)}", line)
+
+
+_LIST_ONLY_IN_CONCAT = "a list [a; ...] is only allowed as the argument of Array.concat"
+_NOT_ACCUMULATING = "a write into an in-place target must accumulate (t <- t <> e)"
 
 
 class Flattener:
@@ -768,10 +845,10 @@ class Flattener:
         self.slot_count = 0
         self.fresh: set[int] = set()  # zero-valued, never-written slots
         self.stmts: list = []
-        self.enforced: set[int] = set()  # alias targets: accumulator form only
-        self.in_block = False
+        self.enforced: set[int] = set()  # in-place target: accumulate only
+        self.nested = 0  # >0: inside an in-place body or an if-branch
         self.branch_depth = 0  # >0: inside an if-branch, re-labelings only
-        self.journal: list[list] = []  # stack of env-change logs
+        self.journal: list[list] = []  # per open branch: (binding, old value)
 
     # -- plumbing ----------------------------------------------------------
     def new_slot(self) -> int:
@@ -787,43 +864,21 @@ class Flattener:
         self.stmts.append(stmt)
 
     def _bind(self, scope: _Scope, name: str, value, mutable: bool) -> None:
-        if self.journal:
-            self.journal[-1].append((scope.vars, name,
-                                     scope.vars.get(name, _MISSING)))
         scope.vars[name] = [value, mutable]
 
     def _assign(self, scope: _Scope, name: str, value, line: int) -> None:
-        slot = scope.lookup(name)
-        if slot is None:
+        binding = scope.lookup(name)
+        if binding is None:
             raise FlattenError(f"unknown identifier {name!r}", line)
-        if not slot[1]:
+        if not binding[1]:
             raise FlattenError(f"assignment to immutable binding {name!r}", line)
+        self._set(binding, value)
+
+    def _set(self, binding: list, value) -> None:
+        """Re-bind an existing name, journaled inside if-branches."""
         if self.journal:
-            self.journal[-1].append((slot, 0, slot[0]))
-        slot[0] = value
-
-    def _push_journal(self):
-        self.journal.append([])
-        return (len(self.stmts), self.slot_count, set(self.fresh))
-
-    def _rollback(self, snap) -> None:
-        nstmts, nslots, fresh = snap
-        for target, key, old in reversed(self.journal.pop()):
-            if isinstance(target, dict):
-                if old is _MISSING:
-                    target.pop(key, None)
-                else:
-                    target[key] = old
-            else:
-                target[key] = old
-        del self.stmts[nstmts:]
-        self.slot_count = nslots
-        self.fresh = fresh
-
-    def _commit(self) -> None:
-        log = self.journal.pop()
-        if self.journal:
-            self.journal[-1].extend(log)
+            self.journal[-1].append((binding, binding[0]))
+        binding[0] = value
 
     # -- compile-time integers ----------------------------------------------
     def eval_int(self, e, scope: _Scope) -> int:
@@ -952,6 +1007,8 @@ class Flattener:
             return self.materialize(self.eval_scalar(e, scope))
         if isinstance(e, EInt):
             return _IntVal(e.value)
+        if isinstance(e, EList):
+            raise FlattenError(_LIST_ONLY_IN_CONCAT, e.line)
         raise FlattenError(f"cannot evaluate {type(e).__name__}")
 
     def materialize(self, be: BoolExp) -> object:
@@ -970,14 +1027,6 @@ class Flattener:
             n = self.eval_int_or_fail(e.args[0], scope, e.line)
             if n < 0:
                 raise FlattenError("negative array size", e.line)
-            binding = getattr(self, "_alias_binding", None)
-            if binding is not None and binding[0] is self._current_let:
-                slots = binding[1]
-                if len(slots) != n:
-                    raise _AliasError()
-                self._alias_binding = None
-                self.enforced.update(slots)
-                return _ArrVal(slots)
             return _ArrVal([self.new_slot() for _ in range(n)])
         if fn == "Array.append":
             a = self.eval_value(e.args[0], scope)
@@ -1015,7 +1064,9 @@ class Flattener:
         return self.inline_call(b[0], args, line=e.line)
 
     # -- calls -----------------------------------------------------------------
-    def inline_call(self, f: _FuncVal, args: list, alias_slots=None, line=0):
+    def inline_call(self, f: _FuncVal, args: list, alias=None, line=0):
+        """Inline f once; `alias` = (result binding, target slots, call
+        line) binds the result buffer to the in-place target."""
         defn = f.defn
         if len(args) != len(defn.params):
             raise FlattenError(
@@ -1024,25 +1075,24 @@ class Flattener:
         scope = _Scope(f.env)
         for (pname, _ann), v in zip(defn.params, args):
             self._bind(scope, pname, v, isinstance(v, _ArrVal))
-        if alias_slots is not None:
-            ret = _returned_binding(defn)
-            if ret is None:
-                raise _AliasError()
-            self._alias_binding = (ret, alias_slots)
-        value = self.run_block(defn.body, scope, want_value=True)
-        if alias_slots is not None and getattr(self, "_alias_binding", None):
-            self._alias_binding = None
-            raise _AliasError()  # returned binding never evaluated
-        if isinstance(value, _ConstBitVal) or isinstance(value, (_BitVal, _ArrVal, _IntVal, _IntArrVal)):
-            return value
-        raise FlattenError(f"{defn.name or '<block>'} returned no value", defn.line)
+        value = self.run_block(defn.body, scope, want_value=True, alias=alias)
+        if isinstance(value, _FuncVal):
+            raise FlattenError(f"{defn.name or '<block>'} returned no value",
+                               defn.line)
+        return value
 
     # -- statements -------------------------------------------------------------
-    def run_block(self, block: Block, scope: _Scope, want_value: bool):
+    def run_block(self, block: Block, scope: _Scope, want_value: bool,
+                  alias=None):
         value = None
         for item in block.items:
             if isinstance(item, ExprItem):
                 value = self.eval_value(item.expr, scope)
+            elif alias is not None and item is alias[0]:
+                ret, target, line = alias
+                n = self.eval_int_or_fail(ret.expr.args[0], scope, ret.line)
+                _check_width(ret, n, target, line, FlattenError)
+                self._bind(scope, ret.name, _ArrVal(target), True)
             else:
                 self.do_item(item, scope)
         if want_value and value is None:
@@ -1053,7 +1103,6 @@ class Flattener:
         if isinstance(item, LetDef):
             self._bind(scope, item.name, _FuncVal(item, scope), False)
         elif isinstance(item, LetBind):
-            self._current_let = item
             iv = self.try_int(item.expr, scope)
             if iv is not None:
                 self._bind(scope, item.name, _IntVal(iv), item.mutable)
@@ -1101,11 +1150,10 @@ class Flattener:
 
     def do_assign(self, item: Assign, scope: _Scope) -> None:
         rhs = item.expr
-        # 1. in-place update: `x <- f args` with x holding slots
+        # 1. `x <- f args`: inlined once, in place or re-binding x
         if (isinstance(item.target, EName) and isinstance(rhs, EApp)
                 and rhs.fn not in BUILTINS and rhs.fn != "__block__"
-                and scope.lookup(rhs.fn) is not None
-                and isinstance(scope.lookup(rhs.fn)[0], _FuncVal)):
+                and isinstance((scope.lookup(rhs.fn) or [None])[0], _FuncVal)):
             self.assign_call(item, scope)
             return
         # 2. pure re-labeling: RHS is an existing value (or structural op)
@@ -1116,9 +1164,8 @@ class Flattener:
                 return
             # element re-label onto a fresh, unwritten slot
             tslot, arr, i = self.element_slot(item.target, scope)
-            if isinstance(v, _BitVal) and tslot in self.fresh and tslot not in self.enforced:
-                if self.journal:
-                    self.journal[-1].append((arr.slots, i, arr.slots[i]))
+            if (isinstance(v, _BitVal) and tslot in self.fresh
+                    and tslot not in self.enforced and not self.branch_depth):
                 arr.slots[i] = v.slot
                 return
             # fall through to the compute path
@@ -1135,12 +1182,12 @@ class Flattener:
                                    item.line)
             cur = b[0].slot if isinstance(b[0], _BitVal) else None
             stripped = self.accumulator_strip(e, cur)
-            if cur is not None and stripped is not None:
+            if stripped is not None:
                 self.write_slot(cur, stripped, item.line)
                 self._assign(scope, item.target.name, _BitVal(cur), item.line)
             else:
-                if cur is not None and cur in self.enforced:
-                    raise _AliasError()
+                if cur in self.enforced:
+                    raise FlattenError(_NOT_ACCUMULATING, item.line)
                 t = self.new_slot()
                 self.fresh.discard(t)
                 self.emit(Compute(t, e, True))
@@ -1155,12 +1202,10 @@ class Flattener:
                 self.write_slot(tslot, use, item.line)
             else:
                 if tslot in self.enforced:
-                    raise _AliasError()
+                    raise FlattenError(_NOT_ACCUMULATING, item.line)
                 t = self.new_slot()
                 self.fresh.discard(t)
                 self.emit(Compute(t, e, True))
-                if self.journal:
-                    self.journal[-1].append((arr.slots, i, arr.slots[i]))
                 arr.slots[i] = t
 
     def element_slot(self, target: EIndex, scope: _Scope):
@@ -1208,10 +1253,7 @@ class Flattener:
                 return _ArrVal(v.slots) if isinstance(v, _ArrVal) else v
             return None
         if isinstance(e, (EIndex, ESlice)):
-            try:
-                v = self.eval_value(e, scope)
-            except FlattenError:
-                raise
+            v = self.eval_value(e, scope)
             return v if isinstance(v, (_BitVal, _ArrVal)) else None
         if isinstance(e, EBool):
             return _ConstBitVal(e.value)
@@ -1233,49 +1275,32 @@ class Flattener:
         if not b[1]:
             raise FlattenError(f"assignment to immutable binding {name!r}",
                                item.line)
-        fb = scope.lookup(item.expr.fn)
-        f: _FuncVal = fb[0]
+        f: _FuncVal = scope.lookup(item.expr.fn)[0]
         args = [self.eval_value(a, scope) for a in item.expr.args]
-        target_slots = _slots_of(b[0])
-
-        if target_slots and not self.in_block and not self.branch_depth:
-            snap = self._push_journal()
-            nstmts = snap[0]
-            outer_stmts = self.stmts
-            try:
-                body: list = []
-                self.stmts = body
-                self.in_block = True
-                pre_slots = self.slot_count
-                value = self.inline_call(f, args, alias_slots=target_slots,
-                                         line=item.line)
-                ret_slots = _slots_of(value)
-                if ret_slots is None or set(ret_slots) != set(target_slots):
-                    raise _AliasError()
-                self.stmts = outer_stmts
-                self.in_block = False
-                self.enforced.difference_update(target_slots)
-                locals_ = [s for s in range(pre_slots, self.slot_count)]
-                arg_slots = self.block_args(body, target_slots, locals_)
-                self.validate_block(body, arg_slots, target_slots, locals_,
-                                    item.line, f.defn.name)
-                self._commit()
-                self.emit(InPlaceBlock(list(target_slots), arg_slots, body,
-                                       locals_))
-                self._assign(scope, name, value, item.line)
-                return
-            except _AliasError:
-                self.stmts = outer_stmts
-                self.in_block = False
-                self.enforced.difference_update(target_slots)
-                self._rollback(snap)
-                del self.stmts[nstmts:]
-        # out-of-place: plain inlining, re-bind the name
-        value = self.inline_call(f, args, line=item.line)
-        if isinstance(value, (_IntVal, _IntArrVal, _FuncVal)):
-            raise FlattenError(f"cannot assign non-bit value to {name!r}",
-                               item.line)
-        self._assign(scope, name, value, item.line)
+        target = _slots_of(b[0]) or []
+        ret = in_place_binding(f.defn, target,
+                               [_slots_of(a) or [] for a in args], self.nested)
+        if ret is None:  # out of place: plain inlining, re-bind the name
+            value = self.inline_call(f, args, line=item.line)
+            if isinstance(value, (_IntVal, _IntArrVal)):
+                raise FlattenError(f"cannot assign non-bit value to {name!r}",
+                                   item.line)
+            self._assign(scope, name, value, item.line)
+            return
+        # in place: the body accumulates onto the target, which keeps its name
+        outer, self.stmts = self.stmts, []
+        pre_slots = self.slot_count
+        self.nested += 1
+        self.enforced = set(target)
+        self.inline_call(f, args, alias=(ret, target, item.line), line=item.line)
+        self.nested -= 1
+        self.enforced = set()
+        body, self.stmts = self.stmts, outer
+        locals_ = list(range(pre_slots, self.slot_count))
+        arg_slots = self.block_args(body, target, locals_)
+        self.validate_block(body, arg_slots, target, locals_, item.line,
+                            f.defn.name)
+        self.emit(InPlaceBlock(list(target), arg_slots, body, locals_))
 
     @staticmethod
     def block_args(body: list, targets: list[int], locals_: list[int]) -> list[int]:
@@ -1324,21 +1349,30 @@ class Flattener:
     def if_convert(self, e: EIf, scope: _Scope):
         cond = self.eval_scalar(e.cond, scope)
         if cond.op == "const":
-            block = e.then_block if cond.args[0] else e.else_block
-            return self.run_block(block, _Scope(scope), want_value=True)
+            self.nested += 1
+            value = self.run_block(e.then_block if cond.args[0] else e.else_block,
+                                   _Scope(scope), want_value=True)
+            self.nested -= 1
+            return value
         cv = self.materialize(cond)
         c = bvar(cv.slot)
 
         def run_branch(block):
-            snap = self._push_journal()
+            """Run a branch, then undo its re-bindings and slot allocations;
+            returns its value and the re-bound names with their new values.
+            Names the branch binds itself die with its scope."""
+            slot_count, fresh = self.slot_count, set(self.fresh)
+            self.journal.append([])
             self.branch_depth += 1
-            try:
-                value = self.run_block(block, _Scope(scope), want_value=True)
-                changes = [(target, key, target[key])
-                           for target, key, _old in self.journal[-1]]
-            finally:
-                self.branch_depth -= 1
-                self._rollback(snap)
+            self.nested += 1
+            value = self.run_block(block, _Scope(scope), want_value=True)
+            self.branch_depth -= 1
+            self.nested -= 1
+            log = self.journal.pop()
+            changes = [(binding, binding[0]) for binding, _old in log]
+            for binding, old in reversed(log):
+                binding[0] = old
+            self.slot_count, self.fresh = slot_count, fresh
             return value, changes
 
         tval, tchanges = run_branch(e.then_block)
@@ -1379,31 +1413,12 @@ class Flattener:
             return _BitVal(slots[0])
 
         # merge re-bound names: value after then vs value after else
-        keys = {}
-        for target, key, val in tchanges:
-            keys[(id(target), key)] = [target, key, val, None]
-        for target, key, val in echanges:
-            k = (id(target), key)
-            if k in keys:
-                keys[k][3] = val
-            else:
-                keys[k] = [target, key, None, val]
-        merged = []
-        for target, key, tv, ev in keys.values():
-            cur = target[key]
-            tv = tv if tv is not None else cur
-            ev = ev if ev is not None else cur
-            tvv = tv[0] if isinstance(tv, list) and len(tv) == 2 else tv
-            evv = ev[0] if isinstance(ev, list) and len(ev) == 2 else ev
-            merged.append((target, key, cur, mux_value(tvv, evv, e.line)))
-        for target, key, cur, mv in merged:
-            if isinstance(cur, list) and len(cur) == 2:
-                newb = [mv, cur[1]]
-            else:
-                newb = mv
-            if self.journal:
-                self.journal[-1].append((target, key, cur))
-            target[key] = newb
+        merged: dict[int, list] = {}
+        for side, changes in ((1, tchanges), (2, echanges)):
+            for binding, value in changes:
+                merged.setdefault(id(binding), [binding, binding[0], binding[0]])[side] = value
+        for binding, tv, ev in merged.values():
+            self._set(binding, mux_value(tv, ev, e.line))
         return mux_value(tval, eval_, e.line)
 
     # -- entry ---------------------------------------------------------------------
@@ -1498,9 +1513,6 @@ class _NotInt(Exception):
     pass
 
 
-_MISSING = object()
-
-
 def flatten(program, params: dict | None = None) -> FlatProgram:
     """Unroll, inline and slot-number a parsed program (idempotent)."""
     if isinstance(program, FlatProgram):
@@ -1508,106 +1520,41 @@ def flatten(program, params: dict | None = None) -> FlatProgram:
     return Flattener(program, params).run()
 
 
-def load_program(path, params: dict | None = None) -> FlatProgram:
-    with open(path) as f:
-        return flatten(parse(f.read(), params))
-
-
 # ---------------------------------------------------------------------------
 # Direct AST-walking interpreter (cross-check on flatten + interpret)
 
 
 class _Box:
-    __slots__ = ("v",)
+    """One wire; `fresh` while it is an unwritten Array.zeroCreate bit."""
+    __slots__ = ("v", "fresh")
 
-    def __init__(self, v: int = 0):
+    def __init__(self, v: int = 0, fresh: bool = False):
         self.v = v & 1
+        self.fresh = fresh
 
 
-def _accumulator_shaped(defn: LetDef, ret_name: str) -> bool:
-    """Every write to the returned buffer reads it back exactly once, as the
-    leftmost XOR operand (`t <- t <> e`)."""
-    def same_ref(a, b):
-        if isinstance(a, EName) and isinstance(b, EName):
-            return a.name == b.name
-        if isinstance(a, EIndex) and isinstance(b, EIndex):
-            return a.name == b.name and _int_expr_equal(a.index, b.index)
-        return False
-
-    def check_items(items) -> bool:
-        for it in items:
-            if isinstance(it, Assign):
-                tname = it.target.name if isinstance(it.target, (EName, EIndex)) else None
-                if tname != ret_name:
-                    continue
-                e = it.expr
-                # peel to the leftmost xor operand
-                left = e
-                while isinstance(left, EBin) and left.op == "<>":
-                    left = left.left
-                if not same_ref(left, it.target):
-                    return False
-                # the buffer may appear only as the accumulator itself
-                if _count_name(e, ret_name) != 1:
-                    return False
-            elif isinstance(it, ForLoop):
-                if not check_items(it.body.items):
-                    return False
-            elif isinstance(it, LetDef):
-                continue
-        return True
-
-    return check_items(defn.body.items)
-
-
-def _count_name(e, name: str) -> int:
-    if isinstance(e, EName):
-        return int(e.name == name)
-    if isinstance(e, (EIndex, ESlice)):
-        n = int(e.name == name)
-        for sub in ([e.index] if isinstance(e, EIndex) else [e.lo, e.hi]):
-            n += _count_name(sub, name)
-        return n
-    if isinstance(e, ENot):
-        return _count_name(e.arg, name)
-    if isinstance(e, EBin):
-        return _count_name(e.left, name) + _count_name(e.right, name)
-    if isinstance(e, EApp):
-        return sum(_count_name(a, name) for a in e.args)
-    if isinstance(e, EList):
-        return sum(_count_name(a, name) for a in e.items)
-    return 0
-
-
-def _int_expr_equal(a, b) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, EInt):
-        return a.value == b.value
-    if isinstance(a, EName):
-        return a.name == b.name
-    if isinstance(a, EBin):
-        return a.op == b.op and _int_expr_equal(a.left, b.left) \
-            and _int_expr_equal(a.right, b.right)
-    if isinstance(a, EIndex):
-        return a.name == b.name and _int_expr_equal(a.index, b.index)
-    return False
-
-
-class _WalkError(Exception):
-    pass
+def _boxes(v) -> list:
+    """The boxes a value holds: a bit, a bit array, or none."""
+    if isinstance(v, _Box):
+        return [v]
+    if isinstance(v, list) and all(isinstance(x, _Box) for x in v):
+        return v
+    return []
 
 
 class SourceInterpreter:
     """Big-step evaluator over the AST with the same conventions as flatten:
-    pure ops share storage (boxes), in-place call targets seed the callee's
-    result buffer, conditionals take the live branch."""
+    pure ops share storage (boxes), in-place calls (`in_place_binding`) bind
+    the callee's result buffer to the target's boxes, conditionals take the
+    live branch."""
 
     def __init__(self, program: Program, params: dict | None = None):
         self.program = program
         self.params = dict(program.pragmas)
         if params:
             self.params.update(params)
+        self.nested = 0  # >0: inside an in-place body or an if-branch
+        self.enforced: set = set()  # in-place target boxes
 
     # value model: int | list[int] (compile-time) | _Box | list[_Box] | closure
     def run(self, inputs) -> list[int]:
@@ -1721,23 +1668,19 @@ class SourceInterpreter:
         if isinstance(e, EApp):
             return self.eval_app(e, scope)
         if isinstance(e, EIf):
-            if self.eval_bit(e.cond, scope):
-                return self.run_block(e.then_block, _Scope(scope), True)
-            return self.run_block(e.else_block, _Scope(scope), True)
+            block = e.then_block if self.eval_bit(e.cond, scope) else e.else_block
+            self.nested += 1
+            value = self.run_block(block, _Scope(scope), True)
+            self.nested -= 1
+            return value
+        if isinstance(e, EList):
+            raise InterpretError(_LIST_ONLY_IN_CONCAT, e.line)
         raise InterpretError(f"cannot evaluate {type(e).__name__}")
 
     def eval_app(self, e: EApp, scope):
         fn = e.fn
         if fn == "Array.zeroCreate":
-            n = self.eval_int(e.args[0], scope)
-            binding = getattr(self, "_alias_binding", None)
-            if binding is not None and binding[0] is getattr(self, "_current_let", None):
-                boxes = binding[1]
-                self._alias_binding = None
-                if len(boxes) != n:
-                    raise _WalkError()
-                return boxes
-            return [_Box() for _ in range(n)]
+            return [_Box(fresh=True) for _ in range(self.eval_int(e.args[0], scope))]
         if fn == "Array.append":
             a, b = self.eval(e.args[0], scope), self.eval(e.args[1], scope)
             return list(a) + list(b)
@@ -1766,28 +1709,26 @@ class SourceInterpreter:
         args = [self.eval(a, scope) for a in e.args]
         return self.call(b[0], args)
 
-    def call(self, f: _FuncVal, args, alias_boxes=None):
+    def call(self, f: _FuncVal, args, alias=None):
+        """Run f once; `alias` = (result binding, target boxes, call line)
+        binds the result buffer to the in-place target."""
         scope = _Scope(f.env)
         for (pname, _ann), v in zip(f.defn.params, args):
             if isinstance(v, bool):
                 v = _Box(int(v))
             self._bind(scope, pname, v, isinstance(v, list))
-        if alias_boxes is not None:
-            ret = _returned_binding(f.defn)
-            if ret is None or not _accumulator_shaped(f.defn, ret.name):
-                raise _WalkError()
-            self._alias_binding = (ret, alias_boxes)
-        value = self.run_block(f.defn.body, scope, True)
-        if alias_boxes is not None and getattr(self, "_alias_binding", None):
-            self._alias_binding = None
-            raise _WalkError()
-        return value
+        return self.run_block(f.defn.body, scope, True, alias)
 
-    def run_block(self, block: Block, scope, want_value):
+    def run_block(self, block: Block, scope, want_value, alias=None):
         value = None
         for item in block.items:
             if isinstance(item, ExprItem):
                 value = self.eval(item.expr, scope)
+            elif alias is not None and item is alias[0]:
+                ret, target, line = alias
+                n = self.eval_int(ret.expr.args[0], scope)
+                _check_width(ret, n, target, line, InterpretError)
+                self._bind(scope, ret.name, list(target), True)
             else:
                 self.do_item(item, scope)
         if want_value and value is None:
@@ -1798,7 +1739,6 @@ class SourceInterpreter:
         if isinstance(item, LetDef):
             self._bind(scope, item.name, _FuncVal(item, scope), False)
         elif isinstance(item, LetBind):
-            self._current_let = item
             v = self.eval(item.expr, scope)
             if isinstance(v, bool):
                 v = _Box(int(v))
@@ -1826,6 +1766,12 @@ class SourceInterpreter:
         elif isinstance(item, ExprItem):
             self.eval(item.expr, scope)
 
+    def accumulates(self, box: _Box, rhs, scope) -> bool:
+        """As flatten's accumulator_strip: `rhs` reads `box` once, in its
+        top-level `<>` chain."""
+        return [top for e, top in _reads(rhs)
+                if self.eval(e, scope) is box] == [True]
+
     def do_assign(self, item: Assign, scope):
         rhs = item.expr
         if isinstance(item.target, EIndex):
@@ -1833,14 +1779,20 @@ class SourceInterpreter:
             if b is None or not isinstance(b[0], list):
                 raise InterpretError(f"{item.target.name!r} is not an array",
                                      item.line)
-            i = self.eval_int(item.target.index, scope)
+            arr, i = b[0], self.eval_int(item.target.index, scope)
             v = self.eval(rhs, scope)
-            if isinstance(v, _Box):
-                # element writes mutate in place (same wire), except pure
-                # re-labels of never-touched elements — value-wise identical
-                b[0][i].v = v.v
+            box, bit = arr[i], v.v if isinstance(v, _Box) else int(v)
+            # as in flatten: an unwritten element re-labeled to a bit shares
+            # its wire; the write is in place on an unwritten or target wire
+            # or when it accumulates, else the element gets a new wire
+            if (box.fresh and box not in self.enforced and isinstance(v, _Box)
+                    and isinstance(rhs, (EName, EIndex))):
+                arr[i] = v
+            elif (box.fresh or box in self.enforced
+                    or self.accumulates(box, rhs, scope)):
+                box.v, box.fresh = bit, False
             else:
-                b[0][i].v = int(v)
+                arr[i] = _Box(bit)
             return
         name = item.target.name
         b = scope.lookup(name)
@@ -1855,17 +1807,16 @@ class SourceInterpreter:
                 and isinstance(scope.lookup(rhs.fn)[0], _FuncVal)):
             f = scope.lookup(rhs.fn)[0]
             args = [self.eval(a, scope) for a in rhs.args]
-            cur = b[0]
-            boxes = [cur] if isinstance(cur, _Box) else (cur if isinstance(cur, list) else None)
-            if boxes is not None and all(isinstance(x, _Box) for x in boxes):
-                try:
-                    value = self.call(f, args, alias_boxes=list(boxes)
-                                      if isinstance(cur, list) else boxes)
-                    b[0] = value if not (isinstance(value, list) and
-                                         isinstance(cur, _Box)) else value[0]
-                    return
-                except _WalkError:
-                    pass
+            target = _boxes(b[0])
+            ret = in_place_binding(f.defn, target, [_boxes(a) for a in args],
+                                   self.nested)
+            if ret is not None:  # in place: the target keeps its name
+                self.nested += 1
+                self.enforced = set(target)
+                self.call(f, args, alias=(ret, target, item.line))
+                self.nested -= 1
+                self.enforced = set()
+                return
             value = self.call(f, args)
             if isinstance(value, bool):
                 value = _Box(int(value))

@@ -63,12 +63,6 @@ class MDD:
     def node(self, nid: int) -> MddNode:
         return self.nodes[nid]
 
-    def last_dependent_node(self, nid: int) -> int:
-        """Topological index of the last node depending on nid (nid itself
-        if nothing reads it)."""
-        deps = self.dependents.get(nid, ())
-        return max(deps, default=nid)
-
     def garbage_terminals(self) -> list:
         """OP nodes, in id order, that end a mutation path short of an
         output: the values left over once the program has run."""

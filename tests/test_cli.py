@@ -138,11 +138,16 @@ INPLACE_REJECTED = [
     r.[0] <- r.[0] <> a.[0]
     r
 """, "in-place call of 'f': clean of non-zero slot"),
+    ("""let f (a : bool array) =
+    let r = Array.zeroCreate 2
+    r.[0] <- r.[0] <> a.[0]
+    r
+""", "in-place result 'r' has 2 bit(s) but its target has 1"),
 ]
 
 
 @pytest.mark.parametrize("fdef,message", INPLACE_REJECTED,
-                         ids=["argument", "local", "clean"])
+                         ids=["argument", "local", "clean", "width"])
 def test_inplace_contract_violation_is_user_error(tmp_path, capsys, fdef,
                                                   message):
     src = fdef + INPLACE_MAIN
@@ -182,6 +187,18 @@ def test_bad_compile_time_integer_is_user_error(tmp_path, capsys, src, message):
     rc = main(["compile", str(path), "-o", str(tmp_path / "out.tfc")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["compile", "verify"])
+def test_list_outside_concat_is_user_error(tmp_path, capsys, command):
+    path = tmp_path / "list.rev"
+    path.write_text("let f (t : bool[1]) =\n    Array.append [t] [t]\n\nf\n")
+    rc = main([command, str(path), "-o", str(tmp_path / "out.tfc")]
+              if command == "compile" else [command, str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: line 2: a list [a; ...] is only allowed as the argument of "
+        "Array.concat\n")
 
 
 def test_python_dash_m_runs_the_cli():

@@ -9,6 +9,7 @@ from revc.frontend import (
     Compute, FlatProgram, FlattenError, InPlaceBlock, InterpretError, ParseError,
     flatten, interpret, interpret_packed, interpret_source, parse,
 )
+from revc.cli import main as cli_main
 from revc.randprog import random_program
 
 
@@ -352,3 +353,132 @@ def sha2_round():
 @given(data=st.data())
 def test_packed_lanes_match_scalar_on_sha2(sha2_round, data):
     assert_lanes_agree(sha2_round, data)
+
+
+# ---------------------------------------------------------------------------
+# one in-place rule: flatten + interpret and interpret_source decide alike
+
+
+def assert_evaluators_agree(ast, prog):
+    n = len(prog.input_slots)
+    for v in range(1 << n):
+        bits = bits_of(v, n)
+        assert interpret(prog, bits) == interpret_source(ast, bits), bits
+
+
+def in_place_program(width, writes, call="h <- add b", target_width=None):
+    body = "\n".join(f"    {w}" for w in writes)
+    return f"""
+let add (x : bool array) =
+    let out = Array.zeroCreate {width}
+{body}
+    out
+
+let main (a : bool[{target_width or width}]) (b : bool[{width}]) =
+    let mutable h = a
+    {call}
+    Array.concat [h; a; b]
+
+main
+"""
+
+
+@pytest.mark.parametrize("writes,call,in_place", [
+    (["for i in 0 .. 1 do", "    out.[i] <- out.[i] <> x.[i]",
+      "out.[1] <- out.[1] <> (x.[0] && x.[1])"], "h <- add b", True),
+    (["out.[0] <- x.[0] <> out.[0]", "out.[1] <- x.[1] <> out.[1]"],
+     "h <- add b", True),
+    (["out.[0] <- out.[0] <> x.[0]", "out.[1] <- out.[1] <> (x.[1] && out.[0])"],
+     "h <- add b", False),
+    (["out.[0] <- out.[0] <> x.[0]", "out.[1] <- out.[1] <> x.[1]"],
+     "h <- add h", False),
+], ids=["leftmost", "rightmost", "reads-own-buffer", "argument-is-target"])
+def test_in_place_decision_is_shared(writes, call, in_place):
+    ast = parse(in_place_program(2, writes, call))
+    prog = flatten(ast)
+    assert any(isinstance(s, InPlaceBlock) for s in prog.statements) == in_place
+    assert_evaluators_agree(ast, prog)
+
+
+def test_sha2_additions_are_in_place():
+    prog = flatten(parse(corpus("sha2.rev"), params={"rounds": 1}))
+    assert sum(isinstance(s, InPlaceBlock) for s in prog.statements) == 7
+
+
+def test_in_place_width_mismatch_is_an_error_in_both_evaluators():
+    src = in_place_program(1, ["out.[0] <- out.[0] <> x.[0]"], target_width=2)
+    line = 1 + src.splitlines().index("    h <- add b")
+    message = f"line {line}: in-place result 'out' has 1 bit(s) but its target has 2"
+    ast = parse(src)
+    with pytest.raises(FlattenError) as exc:
+        flatten(ast)
+    assert str(exc.value) == message
+    with pytest.raises(InterpretError) as exc:
+        interpret_source(ast, [0, 0, 0])
+    assert str(exc.value) == message
+
+
+def test_non_accumulating_write_into_target_is_an_error():
+    # the write goes through another name, so the rule does not see it
+    src = in_place_program(1, ["let s = out", "s.[0] <- x.[0]"])
+    line = 1 + src.splitlines().index("    s.[0] <- x.[0]")
+    with pytest.raises(FlattenError, match=f"line {line}: a write into an "
+                                           "in-place target must accumulate"):
+        flatten(parse(src))
+
+
+IF_LET = """
+let main (c : bool) (a : bool) (b : bool) =
+    let r =
+        if c then
+            let t = a
+            t
+        else
+            b
+    r
+
+main
+"""
+
+
+def test_if_branch_with_its_own_let(tmp_path, capsys):
+    ast = parse(IF_LET)
+    assert_evaluators_agree(ast, flatten(ast))
+    path = tmp_path / "iflet.rev"
+    path.write_text(IF_LET)
+    assert cli_main(["verify", str(path)]) == 0
+    assert "ok" in capsys.readouterr().out
+
+
+WRITE_SHAPES = {
+    "leftmost": "out.[{i}] <- out.[{i}] <> x.[{j}]",
+    "rightmost": "out.[{i}] <- x.[{j}] <> out.[{i}]",
+    "overwrite": "out.[{i}] <- x.[{j}]",
+    "reads-buffer": "out.[{i}] <- out.[{i}] <> (x.[{j}] && out.[{k}])",
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_evaluators_agree_on_in_place_candidates(data):
+    width = data.draw(st.integers(1, 3), label="width")
+    call = data.draw(st.sampled_from(["h <- add b", "h <- add h", "wider"]),
+                     label="call")
+    writes = []
+    for _ in range(data.draw(st.integers(1, 4), label="writes")):
+        shape = data.draw(st.sampled_from(sorted(WRITE_SHAPES)))
+        i, j, k = (data.draw(st.integers(0, width - 1)) for _ in range(3))
+        if shape == "reads-buffer" and width > 1 and k == i:
+            k = (i + 1) % width
+        writes.append(WRITE_SHAPES[shape].format(i=i, j=j, k=k))
+    wider = call == "wider"
+    src = in_place_program(width, writes, "h <- add b" if wider else call,
+                           width + 1 if wider else None)
+    ast = parse(src)
+    try:
+        prog = flatten(ast)
+    except FlattenError:
+        with pytest.raises(InterpretError):
+            interpret_source(ast, [0] * (2 * width + wider))
+        return
+    assert_evaluators_agree(ast, prog)

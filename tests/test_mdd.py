@@ -75,14 +75,6 @@ def test_modification_path_and_inputs():
     assert set(ins) == set(g.input_ids)
 
 
-def test_last_dependent_node():
-    g = build_mdd(prog_of(MUTATED_INPUT_SRC))
-    a_in = g.input_ids[0]
-    assert g.last_dependent_node(a_in) > a_in
-    out = g.output_ids[0]
-    assert g.last_dependent_node(out) == out
-
-
 def test_mutation_paths_are_vertex_disjoint():
     for name, params in [("adder_ripple.rev", {"n": 6}), ("sha2.rev", None)]:
         g = build_mdd(prog_of(corpus(name), params))
