@@ -125,15 +125,6 @@ def variables(e: BoolExp) -> set[int]:
     return out
 
 
-def substitute(e: BoolExp, mapping: dict[int, int]) -> BoolExp:
-    """Rewrite variable indices (used to map value slots to physical wires)."""
-    if e.op == VAR:
-        return bvar(mapping[e.args[0]])
-    if e.op == CONST:
-        return e
-    return BoolExp(e.op, tuple(substitute(c, mapping) for c in e.args))
-
-
 def evaluate(e: BoolExp, env, mask: int = 1) -> int:
     """Bit-sliced classical evaluation: `env[v]` packs variable v's value
     in every sample, one sample per bit (lane), and `mask` has a 1 in each
@@ -178,37 +169,41 @@ def and_cost(e: BoolExp) -> int:
     return cost
 
 
-def synthesize(e: BoolExp, target: int, heap: AncillaHeap) -> list[Gate]:
+def synthesize(e: BoolExp, target: int, heap: AncillaHeap,
+               wires: dict[int, int]) -> list[Gate]:
     """Gates mapping target y to y ^ eval(e); inputs and ancillas restored.
 
-    Every ancilla taken from the heap is uncomputed and returned before the
-    sequence ends, so the net heap state is unchanged.
+    `wires` maps each variable of e (a value slot) to the wire holding it;
+    wires are looked up as the expression is walked, so e is never
+    rewritten.  Every ancilla taken from the heap is uncomputed and
+    returned before the sequence ends, so the net heap state is unchanged.
     """
-    if target in variables(e):
+    if target in wires.values():
         raise ValueError(f"target wire {target} appears inside the expression")
     gates: list[Gate] = []
-    _emit(e, target, heap, gates)
+    _emit(e, target, heap, gates, wires)
     return gates
 
 
-def _emit(e: BoolExp, target: int, heap: AncillaHeap, gates: list[Gate]) -> None:
+def _emit(e: BoolExp, target: int, heap: AncillaHeap, gates: list[Gate],
+          wires: dict[int, int]) -> None:
     if e.op == VAR:
-        gates.append(cnot(e.args[0], target))
+        gates.append(cnot(wires[e.args[0]], target))
     elif e.op == CONST:
         if e.args[0]:
             gates.append(notg(target))
     elif e.op == NOT_:
-        _emit(e.args[0], target, heap, gates)
+        _emit(e.args[0], target, heap, gates, wires)
         gates.append(notg(target))
     elif e.op == XOR:
         for c in e.args:
-            _emit(c, target, heap, gates)
+            _emit(c, target, heap, gates, wires)
     else:
-        _emit_and(e.args, target, heap, gates)
+        _emit_and(e.args, target, heap, gates, wires)
 
 
 def _emit_and(children: tuple[BoolExp, ...], target: int, heap: AncillaHeap,
-              gates: list[Gate]) -> None:
+              gates: list[Gate], wires: dict[int, int]) -> None:
     # Resolve each conjunct to a control wire.  A negated variable is used
     # as a negative control by toggling the wire around the block; any
     # other non-variable conjunct is computed onto a scratch wire first.
@@ -217,14 +212,14 @@ def _emit_and(children: tuple[BoolExp, ...], target: int, heap: AncillaHeap,
     temps: list[tuple[int, BoolExp]] = []
     for c in children:
         if c.op == VAR:
-            controls.append(c.args[0])
+            controls.append(wires[c.args[0]])
         elif c.op == NOT_ and c.args[0].op == VAR:
-            w = c.args[0].args[0]
+            w = wires[c.args[0].args[0]]
             controls.append(w)
             toggles.append(w)
         else:
             t = heap.alloc()
-            _emit(c, t, heap, gates)
+            _emit(c, t, heap, gates, wires)
             temps.append((t, c))
             controls.append(t)
 
@@ -255,6 +250,6 @@ def _emit_and(children: tuple[BoolExp, ...], target: int, heap: AncillaHeap,
         gates.append(notg(w))
     for t, c in reversed(temps):
         sub: list[Gate] = []
-        _emit(c, t, heap, sub)
+        _emit(c, t, heap, sub, wires)
         gates.extend(reversed(sub))
         heap.free(t)

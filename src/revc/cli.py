@@ -9,6 +9,10 @@
     revc pebble-table --time-max T --pebbles 2,3,4 [-o table.csv]
     revc blif FILE [FILE...] [--optimize-xor] [--strategy S] [--report out.json]
 
+`--stats` and `revc stats` report the circuit's counts, `compile_seconds`
+(schedule + emit) and `stage_seconds`: `load` (parse and flatten, or BLIF
+lowering), `schedule` (dependency graph and cleanup plan) and `emit`.
+
 Exit codes: 0 success, 1 user/compile error, 2 verification failure.
 The default sample seed comes from the REVC_SEED environment variable.
 """
@@ -25,10 +29,10 @@ import time
 from . import blif as blif_mod
 from . import circuit as circuit_mod
 from . import pebble as pebble_mod
-from .emitter import circuit_report, compile_flat
+from .emitter import circuit_report, compile_flat, emit
 from .frontend import FrontendError, flatten, parse
 from .mdd import build_mdd, to_dot
-from .scheduler import BudgetError
+from .scheduler import BudgetError, schedule
 
 
 class CliError(Exception):
@@ -63,27 +67,34 @@ def _load_flat(args):
 
 
 def _compile(args):
-    prog = _load_flat(args)
+    """Load, schedule and emit; returns the program, plan, circuit and the
+    seconds of each stage."""
     t0 = time.perf_counter()
-    plan, circ = compile_flat(prog, args.strategy, qubit_budget=args.qubits)
-    elapsed = time.perf_counter() - t0
-    return prog, plan, circ, elapsed
+    prog = _load_flat(args)
+    t1 = time.perf_counter()
+    plan = schedule(prog, args.strategy, qubit_budget=args.qubits)
+    t2 = time.perf_counter()
+    circ = emit(plan)
+    t3 = time.perf_counter()
+    return prog, plan, circ, {"load": t1 - t0, "schedule": t2 - t1,
+                              "emit": t3 - t2}
 
 
-def _report(plan, circ, elapsed) -> dict:
+def _report(plan, circ, stages) -> dict:
     rep = circuit_report(plan, circ)
-    rep["compile_seconds"] = round(elapsed, 6)
+    rep["compile_seconds"] = round(stages["schedule"] + stages["emit"], 6)
+    rep["stage_seconds"] = {k: round(v, 6) for k, v in stages.items()}
     return rep
 
 
 def cmd_compile(args) -> int:
-    prog, plan, circ, elapsed = _compile(args)
+    prog, plan, circ, stages = _compile(args)
     if args.emit_mdd:
         with open(args.emit_mdd, "w") as f:
             f.write(to_dot(build_mdd(prog)))
     out = args.output or (args.file + ".tfc")
     circuit_mod.write_circuit(circ, out)
-    rep = _report(plan, circ, elapsed)
+    rep = _report(plan, circ, stages)
     if args.stats:
         with open(args.stats, "w") as f:
             json.dump(rep, f, indent=2, sort_keys=True)
@@ -94,13 +105,13 @@ def cmd_compile(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    prog, plan, circ, elapsed = _compile(args)
-    print(json.dumps(_report(plan, circ, elapsed), indent=2, sort_keys=True))
+    prog, plan, circ, stages = _compile(args)
+    print(json.dumps(_report(plan, circ, stages), indent=2, sort_keys=True))
     return 0
 
 
 def cmd_sim(args) -> int:
-    prog, plan, circ, elapsed = _compile(args)
+    prog, plan, circ, _ = _compile(args)
     bits = [int(c) for c in args.inputs if c in "01"]
     if len(bits) != len(prog.input_slots):
         raise CliError(f"program takes {len(prog.input_slots)} input bits, "
@@ -114,7 +125,7 @@ def cmd_sim(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    prog, plan, circ, elapsed = _compile(args)
+    prog, plan, circ, _ = _compile(args)
     rep = circuit_mod.verify(prog, circ, samples=args.samples, seed=args.seed)
     if rep.ok:
         print(f"{args.file}: ok ({rep.samples} samples, seed {rep.seed})")

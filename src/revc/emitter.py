@@ -14,12 +14,17 @@ the computed values.
 The emitter is also usable as an oracle while planning: `snapshot` /
 `restore` roll the whole emission state back, which is how the incremental
 scheduler measures whether the next statement fits in the qubit budget.
+The scheduler plans with `WidthOracle`, which binds wires exactly as the
+emitter does but synthesizes no gates.  Its live count is exact: synthesis
+returns every scratch ancilla it takes, so the live wires after an action
+are the same with or without gates.  Its `width` is not: the scratch wires
+synthesis would have needed are never allocated.
 """
 
 from __future__ import annotations
 
 from .ancilla import AncillaHeap
-from .boolexpr import substitute, synthesize, variables
+from .boolexpr import synthesize, variables
 from .circuit import Circuit, Gate, cnot, stats as circuit_stats
 from .frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
 from .scheduler import Action, CleanupPlan
@@ -82,8 +87,10 @@ class Emitter:
             self.slot_map[slot] = w
         return w
 
-    def _synth(self, expr, target_slot: int, fresh: bool) -> list[Gate]:
-        mapping = {v: self._wire_of(v) for v in variables(expr)}
+    def _bind_wires(self, expr, target_slot: int, fresh: bool):
+        """Wires of the expression's slots and of the target.  Unwritten
+        slots materialize in `variables(expr)` order, then the target."""
+        wires = {v: self._wire_of(v) for v in variables(expr)}
         if fresh:
             if target_slot in self.slot_map:
                 raise RuntimeError(f"fresh write to live slot {target_slot}")
@@ -91,7 +98,14 @@ class Emitter:
             self.slot_map[target_slot] = w
         else:
             w = self._wire_of(target_slot)
-        return synthesize(substitute(expr, mapping), w, self.heap)
+        return wires, w
+
+    def _synthesize(self, expr, target: int, wires: dict) -> list[Gate]:
+        return synthesize(expr, target, self.heap, wires)
+
+    def _synth(self, expr, target_slot: int, fresh: bool) -> list[Gate]:
+        wires, w = self._bind_wires(expr, target_slot, fresh)
+        return self._synthesize(expr, w, wires)
 
     # -- actions ------------------------------------------------------------
 
@@ -186,6 +200,21 @@ class Emitter:
         return Circuit(width=self.width, gates=list(self.gates),
                        inputs=list(range(len(program.input_slots))),
                        outputs=outputs)
+
+
+class WidthOracle(Emitter):
+    """An emitter that tracks wires but synthesizes no gates.
+
+    Everything but synthesis is inherited: the slot map, the ancilla heap,
+    copy/remap records and snapshot/restore.  `live` is exactly what the
+    full emitter would report after the same actions, because `synthesize`
+    returns every scratch ancilla it takes before it ends.  Later
+    allocations get the same wires as well: the heap hands out the least
+    free index, and the wires synthesis was first to use end up free.
+    """
+
+    def _synthesize(self, expr, target: int, wires: dict) -> list[Gate]:
+        return []
 
 
 def emit(plan: CleanupPlan) -> Circuit:

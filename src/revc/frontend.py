@@ -735,6 +735,24 @@ def _int_sqrt(x: int, error: type[FrontendError], line: int) -> int:
         raise error("sqrt argument is too large", line) from None
 
 
+# Bound on the loop iterations one program may unroll, summed over every
+# loop it runs (a loop in a function runs again at each call).  The
+# bundled corpus peaks at 35136 (sha2.rev with all 64 rounds).  A loop that
+# would pass the bound is an error before its first iteration; reaching
+# the bound through many smaller loops takes a few seconds.
+MAX_UNROLLED_ITERATIONS = 1_000_000
+
+
+def _count_iterations(done: int, lo: int, hi: int,
+                      error: type[FrontendError], line: int) -> int:
+    """Iterations unrolled so far, `done`, plus those of loop `lo .. hi`."""
+    done += max(0, hi - lo + 1)
+    if done > MAX_UNROLLED_ITERATIONS:
+        raise error(f"loops unroll to more than {MAX_UNROLLED_ITERATIONS} "
+                    f"iterations", line)
+    return done
+
+
 def _slots_of(v) -> list[int] | None:
     if isinstance(v, _BitVal):
         return [v.slot]
@@ -849,6 +867,7 @@ class Flattener:
         self.nested = 0  # >0: inside an in-place body or an if-branch
         self.branch_depth = 0  # >0: inside an if-branch, re-labelings only
         self.journal: list[list] = []  # per open branch: (binding, old value)
+        self.iterations = 0  # loop iterations unrolled so far
 
     # -- plumbing ----------------------------------------------------------
     def new_slot(self) -> int:
@@ -950,13 +969,17 @@ class Flattener:
                              self.eval_scalar(e.right, scope)])
             raise FlattenError(f"integer operator {e.op!r} in bit context",
                                e.line)
-        v = self.eval_value(e, scope)
+        return self.bit_expr(self.eval_value(e, scope), e)
+
+    @staticmethod
+    def bit_expr(v, e) -> BoolExp:
+        """The BoolExp of value v, which expression e evaluated to."""
         if isinstance(v, _BitVal):
             return bvar(v.slot)
         if isinstance(v, _ConstBitVal):
             return bconst(v.value)
-        line = getattr(e, "line", None)
-        raise FlattenError("expected a bit-valued expression", line)
+        raise FlattenError("expected a bit-valued expression",
+                           getattr(e, "line", None))
 
     # -- general values -------------------------------------------------------
     def eval_value(self, e, scope: _Scope):
@@ -1119,6 +1142,8 @@ class Flattener:
         elif isinstance(item, ForLoop):
             lo = self.eval_int_or_fail(item.lo, scope, item.line)
             hi = self.eval_int_or_fail(item.hi, scope, item.line)
+            self.iterations = _count_iterations(self.iterations, lo, hi,
+                                                FlattenError, item.line)
             for i in range(lo, hi + 1):
                 inner = _Scope(scope)
                 self._bind(inner, item.var, _IntVal(i), False)
@@ -1168,13 +1193,14 @@ class Flattener:
                     and tslot not in self.enforced and not self.branch_depth):
                 arr.slots[i] = v.slot
                 return
-            # fall through to the compute path
+            # fall through to the compute path with the value already made
+            # (evaluating an `if` again would build its multiplexer twice)
         # 3. computed assignment
         if self.branch_depth:
             raise FlattenError(
                 "conditional branches may only re-label existing values",
                 item.line)
-        e = self.eval_scalar(rhs, scope)
+        e = self.eval_scalar(rhs, scope) if v is None else self.bit_expr(v, rhs)
         if isinstance(item.target, EName):
             b = scope.lookup(item.target.name)
             if b is None:
@@ -1555,6 +1581,7 @@ class SourceInterpreter:
             self.params.update(params)
         self.nested = 0  # >0: inside an in-place body or an if-branch
         self.enforced: set = set()  # in-place target boxes
+        self.iterations = 0  # loop iterations run so far
 
     # value model: int | list[int] (compile-time) | _Box | list[_Box] | closure
     def run(self, inputs) -> list[int]:
@@ -1748,6 +1775,8 @@ class SourceInterpreter:
             self.do_assign(item, scope)
         elif isinstance(item, ForLoop):
             lo, hi = self.eval_int(item.lo, scope), self.eval_int(item.hi, scope)
+            self.iterations = _count_iterations(self.iterations, lo, hi,
+                                                InterpretError, item.line)
             for i in range(lo, hi + 1):
                 inner = _Scope(scope)
                 self._bind(inner, item.var, i, False)

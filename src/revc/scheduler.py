@@ -31,6 +31,17 @@ statement it follows, and the only step that is not constant time is
 finding a reversal's place in its bucket.  Buckets are short: on the
 bundled corpus they hold under one reversal per statement on average and
 at most 39 (the carries of the n=40 ripple adder).
+
+Incremental planning measures each step with the emitter's `WidthOracle`,
+which keeps all of the emitter's wire bookkeeping but makes no gates.  Its
+live count equals a full emission's after every action, because synthesis
+frees every scratch wire it takes; so the plans are the ones a full
+emission would give, for the cost of the bookkeeping alone.  The search for
+the minimal budget still takes its upper bound from a full emission, the
+width of the Bennett circuit: width, unlike the live count, includes
+synthesis scratch wires, and greedy feasibility need not be monotone in the
+budget, so another bound could probe other budgets and report another
+minimum.
 """
 
 from __future__ import annotations
@@ -207,7 +218,7 @@ def _written_slots(stmt) -> set:
 
 
 def _plan_incremental(g: MDD, budget: int) -> CleanupPlan:
-    from .emitter import Emitter
+    from .emitter import WidthOracle
 
     program = g.program
     stmts = program.statements
@@ -220,7 +231,7 @@ def _plan_incremental(g: MDD, budget: int) -> CleanupPlan:
     for i in range(len(stmts) - 1, -1, -1):
         future[i] = future[i + 1] | _slots_used_by(stmts[i])
 
-    em = Emitter(program)
+    em = WidthOracle(program)
     actions: list[Action] = []
     seg_start = 0
     seg_written: set = set()

@@ -11,10 +11,14 @@ from revc.boolexpr import (
 from revc.circuit import TOFFOLI, Circuit, simulate
 
 
+def identity(e):
+    return {v: v for v in variables(e)}
+
+
 def run_on(e, n_vars, assignment, target_value=0):
     """Simulate synthesize(e) with inputs on wires 0..n-1 and target on wire n."""
     heap = AncillaHeap(base=n_vars + 1)
-    gates = synthesize(e, n_vars, heap)
+    gates = synthesize(e, n_vars, heap, identity(e))
     width = max([n_vars + 1] + [g.wires[-1] + 1 for g in gates] + [max(g.wires) + 1 for g in gates])
     circ = Circuit(width, gates, list(range(n_vars)), [n_vars])
     state = list(assignment) + [target_value] + [0] * (width - n_vars - 1)
@@ -36,7 +40,7 @@ def check_exhaustive(e, n_vars):
 def test_and_pair_is_single_toffoli():
     e = band([bvar(0), bvar(1)])
     heap = AncillaHeap(base=3)
-    gates = synthesize(e, 2, heap)
+    gates = synthesize(e, 2, heap, identity(e))
     assert len(gates) == 1 and gates[0].kind == TOFFOLI
     check_exhaustive(e, 2)
 
@@ -44,7 +48,7 @@ def test_and_pair_is_single_toffoli():
 def test_xor_three_is_three_cnots():
     e = bxor([bvar(0), bvar(1), bvar(2)])
     heap = AncillaHeap(base=4)
-    gates = synthesize(e, 3, heap)
+    gates = synthesize(e, 3, heap, identity(e))
     assert [g.kind for g in gates] == ["cnot"] * 3
     assert and_cost(e) == 0
     check_exhaustive(e, 3)
@@ -53,7 +57,7 @@ def test_xor_three_is_three_cnots():
 def test_and4_five_toffolis_two_ancillas():
     e = band([bvar(i) for i in range(4)])
     heap = AncillaHeap(base=5)
-    gates = synthesize(e, 4, heap)
+    gates = synthesize(e, 4, heap, identity(e))
     assert sum(1 for g in gates if g.kind == TOFFOLI) == 2 * (4 - 2) + 1
     assert heap.high_water == 2
     assert heap.live_count == 0
@@ -100,7 +104,7 @@ def test_xor_cost_zero_and_pair_one():
 
 def test_target_inside_expression_rejected():
     with pytest.raises(ValueError):
-        synthesize(band([bvar(0), bvar(1)]), 1, AncillaHeap(base=2))
+        synthesize(band([bvar(0), bvar(1)]), 1, AncillaHeap(base=2), {0: 0, 1: 1})
 
 
 @st.composite
@@ -127,3 +131,38 @@ def test_synthesis_matches_eval(e, bits_seed, y):
     assert out[:n] == bits
     assert all(b == 0 for b in out[n + 1:])
     assert sum(1 for g in circ.gates if g.kind == TOFFOLI) == and_cost(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(exprs(), st.permutations(range(10)), st.integers(0, 2 ** 10 - 1),
+       st.lists(st.booleans(), min_size=6, max_size=6), st.booleans())
+def test_synthesis_returns_the_heap_as_it_found_it(e, perm, bits_seed, busy, y):
+    # the incremental planner counts live wires without synthesizing; that
+    # is exact only if synthesis hands back every scratch wire it takes.
+    # Variables sit on permuted wires, and the heap has live wires and
+    # free holes of its own when synthesis starts.  Wires synthesis was
+    # first to use join the free set, so later allocations still get the
+    # same wires as if it had not run.
+    n = 6
+    wires = {v: perm[v] for v in variables(e)}
+    target = perm[n]
+    heap = AncillaHeap(base=10)
+    held = [heap.alloc() for _ in busy]
+    for w, keep in zip(held, busy):
+        if not keep:
+            heap.free(w)
+    live, free, frontier = heap.live_count, sorted(heap.state()[0]), heap.frontier
+    gates = synthesize(e, target, heap, wires)
+    assert heap.live_count == live
+    assert sorted(heap.state()[0]) == free + list(range(frontier, heap.frontier))
+    assert sum(1 for g in gates if g.kind == TOFFOLI) == and_cost(e)
+
+    width = max([heap.frontier] + [max(g.wires) + 1 for g in gates])
+    state = [(bits_seed >> w) & 1 for w in range(10)] + [0] * (width - 10)
+    for w, keep in zip(held, busy):
+        state[w] = int(keep)
+    state[target] = int(y)
+    out = simulate(Circuit(width, gates, [], []), state)
+    value = evaluate(e, {v: state[w] for v, w in wires.items()})
+    assert out[target] == int(y) ^ value
+    assert out[:target] + out[target + 1:] == state[:target] + state[target + 1:]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -9,7 +10,10 @@ import pytest
 
 import revc
 from revc.cli import main
-from revc.frontend import FlattenError, flatten, parse
+from revc.frontend import (
+    MAX_UNROLLED_ITERATIONS, FlattenError, InterpretError, flatten,
+    interpret_source, parse,
+)
 
 
 def corpus_path(name: str) -> str:
@@ -27,6 +31,18 @@ def test_compile_writes_circuit_and_stats(tmp_path, capsys):
     assert rep["toffoli_count"] == 34
     assert rep["qubit_count"] == 40
     assert rep["compile_seconds"] >= 0
+
+
+def test_stats_report_stage_seconds(capsys):
+    rc = main(["stats", corpus_path("adder_ripple.rev"), "--param", "n=6",
+               "--strategy", "incremental", "--qubits", "24"])
+    assert rc == 0
+    rep = json.loads(capsys.readouterr().out)
+    stages = rep["stage_seconds"]
+    assert set(stages) == {"load", "schedule", "emit"}
+    assert all(v >= 0 for v in stages.values())
+    assert rep["compile_seconds"] == pytest.approx(
+        stages["schedule"] + stages["emit"], abs=2e-6)
 
 
 def test_compile_emit_mdd(tmp_path):
@@ -187,6 +203,31 @@ def test_bad_compile_time_integer_is_user_error(tmp_path, capsys, src, message):
     rc = main(["compile", str(path), "-o", str(tmp_path / "out.tfc")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+HUGE_LOOP = """let f (x : bool) =
+    let mutable y = x
+    for i in 0 .. 100000000 do
+        y <- y
+    y
+
+f
+"""
+
+
+def test_unbounded_unrolling_is_user_error(tmp_path, capsys):
+    path = tmp_path / "loop.rev"
+    path.write_text(HUGE_LOOP)
+    t0 = time.perf_counter()
+    rc = main(["compile", str(path), "-o", str(tmp_path / "out.tfc")])
+    assert time.perf_counter() - t0 < 0.5
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: line 3: loops unroll to more than {MAX_UNROLLED_ITERATIONS} "
+        "iterations\n")
+    with pytest.raises(InterpretError) as exc:
+        interpret_source(parse(HUGE_LOOP), [1])
+    assert exc.value.line == 3
 
 
 @pytest.mark.parametrize("command", ["compile", "verify"])

@@ -450,6 +450,25 @@ def test_if_branch_with_its_own_let(tmp_path, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+MUX_INTO_WRITTEN_ELEMENT = """
+let f (x : bool) (y : bool) (c : bool) =
+    let r = Array.zeroCreate 1
+    r.[0] <- r.[0] <> x
+    r.[0] <- if c then x else y
+    r
+
+f
+"""
+
+
+def test_if_into_written_element_builds_one_multiplexer():
+    ast = parse(MUX_INTO_WRITTEN_ELEMENT)
+    prog = flatten(ast)
+    # the first write, the multiplexer, and its copy onto a new slot for r.[0]
+    assert len(prog.statements) == 3
+    assert_evaluators_agree(ast, prog)
+
+
 WRITE_SHAPES = {
     "leftmost": "out.[{i}] <- out.[{i}] <> x.[{j}]",
     "rightmost": "out.[{i}] <- x.[{j}] <> out.[{i}]",

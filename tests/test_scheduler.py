@@ -7,7 +7,7 @@ import pytest
 
 from revc.boolexpr import band, bor, bvar, bxor
 from revc.circuit import verify
-from revc.emitter import emit
+from revc.emitter import Emitter, WidthOracle, emit
 from revc.frontend import Compute, FlatProgram, flatten, parse
 from revc.mdd import OP, OUTPUT, build_mdd
 from revc.scheduler import (
@@ -40,11 +40,17 @@ f
 """
 
 
-def chain_program(k: int):
+def chain_program(k: int, zeros: bool = False):
+    """t_i = t_{i-1} && t_{i-2}; with `zeros`, each step also XORs in a bit
+    of a never-written array, which the emitter materializes as a zero wire."""
     lines = ["let chain (x : bool[2]) ="]
+    if zeros:
+        lines.append(f"    let z = Array.zeroCreate {k}")
     prev = ("x.[0]", "x.[1]")
     for i in range(k):
-        lines.append(f"    let t{i} = {prev[0]} && {prev[1]}")
+        step = f"{prev[0]} && {prev[1]}"
+        lines.append(f"    let t{i} = ({step}) <> z.[{i}]" if zeros
+                     else f"    let t{i} = {step}")
         prev = (f"t{i}", prev[0])
     lines += [f"    {prev[0]}", "", "chain"]
     return prog_of("\n".join(lines))
@@ -138,6 +144,50 @@ def test_incremental_infeasible_reports_minimum():
     assert plan.checkpoints >= 1
     with pytest.raises(BudgetError):
         incremental_cleanup(g, qubit_budget=minimum - 1)
+
+
+ORACLE_CASES = {  # id -> (program, incremental budget)
+    "sha2-r4-672": (lambda: prog_of(corpus("sha2.rev"), {"rounds": 4}), 672),
+    "sha2-r4-800": (lambda: prog_of(corpus("sha2.rev"), {"rounds": 4}), 800),
+    "md5-r2-800": (lambda: prog_of(corpus("md5.rev"), {"rounds": 2}), 800),
+    "chain24-11": (lambda: chain_program(24), 11),
+    "zero-chain24-33": (lambda: chain_program(24, zeros=True), 33),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_width_oracle_tracks_the_emitter(case):
+    # the planner's gate-free oracle must see the live count a full
+    # emission sees after every action, or plans would drift
+    make, budget = ORACLE_CASES[case]
+    prog = make()
+    plan = incremental_cleanup(build_mdd(prog), qubit_budget=budget)
+    assert plan.checkpoints >= 1
+    oracle, full = WidthOracle(prog), Emitter(prog)
+    lives = []
+    for a in plan.actions:
+        oracle.apply(a)
+        full.apply(a)
+        assert oracle.live == full.live
+        lives.append(oracle.live)
+    assert oracle.slot_map == full.slot_map
+
+    # snapshot/restore round-trips on the oracle: the rolled-back state is
+    # the snapshot, and running the same actions again retraces them
+    oracle = WidthOracle(prog)
+    half = len(plan.actions) // 2
+    for a in plan.actions[:half]:
+        oracle.apply(a)
+    before = (oracle.heap.state(), dict(oracle.slot_map), oracle.live)
+    snap = oracle.snapshot()
+    for a in plan.actions[half:]:
+        oracle.apply(a)
+    oracle.restore(snap)
+    assert (oracle.heap.state(), oracle.slot_map, oracle.live) == before
+    for a, live in zip(plan.actions[half:], lives[half:]):
+        oracle.apply(a)
+        assert oracle.live == live
+    assert oracle.slot_map == full.slot_map
 
 
 def test_schedule_rejects_unknown_strategy():
