@@ -31,6 +31,12 @@ Nothing is rolled back: an accepted body that breaks the contract (a
 width other than `x`'s, a write into `x` that does not accumulate,
 arguments not restored, locals not zeroed) is an error with a line.
 
+Both evaluators also share `_entry_point`: the top-level items run in
+order, then a final expression naming a function, or with no final
+expression the last function defined, takes the program's inputs as its
+parameters; any other final expression is the output, and a program with
+neither is an error.
+
 `run_statements` is the one, bit-sliced evaluator of flat statements (one
 sample per bit of a Python int); `interpret_packed` runs a FlatProgram
 through it and is the ground-truth oracle of circuit verification.
@@ -305,6 +311,9 @@ BUILTINS = {"Array.zeroCreate", "Array.append", "Array.concat", "Array.length",
 
 _ATOM_START = {"NAME", "INT"}
 
+# precedence: || < && < <> < (+ -) < (* / %) < not < application < atom
+_BINARY_LEVELS = [("||",), ("&&",), ("<>",), ("+", "-"), ("*", "/", "%")]
+
 
 class Parser:
     def __init__(self, tokens: list[Token]):
@@ -312,8 +321,8 @@ class Parser:
         self.pos = 0
 
     # -- token helpers -----------------------------------------------------
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -338,15 +347,20 @@ class Parser:
 
     # -- grammar -----------------------------------------------------------
     def parse_program(self) -> Program:
-        items = []
-        self.skip_nl()
-        while not self.at("EOF"):
-            items.append(self.parse_item())
-            while self.at("NL") or self.at("OP", ";"):
-                self.next()
+        items = self.parse_items("EOF")
         if not items:
             raise ParseError("no output expression: empty program", 1)
         return Program(items, {})
+
+    def parse_items(self, kind: str, value: str | None = None) -> list:
+        """Items separated by newlines or `;`, up to the token kind/value."""
+        items = []
+        self.skip_nl()
+        while not self.at(kind, value):
+            items.append(self.parse_item())
+            while self.at("NL") or self.at("OP", ";"):
+                self.next()
+        return items
 
     def parse_item(self):
         t = self.peek()
@@ -358,28 +372,15 @@ class Parser:
             self.next()
             name = self.expect("NAME").value
             return CleanStmt(name, t.line)
-        # assignment or expression statement
-        if t.kind == "NAME":
-            nxt = self.peek(1)
-            if nxt.kind == "OP" and nxt.value == "<-":
-                name = self.next().value
-                self.next()
-                return Assign(EName(name, t.line), self.parse_expr(), t.line)
-            if nxt.kind == "OP" and nxt.value == ".[":
-                # could be `a.[i] <- e` or an expression starting with an index
-                save = self.pos
-                name = self.next().value
-                self.next()
-                idx = self.parse_expr()
-                if self.at("OP", "..") or not self.at("OP", "]"):
-                    self.pos = save  # slice or malformed: re-parse as expression
-                else:
-                    self.next()
-                    if self.at("OP", "<-"):
-                        self.next()
-                        return Assign(EIndex(name, idx, t.line), self.parse_expr(), t.line)
-                    self.pos = save
-        return ExprItem(self.parse_expr(), t.line)
+        # expression statement, or the target of an assignment
+        e = self.parse_expr()
+        if not self.at("OP", "<-"):
+            return ExprItem(e, t.line)
+        if t.kind != "NAME" or not isinstance(e, (EName, EIndex)):
+            raise ParseError("can only assign to a name or an element a.[i]",
+                             t.line)
+        self.next()
+        return Assign(e, self.parse_expr(), t.line)
 
     def parse_let(self):
         t = self.expect("KW", "let")
@@ -440,26 +441,17 @@ class Parser:
         return ForLoop(var, lo, hi, self.parse_block(), t.line)
 
     def parse_block(self) -> Block:
-        items = []
         if self.at("NL"):
             self.next()
             self.expect("INDENT")
-            self.skip_nl()
-            while not self.at("DEDENT"):
-                items.append(self.parse_item())
-                while self.at("NL") or self.at("OP", ";"):
-                    self.next()
-            self.next()  # DEDENT
+            items = self.parse_items("DEDENT")
+            self.next()
         elif self.at("KW", "begin"):
             self.next()
-            self.skip_nl()
-            while not self.at("KW", "end"):
-                items.append(self.parse_item())
-                while self.at("NL") or self.at("OP", ";"):
-                    self.next()
+            items = self.parse_items("KW", "end")
             self.next()
         else:
-            items.append(self.parse_item())
+            items = [self.parse_item()]
             while self.at("OP", ";"):
                 self.next()
                 items.append(self.parse_item())
@@ -467,43 +459,15 @@ class Parser:
             raise ParseError("empty block", self.peek().line)
         return Block(items)
 
-    # precedence: || < && < <> < (+ -) < (* / %) < not < application < atom
-    def parse_expr(self):
-        return self.parse_or()
-
-    def parse_or(self):
-        e = self.parse_and()
-        while self.at("OP", "||"):
-            self.next()
-            e = EBin("||", e, self.parse_and())
-        return e
-
-    def parse_and(self):
-        e = self.parse_xor()
-        while self.at("OP", "&&"):
-            self.next()
-            e = EBin("&&", e, self.parse_xor())
-        return e
-
-    def parse_xor(self):
-        e = self.parse_add()
-        while self.at("OP", "<>"):
-            self.next()
-            e = EBin("<>", e, self.parse_add())
-        return e
-
-    def parse_add(self):
-        e = self.parse_mul()
-        while self.at("OP", "+") or self.at("OP", "-"):
+    def parse_expr(self, level: int = 0):
+        """Binary operators, loosest first (see _BINARY_LEVELS)."""
+        if level == len(_BINARY_LEVELS):
+            return self.parse_unary()
+        e = self.parse_expr(level + 1)
+        ops = _BINARY_LEVELS[level]
+        while self.peek().kind == "OP" and self.peek().value in ops:
             t = self.next()
-            e = EBin(t.value, e, self.parse_mul(), t.line)
-        return e
-
-    def parse_mul(self):
-        e = self.parse_unary()
-        while self.at("OP", "*") or self.at("OP", "/") or self.at("OP", "%"):
-            t = self.next()
-            e = EBin(t.value, e, self.parse_unary(), t.line)
+            e = EBin(t.value, e, self.parse_expr(level + 1), t.line)
         return e
 
     def parse_unary(self):
@@ -546,22 +510,15 @@ class Parser:
             e = self.parse_expr()
             self.expect("OP", ")")
             return e
-        if t.kind == "OP" and t.value == "[|":
+        if t.kind == "OP" and t.value in ("[|", "["):
             self.next()
             items = [self.parse_expr()]
             while self.at("OP", ";"):
                 self.next()
                 items.append(self.parse_expr())
-            self.expect("OP", "|]")
-            return EArrayLit(items, t.line)
-        if t.kind == "OP" and t.value == "[":
-            self.next()
-            items = [self.parse_expr()]
-            while self.at("OP", ";"):
-                self.next()
-                items.append(self.parse_expr())
-            self.expect("OP", "]")
-            return EList(items, t.line)
+            close, node = ("|]", EArrayLit) if t.value == "[|" else ("]", EList)
+            self.expect("OP", close)
+            return node(items, t.line)
         if t.kind == "NAME":
             self.next()
             return self.parse_postfix(t.value, t.line)
@@ -693,6 +650,23 @@ class _Scope:
             s = s.parent
         return None
 
+    def get(self, name: str, error: type[FrontendError], line: int) -> list:
+        """The binding of a name that must exist."""
+        b = self.lookup(name)
+        if b is None:
+            raise error(f"unknown identifier {name!r}", line)
+        return b
+
+    def bind(self, name: str, value, mutable: bool = False) -> None:
+        self.vars[name] = [value, mutable]
+
+    def function(self, e) -> _FuncVal | None:
+        """The user function that `e` calls, or None if e is no such call."""
+        if not isinstance(e, EApp) or e.fn in BUILTINS or e.fn == "__block__":
+            return None
+        b = self.lookup(e.fn)
+        return b[0] if b is not None and isinstance(b[0], _FuncVal) else None
+
 
 class _IntVal:
     def __init__(self, v: int):
@@ -750,6 +724,25 @@ def _count_iterations(done: int, lo: int, hi: int,
     if done > MAX_UNROLLED_ITERATIONS:
         raise error(f"loops unroll to more than {MAX_UNROLLED_ITERATIONS} "
                     f"iterations", line)
+    return done
+
+
+# Bound on the bits one program may allocate, summed over every
+# `Array.zeroCreate` it runs and its entry parameters.  The bundled corpus
+# peaks at 8960 (sha2.rev with all 64 rounds).  An allocation that would
+# pass the bound is an error before any of its bits exist.
+MAX_ALLOCATED_BITS = 100_000
+
+
+def _count_bits(done: int, n: int, error: type[FrontendError],
+                line: int) -> int:
+    """Bits allocated so far, `done`, plus an array of `n` more."""
+    if n < 0:
+        raise error("negative array size", line)
+    done += n
+    if done > MAX_ALLOCATED_BITS:
+        raise error(f"arrays allocate more than {MAX_ALLOCATED_BITS} bits",
+                    line)
     return done
 
 
@@ -850,6 +843,26 @@ def _check_width(ret: LetBind, n: int, target: list, line: int,
                     f"target has {len(target)}", line)
 
 
+def _entry_point(program: Program, scope: _Scope, do_item,
+                 error: type[FrontendError]):
+    """Run the top-level items; return `(entry, None)` with the function
+    that takes the inputs, or `(None, expr)` with the output expression."""
+    items = list(program.items)
+    final = items.pop().expr if items and isinstance(items[-1], ExprItem) else None
+    for item in items:
+        do_item(item, scope)
+    name = final.name if isinstance(final, EName) else None
+    if final is None:
+        name = next((it.name for it in reversed(items)
+                     if isinstance(it, LetDef)), None)
+    b = scope.lookup(name) if name is not None else None
+    if b is not None and isinstance(b[0], _FuncVal):
+        return b[0], None
+    if final is None:
+        raise error("no output expression")
+    return None, final
+
+
 _LIST_ONLY_IN_CONCAT = "a list [a; ...] is only allowed as the argument of Array.concat"
 _NOT_ACCUMULATING = "a write into an in-place target must accumulate (t <- t <> e)"
 
@@ -861,19 +874,19 @@ class Flattener:
         if params:
             self.params.update(params)
         self.slot_count = 0
-        self.fresh: set[int] = set()  # zero-valued, never-written slots
+        self.fresh: set[int] = set()  # unwritten Array.zeroCreate slots
         self.stmts: list = []
         self.enforced: set[int] = set()  # in-place target: accumulate only
         self.nested = 0  # >0: inside an in-place body or an if-branch
         self.branch_depth = 0  # >0: inside an if-branch, re-labelings only
         self.journal: list[list] = []  # per open branch: (binding, old value)
         self.iterations = 0  # loop iterations unrolled so far
+        self.allocated = 0  # bits allocated by arrays and entry parameters
 
     # -- plumbing ----------------------------------------------------------
     def new_slot(self) -> int:
         s = self.slot_count
         self.slot_count += 1
-        self.fresh.add(s)
         return s
 
     def emit(self, stmt) -> None:
@@ -882,13 +895,14 @@ class Flattener:
                 "conditional branches may only re-label existing values")
         self.stmts.append(stmt)
 
-    def _bind(self, scope: _Scope, name: str, value, mutable: bool) -> None:
-        scope.vars[name] = [value, mutable]
+    def compute(self, e: BoolExp) -> int:
+        """A new slot holding e."""
+        t = self.new_slot()
+        self.emit(Compute(t, e, True))
+        return t
 
     def _assign(self, scope: _Scope, name: str, value, line: int) -> None:
-        binding = scope.lookup(name)
-        if binding is None:
-            raise FlattenError(f"unknown identifier {name!r}", line)
+        binding = scope.get(name, FlattenError, line)
         if not binding[1]:
             raise FlattenError(f"assignment to immutable binding {name!r}", line)
         self._set(binding, value)
@@ -901,6 +915,7 @@ class Flattener:
 
     # -- compile-time integers ----------------------------------------------
     def eval_int(self, e, scope: _Scope) -> int:
+        """The fast path for integers; raises _NotInt on anything else."""
         if isinstance(e, EInt):
             return e.value
         if isinstance(e, EName):
@@ -944,11 +959,12 @@ class Flattener:
                 raise FlattenError("Array.length of a non-array", e.line)
         raise _NotInt()
 
-    def try_int(self, e, scope: _Scope):
+    def eval_int_or_fail(self, e, scope, line) -> int:
         try:
             return self.eval_int(e, scope)
         except _NotInt:
-            return None
+            raise FlattenError("bound or index is not a compile-time integer",
+                               line) from None
 
     # -- boolean expressions -------------------------------------------------
     def eval_scalar(self, e, scope: _Scope) -> BoolExp:
@@ -989,18 +1005,12 @@ class Flattener:
             return _IntArrVal([self.eval_int_or_fail(x, scope, e.line)
                                for x in e.items])
         if isinstance(e, EName):
-            b = scope.lookup(e.name)
-            if b is None:
-                raise FlattenError(f"unknown identifier {e.name!r}", e.line)
-            v = b[0]
+            v = scope.get(e.name, FlattenError, e.line)[0]
             if isinstance(v, _ArrVal):
                 return _ArrVal(v.slots)
             return v
         if isinstance(e, EIndex):
-            b = scope.lookup(e.name)
-            if b is None:
-                raise FlattenError(f"unknown identifier {e.name!r}", e.line)
-            v = b[0]
+            v = scope.get(e.name, FlattenError, e.line)[0]
             if isinstance(v, _IntArrVal):
                 return _IntVal(self.eval_int_or_fail(e, scope, e.line))
             i = self.eval_int_or_fail(e.index, scope, e.line)
@@ -1011,15 +1021,15 @@ class Flattener:
                 return _BitVal(v.slots[i])
             raise FlattenError(f"{e.name!r} is not an array", e.line)
         if isinstance(e, ESlice):
-            b = scope.lookup(e.name)
-            if b is None or not isinstance(b[0], _ArrVal):
+            v = scope.get(e.name, FlattenError, e.line)[0]
+            if not isinstance(v, _ArrVal):
                 raise FlattenError(f"{e.name!r} is not a bit array", e.line)
             lo = self.eval_int_or_fail(e.lo, scope, e.line)
             hi = self.eval_int_or_fail(e.hi, scope, e.line)
-            if not (0 <= lo and hi < len(b[0].slots)):
+            if not (0 <= lo and hi < len(v.slots)):
                 raise FlattenError(f"slice [{lo}..{hi}] out of range for "
-                                   f"{e.name!r} (size {len(b[0].slots)})", e.line)
-            return _ArrVal(b[0].slots[lo:hi + 1])
+                                   f"{e.name!r} (size {len(v.slots)})", e.line)
+            return _ArrVal(v.slots[lo:hi + 1])
         if isinstance(e, EApp):
             return self.eval_app(e, scope)
         if isinstance(e, EIf):
@@ -1039,18 +1049,16 @@ class Flattener:
             return _ConstBitVal(be.args[0])
         if be.op == "var":
             return _BitVal(be.args[0])
-        t = self.new_slot()
-        self.fresh.discard(t)
-        self.emit(Compute(t, be, True))
-        return _BitVal(t)
+        return _BitVal(self.compute(be))
 
     def eval_app(self, e: EApp, scope: _Scope):
         fn = e.fn
         if fn == "Array.zeroCreate":
             n = self.eval_int_or_fail(e.args[0], scope, e.line)
-            if n < 0:
-                raise FlattenError("negative array size", e.line)
-            return _ArrVal([self.new_slot() for _ in range(n)])
+            self.allocated = _count_bits(self.allocated, n, FlattenError, e.line)
+            slots = [self.new_slot() for _ in range(n)]
+            self.fresh.update(slots)
+            return _ArrVal(slots)
         if fn == "Array.append":
             a = self.eval_value(e.args[0], scope)
             b = self.eval_value(e.args[1], scope)
@@ -1080,11 +1088,11 @@ class Flattener:
         if fn == "__block__":
             # desugared multi-statement binding body
             return self.inline_call(_FuncVal(e.args[0], scope), [])
-        b = scope.lookup(fn)
-        if b is None or not isinstance(b[0], _FuncVal):
+        f = scope.function(e)
+        if f is None:
             raise FlattenError(f"unknown function {fn!r}", e.line)
         args = [self.eval_value(a, scope) for a in e.args]
-        return self.inline_call(b[0], args, line=e.line)
+        return self.inline_call(f, args, line=e.line)
 
     # -- calls -----------------------------------------------------------------
     def inline_call(self, f: _FuncVal, args: list, alias=None, line=0):
@@ -1097,7 +1105,7 @@ class Flattener:
                 f"argument(s), got {len(args)}", line)
         scope = _Scope(f.env)
         for (pname, _ann), v in zip(defn.params, args):
-            self._bind(scope, pname, v, isinstance(v, _ArrVal))
+            scope.bind(pname, v, isinstance(v, _ArrVal))
         value = self.run_block(defn.body, scope, want_value=True, alias=alias)
         if isinstance(value, _FuncVal):
             raise FlattenError(f"{defn.name or '<block>'} returned no value",
@@ -1115,7 +1123,7 @@ class Flattener:
                 ret, target, line = alias
                 n = self.eval_int_or_fail(ret.expr.args[0], scope, ret.line)
                 _check_width(ret, n, target, line, FlattenError)
-                self._bind(scope, ret.name, _ArrVal(target), True)
+                scope.bind(ret.name, _ArrVal(target), True)
             else:
                 self.do_item(item, scope)
         if want_value and value is None:
@@ -1124,19 +1132,10 @@ class Flattener:
 
     def do_item(self, item, scope: _Scope) -> None:
         if isinstance(item, LetDef):
-            self._bind(scope, item.name, _FuncVal(item, scope), False)
+            scope.bind(item.name, _FuncVal(item, scope))
         elif isinstance(item, LetBind):
-            iv = self.try_int(item.expr, scope)
-            if iv is not None:
-                self._bind(scope, item.name, _IntVal(iv), item.mutable)
-                return
-            if isinstance(item.expr, EArrayLit):
-                self._bind(scope, item.name,
-                           self.eval_value(item.expr, scope), item.mutable)
-                return
             v = self.eval_value(item.expr, scope)
-            mutable = item.mutable or isinstance(v, _ArrVal)
-            self._bind(scope, item.name, v, mutable)
+            scope.bind(item.name, v, item.mutable or isinstance(v, _ArrVal))
         elif isinstance(item, Assign):
             self.do_assign(item, scope)
         elif isinstance(item, ForLoop):
@@ -1146,16 +1145,13 @@ class Flattener:
                                                 FlattenError, item.line)
             for i in range(lo, hi + 1):
                 inner = _Scope(scope)
-                self._bind(inner, item.var, _IntVal(i), False)
+                inner.bind(item.var, _IntVal(i))
                 self.run_block(item.body, inner, want_value=False)
         elif isinstance(item, CleanStmt):
             if self.branch_depth:
                 raise FlattenError("clean not allowed in conditional branches",
                                    item.line)
-            b = scope.lookup(item.name)
-            if b is None:
-                raise FlattenError(f"unknown identifier {item.name!r}", item.line)
-            slots = _slots_of(b[0])
+            slots = _slots_of(scope.get(item.name, FlattenError, item.line)[0])
             if slots is None:
                 raise FlattenError(f"clean of non-bit value {item.name!r}",
                                    item.line)
@@ -1166,20 +1162,12 @@ class Flattener:
         else:
             raise FlattenError(f"unexpected item {type(item).__name__}")
 
-    def eval_int_or_fail(self, e, scope, line) -> int:
-        v = self.try_int(e, scope)
-        if v is None:
-            raise FlattenError("bound or index is not a compile-time integer",
-                               line)
-        return v
-
     def do_assign(self, item: Assign, scope: _Scope) -> None:
         rhs = item.expr
         # 1. `x <- f args`: inlined once, in place or re-binding x
-        if (isinstance(item.target, EName) and isinstance(rhs, EApp)
-                and rhs.fn not in BUILTINS and rhs.fn != "__block__"
-                and isinstance((scope.lookup(rhs.fn) or [None])[0], _FuncVal)):
-            self.assign_call(item, scope)
+        f = scope.function(rhs)
+        if isinstance(item.target, EName) and f is not None:
+            self.assign_call(item, f, scope)
             return
         # 2. pure re-labeling: RHS is an existing value (or structural op)
         v = self.relabel_value(rhs, scope)
@@ -1202,10 +1190,7 @@ class Flattener:
                 item.line)
         e = self.eval_scalar(rhs, scope) if v is None else self.bit_expr(v, rhs)
         if isinstance(item.target, EName):
-            b = scope.lookup(item.target.name)
-            if b is None:
-                raise FlattenError(f"unknown identifier {item.target.name!r}",
-                                   item.line)
+            b = scope.get(item.target.name, FlattenError, item.line)
             cur = b[0].slot if isinstance(b[0], _BitVal) else None
             stripped = self.accumulator_strip(e, cur)
             if stripped is not None:
@@ -1214,32 +1199,24 @@ class Flattener:
             else:
                 if cur in self.enforced:
                     raise FlattenError(_NOT_ACCUMULATING, item.line)
-                t = self.new_slot()
-                self.fresh.discard(t)
-                self.emit(Compute(t, e, True))
-                self._assign(scope, item.target.name, _BitVal(t), item.line)
+                self._assign(scope, item.target.name, _BitVal(self.compute(e)),
+                             item.line)
         else:
             tslot, arr, i = self.element_slot(item.target, scope)
             stripped = self.accumulator_strip(e, tslot)
-            if stripped is not None and tslot not in self.fresh:
-                self.write_slot(tslot, stripped, item.line)
-            elif tslot in self.fresh:
-                use = stripped if stripped is not None else e
-                self.write_slot(tslot, use, item.line)
+            if stripped is not None or tslot in self.fresh:
+                self.write_slot(tslot, e if stripped is None else stripped,
+                                item.line)
             else:
                 if tslot in self.enforced:
                     raise FlattenError(_NOT_ACCUMULATING, item.line)
-                t = self.new_slot()
-                self.fresh.discard(t)
-                self.emit(Compute(t, e, True))
-                arr.slots[i] = t
+                arr.slots[i] = self.compute(e)
 
     def element_slot(self, target: EIndex, scope: _Scope):
-        b = scope.lookup(target.name)
-        if b is None or not isinstance(b[0], _ArrVal):
+        arr = scope.get(target.name, FlattenError, target.line)[0]
+        if not isinstance(arr, _ArrVal):
             raise FlattenError(f"{target.name!r} is not a bit array", target.line)
         i = self.eval_int_or_fail(target.index, scope, target.line)
-        arr = b[0]
         if not 0 <= i < len(arr.slots):
             raise FlattenError(f"index {i} out of range for {target.name!r} "
                                f"(size {len(arr.slots)})", target.line)
@@ -1247,8 +1224,7 @@ class Flattener:
 
     def write_slot(self, slot: int, e: BoolExp, line: int) -> None:
         fresh = slot in self.fresh
-        if fresh:
-            self.fresh.discard(slot)
+        self.fresh.discard(slot)
         if e.op == "const" and not e.args[0] and not fresh:
             return  # x ^= 0 is a no-op
         self.emit(Compute(slot, e, fresh))
@@ -1272,36 +1248,20 @@ class Flattener:
 
     def relabel_value(self, e, scope: _Scope):
         """Value of e if it is a pure re-labeling (no gates); else None."""
-        if isinstance(e, EName):
-            b = scope.lookup(e.name)
-            if b is not None and isinstance(b[0], (_BitVal, _ArrVal, _ConstBitVal)):
-                v = b[0]
-                return _ArrVal(v.slots) if isinstance(v, _ArrVal) else v
-            return None
-        if isinstance(e, (EIndex, ESlice)):
+        if isinstance(e, (EName, EIndex, ESlice, EBool, EIf)) or (
+                isinstance(e, EApp) and e.fn in (
+                    "rot", "Array.append", "Array.concat", "Array.zeroCreate")):
             v = self.eval_value(e, scope)
-            return v if isinstance(v, (_BitVal, _ArrVal)) else None
-        if isinstance(e, EBool):
-            return _ConstBitVal(e.value)
-        if isinstance(e, EApp) and e.fn in ("rot", "Array.append", "Array.concat",
-                                            "Array.zeroCreate"):
-            v = self.eval_value(e, scope)
-            return v if isinstance(v, (_BitVal, _ArrVal)) else None
-        if isinstance(e, EIf):
-            v = self.if_convert(e, scope)
             return v if isinstance(v, (_BitVal, _ArrVal, _ConstBitVal)) else None
         return None
 
     # -- in-place call assignment ------------------------------------------------
-    def assign_call(self, item: Assign, scope: _Scope) -> None:
+    def assign_call(self, item: Assign, f: _FuncVal, scope: _Scope) -> None:
         name = item.target.name
-        b = scope.lookup(name)
-        if b is None:
-            raise FlattenError(f"unknown identifier {name!r}", item.line)
+        b = scope.get(name, FlattenError, item.line)
         if not b[1]:
             raise FlattenError(f"assignment to immutable binding {name!r}",
                                item.line)
-        f: _FuncVal = scope.lookup(item.expr.fn)[0]
         args = [self.eval_value(a, scope) for a in item.expr.args]
         target = _slots_of(b[0]) or []
         ret = in_place_binding(f.defn, target,
@@ -1404,36 +1364,19 @@ class Flattener:
         tval, tchanges = run_branch(e.then_block)
         eval_, echanges = run_branch(e.else_block)
 
-        def mux_bit(t: int | None, el: int | None, tconst=None, econst=None) -> BoolExp:
-            tx = bvar(t) if t is not None else bconst(tconst)
-            ex = bvar(el) if el is not None else bconst(econst)
-            return bxor([band([c, tx]), band([c, ex]), ex])
-
         def mux_value(tv, ev, line):
             def parts(v):
-                if isinstance(v, _BitVal):
-                    return [("slot", v.slot)]
-                if isinstance(v, _ConstBitVal):
-                    return [("const", v.value)]
                 if isinstance(v, _ArrVal):
-                    return [("slot", s) for s in v.slots]
+                    return [bvar(s) for s in v.slots]
+                if isinstance(v, (_BitVal, _ConstBitVal)):
+                    return [self.bit_expr(v, None)]
                 raise FlattenError("branches must produce bit values", line)
             tp, ep = parts(tv), parts(ev)
             if len(tp) != len(ep):
                 raise FlattenError("branches produce different widths", line)
-            slots = []
-            for (tk, tvv), (ek, evv) in zip(tp, ep):
-                if tk == ek == "slot" and tvv == evv:
-                    slots.append(tvv)
-                    continue
-                m = self.new_slot()
-                self.fresh.discard(m)
-                expr = mux_bit(tvv if tk == "slot" else None,
-                               evv if ek == "slot" else None,
-                               tvv if tk == "const" else None,
-                               evv if ek == "const" else None)
-                self.emit(Compute(m, expr, True))
-                slots.append(m)
+            slots = [tx.args[0] if tx.op == "var" and tx == ex else
+                     self.compute(bxor([band([c, tx]), band([c, ex]), ex]))
+                     for tx, ex in zip(tp, ep)]
             if isinstance(tv, _ArrVal) or isinstance(ev, _ArrVal):
                 return _ArrVal(slots)
             return _BitVal(slots[0])
@@ -1451,62 +1394,29 @@ class Flattener:
     def run(self) -> FlatProgram:
         scope = _Scope(None)
         for pname, pval in self.params.items():
-            self._bind(scope, pname, _IntVal(pval), False)
-
-        items = list(self.program.items)
-        final = None
-        if items and isinstance(items[-1], ExprItem):
-            final = items.pop()
-        for item in items:
-            self.do_item(item, scope)
-
-        entry: _FuncVal | None = None
-        if final is not None and isinstance(final.expr, EName):
-            b = scope.lookup(final.expr.name)
-            if b is not None and isinstance(b[0], _FuncVal):
-                entry = b[0]
-                final = None
-        if entry is None and final is None:
-            for item in reversed(items):
-                if isinstance(item, LetDef):
-                    entry = scope.lookup(item.name)[0]
-                    break
-            if entry is None:
-                raise FlattenError("no output expression")
-
-        name = "program"
-        layout: list = []
-        if entry is not None:
-            name = entry.defn.name
-            args = []
-            inputs: list[int] = []
-            for pname, ann in entry.defn.params:
-                if ann is not None and ann[0] == "array":
-                    if ann[1] is None:
-                        raise FlattenError(
-                            f"entry parameter {pname!r} needs a sized "
-                            f"annotation like (x : bool[8])", entry.defn.line)
-                    n = self.eval_int_or_fail(ann[1], scope, entry.defn.line)
-                    if n < 0:
-                        raise FlattenError("negative array size",
-                                           entry.defn.line)
-                    slots = [self.new_slot() for _ in range(n)]
-                    for s in slots:
-                        self.fresh.discard(s)
-                    inputs.extend(slots)
-                    args.append(_ArrVal(slots))
-                    layout.append((pname, n))
-                else:
-                    s = self.new_slot()
-                    self.fresh.discard(s)
-                    inputs.append(s)
-                    args.append(_BitVal(s))
-                    layout.append((pname, 1))
-            value = self.inline_call(entry, args, line=entry.defn.line)
+            scope.bind(pname, _IntVal(pval))
+        entry, final = _entry_point(self.program, scope, self.do_item,
+                                    FlattenError)
+        name, inputs, layout = "program", [], []
+        if entry is None:
+            value = self.eval_value(final, scope)
         else:
-            inputs = []
-            value = self.eval_value(final.expr, scope)
-
+            name, line = entry.defn.name, entry.defn.line
+            args = []
+            for pname, ann in entry.defn.params:
+                array = ann is not None and ann[0] == "array"
+                if array and ann[1] is None:
+                    raise FlattenError(
+                        f"entry parameter {pname!r} needs a sized "
+                        f"annotation like (x : bool[8])", line)
+                n = self.eval_int_or_fail(ann[1], scope, line) if array else 1
+                self.allocated = _count_bits(self.allocated, n, FlattenError,
+                                             line)
+                slots = [self.new_slot() for _ in range(n)]
+                inputs.extend(slots)
+                args.append(_ArrVal(slots) if array else _BitVal(slots[0]))
+                layout.append((pname, n))
+            value = self.inline_call(entry, args, line=line)
         outputs = self.output_slots(value)
         return FlatProgram(name=name, input_slots=inputs,
                            output_slots=outputs, statements=self.stmts,
@@ -1515,21 +1425,14 @@ class Flattener:
     def output_slots(self, value) -> list[int]:
         slots = _slots_of(value)
         if slots is None:
-            if isinstance(value, _ConstBitVal):
-                t = self.new_slot()
-                self.fresh.discard(t)
-                self.emit(Compute(t, bconst(value.value), True))
-                slots = [t]
-            else:
+            if not isinstance(value, _ConstBitVal):
                 raise FlattenError("program output must be a bit or bit array")
+            slots = [self.compute(bconst(value.value))]
         out: list[int] = []
         seen: set[int] = set()
         for s in slots:
             if s in seen:  # outputs must land on distinct wires: copy
-                t = self.new_slot()
-                self.fresh.discard(t)
-                self.emit(Compute(t, bvar(s), True))
-                s = t
+                s = self.compute(bvar(s))
             seen.add(s)
             out.append(s)
         return out
@@ -1582,54 +1485,38 @@ class SourceInterpreter:
         self.nested = 0  # >0: inside an in-place body or an if-branch
         self.enforced: set = set()  # in-place target boxes
         self.iterations = 0  # loop iterations run so far
+        self.allocated = 0  # bits allocated by arrays and entry parameters
 
     # value model: int | list[int] (compile-time) | _Box | list[_Box] | closure
     def run(self, inputs) -> list[int]:
         scope = _Scope(None)
         for k, v in self.params.items():
-            self._bind(scope, k, v, False)
-        items = list(self.program.items)
-        final = items.pop() if items and isinstance(items[-1], ExprItem) else None
-        for item in items:
-            self.do_item(item, scope)
-
-        entry = None
-        if final is not None and isinstance(final.expr, EName):
-            b = scope.lookup(final.expr.name)
-            if b is not None and isinstance(b[0], _FuncVal):
-                entry = b[0]
-                final = None
-        if entry is None and final is None:
-            for item in reversed(items):
-                if isinstance(item, LetDef):
-                    entry = scope.lookup(item.name)[0]
-                    break
-        if entry is not None:
+            scope.bind(k, v)
+        entry, final = _entry_point(self.program, scope, self.do_item,
+                                    InterpretError)
+        if entry is None:
+            if inputs:
+                raise InterpretError("program takes no inputs")
+            value = self.eval(final, scope)
+        else:
             args = []
             pos = 0
             for pname, ann in entry.defn.params:
-                if ann is not None and ann[0] == "array":
-                    n = self.eval_int(ann[1], scope)
-                    args.append([_Box(b) for b in inputs[pos:pos + n]])
-                    pos += n
-                else:
-                    args.append(_Box(inputs[pos]))
-                    pos += 1
+                array = ann is not None and ann[0] == "array"
+                n = self.eval_int(ann[1], scope) if array else 1
+                self.allocated = _count_bits(self.allocated, n, InterpretError,
+                                             entry.defn.line)
+                boxes = [_Box(b) for b in inputs[pos:pos + n]]
+                args.append(boxes if array else boxes[0])
+                pos += n
             if pos != len(inputs):
                 raise InterpretError(f"expected {pos} input bits, got {len(inputs)}")
             value = self.call(entry, args)
-        else:
-            if inputs:
-                raise InterpretError("program takes no inputs")
-            value = self.eval(final.expr, scope)
         if isinstance(value, _Box):
             return [value.v]
         if isinstance(value, bool):
             return [int(value)]
         return [b.v if isinstance(b, _Box) else int(b) for b in value]
-
-    def _bind(self, scope, name, value, mutable):
-        scope.vars[name] = [value, mutable]
 
     def eval_int(self, e, scope) -> int:
         v = self.eval(e, scope)
@@ -1653,10 +1540,7 @@ class SourceInterpreter:
         if isinstance(e, EArrayLit):
             return [self.eval_int(x, scope) for x in e.items]
         if isinstance(e, EName):
-            b = scope.lookup(e.name)
-            if b is None:
-                raise InterpretError(f"unknown identifier {e.name!r}", e.line)
-            v = b[0]
+            v = scope.get(e.name, InterpretError, e.line)[0]
             return list(v) if isinstance(v, list) and v and isinstance(v[0], _Box) else v
         if isinstance(e, ENot):
             return _Box(1 ^ self.eval_bit(e.arg, scope))
@@ -1677,17 +1561,13 @@ class SourceInterpreter:
                 return _Box(a | b)
             return _Box(a ^ b)
         if isinstance(e, EIndex):
-            b = scope.lookup(e.name)
-            if b is None:
-                raise InterpretError(f"unknown identifier {e.name!r}", e.line)
-            v = b[0]
+            v = scope.get(e.name, InterpretError, e.line)[0]
             i = self.eval_int(e.index, scope)
             if isinstance(v, list):
                 return v[i]
             raise InterpretError(f"{e.name!r} is not an array", e.line)
         if isinstance(e, ESlice):
-            b = scope.lookup(e.name)
-            v = b[0] if b else None
+            v = scope.get(e.name, InterpretError, e.line)[0]
             if not isinstance(v, list):
                 raise InterpretError(f"{e.name!r} is not an array", e.line)
             lo, hi = self.eval_int(e.lo, scope), self.eval_int(e.hi, scope)
@@ -1707,7 +1587,10 @@ class SourceInterpreter:
     def eval_app(self, e: EApp, scope):
         fn = e.fn
         if fn == "Array.zeroCreate":
-            return [_Box(fresh=True) for _ in range(self.eval_int(e.args[0], scope))]
+            n = self.eval_int(e.args[0], scope)
+            self.allocated = _count_bits(self.allocated, n, InterpretError,
+                                         e.line)
+            return [_Box(fresh=True) for _ in range(n)]
         if fn == "Array.append":
             a, b = self.eval(e.args[0], scope), self.eval(e.args[1], scope)
             return list(a) + list(b)
@@ -1730,11 +1613,10 @@ class SourceInterpreter:
                              e.line)
         if fn == "__block__":
             return self.call(_FuncVal(e.args[0], scope), [])
-        b = scope.lookup(fn)
-        if b is None or not isinstance(b[0], _FuncVal):
+        f = scope.function(e)
+        if f is None:
             raise InterpretError(f"unknown function {fn!r}", e.line)
-        args = [self.eval(a, scope) for a in e.args]
-        return self.call(b[0], args)
+        return self.call(f, [self.eval(a, scope) for a in e.args])
 
     def call(self, f: _FuncVal, args, alias=None):
         """Run f once; `alias` = (result binding, target boxes, call line)
@@ -1743,7 +1625,7 @@ class SourceInterpreter:
         for (pname, _ann), v in zip(f.defn.params, args):
             if isinstance(v, bool):
                 v = _Box(int(v))
-            self._bind(scope, pname, v, isinstance(v, list))
+            scope.bind(pname, v, isinstance(v, list))
         return self.run_block(f.defn.body, scope, True, alias)
 
     def run_block(self, block: Block, scope, want_value, alias=None):
@@ -1755,7 +1637,7 @@ class SourceInterpreter:
                 ret, target, line = alias
                 n = self.eval_int(ret.expr.args[0], scope)
                 _check_width(ret, n, target, line, InterpretError)
-                self._bind(scope, ret.name, list(target), True)
+                scope.bind(ret.name, list(target), True)
             else:
                 self.do_item(item, scope)
         if want_value and value is None:
@@ -1764,13 +1646,12 @@ class SourceInterpreter:
 
     def do_item(self, item, scope):
         if isinstance(item, LetDef):
-            self._bind(scope, item.name, _FuncVal(item, scope), False)
+            scope.bind(item.name, _FuncVal(item, scope))
         elif isinstance(item, LetBind):
             v = self.eval(item.expr, scope)
             if isinstance(v, bool):
                 v = _Box(int(v))
-            self._bind(scope, item.name, v,
-                       item.mutable or isinstance(v, list))
+            scope.bind(item.name, v, item.mutable or isinstance(v, list))
         elif isinstance(item, Assign):
             self.do_assign(item, scope)
         elif isinstance(item, ForLoop):
@@ -1779,11 +1660,10 @@ class SourceInterpreter:
                                                 InterpretError, item.line)
             for i in range(lo, hi + 1):
                 inner = _Scope(scope)
-                self._bind(inner, item.var, i, False)
+                inner.bind(item.var, i)
                 self.run_block(item.body, inner, False)
         elif isinstance(item, CleanStmt):
-            b = scope.lookup(item.name)
-            v = b[0] if b else None
+            v = scope.get(item.name, InterpretError, item.line)[0]
             boxes = [v] if isinstance(v, _Box) else v
             if not isinstance(boxes, list):
                 raise InterpretError(f"clean of non-bit value {item.name!r}",
@@ -1804,11 +1684,11 @@ class SourceInterpreter:
     def do_assign(self, item: Assign, scope):
         rhs = item.expr
         if isinstance(item.target, EIndex):
-            b = scope.lookup(item.target.name)
-            if b is None or not isinstance(b[0], list):
+            arr = scope.get(item.target.name, InterpretError, item.line)[0]
+            if not isinstance(arr, list):
                 raise InterpretError(f"{item.target.name!r} is not an array",
                                      item.line)
-            arr, i = b[0], self.eval_int(item.target.index, scope)
+            i = self.eval_int(item.target.index, scope)
             v = self.eval(rhs, scope)
             box, bit = arr[i], v.v if isinstance(v, _Box) else int(v)
             # as in flatten: an unwritten element re-labeled to a bit shares
@@ -1824,17 +1704,15 @@ class SourceInterpreter:
                 arr[i] = _Box(bit)
             return
         name = item.target.name
-        b = scope.lookup(name)
-        if b is None:
-            raise InterpretError(f"unknown identifier {name!r}", item.line)
+        b = scope.get(name, InterpretError, item.line)
         if not b[1]:
             raise InterpretError(f"assignment to immutable binding {name!r}",
                                  item.line)
         # in-place call convention
-        if (isinstance(rhs, EApp) and rhs.fn not in BUILTINS
-                and rhs.fn != "__block__" and scope.lookup(rhs.fn)
-                and isinstance(scope.lookup(rhs.fn)[0], _FuncVal)):
-            f = scope.lookup(rhs.fn)[0]
+        f = scope.function(rhs)
+        if f is None:
+            v = self.eval(rhs, scope)
+        else:
             args = [self.eval(a, scope) for a in rhs.args]
             target = _boxes(b[0])
             ret = in_place_binding(f.defn, target, [_boxes(a) for a in args],
@@ -1846,15 +1724,14 @@ class SourceInterpreter:
                 self.nested -= 1
                 self.enforced = set()
                 return
-            value = self.call(f, args)
-            if isinstance(value, bool):
-                value = _Box(int(value))
-            b[0] = value
-            return
-        v = self.eval(rhs, scope)
+            v = self.call(f, args)
         if isinstance(v, bool):
             v = _Box(int(v))
-        b[0] = v
+        if isinstance(b[0], _Box) and self.accumulates(b[0], rhs, scope):
+            # as in flatten: the write lands on the wire the name holds
+            b[0].v, b[0].fresh = v.v, False
+        else:
+            b[0] = v
 
 
 def interpret_source(program: Program, inputs, params: dict | None = None) -> list[int]:

@@ -44,7 +44,6 @@ class MddNode:
     stmt_index: int | None = None  # top-level statement producing this node
     stmt: object = None
     group: int | None = None  # in-place block unit id
-    label: str = ""
 
 
 @dataclass
@@ -142,23 +141,15 @@ def _mutate(g: MDD, prev: int, new: int) -> None:
 def build_mdd(program: FlatProgram) -> MDD:
     """One linear pass over the flat statements (O(n))."""
     g = MDD(program=program)
-    names: dict[int, str] = {}
-    pos = 0
-    for name, width in (program.input_layout or []):
-        for k in range(width):
-            slot = program.input_slots[pos]
-            names[slot] = name if width == 1 else f"{name}[{k}]"
-            pos += 1
     for slot in program.input_slots:
-        n = _add_node(g, INPUT, slot=slot,
-                      label=f"var {names.get(slot, slot)}")
+        n = _add_node(g, INPUT, slot=slot)
         g.input_ids.append(n.id)
         g.current[slot] = n.id
 
     def current_of(slot: int) -> int:
         if slot not in g.current:
             # read of a never-written slot: an implicit zero init
-            n = _add_node(g, INIT, slot=slot, label=f"init {slot}")
+            n = _add_node(g, INIT, slot=slot)
             g.current[slot] = n.id
         return g.current[slot]
 
@@ -166,12 +157,10 @@ def build_mdd(program: FlatProgram) -> MDD:
         if isinstance(stmt, Compute):
             srcs = [current_of(w) for w in sorted(variables(stmt.expr))]
             if stmt.fresh:
-                init = _add_node(g, INIT, slot=stmt.slot,
-                                 stmt_index=idx, label=f"init {stmt.slot}")
+                init = _add_node(g, INIT, slot=stmt.slot, stmt_index=idx)
                 g.current[stmt.slot] = init.id
             prev = current_of(stmt.slot)
-            op = _add_node(g, OP, slot=stmt.slot, stmt_index=idx, stmt=stmt,
-                           label=repr(stmt.expr))
+            op = _add_node(g, OP, slot=stmt.slot, stmt_index=idx, stmt=stmt)
             _mutate(g, prev, op.id)
             for s in srcs:
                 _read(g, op.id, s)
@@ -182,15 +171,14 @@ def build_mdd(program: FlatProgram) -> MDD:
             for t in stmt.target_slots:
                 prev = current_of(t)
                 op = _add_node(g, OP, slot=t, stmt_index=idx, stmt=stmt,
-                               group=group, label=f"inplace {t}")
+                               group=group)
                 _mutate(g, prev, op.id)
                 for s in srcs:
                     _read(g, op.id, s)
                 g.current[t] = op.id
         elif isinstance(stmt, CleanSlot):
             prev = current_of(stmt.slot)
-            cl = _add_node(g, CLEAN, slot=stmt.slot, stmt_index=idx,
-                           stmt=stmt, label=f"clean {stmt.slot}")
+            cl = _add_node(g, CLEAN, slot=stmt.slot, stmt_index=idx, stmt=stmt)
             _mutate(g, prev, cl.id)
             g.current[stmt.slot] = cl.id
         else:
@@ -198,7 +186,7 @@ def build_mdd(program: FlatProgram) -> MDD:
 
     for slot in program.output_slots:
         holder = current_of(slot)
-        out = _add_node(g, OUTPUT, slot=slot, label="Out")
+        out = _add_node(g, OUTPUT, slot=slot)
         _mutate(g, holder, out.id)
         g.output_ids.append(out.id)
     return g
@@ -216,13 +204,28 @@ def evaluate_mdd(g: MDD, bits) -> list[int]:
     return interpret(replace(g.program, statements=list(units.values())), bits)
 
 
+def _label(n: MddNode, names: dict) -> str:
+    if n.kind == INPUT:
+        return f"var {names.get(n.slot, n.slot)}"
+    if n.kind == OP:
+        return (repr(n.stmt.expr) if isinstance(n.stmt, Compute)
+                else f"inplace {n.slot}")
+    return "Out" if n.kind == OUTPUT else f"{n.kind} {n.slot}"
+
+
 def to_dot(g: MDD) -> str:
     """GraphViz rendering: mutation edges bold, dependency edges dashed."""
+    program = g.program
+    names: dict[int, str] = {}
+    bits = iter(program.input_slots)
+    for name, width in program.input_layout or []:
+        for k in range(width):
+            names[next(bits)] = name if width == 1 else f"{name}[{k}]"
     lines = ["digraph mdd {", "  rankdir=TB;"]
     for n in g.nodes:
         shape = {INPUT: "ellipse", INIT: "circle", OP: "box",
                  CLEAN: "diamond", OUTPUT: "doublecircle"}[n.kind]
-        label = n.label or f"{n.kind} {n.slot}"
+        label = _label(n, names)
         lines.append(f'  n{n.id} [shape={shape} label="{n.id}: {label}"];')
     for src, dst in g.mutation_next.items():
         lines.append(f"  n{src} -> n{dst} [style=bold];")

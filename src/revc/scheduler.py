@@ -224,12 +224,12 @@ def _plan_incremental(g: MDD, budget: int) -> CleanupPlan:
     stmts = program.statements
     plan = CleanupPlan("incremental", program, g, copied_outputs=True)
 
-    # future[i]: slots whose current value is consumed by statements >= i
-    # or by the output
-    future: list[set] = [set() for _ in range(len(stmts) + 1)]
-    future[len(stmts)] = set(program.output_slots)
-    for i in range(len(stmts) - 1, -1, -1):
-        future[i] = future[i + 1] | _slots_used_by(stmts[i])
+    # last_use[s]: the last statement that consumes slot s's current value,
+    # len(stmts) for an output
+    last_use: dict[int, int] = {}
+    for i, stmt in enumerate(stmts):
+        last_use.update(dict.fromkeys(_slots_used_by(stmt), i))
+    last_use.update(dict.fromkeys(program.output_slots, len(stmts)))
 
     em = WidthOracle(program)
     actions: list[Action] = []
@@ -257,7 +257,7 @@ def _plan_incremental(g: MDD, budget: int) -> CleanupPlan:
         # segment back to release its wires.  The copy itself may push the
         # width past the budget by up to |needed| wires; the budget bounds
         # the computation segments, not the instantaneous fanout.
-        needed = sorted(s for s in seg_written if s in future[i])
+        needed = sorted(s for s in seg_written if last_use.get(s, -1) >= i)
         copy = Action("copy", slots=tuple(needed), tag="checkpoint")
         em.apply(copy)
         rev = mirror(actions[seg_start:])

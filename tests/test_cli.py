@@ -11,8 +11,8 @@ import pytest
 import revc
 from revc.cli import main
 from revc.frontend import (
-    MAX_UNROLLED_ITERATIONS, FlattenError, InterpretError, flatten,
-    interpret_source, parse,
+    MAX_ALLOCATED_BITS, MAX_UNROLLED_ITERATIONS, FlattenError, InterpretError,
+    flatten, interpret_source, parse,
 )
 
 
@@ -228,6 +228,32 @@ def test_unbounded_unrolling_is_user_error(tmp_path, capsys):
     with pytest.raises(InterpretError) as exc:
         interpret_source(parse(HUGE_LOOP), [1])
     assert exc.value.line == 3
+
+
+HUGE_ARRAY = """let f (x : bool) =
+    let z = Array.zeroCreate 1000000
+    x
+
+f
+"""
+
+
+@pytest.mark.parametrize("src,line", [
+    (HUGE_ARRAY, 2), ("let f (x : bool[1000000]) = x\n\nf\n", 1),
+], ids=["zeroCreate", "entry-parameter"])
+def test_unbounded_allocation_is_user_error(tmp_path, capsys, src, line):
+    path = tmp_path / "array.rev"
+    path.write_text(src)
+    t0 = time.perf_counter()
+    rc = main(["compile", str(path), "-o", str(tmp_path / "out.tfc")])
+    assert time.perf_counter() - t0 < 0.5
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: line {line}: arrays allocate more than {MAX_ALLOCATED_BITS} "
+        "bits\n")
+    with pytest.raises(InterpretError) as exc:
+        interpret_source(parse(src), [1])
+    assert exc.value.line == line
 
 
 @pytest.mark.parametrize("command", ["compile", "verify"])

@@ -38,6 +38,9 @@ def test_parse_errors():
         parse("")  # empty program
     with pytest.raises(ParseError):
         parse("let f (a : bool) = if a then true")  # missing else
+    for target in ("f x", "a.[0..1]", "(x)"):  # not a name or an element
+        with pytest.raises(ParseError, match="line 2: can only assign"):
+            parse(f"let f (x : bool) (y : bool) =\n    {target} <- y\n    y")
 
 
 def test_parse_shapes():
@@ -317,6 +320,17 @@ def test_source_interpreter_rejects_zero_divisor(op, word):
         interpret_source(ast, [0] * 4)
 
 
+@pytest.mark.parametrize("src", [
+    "let x = true", "let f (x : bool) = x\nlet f = 3",
+], ids=["no-definition", "definition-shadowed"])
+def test_program_without_output_is_an_error_in_both_evaluators(src):
+    ast = parse(src)
+    with pytest.raises(FlattenError, match="no output expression"):
+        flatten(ast)
+    with pytest.raises(InterpretError, match="no output expression"):
+        interpret_source(ast, [])
+
+
 def test_source_interpreter_rejects_sqrt_of_negative():
     ast = parse("let f (a : bool[4]) =\n    a.[sqrt (0 - 4)]\n\nf")
     with pytest.raises(InterpretError, match="line 2: sqrt of a negative number"):
@@ -366,8 +380,10 @@ def assert_evaluators_agree(ast, prog):
         assert interpret(prog, bits) == interpret_source(ast, bits), bits
 
 
-def in_place_program(width, writes, call="h <- add b", target_width=None):
+def in_place_program(width, writes, call="h <- add b", target_width=None,
+                     before_call=()):
     body = "\n".join(f"    {w}" for w in writes)
+    before = "".join(f"    {line}\n" for line in before_call)
     return f"""
 let add (x : bool array) =
     let out = Array.zeroCreate {width}
@@ -376,7 +392,7 @@ let add (x : bool array) =
 
 let main (a : bool[{target_width or width}]) (b : bool[{width}]) =
     let mutable h = a
-    {call}
+{before}    {call}
     Array.concat [h; a; b]
 
 main
@@ -490,9 +506,15 @@ def test_evaluators_agree_on_in_place_candidates(data):
         if shape == "reads-buffer" and width > 1 and k == i:
             k = (i + 1) % width
         writes.append(WRITE_SHAPES[shape].format(i=i, j=j, k=k))
+    # a bit name that shares a wire with `a` and `h`, written through
+    shared = []
+    if data.draw(st.booleans(), label="shared wire"):
+        i, j = (data.draw(st.integers(0, width - 1)) for _ in range(2))
+        shared = [f"let mutable c = a.[{i}]", data.draw(st.sampled_from(
+            [f"c <- c <> b.[{j}]", f"c <- b.[{j}] <> c"]))]
     wider = call == "wider"
     src = in_place_program(width, writes, "h <- add b" if wider else call,
-                           width + 1 if wider else None)
+                           width + 1 if wider else None, shared)
     ast = parse(src)
     try:
         prog = flatten(ast)
