@@ -9,9 +9,11 @@
     revc pebble-table --time-max T --pebbles 2,3,4 [-o table.csv]
     revc blif FILE [FILE...] [--optimize-xor] [--strategy S] [--report out.json]
 
-`--stats` and `revc stats` report the circuit's counts, `compile_seconds`
-(schedule + emit) and `stage_seconds`: `load` (parse and flatten, or BLIF
-lowering), `schedule` (dependency graph and cleanup plan) and `emit`.
+`--stats` and `revc stats` report the circuit's counts, the flat
+program's (`flat_statements`, `inplace_blocks`, `block_body_statements`,
+`slots`), `compile_seconds` (schedule + emit) and `stage_seconds`: `parse`,
+`flatten` (for BLIF, lowering), `schedule` (dependency graph and cleanup
+plan) and `emit`.
 
 Exit codes: 0 success, 1 user/compile error, 2 verification failure.
 The default sample seed comes from the REVC_SEED environment variable.
@@ -30,7 +32,7 @@ from . import blif as blif_mod
 from . import circuit as circuit_mod
 from . import pebble as pebble_mod
 from .emitter import circuit_report, compile_flat, emit
-from .frontend import FrontendError, flatten, parse
+from .frontend import FrontendError, InPlaceBlock, flatten, parse
 from .mdd import build_mdd, to_dot
 from .scheduler import BudgetError, schedule
 
@@ -52,7 +54,9 @@ def _parse_params(pairs) -> dict:
     return out
 
 
-def _load_flat(args):
+def _load_flat(args, stages: dict):
+    """Read, parse and flatten (or lower) the input file, timing the last
+    two steps into `stages`."""
     params = _parse_params(getattr(args, "param", None))
     path = args.file
     try:
@@ -60,28 +64,39 @@ def _load_flat(args):
             text = f.read()
     except OSError as e:
         raise CliError(str(e))
+    t0 = time.perf_counter()
     if path.endswith(".blif"):
         net = blif_mod.parse_blif(text)
-        return blif_mod.lower(net, optimize=getattr(args, "optimize_xor", False))
-    return flatten(parse(text, params=params or None))
+        t1 = time.perf_counter()
+        prog = blif_mod.lower(net, optimize=getattr(args, "optimize_xor", False))
+    else:
+        ast = parse(text, params=params or None)
+        t1 = time.perf_counter()
+        prog = flatten(ast)
+    stages["parse"], stages["flatten"] = t1 - t0, time.perf_counter() - t1
+    return prog
 
 
 def _compile(args):
     """Load, schedule and emit; returns the program, plan, circuit and the
     seconds of each stage."""
+    stages: dict = {}
+    prog = _load_flat(args, stages)
     t0 = time.perf_counter()
-    prog = _load_flat(args)
-    t1 = time.perf_counter()
     plan = schedule(prog, args.strategy, qubit_budget=args.qubits)
-    t2 = time.perf_counter()
+    t1 = time.perf_counter()
     circ = emit(plan)
-    t3 = time.perf_counter()
-    return prog, plan, circ, {"load": t1 - t0, "schedule": t2 - t1,
-                              "emit": t3 - t2}
+    stages["schedule"], stages["emit"] = t1 - t0, time.perf_counter() - t1
+    return prog, plan, circ, stages
 
 
-def _report(plan, circ, stages) -> dict:
+def _report(prog, plan, circ, stages) -> dict:
     rep = circuit_report(plan, circ)
+    blocks = [s for s in prog.statements if isinstance(s, InPlaceBlock)]
+    rep.update({"flat_statements": len(prog.statements),
+                "inplace_blocks": len(blocks),
+                "block_body_statements": sum(len(b.body) for b in blocks),
+                "slots": prog.slot_count})
     rep["compile_seconds"] = round(stages["schedule"] + stages["emit"], 6)
     rep["stage_seconds"] = {k: round(v, 6) for k, v in stages.items()}
     return rep
@@ -94,7 +109,7 @@ def cmd_compile(args) -> int:
             f.write(to_dot(build_mdd(prog)))
     out = args.output or (args.file + ".tfc")
     circuit_mod.write_circuit(circ, out)
-    rep = _report(plan, circ, stages)
+    rep = _report(prog, plan, circ, stages)
     if args.stats:
         with open(args.stats, "w") as f:
             json.dump(rep, f, indent=2, sort_keys=True)
@@ -106,7 +121,8 @@ def cmd_compile(args) -> int:
 
 def cmd_stats(args) -> int:
     prog, plan, circ, stages = _compile(args)
-    print(json.dumps(_report(plan, circ, stages), indent=2, sort_keys=True))
+    print(json.dumps(_report(prog, plan, circ, stages), indent=2,
+                     sort_keys=True))
     return 0
 
 

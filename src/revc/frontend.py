@@ -31,6 +31,21 @@ Nothing is rolled back: an accepted body that breaks the contract (a
 width other than `x`'s, a write into `x` that does not accumulate,
 arguments not restored, locals not zeroed) is an error with a line.
 
+The flattener inlines an in-place call from the AST only once per call
+signature and records the block as a template; a later call with the
+same signature renames the template's slots onto its own target,
+argument and captured slots, takes new locals in the same order as
+inlining would, and emits the same statements without walking the AST.
+The signature holds everything the inline depends on: the function value,
+each argument's kind and width (a constant bit or compile-time integer
+by value), the value of every name the body reads before binding it
+(found once per definition by `_free_names`; a captured function adds
+its own such names, a captured bit or array its slots), which of all
+those slots are one slot, and which are unwritten `Array.zeroCreate`
+slots.  A body that assigns a name it does not bind is never replayed,
+and a replay that would pass the unrolling or allocation bound inlines
+instead, so that the error is the same.  Every instance is validated.
+
 Both evaluators also share `_entry_point`: the top-level items run in
 order, then a final expression naming a function, or with no final
 expression the last function defined, takes the program's inputs as its
@@ -836,6 +851,99 @@ def _int_expr_equal(a, b) -> bool:
     return False
 
 
+def _free_names(defn: LetDef) -> tuple[tuple[str, ...], bool]:
+    """The names `defn`'s body reads before it binds them, in first-read
+    order, and whether it assigns a name it does not bind.
+
+    A scope-ordered walk: parameters, `let`s and loop variables bind as
+    the flattener binds them, and a branch, loop body or nested definition
+    gets its own scope.  A nested definition sees only the names bound
+    before it; one bound later counts as free, which can only make a key
+    finer.
+    """
+    free: dict[str, None] = {}
+    writes = False
+
+    def expr(e, bound: set) -> None:
+        if isinstance(e, EIf):
+            expr(e.cond, bound)
+            items(e.then_block.items, set(bound))
+            items(e.else_block.items, set(bound))
+            return
+        if isinstance(e, EApp) and e.fn == "__block__":
+            items(e.args[0].body.items, set(bound))
+            return
+        if isinstance(e, (EName, EIndex, ESlice)) and e.name not in bound:
+            free.setdefault(e.name)
+        if isinstance(e, EApp) and e.fn not in BUILTINS and e.fn not in bound:
+            free.setdefault(e.fn)
+        for sub in (e.args if isinstance(e, EApp) else
+                    e.items if isinstance(e, (EList, EArrayLit)) else
+                    [e.left, e.right] if isinstance(e, EBin) else
+                    [e.arg] if isinstance(e, ENot) else
+                    [e.index] if isinstance(e, EIndex) else
+                    [e.lo, e.hi] if isinstance(e, ESlice) else []):
+            expr(sub, bound)
+
+    def items(its, bound: set) -> None:
+        nonlocal writes
+        for it in its:
+            if isinstance(it, LetDef):
+                bound.add(it.name)
+                items(it.body.items, bound | {p for p, _ann in it.params})
+            elif isinstance(it, LetBind):
+                expr(it.expr, bound)
+                bound.add(it.name)
+            elif isinstance(it, Assign):
+                writes = writes or it.target.name not in bound
+                expr(it.target, bound)
+                expr(it.expr, bound)
+            elif isinstance(it, ForLoop):
+                expr(it.lo, bound)
+                expr(it.hi, bound)
+                items(it.body.items, bound | {it.var})
+            elif isinstance(it, CleanStmt):
+                if it.name not in bound:
+                    free.setdefault(it.name)
+            else:
+                expr(it.expr, bound)
+
+    items(defn.body.items, {p for p, _ann in defn.params})
+    return tuple(free), writes
+
+
+def _renamed(e: BoolExp, m: dict[int, BoolExp]) -> BoolExp:
+    """e with the variable of every slot s replaced by m[s]."""
+    if e.op == "var":
+        return m[e.args[0]]
+    if e.op == "const":
+        return e
+    return BoolExp(e.op, tuple([_renamed(a, m) for a in e.args]))
+
+
+@dataclass
+class _Template:
+    """A flattened in-place call, replayed for later calls of its signature.
+
+    `slots` are the call's target, argument and captured slots in key
+    order, and `block` is what the call emitted.  `fresh_after` says, per
+    slot of `slots`, whether it is still an unwritten `Array.zeroCreate`
+    slot after the call, and `fresh_locals` lists the indices of such
+    locals.  `iterations` and `allocated` are what the call added to the
+    unrolling and allocation counters.
+    """
+    slots: list
+    block: InPlaceBlock
+    fresh_after: tuple
+    fresh_locals: tuple
+    iterations: int
+    allocated: int
+
+
+class _NoTemplate(Exception):
+    """The call writes a name it does not bind: it cannot be replayed."""
+
+
 def _check_width(ret: LetBind, n: int, target: list, line: int,
                  error: type[FrontendError]) -> None:
     if n != len(target):
@@ -882,6 +990,8 @@ class Flattener:
         self.journal: list[list] = []  # per open branch: (binding, old value)
         self.iterations = 0  # loop iterations unrolled so far
         self.allocated = 0  # bits allocated by arrays and entry parameters
+        self.templates: dict = {}  # in-place call signature -> _Template
+        self.free_names: dict[int, tuple] = {}  # id(LetDef) -> _free_names()
 
     # -- plumbing ----------------------------------------------------------
     def new_slot(self) -> int:
@@ -1274,8 +1384,14 @@ class Flattener:
             self._assign(scope, name, value, item.line)
             return
         # in place: the body accumulates onto the target, which keeps its name
+        sig = self.signature(f, target, args)
+        tpl = self.templates.get(sig[0]) if sig is not None else None
+        if tpl is not None and self.instantiate(tpl, sig[1], target,
+                                                item.line, f.defn.name):
+            return
         outer, self.stmts = self.stmts, []
-        pre_slots = self.slot_count
+        pre_slots, iterations, allocated = (self.slot_count, self.iterations,
+                                            self.allocated)
         self.nested += 1
         self.enforced = set(target)
         self.inline_call(f, args, alias=(ret, target, item.line), line=item.line)
@@ -1286,7 +1402,99 @@ class Flattener:
         arg_slots = self.block_args(body, target, locals_)
         self.validate_block(body, arg_slots, target, locals_, item.line,
                             f.defn.name)
+        block = InPlaceBlock(list(target), arg_slots, body, locals_)
+        self.emit(block)
+        # a body that reached a slot outside its signature is not replayed
+        if sig is not None and set(arg_slots) <= set(sig[1]):
+            self.templates[sig[0]] = _Template(
+                sig[1], block, tuple(s in self.fresh for s in sig[1]),
+                tuple(i for i, s in enumerate(locals_) if s in self.fresh),
+                self.iterations - iterations, self.allocated - allocated)
+
+    # -- in-place templates ------------------------------------------------------
+    def signature(self, f: _FuncVal, target: list[int], args: list):
+        """The template key of in-place call `f args` onto `target`, with
+        the slots a template renames: the target's, the arguments' and the
+        captured bits', in key order.  None if the call writes a name it
+        does not bind.
+
+        Two calls with one key inline to the same statements up to slot
+        renaming: the key holds f (and so its result binding), each
+        argument's kind and width or compile-time value, the value of every
+        name f's body reads from its environment (for a function, the same
+        again), which of the slots are one slot, and which are unwritten
+        `Array.zeroCreate` slots.
+        """
+        slots = list(target)
+        try:
+            values = (tuple(self.value_key(v, slots, set()) for v in args),
+                      self.function_key(f, slots, set()))
+        except _NoTemplate:
+            return None
+        first: dict[int, int] = {}
+        shared = tuple(first.setdefault(s, i) for i, s in enumerate(slots))
+        fresh = tuple(s in self.fresh for s in slots)
+        return (values, shared, fresh), slots
+
+    def function_key(self, f: _FuncVal, slots: list, seen: set):
+        """Key of function f: f itself and the values its body reads from
+        f's environment; their bits join `slots`."""
+        if f in seen:  # recursion: its values are in the key already
+            return f
+        seen.add(f)
+        if id(f.defn) not in self.free_names:
+            self.free_names[id(f.defn)] = _free_names(f.defn)
+        names, writes = self.free_names[id(f.defn)]
+        if writes:
+            raise _NoTemplate()
+        return f, tuple(self.value_key(b[0] if b is not None else None,
+                                       slots, seen)
+                        for b in map(f.env.lookup, names))
+
+    def value_key(self, v, slots: list, seen: set):
+        """Key of one value; the slots of a bit or bit array join `slots`."""
+        if isinstance(v, _BitVal):
+            slots.append(v.slot)
+            return "bit"
+        if isinstance(v, _ArrVal):
+            slots.extend(v.slots)
+            return "bits", len(v.slots)
+        if isinstance(v, _FuncVal):
+            return self.function_key(v, slots, seen)
+        if isinstance(v, _ConstBitVal):
+            return "const", v.value
+        if isinstance(v, _IntVal):
+            return "int", v.value
+        if isinstance(v, _IntArrVal):
+            return "ints", tuple(v.values)
+        return None  # an unbound name
+
+    def instantiate(self, tpl: _Template, slots: list[int], target: list[int],
+                    line: int, fname: str) -> bool:
+        """Emit `tpl` renamed onto `slots` with new locals, as inlining its
+        call would; False, emitting nothing, if that would pass a bound,
+        so that inlining reports the error."""
+        if (self.iterations + tpl.iterations > MAX_UNROLLED_ITERATIONS
+                or self.allocated + tpl.allocated > MAX_ALLOCATED_BITS):
+            return False
+        base, n = self.slot_count, len(tpl.block.local_slots)
+        locals_ = list(range(base, base + n))
+        m = dict(zip(tpl.slots, slots))
+        m.update(zip(tpl.block.local_slots, locals_))
+        self.slot_count += n
+        self.iterations += tpl.iterations
+        self.allocated += tpl.allocated
+        var = {s: bvar(t) for s, t in m.items()}
+        body = [Compute(m[s.slot], _renamed(s.expr, var), s.fresh)
+                if isinstance(s, Compute) else CleanSlot(m[s.slot])
+                for s in tpl.block.body]
+        arg_slots = sorted(m[s] for s in tpl.block.arg_slots)
+        self.validate_block(body, arg_slots, target, locals_, line, fname)
+        self.fresh.difference_update(slots)
+        self.fresh.update(s for s, fresh in zip(slots, tpl.fresh_after) if fresh)
+        self.fresh.update(locals_[i] for i in tpl.fresh_locals)
         self.emit(InPlaceBlock(list(target), arg_slots, body, locals_))
+        return True
 
     @staticmethod
     def block_args(body: list, targets: list[int], locals_: list[int]) -> list[int]:
@@ -1507,7 +1715,8 @@ class SourceInterpreter:
                 self.allocated = _count_bits(self.allocated, n, InterpretError,
                                              entry.defn.line)
                 boxes = [_Box(b) for b in inputs[pos:pos + n]]
-                args.append(boxes if array else boxes[0])
+                # too few inputs leave `boxes` short: the count check says so
+                args.append(boxes if array or not boxes else boxes[0])
                 pos += n
             if pos != len(inputs):
                 raise InterpretError(f"expected {pos} input bits, got {len(inputs)}")

@@ -39,7 +39,7 @@ def test_stats_report_stage_seconds(capsys):
     assert rc == 0
     rep = json.loads(capsys.readouterr().out)
     stages = rep["stage_seconds"]
-    assert set(stages) == {"load", "schedule", "emit"}
+    assert set(stages) == {"parse", "flatten", "schedule", "emit"}
     assert all(v >= 0 for v in stages.values())
     assert rep["compile_seconds"] == pytest.approx(
         stages["schedule"] + stages["emit"], abs=2e-6)
@@ -74,6 +74,10 @@ def test_stats_constant_sha_width(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["qubit_count"] == 353
     assert rep["toffoli_count"] == 2 * 690
+    # seven in-place additions per round, each a 189-statement body
+    assert (rep["flat_statements"], rep["inplace_blocks"],
+            rep["block_body_statements"], rep["slots"]) == (
+                270, 14, 14 * 189, 590)
 
 
 def test_empty_file_is_user_error(tmp_path, capsys):
@@ -276,3 +280,36 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: revc")
+
+
+def repeated_in_place_call(calls: int, local: str) -> str:
+    """`main` makes `calls` in-place calls of `step`, whose body holds
+    `local` at line 3."""
+    return ("let step (x : bool array) =\n"
+            "    let out = Array.zeroCreate 1\n"
+            f"{local}"
+            "    out.[0] <- out.[0] <> x.[0]\n"
+            "    out\n\n"
+            "let main (a : bool[1]) (b : bool[1]) =\n"
+            "    let mutable h = a\n"
+            + "    h <- step b\n" * calls
+            + "    h\n\nmain\n")
+
+
+# The bound is first passed inside the last call: each earlier one is
+# replayed from the first call's template, the last one is inlined.
+@pytest.mark.parametrize("src,message", [
+    (repeated_in_place_call(
+        5, f"    for i in 1 .. {MAX_UNROLLED_ITERATIONS // 4} do\n        x\n"),
+     f"loops unroll to more than {MAX_UNROLLED_ITERATIONS} iterations"),
+    (repeated_in_place_call(
+        4, f"    let spare = Array.zeroCreate {MAX_ALLOCATED_BITS // 4}\n"),
+     f"arrays allocate more than {MAX_ALLOCATED_BITS} bits"),
+], ids=["iterations", "allocation"])
+def test_bound_passed_in_a_repeated_in_place_call_is_user_error(
+        tmp_path, capsys, src, message):
+    path = tmp_path / "repeated.rev"
+    path.write_text(src)
+    rc = main(["compile", str(path), "-o", str(tmp_path / "out.tfc")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: line 3: {message}\n"

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revc.frontend import (
-    Compute, FlatProgram, FlattenError, InPlaceBlock, InterpretError, ParseError,
-    flatten, interpret, interpret_packed, interpret_source, parse,
+    Compute, FlatProgram, FlattenError, Flattener, InPlaceBlock, InterpretError,
+    ParseError, flatten, interpret, interpret_packed, interpret_source, parse,
 )
 from revc.cli import main as cli_main
 from revc.randprog import random_program
@@ -331,6 +331,14 @@ def test_program_without_output_is_an_error_in_both_evaluators(src):
         interpret_source(ast, [])
 
 
+@pytest.mark.parametrize("params", ["(x : bool) (y : bool)", "(x : bool[2])"],
+                         ids=["bits", "array"])
+def test_source_interpreter_rejects_short_input(params):
+    ast = parse(f"let f {params} = x\nf")
+    with pytest.raises(InterpretError, match="expected 2 input bits, got 1"):
+        interpret_source(ast, [1])
+
+
 def test_source_interpreter_rejects_sqrt_of_negative():
     ast = parse("let f (a : bool[4]) =\n    a.[sqrt (0 - 4)]\n\nf")
     with pytest.raises(InterpretError, match="line 2: sqrt of a negative number"):
@@ -380,10 +388,12 @@ def assert_evaluators_agree(ast, prog):
         assert interpret(prog, bits) == interpret_source(ast, bits), bits
 
 
-def in_place_program(width, writes, call="h <- add b", target_width=None,
+def in_place_program(width, writes, calls=("h <- add b",), target_width=None,
                      before_call=()):
+    """`add` with the given writes, called by `main` onto `h` (holding `a`)
+    or onto the unwritten buffer `z`."""
     body = "\n".join(f"    {w}" for w in writes)
-    before = "".join(f"    {line}\n" for line in before_call)
+    lines = "".join(f"    {line}\n" for line in [*before_call, *calls])
     return f"""
 let add (x : bool array) =
     let out = Array.zeroCreate {width}
@@ -392,8 +402,8 @@ let add (x : bool array) =
 
 let main (a : bool[{target_width or width}]) (b : bool[{width}]) =
     let mutable h = a
-{before}    {call}
-    Array.concat [h; a; b]
+    let mutable z = Array.zeroCreate {width}
+{lines}    Array.concat [h; z; a; b]
 
 main
 """
@@ -410,7 +420,7 @@ main
      "h <- add h", False),
 ], ids=["leftmost", "rightmost", "reads-own-buffer", "argument-is-target"])
 def test_in_place_decision_is_shared(writes, call, in_place):
-    ast = parse(in_place_program(2, writes, call))
+    ast = parse(in_place_program(2, writes, [call]))
     prog = flatten(ast)
     assert any(isinstance(s, InPlaceBlock) for s in prog.statements) == in_place
     assert_evaluators_agree(ast, prog)
@@ -497,8 +507,12 @@ WRITE_SHAPES = {
 @given(st.data())
 def test_evaluators_agree_on_in_place_candidates(data):
     width = data.draw(st.integers(1, 3), label="width")
-    call = data.draw(st.sampled_from(["h <- add b", "h <- add h", "wider"]),
-                     label="call")
+    # later calls of one signature replay the first call's template
+    calls = data.draw(st.lists(st.sampled_from(
+        ["h <- add b", "z <- add b", "h <- add h"]), min_size=1, max_size=3),
+        label="calls")
+    wider = data.draw(st.sampled_from([False, False, True]),
+                      label="wider target")
     writes = []
     for _ in range(data.draw(st.integers(1, 4), label="writes")):
         shape = data.draw(st.sampled_from(sorted(WRITE_SHAPES)))
@@ -512,9 +526,8 @@ def test_evaluators_agree_on_in_place_candidates(data):
         i, j = (data.draw(st.integers(0, width - 1)) for _ in range(2))
         shared = [f"let mutable c = a.[{i}]", data.draw(st.sampled_from(
             [f"c <- c <> b.[{j}]", f"c <- b.[{j}] <> c"]))]
-    wider = call == "wider"
-    src = in_place_program(width, writes, "h <- add b" if wider else call,
-                           width + 1 if wider else None, shared)
+    src = in_place_program(width, writes, calls, width + 1 if wider else None,
+                           shared)
     ast = parse(src)
     try:
         prog = flatten(ast)
@@ -523,3 +536,133 @@ def test_evaluators_agree_on_in_place_candidates(data):
             interpret_source(ast, [0] * (2 * width + wider))
         return
     assert_evaluators_agree(ast, prog)
+
+
+# ---------------------------------------------------------------------------
+# in-place templates: a replayed call emits what inlining it would
+
+
+TEMPLATE_FUNCTIONS = """
+let add (x : bool array) =
+    let out = Array.zeroCreate 1
+    out.[0] <- out.[0] <> x.[0]
+    out
+
+let mix (x : bool array) =
+    let out = Array.zeroCreate 1
+    out.[0] <- out.[0] <> (x.[0] && x.[1])
+    out
+
+let and2 (x : bool array) (y : bool array) =
+    let out = Array.zeroCreate 1
+    out.[0] <- out.[0] <> (x.[0] && y.[0])
+    out
+
+let pick k ks (x : bool array) =
+    let out = Array.zeroCreate 1
+    out.[0] <- out.[0] <> x.[k + ks.[0]]
+    out
+
+let gate c (x : bool array) =
+    let out = Array.zeroCreate 1
+    out.[0] <- out.[0] <> (c && x.[0])
+    out
+
+let flip x =
+    let out = Array.zeroCreate 1
+    out.[0] <- out.[0] <> x
+    out
+"""
+
+
+def template_program(*lines: str) -> str:
+    body = "".join(f"    {line}\n" for line in lines)
+    return f"""{TEMPLATE_FUNCTIONS}
+let main (a : bool[2]) (b : bool[2]) =
+    let mutable h = a.[0 .. 0]
+{body}    Array.concat [h; a; b]
+
+main
+"""
+
+
+# Each case repeats a call, so that it is replayed, around a call that
+# differs from it in one part of the signature; replaying a template
+# across that difference would emit something else.
+TEMPLATE_CASES = {
+    "function": template_program(
+        "h <- add b", "h <- mix b", "h <- add b"),
+    "aliased-arguments": template_program(
+        "h <- and2 a.[1 .. 1] b", "h <- and2 b.[0 .. 0] b",
+        "h <- and2 a.[1 .. 1] b"),
+    "argument-widths": template_program(
+        "h <- and2 b a.[1 .. 1]",
+        "h <- and2 b.[0 .. 0] (Array.append b.[1 .. 1] a.[1 .. 1])",
+        "h <- and2 b a.[1 .. 1]"),
+    "argument-kind": template_program(
+        "h <- flip b.[0]", "h <- flip b.[0]", "h <- flip b.[0 .. 0]"),
+    "constant-bit": template_program(
+        "h <- gate true b", "h <- gate false b", "h <- gate true b"),
+    "integer-arguments": template_program(
+        "h <- pick 0 [| 0 |] b", "h <- pick 1 [| 0 |] b",
+        "h <- pick 0 [| 1 |] b", "h <- pick 0 [| 0 |] b"),
+    "fresh-target": template_program(
+        "let mutable z = Array.zeroCreate 1", "z <- add b", "z <- add b",
+        "z <- add b", "h <- add z"),
+    "captured": template_program(
+        "let mutable c = a.[1]", "let k = 0",
+        "let part (x : bool array) = x.[k]",
+        "let addc (x : bool array) =",
+        "    let out = Array.zeroCreate 1",
+        "    out.[0] <- out.[0] <> (part x && c)",
+        "    out",
+        "h <- addc b", "h <- addc b",
+        "c <- b.[0] && b.[1]", "h <- addc b",
+        "let k = 1", "h <- addc b",
+        "let part (x : bool array) = x.[0]", "h <- addc b",
+        "h <- addc b"),
+    "writes-captured": template_program(
+        "let mutable c = a.[1]",
+        "let addw (x : bool array) =",
+        "    let out = Array.zeroCreate 1",
+        "    out.[0] <- out.[0] <> x.[0]",
+        "    c <- x.[1]",
+        "    out",
+        "h <- addw b", "c <- a.[1]", "h <- addw b",
+        "let r = Array.zeroCreate 1", "r.[0] <- c", "h <- add r"),
+}
+
+CORPUS_FLATTENS = [
+    *(("sha2.rev", {"rounds": r}) for r in (1, 2, 4, 8, 16, 64)),
+    *(("md5.rev", {"rounds": r}) for r in (1, 2, 4, 16)),
+    ("adder_ripple.rev", {"n": 4}), ("adder_ripple.rev", {"n": 40}),
+    ("adder_select.rev", {}),
+]
+
+
+def flat_outcome(ast) -> str:
+    try:
+        return repr(flatten(ast))
+    except FlattenError as exc:
+        return f"error: {exc}"
+
+
+@pytest.mark.parametrize("ast,replays", [
+    *(pytest.param(parse(src), name != "writes-captured", id=name)
+      for name, src in TEMPLATE_CASES.items()),
+    *(pytest.param(parse(corpus(name), params=params), "adder" not in name,
+                   id=f"{name}-{params}") for name, params in CORPUS_FLATTENS),
+])
+def test_templates_match_fresh_inlining(monkeypatch, ast, replays):
+    replayed = []
+    instantiate = Flattener.instantiate
+
+    def spy(self, *args):
+        replayed.append(instantiate(self, *args))
+        return replayed[-1]
+
+    monkeypatch.setattr(Flattener, "instantiate", spy)
+    cached = flat_outcome(ast)
+    assert any(replayed) == replays
+    monkeypatch.setattr(Flattener, "signature", lambda *args: None)
+    assert flat_outcome(ast) == cached
