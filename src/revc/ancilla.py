@@ -26,14 +26,18 @@ class AncillaHeap:
         else:
             w = self._frontier
             self._frontier += 1
-        self._live.add(w)
-        self.high_water = max(self.high_water, self._frontier - self.base - len(self._free))
+        live = self._live
+        live.add(w)
+        # every index in [base, frontier) is live or free
+        if len(live) > self.high_water:
+            self.high_water = len(live)
         return w
 
     def free(self, w: int) -> None:
-        if w not in self._live:
-            raise ValueError(f"wire {w} is not allocated")
-        self._live.remove(w)
+        try:
+            self._live.remove(w)
+        except KeyError:
+            raise ValueError(f"wire {w} is not allocated") from None
         heapq.heappush(self._free, w)
 
     @property

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .boolexpr import band, bconst, bnot, bor, bvar, bxor
+from .boolexpr import (
+    MAX_STATEMENT_GATES, band, bconst, bnot, bor, bvar, bxor, gate_count,
+)
 from .frontend import Compute, FlatProgram
 
 
@@ -35,6 +37,7 @@ class Cover:
     inputs: list[str]
     cubes: list[str]  # input patterns over {0,1,-}; on-set only
     cliques: list[list[int]] | None = None  # cube-index groups, file order
+    line: int | None = None  # of the .names line
 
 
 @dataclass
@@ -91,7 +94,7 @@ def parse_blif(text: str) -> BlifNetlist:
         elif key == ".names":
             if len(tok) < 2:
                 raise BlifError(".names needs at least an output", ln)
-            cur = Cover(output=tok[-1], inputs=tok[1:-1], cubes=[])
+            cur = Cover(output=tok[-1], inputs=tok[1:-1], cubes=[], line=ln)
             covers.append(cur)
         elif key == ".end":
             cur = None
@@ -139,24 +142,34 @@ def _check_signals(net: BlifNetlist) -> None:
 
 
 def _cover_order(net: BlifNetlist) -> list[Cover]:
+    """Covers in dependency order: a depth-first post-order from each cover
+    in file order, on an explicit stack so that a long chain of covers
+    cannot exhaust Python's."""
     by_output = {c.output: c for c in net.covers}
     order: list[Cover] = []
     state: dict[str, int] = {}  # 1 = visiting, 2 = done
 
-    def visit(c: Cover) -> None:
-        if state.get(c.output) == 2:
-            return
-        if state.get(c.output) == 1:
-            raise BlifError(f"cyclic signal dependency through {c.output!r}")
-        state[c.output] = 1
-        for s in c.inputs:
-            if s in by_output:
-                visit(by_output[s])
-        state[c.output] = 2
-        order.append(c)
-
-    for c in net.covers:
-        visit(c)
+    for root in net.covers:
+        if state.get(root.output) == 2:
+            continue
+        state[root.output] = 1
+        stack = [(root, iter(root.inputs))]
+        while stack:
+            c, pending = stack[-1]
+            for s in pending:
+                d = by_output.get(s)
+                if d is None or state.get(d.output) == 2:
+                    continue
+                if state.get(d.output) == 1:
+                    raise BlifError(
+                        f"cyclic signal dependency through {d.output!r}")
+                state[d.output] = 1
+                stack.append((d, iter(d.inputs)))
+                break
+            else:
+                stack.pop()
+                state[c.output] = 2
+                order.append(c)
     return order
 
 
@@ -204,7 +217,7 @@ def reorder(net: BlifNetlist) -> BlifNetlist:
             new_cubes += [c.cubes[i] for i in cl]
             new_cliques.append(group)
         covers.append(Cover(output=c.output, inputs=list(c.inputs),
-                            cubes=new_cubes, cliques=new_cliques))
+                            cubes=new_cubes, cliques=new_cliques, line=c.line))
     return BlifNetlist(model=net.model, inputs=list(net.inputs),
                        outputs=list(net.outputs), covers=covers)
 
@@ -253,6 +266,9 @@ def lower(net: BlifNetlist, optimize: bool = False) -> FlatProgram:
     for c in _cover_order(net):
         wires = [slot_of[s] for s in c.inputs]
         expr = cover_expr(c, wires)
+        if gate_count(expr) > MAX_STATEMENT_GATES:
+            raise BlifError(f"cover for {c.output!r} synthesizes to more than "
+                            f"{MAX_STATEMENT_GATES} gates", c.line)
         slot_of[c.output] = next_slot
         statements.append(Compute(next_slot, expr, fresh=True))
         next_slot += 1

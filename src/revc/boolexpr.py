@@ -5,6 +5,16 @@ expression is always synthesized onto a target wire: the emitted gates map
 the target value y to y XOR e.  Synthesis respects the written structure
 (no factoring), so the Toffoli count is a direct function of the shape of
 the expression as the programmer wrote it.
+
+Synthesis has two steps.  `shape` renames an expression's variables to
+registers in order of first use and gives the renamed tree (its shape
+key) and the variables in that order.  `compile_shape` turns a shape into
+a `Recipe`: the ancilla allocations and releases, in the order synthesis
+makes them, and the gates over registers (0 the target, 1..n the
+variables, then one per scratch allocation).  `Recipe.replay` runs the
+heap operations and resolves each gate's registers to wires.  A recipe
+depends only on the shape, so one recipe serves every expression of that
+shape and every wire mapping; `synthesize` is the two steps in one call.
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ancilla import AncillaHeap
-from .circuit import Gate, cnot, notg, toffoli
+from .circuit import CNOT, NOT, TOFFOLI, Gate
 
 VAR = "var"
 AND = "and"
@@ -130,21 +140,29 @@ def evaluate(e: BoolExp, env, mask: int = 1) -> int:
     in every sample, one sample per bit (lane), and `mask` has a 1 in each
     live lane; the result is packed the same way.  With `mask=1` this is
     scalar evaluation over 0/1 values."""
-    if e.op == VAR:
-        return env[e.args[0]] & mask
-    if e.op == CONST:
-        return mask if e.args[0] else 0
-    if e.op == NOT_:
-        return evaluate(e.args[0], env, mask) ^ mask
-    if e.op == AND:
+    return _evaluate(e, env, mask) & mask
+
+
+def _evaluate(e: BoolExp, env, mask: int) -> int:
+    """`evaluate` with the lanes outside `mask` left undefined: every lane
+    is computed on its own, so one mask at the end suffices.  Variable
+    operands are read in the loop, without a call."""
+    op = e.op
+    if op == XOR:
+        r = 0
+        for c in e.args:
+            r ^= env[c.args[0]] if c.op == VAR else _evaluate(c, env, mask)
+        return r
+    if op == AND:
         r = mask
         for c in e.args:
-            r &= evaluate(c, env, mask)
+            r &= env[c.args[0]] if c.op == VAR else _evaluate(c, env, mask)
         return r
-    r = 0
-    for c in e.args:
-        r ^= evaluate(c, env, mask)
-    return r
+    if op == VAR:
+        return env[e.args[0]]
+    if op == NOT_:
+        return _evaluate(e.args[0], env, mask) ^ mask
+    return mask if e.args[0] else 0
 
 
 def and_cost(e: BoolExp) -> int:
@@ -169,87 +187,217 @@ def and_cost(e: BoolExp) -> int:
     return cost
 
 
+# The most gates one statement may synthesize to.  `a || b` is `ab ^ a ^ b`
+# and repeats `a`, so a k-way OR synthesizes to about 3^k gates; the
+# frontends reject a statement above this bound instead of emitting it.
+MAX_STATEMENT_GATES = 1_000_000
+
+
+def gate_count(e: BoolExp) -> int:
+    """Number of gates synthesize(e) emits.  Memoized on node identity, so
+    it is linear in the DAG even where `bor` shares a subtree and the
+    synthesized tree is exponential."""
+    memo: dict[int, int] = {}
+
+    def count(x: BoolExp) -> int:
+        n = memo.get(id(x))
+        if n is not None:
+            return n
+        op = x.op
+        if op == VAR:
+            n = 1
+        elif op == CONST:
+            n = int(x.args[0])
+        elif op == NOT_:
+            n = count(x.args[0]) + 1
+        elif op == XOR:
+            n = sum(map(count, x.args))
+        else:
+            # literals cost nothing, a negated one two NOTs, anything else
+            # is computed onto a scratch wire and uncomputed
+            n = 0
+            for c in x.args:
+                if c.op == NOT_ and c.args[0].op == VAR:
+                    n += 2
+                elif c.op != VAR:
+                    n += 2 * count(c)
+            k = len(x.args)
+            n += 1 if k <= 2 else 2 * (k - 2) + 1
+        memo[id(x)] = n
+        return n
+
+    return count(e)
+
+
+def shape(e: BoolExp) -> tuple[tuple, tuple[int, ...]]:
+    """(shape key, variables in order of first use).
+
+    The key is e as nested tuples `(op, *children)`, with variable i of
+    that order written `(VAR, i + 1)`.  Expressions that differ only in
+    their variables' names have the same key.  A subtree shared in the
+    DAG is walked once and gives one key object.
+    """
+    regs: dict[int, tuple] = {}  # variable -> its key
+    memo: dict[int, tuple] = {}  # id of an inner node -> its key
+
+    def walk(x: BoolExp) -> tuple:
+        op = x.op
+        if op == VAR:
+            k = regs.get(x.args[0])
+            if k is None:
+                k = regs[x.args[0]] = (VAR, len(regs) + 1)
+            return k
+        if op == CONST:
+            return (CONST, x.args[0])
+        k = memo.get(id(x))
+        if k is None:
+            k = memo[id(x)] = (op, *map(walk, x.args))
+        return k
+
+    key = walk(e)
+    return key, tuple(regs)
+
+
+@dataclass(frozen=True)
+class Recipe:
+    """Synthesis of one expression shape over registers.
+
+    `heap_ops` is the ancilla traffic in order: -1 allocates the next
+    scratch register, r >= 0 frees register r.  Each gate is (kind, a, b,
+    c) over registers: a Toffoli is a, b -> c, a CNOT a -> b (c = -1), and
+    a NOT acts on a (b = c = -1).
+    """
+    heap_ops: tuple[int, ...]
+    gates: tuple[tuple[str, int, int, int], ...]
+
+    def replay(self, wires: list[int], heap: AncillaHeap,
+               tables: dict[str, "GateTable"]) -> list[Gate]:
+        """Gates on `wires` (the target, then one wire per variable; the
+        list is extended in place with the scratch wires), which are taken
+        from and returned to `heap`.  `tables` (from `gate_tables`) interns
+        the gates of each kind by wires."""
+        if wires.count(wires[0]) != 1:
+            raise ValueError(
+                f"target wire {wires[0]} appears inside the expression")
+        w = wires
+        for op in self.heap_ops:
+            if op < 0:
+                w.append(heap.alloc())
+            else:
+                heap.free(w[op])
+        return [tables[k][(w[a], w[b], w[c]) if c >= 0 else
+                          (w[a], w[b]) if b >= 0 else (w[a],)]
+                for k, a, b, c in self.gates]
+
+
+class GateTable(dict):
+    """Gates of one kind by their wires.  A gate is built, and its wires
+    validated, on the first request only; the key becomes its wires."""
+
+    def __init__(self, kind: str):
+        super().__init__()
+        self.kind = kind
+
+    def __missing__(self, wires: tuple[int, ...]) -> Gate:
+        g = self[wires] = Gate(self.kind, wires)
+        return g
+
+
+def gate_tables() -> dict[str, GateTable]:
+    """Empty per-kind intern tables for `Recipe.replay`."""
+    return {kind: GateTable(kind) for kind in (TOFFOLI, CNOT, NOT)}
+
+
+def compile_shape(key: tuple, n_vars: int) -> Recipe:
+    """The recipe of a shape key from `shape` with n_vars variables.
+
+    Synthesis of AND: each conjunct becomes a control wire.  A variable is
+    one as it is; a negated variable is toggled around the block; anything
+    else is computed onto a scratch wire first and uncomputed after.  More
+    than two controls go through a left-to-right chain of k-2 scratch
+    wires and 2(k-2)+1 Toffolis.
+    """
+    heap_ops: list[int] = []
+    scratch = n_vars + 1
+
+    def alloc() -> int:
+        nonlocal scratch
+        heap_ops.append(-1)
+        scratch += 1
+        return scratch - 1
+
+    def emit(k: tuple, t: int, gates: list) -> None:
+        op = k[0]
+        if op == VAR:
+            gates.append((CNOT, k[1], t, -1))
+        elif op == CONST:
+            if k[1]:
+                gates.append((NOT, t, -1, -1))
+        elif op == NOT_:
+            emit(k[1], t, gates)
+            gates.append((NOT, t, -1, -1))
+        elif op == XOR:
+            for c in k[1:]:
+                emit(c, t, gates)
+        else:
+            emit_and(k[1:], t, gates)
+
+    def emit_and(children: tuple, t: int, gates: list) -> None:
+        controls: list[int] = []
+        toggles: list[tuple] = []
+        temps: list[tuple[int, tuple]] = []
+        for c in children:
+            if c[0] == VAR:
+                controls.append(c[1])
+            elif c[0] == NOT_ and c[1][0] == VAR:
+                r = c[1][1]
+                controls.append(r)
+                toggles.append((NOT, r, -1, -1))
+            else:
+                r = alloc()
+                emit(c, r, gates)
+                temps.append((r, c))
+                controls.append(r)
+        gates += toggles
+        k = len(controls)
+        if k == 1:
+            gates.append((CNOT, controls[0], t, -1))
+        elif k == 2:
+            gates.append((TOFFOLI, controls[0], controls[1], t))
+        else:
+            chain: list[int] = []
+            compute: list = []
+            for i in range(k - 2):
+                a = alloc()
+                first = controls[0] if i == 0 else chain[-1]
+                compute.append((TOFFOLI, first, controls[i + 1], a))
+                chain.append(a)
+            gates += compute
+            gates.append((TOFFOLI, chain[-1], controls[-1], t))
+            gates += reversed(compute)
+            heap_ops.extend(reversed(chain))
+        gates += reversed(toggles)
+        for r, c in reversed(temps):
+            # uncompute by synthesizing again, scratch and all, and
+            # running the gates backwards
+            sub: list = []
+            emit(c, r, sub)
+            gates += reversed(sub)
+            heap_ops.append(r)
+
+    gates: list = []
+    emit(key, 0, gates)
+    return Recipe(tuple(heap_ops), tuple(gates))
+
+
 def synthesize(e: BoolExp, target: int, heap: AncillaHeap,
                wires: dict[int, int]) -> list[Gate]:
     """Gates mapping target y to y ^ eval(e); inputs and ancillas restored.
 
-    `wires` maps each variable of e (a value slot) to the wire holding it;
-    wires are looked up as the expression is walked, so e is never
-    rewritten.  Every ancilla taken from the heap is uncomputed and
-    returned before the sequence ends, so the net heap state is unchanged.
+    `wires` maps each variable of e (a value slot) to the wire holding it.
+    Every ancilla taken from the heap is uncomputed and returned before
+    the sequence ends, so the net heap state is unchanged.
     """
-    if target in wires.values():
-        raise ValueError(f"target wire {target} appears inside the expression")
-    gates: list[Gate] = []
-    _emit(e, target, heap, gates, wires)
-    return gates
-
-
-def _emit(e: BoolExp, target: int, heap: AncillaHeap, gates: list[Gate],
-          wires: dict[int, int]) -> None:
-    if e.op == VAR:
-        gates.append(cnot(wires[e.args[0]], target))
-    elif e.op == CONST:
-        if e.args[0]:
-            gates.append(notg(target))
-    elif e.op == NOT_:
-        _emit(e.args[0], target, heap, gates, wires)
-        gates.append(notg(target))
-    elif e.op == XOR:
-        for c in e.args:
-            _emit(c, target, heap, gates, wires)
-    else:
-        _emit_and(e.args, target, heap, gates, wires)
-
-
-def _emit_and(children: tuple[BoolExp, ...], target: int, heap: AncillaHeap,
-              gates: list[Gate], wires: dict[int, int]) -> None:
-    # Resolve each conjunct to a control wire.  A negated variable is used
-    # as a negative control by toggling the wire around the block; any
-    # other non-variable conjunct is computed onto a scratch wire first.
-    controls: list[int] = []
-    toggles: list[int] = []
-    temps: list[tuple[int, BoolExp]] = []
-    for c in children:
-        if c.op == VAR:
-            controls.append(wires[c.args[0]])
-        elif c.op == NOT_ and c.args[0].op == VAR:
-            w = wires[c.args[0].args[0]]
-            controls.append(w)
-            toggles.append(w)
-        else:
-            t = heap.alloc()
-            _emit(c, t, heap, gates, wires)
-            temps.append((t, c))
-            controls.append(t)
-
-    for w in toggles:
-        gates.append(notg(w))
-
-    k = len(controls)
-    if k == 1:
-        gates.append(cnot(controls[0], target))
-    elif k == 2:
-        gates.append(toffoli(controls[0], controls[1], target))
-    else:
-        # Left-to-right chain: k-2 scratch wires, 2(k-2)+1 Toffolis.
-        chain: list[int] = []
-        compute: list[Gate] = []
-        for i in range(k - 2):
-            a = heap.alloc()
-            first = controls[0] if i == 0 else chain[-1]
-            compute.append(toffoli(first, controls[i + 1], a))
-            chain.append(a)
-        gates.extend(compute)
-        gates.append(toffoli(chain[-1], controls[-1], target))
-        gates.extend(reversed(compute))
-        for a in reversed(chain):
-            heap.free(a)
-
-    for w in reversed(toggles):
-        gates.append(notg(w))
-    for t, c in reversed(temps):
-        sub: list[Gate] = []
-        _emit(c, t, heap, sub, wires)
-        gates.extend(reversed(sub))
-        heap.free(t)
+    key, slots = shape(e)
+    return compile_shape(key, len(slots)).replay(
+        [target, *[wires[s] for s in slots]], heap, gate_tables())

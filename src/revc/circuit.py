@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 TOFFOLI = "tof"
 CNOT = "cnot"
 NOT = "not"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     kind: str  # TOFFOLI | CNOT | NOT
     wires: tuple[int, ...]  # controls first, target last
@@ -64,9 +65,10 @@ class Circuit:
     def __post_init__(self):
         if len(set(self.outputs)) != len(self.outputs):
             raise ValueError("output wires must be distinct")
-        for g in self.gates:
-            if max(g.wires) >= self.width:
-                raise ValueError(f"gate {g} outside width {self.width}")
+        wires = map(attrgetter("wires"), self.gates)
+        if self.gates and max(map(max, wires)) >= self.width:
+            g = next(g for g in self.gates if max(g.wires) >= self.width)
+            raise ValueError(f"gate {g} outside width {self.width}")
 
 
 def reverse(c: Circuit) -> Circuit:

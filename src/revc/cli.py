@@ -9,9 +9,12 @@
     revc pebble-table --time-max T --pebbles 2,3,4 [-o table.csv]
     revc blif FILE [FILE...] [--optimize-xor] [--strategy S] [--report out.json]
 
-`--stats` and `revc stats` report the circuit's counts, the flat
-program's (`flat_statements`, `inplace_blocks`, `block_body_statements`,
-`slots`), `compile_seconds` (schedule + emit) and `stage_seconds`: `parse`,
+`--stats` and `revc stats` report the circuit's counts, the plan's
+(`unclean_count`, `checkpoints`, `reversals_inserted`: eager's reversals
+after last use), the dependency graph's (`mdd_nodes`, `mdd_read_edges`),
+the flat program's (`flat_statements`, `inplace_blocks`,
+`block_body_statements`, `slots`), `compile_seconds` (schedule + emit)
+and `stage_seconds`: `parse`,
 `flatten` (for BLIF, lowering), `schedule` (dependency graph and cleanup
 plan) and `emit`.
 

@@ -6,10 +6,14 @@ from the pool when its slot first materializes and returned when the slot
 is reversed away or cleaned.  Only zero-valued wires are ever returned, so
 a freshly allocated wire always reads 0.
 
-Correctness is tracked per slot, not per wire: a backwards statement is
-re-synthesized against the *current* mapping (gates are never cached), so
-a mirror may run on different wires than the forward pass without changing
-the computed values.
+Correctness is tracked per slot, not per wire: every statement, forwards
+or backwards, is synthesized against the *current* mapping, so a mirror
+may run on different wires than the forward pass without changing the
+computed values.  What is cached is wire-free.  Each expression is
+compiled once into a `Recipe` (see boolexpr), shared by every expression
+of the same shape; a call resolves the recipe's registers against the slot
+map of that moment and takes each gate from a per-kind intern table keyed
+by wires, so a gate that recurs is one object.
 
 The emitter is also usable as an oracle while planning: `snapshot` /
 `restore` roll the whole emission state back, which is how the incremental
@@ -24,7 +28,7 @@ synthesis would have needed are never allocated.
 from __future__ import annotations
 
 from .ancilla import AncillaHeap
-from .boolexpr import synthesize, variables
+from .boolexpr import Recipe, compile_shape, gate_tables, shape, variables
 from .circuit import Circuit, Gate, cnot, stats as circuit_stats
 from .frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
 from .scheduler import Action, CleanupPlan
@@ -56,6 +60,15 @@ class Emitter:
         # action again overwrites it
         self.copy_wires: dict[Action, list[int]] = {}
         self.saved_maps: dict[Action, dict] = {}
+        # synthesis caches: id(expr) -> (expr, its recipe, *its slots in
+        # register order), see `_learn`; shape key -> recipe; gate kind ->
+        # wires -> Gate.  An entry keeps its expr alive, so the id is not
+        # reused.  Entries and intern keys are laid out to leave few small
+        # objects to free when the emitter goes: freed in bulk, they would
+        # scatter the packed columns a later verification allocates
+        self.compiled: dict[int, tuple] = {}
+        self.recipes: dict[tuple, Recipe] = {}
+        self.gate_tables = gate_tables()
 
     @property
     def width(self) -> int:
@@ -87,25 +100,41 @@ class Emitter:
             self.slot_map[slot] = w
         return w
 
-    def _bind_wires(self, expr, target_slot: int, fresh: bool):
-        """Wires of the expression's slots and of the target.  Unwritten
-        slots materialize in `variables(expr)` order, then the target."""
-        wires = {v: self._wire_of(v) for v in variables(expr)}
-        if fresh:
-            if target_slot in self.slot_map:
-                raise RuntimeError(f"fresh write to live slot {target_slot}")
-            w = self.heap.alloc()
-            self.slot_map[target_slot] = w
-        else:
-            w = self._wire_of(target_slot)
-        return wires, w
+    def _learn(self, expr) -> tuple:
+        """Cache entry of a first-seen expression: (expr, its recipe, *its
+        slots in register order)."""
+        key, slots = shape(expr)
+        recipe = self.recipes.get(key)
+        if recipe is None:
+            recipe = self.recipes[key] = compile_shape(key, len(slots))
+        entry = self.compiled[id(expr)] = (expr, recipe, *slots)
+        return entry
 
-    def _synthesize(self, expr, target: int, wires: dict) -> list[Gate]:
-        return synthesize(expr, target, self.heap, wires)
+    def _materialize(self, slots) -> None:
+        for s in slots:
+            self._wire_of(s)
+
+    def _target(self, slot: int, fresh: bool) -> int:
+        if not fresh:
+            return self._wire_of(slot)
+        if slot in self.slot_map:
+            raise RuntimeError(f"fresh write to live slot {slot}")
+        w = self.slot_map[slot] = self.heap.alloc()
+        return w
 
     def _synth(self, expr, target_slot: int, fresh: bool) -> list[Gate]:
-        wires, w = self._bind_wires(expr, target_slot, fresh)
-        return self._synthesize(expr, w, wires)
+        """Gates of target ^= expr on the current wires.  Unwritten slots
+        of expr materialize first, in `variables(expr)` order, then the
+        target."""
+        entry = self.compiled.get(id(expr)) or self._learn(expr)
+        slot_map = self.slot_map
+        try:
+            wires = [slot_map[s] for s in entry[2:]]
+        except KeyError:
+            self._materialize(variables(expr))
+            wires = [slot_map[s] for s in entry[2:]]
+        wires.insert(0, self._target(target_slot, fresh))
+        return entry[1].replay(wires, self.heap, self.gate_tables)
 
     # -- actions ------------------------------------------------------------
 
@@ -211,9 +240,18 @@ class WidthOracle(Emitter):
     returns every scratch ancilla it takes before it ends.  Later
     allocations get the same wires as well: the heap hands out the least
     free index, and the wires synthesis was first to use end up free.
+    Its cache holds each expression's `variables` set and no recipe.
     """
 
-    def _synthesize(self, expr, target: int, wires: dict) -> list[Gate]:
+    def _learn(self, expr) -> tuple:
+        entry = self.compiled[id(expr)] = (expr, None, variables(expr))
+        return entry
+
+    def _synth(self, expr, target_slot: int, fresh: bool) -> list[Gate]:
+        slots = (self.compiled.get(id(expr)) or self._learn(expr))[2]
+        if not self.slot_map.keys() >= slots:
+            self._materialize(slots)
+        self._target(target_slot, fresh)
         return []
 
 
@@ -242,5 +280,8 @@ def circuit_report(plan: CleanupPlan, circ: Circuit) -> dict:
         "gate_count": len(circ.gates),
         "unclean_count": len(plan.unclean_nodes),
         "checkpoints": plan.checkpoints,
+        "reversals_inserted": plan.reversals_inserted,
+        "mdd_nodes": len(plan.mdd.nodes),
+        "mdd_read_edges": sum(map(len, plan.mdd.reads.values())),
     })
     return rep

@@ -46,6 +46,12 @@ slots.  A body that assigns a name it does not bind is never replayed,
 and a replay that would pass the unrolling or allocation bound inlines
 instead, so that the error is the same.  Every instance is validated.
 
+Hostile input is a one-line error with a line, never a traceback or a
+hang: the parser bounds nesting at MAX_NESTING levels, both evaluators
+reject a call to a function that is already running and turn a stack
+overflow into an error at the item being run, and the flattener rejects
+an `&&` or `||` whose synthesis would pass MAX_STATEMENT_GATES gates.
+
 Both evaluators also share `_entry_point`: the top-level items run in
 order, then a final expression naming a function, or with no final
 expression the last function defined, takes the program's inputs as its
@@ -64,9 +70,13 @@ from __future__ import annotations
 import math
 import random
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .boolexpr import BoolExp, band, bconst, bor, bvar, bxor, evaluate, variables
+from .boolexpr import (
+    MAX_STATEMENT_GATES, BoolExp, band, bconst, bor, bvar, bxor, evaluate,
+    gate_count, variables,
+)
 
 # ---------------------------------------------------------------------------
 # Errors
@@ -330,10 +340,22 @@ _ATOM_START = {"NAME", "INT"}
 _BINARY_LEVELS = [("||",), ("&&",), ("<>",), ("+", "-"), ("*", "/", "%")]
 
 
+# Deepest nesting of parenthesized expressions, `not`s and blocks the parser
+# accepts: it recurses a few frames per level, and so do the evaluators.
+MAX_NESTING = 64
+
+
 class Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.pos = 0
+        self.depth = 0  # open expressions, `not`s and blocks
+
+    def enter(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             self.peek().line)
 
     # -- token helpers -----------------------------------------------------
     def peek(self) -> Token:
@@ -456,6 +478,7 @@ class Parser:
         return ForLoop(var, lo, hi, self.parse_block(), t.line)
 
     def parse_block(self) -> Block:
+        self.enter()
         if self.at("NL"):
             self.next()
             self.expect("INDENT")
@@ -472,23 +495,31 @@ class Parser:
                 items.append(self.parse_item())
         if not items:
             raise ParseError("empty block", self.peek().line)
+        self.depth -= 1
         return Block(items)
 
     def parse_expr(self, level: int = 0):
         """Binary operators, loosest first (see _BINARY_LEVELS)."""
         if level == len(_BINARY_LEVELS):
             return self.parse_unary()
+        if level == 0:
+            self.enter()
         e = self.parse_expr(level + 1)
         ops = _BINARY_LEVELS[level]
         while self.peek().kind == "OP" and self.peek().value in ops:
             t = self.next()
             e = EBin(t.value, e, self.parse_expr(level + 1), t.line)
+        if level == 0:
+            self.depth -= 1
         return e
 
     def parse_unary(self):
         if self.at("KW", "not"):
+            self.enter()
             self.next()
-            return ENot(self.parse_unary())
+            e = ENot(self.parse_unary())
+            self.depth -= 1
+            return e
         return self.parse_app()
 
     def _at_atom_start(self) -> bool:
@@ -951,6 +982,21 @@ def _check_width(ret: LetBind, n: int, target: list, line: int,
                     f"target has {len(target)}", line)
 
 
+@contextmanager
+def _entering(active: set, defn: LetDef, error: type[FrontendError], line):
+    """Mark `defn` as running for the duration; a call to a function that
+    is already running is an error, since nothing would end the
+    recursion."""
+    if id(defn) in active:
+        raise error(f"recursive call to {defn.name or '<block>'!r}",
+                    line or None)
+    active.add(id(defn))
+    try:
+        yield
+    finally:
+        active.discard(id(defn))
+
+
 def _entry_point(program: Program, scope: _Scope, do_item,
                  error: type[FrontendError]):
     """Run the top-level items; return `(entry, None)` with the function
@@ -991,6 +1037,8 @@ class Flattener:
         self.iterations = 0  # loop iterations unrolled so far
         self.allocated = 0  # bits allocated by arrays and entry parameters
         self.templates: dict = {}  # in-place call signature -> _Template
+        self.active: set[int] = set()  # id(LetDef) of the calls being inlined
+        self.line: int | None = None  # of the item being flattened
         self.free_names: dict[int, tuple] = {}  # id(LetDef) -> _free_names()
 
     # -- plumbing ----------------------------------------------------------
@@ -1084,12 +1132,16 @@ class Flattener:
         if isinstance(e, ENot):
             return bxor([self.eval_scalar(e.arg, scope), bconst(True)])
         if isinstance(e, EBin):
-            if e.op == "&&":
-                return band([self.eval_scalar(e.left, scope),
-                             self.eval_scalar(e.right, scope)])
-            if e.op == "||":
-                return bor([self.eval_scalar(e.left, scope),
-                            self.eval_scalar(e.right, scope)])
+            if e.op in ("&&", "||"):
+                # the two operators whose synthesis repeats an operand
+                be = (band if e.op == "&&" else bor)(
+                    [self.eval_scalar(e.left, scope),
+                     self.eval_scalar(e.right, scope)])
+                if gate_count(be) > MAX_STATEMENT_GATES:
+                    raise FlattenError(
+                        f"expression synthesizes to more than "
+                        f"{MAX_STATEMENT_GATES} gates", e.line)
+                return be
             if e.op == "<>":
                 return bxor([self.eval_scalar(e.left, scope),
                              self.eval_scalar(e.right, scope)])
@@ -1216,7 +1268,9 @@ class Flattener:
         scope = _Scope(f.env)
         for (pname, _ann), v in zip(defn.params, args):
             scope.bind(pname, v, isinstance(v, _ArrVal))
-        value = self.run_block(defn.body, scope, want_value=True, alias=alias)
+        with _entering(self.active, defn, FlattenError, line):
+            value = self.run_block(defn.body, scope, want_value=True,
+                                   alias=alias)
         if isinstance(value, _FuncVal):
             raise FlattenError(f"{defn.name or '<block>'} returned no value",
                                defn.line)
@@ -1227,6 +1281,7 @@ class Flattener:
                   alias=None):
         value = None
         for item in block.items:
+            self.line = item.line
             if isinstance(item, ExprItem):
                 value = self.eval_value(item.expr, scope)
             elif alias is not None and item is alias[0]:
@@ -1241,6 +1296,7 @@ class Flattener:
         return value
 
     def do_item(self, item, scope: _Scope) -> None:
+        self.line = item.line
         if isinstance(item, LetDef):
             scope.bind(item.name, _FuncVal(item, scope))
         elif isinstance(item, LetBind):
@@ -1654,7 +1710,13 @@ def flatten(program, params: dict | None = None) -> FlatProgram:
     """Unroll, inline and slot-number a parsed program (idempotent)."""
     if isinstance(program, FlatProgram):
         return program
-    return Flattener(program, params).run()
+    fl = Flattener(program, params)
+    try:
+        return fl.run()
+    except RecursionError:
+        # calls or expressions nested past Python's stack, e.g. a long
+        # chain of functions each calling the one before
+        raise FlattenError("program nests too deeply", fl.line) from None
 
 
 # ---------------------------------------------------------------------------
@@ -1694,6 +1756,8 @@ class SourceInterpreter:
         self.enforced: set = set()  # in-place target boxes
         self.iterations = 0  # loop iterations run so far
         self.allocated = 0  # bits allocated by arrays and entry parameters
+        self.active: set[int] = set()  # id(LetDef) of the calls running
+        self.line: int | None = None  # of the item being run
 
     # value model: int | list[int] (compile-time) | _Box | list[_Box] | closure
     def run(self, inputs) -> list[int]:
@@ -1825,9 +1889,9 @@ class SourceInterpreter:
         f = scope.function(e)
         if f is None:
             raise InterpretError(f"unknown function {fn!r}", e.line)
-        return self.call(f, [self.eval(a, scope) for a in e.args])
+        return self.call(f, [self.eval(a, scope) for a in e.args], line=e.line)
 
-    def call(self, f: _FuncVal, args, alias=None):
+    def call(self, f: _FuncVal, args, alias=None, line=None):
         """Run f once; `alias` = (result binding, target boxes, call line)
         binds the result buffer to the in-place target."""
         scope = _Scope(f.env)
@@ -1835,11 +1899,13 @@ class SourceInterpreter:
             if isinstance(v, bool):
                 v = _Box(int(v))
             scope.bind(pname, v, isinstance(v, list))
-        return self.run_block(f.defn.body, scope, True, alias)
+        with _entering(self.active, f.defn, InterpretError, line):
+            return self.run_block(f.defn.body, scope, True, alias)
 
     def run_block(self, block: Block, scope, want_value, alias=None):
         value = None
         for item in block.items:
+            self.line = item.line
             if isinstance(item, ExprItem):
                 value = self.eval(item.expr, scope)
             elif alias is not None and item is alias[0]:
@@ -1854,6 +1920,7 @@ class SourceInterpreter:
         return value
 
     def do_item(self, item, scope):
+        self.line = item.line
         if isinstance(item, LetDef):
             scope.bind(item.name, _FuncVal(item, scope))
         elif isinstance(item, LetBind):
@@ -1929,11 +1996,12 @@ class SourceInterpreter:
             if ret is not None:  # in place: the target keeps its name
                 self.nested += 1
                 self.enforced = set(target)
-                self.call(f, args, alias=(ret, target, item.line))
+                self.call(f, args, alias=(ret, target, item.line),
+                          line=item.line)
                 self.nested -= 1
                 self.enforced = set()
                 return
-            v = self.call(f, args)
+            v = self.call(f, args, line=item.line)
         if isinstance(v, bool):
             v = _Box(int(v))
         if isinstance(b[0], _Box) and self.accumulates(b[0], rhs, scope):
@@ -1944,4 +2012,8 @@ class SourceInterpreter:
 
 
 def interpret_source(program: Program, inputs, params: dict | None = None) -> list[int]:
-    return SourceInterpreter(program, params).run(inputs)
+    it = SourceInterpreter(program, params)
+    try:
+        return it.run(inputs)
+    except RecursionError:
+        raise InterpretError("program nests too deeply", it.line) from None

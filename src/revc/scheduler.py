@@ -90,6 +90,7 @@ class CleanupPlan:
     dispositions: dict = field(default_factory=dict)  # node id -> tag
     copied_outputs: bool = False
     checkpoints: int = 0
+    reversals_inserted: int = 0  # eager: bwd actions that clean a value
 
     @property
     def unclean_nodes(self) -> list:
@@ -178,6 +179,7 @@ def eager_cleanup(g: MDD) -> CleanupPlan:
             bucket_of[nid] = stmt_index
         plan.dispositions[term.id] = CLEANED_EAGERLY
 
+    plan.reversals_inserted = sum(map(len, buckets))
     actions = []
     for stmt, bucket in zip(program.statements, buckets):
         actions.append(Action("fwd", stmt=stmt))

@@ -167,3 +167,15 @@ def test_or_of_singletons_bears_toffolis():
     plan, circ = compile_flat(prog, "eager")
     assert stats(circ)["toffoli_count"] > 0
     assert verify(prog, circ).ok
+
+
+def test_long_cover_chain_listed_backwards_lowers():
+    # covers are ordered by an explicit-stack search, not by recursion
+    n = 3000
+    covers = [".names a n0\n1 1\n"] + [
+        f".names n{i - 1} n{i}\n1 1\n" for i in range(1, n)]
+    text = (".model chain\n.inputs a\n.outputs z\n"
+            + "".join(reversed(covers)) + f".names n{n - 1} z\n0 1\n.end\n")
+    prog = lower(parse_blif(text))
+    assert len(prog.statements) == n + 1
+    assert [interpret(prog, [b]) for b in (0, 1)] == [[1], [0]]

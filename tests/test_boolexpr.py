@@ -6,9 +6,81 @@ from hypothesis import strategies as st
 
 from revc.ancilla import AncillaHeap
 from revc.boolexpr import (
-    and_cost, band, bconst, bnot, bor, bvar, bxor, evaluate, synthesize, variables,
+    AND, CONST, NOT_, VAR, XOR, and_cost, band, bconst, bnot, bor, bvar, bxor,
+    compile_shape, evaluate, gate_count, gate_tables, shape, synthesize,
+    variables,
 )
-from revc.circuit import TOFFOLI, Circuit, simulate
+from revc.circuit import TOFFOLI, Circuit, cnot, notg, simulate, toffoli
+
+
+def reference_synthesize(e, target, heap, wires):
+    """Direct recursive synthesis, the way it was done before recipes:
+    the reference that compiled recipes must reproduce gate for gate and
+    heap operation for heap operation."""
+    if target in wires.values():
+        raise ValueError(f"target wire {target} appears inside the expression")
+    gates = []
+    _emit(e, target, heap, gates, wires)
+    return gates
+
+
+def _emit(e, target, heap, gates, wires):
+    if e.op == VAR:
+        gates.append(cnot(wires[e.args[0]], target))
+    elif e.op == CONST:
+        if e.args[0]:
+            gates.append(notg(target))
+    elif e.op == NOT_:
+        _emit(e.args[0], target, heap, gates, wires)
+        gates.append(notg(target))
+    elif e.op == XOR:
+        for c in e.args:
+            _emit(c, target, heap, gates, wires)
+    else:
+        assert e.op == AND
+        _emit_and(e.args, target, heap, gates, wires)
+
+
+def _emit_and(children, target, heap, gates, wires):
+    controls, toggles, temps = [], [], []
+    for c in children:
+        if c.op == VAR:
+            controls.append(wires[c.args[0]])
+        elif c.op == NOT_ and c.args[0].op == VAR:
+            w = wires[c.args[0].args[0]]
+            controls.append(w)
+            toggles.append(w)
+        else:
+            t = heap.alloc()
+            _emit(c, t, heap, gates, wires)
+            temps.append((t, c))
+            controls.append(t)
+    for w in toggles:
+        gates.append(notg(w))
+    k = len(controls)
+    if k == 1:
+        gates.append(cnot(controls[0], target))
+    elif k == 2:
+        gates.append(toffoli(controls[0], controls[1], target))
+    else:
+        chain, compute = [], []
+        for i in range(k - 2):
+            a = heap.alloc()
+            first = controls[0] if i == 0 else chain[-1]
+            compute.append(toffoli(first, controls[i + 1], a))
+            chain.append(a)
+        gates.extend(compute)
+        gates.append(toffoli(chain[-1], controls[-1], target))
+        gates.extend(reversed(compute))
+        for a in reversed(chain):
+            heap.free(a)
+    for w in reversed(toggles):
+        gates.append(notg(w))
+    for t, c in reversed(temps):
+        sub = []
+        _emit(c, t, heap, sub, wires)
+        gates.extend(reversed(sub))
+        heap.free(t)
 
 
 def identity(e):
@@ -166,3 +238,115 @@ def test_synthesis_returns_the_heap_as_it_found_it(e, perm, bits_seed, busy, y):
     value = evaluate(e, {v: state[w] for v, w in wires.items()})
     assert out[target] == int(y) ^ value
     assert out[:target] + out[target + 1:] == state[:target] + state[target + 1:]
+
+
+class LoggingHeap(AncillaHeap):
+    """An ancilla heap that records every alloc and free, in order."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.log = []
+
+    def alloc(self):
+        w = super().alloc()
+        self.log.append(("alloc", w))
+        return w
+
+    def free(self, w):
+        super().free(w)
+        self.log.append(("free", w))
+
+
+def busy_heap(base, busy):
+    heap = LoggingHeap(base)
+    held = [heap.alloc() for _ in busy]
+    for w, keep in zip(held, busy):
+        if not keep:
+            heap.free(w)
+    heap.log.clear()
+    return heap
+
+
+def check_replay(e, perm, busy):
+    wires = {v: perm[v] for v in variables(e)}
+    target = perm[8]
+    old, new = busy_heap(12, busy), busy_heap(12, busy)
+    expected = reference_synthesize(e, target, old, wires)
+    assert synthesize(e, target, new, wires) == expected
+    assert new.log == old.log
+    assert new.state() == old.state()
+    assert gate_count(e) == len(expected)
+
+
+@st.composite
+def branchy_exprs(draw, depth=4):
+    """Like `exprs`, with a leaf only one time in four above the bottom,
+    so that ANDs often have several computed conjuncts."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(exprs(n_vars=8, depth=0))
+    op = draw(st.sampled_from(["and", "and", "xor", "not"]))
+    if op == "not":
+        return bnot(draw(branchy_exprs(depth=depth - 1)))
+    kids = draw(st.lists(branchy_exprs(depth=depth - 1), min_size=1,
+                         max_size=4))
+    return band(kids) if op == "and" else bxor(kids)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(exprs(n_vars=8, depth=4), branchy_exprs()),
+       st.permutations(range(12)), st.lists(st.booleans(), max_size=8))
+def test_recipe_replay_matches_recursive_synthesis(e, perm, busy):
+    check_replay(e, perm, busy)
+
+
+V = [bvar(i) for i in range(8)]
+
+
+@pytest.mark.parametrize("e", [
+    band([bxor(V[0:2]), bxor(V[2:4])]),  # two computed conjuncts
+    band([bnot(V[0]), V[1], bnot(V[2]), V[3], bxor(V[4:6])]),  # chain
+    band([band([V[0], bxor(V[1:3])]), bxor([band(V[3:6]), V[6]]),
+          bnot(V[7])]),
+    bxor([bor(V[0:4]), bconst(True)]),
+])
+def test_recipe_replay_matches_recursive_synthesis_on_nested_ands(e):
+    check_replay(e, list(range(11, -1, -1)), [True, False, True])
+
+
+def test_one_recipe_serves_every_renaming():
+    a, b, c = bvar(3), bvar(9), bvar(5)
+    e1 = bxor([band([a, bxor([b, c])]), band([b, c])])
+    e2 = bxor([band([c, bxor([a, b])]), band([a, b])])
+    (k1, s1), (k2, s2) = shape(e1), shape(e2)
+    assert k1 == k2
+    assert (s1, s2) == ((3, 9, 5), (5, 3, 9))
+    recipe = compile_shape(k1, 3)
+    for e, slots in ((e1, s1), (e2, s2)):
+        wires = {s: 10 + s for s in slots}
+        heap = AncillaHeap(base=30)
+        got = recipe.replay([0, *(wires[s] for s in slots)], heap,
+                            gate_tables())
+        assert got == reference_synthesize(e, 0, AncillaHeap(base=30), wires)
+
+
+def test_gate_count_is_linear_in_the_dag():
+    # a 40-way OR shares its left side three times per step: the tree it
+    # synthesizes is exponential, the count is not
+    e = bor([bvar(i) for i in range(40)])
+    assert gate_count(e) > 10 ** 18
+    small = bor([bvar(i) for i in range(5)])
+    assert gate_count(small) == len(synthesize(
+        small, 5, AncillaHeap(base=6), identity(small)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(exprs(n_vars=8, depth=4), branchy_exprs()),
+       st.lists(st.integers(0, 2 ** 12 - 1), min_size=8, max_size=8))
+def test_packed_evaluation_is_per_lane_evaluation(e, columns):
+    # 8 live lanes; the columns also carry bits above them, which the
+    # result must not show
+    mask = 0xFF
+    env = dict(enumerate(columns))
+    lanes = [evaluate(e, {v: c >> i & 1 for v, c in env.items()})
+             for i in range(8)]
+    assert evaluate(e, env, mask) == sum(b << i for i, b in enumerate(lanes))

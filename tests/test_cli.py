@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,9 +11,10 @@ import pytest
 
 import revc
 from revc.cli import main
+from revc.boolexpr import MAX_STATEMENT_GATES
 from revc.frontend import (
-    MAX_ALLOCATED_BITS, MAX_UNROLLED_ITERATIONS, FlattenError, InterpretError,
-    flatten, interpret_source, parse,
+    MAX_ALLOCATED_BITS, MAX_NESTING, MAX_UNROLLED_ITERATIONS, FlattenError,
+    InterpretError, flatten, interpret_source, parse,
 )
 
 
@@ -78,6 +80,9 @@ def test_stats_constant_sha_width(capsys):
     assert (rep["flat_statements"], rep["inplace_blocks"],
             rep["block_body_statements"], rep["slots"]) == (
                 270, 14, 14 * 189, 590)
+    # no value is left Unclean, so every bwd is an inserted reversal
+    assert (rep["mdd_nodes"], rep["mdd_read_edges"],
+            rep["reversals_inserted"]) == (1536, 15104, 256)
 
 
 def test_empty_file_is_user_error(tmp_path, capsys):
@@ -313,3 +318,82 @@ def test_bound_passed_in_a_repeated_in_place_call_is_user_error(
     rc = main(["compile", str(path), "-o", str(tmp_path / "out.tfc")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: line 3: {message}\n"
+
+
+def nested(levels: int) -> str:
+    e = "y"
+    for _ in range(levels):
+        e = f"(not ({e} && y))"
+    return e
+
+
+def doubling(levels: int) -> str:
+    """Each level ANDs an XOR, which synthesis computes and uncomputes."""
+    e = "x.[0]"
+    for _ in range(levels):
+        e = f"({e} <> x.[1] && x.[0])"
+    return e
+
+
+@pytest.mark.parametrize("src,pattern", [
+    ("let f (x : bool) = f x\n\nf\n", "line 1: recursive call to 'f'"),
+    ("let f (x : bool) =\n    let g (y : bool) = f y\n    g x\n\nf\n",
+     "line 2: recursive call to 'f'"),
+    (f"let g (y : bool) =\n    {nested(150)}\n\ng\n",
+     f"line 2: nesting deeper than {MAX_NESTING} levels"),
+    ("let g (y : bool) =\n    " + "not " * 3000 + "y\n\ng\n",
+     f"line 2: nesting deeper than {MAX_NESTING} levels"),
+    # a chain of calls nested past Python's stack
+    ("let f0 (x : bool) = x\n"
+     + "".join(f"let f{i} (x : bool) = f{i - 1} x\n" for i in range(1, 400))
+     + "\nf399\n", r"line \d+: program nests too deeply"),
+    ("let g (x : bool[20]) =\n    "
+     + " || ".join(f"x.[{i}]" for i in range(20)) + "\n\ng\n",
+     f"line 2: expression synthesizes to more than {MAX_STATEMENT_GATES} "
+     "gates"),
+    (f"let g (x : bool[2]) =\n    {doubling(40)}\n\ng\n",
+     f"line 2: expression synthesizes to more than {MAX_STATEMENT_GATES} "
+     "gates"),
+    (f"let g (x : bool[2]) =\n    {doubling(8)}\n\ng\n", None),
+], ids=["recursion", "mutual-recursion", "nested-not-and", "not-chain",
+        "call-chain", "or-20", "and-doubling", "and-doubling-ok"])
+def test_unbounded_program_is_a_one_line_error(tmp_path, capsys, src, pattern):
+    path = tmp_path / "deep.rev"
+    path.write_text(src)
+    t0 = time.perf_counter()
+    rc = main(["compile", str(path), "-o", str(tmp_path / "out.tfc")])
+    assert time.perf_counter() - t0 < 2
+    err = capsys.readouterr().err
+    if pattern is None:
+        assert rc == 0 and err == ""
+        return
+    assert rc == 1
+    assert re.fullmatch(f"error: {pattern}\n", err), err
+    assert "Traceback" not in err
+
+
+def test_recursion_is_an_error_in_both_evaluators():
+    src = "let f (x : bool) =\n    let g (y : bool) = f y\n    g x\n\nf\n"
+    with pytest.raises(FlattenError) as flat:
+        flatten(parse(src))
+    with pytest.raises(InterpretError) as interp:
+        interpret_source(parse(src), [1])
+    assert flat.value.line == interp.value.line == 2
+
+
+def test_exponential_blif_cover_is_user_error(tmp_path, capsys):
+    cubes = "".join(f"{i:06b} 1\n" for i in range(20))
+    path = tmp_path / "or.blif"
+    path.write_text(".model m\n.inputs a b c d e f\n.outputs z\n"
+                    f".names a b c d e f z\n{cubes}.end\n")
+    t0 = time.perf_counter()
+    rc = main(["compile", str(path), "-o", str(tmp_path / "out.tfc")])
+    assert time.perf_counter() - t0 < 2
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: line 4: cover for 'z' synthesizes to more than "
+        f"{MAX_STATEMENT_GATES} gates\n")
+    # grouped into one XOR clique the cover is linear and compiles
+    rc = main(["compile", str(path), "--optimize-xor",
+               "-o", str(tmp_path / "out.tfc")])
+    assert rc == 0

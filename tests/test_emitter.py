@@ -127,3 +127,24 @@ def test_eager_never_wider_than_bennett_on_corpus():
         _, ben = compile_flat(prog, "bennett")
         _, eag = compile_flat(prog, "eager")
         assert eag.width <= ben.width, name
+
+
+def test_gates_are_interned_and_recipes_shared():
+    prog = prog_of(corpus("sha2.rev"), {"rounds": 2})
+    em = Emitter(prog)
+    for a in eager_cleanup(build_mdd(prog)).actions:
+        em.apply(a)
+    # one object per distinct gate, one recipe per expression shape
+    assert len({id(g) for g in em.gates}) == len(set(em.gates))
+    assert len(em.recipes) < len(em.compiled)
+
+
+def test_fresh_write_to_live_slot_is_rejected():
+    from revc.frontend import Compute
+    from revc.scheduler import Action
+    prog = prog_of(AND_SRC)
+    em = Emitter(prog)
+    stmt = prog.statements[0]
+    em.apply(Action("fwd", stmt=stmt))
+    with pytest.raises(RuntimeError, match="fresh write to live slot"):
+        em.apply(Action("fwd", stmt=Compute(stmt.slot, stmt.expr, True)))

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from revc.frontend import (
     Compute, FlatProgram, FlattenError, Flattener, InPlaceBlock, InterpretError,
-    ParseError, flatten, interpret, interpret_packed, interpret_source, parse,
+    MAX_NESTING, ParseError, flatten, interpret, interpret_packed,
+    interpret_source, parse,
 )
 from revc.cli import main as cli_main
 from revc.randprog import random_program
@@ -666,3 +667,19 @@ def test_templates_match_fresh_inlining(monkeypatch, ast, replays):
     assert any(replayed) == replays
     monkeypatch.setattr(Flattener, "signature", lambda *args: None)
     assert flat_outcome(ast) == cached
+
+
+def test_nesting_bound_is_exact_and_the_evaluators_reach_it():
+    # the let's block and the body expression take two levels, each
+    # `not (...)` two more
+    def deep(k):
+        return ("let g (y : bool) = " + "not (y <> " * k + "y" + ")" * k
+                + "\n\ng\n")
+
+    k = (MAX_NESTING - 2) // 2
+    prog = parse(deep(k))
+    # with y = 0 each level negates the one inside it
+    assert interpret_source(prog, [0]) == [k % 2]
+    assert interpret(flatten(prog), [0]) == [k % 2]
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse(deep(k + 1))

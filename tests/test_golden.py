@@ -90,6 +90,28 @@ BLIF_GOLDEN = {
 }
 
 
+# One expression reads four unwritten `Array.zeroCreate` elements (slots
+# 4, 7, 11, 15) in the order z.[11], z.[3], z.[7], z.[0].  They take wires
+# in `variables(expr)` order, not in reading order, and these hashes pin
+# that.
+ZERO_READS = """\
+let f (a : bool[4]) =
+    let z = Array.zeroCreate 12
+    let out = Array.zeroCreate 2
+    out.[0] <- (z.[11] && a.[0]) <> (z.[3] && a.[1]) <> z.[7] <> (a.[2] && z.[0])
+    out.[1] <- a.[3] <> out.[0]
+    out
+
+f
+"""
+
+ZERO_READS_GOLDEN = {
+    "bennett": "99911acad5bf7bfd085468d486232b59df74ca51a18b70f753ce653fc53deb57",
+    "eager": "49aec5832fd86ed347856396999103f7352f5f4c635cdb575115226679565842",
+    "incremental": "99911acad5bf7bfd085468d486232b59df74ca51a18b70f753ce653fc53deb57",
+}
+
+
 def digest(circ) -> str:
     return hashlib.sha256(format_circuit(circ).encode()).hexdigest()
 
@@ -112,3 +134,9 @@ def test_blif_gate_list_is_pinned(name, optimize, strategy):
     net = blif.parse_blif((CORPUS / name).read_text())
     _, circ = compile_flat(blif.lower(net, optimize=optimize), strategy)
     assert digest(circ) == BLIF_GOLDEN[(name, optimize, strategy)]
+
+
+@pytest.mark.parametrize("strategy", sorted(ZERO_READS_GOLDEN))
+def test_unwritten_reads_materialize_in_pinned_order(strategy):
+    _, circ = compile_flat(flatten(parse(ZERO_READS)), strategy)
+    assert digest(circ) == ZERO_READS_GOLDEN[strategy]
