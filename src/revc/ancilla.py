@@ -51,10 +51,3 @@ class AncillaHeap:
 
     def state(self) -> tuple:
         return (list(self._free), self._frontier, set(self._live), self.high_water)
-
-    def restore(self, state: tuple) -> None:
-        free, frontier, live, hw = state
-        self._free = list(free)
-        self._frontier = frontier
-        self._live = set(live)
-        self.high_water = hw

@@ -11,7 +11,10 @@
 
 `--stats` and `revc stats` report the circuit's counts, the plan's
 (`unclean_count`, `checkpoints`, `reversals_inserted`: eager's reversals
-after last use), the dependency graph's (`mdd_nodes`, `mdd_read_edges`),
+after last use; `peak_live`: the most wires live between two actions,
+inputs included, the count `--qubits` bounds in the forward segments of
+an incremental plan, where the width also counts synthesis scratch
+wires), the dependency graph's (`mdd_nodes`, `mdd_read_edges`),
 the flat program's (`flat_statements`, `inplace_blocks`,
 `block_body_statements`, `slots`), `compile_seconds` (schedule + emit)
 and `stage_seconds`: `parse`,

@@ -15,14 +15,11 @@ of the same shape; a call resolves the recipe's registers against the slot
 map of that moment and takes each gate from a per-kind intern table keyed
 by wires, so a gate that recurs is one object.
 
-The emitter is also usable as an oracle while planning: `snapshot` /
-`restore` roll the whole emission state back, which is how the incremental
-scheduler measures whether the next statement fits in the qubit budget.
-The scheduler plans with `WidthOracle`, which binds wires exactly as the
-emitter does but synthesizes no gates.  Its live count is exact: synthesis
-returns every scratch ancilla it takes, so the live wires after an action
-are the same with or without gates.  Its `width` is not: the scratch wires
-synthesis would have needed are never allocated.
+The scheduler places checkpoints without running the emitter: it counts
+live wires from per-statement effects that follow the rules below (see
+`scheduler.stmt_effect` and `scheduler.live_profile`).  That count is
+exact because synthesis returns every scratch ancilla it takes; the
+width is not, since it also counts those scratch wires.
 """
 
 from __future__ import annotations
@@ -31,18 +28,9 @@ from .ancilla import AncillaHeap
 from .boolexpr import Recipe, compile_shape, gate_tables, shape, variables
 from .circuit import Circuit, Gate, cnot, stats as circuit_stats
 from .frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
-from .scheduler import Action, CleanupPlan
-
-
-def _origin(action: Action, table: dict):
-    """Walk the ref chain back to the action that has an entry in `table`
-    and return that entry."""
-    a = action
-    while a not in table and a.ref is not None:
-        a = a.ref
-    if a not in table:
-        raise RuntimeError(f"action {action.kind} has no recorded origin")
-    return table[a]
+from .scheduler import (
+    Action, CleanupPlan, live_profile, origin, reopened_locals,
+)
 
 
 class Emitter:
@@ -55,9 +43,7 @@ class Emitter:
         self.output_wires: list[int] | None = None
         # per-run records keyed by the action that made them, so that plans
         # stay read-only: copy -> its fanout wires, remap -> the slot map it
-        # replaced.  `restore` leaves them alone: a record is read only by
-        # actions that come after the one that made it, and running that
-        # action again overwrites it
+        # replaced
         self.copy_wires: dict[Action, list[int]] = {}
         self.saved_maps: dict[Action, dict] = {}
         # synthesis caches: id(expr) -> (expr, its recipe, *its slots in
@@ -78,17 +64,6 @@ class Emitter:
     def live(self) -> int:
         """Inputs plus currently live ancillas (the reusable-width measure)."""
         return self.heap.base + self.heap.live_count
-
-    def snapshot(self):
-        return (self.heap.state(), dict(self.slot_map), len(self.gates),
-                self.output_wires)
-
-    def restore(self, snap) -> None:
-        heap_state, slot_map, ngates, out = snap
-        self.heap.restore(heap_state)
-        self.slot_map = dict(slot_map)
-        del self.gates[ngates:]
-        self.output_wires = out
 
     # -- wiring helpers -----------------------------------------------------
 
@@ -170,16 +145,8 @@ class Emitter:
             if stmt.fresh:
                 self.heap.free(self.slot_map.pop(stmt.slot))
         elif isinstance(stmt, InPlaceBlock):
-            # re-materialize the locals the forward pass released at the end
-            live: set[int] = set()
-            for s in stmt.body:
-                if isinstance(s, Compute) and s.fresh:
-                    live.add(s.slot)
-                elif isinstance(s, CleanSlot):
-                    live.discard(s.slot)
-            for l in stmt.local_slots:
-                if l in live:
-                    self.slot_map[l] = self.heap.alloc()
+            for l in reopened_locals(stmt):
+                self.slot_map[l] = self.heap.alloc()
             for s in reversed(stmt.body):
                 self._bwd_stmt(s)
         elif isinstance(stmt, CleanSlot):
@@ -199,20 +166,20 @@ class Emitter:
         # the copied-to wires are pinned for the copy's whole lifetime, but
         # the source values may have migrated to other wires by now: resolve
         # them through the current slot map
-        dst = _origin(action, self.copy_wires)
+        dst = origin(action, self.copy_wires)
         src = [self._wire_of(s) for s in action.slots]
         self.gates += [cnot(a, b) for a, b in zip(reversed(src), reversed(dst))]
         for d in dst:
             self.heap.free(d)
 
     def _do_remap(self, action: Action) -> None:
-        dst = _origin(action, self.copy_wires)
+        dst = origin(action, self.copy_wires)
         self.saved_maps[action] = {s: self.slot_map.get(s) for s in action.slots}
         for s, d in zip(action.slots, dst):
             self.slot_map[s] = d
 
     def _do_unremap(self, action: Action) -> None:
-        prev_map = _origin(action, self.saved_maps)
+        prev_map = origin(action, self.saved_maps)
         for s in action.slots:
             prev = prev_map[s]
             if prev is None:
@@ -229,30 +196,6 @@ class Emitter:
         return Circuit(width=self.width, gates=list(self.gates),
                        inputs=list(range(len(program.input_slots))),
                        outputs=outputs)
-
-
-class WidthOracle(Emitter):
-    """An emitter that tracks wires but synthesizes no gates.
-
-    Everything but synthesis is inherited: the slot map, the ancilla heap,
-    copy/remap records and snapshot/restore.  `live` is exactly what the
-    full emitter would report after the same actions, because `synthesize`
-    returns every scratch ancilla it takes before it ends.  Later
-    allocations get the same wires as well: the heap hands out the least
-    free index, and the wires synthesis was first to use end up free.
-    Its cache holds each expression's `variables` set and no recipe.
-    """
-
-    def _learn(self, expr) -> tuple:
-        entry = self.compiled[id(expr)] = (expr, None, variables(expr))
-        return entry
-
-    def _synth(self, expr, target_slot: int, fresh: bool) -> list[Gate]:
-        slots = (self.compiled.get(id(expr)) or self._learn(expr))[2]
-        if not self.slot_map.keys() >= slots:
-            self._materialize(slots)
-        self._target(target_slot, fresh)
-        return []
 
 
 def emit(plan: CleanupPlan) -> Circuit:
@@ -283,5 +226,6 @@ def circuit_report(plan: CleanupPlan, circ: Circuit) -> dict:
         "reversals_inserted": plan.reversals_inserted,
         "mdd_nodes": len(plan.mdd.nodes),
         "mdd_read_edges": sum(map(len, plan.mdd.reads.values())),
+        "peak_live": max(live_profile(plan), default=len(circ.inputs)),
     })
     return rep

@@ -83,6 +83,9 @@ def test_stats_constant_sha_width(capsys):
     # no value is left Unclean, so every bwd is an inserted reversal
     assert (rep["mdd_nodes"], rep["mdd_read_edges"],
             rep["reversals_inserted"]) == (1536, 15104, 256)
+    # the most wires live between actions; the width adds one wire of
+    # synthesis scratch
+    assert rep["peak_live"] == 352
 
 
 def test_empty_file_is_user_error(tmp_path, capsys):
@@ -99,6 +102,18 @@ def test_infeasible_budget_is_user_error(capsys):
                "-o", "/dev/null"])
     assert rc == 1
     assert "minimum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strategy", ["bennett", "eager"])
+def test_qubits_needs_the_incremental_strategy(tmp_path, capsys, strategy):
+    out = tmp_path / "a.tfc"
+    rc = main(["compile", corpus_path("adder_ripple.rev"), "--param", "n=4",
+               "--strategy", strategy, "--qubits", "3", "-o", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "incremental" in err
+    assert not out.exists()
 
 
 def test_pebble_reports(capsys):

@@ -74,20 +74,6 @@ def test_plan_emits_identically_twice(strategy, budget):
         assert plan.checkpoints >= 1
 
 
-def test_emitter_snapshot_restore():
-    prog = ripple(6)
-    em = Emitter(prog)
-    snap = em.snapshot()
-    from revc.scheduler import Action
-    for s in prog.statements:
-        em.apply(Action("fwd", stmt=s))
-    assert em.gates
-    em.restore(snap)
-    assert em.gates == []
-    assert em.width == len(prog.input_slots)
-    assert em.slot_map == {s: i for i, s in enumerate(prog.input_slots)}
-
-
 def test_ancillas_balance_on_mirror():
     prog = ripple(6)
     plan = bennett_cleanup(build_mdd(prog))

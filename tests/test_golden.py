@@ -14,6 +14,7 @@ from revc import blif
 from revc.circuit import format_circuit
 from revc.emitter import compile_flat
 from revc.frontend import flatten, parse
+from revc.scheduler import BudgetError
 
 CORPUS = resources.files("revc") / "corpus"
 
@@ -38,6 +39,10 @@ REV_GOLDEN = {
         "c59357dd137042d5669bed7288b7b1ca9370e17a5c8fa4d114b420738c4da828",
     ("sha2.rev", "rounds=4", "incremental", 672):
         "448ea6e2fdbbbf414cd55c748810533dee7bf73aee08ba4fd988e6511f9924af",
+    ("sha2.rev", "rounds=8", "incremental", 900):
+        "99a07f643fda5b7811c4c7bf9ba2d34b8c3debeecc0321020fdbc9e8bd4b35f8",
+    ("sha2.rev", "rounds=8", "incremental", 1200):
+        "69de0d43fe28122dcbf05fadf8dde7f1b1545982f33b046b1ae32c1d245d8915",
     ("sha2.rev", "rounds=16", "eager", None):
         "4cebb5b47f1ee37cd330672a20bdaac2a0d0ec9eca3e1a4ba516c4df0e3bb750",
     ("md5.rev", "rounds=2", "bennett", None):
@@ -46,8 +51,19 @@ REV_GOLDEN = {
         "2860c03ee5f0971465f7620dfadd4a4568ad60fa62fa589513d939ce33f683e8",
     ("md5.rev", "rounds=2", "incremental", None):
         "ad10d2cbdc9dc17f3d1ce3ddc3ec2a15ccb8da20f558f907d75699965f781ba6",
+    ("md5.rev", "rounds=2", "incremental", 800):
+        "f5ef84f80211dc0a13dcbbe34d22b93067aec556ae9ba60deae395166abe5d6d",
     ("md5.rev", "rounds=4", "eager", None):
         "84475ad7727a563120613437b5fc040b84eec895f382b722cb3d0ff0d475a5c3",
+}
+
+# the smallest budget an infeasible incremental request reports: the
+# outcome of the budget search, pinned like a gate list
+MINIMUM_GOLDEN = {
+    ("sha2.rev", "rounds=4", 600): 672,
+    ("sha2.rev", "rounds=8", 600): 896,
+    ("md5.rev", "rounds=2", 600): 800,
+    ("md5.rev", "rounds=4", 700): 864,
 }
 
 BLIF_GOLDEN = {
@@ -127,6 +143,15 @@ def test_rev_gate_list_is_pinned(name, params, strategy, budget):
     flat = flatten(parse(src, params=parse_params(params) or None))
     _, circ = compile_flat(flat, strategy, qubit_budget=budget)
     assert digest(circ) == REV_GOLDEN[(name, params, strategy, budget)]
+
+
+@pytest.mark.parametrize("name,params,budget", sorted(MINIMUM_GOLDEN, key=str))
+def test_reported_minimum_budget_is_pinned(name, params, budget):
+    src = (CORPUS / name).read_text()
+    flat = flatten(parse(src, params=parse_params(params)))
+    with pytest.raises(BudgetError) as exc:
+        compile_flat(flat, "incremental", qubit_budget=budget)
+    assert exc.value.minimum == MINIMUM_GOLDEN[(name, params, budget)]
 
 
 @pytest.mark.parametrize("name,optimize,strategy", sorted(BLIF_GOLDEN, key=str))

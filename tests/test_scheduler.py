@@ -7,14 +7,17 @@ import pytest
 
 from revc.boolexpr import band, bor, bvar, bxor
 from revc.circuit import verify
-from revc.emitter import Emitter, WidthOracle, emit
-from revc.frontend import Compute, FlatProgram, flatten, parse
+from revc.emitter import Emitter, emit
+from revc.frontend import (
+    CleanSlot, Compute, FlatProgram, InPlaceBlock, flatten, parse,
+)
 from revc.mdd import OP, OUTPUT, build_mdd
 from revc.scheduler import (
     BENNETT_CLEANED, CLEANED_EAGERLY, UNCLEAN, Action, BudgetError,
-    bennett_cleanup, eager_cleanup, incremental_cleanup, invert, mirror,
-    schedule,
+    bennett_cleanup, eager_cleanup, incremental_cleanup, invert, live_profile,
+    mirror, schedule,
 )
+from revc.randprog import random_program
 
 
 def corpus(name: str) -> str:
@@ -155,39 +158,78 @@ ORACLE_CASES = {  # id -> (program, incremental budget)
 }
 
 
-@pytest.mark.parametrize("case", ORACLE_CASES)
-def test_width_oracle_tracks_the_emitter(case):
-    # the planner's gate-free oracle must see the live count a full
-    # emission sees after every action, or plans would drift
-    make, budget = ORACLE_CASES[case]
-    prog = make()
-    plan = incremental_cleanup(build_mdd(prog), qubit_budget=budget)
-    assert plan.checkpoints >= 1
-    oracle, full = WidthOracle(prog), Emitter(prog)
-    lives = []
-    for a in plan.actions:
-        oracle.apply(a)
-        full.apply(a)
-        assert oracle.live == full.live
-        lives.append(oracle.live)
-    assert oracle.slot_map == full.slot_map
+def assert_profile_tracks_the_emitter(plan) -> list[int]:
+    """live_profile(plan) must be the live count a full emission sees after
+    every action, or incremental plans would drift from the circuits."""
+    profile = live_profile(plan)
+    assert len(profile) == len(plan.actions)
+    em = Emitter(plan.program)
+    for i, (a, live) in enumerate(zip(plan.actions, profile)):
+        em.apply(a)
+        assert live == em.live, (i, a.kind)
+    return profile
 
-    # snapshot/restore round-trips on the oracle: the rolled-back state is
-    # the snapshot, and running the same actions again retraces them
-    oracle = WidthOracle(prog)
-    half = len(plan.actions) // 2
-    for a in plan.actions[:half]:
-        oracle.apply(a)
-    before = (oracle.heap.state(), dict(oracle.slot_map), oracle.live)
-    snap = oracle.snapshot()
-    for a in plan.actions[half:]:
-        oracle.apply(a)
-    oracle.restore(snap)
-    assert (oracle.heap.state(), oracle.slot_map, oracle.live) == before
-    for a, live in zip(plan.actions[half:], lives[half:]):
-        oracle.apply(a)
-        assert oracle.live == live
-    assert oracle.slot_map == full.slot_map
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_live_profile_tracks_the_emitter(case):
+    make, budget = ORACLE_CASES[case]
+    plan = incremental_cleanup(build_mdd(make()), qubit_budget=budget)
+    assert plan.checkpoints >= 1
+    assert_profile_tracks_the_emitter(plan)
+
+
+def block_program() -> FlatProgram:
+    """An in-place block that leaves one local mapped but zero at its end
+    (the block releases it) and cleans another, then writes it again."""
+    a, b = bvar(0), bvar(1)
+    body = [Compute(3, band([a, b]), True), Compute(2, bvar(3), False),
+            Compute(3, band([a, b]), False),
+            Compute(4, bxor([a, b]), True), Compute(4, bxor([a, b]), False),
+            CleanSlot(4),
+            Compute(4, bor([a, b]), True), Compute(2, bvar(4), False),
+            Compute(4, bor([a, b]), False)]
+    return FlatProgram(name="block", input_slots=[0, 1], output_slots=[2],
+                       statements=[Compute(2, band([a, b]), True),
+                                   InPlaceBlock([2], [0, 1], body, [3, 4])],
+                       slot_count=5, input_layout=[("x0", 1), ("x1", 1)])
+
+
+PROFILE_PROGRAMS = {
+    "adder-n8": lambda: ripple(8),
+    "adder_select": lambda: prog_of(corpus("adder_select.rev")),
+    "sha2-r2": lambda: prog_of(corpus("sha2.rev"), {"rounds": 2}),
+    "md5-r2": lambda: prog_of(corpus("md5.rev"), {"rounds": 2}),
+    "block": block_program,
+}
+
+
+@pytest.mark.parametrize("case", PROFILE_PROGRAMS)
+def test_live_profile_tracks_the_emitter_on_corpus(case):
+    g = build_mdd(PROFILE_PROGRAMS[case]())
+    for plan in (bennett_cleanup(g), eager_cleanup(g)):
+        profile = assert_profile_tracks_the_emitter(plan)
+        # a copy-and-reverse plan ends with inputs and output copies live
+        if plan.copied_outputs:
+            prog = g.program
+            assert profile[-1] == len(prog.input_slots) + len(prog.output_slots)
+
+
+def test_live_profile_tracks_the_emitter_on_random_programs():
+    checkpointed = 0
+    for seed in range(60):
+        for prog in (random_program(seed), mutating_program(seed)):
+            g = build_mdd(prog)
+            for plan in (bennett_cleanup(g), eager_cleanup(g)):
+                assert_profile_tracks_the_emitter(plan)
+            try:
+                incremental_cleanup(g, qubit_budget=len(prog.input_slots))
+                continue
+            except BudgetError as exc:
+                minimum = exc.minimum
+            plan = incremental_cleanup(g, qubit_budget=minimum)
+            checkpointed += plan.checkpoints > 0
+            assert_profile_tracks_the_emitter(plan)
+    assert checkpointed > 20
 
 
 def test_schedule_rejects_unknown_strategy():
