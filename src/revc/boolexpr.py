@@ -279,7 +279,12 @@ class Recipe:
         if wires.count(wires[0]) != 1:
             raise ValueError(
                 f"target wire {wires[0]} appears inside the expression")
-        w = wires
+        return self.run(wires, heap, tables)
+
+    def run(self, w: list[int], heap: AncillaHeap,
+            tables: dict[str, "GateTable"]) -> list[Gate]:
+        """`replay` without the target check: run the heap operations on
+        the registers `w` (extended in place) and resolve the gates."""
         for op in self.heap_ops:
             if op < 0:
                 w.append(heap.alloc())

@@ -16,12 +16,16 @@ inputs included, the count `--qubits` bounds in the forward segments of
 an incremental plan, where the width also counts synthesis scratch
 wires), the dependency graph's (`mdd_nodes`, `mdd_read_edges`),
 the flat program's (`flat_statements`, `inplace_blocks`,
-`block_body_statements`, `slots`), `compile_seconds` (schedule + emit)
+`block_body_statements`, `slots`), the emitter's (`block_recipes`: block
+recipes compiled, i.e. block runs that walked the body; `block_replays`:
+block runs served from an existing recipe; together, every forward and
+backward run of an in-place block), `compile_seconds` (schedule + emit)
 and `stage_seconds`: `parse`,
 `flatten` (for BLIF, lowering), `schedule` (dependency graph and cleanup
 plan) and `emit`.
 
 Exit codes: 0 success, 1 user/compile error, 2 verification failure.
+`sim --inputs` takes only 0 and 1, and `verify --samples` at least 1.
 The default sample seed comes from the REVC_SEED environment variable.
 """
 
@@ -37,7 +41,7 @@ import time
 from . import blif as blif_mod
 from . import circuit as circuit_mod
 from . import pebble as pebble_mod
-from .emitter import circuit_report, compile_flat, emit
+from .emitter import Emitter, circuit_report, compile_flat
 from .frontend import FrontendError, InPlaceBlock, flatten, parse
 from .mdd import build_mdd, to_dot
 from .scheduler import BudgetError, schedule
@@ -84,38 +88,41 @@ def _load_flat(args, stages: dict):
 
 
 def _compile(args):
-    """Load, schedule and emit; returns the program, plan, circuit and the
-    seconds of each stage."""
+    """Load, schedule and emit; returns the program, plan, circuit, the
+    emitter and the seconds of each stage."""
     stages: dict = {}
     prog = _load_flat(args, stages)
     t0 = time.perf_counter()
     plan = schedule(prog, args.strategy, qubit_budget=args.qubits)
     t1 = time.perf_counter()
-    circ = emit(plan)
+    em = Emitter(prog)
+    circ = em.run(plan)
     stages["schedule"], stages["emit"] = t1 - t0, time.perf_counter() - t1
-    return prog, plan, circ, stages
+    return prog, plan, circ, em, stages
 
 
-def _report(prog, plan, circ, stages) -> dict:
+def _report(prog, plan, circ, em, stages) -> dict:
     rep = circuit_report(plan, circ)
     blocks = [s for s in prog.statements if isinstance(s, InPlaceBlock)]
     rep.update({"flat_statements": len(prog.statements),
                 "inplace_blocks": len(blocks),
                 "block_body_statements": sum(len(b.body) for b in blocks),
-                "slots": prog.slot_count})
+                "slots": prog.slot_count,
+                "block_recipes": em.block_recipes,
+                "block_replays": em.block_replays})
     rep["compile_seconds"] = round(stages["schedule"] + stages["emit"], 6)
     rep["stage_seconds"] = {k: round(v, 6) for k, v in stages.items()}
     return rep
 
 
 def cmd_compile(args) -> int:
-    prog, plan, circ, stages = _compile(args)
+    prog, plan, circ, em, stages = _compile(args)
     if args.emit_mdd:
         with open(args.emit_mdd, "w") as f:
             f.write(to_dot(build_mdd(prog)))
     out = args.output or (args.file + ".tfc")
     circuit_mod.write_circuit(circ, out)
-    rep = _report(prog, plan, circ, stages)
+    rep = _report(prog, plan, circ, em, stages)
     if args.stats:
         with open(args.stats, "w") as f:
             json.dump(rep, f, indent=2, sort_keys=True)
@@ -126,15 +133,16 @@ def cmd_compile(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    prog, plan, circ, stages = _compile(args)
-    print(json.dumps(_report(prog, plan, circ, stages), indent=2,
-                     sort_keys=True))
+    print(json.dumps(_report(*_compile(args)), indent=2, sort_keys=True))
     return 0
 
 
 def cmd_sim(args) -> int:
-    prog, plan, circ, _ = _compile(args)
-    bits = [int(c) for c in args.inputs if c in "01"]
+    bad = next((c for c in args.inputs if c not in "01"), None)
+    if bad is not None:
+        raise CliError(f"--inputs takes only 0 and 1, got {bad!r}")
+    prog, plan, circ, _, _ = _compile(args)
+    bits = [int(c) for c in args.inputs]
     if len(bits) != len(prog.input_slots):
         raise CliError(f"program takes {len(prog.input_slots)} input bits, "
                        f"got {len(bits)}")
@@ -147,7 +155,9 @@ def cmd_sim(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    prog, plan, circ, _ = _compile(args)
+    if args.samples < 1:
+        raise CliError(f"--samples must be at least 1, got {args.samples}")
+    prog, plan, circ, _, _ = _compile(args)
     rep = circuit_mod.verify(prog, circ, samples=args.samples, seed=args.seed)
     if rep.ok:
         print(f"{args.file}: ok ({rep.samples} samples, seed {rep.seed})")

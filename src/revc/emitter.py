@@ -15,6 +15,28 @@ of the same shape; a call resolves the recipe's registers against the slot
 map of that moment and takes each gate from a per-kind intern table keyed
 by wires, so a gate that recurs is one object.
 
+In-place blocks are run from block recipes, one per layout token (see
+`InPlaceBlock.layout` in frontend), direction and entry pattern (which
+layout slots are mapped to wires as the block starts).  The first run of
+a key walks the body with `_Walker`: the statement rules below over
+registers instead of wires, where the slots mapped at entry hold
+registers 0..n-1 in layout order and every wire taken is the next
+register.  Its block recipe is a `Recipe` over those registers (the heap
+operations and the gates) and each layout slot's register at the end.
+Every later run of the key replays it with `Recipe.run`.  Replay is gate
+for gate what walking the body on wires would emit: blocks of one token
+are the same statements with their slots renamed position by position,
+so from one entry pattern they take and return wires in the same order,
+and the heap, which hands out its least free wire, answers the same
+sequence from the same state with the same wires.  The exception is a
+statement that materializes two or more unwritten slots at once: they
+take wires in `variables(expr)` set order, and renaming does not keep
+that order.  A walk that does this marks its key, and each block of the
+key then gets recipes of its own, keyed by the block.  The walk raises
+the errors of the statement rules (a fresh write to a live slot, a
+target inside its expression) on registers; replay checks that the
+entry wires are distinct, so distinct registers are distinct wires.
+
 The scheduler places checkpoints without running the emitter: it counts
 live wires from per-statement effects that follow the rules below (see
 `scheduler.stmt_effect` and `scheduler.live_profile`).  That count is
@@ -26,11 +48,48 @@ from __future__ import annotations
 
 from .ancilla import AncillaHeap
 from .boolexpr import Recipe, compile_shape, gate_tables, shape, variables
-from .circuit import Circuit, Gate, cnot, stats as circuit_stats
+from .circuit import (
+    CNOT, NOT, TOFFOLI, Circuit, Gate, cnot, stats as circuit_stats,
+)
 from .frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
 from .scheduler import (
     Action, CleanupPlan, live_profile, origin, reopened_locals,
 )
+
+
+class _Registers:
+    """The heap of a block walk: hands out registers after the entry ones
+    and records the traffic as heap ops (-1 allocates, r >= 0 frees r)."""
+
+    def __init__(self, base: int):
+        self.next = base
+        self.ops: list[int] = []
+
+    def alloc(self) -> int:
+        self.ops.append(-1)
+        self.next += 1
+        return self.next - 1
+
+    def free(self, r: int) -> None:
+        self.ops.append(r)
+
+
+class _RegisterGates:
+    """A gate table of a block walk: a gate over registers stays a tuple
+    (kind, a, b, c), as in `Recipe.gates`."""
+
+    def __init__(self, kind: str):
+        self.kind = kind
+
+    def __getitem__(self, regs: tuple) -> tuple:
+        return (self.kind, *regs, -1, -1)[:4]
+
+
+_REGISTER_GATES = {kind: _RegisterGates(kind) for kind in (TOFFOLI, CNOT, NOT)}
+
+# the recipe under a key whose walk took wires in set order: each block of
+# the key has recipes of its own
+_PER_INSTANCE = object()
 
 
 class Emitter:
@@ -55,6 +114,12 @@ class Emitter:
         self.compiled: dict[int, tuple] = {}
         self.recipes: dict[tuple, Recipe] = {}
         self.gate_tables = gate_tables()
+        # block recipes by (layout token or id(block), forward, entry
+        # pattern): (recipe, per layout slot its register at the end or
+        # -1), see `_run_block`
+        self.blocks: dict[tuple, tuple] = {}
+        self.block_recipes = 0  # block runs that walked the body
+        self.block_replays = 0  # block runs served from a recipe
 
     @property
     def width(self) -> int:
@@ -126,12 +191,7 @@ class Emitter:
         if isinstance(stmt, Compute):
             self.gates += self._synth(stmt.expr, stmt.slot, stmt.fresh)
         elif isinstance(stmt, InPlaceBlock):
-            for s in stmt.body:
-                self._fwd_stmt(s)
-            # locals not explicitly cleaned are zero again at block end
-            for l in stmt.local_slots:
-                if l in self.slot_map:
-                    self.heap.free(self.slot_map.pop(l))
+            self._run_block(stmt, True)
         elif isinstance(stmt, CleanSlot):
             if stmt.slot in self.slot_map:
                 self.heap.free(self.slot_map.pop(stmt.slot))
@@ -145,14 +205,64 @@ class Emitter:
             if stmt.fresh:
                 self.heap.free(self.slot_map.pop(stmt.slot))
         elif isinstance(stmt, InPlaceBlock):
-            for l in reopened_locals(stmt):
-                self.slot_map[l] = self.heap.alloc()
-            for s in reversed(stmt.body):
-                self._bwd_stmt(s)
+            self._run_block(stmt, False)
         elif isinstance(stmt, CleanSlot):
             self.slot_map[stmt.slot] = self.heap.alloc()
         else:
             raise TypeError(stmt)
+
+    def _run_block(self, block: InPlaceBlock, forward: bool) -> None:
+        """Run an in-place block from the recipe of its layout token,
+        direction and entry pattern, walking the body the first time."""
+        token, slots = block.layout
+        slot_map = self.slot_map
+        entry = tuple([s in slot_map for s in slots])
+        key = (token, forward, entry)
+        run = self.blocks.get(key)
+        if run is _PER_INSTANCE:
+            key = (id(block), forward, entry)
+            run = self.blocks.get(key)
+        if run is None:
+            run, unordered = self._walk(block, forward, entry)
+            if unordered:
+                self.blocks[key] = _PER_INSTANCE
+                key = (id(block), forward, entry)
+            self.blocks[key] = run
+            self.block_recipes += 1
+        else:
+            self.block_replays += 1
+        recipe, exit = run
+        wires = [slot_map[s] for s, m in zip(slots, entry) if m]
+        if len(set(wires)) != len(wires):
+            raise ValueError("in-place block entered with two slots "
+                             "on one wire")
+        self.gates += recipe.run(wires, self.heap, self.gate_tables)
+        for s, r in zip(slots, exit):
+            if r >= 0:
+                slot_map[s] = wires[r]
+            elif s in slot_map:
+                del slot_map[s]
+
+    def _walk(self, block: InPlaceBlock, forward: bool,
+              entry: tuple) -> tuple[tuple, bool]:
+        """The block recipe for one entry pattern, and whether some body
+        statement materialized two or more slots at once."""
+        slots = block.layout[1]
+        w = _Walker(self, [s for s, m in zip(slots, entry) if m])
+        if forward:
+            for s in block.body:
+                w._fwd_stmt(s)
+            # locals not explicitly cleaned are zero again at block end
+            for l in block.local_slots:
+                if l in w.slot_map:
+                    w.heap.free(w.slot_map.pop(l))
+        else:
+            for l in reopened_locals(block):
+                w.slot_map[l] = w.heap.alloc()
+            for s in reversed(block.body):
+                w._bwd_stmt(s)
+        exit = tuple([w.slot_map.get(s, -1) for s in slots])
+        return (Recipe(tuple(w.heap.ops), tuple(w.gates)), exit), w.unordered
 
     def _do_copy(self, action: Action) -> None:
         src = [self._wire_of(s) for s in action.slots]
@@ -187,6 +297,12 @@ class Emitter:
             else:
                 self.slot_map[s] = prev
 
+    def run(self, plan: CleanupPlan) -> Circuit:
+        """Apply every action of the plan; the finished circuit."""
+        for a in plan.actions:
+            self.apply(a)
+        return self.finish()
+
     def finish(self) -> Circuit:
         program = self.program
         if self.output_wires is not None:
@@ -198,11 +314,32 @@ class Emitter:
                        outputs=outputs)
 
 
+class _Walker(Emitter):
+    """The emitter's statement rules over block registers instead of
+    wires: the slots mapped at entry hold registers 0..n-1, every other
+    register is taken from `_Registers`, and gates stay register tuples.
+    It inherits the rules and shares the emitter's caches, but none of
+    its plan state."""
+
+    def __init__(self, em: Emitter, mapped: list[int]):
+        self.slot_map = {s: r for r, s in enumerate(mapped)}
+        self.heap = _Registers(len(mapped))
+        self.gate_tables = _REGISTER_GATES
+        self.gates = []
+        self.compiled, self.recipes, self.blocks = (
+            em.compiled, em.recipes, em.blocks)
+        self.block_recipes = self.block_replays = 0
+        self.unordered = False
+
+    def _materialize(self, slots) -> None:
+        # slots that take wires together take them in set order, which
+        # renaming the block's slots does not keep
+        self.unordered |= sum(s not in self.slot_map for s in slots) > 1
+        super()._materialize(slots)
+
+
 def emit(plan: CleanupPlan) -> Circuit:
-    em = Emitter(plan.program)
-    for a in plan.actions:
-        em.apply(a)
-    return em.finish()
+    return Emitter(plan.program).run(plan)
 
 
 def compile_flat(program: FlatProgram, strategy: str = "bennett",

@@ -46,6 +46,15 @@ slots.  A body that assigns a name it does not bind is never replayed,
 and a replay that would pass the unrolling or allocation bound inlines
 instead, so that the error is the same.  Every instance is validated.
 
+Every `InPlaceBlock` has a `layout`: a token, shared by a template and
+all its instances, and the block's distinct slots, for a template the
+slots of its signature in key order and then its locals.  Position i of
+an instance's layout is the renaming of position i of its template's, so
+the emitter compiles a block once per token (see emitter).  A block the
+flattener does not template has a token of its own and its target,
+argument and local slots, which are every slot its body touches.  The
+layout is left out of a block's repr and equality.
+
 Hostile input is a one-line error with a line, never a traceback or a
 hang: the parser bounds nesting at MAX_NESTING levels, both evaluators
 reject a call to a function that is already running and turn a stack
@@ -621,6 +630,16 @@ class InPlaceBlock:
     arg_slots: list[int]
     body: list  # Compute | CleanSlot
     local_slots: list[int]
+    # (token, distinct slots): blocks with one token are the same
+    # statements up to renaming their slots position by position; by
+    # default a block has a token of its own and its target, argument and
+    # local slots, which are every slot its body touches
+    layout: tuple = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.layout is None:
+            self.layout = (object(), tuple(dict.fromkeys(
+                [*self.target_slots, *self.arg_slots, *self.local_slots])))
 
 
 @dataclass
@@ -950,6 +969,12 @@ def _renamed(e: BoolExp, m: dict[int, BoolExp]) -> BoolExp:
     if e.op == "const":
         return e
     return BoolExp(e.op, tuple([_renamed(a, m) for a in e.args]))
+
+
+def _layout(token, slots: list[int], locals_: list[int]) -> tuple:
+    """The layout of a templated block: `token`, then the distinct slots of
+    its signature in key order and its locals."""
+    return token, (*dict.fromkeys(slots), *locals_)
 
 
 @dataclass
@@ -1458,10 +1483,13 @@ class Flattener:
         arg_slots = self.block_args(body, target, locals_)
         self.validate_block(body, arg_slots, target, locals_, item.line,
                             f.defn.name)
-        block = InPlaceBlock(list(target), arg_slots, body, locals_)
-        self.emit(block)
         # a body that reached a slot outside its signature is not replayed
-        if sig is not None and set(arg_slots) <= set(sig[1]):
+        templated = sig is not None and set(arg_slots) <= set(sig[1])
+        block = InPlaceBlock(list(target), arg_slots, body, locals_,
+                             _layout(object(), sig[1], locals_)
+                             if templated else None)
+        self.emit(block)
+        if templated:
             self.templates[sig[0]] = _Template(
                 sig[1], block, tuple(s in self.fresh for s in sig[1]),
                 tuple(i for i, s in enumerate(locals_) if s in self.fresh),
@@ -1549,7 +1577,8 @@ class Flattener:
         self.fresh.difference_update(slots)
         self.fresh.update(s for s, fresh in zip(slots, tpl.fresh_after) if fresh)
         self.fresh.update(locals_[i] for i in tpl.fresh_locals)
-        self.emit(InPlaceBlock(list(target), arg_slots, body, locals_))
+        self.emit(InPlaceBlock(list(target), arg_slots, body, locals_,
+                               _layout(tpl.block.layout[0], slots, locals_)))
         return True
 
     @staticmethod

@@ -129,6 +129,17 @@ def bennett_cleanup(g: MDD) -> CleanupPlan:
 
 
 def eager_cleanup(g: MDD) -> CleanupPlan:
+    """The eager plan (see the module docstring).
+
+    Its reversals pay for themselves even when Unclean values force the
+    final mirror, which replays every one of them.  On MD5 rounds=2 eager
+    reverses the 64 bits of the two `F` outputs and leaves the 64 bits of
+    `t` Unclean: `t` is built by in-place additions, and a path through an
+    in-place block is not reversed.  Each reversal saves one qubit: without
+    any one of them the circuit is 929 wires wide instead of 928, and
+    without all of them it is Bennett's, 992 wires and 5808 gates against
+    eager's 7600.
+    """
     program = g.program
     plan = CleanupPlan("eager", program, g)
 

@@ -14,8 +14,9 @@ from revc.cli import main
 from revc.boolexpr import MAX_STATEMENT_GATES
 from revc.frontend import (
     MAX_ALLOCATED_BITS, MAX_NESTING, MAX_UNROLLED_ITERATIONS, FlattenError,
-    InterpretError, flatten, interpret_source, parse,
+    InPlaceBlock, InterpretError, flatten, interpret_source, parse,
 )
+from revc.scheduler import schedule
 
 
 def corpus_path(name: str) -> str:
@@ -62,11 +63,34 @@ def test_sim_adds_integers(capsys):
     assert capsys.readouterr().out.strip() == "0001"  # 8
 
 
+@pytest.mark.parametrize("inputs,bad", [("0121", "2"), ("0101 0101", " "),
+                                        ("01x", "x")])
+def test_sim_rejects_other_input_characters(capsys, inputs, bad):
+    rc = main(["sim", corpus_path("adder_ripple.rev"), "--param", "n=4",
+               "--inputs", inputs])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: --inputs takes only 0 and 1, got {bad!r}\n"
+
+
 def test_verify_ok(capsys):
     rc = main(["verify", corpus_path("adder_ripple.rev"), "--param", "n=6",
                "--strategy", "eager", "--samples", "50"])
     assert rc == 0
     assert "ok" in capsys.readouterr().out
+
+
+# the adder n=6 has 12 inputs, more than an exhaustive check takes, so
+# zero samples would check nothing
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_needs_a_sample(capsys, samples):
+    rc = main(["verify", corpus_path("adder_ripple.rev"), "--param", "n=6",
+               "--samples", samples])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: --samples must be at least 1, got {samples}\n"
 
 
 def test_stats_constant_sha_width(capsys):
@@ -86,6 +110,21 @@ def test_stats_constant_sha_width(capsys):
     # the most wires live between actions; the width adds one wire of
     # synthesis scratch
     assert rep["peak_live"] == 352
+
+
+def test_stats_count_block_recipes_and_replays(capsys):
+    rc = main(["stats", corpus_path("sha2.rev"), "--param", "rounds=4",
+               "--strategy", "eager"])
+    assert rc == 0
+    rep = json.loads(capsys.readouterr().out)
+    plan = schedule(flatten(parse(Path(corpus_path("sha2.rev")).read_text(),
+                                  params={"rounds": 4})), "eager")
+    runs = sum(isinstance(a.stmt, InPlaceBlock) for a in plan.actions)
+    assert runs >= rep["inplace_blocks"] == 28
+    # every block run walks its body once per template, direction and
+    # entry pattern and replays that recipe otherwise
+    assert rep["block_replays"] > 0
+    assert rep["block_recipes"] + rep["block_replays"] == runs
 
 
 def test_empty_file_is_user_error(tmp_path, capsys):

@@ -3,11 +3,17 @@ from importlib import resources
 
 import pytest
 
+from revc.boolexpr import band, bvar, bxor
 from revc.circuit import CNOT, TOFFOLI, format_circuit, stats, verify
 from revc.emitter import Emitter, compile_flat, emit
-from revc.frontend import flatten, parse
+from revc.frontend import (
+    Compute, FlatProgram, InPlaceBlock, flatten, parse,
+)
 from revc.mdd import build_mdd
-from revc.scheduler import bennett_cleanup, eager_cleanup, schedule
+from revc.scheduler import (
+    Action, BudgetError, bennett_cleanup, eager_cleanup, reopened_locals,
+    schedule,
+)
 
 
 def corpus(name: str) -> str:
@@ -118,16 +124,150 @@ def test_eager_never_wider_than_bennett_on_corpus():
 def test_gates_are_interned_and_recipes_shared():
     prog = prog_of(corpus("sha2.rev"), {"rounds": 2})
     em = Emitter(prog)
-    for a in eager_cleanup(build_mdd(prog)).actions:
+    actions = eager_cleanup(build_mdd(prog)).actions
+    for a in actions:
         em.apply(a)
     # one object per distinct gate, one recipe per expression shape
     assert len({id(g) for g in em.gates}) == len(set(em.gates))
     assert len(em.recipes) < len(em.compiled)
+    # and one block recipe per template, direction and entry pattern
+    runs = sum(isinstance(a.stmt, InPlaceBlock) for a in actions)
+    assert em.block_recipes < runs
+    assert em.block_recipes + em.block_replays == runs
+
+
+class StatementEmitter(Emitter):
+    """The emitter with blocks run statement by statement on wires, as
+    before block recipes: the reference the recipes must match."""
+
+    def _run_block(self, block, forward):
+        if forward:
+            for s in block.body:
+                self._fwd_stmt(s)
+            for l in block.local_slots:
+                if l in self.slot_map:
+                    self.heap.free(self.slot_map.pop(l))
+        else:
+            for l in reopened_locals(block):
+                self.slot_map[l] = self.heap.alloc()
+            for s in reversed(block.body):
+                self._bwd_stmt(s)
+
+
+def template_calls(zero_reads: str) -> str:
+    """Calls of one template from different entry patterns: `z <- add b`
+    first writes an unwritten target and `h <- add z` reads it.  The body
+    reads unwritten locals, `zero_reads` in one statement, and leaves a
+    local it wrote, zero again, mapped at the block's end."""
+    return f"""
+let add (x : bool array) =
+    let z = Array.zeroCreate 4
+    let t = Array.zeroCreate 2
+    let out = Array.zeroCreate 2
+    t.[0] <- t.[0] <> (x.[0] && x.[1])
+    out.[0] <- out.[0] <> (t.[0] && ({zero_reads})) <> x.[1]
+    out.[1] <- out.[1] <> (x.[0] && (z.[3] || t.[0]))
+    t.[0] <- t.[0] <> (x.[0] && x.[1])
+    out
+
+let main (a : bool[2]) (b : bool[2]) =
+    let mutable h = a
+    let mutable z = Array.zeroCreate 2
+    h <- add b
+    z <- add b
+    h <- add b
+    h <- add z
+    z <- add b
+    Array.concat [h; z]
+
+main
+"""
+
+
+# with two unwritten locals read in one statement, each block has its own
+# recipes, since they take wires in set order
+@pytest.mark.parametrize("src,params,shared", [
+    (template_calls("z.[1]"), None, True),
+    (template_calls("z.[1] <> z.[2]"), None, False),
+    (corpus("sha2.rev"), {"rounds": 2}, True),
+    (corpus("md5.rev"), {"rounds": 1}, True),
+], ids=["template-calls", "set-order", "sha2-r2", "md5-r1"])
+def test_block_recipes_emit_what_running_the_body_does(src, params, shared):
+    prog = prog_of(src, params)
+    g = build_mdd(prog)
+    plans = [bennett_cleanup(g), eager_cleanup(g)]
+    try:
+        schedule(prog, "incremental", len(prog.input_slots))
+    except BudgetError as e:  # a checkpointed plan at the smallest budget
+        plans.append(schedule(prog, "incremental", e.minimum))
+    for plan in plans:
+        em = Emitter(prog)
+        circ = em.run(plan)
+        runs = sum(isinstance(a.stmt, InPlaceBlock) for a in plan.actions)
+        assert em.block_recipes + em.block_replays == runs
+        if shared:
+            assert em.block_replays > 0
+        assert format_circuit(circ) == format_circuit(
+            StatementEmitter(prog).run(plan)), plan.strategy
+        assert verify(prog, circ).ok
+
+
+def block_program(body, target=(2,), locals_=(3, 4)) -> FlatProgram:
+    """`x0 && x1` into slot 2, then an in-place block onto it over the
+    inputs 0 and 1."""
+    return FlatProgram(
+        name="block", input_slots=[0, 1], output_slots=[2],
+        statements=[Compute(2, band([bvar(0), bvar(1)]), True),
+                    InPlaceBlock(list(target), [0, 1], body, list(locals_))],
+        slot_count=5)
+
+
+def run_forward(em: Emitter, prog: FlatProgram) -> None:
+    for stmt in prog.statements:
+        em.apply(Action("fwd", stmt=stmt))
+
+
+@pytest.mark.parametrize("body", [
+    [Compute(2, bvar(0), True)],
+    [Compute(3, bvar(0), True), Compute(3, bvar(1), True)],
+], ids=["target", "local"])
+def test_block_walk_rejects_fresh_write_to_live_slot(body):
+    prog = block_program(body)
+    with pytest.raises(RuntimeError, match="fresh write to live slot"):
+        run_forward(Emitter(prog), prog)
+
+
+@pytest.mark.parametrize("body", [
+    [Compute(2, band([bvar(0), bvar(2)]), False)],
+    [Compute(3, bvar(0), True), Compute(3, bxor([bvar(3), bvar(1)]), False)],
+], ids=["target", "local"])
+def test_block_walk_rejects_target_inside_expression(body):
+    prog = block_program(body)
+    with pytest.raises(ValueError, match="appears inside the expression"):
+        run_forward(Emitter(prog), prog)
+
+
+def test_block_replay_rejects_aliased_entry_wires():
+    body = [Compute(3, bvar(0), False), Compute(2, band([bvar(3), bvar(1)]),
+                                                False),
+            Compute(3, bvar(0), False)]
+    prog = block_program(body, locals_=(3,))
+    block = prog.statements[1]
+    em = Emitter(prog)
+    run_forward(em, prog)
+    assert em.block_recipes == 1
+    # the recipe with slots 2 and 3 mapped at entry, then the same entry
+    # pattern with both slots on one wire: the registers differ, the wires
+    # do not
+    em.slot_map[3] = em.heap.alloc()
+    em.apply(Action("fwd", stmt=block))
+    assert em.block_recipes == 2
+    em.slot_map[3] = em.slot_map[2]
+    with pytest.raises(ValueError, match="two slots on one wire"):
+        em.apply(Action("fwd", stmt=block))
 
 
 def test_fresh_write_to_live_slot_is_rejected():
-    from revc.frontend import Compute
-    from revc.scheduler import Action
     prog = prog_of(AND_SRC)
     em = Emitter(prog)
     stmt = prog.statements[0]

@@ -13,7 +13,8 @@ import pytest
 from revc import blif
 from revc.circuit import format_circuit
 from revc.emitter import compile_flat
-from revc.frontend import flatten, parse
+from revc.boolexpr import variables
+from revc.frontend import InPlaceBlock, flatten, parse
 from revc.scheduler import BudgetError
 
 CORPUS = resources.files("revc") / "corpus"
@@ -128,6 +129,71 @@ ZERO_READS_GOLDEN = {
 }
 
 
+# An in-place function called three times with one signature, so that
+# the later calls replay the first one's template.  Its first statement
+# reads four unwritten `Array.zeroCreate` locals and its second two more;
+# they take wires in `variables(expr)` set order, which differs between
+# the three calls.  Pinned before block recipes existed.
+ZERO_READS_IN_PLACE = """\
+let acc (a : bool array) =
+    let z = Array.zeroCreate 12
+    let out = Array.zeroCreate 2
+    out.[0] <- out.[0] <> (z.[11] && a.[0]) <> (z.[3] && a.[1]) <> z.[7] <> (a.[2] && z.[0])
+    out.[1] <- out.[1] <> a.[3] <> (z.[5] && z.[9])
+    out
+
+let main (a : bool[4]) (b : bool[2]) =
+    let mutable h = b
+    h <- acc a
+    h <- acc a
+    h <- acc a
+    h
+
+main
+"""
+
+# An in-place function that writes a name it does not bind is not
+# templated: each call's block is flattened from the AST.  Pinned before
+# block recipes existed.
+UNTEMPLATED = """\
+let main (a : bool[3]) (b : bool[2]) =
+    let mutable h = b
+    let mutable c = a.[2]
+    let addw (x : bool array) =
+        let t = Array.zeroCreate 2
+        let out = Array.zeroCreate 2
+        t.[0] <- x.[0] && x.[1]
+        out.[0] <- out.[0] <> t.[0] <> c
+        out.[1] <- out.[1] <> (x.[1] && t.[1])
+        t.[0] <- t.[0] <> (x.[0] && x.[1])
+        c <- x.[0]
+        out
+    h <- addw a
+    h <- addw a
+    h
+
+main
+"""
+
+IN_PLACE_GOLDEN = {
+    ("zero-reads", "bennett"):
+        "b511ed44f5c7a9c1099d02f8190dca7317f9cdd4b13a95845a7e8717b9660a12",
+    ("zero-reads", "eager"):
+        "400e6de8dea63384be39c6cf09fe02e5196d8dfa9d573ae621e9bd69d9d690fd",
+    ("zero-reads", "incremental"):
+        "b511ed44f5c7a9c1099d02f8190dca7317f9cdd4b13a95845a7e8717b9660a12",
+    ("untemplated", "bennett"):
+        "507edbd88cb5cac37f7d7c6480b90138465fd09c873eb43eb61d4ab97a781455",
+    ("untemplated", "eager"):
+        "61ccba6b4aa3a112faebe3e1e705cfb432e4574803725573d9b14e87457ec3dc",
+    ("untemplated", "incremental"):
+        "507edbd88cb5cac37f7d7c6480b90138465fd09c873eb43eb61d4ab97a781455",
+}
+
+IN_PLACE_SOURCES = {"zero-reads": ZERO_READS_IN_PLACE,
+                    "untemplated": UNTEMPLATED}
+
+
 def digest(circ) -> str:
     return hashlib.sha256(format_circuit(circ).encode()).hexdigest()
 
@@ -165,3 +231,22 @@ def test_blif_gate_list_is_pinned(name, optimize, strategy):
 def test_unwritten_reads_materialize_in_pinned_order(strategy):
     _, circ = compile_flat(flatten(parse(ZERO_READS)), strategy)
     assert digest(circ) == ZERO_READS_GOLDEN[strategy]
+
+
+@pytest.mark.parametrize("case,strategy", sorted(IN_PLACE_GOLDEN))
+def test_in_place_edge_cases_are_pinned(case, strategy):
+    _, circ = compile_flat(flatten(parse(IN_PLACE_SOURCES[case])), strategy)
+    assert digest(circ) == IN_PLACE_GOLDEN[(case, strategy)]
+
+
+def test_in_place_edge_cases_take_the_edge_paths():
+    # the pins above cover the paths only while these hold
+    blocks = [s for s in flatten(parse(ZERO_READS_IN_PLACE)).statements
+              if isinstance(s, InPlaceBlock)]
+    assert len({b.layout[0] for b in blocks}) == 1
+    orders = [[b.local_slots.index(v) for v in variables(b.body[0].expr)
+               if v in b.local_slots] for b in blocks]
+    assert len({tuple(o) for o in orders}) == 3
+    blocks = [s for s in flatten(parse(UNTEMPLATED)).statements
+              if isinstance(s, InPlaceBlock)]
+    assert len({b.layout[0] for b in blocks}) == len(blocks) == 2
