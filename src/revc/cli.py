@@ -16,7 +16,9 @@ inputs included, the count `--qubits` bounds in the forward segments of
 an incremental plan, where the width also counts synthesis scratch
 wires), the dependency graph's (`mdd_nodes`, `mdd_read_edges`),
 the flat program's (`flat_statements`, `inplace_blocks`,
-`block_body_statements`, `slots`), the emitter's (`block_recipes`: block
+`block_templates`: distinct layout tokens, i.e. the shared block bodies
+the blocks run; `block_body_statements`: the blocks' body lengths summed,
+read off the shared bodies; `slots`), the emitter's (`block_recipes`: block
 recipes compiled, i.e. block runs that walked the body; `block_replays`:
 block runs served from an existing recipe; together, every forward and
 backward run of an in-place block), `compile_seconds` (schedule + emit)
@@ -106,7 +108,9 @@ def _report(prog, plan, circ, em, stages) -> dict:
     blocks = [s for s in prog.statements if isinstance(s, InPlaceBlock)]
     rep.update({"flat_statements": len(prog.statements),
                 "inplace_blocks": len(blocks),
-                "block_body_statements": sum(len(b.body) for b in blocks),
+                "block_templates": len({b.layout[0] for b in blocks}),
+                "block_body_statements": sum(len(b.layout[0].stmts)
+                                             for b in blocks),
                 "slots": prog.slot_count,
                 "block_recipes": em.block_recipes,
                 "block_replays": em.block_replays})

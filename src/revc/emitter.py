@@ -18,24 +18,26 @@ by wires, so a gate that recurs is one object.
 In-place blocks are run from block recipes, one per layout token (see
 `InPlaceBlock.layout` in frontend), direction and entry pattern (which
 layout slots are mapped to wires as the block starts).  The first run of
-a key walks the body with `_Walker`: the statement rules below over
-registers instead of wires, where the slots mapped at entry hold
-registers 0..n-1 in layout order and every wire taken is the next
-register.  Its block recipe is a `Recipe` over those registers (the heap
-operations and the gates) and each layout slot's register at the end.
-Every later run of the key replays it with `Recipe.run`.  Replay is gate
-for gate what walking the body on wires would emit: blocks of one token
-are the same statements with their slots renamed position by position,
-so from one entry pattern they take and return wires in the same order,
-and the heap, which hands out its least free wire, answers the same
-sequence from the same state with the same wires.  The exception is a
-statement that materializes two or more unwritten slots at once: they
-take wires in `variables(expr)` set order, and renaming does not keep
-that order.  A walk that does this marks its key, and each block of the
-key then gets recipes of its own, keyed by the block.  The walk raises
-the errors of the statement rules (a fresh write to a live slot, a
-target inside its expression) on registers; replay checks that the
-entry wires are distinct, so distinct registers are distinct wires.
+a key walks the token's shared body, over layout positions, with
+`_Walker`: the statement rules below over registers instead of wires,
+where the positions mapped at entry hold registers 0..n-1 in layout
+order and every wire taken is the next register.  Its block recipe is a
+`Recipe` over those registers (the heap operations and the gates) and
+each layout slot's register at the end.  Every later run of the key
+replays it with `Recipe.run`.  Replay is gate for gate what walking the
+body on wires would emit: blocks of one token are the same statements
+with their slots renamed position by position, so from one entry pattern
+they take and return wires in the same order, and the heap, which hands
+out its least free wire, answers the same sequence from the same state
+with the same wires.  The exception is a statement that materializes two
+or more unwritten slots at once: they take wires in `variables(expr)`
+set order, and renaming does not keep that order.  A walk that does this
+marks its key, and each block of the key then gets recipes of its own,
+keyed by the block and walked over the block's own statements, built on
+demand.  The walk raises the errors of the statement rules (a fresh
+write to a live slot, a target inside its expression) on registers;
+replay checks that the entry wires are distinct, so distinct registers
+are distinct wires.
 
 The scheduler places checkpoints without running the emitter: it counts
 live wires from per-statement effects that follow the rules below (see
@@ -219,15 +221,22 @@ class Emitter:
         entry = tuple([s in slot_map for s in slots])
         key = (token, forward, entry)
         run = self.blocks.get(key)
+        walked = run is None
+        if walked:
+            # the shared body, over layout positions
+            run, unordered = self._walk(
+                token.stmts, range(len(slots)), token.local_positions,
+                forward, entry)
+            self.blocks[key] = run = _PER_INSTANCE if unordered else run
         if run is _PER_INSTANCE:
+            # the block's own statements, whose slots keep set order
             key = (id(block), forward, entry)
             run = self.blocks.get(key)
-        if run is None:
-            run, unordered = self._walk(block, forward, entry)
-            if unordered:
-                self.blocks[key] = _PER_INSTANCE
-                key = (id(block), forward, entry)
-            self.blocks[key] = run
+            walked = run is None
+            if walked:
+                run = self.blocks[key] = self._walk(
+                    block.body, slots, block.local_slots, forward, entry)[0]
+        if walked:
             self.block_recipes += 1
         else:
             self.block_replays += 1
@@ -243,23 +252,24 @@ class Emitter:
             elif s in slot_map:
                 del slot_map[s]
 
-    def _walk(self, block: InPlaceBlock, forward: bool,
+    def _walk(self, body, slots, locals_, forward: bool,
               entry: tuple) -> tuple[tuple, bool]:
-        """The block recipe for one entry pattern, and whether some body
-        statement materialized two or more slots at once."""
-        slots = block.layout[1]
+        """The block recipe of `body`, statements on `slots` (a block's
+        layout slots or their positions) with locals `locals_`, for one
+        entry pattern, and whether some statement materialized two or more
+        slots at once."""
         w = _Walker(self, [s for s, m in zip(slots, entry) if m])
         if forward:
-            for s in block.body:
+            for s in body:
                 w._fwd_stmt(s)
             # locals not explicitly cleaned are zero again at block end
-            for l in block.local_slots:
+            for l in locals_:
                 if l in w.slot_map:
                     w.heap.free(w.slot_map.pop(l))
         else:
-            for l in reopened_locals(block):
+            for l in reopened_locals(body, locals_):
                 w.slot_map[l] = w.heap.alloc()
-            for s in reversed(block.body):
+            for s in reversed(body):
                 w._bwd_stmt(s)
         exit = tuple([w.slot_map.get(s, -1) for s in slots])
         return (Recipe(tuple(w.heap.ops), tuple(w.gates)), exit), w.unordered

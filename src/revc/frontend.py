@@ -33,27 +33,39 @@ arguments not restored, locals not zeroed) is an error with a line.
 
 The flattener inlines an in-place call from the AST only once per call
 signature and records the block as a template; a later call with the
-same signature renames the template's slots onto its own target,
-argument and captured slots, takes new locals in the same order as
-inlining would, and emits the same statements without walking the AST.
-The signature holds everything the inline depends on: the function value,
-each argument's kind and width (a constant bit or compile-time integer
-by value), the value of every name the body reads before binding it
-(found once per definition by `_free_names`; a captured function adds
-its own such names, a captured bit or array its slots), which of all
-those slots are one slot, and which are unwritten `Array.zeroCreate`
-slots.  A body that assigns a name it does not bind is never replayed,
-and a replay that would pass the unrolling or allocation bound inlines
-instead, so that the error is the same.  Every instance is validated.
+same signature emits a block of the template's body on its own target,
+argument and captured slots and new locals, taken in the same order as
+inlining would, without walking the AST.  The signature holds everything
+the inline depends on: the function value, each argument's kind and
+width (a constant bit or compile-time integer by value), the value of
+every name the body reads before binding it (found once per definition
+by `_free_names`; a captured function adds its own such names, a
+captured bit or array its slots), which of all those slots are one slot,
+and which are unwritten `Array.zeroCreate` slots and whether a statement
+has read them.  A body that assigns a name it does not bind is never
+replayed, and a replay that would pass the unrolling or allocation bound
+inlines instead, so that the error is the same.  Every block is
+validated, through the shared body.
 
-Every `InPlaceBlock` has a `layout`: a token, shared by a template and
-all its instances, and the block's distinct slots, for a template the
-slots of its signature in key order and then its locals.  Position i of
-an instance's layout is the renaming of position i of its template's, so
-the emitter compiles a block once per token (see emitter).  A block the
-flattener does not template has a token of its own and its target,
-argument and local slots, which are every slot its body touches.  The
-layout is left out of a block's repr and equality.
+Unwritten `Array.zeroCreate` slots are zero.  A statement that reads one
+materializes it, so the first write to it after that is an accumulation
+(`fresh=False`), not a fresh write.
+
+An `InPlaceBlock` holds no statements of its own.  Its `layout` is a
+token and the block's distinct slots: for a templated block the slots of
+its signature in key order and then its locals; for a block the
+flattener does not template, its target, argument and local slots, which
+are every slot its body touches, and a token of its own.  The token is a
+`BlockBody`, the body written over layout positions (slot p is position
+p), shared by the template's block and every block replayed from it, so
+position i of one block's layout is the renaming of position i of
+another's.  `run_statements` runs a block by gathering its layout
+columns, running the shared body and scattering them back; the MDD and
+the scheduler read only the block's slot lists and the body's per-token
+effects, and the emitter compiles a block once per token (see emitter).
+A block's own statements, `body`, are built on demand, for its repr and
+equality (which leave the layout out), for the emitter's set-order case
+and for tools and tests.
 
 Hostile input is a one-line error with a line, never a traceback or a
 hang: the parser bounds nesting at MAX_NESTING levels, both evaluators
@@ -624,22 +636,75 @@ class Compute:
     fresh: bool  # True: slot was zero and expr excludes it; False: slot ^= expr
 
 
-@dataclass
-class InPlaceBlock:
-    target_slots: list[int]
-    arg_slots: list[int]
-    body: list  # Compute | CleanSlot
-    local_slots: list[int]
-    # (token, distinct slots): blocks with one token are the same
-    # statements up to renaming their slots position by position; by
-    # default a block has a token of its own and its target, argument and
-    # local slots, which are every slot its body touches
-    layout: tuple = field(default=None, repr=False, compare=False)
+@dataclass(frozen=True, eq=False)
+class BlockBody:
+    """The statements of in-place blocks written over layout positions:
+    slot p stands for position p of a block's layout.  It is the layout
+    token of every block that runs it, and `local_positions` are the
+    positions of those blocks' locals."""
+    stmts: tuple  # Compute | CleanSlot
+    local_positions: tuple
 
-    def __post_init__(self):
-        if self.layout is None:
-            self.layout = (object(), tuple(dict.fromkeys(
-                [*self.target_slots, *self.arg_slots, *self.local_slots])))
+
+class InPlaceBlock:
+    """An inlined in-place call: `target_slots` accumulate, `arg_slots`
+    are read and restored, `local_slots` are zero at both ends.
+
+    `layout` is (token, slots): `slots` are the block's distinct slots and
+    the token is the `BlockBody` it runs, slot p of the body being
+    slots[p].  Blocks of one token share that body.  `body`, the
+    statements on the block's own slots, is built on demand; repr and
+    equality use it, the layout they leave out.
+    """
+    __slots__ = ("target_slots", "arg_slots", "local_slots", "layout")
+    __hash__ = None
+
+    def __init__(self, target_slots: list[int], arg_slots: list[int],
+                 body: list, local_slots: list[int], slots=None):
+        """A block of `body`, statements on slots, with a token of its
+        own.  Its layout's slots are `slots` (distinct), by default its
+        target, argument and local slots, which must be every slot the
+        body touches."""
+        if slots is None:
+            slots = [*target_slots, *arg_slots, *local_slots]
+        slots = tuple(dict.fromkeys(slots))
+        pos = {s: p for p, s in enumerate(slots)}
+        token = BlockBody(tuple(_renamed_stmts(body, pos)),
+                          tuple(pos[l] for l in local_slots))
+        self._bind(target_slots, arg_slots, local_slots, (token, slots))
+
+    @classmethod
+    def sharing(cls, token: BlockBody, target_slots: list[int],
+                arg_slots: list[int], local_slots: list[int],
+                slots: tuple) -> InPlaceBlock:
+        """A block that runs `token` with `slots` as its layout."""
+        block = cls.__new__(cls)
+        block._bind(target_slots, arg_slots, local_slots, (token, slots))
+        return block
+
+    def _bind(self, target_slots, arg_slots, local_slots, layout) -> None:
+        self.target_slots = target_slots
+        self.arg_slots = arg_slots
+        self.local_slots = local_slots
+        self.layout = layout
+
+    @property
+    def body(self) -> list:
+        """The block's statements on its own slots (a new list each time)."""
+        token, slots = self.layout
+        return _renamed_stmts(token.stmts, slots)
+
+    def __repr__(self) -> str:
+        return (f"InPlaceBlock(target_slots={self.target_slots!r}, "
+                f"arg_slots={self.arg_slots!r}, body={self.body!r}, "
+                f"local_slots={self.local_slots!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.target_slots, self.arg_slots, self.body,
+                 self.local_slots) == (other.target_slots, other.arg_slots,
+                                       other.body, other.local_slots))
 
 
 @dataclass
@@ -660,16 +725,29 @@ class FlatProgram:
 def run_statements(stmts, cols: list[int], mask: int) -> None:
     """Apply flat statements, in order, to slot-indexed packed columns.
 
-    `cols[s]` holds slot s with one sample per bit (lane); `mask` has a 1
-    in every live lane.  A `CleanSlot` of a slot that is non-zero in any
-    lane raises InterpretError.
+    `cols[s]` (a list, or a dict holding every slot the statements touch)
+    holds slot s with one sample per bit (lane); `mask` has a 1 in every
+    live lane.  A block gathers its layout's columns into a list by
+    position, runs its shared body on it and scatters them back.  A
+    `CleanSlot` of a slot that is non-zero in any lane raises
+    InterpretError.
     """
     for stmt in stmts:
         if isinstance(stmt, Compute):
             v = evaluate(stmt.expr, cols, mask)
             cols[stmt.slot] = v if stmt.fresh else cols[stmt.slot] ^ v
         elif isinstance(stmt, InPlaceBlock):
-            run_statements(stmt.body, cols, mask)
+            token, slots = stmt.layout
+            sub = [cols[s] for s in slots]
+            try:
+                run_statements(token.stmts, sub, mask)
+            except InterpretError:
+                # the error names a position: the block's own statements
+                # fail the same way from the untouched columns
+                run_statements(stmt.body, cols, mask)
+                raise
+            for s, v in zip(slots, sub):
+                cols[s] = v
         elif isinstance(stmt, CleanSlot):
             if cols[stmt.slot]:
                 raise InterpretError(f"clean of non-zero slot {stmt.slot}")
@@ -971,27 +1049,45 @@ def _renamed(e: BoolExp, m: dict[int, BoolExp]) -> BoolExp:
     return BoolExp(e.op, tuple([_renamed(a, m) for a in e.args]))
 
 
-def _layout(token, slots: list[int], locals_: list[int]) -> tuple:
-    """The layout of a templated block: `token`, then the distinct slots of
-    its signature in key order and its locals."""
-    return token, (*dict.fromkeys(slots), *locals_)
+def _read_as_zero(e: BoolExp, slot: int) -> BoolExp:
+    """e with the variable of `slot` read as 0, folded again; e itself if
+    it does not read slot."""
+    if e.op == "var":
+        return bconst(False) if e.args[0] == slot else e
+    if e.op == "const":
+        return e
+    args = [_read_as_zero(a, slot) for a in e.args]
+    if all(a is b for a, b in zip(args, e.args)):
+        return e
+    return (band if e.op == "and" else bxor)(args)
+
+
+def _renamed_stmts(stmts, m) -> list:
+    """Compute and CleanSlot statements with every slot s renamed to m[s],
+    `m` a dict or a sequence indexed by slot."""
+    var = ({s: bvar(t) for s, t in m.items()} if isinstance(m, dict)
+           else [bvar(t) for t in m])
+    return [Compute(m[s.slot], _renamed(s.expr, var), s.fresh)
+            if isinstance(s, Compute) else CleanSlot(m[s.slot])
+            for s in stmts]
 
 
 @dataclass
 class _Template:
     """A flattened in-place call, replayed for later calls of its signature.
 
-    `slots` are the call's target, argument and captured slots in key
-    order, and `block` is what the call emitted.  `fresh_after` says, per
-    slot of `slots`, whether it is still an unwritten `Array.zeroCreate`
-    slot after the call, and `fresh_locals` lists the indices of such
-    locals.  `iterations` and `allocated` are what the call added to the
-    unrolling and allocation counters.
+    `block` is what the call emitted.  Positions index its layout: the
+    call's target, argument and captured slots in key order (distinct),
+    then its locals.  `args` are the positions of its argument slots;
+    `fresh_after` those of the slots that are unwritten `Array.zeroCreate`
+    slots after the call, and `read_after` those of such slots that a
+    statement has read.  `iterations` and `allocated` are what the call
+    added to the unrolling and allocation counters.
     """
-    slots: list
     block: InPlaceBlock
+    args: tuple
     fresh_after: tuple
-    fresh_locals: tuple
+    read_after: tuple
     iterations: int
     allocated: int
 
@@ -1054,6 +1150,12 @@ class Flattener:
             self.params.update(params)
         self.slot_count = 0
         self.fresh: set[int] = set()  # unwritten Array.zeroCreate slots
+        # fresh slots an expression built so far reads (`read`), which
+        # `emit` looks for in the statements it emits
+        self.fresh_reads: set[int] = set()
+        # fresh slots an emitted statement reads, so materialized as zero:
+        # a write to one accumulates
+        self.zero_read: set[int] = set()
         self.stmts: list = []
         self.enforced: set[int] = set()  # in-place target: accumulate only
         self.nested = 0  # >0: inside an in-place body or an if-branch
@@ -1076,7 +1178,22 @@ class Flattener:
         if self.branch_depth:
             raise FlattenError(
                 "conditional branches may only re-label existing values")
+        if self.fresh_reads and isinstance(stmt, Compute):
+            self.fresh_reads.intersection_update(self.fresh)
+            self.zero_read.update(self.fresh_reads.intersection(
+                variables(stmt.expr)))
         self.stmts.append(stmt)
+
+    def read(self, slot: int) -> BoolExp:
+        """The variable of `slot`, for an expression that reads it."""
+        if slot in self.fresh:
+            self.fresh_reads.add(slot)
+        return bvar(slot)
+
+    def fresh_state(self, slot: int) -> int:
+        """0 for a written slot, 1 for an unwritten `Array.zeroCreate`
+        slot, 2 for one that a statement has read."""
+        return (slot in self.fresh) + (slot in self.zero_read)
 
     def compute(self, e: BoolExp) -> int:
         """A new slot holding e."""
@@ -1174,11 +1291,10 @@ class Flattener:
                                e.line)
         return self.bit_expr(self.eval_value(e, scope), e)
 
-    @staticmethod
-    def bit_expr(v, e) -> BoolExp:
+    def bit_expr(self, v, e) -> BoolExp:
         """The BoolExp of value v, which expression e evaluated to."""
         if isinstance(v, _BitVal):
-            return bvar(v.slot)
+            return self.read(v.slot)
         if isinstance(v, _ConstBitVal):
             return bconst(v.value)
         raise FlattenError("expected a bit-valued expression",
@@ -1395,9 +1511,12 @@ class Flattener:
         else:
             tslot, arr, i = self.element_slot(item.target, scope)
             stripped = self.accumulator_strip(e, tslot)
-            if stripped is not None or tslot in self.fresh:
-                self.write_slot(tslot, e if stripped is None else stripped,
-                                item.line)
+            if stripped is None and tslot in self.fresh:
+                # an unwritten element reads as zero, in its own write too
+                stripped = (_read_as_zero(e, tslot)
+                            if tslot in self.fresh_reads else e)
+            if stripped is not None:
+                self.write_slot(tslot, stripped, item.line)
             else:
                 if tslot in self.enforced:
                     raise FlattenError(_NOT_ACCUMULATING, item.line)
@@ -1414,8 +1533,10 @@ class Flattener:
         return arr.slots[i], arr, i
 
     def write_slot(self, slot: int, e: BoolExp, line: int) -> None:
-        fresh = slot in self.fresh
+        fresh = self.fresh_state(slot) == 1
         self.fresh.discard(slot)
+        self.fresh_reads.discard(slot)
+        self.zero_read.discard(slot)
         if e.op == "const" and not e.args[0] and not fresh:
             return  # x ^= 0 is a no-op
         self.emit(Compute(slot, e, fresh))
@@ -1481,18 +1602,19 @@ class Flattener:
         body, self.stmts = self.stmts, outer
         locals_ = list(range(pre_slots, self.slot_count))
         arg_slots = self.block_args(body, target, locals_)
-        self.validate_block(body, arg_slots, target, locals_, item.line,
-                            f.defn.name)
         # a body that reached a slot outside its signature is not replayed
         templated = sig is not None and set(arg_slots) <= set(sig[1])
         block = InPlaceBlock(list(target), arg_slots, body, locals_,
-                             _layout(object(), sig[1], locals_)
-                             if templated else None)
+                             [*sig[1], *locals_] if templated else None)
+        self.validate_block(block, item.line, f.defn.name)
         self.emit(block)
         if templated:
+            layout = block.layout[1]
+            pos = {s: p for p, s in enumerate(layout)}
             self.templates[sig[0]] = _Template(
-                sig[1], block, tuple(s in self.fresh for s in sig[1]),
-                tuple(i for i, s in enumerate(locals_) if s in self.fresh),
+                block, tuple(pos[s] for s in arg_slots),
+                tuple(p for p, s in enumerate(layout) if s in self.fresh),
+                tuple(p for p, s in enumerate(layout) if s in self.zero_read),
                 self.iterations - iterations, self.allocated - allocated)
 
     # -- in-place templates ------------------------------------------------------
@@ -1507,7 +1629,7 @@ class Flattener:
         argument's kind and width or compile-time value, the value of every
         name f's body reads from its environment (for a function, the same
         again), which of the slots are one slot, and which are unwritten
-        `Array.zeroCreate` slots.
+        `Array.zeroCreate` slots, read or not.
         """
         slots = list(target)
         try:
@@ -1517,7 +1639,7 @@ class Flattener:
             return None
         first: dict[int, int] = {}
         shared = tuple(first.setdefault(s, i) for i, s in enumerate(slots))
-        fresh = tuple(s in self.fresh for s in slots)
+        fresh = tuple(map(self.fresh_state, slots))
         return (values, shared, fresh), slots
 
     def function_key(self, f: _FuncVal, slots: list, seen: set):
@@ -1555,30 +1677,27 @@ class Flattener:
 
     def instantiate(self, tpl: _Template, slots: list[int], target: list[int],
                     line: int, fname: str) -> bool:
-        """Emit `tpl` renamed onto `slots` with new locals, as inlining its
-        call would; False, emitting nothing, if that would pass a bound,
-        so that inlining reports the error."""
+        """Emit a block of `tpl`'s token on `slots` and new locals, as
+        inlining its call would; False, emitting nothing, if that would
+        pass a bound, so that inlining reports the error."""
         if (self.iterations + tpl.iterations > MAX_UNROLLED_ITERATIONS
                 or self.allocated + tpl.allocated > MAX_ALLOCATED_BITS):
             return False
         base, n = self.slot_count, len(tpl.block.local_slots)
         locals_ = list(range(base, base + n))
-        m = dict(zip(tpl.slots, slots))
-        m.update(zip(tpl.block.local_slots, locals_))
         self.slot_count += n
         self.iterations += tpl.iterations
         self.allocated += tpl.allocated
-        var = {s: bvar(t) for s, t in m.items()}
-        body = [Compute(m[s.slot], _renamed(s.expr, var), s.fresh)
-                if isinstance(s, Compute) else CleanSlot(m[s.slot])
-                for s in tpl.block.body]
-        arg_slots = sorted(m[s] for s in tpl.block.arg_slots)
-        self.validate_block(body, arg_slots, target, locals_, line, fname)
+        layout = (*dict.fromkeys(slots), *locals_)
+        block = InPlaceBlock.sharing(
+            tpl.block.layout[0], list(target),
+            sorted([layout[p] for p in tpl.args]), locals_, layout)
+        self.validate_block(block, line, fname)
         self.fresh.difference_update(slots)
-        self.fresh.update(s for s, fresh in zip(slots, tpl.fresh_after) if fresh)
-        self.fresh.update(locals_[i] for i in tpl.fresh_locals)
-        self.emit(InPlaceBlock(list(target), arg_slots, body, locals_,
-                               _layout(tpl.block.layout[0], slots, locals_)))
+        self.zero_read.difference_update(slots)
+        self.fresh.update([layout[p] for p in tpl.fresh_after])
+        self.zero_read.update([layout[p] for p in tpl.read_after])
+        self.emit(block)
         return True
 
     @staticmethod
@@ -1597,29 +1716,29 @@ class Flattener:
         excluded = set(targets) | set(locals_)
         return sorted(seen - excluded)
 
-    def validate_block(self, body, arg_slots, target_slots, local_slots,
-                       line, fname) -> None:
+    @staticmethod
+    def validate_block(block: InPlaceBlock, line, fname) -> None:
         """An in-place call must restore its arguments and zero its locals.
 
-        Runs the body once over 64 packed lanes: lane 0 all zeros, lane 1
+        Runs the block once over 64 packed lanes: lane 0 all zeros, lane 1
         all ones, lanes 2-63 random.
         """
         rng = random.Random(0xB10C)
         mask = (1 << 64) - 1
-        cols = [0] * self.slot_count
-        for s in arg_slots + target_slots:
+        cols = dict.fromkeys(block.layout[1], 0)
+        for s in block.arg_slots + block.target_slots:
             cols[s] = rng.getrandbits(62) << 2 | 0b10
-        before = [cols[s] for s in arg_slots]
+        before = [cols[s] for s in block.arg_slots]
         try:
-            run_statements(body, cols, mask)
+            run_statements((block,), cols, mask)
         except InterpretError as exc:
             raise FlattenError(
                 f"in-place call of {fname!r}: {exc}", line) from exc
-        if [cols[s] for s in arg_slots] != before:
+        if [cols[s] for s in block.arg_slots] != before:
             raise FlattenError(
                 f"function {fname!r} used in an in-place update must "
                 f"restore its arguments", line)
-        if any(cols[s] for s in local_slots):
+        if any(cols[s] for s in block.local_slots):
             raise FlattenError(
                 f"function {fname!r} used in an in-place update leaves "
                 f"non-zero local bits", line)
@@ -1634,7 +1753,7 @@ class Flattener:
             self.nested -= 1
             return value
         cv = self.materialize(cond)
-        c = bvar(cv.slot)
+        c = self.read(cv.slot)
 
         def run_branch(block):
             """Run a branch, then undo its re-bindings and slot allocations;
@@ -1660,7 +1779,7 @@ class Flattener:
         def mux_value(tv, ev, line):
             def parts(v):
                 if isinstance(v, _ArrVal):
-                    return [bvar(s) for s in v.slots]
+                    return [self.read(s) for s in v.slots]
                 if isinstance(v, (_BitVal, _ConstBitVal)):
                     return [self.bit_expr(v, None)]
                 raise FlattenError("branches must produce bit values", line)

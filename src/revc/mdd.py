@@ -9,7 +9,13 @@ predecessor and one successor).
 An in-place call block contributes one member node per mutated target
 element; the members share a `group` tag identifying the block as a single
 emission unit (its internal locals are invisible at this level, they are
-allocated and returned inside the unit).
+allocated and returned inside the unit).  Every member reads every
+argument of the block, and all members share one read list: `reads` of
+each member is that one list object, and only the first member appears
+in the `dependents` of an argument.  The eager scheduler is the one
+reader of `dependents` and never reverses a block node alone (a path
+through a block is Unclean before its readers are examined), so the
+other members would only repeat the first one's statement index there.
 
 The eager cleanup scheduler consumes five queries: the garbage terminals
 (`garbage_terminals`, one pass over the nodes), the mutation path leading
@@ -51,7 +57,8 @@ class MDD:
     nodes: list = field(default_factory=list)
     # dependency edges: reads[v] = nodes whose values v reads
     reads: dict = field(default_factory=dict)
-    dependents: dict = field(default_factory=dict)  # reverse of reads
+    # reverse of reads, with a block's first member only
+    dependents: dict = field(default_factory=dict)
     mutation_next: dict = field(default_factory=dict)
     mutation_prev: dict = field(default_factory=dict)
     current: dict = field(default_factory=dict)  # slot -> node id (final state)
@@ -167,14 +174,18 @@ def build_mdd(program: FlatProgram) -> MDD:
             g.current[stmt.slot] = op.id
         elif isinstance(stmt, InPlaceBlock):
             srcs = [current_of(w) for w in stmt.arg_slots]
-            group = idx
+            first = None
             for t in stmt.target_slots:
                 prev = current_of(t)
                 op = _add_node(g, OP, slot=t, stmt_index=idx, stmt=stmt,
-                               group=group)
+                               group=idx)
                 _mutate(g, prev, op.id)
-                for s in srcs:
-                    _read(g, op.id, s)
+                if first is None:
+                    first = op.id
+                    for s in srcs:
+                        _read(g, op.id, s)
+                else:
+                    g.reads[op.id] = g.reads[first]
                 g.current[t] = op.id
         elif isinstance(stmt, CleanSlot):
             prev = current_of(stmt.slot)

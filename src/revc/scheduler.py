@@ -32,20 +32,25 @@ finding a reversal's place in its bucket.  Buckets are short: on the
 bundled corpus they hold under one reversal per statement on average and
 at most 39 (the carries of the n=40 ripple adder).
 
-Incremental planning places checkpoints without emitting.  It needs
-only the live count (inputs plus live ancillas) after each statement,
-and that count depends only on which slots are mapped, because synthesis
+Incremental planning places checkpoints without emitting.  It needs only
+the live count (inputs plus live ancillas) after each statement, and
+that count depends only on which slots are mapped, because synthesis
 returns every scratch wire it takes and the heap's least-free-index
 policy does not change the count.  So each statement's forward and
 backward run reduces, once per program, to an effect independent of the
 state at entry (`stmt_effect`): the slots it leaves mapped, those it
 leaves unmapped, and a wire delta.  Trying a statement is then
 arithmetic on one set of mapped slots, with nothing to copy or roll
-back; `live_profile` replays any plan the same way.  The search for the minimal budget still takes its upper bound from
-a full emission, the width of the Bennett circuit: width, unlike the live
-count, includes synthesis scratch wires, and greedy feasibility need not
-be monotone in the budget, so another bound could probe other budgets and
-report another minimum.
+back; `live_profile` replays any plan the same way.  Blocks of one
+layout token run one shared body (see `InPlaceBlock` in frontend), so a
+block's effects and its `reopened_locals` are worked out once per
+(token, direction) over layout positions and renamed onto each block's
+slots: no block's own statements are built.  The search for the minimal
+budget still takes its upper bound from a full emission, the width of
+the Bennett circuit: width, unlike the live count, includes synthesis
+scratch wires, and greedy feasibility need not be monotone in the
+budget, so another bound could probe other budgets and report another
+minimum.
 """
 
 from __future__ import annotations
@@ -235,17 +240,18 @@ def _written_slots(stmt) -> set:
     return set()
 
 
-def reopened_locals(block: InPlaceBlock) -> list[int]:
+def reopened_locals(body, locals_) -> list[int]:
     """The locals a block's backward run takes wires for before it starts:
-    those its body writes fresh and does not clean afterwards, which the
-    forward run released at the block's end."""
+    those of `locals_` that `body` writes fresh and does not clean
+    afterwards, which the forward run released at the block's end.  The
+    slots are a block's own or its layout positions."""
     live: set[int] = set()
-    for s in block.body:
+    for s in body:
         if isinstance(s, Compute) and s.fresh:
             live.add(s.slot)
         elif isinstance(s, CleanSlot):
             live.discard(s.slot)
-    return [l for l in block.local_slots if l in live]
+    return [l for l in locals_ if l in live]
 
 
 MATERIALIZE, RELEASE, REALLOC = "materialize", "release", "realloc"
@@ -255,21 +261,24 @@ def _wire_ops(stmt, forward: bool, ops: list) -> None:
     """Append the emitter's wire bookkeeping for running stmt to ops, in
     order, as (op, slots): MATERIALIZE gives each unmapped slot a new wire,
     RELEASE frees each slot's wire if it has one, REALLOC maps each slot to
-    a new wire and leaves any wire it had allocated."""
+    a new wire and leaves any wire it had allocated.  A block's slots are
+    its layout positions."""
     if isinstance(stmt, Compute):
         ops.append((MATERIALIZE, variables(stmt.expr)))
         ops.append((MATERIALIZE, (stmt.slot,)))
         if stmt.fresh and not forward:
             ops.append((RELEASE, (stmt.slot,)))
     elif isinstance(stmt, InPlaceBlock):
+        token = stmt.layout[0]
         if forward:
-            for s in stmt.body:
+            for s in token.stmts:
                 _wire_ops(s, True, ops)
             # locals not explicitly cleaned are zero again at block end
-            ops.append((RELEASE, stmt.local_slots))
+            ops.append((RELEASE, token.local_positions))
             return
-        ops.append((REALLOC, reopened_locals(stmt)))
-        for s in reversed(stmt.body):
+        ops.append((REALLOC, reopened_locals(token.stmts,
+                                             token.local_positions)))
+        for s in reversed(token.stmts):
             _wire_ops(s, False, ops)
     elif isinstance(stmt, CleanSlot):
         ops.append((RELEASE if forward else REALLOC, (stmt.slot,)))
@@ -300,9 +309,28 @@ class Effect(NamedTuple):
         mapped.difference_update(self.off)
         mapped.update(self.on)
 
+    def renamed(self, slots) -> Effect:
+        """The effect with every slot p renamed to slots[p]."""
+        return Effect(self.extra, frozenset([slots[p] for p in self.probe]),
+                      frozenset([slots[p] for p in self.on]),
+                      {slots[p] for p in self.off})
 
-def stmt_effect(stmt, forward: bool) -> Effect:
-    """The effect of running stmt forwards or backwards."""
+
+def stmt_effect(stmt, forward: bool, by_token: dict) -> Effect:
+    """The effect of running stmt forwards or backwards.  A block's effect
+    is worked out over its layout positions once per (token, direction),
+    kept in `by_token`, and renamed onto the block's slots."""
+    if isinstance(stmt, InPlaceBlock):
+        token, slots = stmt.layout
+        e = by_token.get((token, forward))
+        if e is None:
+            e = by_token[token, forward] = _effect(stmt, forward)
+        return e.renamed(slots)
+    return _effect(stmt, forward)
+
+
+def _effect(stmt, forward: bool) -> Effect:
+    """`stmt_effect` over the slots `_wire_ops` gives."""
     ops: list = []
     _wire_ops(stmt, forward, ops)
     state: dict[int, bool] = {}  # touched slot -> mapped now
@@ -347,6 +375,7 @@ def live_profile(plan: CleanupPlan) -> list[int]:
     live = len(program.input_slots)
     mapped = set(program.input_slots)
     effects: dict[tuple, Effect] = {}  # (id of stmt, kind) -> its effect
+    by_token: dict[tuple, Effect] = {}  # see stmt_effect
     unmapped: dict[Action, list] = {}  # remap -> slots it found unmapped
     profile = []
     for a in plan.actions:
@@ -355,7 +384,8 @@ def live_profile(plan: CleanupPlan) -> list[int]:
             key = (id(a.stmt), kind)
             e = effects.get(key)
             if e is None:
-                e = effects[key] = stmt_effect(a.stmt, kind == "fwd")
+                e = effects[key] = stmt_effect(a.stmt, kind == "fwd",
+                                               by_token)
             live += e.delta(mapped)
             e.update(mapped)
         elif kind == "copy" or kind == "uncopy":
@@ -385,7 +415,8 @@ class _IncrementalPlanner:
     def __init__(self, program: FlatProgram):
         self.program = program
         stmts = program.statements
-        self.fwd = [stmt_effect(s, True) for s in stmts]
+        self.by_token: dict[tuple, Effect] = {}  # see stmt_effect
+        self.fwd = [stmt_effect(s, True, self.by_token) for s in stmts]
         self.bwd: list = [None] * len(stmts)  # made when first reversed
         # writes[i]: (slots statement i writes, the slot it cleans or None)
         self.writes = [(_written_slots(s),
@@ -439,7 +470,8 @@ class _IncrementalPlanner:
             for j in range(i - 1, seg_start - 1, -1):
                 e = bwd[j]
                 if e is None:
-                    e = bwd[j] = stmt_effect(self.program.statements[j], False)
+                    e = bwd[j] = stmt_effect(self.program.statements[j],
+                                             False, self.by_token)
                 live += e.delta(mapped)
                 e.update(mapped)
             mapped.update(needed)  # remap onto the copies

@@ -121,6 +121,8 @@ def test_stats_count_block_recipes_and_replays(capsys):
                                   params={"rounds": 4})), "eager")
     runs = sum(isinstance(a.stmt, InPlaceBlock) for a in plan.actions)
     assert runs >= rep["inplace_blocks"] == 28
+    # the blocks run a few shared bodies
+    assert 0 < rep["block_templates"] < rep["inplace_blocks"]
     # every block run walks its body once per template, direction and
     # entry pattern and replays that recipe otherwise
     assert rep["block_replays"] > 0

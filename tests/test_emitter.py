@@ -141,16 +141,17 @@ class StatementEmitter(Emitter):
     before block recipes: the reference the recipes must match."""
 
     def _run_block(self, block, forward):
+        body = block.body
         if forward:
-            for s in block.body:
+            for s in body:
                 self._fwd_stmt(s)
             for l in block.local_slots:
                 if l in self.slot_map:
                     self.heap.free(self.slot_map.pop(l))
         else:
-            for l in reopened_locals(block):
+            for l in reopened_locals(body, block.local_slots):
                 self.slot_map[l] = self.heap.alloc()
-            for s in reversed(block.body):
+            for s in reversed(body):
                 self._bwd_stmt(s)
 
 

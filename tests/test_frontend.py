@@ -10,7 +10,10 @@ from revc.frontend import (
     MAX_NESTING, ParseError, flatten, interpret, interpret_packed,
     interpret_source, parse,
 )
+from revc.boolexpr import bconst, bvar
+from revc.circuit import verify
 from revc.cli import main as cli_main
+from revc.emitter import compile_flat
 from revc.randprog import random_program
 
 
@@ -683,3 +686,132 @@ def test_nesting_bound_is_exact_and_the_evaluators_reach_it():
     assert interpret(flatten(prog), [0]) == [k % 2]
     with pytest.raises(ParseError, match="nesting deeper than"):
         parse(deep(k + 1))
+
+
+# ---------------------------------------------------------------------------
+# reading an unwritten `Array.zeroCreate` bit before writing it
+
+
+READ_BEFORE_WRITE = """\
+let f (x : bool[2]) =
+    let t = Array.zeroCreate 2
+    let out = Array.zeroCreate 1
+    out.[0] <- x.[0] && t.[0]
+    t.[0] <- t.[0] <> x.[1]
+    Array.concat [out; t]
+"""
+
+
+def read_before_write_program(seed: int) -> str:
+    """A random program that reads unwritten `Array.zeroCreate` bits and
+    then writes them, or reads them in their own write: top-level bits,
+    the target of an in-place function called more than once, and that
+    function's locals."""
+    rng = random.Random(seed)
+
+    def expr(names):
+        a, b = rng.choice(names), rng.choice(names)
+        return rng.choice([a, f"{a} <> {b}", f"({a} && {b})",
+                           f"({a} || {b})"])
+
+    args, locals_ = ["x.[0]", "x.[1]"], ["s.[0]", "s.[1]"]
+    body, undo = [], []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            j = rng.randrange(2)
+            body.append(f"r.[{j}] <- r.[{j}] <> ({expr(args + locals_)})")
+        else:  # a local write, undone in reverse order below
+            i = rng.randrange(2)
+            others = args + [l for l in locals_ if l != f"s.[{i}]"]
+            write = f"s.[{i}] <- s.[{i}] <> ({expr(others)})"
+            body.append(write)
+            undo.insert(0, write)
+    top, bits = [], ["x.[0]", "x.[1]", "x.[2]", "t.[0]", "t.[1]", "z.[0]",
+                     "z.[1]"]
+    for _ in range(rng.randint(2, 6)):
+        k, i = rng.randrange(2), rng.randrange(2)
+        top.append(rng.choice([
+            f"out.[{i}] <- {expr(bits)}",
+            f"t.[{k}] <- t.[{k}] <> ({expr(bits[:3] + [f't.[{1 - k}]'])})",
+            f"t.[{k}] <- {expr(bits[:5])}",
+            "z <- acc x.[0 .. 1]",
+            "z <- acc x.[1 .. 2]",
+        ]))
+    lines = "".join(f"    {line}\n" for line in body + undo)
+    calls = "".join(f"    {line}\n" for line in top)
+    return f"""
+let acc (x : bool array) =
+    let s = Array.zeroCreate 2
+    let r = Array.zeroCreate 2
+{lines}    r
+
+let main (x : bool[3]) =
+    let t = Array.zeroCreate 2
+    let mutable z = Array.zeroCreate 2
+    let out = Array.zeroCreate 2
+{calls}    Array.concat [out; t; z]
+
+main
+"""
+
+
+def assert_compiles_like_source(ast) -> None:
+    """flatten agrees with interpret_source on every input, and each
+    strategy's circuit with flatten."""
+    prog = flatten(ast)
+    assert_evaluators_agree(ast, prog)
+    for strategy in ("bennett", "eager", "incremental"):
+        _, circ = compile_flat(prog, strategy)
+        assert verify(prog, circ).ok, strategy
+
+
+# unwritten elements read by their own writes, which do not accumulate
+READ_IN_OWN_WRITE = """\
+let f (x : bool[2]) =
+    let t = Array.zeroCreate 2
+    t.[0] <- t.[0] <> (x.[0] && t.[0])
+    t.[1] <- x.[1] <> (x.[0] && t.[1])
+    t
+"""
+
+
+def test_read_before_write_is_an_accumulation():
+    ast = parse(READ_BEFORE_WRITE)
+    prog = flatten(ast)
+    # t.[0] was read as zero, so the write is t.[0] ^= x.[1]
+    assert prog.statements[-1] == Compute(2, bvar(1), False)
+    assert_compiles_like_source(ast)
+
+
+def test_element_read_in_its_own_write_reads_zero():
+    ast = parse(READ_IN_OWN_WRITE)
+    prog = flatten(ast)
+    assert prog.statements == [Compute(2, bconst(False), True),
+                               Compute(3, bvar(1), True)]
+    assert_compiles_like_source(ast)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_reads_before_writes_compile_like_source(seed):
+    assert_compiles_like_source(parse(read_before_write_program(seed)))
+
+
+def first_writes_that_accumulate(prog) -> tuple[int, int]:
+    """Computes that accumulate onto a slot nothing wrote before, at top
+    level and in blocks: writes that follow a read of an unwritten bit."""
+    written = set(prog.input_slots)
+    counts = [0, 0]
+    for stmt in prog.statements:
+        inner = isinstance(stmt, InPlaceBlock)
+        for s in stmt.body if inner else [stmt]:
+            if isinstance(s, Compute):
+                counts[inner] += not s.fresh and s.slot not in written
+                written.add(s.slot)
+    return tuple(counts)
+
+
+def test_read_before_write_family_covers_both_paths():
+    counts = [first_writes_that_accumulate(
+        flatten(parse(read_before_write_program(seed)))) for seed in range(40)]
+    assert sum(top > 0 for top, _ in counts) >= 5
+    assert sum(inner > 0 for _, inner in counts) >= 3

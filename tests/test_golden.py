@@ -6,15 +6,19 @@ and says so.
 """
 
 import hashlib
+import random
 from importlib import resources
 
 import pytest
 
 from revc import blif
-from revc.circuit import format_circuit
+from revc.circuit import format_circuit, verify
 from revc.emitter import compile_flat
 from revc.boolexpr import variables
-from revc.frontend import InPlaceBlock, flatten, parse
+from revc.frontend import (
+    Flattener, InPlaceBlock, flatten, interpret, interpret_packed,
+    interpret_source, parse, run_statements,
+)
 from revc.scheduler import BudgetError
 
 CORPUS = resources.files("revc") / "corpus"
@@ -250,3 +254,112 @@ def test_in_place_edge_cases_take_the_edge_paths():
     blocks = [s for s in flatten(parse(UNTEMPLATED)).statements
               if isinstance(s, InPlaceBlock)]
     assert len({b.layout[0] for b in blocks}) == len(blocks) == 2
+
+
+# ---------------------------------------------------------------------------
+# in-place blocks by reference: a shared body over layout positions and
+# each block's slots
+
+
+BY_REFERENCE = {
+    "sha2-r4": ((CORPUS / "sha2.rev").read_text(), {"rounds": 4}),
+    "md5-r2": ((CORPUS / "md5.rev").read_text(), {"rounds": 2}),
+    "zero-reads": (ZERO_READS_IN_PLACE, None),
+    "untemplated": (UNTEMPLATED, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BY_REFERENCE))
+def test_blocks_run_what_their_own_statements_do(name):
+    src, params = BY_REFERENCE[name]
+    prog = flatten(parse(src, params=params))
+    # the blocks' own statements, built on demand, run in line
+    inline = []
+    for s in prog.statements:
+        inline += s.body if isinstance(s, InPlaceBlock) else [s]
+    assert len(inline) > len(prog.statements)
+    rng = random.Random(64)
+    mask = (1 << 64) - 1
+    columns = [rng.getrandbits(64) for _ in prog.input_slots]
+    cols = [0] * prog.slot_count
+    for s, c in zip(prog.input_slots, columns):
+        cols[s] = c
+    run_statements(inline, cols, mask)
+    assert interpret_packed(prog, columns, mask) == [
+        cols[s] for s in prog.output_slots]
+
+
+def test_blocks_of_one_token_share_one_body():
+    src, params = BY_REFERENCE["sha2-r4"]
+    blocks = [s for s in flatten(parse(src, params=params)).statements
+              if isinstance(s, InPlaceBlock)]
+    tokens = {b.layout[0] for b in blocks}
+    assert len({id(b.layout[0].stmts) for b in blocks}) == len(tokens)
+    assert len(tokens) < len(blocks)
+    for b in blocks:
+        # its own statements are the shared body on its layout's slots
+        token, slots = b.layout
+        assert [s.slot for s in b.body] == [slots[s.slot]
+                                            for s in token.stmts]
+
+
+def test_each_in_place_call_is_validated_once(monkeypatch):
+    validated = []
+    validate = Flattener.validate_block
+
+    def spy(block, line, fname):
+        validated.append(block)
+        validate(block, line, fname)
+
+    monkeypatch.setattr(Flattener, "validate_block", staticmethod(spy))
+    src, params = BY_REFERENCE["sha2-r4"]
+    blocks = [s for s in flatten(parse(src, params=params)).statements
+              if isinstance(s, InPlaceBlock)]
+    assert len(blocks) == 28
+    assert [id(b) for b in validated] == [id(b) for b in blocks]
+
+
+# `add` is templated by its first call and replayed; the target is also
+# an argument in one call and shares bits with one in another, which
+# makes those calls out of place; `and2` gets one argument twice
+ALIASED_CALLS = """\
+let add (x : bool array) =
+    let out = Array.zeroCreate 2
+    out.[0] <- out.[0] <> x.[0]
+    out.[1] <- out.[1] <> (x.[0] && x.[1])
+    out
+
+let and2 (x : bool array) (y : bool array) =
+    let out = Array.zeroCreate 2
+    out.[0] <- out.[0] <> (x.[0] && y.[1])
+    out.[1] <- out.[1] <> (x.[1] && y.[0])
+    out
+
+let main (a : bool[2]) (b : bool[2]) =
+    let mutable h = a
+    h <- add b
+    h <- add b
+    h <- add h
+    h <- add b
+    let mutable k = Array.append h.[1 .. 1] b.[0 .. 0]
+    k <- add b
+    h <- and2 b b
+    h <- and2 b b
+    h <- and2 a b
+    Array.concat [h; k; a; b]
+
+main
+"""
+
+
+def test_template_called_with_aliased_arguments():
+    ast = parse(ALIASED_CALLS)
+    prog = flatten(ast)
+    blocks = [s for s in prog.statements if isinstance(s, InPlaceBlock)]
+    assert len(blocks) == 6 and len({b.layout[0] for b in blocks}) == 3
+    for v in range(16):
+        bits = [v >> i & 1 for i in range(4)]
+        assert interpret(prog, bits) == interpret_source(ast, bits), bits
+    for strategy in ("bennett", "eager", "incremental"):
+        _, circ = compile_flat(prog, strategy)
+        assert verify(prog, circ).ok, strategy

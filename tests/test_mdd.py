@@ -2,11 +2,13 @@ import random
 import time
 from importlib import resources
 
-from revc.frontend import flatten, interpret, parse
+from revc.boolexpr import variables
+from revc.frontend import Compute, InPlaceBlock, flatten, interpret, parse
 from revc.mdd import (
     CLEAN, INIT, INPUT, INTERDEPENDENT, ONE_WAY, OP, OUTPUT, build_mdd,
     evaluate_mdd, to_dot,
 )
+from revc.scheduler import eager_cleanup
 
 
 def corpus(name: str) -> str:
@@ -132,3 +134,36 @@ f
 """
     g = build_mdd(prog_of(src))
     assert any(n.kind == CLEAN for n in g.nodes)
+
+
+def test_block_members_share_one_read_list():
+    prog = prog_of(corpus("sha2.rev"), {"rounds": 2})
+    g = build_mdd(prog)
+    members: dict[int, list] = {}  # block statement index -> member ids
+    for n in g.nodes:
+        if n.group is not None:
+            members.setdefault(n.group, []).append(n.id)
+    blocks = [s for s in prog.statements if isinstance(s, InPlaceBlock)]
+    assert len(members) == len(blocks) > 1
+    for ids in members.values():
+        assert len({id(g.reads[m]) for m in ids}) == 1
+        for src in g.reads[ids[0]]:
+            # an argument's readers name each block by its first member
+            assert [r for r in g.dependents[src] if r in ids] == ids[:1]
+    # read edges still count per member
+    assert sum(map(len, g.reads.values())) == sum(
+        len(variables(s.expr)) if isinstance(s, Compute) else
+        len(s.target_slots) * len(s.arg_slots) if isinstance(s, InPlaceBlock)
+        else 0 for s in prog.statements)
+    # a graph where every member has reads and dependents of its own
+    ref = build_mdd(prog)
+    for ids in members.values():
+        for m in ids[1:]:
+            ref.reads[m] = list(ref.reads[ids[0]])
+            for src in ref.reads[m]:
+                ref.dependents[src].append(m)
+    assert len({id(r) for r in ref.reads.values()}) == len(ref.nodes)
+    plan, ref_plan = eager_cleanup(g), eager_cleanup(ref)
+    assert plan.dispositions == ref_plan.dispositions
+    assert [(a.kind, id(a.stmt)) for a in plan.actions] == [
+        (a.kind, id(a.stmt)) for a in ref_plan.actions]
