@@ -26,18 +26,15 @@ order and every wire taken is the next register.  Its block recipe is a
 each layout slot's register at the end.  Every later run of the key
 replays it with `Recipe.run`.  Replay is gate for gate what walking the
 body on wires would emit: blocks of one token are the same statements
-with their slots renamed position by position, so from one entry pattern
-they take and return wires in the same order, and the heap, which hands
-out its least free wire, answers the same sequence from the same state
-with the same wires.  The exception is a statement that materializes two
-or more unwritten slots at once: they take wires in `variables(expr)`
-set order, and renaming does not keep that order.  A walk that does this
-marks its key, and each block of the key then gets recipes of its own,
-keyed by the block and walked over the block's own statements, built on
-demand.  The walk raises the errors of the statement rules (a fresh
-write to a live slot, a target inside its expression) on registers;
-replay checks that the entry wires are distinct, so distinct registers
-are distinct wires.
+with their slots renamed position by position, and a statement's
+unwritten slots take wires in register order (the order in which its
+expression first reads them, see `boolexpr.shape`), which renaming
+keeps; so from one entry pattern they take and return wires in the same
+order, and the heap, which hands out its least free wire, answers the
+same sequence from the same state with the same wires.  The walk raises
+the errors of the statement rules (a fresh write to a live slot, a
+target inside its expression) on registers; replay checks that the
+entry wires are distinct, so distinct registers are distinct wires.
 
 The scheduler places checkpoints without running the emitter: it counts
 live wires from per-statement effects that follow the rules below (see
@@ -49,7 +46,7 @@ width is not, since it also counts those scratch wires.
 from __future__ import annotations
 
 from .ancilla import AncillaHeap
-from .boolexpr import Recipe, compile_shape, gate_tables, shape, variables
+from .boolexpr import Recipe, compile_shape, gate_tables, shape
 from .circuit import (
     CNOT, NOT, TOFFOLI, Circuit, Gate, cnot, stats as circuit_stats,
 )
@@ -89,10 +86,6 @@ class _RegisterGates:
 
 _REGISTER_GATES = {kind: _RegisterGates(kind) for kind in (TOFFOLI, CNOT, NOT)}
 
-# the recipe under a key whose walk took wires in set order: each block of
-# the key has recipes of its own
-_PER_INSTANCE = object()
-
 
 class Emitter:
     def __init__(self, program: FlatProgram):
@@ -116,9 +109,8 @@ class Emitter:
         self.compiled: dict[int, tuple] = {}
         self.recipes: dict[tuple, Recipe] = {}
         self.gate_tables = gate_tables()
-        # block recipes by (layout token or id(block), forward, entry
-        # pattern): (recipe, per layout slot its register at the end or
-        # -1), see `_run_block`
+        # block recipes by (layout token, forward, entry pattern): (recipe,
+        # per layout slot its register at the end or -1), see `_run_block`
         self.blocks: dict[tuple, tuple] = {}
         self.block_recipes = 0  # block runs that walked the body
         self.block_replays = 0  # block runs served from a recipe
@@ -152,10 +144,6 @@ class Emitter:
         entry = self.compiled[id(expr)] = (expr, recipe, *slots)
         return entry
 
-    def _materialize(self, slots) -> None:
-        for s in slots:
-            self._wire_of(s)
-
     def _target(self, slot: int, fresh: bool) -> int:
         if not fresh:
             return self._wire_of(slot)
@@ -166,15 +154,13 @@ class Emitter:
 
     def _synth(self, expr, target_slot: int, fresh: bool) -> list[Gate]:
         """Gates of target ^= expr on the current wires.  Unwritten slots
-        of expr materialize first, in `variables(expr)` order, then the
-        target."""
+        of expr materialize first, in register order, then the target."""
         entry = self.compiled.get(id(expr)) or self._learn(expr)
         slot_map = self.slot_map
         try:
             wires = [slot_map[s] for s in entry[2:]]
         except KeyError:
-            self._materialize(variables(expr))
-            wires = [slot_map[s] for s in entry[2:]]
+            wires = [self._wire_of(s) for s in entry[2:]]
         wires.insert(0, self._target(target_slot, fresh))
         return entry[1].replay(wires, self.heap, self.gate_tables)
 
@@ -221,22 +207,8 @@ class Emitter:
         entry = tuple([s in slot_map for s in slots])
         key = (token, forward, entry)
         run = self.blocks.get(key)
-        walked = run is None
-        if walked:
-            # the shared body, over layout positions
-            run, unordered = self._walk(
-                token.stmts, range(len(slots)), token.local_positions,
-                forward, entry)
-            self.blocks[key] = run = _PER_INSTANCE if unordered else run
-        if run is _PER_INSTANCE:
-            # the block's own statements, whose slots keep set order
-            key = (id(block), forward, entry)
-            run = self.blocks.get(key)
-            walked = run is None
-            if walked:
-                run = self.blocks[key] = self._walk(
-                    block.body, slots, block.local_slots, forward, entry)[0]
-        if walked:
+        if run is None:
+            run = self.blocks[key] = self._walk(token, forward, entry)
             self.block_recipes += 1
         else:
             self.block_replays += 1
@@ -252,13 +224,11 @@ class Emitter:
             elif s in slot_map:
                 del slot_map[s]
 
-    def _walk(self, body, slots, locals_, forward: bool,
-              entry: tuple) -> tuple[tuple, bool]:
-        """The block recipe of `body`, statements on `slots` (a block's
-        layout slots or their positions) with locals `locals_`, for one
-        entry pattern, and whether some statement materialized two or more
-        slots at once."""
-        w = _Walker(self, [s for s, m in zip(slots, entry) if m])
+    def _walk(self, token, forward: bool, entry: tuple) -> tuple:
+        """The block recipe of `token`'s body, over layout positions, for
+        one entry pattern."""
+        body, locals_ = token.stmts, token.local_positions
+        w = _Walker(self, [p for p, m in enumerate(entry) if m])
         if forward:
             for s in body:
                 w._fwd_stmt(s)
@@ -271,8 +241,8 @@ class Emitter:
                 w.slot_map[l] = w.heap.alloc()
             for s in reversed(body):
                 w._bwd_stmt(s)
-        exit = tuple([w.slot_map.get(s, -1) for s in slots])
-        return (Recipe(tuple(w.heap.ops), tuple(w.gates)), exit), w.unordered
+        exit = tuple([w.slot_map.get(p, -1) for p in range(len(entry))])
+        return Recipe(tuple(w.heap.ops), tuple(w.gates)), exit
 
     def _do_copy(self, action: Action) -> None:
         src = [self._wire_of(s) for s in action.slots]
@@ -326,26 +296,17 @@ class Emitter:
 
 class _Walker(Emitter):
     """The emitter's statement rules over block registers instead of
-    wires: the slots mapped at entry hold registers 0..n-1, every other
-    register is taken from `_Registers`, and gates stay register tuples.
-    It inherits the rules and shares the emitter's caches, but none of
-    its plan state."""
+    wires: the positions mapped at entry hold registers 0..n-1, every
+    other register is taken from `_Registers`, and gates stay register
+    tuples.  It inherits the rules and shares the emitter's expression
+    caches, but none of its plan state; a block body holds no blocks."""
 
     def __init__(self, em: Emitter, mapped: list[int]):
-        self.slot_map = {s: r for r, s in enumerate(mapped)}
+        self.slot_map = {p: r for r, p in enumerate(mapped)}
         self.heap = _Registers(len(mapped))
         self.gate_tables = _REGISTER_GATES
         self.gates = []
-        self.compiled, self.recipes, self.blocks = (
-            em.compiled, em.recipes, em.blocks)
-        self.block_recipes = self.block_replays = 0
-        self.unordered = False
-
-    def _materialize(self, slots) -> None:
-        # slots that take wires together take them in set order, which
-        # renaming the block's slots does not keep
-        self.unordered |= sum(s not in self.slot_map for s in slots) > 1
-        super()._materialize(slots)
+        self.compiled, self.recipes = em.compiled, em.recipes
 
 
 def emit(plan: CleanupPlan) -> Circuit:

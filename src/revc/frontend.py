@@ -44,8 +44,9 @@ captured bit or array its slots), which of all those slots are one slot,
 and which are unwritten `Array.zeroCreate` slots and whether a statement
 has read them.  A body that assigns a name it does not bind is never
 replayed, and a replay that would pass the unrolling or allocation bound
-inlines instead, so that the error is the same.  Every block is
-validated, through the shared body.
+inlines instead, so that the error is the same.  A template's block is
+validated when it is inlined; a replay is not, since its check, drawn per
+layout position, would be the template's bit for bit.
 
 Unwritten `Array.zeroCreate` slots are zero.  A statement that reads one
 materializes it, so the first write to it after that is an accumulation
@@ -64,8 +65,7 @@ columns, running the shared body and scattering them back; the MDD and
 the scheduler read only the block's slot lists and the body's per-token
 effects, and the emitter compiles a block once per token (see emitter).
 A block's own statements, `body`, are built on demand, for its repr and
-equality (which leave the layout out), for the emitter's set-order case
-and for tools and tests.
+equality (which leave the layout out) and for tools and tests.
 
 Hostile input is a one-line error with a line, never a traceback or a
 hang: the parser bounds nesting at MAX_NESTING levels, both evaluators
@@ -1076,15 +1076,17 @@ def _renamed_stmts(stmts, m) -> list:
 class _Template:
     """A flattened in-place call, replayed for later calls of its signature.
 
-    `block` is what the call emitted.  Positions index its layout: the
-    call's target, argument and captured slots in key order (distinct),
-    then its locals.  `args` are the positions of its argument slots;
+    `token` is the `BlockBody` the call emitted and `locals` the number of
+    its locals.  Positions index its layout: the call's target, argument
+    and captured slots in key order (distinct), then its locals.  `args`
+    are the positions of its argument slots;
     `fresh_after` those of the slots that are unwritten `Array.zeroCreate`
     slots after the call, and `read_after` those of such slots that a
     statement has read.  `iterations` and `allocated` are what the call
     added to the unrolling and allocation counters.
     """
-    block: InPlaceBlock
+    token: BlockBody
+    locals: int
     args: tuple
     fresh_after: tuple
     read_after: tuple
@@ -1588,8 +1590,7 @@ class Flattener:
         # in place: the body accumulates onto the target, which keeps its name
         sig = self.signature(f, target, args)
         tpl = self.templates.get(sig[0]) if sig is not None else None
-        if tpl is not None and self.instantiate(tpl, sig[1], target,
-                                                item.line, f.defn.name):
+        if tpl is not None and self.instantiate(tpl, sig[1], target):
             return
         outer, self.stmts = self.stmts, []
         pre_slots, iterations, allocated = (self.slot_count, self.iterations,
@@ -1612,7 +1613,8 @@ class Flattener:
             layout = block.layout[1]
             pos = {s: p for p, s in enumerate(layout)}
             self.templates[sig[0]] = _Template(
-                block, tuple(pos[s] for s in arg_slots),
+                block.layout[0], len(locals_),
+                tuple(pos[s] for s in arg_slots),
                 tuple(p for p, s in enumerate(layout) if s in self.fresh),
                 tuple(p for p, s in enumerate(layout) if s in self.zero_read),
                 self.iterations - iterations, self.allocated - allocated)
@@ -1675,24 +1677,24 @@ class Flattener:
             return "ints", tuple(v.values)
         return None  # an unbound name
 
-    def instantiate(self, tpl: _Template, slots: list[int], target: list[int],
-                    line: int, fname: str) -> bool:
+    def instantiate(self, tpl: _Template, slots: list[int],
+                    target: list[int]) -> bool:
         """Emit a block of `tpl`'s token on `slots` and new locals, as
         inlining its call would; False, emitting nothing, if that would
-        pass a bound, so that inlining reports the error."""
+        pass a bound, so that inlining reports the error.  The block is
+        not validated: its check would be the template's."""
         if (self.iterations + tpl.iterations > MAX_UNROLLED_ITERATIONS
                 or self.allocated + tpl.allocated > MAX_ALLOCATED_BITS):
             return False
-        base, n = self.slot_count, len(tpl.block.local_slots)
+        base, n = self.slot_count, tpl.locals
         locals_ = list(range(base, base + n))
         self.slot_count += n
         self.iterations += tpl.iterations
         self.allocated += tpl.allocated
         layout = (*dict.fromkeys(slots), *locals_)
         block = InPlaceBlock.sharing(
-            tpl.block.layout[0], list(target),
+            tpl.token, list(target),
             sorted([layout[p] for p in tpl.args]), locals_, layout)
-        self.validate_block(block, line, fname)
         self.fresh.difference_update(slots)
         self.zero_read.difference_update(slots)
         self.fresh.update([layout[p] for p in tpl.fresh_after])
@@ -1703,16 +1705,10 @@ class Flattener:
     @staticmethod
     def block_args(body: list, targets: list[int], locals_: list[int]) -> list[int]:
         seen: set[int] = set()
-        def scan(stmts):
-            for s in stmts:
-                if isinstance(s, Compute):
-                    seen.update(variables(s.expr))
-                    seen.add(s.slot)
-                elif isinstance(s, CleanSlot):
-                    seen.add(s.slot)
-                elif isinstance(s, InPlaceBlock):
-                    scan(s.body)
-        scan(body)
+        for s in body:  # Compute | CleanSlot: in-place calls do not nest
+            if isinstance(s, Compute):
+                seen.update(variables(s.expr))
+            seen.add(s.slot)
         excluded = set(targets) | set(locals_)
         return sorted(seen - excluded)
 
@@ -1720,14 +1716,17 @@ class Flattener:
     def validate_block(block: InPlaceBlock, line, fname) -> None:
         """An in-place call must restore its arguments and zero its locals.
 
-        Runs the block once over 64 packed lanes: lane 0 all zeros, lane 1
-        all ones, lanes 2-63 random.
+        Runs the block once over 64 packed lanes: every layout position
+        but the locals gets lane 0 zero, lane 1 one and lanes 2-63 random,
+        drawn in position order, so that blocks of one token get the same
+        columns and the same verdict.
         """
         rng = random.Random(0xB10C)
         mask = (1 << 64) - 1
-        cols = dict.fromkeys(block.layout[1], 0)
-        for s in block.arg_slots + block.target_slots:
-            cols[s] = rng.getrandbits(62) << 2 | 0b10
+        token, slots = block.layout
+        locals_ = set(token.local_positions)
+        cols = {s: 0 if p in locals_ else rng.getrandbits(62) << 2 | 0b10
+                for p, s in enumerate(slots)}
         before = [cols[s] for s in block.arg_slots]
         try:
             run_statements((block,), cols, mask)

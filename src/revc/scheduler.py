@@ -46,11 +46,12 @@ layout token run one shared body (see `InPlaceBlock` in frontend), so a
 block's effects and its `reopened_locals` are worked out once per
 (token, direction) over layout positions and renamed onto each block's
 slots: no block's own statements are built.  The search for the minimal
-budget still takes its upper bound from a full emission, the width of
-the Bennett circuit: width, unlike the live count, includes synthesis
-scratch wires, and greedy feasibility need not be monotone in the
-budget, so another bound could probe other budgets and report another
-minimum.
+budget takes its upper bound from the same effects: the peak live count
+of the plain forward run (`_IncrementalPlanner.peak`), which every
+budget at or above it fits with no checkpoint.  The search bisects below
+that bound, so it assumes feasibility is monotone in the budget; greedy
+placement does not promise that, but it held at every budget of the
+bundled programs.
 """
 
 from __future__ import annotations
@@ -430,6 +431,17 @@ class _IncrementalPlanner:
         last_use.update(dict.fromkeys(program.output_slots, len(stmts)))
         self.last_use = last_use
 
+    def peak(self) -> int:
+        """The largest live count of the forward run with no checkpoint:
+        the smallest budget that needs none."""
+        live = peak = len(self.program.input_slots)
+        mapped = set(self.program.input_slots)
+        for e in self.fwd:
+            live += e.delta(mapped)
+            e.update(mapped)
+            peak = max(peak, live)
+        return peak
+
     def cuts(self, budget: int) -> list[tuple[int, tuple]]:
         """Checkpoints as (statement index, slots saved), or BudgetError.
 
@@ -510,12 +522,10 @@ def _checkpointed_plan(g: MDD, cuts: list) -> CleanupPlan:
 def incremental_cleanup(g: MDD, qubit_budget: int | None = None) -> CleanupPlan:
     """Checkpointing cleanup under a total-width budget.
 
-    With no budget (or a budget at least the Bennett width) this reduces to
-    the Bennett plan.  An infeasible budget raises BudgetError carrying the
-    smallest budget that does work.
+    With no budget (or a budget at least the forward run's peak live
+    count) this reduces to the Bennett plan.  An infeasible budget raises
+    BudgetError carrying the smallest budget that does work.
     """
-    from .emitter import emit
-
     if qubit_budget is None:
         return _checkpointed_plan(g, [])
     planner = _IncrementalPlanner(g.program)
@@ -524,7 +534,7 @@ def incremental_cleanup(g: MDD, qubit_budget: int | None = None) -> CleanupPlan:
     except BudgetError:
         pass
     # find and report the minimal feasible budget
-    hi = emit(bennett_cleanup(g)).width
+    hi = planner.peak()
     lo = qubit_budget
     while lo < hi:
         mid = (lo + hi) // 2

@@ -13,13 +13,13 @@ import pytest
 
 from revc import blif
 from revc.circuit import format_circuit, verify
-from revc.emitter import compile_flat
+from revc.emitter import Emitter, compile_flat
 from revc.boolexpr import variables
 from revc.frontend import (
     Flattener, InPlaceBlock, flatten, interpret, interpret_packed,
     interpret_source, parse, run_statements,
 )
-from revc.scheduler import BudgetError
+from revc.scheduler import BudgetError, schedule
 
 CORPUS = resources.files("revc") / "corpus"
 
@@ -113,8 +113,8 @@ BLIF_GOLDEN = {
 
 # One expression reads four unwritten `Array.zeroCreate` elements (slots
 # 4, 7, 11, 15) in the order z.[11], z.[3], z.[7], z.[0].  They take wires
-# in `variables(expr)` order, not in reading order, and these hashes pin
-# that.
+# in register order, the order of first read (slots 15, 7, 11, 4), and
+# these hashes pin that.
 ZERO_READS = """\
 let f (a : bool[4]) =
     let z = Array.zeroCreate 12
@@ -127,17 +127,18 @@ f
 """
 
 ZERO_READS_GOLDEN = {
-    "bennett": "99911acad5bf7bfd085468d486232b59df74ca51a18b70f753ce653fc53deb57",
-    "eager": "49aec5832fd86ed347856396999103f7352f5f4c635cdb575115226679565842",
-    "incremental": "99911acad5bf7bfd085468d486232b59df74ca51a18b70f753ce653fc53deb57",
+    "bennett": "83150ecb5f0cee994aa3a2cc985f1fa965a58cc178f3d1702aefcbb856e657c5",
+    "eager": "cfc8e738a4e2b965b18e4ec77a3f2da3308d7c597b710e2e93fa9fb3781a4f8d",
+    "incremental": "83150ecb5f0cee994aa3a2cc985f1fa965a58cc178f3d1702aefcbb856e657c5",
 }
 
 
 # An in-place function called three times with one signature, so that
 # the later calls replay the first one's template.  Its first statement
 # reads four unwritten `Array.zeroCreate` locals and its second two more;
-# they take wires in `variables(expr)` set order, which differs between
-# the three calls.  Pinned before block recipes existed.
+# they take wires in register order, which renaming keeps, so all three
+# calls run one block recipe per direction and entry pattern, although
+# their `variables(expr)` set orders differ.
 ZERO_READS_IN_PLACE = """\
 let acc (a : bool array) =
     let z = Array.zeroCreate 12
@@ -181,11 +182,11 @@ main
 
 IN_PLACE_GOLDEN = {
     ("zero-reads", "bennett"):
-        "b511ed44f5c7a9c1099d02f8190dca7317f9cdd4b13a95845a7e8717b9660a12",
+        "e51e0a5a9ba6261864f6308fce327a11690fc791dd1959274ea68fbc7bf939a9",
     ("zero-reads", "eager"):
-        "400e6de8dea63384be39c6cf09fe02e5196d8dfa9d573ae621e9bd69d9d690fd",
+        "1a8fe034e8c486a54c5361b8ba60023086e5a4e57f2d038f1a6abfce2354ea97",
     ("zero-reads", "incremental"):
-        "b511ed44f5c7a9c1099d02f8190dca7317f9cdd4b13a95845a7e8717b9660a12",
+        "e51e0a5a9ba6261864f6308fce327a11690fc791dd1959274ea68fbc7bf939a9",
     ("untemplated", "bennett"):
         "507edbd88cb5cac37f7d7c6480b90138465fd09c873eb43eb61d4ab97a781455",
     ("untemplated", "eager"):
@@ -221,7 +222,13 @@ def test_reported_minimum_budget_is_pinned(name, params, budget):
     flat = flatten(parse(src, params=parse_params(params)))
     with pytest.raises(BudgetError) as exc:
         compile_flat(flat, "incremental", qubit_budget=budget)
-    assert exc.value.minimum == MINIMUM_GOLDEN[(name, params, budget)]
+    minimum = exc.value.minimum
+    assert minimum == MINIMUM_GOLDEN[(name, params, budget)]
+    # the minimum works and one qubit less does not
+    plan, _ = compile_flat(flat, "incremental", qubit_budget=minimum)
+    assert plan.checkpoints >= 1
+    with pytest.raises(BudgetError):
+        compile_flat(flat, "incremental", qubit_budget=minimum - 1)
 
 
 @pytest.mark.parametrize("name,optimize,strategy", sorted(BLIF_GOLDEN, key=str))
@@ -245,12 +252,16 @@ def test_in_place_edge_cases_are_pinned(case, strategy):
 
 def test_in_place_edge_cases_take_the_edge_paths():
     # the pins above cover the paths only while these hold
-    blocks = [s for s in flatten(parse(ZERO_READS_IN_PLACE)).statements
-              if isinstance(s, InPlaceBlock)]
+    prog = flatten(parse(ZERO_READS_IN_PLACE))
+    blocks = [s for s in prog.statements if isinstance(s, InPlaceBlock)]
     assert len({b.layout[0] for b in blocks}) == 1
     orders = [[b.local_slots.index(v) for v in variables(b.body[0].expr)
                if v in b.local_slots] for b in blocks]
     assert len({tuple(o) for o in orders}) == 3
+    # and yet the blocks replay one recipe per direction and entry pattern
+    em = Emitter(prog)
+    em.run(schedule(prog, "bennett"))
+    assert (em.block_recipes, em.block_replays) == (2, 4)
     blocks = [s for s in flatten(parse(UNTEMPLATED)).statements
               if isinstance(s, InPlaceBlock)]
     assert len({b.layout[0] for b in blocks}) == len(blocks) == 2
@@ -303,7 +314,8 @@ def test_blocks_of_one_token_share_one_body():
                                             for s in token.stmts]
 
 
-def test_each_in_place_call_is_validated_once(monkeypatch):
+def test_each_in_place_template_is_validated_once(monkeypatch):
+    # a replay's check would be its template's, bit for bit
     validated = []
     validate = Flattener.validate_block
 
@@ -316,7 +328,11 @@ def test_each_in_place_call_is_validated_once(monkeypatch):
     blocks = [s for s in flatten(parse(src, params=params)).statements
               if isinstance(s, InPlaceBlock)]
     assert len(blocks) == 28
-    assert [id(b) for b in validated] == [id(b) for b in blocks]
+    firsts: dict = {}  # token -> its first block
+    for b in blocks:
+        firsts.setdefault(b.layout[0], b)
+    assert len(firsts) < len(blocks)
+    assert [id(b) for b in validated] == [id(b) for b in firsts.values()]
 
 
 # `add` is templated by its first call and replayed; the target is also
