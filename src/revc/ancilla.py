@@ -8,9 +8,10 @@ import heapq
 class AncillaHeap:
     """Pool of free wire indices, always handing out the minimum free index.
 
-    Indices below `base` are reserved (program inputs).  The high-water
-    mark counts how many indices at or above `base` were ever live at the
-    same time, i.e. the peak ancilla requirement.
+    Indices below `base` are reserved (program inputs).  Since the least
+    free index is handed out first, the frontier moves only when every
+    index below it is live: `frontier - base` is the peak number of live
+    ancillas.
     """
 
     def __init__(self, base: int = 0):
@@ -18,7 +19,6 @@ class AncillaHeap:
         self._free: list[int] = []  # freed indices below the frontier
         self._frontier = base  # next never-used index
         self._live: set[int] = set()
-        self.high_water = 0
 
     def alloc(self) -> int:
         if self._free:
@@ -26,11 +26,7 @@ class AncillaHeap:
         else:
             w = self._frontier
             self._frontier += 1
-        live = self._live
-        live.add(w)
-        # every index in [base, frontier) is live or free
-        if len(live) > self.high_water:
-            self.high_water = len(live)
+        self._live.add(w)
         return w
 
     def free(self, w: int) -> None:
@@ -50,4 +46,4 @@ class AncillaHeap:
         return self._frontier
 
     def state(self) -> tuple:
-        return (list(self._free), self._frontier, set(self._live), self.high_water)
+        return (list(self._free), self._frontier, set(self._live))

@@ -16,7 +16,7 @@ inputs included, the count `--qubits` bounds in the forward segments of
 an incremental plan, where the width also counts synthesis scratch
 wires), the dependency graph's (`mdd_nodes`, `mdd_read_edges`),
 the flat program's (`flat_statements`, `inplace_blocks`,
-`block_templates`: distinct layout tokens, i.e. the shared block bodies
+`block_templates`: distinct block tokens, i.e. the shared block bodies
 the blocks run; `block_body_statements`: the blocks' body lengths summed,
 read off the shared bodies; `slots`), the emitter's (`block_recipes`: block
 recipes compiled, i.e. block runs that walked the body; `block_replays`:
@@ -28,7 +28,8 @@ plan) and `emit`.
 
 Exit codes: 0 success, 1 user/compile error, 2 verification failure.
 `sim --inputs` takes only 0 and 1, and `verify --samples` at least 1.
-The default sample seed comes from the REVC_SEED environment variable.
+Without `--seed`, `verify` takes its sample seed from the REVC_SEED
+environment variable (default 0).
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ def _report(prog, plan, circ, em, stages) -> dict:
     blocks = [s for s in prog.statements if isinstance(s, InPlaceBlock)]
     rep.update({"flat_statements": len(prog.statements),
                 "inplace_blocks": len(blocks),
-                "block_templates": len({b.layout[0] for b in blocks}),
-                "block_body_statements": sum(len(b.layout[0].stmts)
+                "block_templates": len({b.token for b in blocks}),
+                "block_body_statements": sum(len(b.token.stmts)
                                              for b in blocks),
                 "slots": prog.slot_count,
                 "block_recipes": em.block_recipes,
@@ -161,8 +162,15 @@ def cmd_sim(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples < 1:
         raise CliError(f"--samples must be at least 1, got {args.samples}")
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("REVC_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise CliError(f"REVC_SEED must be an integer, got {text!r}")
     prog, plan, circ, _, _ = _compile(args)
-    rep = circuit_mod.verify(prog, circ, samples=args.samples, seed=args.seed)
+    rep = circuit_mod.verify(prog, circ, samples=args.samples, seed=seed)
     if rep.ok:
         print(f"{args.file}: ok ({rep.samples} samples, seed {rep.seed})")
         return 0
@@ -274,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="revc",
                                  description="reversible circuit compiler")
     sub = ap.add_subparsers(dest="cmd", required=True)
-    default_seed = int(os.environ.get("REVC_SEED", "0"))
 
     p = sub.add_parser("compile", help="compile to a gate list file")
     _add_compile_flags(p)
@@ -292,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check the circuit against the interpreter")
     _add_compile_flags(p)
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int, default=None,
+                   help="sample seed (default: $REVC_SEED, else 0)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("stats", help="print the JSON stats report")

@@ -15,16 +15,16 @@ of the same shape; a call resolves the recipe's registers against the slot
 map of that moment and takes each gate from a per-kind intern table keyed
 by wires, so a gate that recurs is one object.
 
-In-place blocks are run from block recipes, one per layout token (see
-`InPlaceBlock.layout` in frontend), direction and entry pattern (which
-layout slots are mapped to wires as the block starts).  The first run of
-a key walks the token's shared body, over layout positions, with
-`_Walker`: the statement rules below over registers instead of wires,
-where the positions mapped at entry hold registers 0..n-1 in layout
-order and every wire taken is the next register.  Its block recipe is a
-`Recipe` over those registers (the heap operations and the gates) and
-each layout slot's register at the end.  Every later run of the key
-replays it with `Recipe.run`.  Replay is gate for gate what walking the
+In-place blocks are run from block recipes, one per token (a block is a
+token and its slots, see `InPlaceBlock` in frontend), direction and entry
+pattern (which of the block's slots are mapped to wires as it starts).
+The first run of a key walks the token's shared body, over body
+positions, with `_Walker`: the statement rules below over registers
+instead of wires, where the positions mapped at entry hold registers
+0..n-1 in position order and every wire taken is the next register.  Its
+block recipe is a `Recipe` over those registers (the heap operations and
+the gates) and each position's register at the end.  Every later run of
+the key replays it with `Recipe.run`.  Replay is gate for gate what walking the
 body on wires would emit: blocks of one token are the same statements
 with their slots renamed position by position, and a statement's
 unwritten slots take wires in register order (the order in which its
@@ -109,8 +109,8 @@ class Emitter:
         self.compiled: dict[int, tuple] = {}
         self.recipes: dict[tuple, Recipe] = {}
         self.gate_tables = gate_tables()
-        # block recipes by (layout token, forward, entry pattern): (recipe,
-        # per layout slot its register at the end or -1), see `_run_block`
+        # block recipes by (token, forward, entry pattern): (recipe, per
+        # body position its register at the end or -1), see `_run_block`
         self.blocks: dict[tuple, tuple] = {}
         self.block_recipes = 0  # block runs that walked the body
         self.block_replays = 0  # block runs served from a recipe
@@ -200,9 +200,9 @@ class Emitter:
             raise TypeError(stmt)
 
     def _run_block(self, block: InPlaceBlock, forward: bool) -> None:
-        """Run an in-place block from the recipe of its layout token,
-        direction and entry pattern, walking the body the first time."""
-        token, slots = block.layout
+        """Run an in-place block from the recipe of its token, direction
+        and entry pattern, walking the body the first time."""
+        token, slots = block.token, block.slots
         slot_map = self.slot_map
         entry = tuple([s in slot_map for s in slots])
         key = (token, forward, entry)
@@ -225,7 +225,7 @@ class Emitter:
                 del slot_map[s]
 
     def _walk(self, token, forward: bool, entry: tuple) -> tuple:
-        """The block recipe of `token`'s body, over layout positions, for
+        """The block recipe of `token`'s body, over body positions, for
         one entry pattern."""
         body, locals_ = token.stmts, token.local_positions
         w = _Walker(self, [p for p, m in enumerate(entry) if m])
@@ -253,9 +253,9 @@ class Emitter:
             self.output_wires = dst
 
     def _do_uncopy(self, action: Action) -> None:
-        # the copied-to wires are pinned for the copy's whole lifetime, but
-        # the source values may have migrated to other wires by now: resolve
-        # them through the current slot map
+        # the copy's wires are those its slots held at unremap (see there),
+        # but the source values may have migrated to other wires by now:
+        # resolve them through the current slot map
         dst = origin(action, self.copy_wires)
         src = [self._wire_of(s) for s in action.slots]
         self.gates += [cnot(a, b) for a, b in zip(reversed(src), reversed(dst))]
@@ -269,6 +269,10 @@ class Emitter:
             self.slot_map[s] = d
 
     def _do_unremap(self, action: Action) -> None:
+        # the copy now lives on its slots' wires: a `clean` between remap
+        # and here freed a copy wire, and its reversal took another
+        origin(action, self.copy_wires)[:] = [self.slot_map[s]
+                                              for s in action.slots]
         prev_map = origin(action, self.saved_maps)
         for s in action.slots:
             prev = prev_map[s]

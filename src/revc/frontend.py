@@ -11,7 +11,7 @@ and bit arrays.
 FlatProgram over numbered bit slots.  Three statement forms survive:
 
   Compute(slot, e, fresh)   slot := e (fresh zero slot) or slot ^= e
-  InPlaceBlock(...)         an inlined call whose result buffer aliases
+  InPlaceBlock(token, slots) an inlined call whose result buffer aliases
                             the assignment target (in-place update)
   CleanSlot(slot)           explicit release of a zero-valued slot
 
@@ -46,26 +46,28 @@ has read them.  A body that assigns a name it does not bind is never
 replayed, and a replay that would pass the unrolling or allocation bound
 inlines instead, so that the error is the same.  A template's block is
 validated when it is inlined; a replay is not, since its check, drawn per
-layout position, would be the template's bit for bit.
+body position, would be the template's bit for bit.
 
 Unwritten `Array.zeroCreate` slots are zero.  A statement that reads one
 materializes it, so the first write to it after that is an accumulation
 (`fresh=False`), not a fresh write.
 
-An `InPlaceBlock` holds no statements of its own.  Its `layout` is a
-token and the block's distinct slots: for a templated block the slots of
-its signature in key order and then its locals; for a block the
-flattener does not template, its target, argument and local slots, which
-are every slot its body touches, and a token of its own.  The token is a
-`BlockBody`, the body written over layout positions (slot p is position
-p), shared by the template's block and every block replayed from it, so
-position i of one block's layout is the renaming of position i of
-another's.  `run_statements` runs a block by gathering its layout
-columns, running the shared body and scattering them back; the MDD and
-the scheduler read only the block's slot lists and the body's per-token
-effects, and the emitter compiles a block once per token (see emitter).
-A block's own statements, `body`, are built on demand, for its repr and
-equality (which leave the layout out) and for tools and tests.
+An `InPlaceBlock` holds no statements of its own: it is a token and its
+distinct slots.  The token is a `BlockBody`, the body written over
+positions (slot p of the body stands for the block's `slots[p]`)
+together with the positions of the targets, arguments and locals.  It is
+shared by a template's block and every block replayed from it, so
+position i of one block is the renaming of position i of another's.  A
+block's slots are the slots of its call's signature in key order (or,
+for a call without one, its target slots), then any other slot its body
+touches, then its locals; a block that is not templated has a token of its
+own.  `run_statements` runs a block by gathering its slots' columns,
+running the shared body and scattering them back; the MDD and the
+scheduler read only the block's slot lists, which are views of the token
+and the slots, and the body's per-token effects, and the emitter
+compiles a block once per token (see emitter).  A block's own
+statements, `body`, are built on demand, for its repr and for tools and
+tests.
 
 Hostile input is a one-line error with a line, never a traceback or a
 hang: the parser bounds nesting at MAX_NESTING levels, both evaluators
@@ -638,73 +640,76 @@ class Compute:
 
 @dataclass(frozen=True, eq=False)
 class BlockBody:
-    """The statements of in-place blocks written over layout positions:
-    slot p stands for position p of a block's layout.  It is the layout
-    token of every block that runs it, and `local_positions` are the
-    positions of those blocks' locals."""
+    """The statements of in-place blocks written over body positions:
+    slot p stands for `slots[p]` of a block that runs it.  It is the token
+    of every such block, and `target_positions` (in target order),
+    `arg_positions` and `local_positions` are the positions of those
+    blocks' targets, arguments and locals."""
     stmts: tuple  # Compute | CleanSlot
+    target_positions: tuple
+    arg_positions: tuple
     local_positions: tuple
 
 
 class InPlaceBlock:
-    """An inlined in-place call: `target_slots` accumulate, `arg_slots`
-    are read and restored, `local_slots` are zero at both ends.
+    """An inlined in-place call: its targets accumulate, its arguments are
+    read and restored, its locals are zero at both ends.
 
-    `layout` is (token, slots): `slots` are the block's distinct slots and
-    the token is the `BlockBody` it runs, slot p of the body being
-    slots[p].  Blocks of one token share that body.  `body`, the
-    statements on the block's own slots, is built on demand; repr and
-    equality use it, the layout they leave out.
+    `token` is the `BlockBody` it runs and `slots` its distinct slots,
+    body position p being slots[p].  Blocks of one token share that body.
+    The slot lists and `body`, the statements on the block's own slots,
+    are views of the two, built on demand; repr shows them.
     """
-    __slots__ = ("target_slots", "arg_slots", "local_slots", "layout")
-    __hash__ = None
+    __slots__ = ("token", "slots")
 
-    def __init__(self, target_slots: list[int], arg_slots: list[int],
-                 body: list, local_slots: list[int], slots=None):
-        """A block of `body`, statements on slots, with a token of its
-        own.  Its layout's slots are `slots` (distinct), by default its
-        target, argument and local slots, which must be every slot the
-        body touches."""
-        if slots is None:
-            slots = [*target_slots, *arg_slots, *local_slots]
-        slots = tuple(dict.fromkeys(slots))
-        pos = {s: p for p, s in enumerate(slots)}
-        token = BlockBody(tuple(_renamed_stmts(body, pos)),
-                          tuple(pos[l] for l in local_slots))
-        self._bind(target_slots, arg_slots, local_slots, (token, slots))
+    def __init__(self, token: BlockBody, slots: tuple):
+        self.token = token
+        self.slots = slots
 
     @classmethod
-    def sharing(cls, token: BlockBody, target_slots: list[int],
-                arg_slots: list[int], local_slots: list[int],
-                slots: tuple) -> InPlaceBlock:
-        """A block that runs `token` with `slots` as its layout."""
-        block = cls.__new__(cls)
-        block._bind(target_slots, arg_slots, local_slots, (token, slots))
-        return block
+    def from_statements(cls, target_slots: list[int], body: list,
+                        local_slots: list[int], slots=()) -> InPlaceBlock:
+        """A block of `body`, Compute and CleanSlot statements on slots,
+        with a token of its own.  Its arguments are the other slots the
+        body touches.  Its slots are `slots`, then its target, argument and
+        local slots, made distinct."""
+        touched: set[int] = set()
+        for s in body:
+            if isinstance(s, Compute):
+                touched.update(variables(s.expr))
+            touched.add(s.slot)
+        arg_slots = sorted(touched.difference(target_slots, local_slots))
+        slots = tuple(dict.fromkeys([*slots, *target_slots, *arg_slots,
+                                     *local_slots]))
+        pos = {s: p for p, s in enumerate(slots)}
+        token = BlockBody(tuple(_renamed_stmts(body, pos)),
+                          tuple(pos[t] for t in target_slots),
+                          tuple(pos[a] for a in arg_slots),
+                          tuple(pos[l] for l in local_slots))
+        return cls(token, slots)
 
-    def _bind(self, target_slots, arg_slots, local_slots, layout) -> None:
-        self.target_slots = target_slots
-        self.arg_slots = arg_slots
-        self.local_slots = local_slots
-        self.layout = layout
+    @property
+    def target_slots(self) -> list[int]:
+        return [self.slots[p] for p in self.token.target_positions]
+
+    @property
+    def arg_slots(self) -> list[int]:
+        """The argument slots, sorted."""
+        return sorted([self.slots[p] for p in self.token.arg_positions])
+
+    @property
+    def local_slots(self) -> list[int]:
+        return [self.slots[p] for p in self.token.local_positions]
 
     @property
     def body(self) -> list:
         """The block's statements on its own slots (a new list each time)."""
-        token, slots = self.layout
-        return _renamed_stmts(token.stmts, slots)
+        return _renamed_stmts(self.token.stmts, self.slots)
 
     def __repr__(self) -> str:
         return (f"InPlaceBlock(target_slots={self.target_slots!r}, "
                 f"arg_slots={self.arg_slots!r}, body={self.body!r}, "
                 f"local_slots={self.local_slots!r})")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.target_slots, self.arg_slots, self.body,
-                 self.local_slots) == (other.target_slots, other.arg_slots,
-                                       other.body, other.local_slots))
 
 
 @dataclass
@@ -722,13 +727,20 @@ class FlatProgram:
     input_layout: list = field(default_factory=list)  # (name, width)
 
 
+class _NonZeroClean(InterpretError):
+    """A `CleanSlot` of a slot that is non-zero in some lane."""
+
+    def __init__(self, slot: int):
+        super().__init__(f"clean of non-zero slot {slot}")
+        self.slot = slot
+
+
 def run_statements(stmts, cols: list[int], mask: int) -> None:
     """Apply flat statements, in order, to slot-indexed packed columns.
 
-    `cols[s]` (a list, or a dict holding every slot the statements touch)
-    holds slot s with one sample per bit (lane); `mask` has a 1 in every
-    live lane.  A block gathers its layout's columns into a list by
-    position, runs its shared body on it and scatters them back.  A
+    `cols[s]` holds slot s with one sample per bit (lane); `mask` has a 1
+    in every live lane.  A block gathers its slots' columns into a list by
+    body position, runs its shared body on it and scatters them back.  A
     `CleanSlot` of a slot that is non-zero in any lane raises
     InterpretError.
     """
@@ -737,20 +749,17 @@ def run_statements(stmts, cols: list[int], mask: int) -> None:
             v = evaluate(stmt.expr, cols, mask)
             cols[stmt.slot] = v if stmt.fresh else cols[stmt.slot] ^ v
         elif isinstance(stmt, InPlaceBlock):
-            token, slots = stmt.layout
+            slots = stmt.slots
             sub = [cols[s] for s in slots]
             try:
-                run_statements(token.stmts, sub, mask)
-            except InterpretError:
-                # the error names a position: the block's own statements
-                # fail the same way from the untouched columns
-                run_statements(stmt.body, cols, mask)
-                raise
+                run_statements(stmt.token.stmts, sub, mask)
+            except _NonZeroClean as exc:  # it names a body position
+                raise _NonZeroClean(slots[exc.slot]) from None
             for s, v in zip(slots, sub):
                 cols[s] = v
         elif isinstance(stmt, CleanSlot):
             if cols[stmt.slot]:
-                raise InterpretError(f"clean of non-zero slot {stmt.slot}")
+                raise _NonZeroClean(stmt.slot)
         else:
             raise TypeError(f"unknown statement {stmt!r}")
 
@@ -1076,18 +1085,15 @@ def _renamed_stmts(stmts, m) -> list:
 class _Template:
     """A flattened in-place call, replayed for later calls of its signature.
 
-    `token` is the `BlockBody` the call emitted and `locals` the number of
-    its locals.  Positions index its layout: the call's target, argument
-    and captured slots in key order (distinct), then its locals.  `args`
-    are the positions of its argument slots;
-    `fresh_after` those of the slots that are unwritten `Array.zeroCreate`
-    slots after the call, and `read_after` those of such slots that a
-    statement has read.  `iterations` and `allocated` are what the call
-    added to the unrolling and allocation counters.
+    `token` is the `BlockBody` the call emitted.  Positions index its
+    slots: the call's target, argument and captured slots in key order
+    (distinct), then its locals.  `fresh_after` are the positions of the
+    slots that are unwritten `Array.zeroCreate` slots after the call, and
+    `read_after` those of such slots that a statement has read.
+    `iterations` and `allocated` are what the call added to the unrolling
+    and allocation counters.
     """
     token: BlockBody
-    locals: int
-    args: tuple
     fresh_after: tuple
     read_after: tuple
     iterations: int
@@ -1590,7 +1596,7 @@ class Flattener:
         # in place: the body accumulates onto the target, which keeps its name
         sig = self.signature(f, target, args)
         tpl = self.templates.get(sig[0]) if sig is not None else None
-        if tpl is not None and self.instantiate(tpl, sig[1], target):
+        if tpl is not None and self.instantiate(tpl, sig[1]):
             return
         outer, self.stmts = self.stmts, []
         pre_slots, iterations, allocated = (self.slot_count, self.iterations,
@@ -1602,21 +1608,17 @@ class Flattener:
         self.enforced = set()
         body, self.stmts = self.stmts, outer
         locals_ = list(range(pre_slots, self.slot_count))
-        arg_slots = self.block_args(body, target, locals_)
-        # a body that reached a slot outside its signature is not replayed
-        templated = sig is not None and set(arg_slots) <= set(sig[1])
-        block = InPlaceBlock(list(target), arg_slots, body, locals_,
-                             [*sig[1], *locals_] if templated else None)
+        block = InPlaceBlock.from_statements(
+            target, body, locals_, sig[1] if sig is not None else ())
         self.validate_block(block, item.line, f.defn.name)
         self.emit(block)
-        if templated:
-            layout = block.layout[1]
-            pos = {s: p for p, s in enumerate(layout)}
+        # a body that reached a slot outside its signature is not replayed
+        if sig is not None and set(block.arg_slots) <= set(sig[1]):
+            slots = block.slots
             self.templates[sig[0]] = _Template(
-                block.layout[0], len(locals_),
-                tuple(pos[s] for s in arg_slots),
-                tuple(p for p, s in enumerate(layout) if s in self.fresh),
-                tuple(p for p, s in enumerate(layout) if s in self.zero_read),
+                block.token,
+                tuple(p for p, s in enumerate(slots) if s in self.fresh),
+                tuple(p for p, s in enumerate(slots) if s in self.zero_read),
                 self.iterations - iterations, self.allocated - allocated)
 
     # -- in-place templates ------------------------------------------------------
@@ -1677,8 +1679,7 @@ class Flattener:
             return "ints", tuple(v.values)
         return None  # an unbound name
 
-    def instantiate(self, tpl: _Template, slots: list[int],
-                    target: list[int]) -> bool:
+    def instantiate(self, tpl: _Template, slots: list[int]) -> bool:
         """Emit a block of `tpl`'s token on `slots` and new locals, as
         inlining its call would; False, emitting nothing, if that would
         pass a bound, so that inlining reports the error.  The block is
@@ -1686,58 +1687,45 @@ class Flattener:
         if (self.iterations + tpl.iterations > MAX_UNROLLED_ITERATIONS
                 or self.allocated + tpl.allocated > MAX_ALLOCATED_BITS):
             return False
-        base, n = self.slot_count, tpl.locals
-        locals_ = list(range(base, base + n))
-        self.slot_count += n
+        base = self.slot_count
+        self.slot_count += len(tpl.token.local_positions)
         self.iterations += tpl.iterations
         self.allocated += tpl.allocated
-        layout = (*dict.fromkeys(slots), *locals_)
-        block = InPlaceBlock.sharing(
-            tpl.token, list(target),
-            sorted([layout[p] for p in tpl.args]), locals_, layout)
+        block_slots = (*dict.fromkeys(slots), *range(base, self.slot_count))
         self.fresh.difference_update(slots)
         self.zero_read.difference_update(slots)
-        self.fresh.update([layout[p] for p in tpl.fresh_after])
-        self.zero_read.update([layout[p] for p in tpl.read_after])
-        self.emit(block)
+        self.fresh.update([block_slots[p] for p in tpl.fresh_after])
+        self.zero_read.update([block_slots[p] for p in tpl.read_after])
+        self.emit(InPlaceBlock(tpl.token, block_slots))
         return True
-
-    @staticmethod
-    def block_args(body: list, targets: list[int], locals_: list[int]) -> list[int]:
-        seen: set[int] = set()
-        for s in body:  # Compute | CleanSlot: in-place calls do not nest
-            if isinstance(s, Compute):
-                seen.update(variables(s.expr))
-            seen.add(s.slot)
-        excluded = set(targets) | set(locals_)
-        return sorted(seen - excluded)
 
     @staticmethod
     def validate_block(block: InPlaceBlock, line, fname) -> None:
         """An in-place call must restore its arguments and zero its locals.
 
-        Runs the block once over 64 packed lanes: every layout position
+        Runs the block's body once over 64 packed lanes: every position
         but the locals gets lane 0 zero, lane 1 one and lanes 2-63 random,
         drawn in position order, so that blocks of one token get the same
         columns and the same verdict.
         """
         rng = random.Random(0xB10C)
         mask = (1 << 64) - 1
-        token, slots = block.layout
+        token = block.token
         locals_ = set(token.local_positions)
-        cols = {s: 0 if p in locals_ else rng.getrandbits(62) << 2 | 0b10
-                for p, s in enumerate(slots)}
-        before = [cols[s] for s in block.arg_slots]
+        cols = [0 if p in locals_ else rng.getrandbits(62) << 2 | 0b10
+                for p in range(len(block.slots))]
+        before = [cols[p] for p in token.arg_positions]
         try:
-            run_statements((block,), cols, mask)
-        except InterpretError as exc:
+            run_statements(token.stmts, cols, mask)
+        except _NonZeroClean as exc:  # it names a body position
+            named = _NonZeroClean(block.slots[exc.slot])
             raise FlattenError(
-                f"in-place call of {fname!r}: {exc}", line) from exc
-        if [cols[s] for s in block.arg_slots] != before:
+                f"in-place call of {fname!r}: {named}", line) from named
+        if [cols[p] for p in token.arg_positions] != before:
             raise FlattenError(
                 f"function {fname!r} used in an in-place update must "
                 f"restore its arguments", line)
-        if any(cols[s] for s in block.local_slots):
+        if any(cols[p] for p in token.local_positions):
             raise FlattenError(
                 f"function {fname!r} used in an in-place update leaves "
                 f"non-zero local bits", line)

@@ -41,11 +41,11 @@ backward run reduces, once per program, to an effect independent of the
 state at entry (`stmt_effect`): the slots it leaves mapped, those it
 leaves unmapped, and a wire delta.  Trying a statement is then
 arithmetic on one set of mapped slots, with nothing to copy or roll
-back; `live_profile` replays any plan the same way.  Blocks of one
-layout token run one shared body (see `InPlaceBlock` in frontend), so a
-block's effects and its `reopened_locals` are worked out once per
-(token, direction) over layout positions and renamed onto each block's
-slots: no block's own statements are built.  The search for the minimal
+back; `live_profile` replays any plan the same way.  Blocks of one token
+run one shared body (see `InPlaceBlock` in frontend), so a block's
+effects and its `reopened_locals` are worked out once per (token,
+direction) over body positions and renamed onto each block's slots: no
+block's own statements are built.  The search for the minimal
 budget takes its upper bound from the same effects: the peak live count
 of the plain forward run (`_IncrementalPlanner.peak`), which every
 budget at or above it fits with no checkpoint.  The search bisects below
@@ -245,7 +245,7 @@ def reopened_locals(body, locals_) -> list[int]:
     """The locals a block's backward run takes wires for before it starts:
     those of `locals_` that `body` writes fresh and does not clean
     afterwards, which the forward run released at the block's end.  The
-    slots are a block's own or its layout positions."""
+    slots are a block's own or its body positions."""
     live: set[int] = set()
     for s in body:
         if isinstance(s, Compute) and s.fresh:
@@ -263,14 +263,14 @@ def _wire_ops(stmt, forward: bool, ops: list) -> None:
     order, as (op, slots): MATERIALIZE gives each unmapped slot a new wire,
     RELEASE frees each slot's wire if it has one, REALLOC maps each slot to
     a new wire and leaves any wire it had allocated.  A block's slots are
-    its layout positions."""
+    its body positions."""
     if isinstance(stmt, Compute):
         ops.append((MATERIALIZE, variables(stmt.expr)))
         ops.append((MATERIALIZE, (stmt.slot,)))
         if stmt.fresh and not forward:
             ops.append((RELEASE, (stmt.slot,)))
     elif isinstance(stmt, InPlaceBlock):
-        token = stmt.layout[0]
+        token = stmt.token
         if forward:
             for s in token.stmts:
                 _wire_ops(s, True, ops)
@@ -319,14 +319,14 @@ class Effect(NamedTuple):
 
 def stmt_effect(stmt, forward: bool, by_token: dict) -> Effect:
     """The effect of running stmt forwards or backwards.  A block's effect
-    is worked out over its layout positions once per (token, direction),
+    is worked out over its body positions once per (token, direction),
     kept in `by_token`, and renamed onto the block's slots."""
     if isinstance(stmt, InPlaceBlock):
-        token, slots = stmt.layout
+        token = stmt.token
         e = by_token.get((token, forward))
         if e is None:
             e = by_token[token, forward] = _effect(stmt, forward)
-        return e.renamed(slots)
+        return e.renamed(stmt.slots)
     return _effect(stmt, forward)
 
 

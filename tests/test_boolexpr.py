@@ -131,7 +131,7 @@ def test_and4_five_toffolis_two_ancillas():
     heap = AncillaHeap(base=5)
     gates = synthesize(e, 4, heap, identity(e))
     assert sum(1 for g in gates if g.kind == TOFFOLI) == 2 * (4 - 2) + 1
-    assert heap.high_water == 2
+    assert heap.frontier - heap.base == 2
     assert heap.live_count == 0
     check_exhaustive(e, 4)
 

@@ -93,6 +93,22 @@ def test_verify_needs_a_sample(capsys, samples):
     assert out.err == f"error: --samples must be at least 1, got {samples}\n"
 
 
+def test_revc_seed_is_read_only_by_verify_without_seed(tmp_path, capsys,
+                                                       monkeypatch):
+    adder = [corpus_path("adder_ripple.rev"), "--param", "n=6"]
+    monkeypatch.setenv("REVC_SEED", "5")
+    assert main(["verify", *adder, "--samples", "20"]) == 0
+    assert "(20 samples, seed 5)" in capsys.readouterr().out
+    monkeypatch.setenv("REVC_SEED", "abc")
+    assert main(["compile", *adder, "-o", str(tmp_path / "out.tfc")]) == 0
+    assert main(["verify", *adder, "--samples", "20", "--seed", "3"]) == 0
+    assert "(20 samples, seed 3)" in capsys.readouterr().out
+    assert main(["verify", *adder, "--samples", "20"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: REVC_SEED must be an integer, got 'abc'\n"
+
+
 def test_stats_constant_sha_width(capsys):
     rc = main(["stats", corpus_path("sha2.rev"), "--param", "rounds=2",
                "--strategy", "eager"])

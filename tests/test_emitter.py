@@ -218,7 +218,8 @@ def block_program(body, target=(2,), locals_=(3, 4)) -> FlatProgram:
     return FlatProgram(
         name="block", input_slots=[0, 1], output_slots=[2],
         statements=[Compute(2, band([bvar(0), bvar(1)]), True),
-                    InPlaceBlock(list(target), [0, 1], body, list(locals_))],
+                    InPlaceBlock.from_statements(list(target), body,
+                                                 list(locals_))],
         slot_count=5)
 
 

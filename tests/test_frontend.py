@@ -672,6 +672,55 @@ def test_templates_match_fresh_inlining(monkeypatch, ast, replays):
     assert flat_outcome(ast) == cached
 
 
+def captured_flag_program(*reads: str) -> str:
+    """Two in-place calls `h <- add b` around `flag <- false`, where `add`
+    reads the captured `x` and, in `reads`, the captured `flag`: a replay
+    of the first call's body would read `flag` as true."""
+    body = "".join(f"        {line}\n" for line in reads)
+    return f"""\
+let main (x : bool[2]) (b : bool[2]) =
+    let mutable flag = true
+    let add (y : bool array) =
+        let out = Array.zeroCreate 2
+        out.[1] <- out.[1] <> (y.[0] && x.[1])
+{body}        out
+    let mutable h = Array.zeroCreate 2
+    h.[0] <- x.[0] && b.[0]
+    h.[1] <- x.[1] <> b.[1]
+    h <- add b
+    flag <- false
+    h <- add b
+    h
+
+main
+"""
+
+
+@pytest.mark.parametrize("src", [
+    pytest.param(captured_flag_program(
+        "out.[0] <- out.[0] <> (if flag then x.[0] else x.[1])"), id="if"),
+    pytest.param(captured_flag_program(
+        "let pick i = if flag then x.[i] else x.[1 - i]",
+        "out.[0] <- out.[0] <> (pick 0 && y.[1])"), id="nested-definition"),
+    pytest.param(captured_flag_program(
+        "let v =",
+        "    let k = flag",
+        "    if k then x.[0] else x.[1]",
+        "out.[0] <- out.[0] <> (v && y.[1])"), id="binding-block"),
+])
+def test_template_key_holds_names_read_in_nested_scopes(src):
+    ast = parse(src)
+    prog = flatten(ast)
+    blocks = [s for s in prog.statements if isinstance(s, InPlaceBlock)]
+    assert len(blocks) == len({b.token for b in blocks}) == 2
+    for v in range(16):
+        bits = bits_of(v, 4)
+        assert interpret(prog, bits) == interpret_source(ast, bits), bits
+    for strategy in ("bennett", "eager", "incremental"):
+        _, circ = compile_flat(prog, strategy)
+        assert verify(prog, circ).ok, strategy
+
+
 def test_nesting_bound_is_exact_and_the_evaluators_reach_it():
     # the let's block and the body expression take two levels, each
     # `not (...)` two more

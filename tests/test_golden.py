@@ -254,7 +254,7 @@ def test_in_place_edge_cases_take_the_edge_paths():
     # the pins above cover the paths only while these hold
     prog = flatten(parse(ZERO_READS_IN_PLACE))
     blocks = [s for s in prog.statements if isinstance(s, InPlaceBlock)]
-    assert len({b.layout[0] for b in blocks}) == 1
+    assert len({b.token for b in blocks}) == 1
     orders = [[b.local_slots.index(v) for v in variables(b.body[0].expr)
                if v in b.local_slots] for b in blocks]
     assert len({tuple(o) for o in orders}) == 3
@@ -264,11 +264,11 @@ def test_in_place_edge_cases_take_the_edge_paths():
     assert (em.block_recipes, em.block_replays) == (2, 4)
     blocks = [s for s in flatten(parse(UNTEMPLATED)).statements
               if isinstance(s, InPlaceBlock)]
-    assert len({b.layout[0] for b in blocks}) == len(blocks) == 2
+    assert len({b.token for b in blocks}) == len(blocks) == 2
 
 
 # ---------------------------------------------------------------------------
-# in-place blocks by reference: a shared body over layout positions and
+# in-place blocks by reference: a shared body over body positions and
 # each block's slots
 
 
@@ -304,14 +304,13 @@ def test_blocks_of_one_token_share_one_body():
     src, params = BY_REFERENCE["sha2-r4"]
     blocks = [s for s in flatten(parse(src, params=params)).statements
               if isinstance(s, InPlaceBlock)]
-    tokens = {b.layout[0] for b in blocks}
-    assert len({id(b.layout[0].stmts) for b in blocks}) == len(tokens)
+    tokens = {b.token for b in blocks}
+    assert len({id(b.token.stmts) for b in blocks}) == len(tokens)
     assert len(tokens) < len(blocks)
     for b in blocks:
-        # its own statements are the shared body on its layout's slots
-        token, slots = b.layout
-        assert [s.slot for s in b.body] == [slots[s.slot]
-                                            for s in token.stmts]
+        # its own statements are the shared body on its slots
+        assert [s.slot for s in b.body] == [b.slots[s.slot]
+                                            for s in b.token.stmts]
 
 
 def test_each_in_place_template_is_validated_once(monkeypatch):
@@ -330,7 +329,7 @@ def test_each_in_place_template_is_validated_once(monkeypatch):
     assert len(blocks) == 28
     firsts: dict = {}  # token -> its first block
     for b in blocks:
-        firsts.setdefault(b.layout[0], b)
+        firsts.setdefault(b.token, b)
     assert len(firsts) < len(blocks)
     assert [id(b) for b in validated] == [id(b) for b in firsts.values()]
 
@@ -372,7 +371,7 @@ def test_template_called_with_aliased_arguments():
     ast = parse(ALIASED_CALLS)
     prog = flatten(ast)
     blocks = [s for s in prog.statements if isinstance(s, InPlaceBlock)]
-    assert len(blocks) == 6 and len({b.layout[0] for b in blocks}) == 3
+    assert len(blocks) == 6 and len({b.token for b in blocks}) == 3
     for v in range(16):
         bits = [v >> i & 1 for i in range(4)]
         assert interpret(prog, bits) == interpret_source(ast, bits), bits

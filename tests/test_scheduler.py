@@ -190,7 +190,8 @@ def block_program() -> FlatProgram:
             Compute(4, bor([a, b]), False)]
     return FlatProgram(name="block", input_slots=[0, 1], output_slots=[2],
                        statements=[Compute(2, band([a, b]), True),
-                                   InPlaceBlock([2], [0, 1], body, [3, 4])],
+                                   InPlaceBlock.from_statements(
+                                       [2], body, [3, 4])],
                        slot_count=5, input_layout=[("x0", 1), ("x1", 1)])
 
 
@@ -230,6 +231,50 @@ def test_live_profile_tracks_the_emitter_on_random_programs():
             checkpointed += plan.checkpoints > 0
             assert_profile_tracks_the_emitter(plan)
     assert checkpointed > 20
+
+
+def clean_chain_source(seed: int) -> str:
+    """A chain of steps, each ANDing the running bit with a temporary that
+    it uncomputes and `clean`s with probability 0.7, so that checkpoints
+    save slots a later top-level `clean` releases."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 6)
+    lines = [f"let main (a : bool[{n}]) =", "    let mutable acc = a.[0]"]
+    for k in range(rng.randint(3, 9)):
+        i, j = rng.sample(range(n), 2)
+        step = f"a.[{i}] && a.[{j}]"
+        lines += [f"    let t{k} = Array.zeroCreate 1",
+                  f"    t{k}.[0] <- t{k}.[0] <> ({step})",
+                  f"    let s{k} = Array.zeroCreate 1",
+                  f"    s{k}.[0] <- s{k}.[0] <> (acc && t{k}.[0])"]
+        if rng.random() < 0.7:
+            lines += [f"    t{k}.[0] <- t{k}.[0] <> ({step})",
+                      f"    clean t{k}"]
+        lines.append(f"    acc <- s{k}.[0] <> a.[{rng.randrange(n)}]")
+    return "\n".join(lines + ["    acc", "", "main"])
+
+
+def test_checkpoints_of_cleaned_slots_verify_at_every_budget():
+    """From the reported minimum up to Bennett's width, every budget either
+    raises BudgetError or compiles to a circuit that verifies."""
+    checkpointed = 0
+    for seed in range(40):
+        prog = prog_of(clean_chain_source(seed))
+        g = build_mdd(prog)
+        try:
+            incremental_cleanup(g, qubit_budget=len(prog.input_slots))
+            minimum = len(prog.input_slots)
+        except BudgetError as exc:
+            minimum = exc.minimum
+        for budget in range(minimum, emit(bennett_cleanup(g)).width + 1):
+            try:
+                plan = incremental_cleanup(g, qubit_budget=budget)
+            except BudgetError:
+                continue
+            assert verify(prog, emit(plan)).ok, (seed, budget)
+            assert_profile_tracks_the_emitter(plan)
+            checkpointed += plan.checkpoints > 0
+    assert checkpointed > 100
 
 
 def test_schedule_rejects_unknown_strategy():
