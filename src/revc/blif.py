@@ -252,7 +252,8 @@ def lower(net: BlifNetlist, optimize: bool = False) -> FlatProgram:
     """Lower a netlist to a flat program (covers in dependency order).
 
     With `optimize` the covers are clique-reordered first, so exclusive
-    cubes combine with XOR instead of the OR chain.
+    cubes combine with XOR, and only one OR operand per clique is left
+    for the De Morgan chain of `bor`.
     """
     if optimize:
         net = reorder(net)

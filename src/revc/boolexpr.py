@@ -1,10 +1,11 @@
 """Boolean expression IR and its synthesis into Toffoli/CNOT/NOT sequences.
 
-Expressions are trees over AND / XOR / NOT / variables / constants.  An
-expression is always synthesized onto a target wire: the emitted gates map
-the target value y to y XOR e.  Synthesis respects the written structure
-(no factoring), so the Toffoli count is a direct function of the shape of
-the expression as the programmer wrote it.
+Expressions are trees over AND / XOR / NOT / variables / constants; `bor`
+writes OR in these terms.  An expression is always synthesized onto a
+target wire: the emitted gates map the target value y to y XOR e.
+Synthesis respects the written structure (no factoring), so the Toffoli
+count is a direct function of the shape of the expression as the
+programmer wrote it.
 
 Synthesis has two steps.  `shape` renames an expression's variables to
 registers in order of first use and gives the renamed tree (its shape
@@ -33,8 +34,18 @@ CONST = "const"
 
 @dataclass(frozen=True)
 class BoolExp:
+    # no per-node dict; `_hash` is set on first use only
+    __slots__ = ("op", "args", "_hash")
     op: str
     args: tuple
+
+    def __hash__(self):
+        # cached, so that hashing a DAG visits each node once
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash((self.op, self.args))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         if self.op == VAR:
@@ -74,13 +85,28 @@ def band(children) -> BoolExp:
         else:
             flat.append(c)
     # AND is idempotent; a conjunct together with its complement is 0.
+    # A literal is looked up by its wire (~wire if negated), any other
+    # conjunct by hash: a literal never equals anything else.
     seen: list[BoolExp] = []
+    lits: set[int] = set()
+    others: set[BoolExp] = set()
+    negated: set[BoolExp] = set()  # x of each ~x in others
     for c in flat:
-        if c in seen:
-            continue
-        comp = c.args[0] if c.op == NOT_ else BoolExp(NOT_, (c,))
-        if comp in seen:
-            return bconst(False)
+        if c.op == VAR or c.op == NOT_ and c.args[0].op == VAR:
+            w = c.args[0] if c.op == VAR else ~c.args[0].args[0]
+            if w in lits:
+                continue
+            if ~w in lits:
+                return bconst(False)
+            lits.add(w)
+        else:
+            if c in others:
+                continue
+            if c.args[0] in others if c.op == NOT_ else c in negated:
+                return bconst(False)
+            others.add(c)
+            if c.op == NOT_:
+                negated.add(c.args[0])
         seen.append(c)
     flat = seen
     if not flat:
@@ -96,11 +122,11 @@ def bxor(children) -> BoolExp:
         raise ValueError("empty XOR")
     flat: list[BoolExp] = []
     parity = False
-    work = list(children)
+    work = children[::-1]
     while work:
-        c = work.pop(0)
+        c = work.pop()
         if c.op == XOR:
-            work = list(c.args) + work
+            work += reversed(c.args)
         elif c.op == CONST:
             parity ^= c.args[0]
         else:
@@ -115,13 +141,42 @@ def bxor(children) -> BoolExp:
     return BoolExp(XOR, tuple(flat))
 
 
+def negate(e: BoolExp) -> BoolExp:
+    """not e.  The negation of a NOT, and of an XOR whose constant 1 ends
+    it (the frontend writes `not x` as `x <> true`), is the operand."""
+    if e.op == NOT_:
+        return e.args[0]
+    if e.op == CONST:
+        return bconst(not e.args[0])
+    if e.op == XOR and e.args[-1].op == CONST and e.args[-1].args[0]:
+        return bxor(e.args[:-1])
+    return bnot(e)
+
+
 def bor(children) -> BoolExp:
-    """a || b desugared as ab ^ a ^ b, folded left to right."""
+    """a || b || ... by De Morgan, not (not a && not b && ...): over
+    literals one Toffoli chain of 2(k-2)+1 Toffolis and k-2 scratch wires.
+
+    Two operands may instead fold as ab ^ a ^ b, which synthesizes `a`
+    and `b` a second time but needs no negations (3 gates against 6 over
+    literals).  The fold is kept unless De Morgan is no worse in both
+    gates and Toffolis and better in one."""
     children = list(children)
-    e = children[0]
-    for c in children[1:]:
-        e = bxor([band([e, c]), e, c])
-    return e
+    if len(children) == 1:
+        return children[0]
+    de_morgan = negate(band([negate(c) for c in children]))
+    if len(children) > 2:
+        return de_morgan
+    a, b = children
+    fold = bxor([band([a, b]), a, b])
+    gates, fold_gates = gate_count(de_morgan), gate_count(fold)
+    if gates > fold_gates:
+        return fold
+    toffolis, fold_toffolis = and_cost(de_morgan), and_cost(fold)
+    if toffolis < fold_toffolis or (toffolis == fold_toffolis
+                                    and gates < fold_gates):
+        return de_morgan
+    return fold
 
 
 def variables(e: BoolExp) -> set[int]:
@@ -166,37 +221,46 @@ def _evaluate(e: BoolExp, env, mask: int) -> int:
 
 
 def and_cost(e: BoolExp) -> int:
-    """Toffoli count synthesize will emit; CNOT and NOT are free."""
-    if e.op in (VAR, CONST):
-        return 0
-    if e.op == NOT_:
-        return and_cost(e.args[0])
-    if e.op == XOR:
-        return sum(and_cost(c) for c in e.args)
-    # AND: non-trivial children are computed onto a temp and uncomputed.
-    cost = 0
-    for c in e.args:
-        if c.op == VAR or (c.op == NOT_ and c.args[0].op == VAR):
-            continue
-        cost += 2 * and_cost(c)
-    k = len(e.args)
-    if k == 2:
-        cost += 1
-    elif k >= 3:
-        cost += 2 * (k - 2) + 1
-    return cost
+    """Toffoli count synthesize will emit; CNOT and NOT are free.
+    Memoized on node identity, as `gate_count` is."""
+    memo: dict[int, int] = {}
+
+    def cost(x: BoolExp) -> int:
+        n = memo.get(id(x))
+        if n is not None:
+            return n
+        op = x.op
+        if op in (VAR, CONST):
+            n = 0
+        elif op == NOT_:
+            n = cost(x.args[0])
+        elif op == XOR:
+            n = sum(map(cost, x.args))
+        else:
+            # literals cost nothing, anything else is computed onto a
+            # scratch wire and uncomputed
+            n = sum(2 * cost(c) for c in x.args if c.op != VAR
+                    and not (c.op == NOT_ and c.args[0].op == VAR))
+            n += max(2 * len(x.args) - 3, 0)
+        memo[id(x)] = n
+        return n
+
+    return cost(e)
 
 
-# The most gates one statement may synthesize to.  `a || b` is `ab ^ a ^ b`
-# and repeats `a`, so a k-way OR synthesizes to about 3^k gates; the
-# frontends reject a statement above this bound instead of emitting it.
+# The most gates one statement may synthesize to.  An AND computes and
+# uncomputes each conjunct that is not a literal, so an expression that
+# nests such conjuncts synthesizes to a gate list exponential in its depth,
+# and one that shares a subtree synthesizes it once per use; the frontends
+# reject a statement above this bound instead of emitting it.
 MAX_STATEMENT_GATES = 1_000_000
 
 
 def gate_count(e: BoolExp) -> int:
-    """Number of gates synthesize(e) emits.  Memoized on node identity, so
-    it is linear in the DAG even where `bor` shares a subtree and the
-    synthesized tree is exponential."""
+    """Number of gates synthesize(e) emits, exactly.  Memoized on node
+    identity, so it is linear in the DAG even where a shared subtree makes
+    the synthesized tree exponential (as the two-operand fold of `bor`
+    does when nested)."""
     memo: dict[int, int] = {}
 
     def count(x: BoolExp) -> int:

@@ -73,7 +73,10 @@ Hostile input is a one-line error with a line, never a traceback or a
 hang: the parser bounds nesting at MAX_NESTING levels, both evaluators
 reject a call to a function that is already running and turn a stack
 overflow into an error at the item being run, and the flattener rejects
-an `&&` or `||` whose synthesis would pass MAX_STATEMENT_GATES gates.
+an `&&` or `||` chain whose synthesis would pass MAX_STATEMENT_GATES
+gates.  A chain of one operator (`&&`, `||` or `<>`) is gathered with an
+explicit stack (`_chain`) and evaluated in one call, so its length costs
+no stack depth; `||` lowers all its operands at once (see `bor`).
 
 Both evaluators also share `_entry_point`: the top-level items run in
 order, then a final expression naming a function, or with no final
@@ -98,7 +101,7 @@ from dataclasses import dataclass, field
 
 from .boolexpr import (
     MAX_STATEMENT_GATES, BoolExp, band, bconst, bor, bvar, bxor, evaluate,
-    gate_count, variables,
+    gate_count, negate, variables,
 )
 
 # ---------------------------------------------------------------------------
@@ -957,10 +960,12 @@ def _accumulates(target, rhs) -> bool:
 
 def _reads(e, top: bool = True):
     """Every name, element or slice that `e` reads, with whether it is an
-    operand of e's top-level `<>` chain (`not a` counts as `a <> true`)."""
+    operand of e's top-level `<>` chain (`not a` counts as `a <> true`).
+    An operator chain is walked by `_chain`, so its length costs no
+    depth."""
     if isinstance(e, EBin):
-        yield from _reads(e.left, top and e.op == "<>")
-        yield from _reads(e.right, top and e.op == "<>")
+        for x in _chain(e):
+            yield from _reads(x, top and e.op == "<>")
     elif isinstance(e, ENot):
         yield from _reads(e.arg, top)
     else:
@@ -971,6 +976,24 @@ def _reads(e, top: bool = True):
                     [e.index] if isinstance(e, EIndex) else
                     [e.lo, e.hi] if isinstance(e, ESlice) else []):
             yield from _reads(sub, False)
+
+
+def _chain(e: EBin) -> list:
+    """The operands of the chain of e's operator rooted at e, left to
+    right: the leaves of the largest subtree of that one operator, found
+    without recursion."""
+    left, right = e.left, e.right
+    if not (isinstance(left, EBin) and left.op == e.op
+            or isinstance(right, EBin) and right.op == e.op):
+        return [left, right]
+    out, work = [], [right, left]
+    while work:
+        x = work.pop()
+        if isinstance(x, EBin) and x.op == e.op:
+            work += (x.right, x.left)
+        else:
+            out.append(x)
+    return out
 
 
 def _int_expr_equal(a, b) -> bool:
@@ -1016,7 +1039,7 @@ def _free_names(defn: LetDef) -> tuple[tuple[str, ...], bool]:
             free.setdefault(e.fn)
         for sub in (e.args if isinstance(e, EApp) else
                     e.items if isinstance(e, (EList, EArrayLit)) else
-                    [e.left, e.right] if isinstance(e, EBin) else
+                    _chain(e) if isinstance(e, EBin) else
                     [e.arg] if isinstance(e, ENot) else
                     [e.index] if isinstance(e, EIndex) else
                     [e.lo, e.hi] if isinstance(e, ESlice) else []):
@@ -1068,6 +1091,8 @@ def _read_as_zero(e: BoolExp, slot: int) -> BoolExp:
     args = [_read_as_zero(a, slot) for a in e.args]
     if all(a is b for a, b in zip(args, e.args)):
         return e
+    if e.op == "not":
+        return negate(args[0])
     return (band if e.op == "and" else bxor)(args)
 
 
@@ -1282,19 +1307,20 @@ class Flattener:
         if isinstance(e, ENot):
             return bxor([self.eval_scalar(e.arg, scope), bconst(True)])
         if isinstance(e, EBin):
-            if e.op in ("&&", "||"):
-                # the two operators whose synthesis repeats an operand
-                be = (band if e.op == "&&" else bor)(
-                    [self.eval_scalar(e.left, scope),
-                     self.eval_scalar(e.right, scope)])
+            if e.op in ("&&", "||", "<>"):
+                # one call per chain of one operator: `||` lowers all its
+                # operands at once, and the chain's length costs no depth
+                args = []
+                for x in _chain(e):
+                    args.append(self.eval_scalar(x, scope))
+                if e.op == "<>":
+                    return bxor(args)
+                be = (band if e.op == "&&" else bor)(args)
                 if gate_count(be) > MAX_STATEMENT_GATES:
                     raise FlattenError(
                         f"expression synthesizes to more than "
                         f"{MAX_STATEMENT_GATES} gates", e.line)
                 return be
-            if e.op == "<>":
-                return bxor([self.eval_scalar(e.left, scope),
-                             self.eval_scalar(e.right, scope)])
             raise FlattenError(f"integer operator {e.op!r} in bit context",
                                e.line)
         return self.bit_expr(self.eval_value(e, scope), e)
@@ -1962,12 +1988,12 @@ class SourceInterpreter:
                             e.line)
                     return a // b if e.op == "/" else a % b
                 return {"+": a + b, "-": a - b, "*": a * b}[e.op]
-            a, b = self.eval_bit(e.left, scope), self.eval_bit(e.right, scope)
+            bits = [self.eval_bit(x, scope) for x in _chain(e)]
             if e.op == "&&":
-                return _Box(a & b)
+                return _Box(all(bits))
             if e.op == "||":
-                return _Box(a | b)
-            return _Box(a ^ b)
+                return _Box(any(bits))
+            return _Box(sum(bits))
         if isinstance(e, EIndex):
             v = scope.get(e.name, InterpretError, e.line)[0]
             i = self.eval_int(e.index, scope)

@@ -3,7 +3,7 @@
 Each test pins one externally meaningful guarantee: oracle equivalence of
 every compiled circuit, the closed-form adder resource law, SHA-2 resource
 scaling, pebble-game strategy bounds, the optimal-play referee, the BLIF
-XOR optimization, the eager-cleanup soundness property, and a mutation
+XOR optimization, linear OR lowering, the eager-cleanup soundness property, and a mutation
 check that the verifier itself has teeth.
 """
 
@@ -180,6 +180,20 @@ def test_blif_optimization(name):
         _, ben = compile_flat(prog, "bennett")
         assert eag.width <= ben.width
         assert verify(prog, eag).ok and verify(prog, ben).ok
+
+
+@pytest.mark.parametrize("k", [14, 200])
+def test_k_way_or_is_linear(k):
+    # De Morgan: one chain of 2(k-2)+1 Toffolis and k-2 scratch wires per
+    # synthesis; Bennett computes, copies the output and uncomputes
+    prog = prog_of(f"let g (x : bool[{k}]) =\n    "
+                   + " || ".join(f"x.[{i}]" for i in range(k)) + "\n\ng\n")
+    _, circ = compile_flat(prog, "bennett")
+    st = stats(circ)
+    assert st["toffoli_count"] == 2 * (2 * (k - 2) + 1)
+    assert len(circ.gates) == 2 * (4 * k - 2) + 1
+    assert st["qubit_count"] == k + 1 + (k - 2) + 1
+    assert verify(prog, circ).ok
 
 
 # ---------------------------------------------------------------------------

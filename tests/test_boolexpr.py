@@ -162,6 +162,75 @@ def test_or_desugar():
     check_exhaustive(bor([bvar(0), bvar(1), bvar(2)]), 3)
 
 
+def fold_or(children):
+    """OR as `bor` lowered it before De Morgan: ab ^ a ^ b, left to right."""
+    e = children[0]
+    for c in children[1:]:
+        e = bxor([band([e, c]), e, c])
+    return e
+
+
+@pytest.mark.parametrize("k", [3, 4, 14, 200])
+def test_k_way_or_is_one_toffoli_chain(k):
+    e = bor([bvar(i) for i in range(k)])
+    heap = AncillaHeap(base=k + 1)
+    gates = synthesize(e, k, heap, identity(e))
+    # k NOTs on, the chain, k NOTs off, one NOT on the target
+    assert sum(1 for g in gates if g.kind == TOFFOLI) == 2 * (k - 2) + 1
+    assert len(gates) == gate_count(e) == 2 * k + 2 * (k - 2) + 2
+    assert heap.frontier - heap.base == k - 2
+    if k <= 4:
+        check_exhaustive(e, k)
+
+
+def test_or_negations_cancel():
+    x, y, z = bvar(0), bvar(1), bvar(2)
+    # `not x` reaches bor as x ^ 1, and a nested OR as a NOT
+    assert bor([bxor([x, bconst(True)]), y, z]) == bnot(
+        band([x, bnot(y), bnot(z)]))
+    assert bor([bor([x, y, z]), bvar(3), bvar(4)]) == bnot(band(
+        [bnot(x), bnot(y), bnot(z), bnot(bvar(3)), bnot(bvar(4))]))
+    assert bor([x, bconst(False), y, z]) == bor([x, y, z])
+    assert bor([x, bconst(True), y]) == bconst(True)
+
+
+@st.composite
+def or_operands(draw, n_vars=5):
+    """A literal, a negated literal (as ~x or as x ^ 1), a cube or an XOR
+    group of cubes: what the frontends pass to `bor`."""
+    var = st.integers(0, n_vars - 1).map(bvar)
+    kind = draw(st.sampled_from(["var", "not", "xor-true", "cube", "group"]))
+    if kind == "var":
+        return draw(var)
+    if kind == "not":
+        return bnot(draw(var))
+    if kind == "xor-true":
+        return bxor([draw(var), bconst(True)])
+    cube = st.lists(st.one_of(var, var.map(bnot)), min_size=2,
+                    max_size=4).map(band)
+    if kind == "cube":
+        return draw(cube)
+    return bxor(draw(st.lists(cube, min_size=2, max_size=3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(or_operands(), min_size=2, max_size=6))
+def test_bor_is_or_counted_exactly_and_no_worse_than_the_fold(children):
+    n = 5
+    e = bor(children)
+    for bits in itertools.product([0, 1], repeat=n):
+        env = dict(enumerate(bits))
+        assert evaluate(e, env) == max(evaluate(c, env) for c in children)
+    gates = synthesize(e, n, AncillaHeap(base=n + 1), identity(e))
+    assert gate_count(e) == len(gates)
+    if len(children) == 2:
+        old = fold_or(children)
+        old_gates = synthesize(old, n, AncillaHeap(base=n + 1), identity(old))
+        assert len(gates) <= len(old_gates)
+        assert (sum(1 for g in gates if g.kind == TOFFOLI)
+                <= sum(1 for g in old_gates if g.kind == TOFFOLI))
+
+
 def test_not_and_const():
     check_exhaustive(bnot(bvar(0)), 1)
     check_exhaustive(bxor([bvar(0), bconst(True)]), 1)
@@ -329,14 +398,25 @@ def test_one_recipe_serves_every_renaming():
         assert got == reference_synthesize(e, 0, AncillaHeap(base=30), wires)
 
 
+def shared_doubling(levels):
+    """Each level ANDs two XORs that both hold the level below."""
+    e = bvar(0)
+    for _ in range(levels):
+        e = band([bxor([e, bvar(1)]), bxor([e, bvar(2)])])
+    return e
+
+
 def test_gate_count_is_linear_in_the_dag():
-    # a 40-way OR shares its left side three times per step: the tree it
-    # synthesizes is exponential, the count is not
-    e = bor([bvar(i) for i in range(40)])
+    # every level uses the one below twice, and the AND computes and
+    # uncomputes both: the tree it synthesizes is exponential, the gate
+    # and Toffoli counts are not
+    e = shared_doubling(40)
     assert gate_count(e) > 10 ** 18
-    small = bor([bvar(i) for i in range(5)])
-    assert gate_count(small) == len(synthesize(
-        small, 5, AncillaHeap(base=6), identity(small)))
+    assert and_cost(e) > 10 ** 18
+    small = shared_doubling(3)
+    gates = synthesize(small, 3, AncillaHeap(base=4), identity(small))
+    assert gate_count(small) == len(gates)
+    assert and_cost(small) == sum(1 for g in gates if g.kind == TOFFOLI)
 
 
 @settings(max_examples=100, deadline=None)

@@ -419,10 +419,9 @@ def doubling(levels: int) -> str:
     ("let f0 (x : bool) = x\n"
      + "".join(f"let f{i} (x : bool) = f{i - 1} x\n" for i in range(1, 400))
      + "\nf399\n", r"line \d+: program nests too deeply"),
+    # a 20-way OR is one De Morgan Toffoli chain
     ("let g (x : bool[20]) =\n    "
-     + " || ".join(f"x.[{i}]" for i in range(20)) + "\n\ng\n",
-     f"line 2: expression synthesizes to more than {MAX_STATEMENT_GATES} "
-     "gates"),
+     + " || ".join(f"x.[{i}]" for i in range(20)) + "\n\ng\n", None),
     (f"let g (x : bool[2]) =\n    {doubling(40)}\n\ng\n",
      f"line 2: expression synthesizes to more than {MAX_STATEMENT_GATES} "
      "gates"),
@@ -454,10 +453,21 @@ def test_recursion_is_an_error_in_both_evaluators():
 
 
 def test_exponential_blif_cover_is_user_error(tmp_path, capsys):
+    # 20 cubes are one De Morgan chain, or one XOR clique with --optimize-xor
     cubes = "".join(f"{i:06b} 1\n" for i in range(20))
     path = tmp_path / "or.blif"
     path.write_text(".model m\n.inputs a b c d e f\n.outputs z\n"
                     f".names a b c d e f z\n{cubes}.end\n")
+    for flags in ([], ["--optimize-xor"]):
+        rc = main(["compile", str(path), *flags,
+                   "-o", str(tmp_path / "out.tfc")])
+        assert rc == 0
+    # a cover is still bounded: 8,000 cubes of 20 literals pass the bound
+    names = " ".join(f"i{j}" for j in range(20))
+    cubes = "".join(f"{i:020b} 1\n" for i in range(8000))
+    path.write_text(f".model m\n.inputs {names}\n.outputs z\n"
+                    f".names {names} z\n{cubes}.end\n")
+    capsys.readouterr()
     t0 = time.perf_counter()
     rc = main(["compile", str(path), "-o", str(tmp_path / "out.tfc")])
     assert time.perf_counter() - t0 < 2
@@ -465,7 +475,23 @@ def test_exponential_blif_cover_is_user_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: line 4: cover for 'z' synthesizes to more than "
         f"{MAX_STATEMENT_GATES} gates\n")
-    # grouped into one XOR clique the cover is linear and compiles
-    rc = main(["compile", str(path), "--optimize-xor",
-               "-o", str(tmp_path / "out.tfc")])
-    assert rc == 0
+
+
+@pytest.mark.parametrize("op", ["&&", "||", "<>"])
+def test_long_operator_chain_is_not_nested(tmp_path, capsys, op):
+    # a chain of one operator is gathered with an explicit stack, so 5,000
+    # operands cost no stack depth in flatten or in interpret_source
+    n = 5000
+    src = (f"let g (x : bool[{n}]) =\n    "
+           + f" {op} ".join(f"x.[{i}]" for i in range(n)) + "\n\ng\n")
+    path = tmp_path / "chain.rev"
+    path.write_text(src)
+    for cmd in (["compile", str(path), "-o", str(tmp_path / "out.tfc")],
+                ["verify", str(path)]):
+        t0 = time.perf_counter()
+        assert main(cmd) == 0
+        assert time.perf_counter() - t0 < 2
+    assert capsys.readouterr().err == ""
+    value = {"&&": all, "||": any, "<>": lambda bits: sum(bits) % 2}[op]
+    for bits in ([1] * n, [0] * n, [1] * (n - 1) + [0], [0] * (n - 1) + [1]):
+        assert interpret_source(parse(src), bits) == [int(value(bits))]

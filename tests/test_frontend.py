@@ -840,6 +840,17 @@ def test_element_read_in_its_own_write_reads_zero():
     assert_compiles_like_source(ast)
 
 
+def test_element_read_in_its_own_or_chain_reads_zero():
+    # De Morgan puts a NOT over the chain, which reading t.[0] as zero keeps
+    ast = parse("let f (x : bool[2]) =\n"
+                "    let t = Array.zeroCreate 1\n"
+                "    t.[0] <- x.[0] || t.[0] || x.[1]\n"
+                "    t\n")
+    prog = flatten(ast)
+    assert len(prog.statements) == 1
+    assert_compiles_like_source(ast)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_random_reads_before_writes_compile_like_source(seed):
     assert_compiles_like_source(parse(read_before_write_program(seed)))
@@ -864,3 +875,24 @@ def test_read_before_write_family_covers_both_paths():
         flatten(parse(read_before_write_program(seed)))) for seed in range(40)]
     assert sum(top > 0 for top, _ in counts) >= 5
     assert sum(inner > 0 for _, inner in counts) >= 3
+
+
+def test_long_chain_in_an_in_place_body():
+    # the in-place check (`_reads`) and the template key (`_free_names`)
+    # walk a 3,000-operand `<>` chain without recursion
+    n = 3000
+    chain = " <> ".join(f"x.[{i}]" for i in range(n))
+    src = (f"let acc (x : bool array) =\n"
+           f"    let r = Array.zeroCreate 1\n"
+           f"    r.[0] <- r.[0] <> {chain}\n"
+           f"    r\n\n"
+           f"let main (x : bool[{n}]) (y : bool[1]) =\n"
+           f"    let mutable h = Array.zeroCreate 1\n"
+           f"    h <- y\n"
+           f"    h <- acc x\n"
+           f"    h <- acc x\n"
+           f"    h\n")
+    prog = flatten(parse(src))
+    assert sum(isinstance(s, InPlaceBlock) for s in prog.statements) == 2
+    for bits in ([1] * n + [0], [0] * (n - 1) + [1, 1]):
+        assert interpret(prog, bits) == interpret_source(parse(src), bits)
