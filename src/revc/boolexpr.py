@@ -169,12 +169,10 @@ def bor(children) -> BoolExp:
         return de_morgan
     a, b = children
     fold = bxor([band([a, b]), a, b])
-    gates, fold_gates = gate_count(de_morgan), gate_count(fold)
-    if gates > fold_gates:
-        return fold
-    toffolis, fold_toffolis = and_cost(de_morgan), and_cost(fold)
-    if toffolis < fold_toffolis or (toffolis == fold_toffolis
-                                    and gates < fold_gates):
+    gates, toffolis = synthesis_cost(de_morgan)
+    fold_gates, fold_toffolis = synthesis_cost(fold)
+    if gates <= fold_gates and (toffolis < fold_toffolis or (
+            toffolis == fold_toffolis and gates < fold_gates)):
         return de_morgan
     return fold
 
@@ -220,34 +218,6 @@ def _evaluate(e: BoolExp, env, mask: int) -> int:
     return mask if e.args[0] else 0
 
 
-def and_cost(e: BoolExp) -> int:
-    """Toffoli count synthesize will emit; CNOT and NOT are free.
-    Memoized on node identity, as `gate_count` is."""
-    memo: dict[int, int] = {}
-
-    def cost(x: BoolExp) -> int:
-        n = memo.get(id(x))
-        if n is not None:
-            return n
-        op = x.op
-        if op in (VAR, CONST):
-            n = 0
-        elif op == NOT_:
-            n = cost(x.args[0])
-        elif op == XOR:
-            n = sum(map(cost, x.args))
-        else:
-            # literals cost nothing, anything else is computed onto a
-            # scratch wire and uncomputed
-            n = sum(2 * cost(c) for c in x.args if c.op != VAR
-                    and not (c.op == NOT_ and c.args[0].op == VAR))
-            n += max(2 * len(x.args) - 3, 0)
-        memo[id(x)] = n
-        return n
-
-    return cost(e)
-
-
 # The most gates one statement may synthesize to.  An AND computes and
 # uncomputes each conjunct that is not a literal, so an expression that
 # nests such conjuncts synthesizes to a gate list exponential in its depth,
@@ -256,41 +226,61 @@ def and_cost(e: BoolExp) -> int:
 MAX_STATEMENT_GATES = 1_000_000
 
 
-def gate_count(e: BoolExp) -> int:
-    """Number of gates synthesize(e) emits, exactly.  Memoized on node
-    identity, so it is linear in the DAG even where a shared subtree makes
-    the synthesized tree exponential (as the two-operand fold of `bor`
-    does when nested)."""
-    memo: dict[int, int] = {}
+def synthesis_cost(e: BoolExp) -> tuple[int, int]:
+    """(gates, Toffolis) that synthesize(e) emits, exactly.  Memoized on
+    node identity, so it is linear in the DAG even where a shared subtree
+    makes the synthesized tree exponential (as the two-operand fold of
+    `bor` does when nested)."""
+    memo: dict[int, tuple[int, int]] = {}
 
-    def count(x: BoolExp) -> int:
-        n = memo.get(id(x))
-        if n is not None:
-            return n
+    def cost(x: BoolExp) -> tuple[int, int]:
+        c = memo.get(id(x))
+        if c is not None:
+            return c
         op = x.op
         if op == VAR:
-            n = 1
+            c = 1, 0
         elif op == CONST:
-            n = int(x.args[0])
+            c = int(x.args[0]), 0
         elif op == NOT_:
-            n = count(x.args[0]) + 1
+            g, t = cost(x.args[0])
+            c = g + 1, t
         elif op == XOR:
-            n = sum(map(count, x.args))
+            g = t = 0
+            for a in x.args:
+                ag, at = cost(a)
+                g, t = g + ag, t + at
+            c = g, t
         else:
             # literals cost nothing, a negated one two NOTs, anything else
-            # is computed onto a scratch wire and uncomputed
-            n = 0
-            for c in x.args:
-                if c.op == NOT_ and c.args[0].op == VAR:
-                    n += 2
-                elif c.op != VAR:
-                    n += 2 * count(c)
+            # is computed onto a scratch wire and uncomputed; k controls
+            # take one CNOT (k = 1), one Toffoli (k = 2) or a chain of
+            # 2(k-2)+1 Toffolis
+            g = t = 0
+            for a in x.args:
+                if a.op == NOT_ and a.args[0].op == VAR:
+                    g += 2
+                elif a.op != VAR:
+                    ag, at = cost(a)
+                    g, t = g + 2 * ag, t + 2 * at
             k = len(x.args)
-            n += 1 if k <= 2 else 2 * (k - 2) + 1
-        memo[id(x)] = n
-        return n
+            chain = 1 if k <= 2 else 2 * (k - 2) + 1
+            c = g + chain, t + (chain if k > 1 else 0)
+        memo[id(x)] = c
+        return c
 
-    return count(e)
+    return cost(e)
+
+
+def gate_count(e: BoolExp) -> int:
+    """Number of gates synthesize(e) emits, exactly (`synthesis_cost`)."""
+    return synthesis_cost(e)[0]
+
+
+def and_cost(e: BoolExp) -> int:
+    """Toffoli count synthesize(e) emits (`synthesis_cost`); CNOT and NOT
+    are free."""
+    return synthesis_cost(e)[1]
 
 
 def shape(e: BoolExp) -> tuple[tuple, tuple[int, ...]]:

@@ -4,7 +4,11 @@ The emitter owns the slot-to-wire mapping and the ancilla pool.  Program
 inputs are pinned to wires 0..n-1; every other value lives on a wire taken
 from the pool when its slot first materializes and returned when the slot
 is reversed away or cleaned.  Only zero-valued wires are ever returned, so
-a freshly allocated wire always reads 0.
+a freshly allocated wire always reads 0.  A statement that reads a slot
+with no wire gets such a wire for it: from `.rev` source that is a slot a
+`clean` released (flatten reads a never-written `Array.zeroCreate` bit as
+the constant 0), and a hand-built FlatProgram may also read a slot that
+nothing writes.
 
 Correctness is tracked per slot, not per wire: every statement, forwards
 or backwards, is synthesized against the *current* mapping, so a mirror
@@ -26,12 +30,12 @@ block recipe is a `Recipe` over those registers (the heap operations and
 the gates) and each position's register at the end.  Every later run of
 the key replays it with `Recipe.run`.  Replay is gate for gate what walking the
 body on wires would emit: blocks of one token are the same statements
-with their slots renamed position by position, and a statement's
-unwritten slots take wires in register order (the order in which its
-expression first reads them, see `boolexpr.shape`), which renaming
-keeps; so from one entry pattern they take and return wires in the same
-order, and the heap, which hands out its least free wire, answers the
-same sequence from the same state with the same wires.  The walk raises
+with their slots renamed position by position, and the slots with no
+wire that a statement reads take wires in register order (the order in
+which its expression first reads them, see `boolexpr.shape`), which
+renaming keeps; so from one entry pattern they take and return wires in
+the same order, and the heap, which hands out its least free wire,
+answers the same sequence from the same state with the same wires.  The walk raises
 the errors of the statement rules (a fresh write to a live slot, a
 target inside its expression) on registers; replay checks that the
 entry wires are distinct, so distinct registers are distinct wires.
@@ -127,7 +131,8 @@ class Emitter:
     # -- wiring helpers -----------------------------------------------------
 
     def _wire_of(self, slot: int) -> int:
-        """Current wire of a slot; an unwritten slot materializes as zero."""
+        """Current wire of a slot; a slot with no wire (cleaned, or never
+        written) gets a zero wire."""
         w = self.slot_map.get(slot)
         if w is None:
             w = self.heap.alloc()
@@ -153,8 +158,9 @@ class Emitter:
         return w
 
     def _synth(self, expr, target_slot: int, fresh: bool) -> list[Gate]:
-        """Gates of target ^= expr on the current wires.  Unwritten slots
-        of expr materialize first, in register order, then the target."""
+        """Gates of target ^= expr on the current wires.  Slots of expr
+        with no wire (see `_wire_of`) get zero wires first, in register
+        order, then the target."""
         entry = self.compiled.get(id(expr)) or self._learn(expr)
         slot_map = self.slot_map
         try:

@@ -41,16 +41,20 @@ width (a constant bit or compile-time integer by value), the value of
 every name the body reads before binding it (found once per definition
 by `_free_names`; a captured function adds its own such names, a
 captured bit or array its slots), which of all those slots are one slot,
-and which are unwritten `Array.zeroCreate` slots and whether a statement
-has read them.  A body that assigns a name it does not bind is never
-replayed, and a replay that would pass the unrolling or allocation bound
-inlines instead, so that the error is the same.  A template's block is
-validated when it is inlined; a replay is not, since its check, drawn per
-body position, would be the template's bit for bit.
+and which are unwritten `Array.zeroCreate` slots.  A body that assigns a
+name it does not bind is never replayed, and a replay that would pass the
+unrolling or allocation bound inlines instead, so that the error is the
+same.  A template's block is validated when it is inlined; a replay is
+not, since its check, drawn per body position, would be the template's
+bit for bit.
 
-Unwritten `Array.zeroCreate` slots are zero.  A statement that reads one
-materializes it, so the first write to it after that is an accumulation
-(`fresh=False`), not a fresh write.
+An unwritten `Array.zeroCreate` slot is the constant 0: `emit` folds it
+out of every statement that reads it, at top level and in in-place
+bodies, so no flattened statement reads one and its first write is a
+fresh write (`fresh=True`).  Expressions keep its variable until then,
+so that a name aliasing it still accumulates onto it in place.  A
+flattened statement reads a slot with no wire only after a `clean`
+released it (see emitter).
 
 An `InPlaceBlock` holds no statements of its own: it is a token and its
 distinct slots.  The token is a `BlockBody`, the body written over
@@ -75,8 +79,10 @@ reject a call to a function that is already running and turn a stack
 overflow into an error at the item being run, and the flattener rejects
 an `&&` or `||` chain whose synthesis would pass MAX_STATEMENT_GATES
 gates.  A chain of one operator (`&&`, `||` or `<>`) is gathered with an
-explicit stack (`_chain`) and evaluated in one call, so its length costs
-no stack depth; `||` lowers all its operands at once (see `bor`).
+explicit stack (`_chain`) and evaluated in one call, and an integer chain
+(`+ -` or `* / %`) folds its left spine in a loop (`_int_chain`), so a
+chain's length costs no stack depth; `||` lowers all its operands at
+once (see `bor`).
 
 Both evaluators also share `_entry_point`: the top-level items run in
 order, then a final expression naming a function, or with no final
@@ -364,6 +370,7 @@ _ATOM_START = {"NAME", "INT"}
 
 # precedence: || < && < <> < (+ -) < (* / %) < not < application < atom
 _BINARY_LEVELS = [("||",), ("&&",), ("<>",), ("+", "-"), ("*", "/", "%")]
+_LEVEL = {op: level for level in _BINARY_LEVELS for op in level}
 
 
 # Deepest nesting of parenthesized expressions, `not`s and blocks the parser
@@ -979,36 +986,65 @@ def _reads(e, top: bool = True):
 
 
 def _chain(e: EBin) -> list:
-    """The operands of the chain of e's operator rooted at e, left to
-    right: the leaves of the largest subtree of that one operator, found
-    without recursion."""
+    """The operands of the chain rooted at e, left to right: the leaves of
+    the largest subtree of operators of e's precedence level (`&&`, `||`,
+    `<>`, `+ -` or `* / %`), found without recursion."""
+    level = _LEVEL[e.op]
     left, right = e.left, e.right
-    if not (isinstance(left, EBin) and left.op == e.op
-            or isinstance(right, EBin) and right.op == e.op):
+    if not (isinstance(left, EBin) and left.op in level
+            or isinstance(right, EBin) and right.op in level):
         return [left, right]
     out, work = [], [right, left]
     while work:
         x = work.pop()
-        if isinstance(x, EBin) and x.op == e.op:
+        if isinstance(x, EBin) and x.op in level:
             work += (x.right, x.left)
         else:
             out.append(x)
     return out
 
 
+def _int_chain(e: EBin, operand, error: type[FrontendError]) -> int:
+    """The integer value of the chain of e's precedence level rooted at e
+    (`a - b + c`, `a * b % c`), its left spine folded in a loop; `operand`
+    evaluates every other operand, left to right."""
+    level, spine = _LEVEL[e.op], []
+    while isinstance(e, EBin) and e.op in level:
+        spine.append(e)
+        e = e.left
+    v = operand(e)
+    for x in reversed(spine):
+        b = operand(x.right)
+        if x.op == "+":
+            v += b
+        elif x.op == "-":
+            v -= b
+        elif x.op == "*":
+            v *= b
+        elif b == 0:
+            raise error(f"{'division' if x.op == '/' else 'modulo'} by zero",
+                        x.line)
+        else:
+            v = v // b if x.op == "/" else v % b
+    return v
+
+
 def _int_expr_equal(a, b) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, EInt):
-        return a.value == b.value
-    if isinstance(a, EName):
-        return a.name == b.name
-    if isinstance(a, EBin):
-        return a.op == b.op and _int_expr_equal(a.left, b.left) \
-            and _int_expr_equal(a.right, b.right)
-    if isinstance(a, EIndex):
-        return a.name == b.name and _int_expr_equal(a.index, b.index)
-    return False
+    """a and b are the same integer expression, compared without
+    recursion."""
+    work = [(a, b)]
+    while work:
+        a, b = work.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, EBin) and a.op == b.op:
+            work += ((a.left, b.left), (a.right, b.right))
+        elif isinstance(a, EIndex) and a.name == b.name:
+            work.append((a.index, b.index))
+        elif not (isinstance(a, EInt) and a.value == b.value
+                  or isinstance(a, EName) and a.name == b.name):
+            return False
+    return True
 
 
 def _free_names(defn: LetDef) -> tuple[tuple[str, ...], bool]:
@@ -1081,14 +1117,14 @@ def _renamed(e: BoolExp, m: dict[int, BoolExp]) -> BoolExp:
     return BoolExp(e.op, tuple([_renamed(a, m) for a in e.args]))
 
 
-def _read_as_zero(e: BoolExp, slot: int) -> BoolExp:
-    """e with the variable of `slot` read as 0, folded again; e itself if
-    it does not read slot."""
+def _read_as_zero(e: BoolExp, zeros: set[int]) -> BoolExp:
+    """e with the variable of every slot in `zeros` read as 0, folded
+    again; e itself if it reads none of them."""
     if e.op == "var":
-        return bconst(False) if e.args[0] == slot else e
+        return bconst(False) if e.args[0] in zeros else e
     if e.op == "const":
         return e
-    args = [_read_as_zero(a, slot) for a in e.args]
+    args = [_read_as_zero(a, zeros) for a in e.args]
     if all(a is b for a, b in zip(args, e.args)):
         return e
     if e.op == "not":
@@ -1113,14 +1149,12 @@ class _Template:
     `token` is the `BlockBody` the call emitted.  Positions index its
     slots: the call's target, argument and captured slots in key order
     (distinct), then its locals.  `fresh_after` are the positions of the
-    slots that are unwritten `Array.zeroCreate` slots after the call, and
-    `read_after` those of such slots that a statement has read.
+    slots that are unwritten `Array.zeroCreate` slots after the call.
     `iterations` and `allocated` are what the call added to the unrolling
     and allocation counters.
     """
     token: BlockBody
     fresh_after: tuple
-    read_after: tuple
     iterations: int
     allocated: int
 
@@ -1184,11 +1218,8 @@ class Flattener:
         self.slot_count = 0
         self.fresh: set[int] = set()  # unwritten Array.zeroCreate slots
         # fresh slots an expression built so far reads (`read`), which
-        # `emit` looks for in the statements it emits
+        # `emit` reads as 0 in the statements it emits
         self.fresh_reads: set[int] = set()
-        # fresh slots an emitted statement reads, so materialized as zero:
-        # a write to one accumulates
-        self.zero_read: set[int] = set()
         self.stmts: list = []
         self.enforced: set[int] = set()  # in-place target: accumulate only
         self.nested = 0  # >0: inside an in-place body or an if-branch
@@ -1208,13 +1239,18 @@ class Flattener:
         return s
 
     def emit(self, stmt) -> None:
+        """Append a statement, with every unwritten `Array.zeroCreate` slot
+        it reads read as 0; a write of 0 onto a written slot is dropped."""
         if self.branch_depth:
             raise FlattenError(
                 "conditional branches may only re-label existing values")
-        if self.fresh_reads and isinstance(stmt, Compute):
-            self.fresh_reads.intersection_update(self.fresh)
-            self.zero_read.update(self.fresh_reads.intersection(
-                variables(stmt.expr)))
+        if isinstance(stmt, Compute):
+            if self.fresh_reads:
+                self.fresh_reads.intersection_update(self.fresh)
+                stmt.expr = _read_as_zero(stmt.expr, self.fresh_reads)
+            e = stmt.expr
+            if e.op == "const" and not e.args[0] and not stmt.fresh:
+                return  # x ^= 0 is a no-op
         self.stmts.append(stmt)
 
     def read(self, slot: int) -> BoolExp:
@@ -1222,11 +1258,6 @@ class Flattener:
         if slot in self.fresh:
             self.fresh_reads.add(slot)
         return bvar(slot)
-
-    def fresh_state(self, slot: int) -> int:
-        """0 for a written slot, 1 for an unwritten `Array.zeroCreate`
-        slot, 2 for one that a statement has read."""
-        return (slot in self.fresh) + (slot in self.zero_read)
 
     def compute(self, e: BoolExp) -> int:
         """A new slot holding e."""
@@ -1247,42 +1278,32 @@ class Flattener:
         binding[0] = value
 
     # -- compile-time integers ----------------------------------------------
-    def eval_int(self, e, scope: _Scope) -> int:
-        """The fast path for integers; raises _NotInt on anything else."""
+    def eval_int(self, e, scope: _Scope, line) -> int:
+        """The compile-time integer e; an error at the caller's `line` if
+        e is not one."""
         if isinstance(e, EInt):
             return e.value
         if isinstance(e, EName):
             v = scope.lookup(e.name)
             if v is not None and isinstance(v[0], _IntVal):
                 return v[0].value
-            raise _NotInt()
-        if isinstance(e, EBin) and e.op in "+-*/%":
-            a, b = self.eval_int(e.left, scope), self.eval_int(e.right, scope)
-            if e.op == "+":
-                return a + b
-            if e.op == "-":
-                return a - b
-            if e.op == "*":
-                return a * b
-            if b == 0:
-                raise FlattenError(
-                    f"{'division' if e.op == '/' else 'modulo'} by zero", e.line)
-            return a // b if e.op == "/" else a % b
-        if isinstance(e, EIndex):
+        elif isinstance(e, EBin) and e.op in "+-*/%":
+            return _int_chain(e, lambda x: self.eval_int(x, scope, line),
+                              FlattenError)
+        elif isinstance(e, EIndex):
             v = scope.lookup(e.name)
-            if v is None or not isinstance(v[0], _IntArrVal):
-                raise _NotInt()
-            values, i = v[0].values, self.eval_int(e.index, scope)
-            if not 0 <= i < len(values):
-                raise FlattenError(f"index {i} out of range for {e.name!r}"
-                                   f" (size {len(values)})", e.line)
-            return values[i]
-        if isinstance(e, EApp):
+            if v is not None and isinstance(v[0], _IntArrVal):
+                values, i = v[0].values, self.eval_int(e.index, scope, line)
+                if not 0 <= i < len(values):
+                    raise FlattenError(f"index {i} out of range for {e.name!r}"
+                                       f" (size {len(values)})", e.line)
+                return values[i]
+        elif isinstance(e, EApp):
             if e.fn in ("int", "float"):
-                return self.eval_int(e.args[0], scope)
+                return self.eval_int(e.args[0], scope, line)
             if e.fn == "sqrt":
-                return _int_sqrt(self.eval_int(e.args[0], scope), FlattenError,
-                                 e.line)
+                return _int_sqrt(self.eval_int(e.args[0], scope, line),
+                                 FlattenError, e.line)
             if e.fn == "Array.length":
                 v = self.eval_value(e.args[0], scope)
                 if isinstance(v, _ArrVal):
@@ -1290,14 +1311,8 @@ class Flattener:
                 if isinstance(v, _IntArrVal):
                     return len(v.values)
                 raise FlattenError("Array.length of a non-array", e.line)
-        raise _NotInt()
-
-    def eval_int_or_fail(self, e, scope, line) -> int:
-        try:
-            return self.eval_int(e, scope)
-        except _NotInt:
-            raise FlattenError("bound or index is not a compile-time integer",
-                               line) from None
+        raise FlattenError("bound or index is not a compile-time integer",
+                           line)
 
     # -- boolean expressions -------------------------------------------------
     def eval_scalar(self, e, scope: _Scope) -> BoolExp:
@@ -1339,7 +1354,7 @@ class Flattener:
         if isinstance(e, EBool):
             return _ConstBitVal(e.value)
         if isinstance(e, EArrayLit):
-            return _IntArrVal([self.eval_int_or_fail(x, scope, e.line)
+            return _IntArrVal([self.eval_int(x, scope, e.line)
                                for x in e.items])
         if isinstance(e, EName):
             v = scope.get(e.name, FlattenError, e.line)[0]
@@ -1349,8 +1364,8 @@ class Flattener:
         if isinstance(e, EIndex):
             v = scope.get(e.name, FlattenError, e.line)[0]
             if isinstance(v, _IntArrVal):
-                return _IntVal(self.eval_int_or_fail(e, scope, e.line))
-            i = self.eval_int_or_fail(e.index, scope, e.line)
+                return _IntVal(self.eval_int(e, scope, e.line))
+            i = self.eval_int(e.index, scope, e.line)
             if isinstance(v, _ArrVal):
                 if not 0 <= i < len(v.slots):
                     raise FlattenError(f"index {i} out of range for {e.name!r}"
@@ -1361,8 +1376,8 @@ class Flattener:
             v = scope.get(e.name, FlattenError, e.line)[0]
             if not isinstance(v, _ArrVal):
                 raise FlattenError(f"{e.name!r} is not a bit array", e.line)
-            lo = self.eval_int_or_fail(e.lo, scope, e.line)
-            hi = self.eval_int_or_fail(e.hi, scope, e.line)
+            lo = self.eval_int(e.lo, scope, e.line)
+            hi = self.eval_int(e.hi, scope, e.line)
             if not (0 <= lo and hi < len(v.slots)):
                 raise FlattenError(f"slice [{lo}..{hi}] out of range for "
                                    f"{e.name!r} (size {len(v.slots)})", e.line)
@@ -1373,7 +1388,7 @@ class Flattener:
             return self.if_convert(e, scope)
         if isinstance(e, (EBin, ENot)):
             if isinstance(e, EBin) and e.op in "+-*/%":
-                return _IntVal(self.eval_int_or_fail(e, scope, e.line))
+                return _IntVal(self.eval_int(e, scope, e.line))
             return self.materialize(self.eval_scalar(e, scope))
         if isinstance(e, EInt):
             return _IntVal(e.value)
@@ -1391,7 +1406,7 @@ class Flattener:
     def eval_app(self, e: EApp, scope: _Scope):
         fn = e.fn
         if fn == "Array.zeroCreate":
-            n = self.eval_int_or_fail(e.args[0], scope, e.line)
+            n = self.eval_int(e.args[0], scope, e.line)
             self.allocated = _count_bits(self.allocated, n, FlattenError, e.line)
             slots = [self.new_slot() for _ in range(n)]
             self.fresh.update(slots)
@@ -1414,14 +1429,14 @@ class Flattener:
                 out.extend(v.slots)
             return _ArrVal(out)
         if fn == "rot":
-            k = self.eval_int_or_fail(e.args[0], scope, e.line)
+            k = self.eval_int(e.args[0], scope, e.line)
             v = self.eval_value(e.args[1], scope)
             if not isinstance(v, _ArrVal):
                 raise FlattenError("rot expects a bit array", e.line)
             n = len(v.slots)
             return _ArrVal([v.slots[(i + k) % n] for i in range(n)])
         if fn in ("Array.length", "int", "sqrt", "float"):
-            return _IntVal(self.eval_int_or_fail(e, scope, e.line))
+            return _IntVal(self.eval_int(e, scope, e.line))
         if fn == "__block__":
             # desugared multi-statement binding body
             return self.inline_call(_FuncVal(e.args[0], scope), [])
@@ -1461,7 +1476,7 @@ class Flattener:
                 value = self.eval_value(item.expr, scope)
             elif alias is not None and item is alias[0]:
                 ret, target, line = alias
-                n = self.eval_int_or_fail(ret.expr.args[0], scope, ret.line)
+                n = self.eval_int(ret.expr.args[0], scope, ret.line)
                 _check_width(ret, n, target, line, FlattenError)
                 scope.bind(ret.name, _ArrVal(target), True)
             else:
@@ -1480,8 +1495,8 @@ class Flattener:
         elif isinstance(item, Assign):
             self.do_assign(item, scope)
         elif isinstance(item, ForLoop):
-            lo = self.eval_int_or_fail(item.lo, scope, item.line)
-            hi = self.eval_int_or_fail(item.hi, scope, item.line)
+            lo = self.eval_int(item.lo, scope, item.line)
+            hi = self.eval_int(item.hi, scope, item.line)
             self.iterations = _count_iterations(self.iterations, lo, hi,
                                                 FlattenError, item.line)
             for i in range(lo, hi + 1):
@@ -1546,9 +1561,7 @@ class Flattener:
             tslot, arr, i = self.element_slot(item.target, scope)
             stripped = self.accumulator_strip(e, tslot)
             if stripped is None and tslot in self.fresh:
-                # an unwritten element reads as zero, in its own write too
-                stripped = (_read_as_zero(e, tslot)
-                            if tslot in self.fresh_reads else e)
+                stripped = e  # it reads as 0 in its own write too (`emit`)
             if stripped is not None:
                 self.write_slot(tslot, stripped, item.line)
             else:
@@ -1560,20 +1573,15 @@ class Flattener:
         arr = scope.get(target.name, FlattenError, target.line)[0]
         if not isinstance(arr, _ArrVal):
             raise FlattenError(f"{target.name!r} is not a bit array", target.line)
-        i = self.eval_int_or_fail(target.index, scope, target.line)
+        i = self.eval_int(target.index, scope, target.line)
         if not 0 <= i < len(arr.slots):
             raise FlattenError(f"index {i} out of range for {target.name!r} "
                                f"(size {len(arr.slots)})", target.line)
         return arr.slots[i], arr, i
 
     def write_slot(self, slot: int, e: BoolExp, line: int) -> None:
-        fresh = self.fresh_state(slot) == 1
+        self.emit(Compute(slot, e, slot in self.fresh))
         self.fresh.discard(slot)
-        self.fresh_reads.discard(slot)
-        self.zero_read.discard(slot)
-        if e.op == "const" and not e.args[0] and not fresh:
-            return  # x ^= 0 is a no-op
-        self.emit(Compute(slot, e, fresh))
 
     def accumulator_strip(self, e: BoolExp, slot: int | None):
         """If e == Var(slot) ⊕ rest with slot nowhere in rest, return rest."""
@@ -1644,7 +1652,6 @@ class Flattener:
             self.templates[sig[0]] = _Template(
                 block.token,
                 tuple(p for p, s in enumerate(slots) if s in self.fresh),
-                tuple(p for p, s in enumerate(slots) if s in self.zero_read),
                 self.iterations - iterations, self.allocated - allocated)
 
     # -- in-place templates ------------------------------------------------------
@@ -1659,7 +1666,7 @@ class Flattener:
         argument's kind and width or compile-time value, the value of every
         name f's body reads from its environment (for a function, the same
         again), which of the slots are one slot, and which are unwritten
-        `Array.zeroCreate` slots, read or not.
+        `Array.zeroCreate` slots.
         """
         slots = list(target)
         try:
@@ -1669,7 +1676,7 @@ class Flattener:
             return None
         first: dict[int, int] = {}
         shared = tuple(first.setdefault(s, i) for i, s in enumerate(slots))
-        fresh = tuple(map(self.fresh_state, slots))
+        fresh = tuple([s in self.fresh for s in slots])
         return (values, shared, fresh), slots
 
     def function_key(self, f: _FuncVal, slots: list, seen: set):
@@ -1719,9 +1726,7 @@ class Flattener:
         self.allocated += tpl.allocated
         block_slots = (*dict.fromkeys(slots), *range(base, self.slot_count))
         self.fresh.difference_update(slots)
-        self.zero_read.difference_update(slots)
         self.fresh.update([block_slots[p] for p in tpl.fresh_after])
-        self.zero_read.update([block_slots[p] for p in tpl.read_after])
         self.emit(InPlaceBlock(tpl.token, block_slots))
         return True
 
@@ -1834,7 +1839,7 @@ class Flattener:
                     raise FlattenError(
                         f"entry parameter {pname!r} needs a sized "
                         f"annotation like (x : bool[8])", line)
-                n = self.eval_int_or_fail(ann[1], scope, line) if array else 1
+                n = self.eval_int(ann[1], scope, line) if array else 1
                 self.allocated = _count_bits(self.allocated, n, FlattenError,
                                              line)
                 slots = [self.new_slot() for _ in range(n)]
@@ -1857,14 +1862,10 @@ class Flattener:
         seen: set[int] = set()
         for s in slots:
             if s in seen:  # outputs must land on distinct wires: copy
-                s = self.compute(bvar(s))
+                s = self.compute(self.read(s))
             seen.add(s)
             out.append(s)
         return out
-
-
-class _NotInt(Exception):
-    pass
 
 
 def flatten(program, params: dict | None = None) -> FlatProgram:
@@ -1980,14 +1981,8 @@ class SourceInterpreter:
             return _Box(1 ^ self.eval_bit(e.arg, scope))
         if isinstance(e, EBin):
             if e.op in "+-*/%":
-                a, b = self.eval_int(e.left, scope), self.eval_int(e.right, scope)
-                if e.op in "/%":
-                    if b == 0:
-                        raise InterpretError(
-                            f"{'division' if e.op == '/' else 'modulo'} by zero",
-                            e.line)
-                    return a // b if e.op == "/" else a % b
-                return {"+": a + b, "-": a - b, "*": a * b}[e.op]
+                return _int_chain(e, lambda x: self.eval_int(x, scope),
+                                  InterpretError)
             bits = [self.eval_bit(x, scope) for x in _chain(e)]
             if e.op == "&&":
                 return _Box(all(bits))

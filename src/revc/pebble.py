@@ -151,21 +151,23 @@ def lmt_strategy(T: int) -> list[Move]:
 
 
 @functools.lru_cache(maxsize=None)
-def _min_steps(n: int, k: int):
+def _min_steps(n: int, k: int) -> tuple:
     """Minimal moves to pebble distance n past a fixed base and clean up,
-    using at most k pebbles beyond the base (the midpoint recursion)."""
+    using at most k pebbles beyond the base (the midpoint recursion), and
+    the first midpoint j that achieves them (0 when there is none)."""
     if n == 0:
-        return 0
+        return 0, 0
     if k <= 0:
-        return INF
+        return INF, 0
     if n == 1:
-        return 1
-    best = INF
+        return 1, 0
+    best, best_j = INF, 0
     for j in range(1, n):
-        c = _min_steps(j, k) + _min_steps(n - j, k - 1) + _min_steps(j, k - 1)
+        c = (_min_steps(j, k)[0] + _min_steps(n - j, k - 1)[0]
+             + _min_steps(j, k - 1)[0])
         if c < best:
-            best = c
-    return best
+            best, best_j = c, j
+    return best, best_j
 
 
 def _dp_moves(base: int, n: int, k: int, out: list[Move], unpebble: bool = False) -> None:
@@ -174,12 +176,7 @@ def _dp_moves(base: int, n: int, k: int, out: list[Move], unpebble: bool = False
     if n == 1:
         out.append(Move(REMOVE if unpebble else PLACE, base + 1))
         return
-    best, best_j = INF, None
-    for j in range(1, n):
-        c = _min_steps(j, k) + _min_steps(n - j, k - 1) + _min_steps(j, k - 1)
-        if c < best:
-            best, best_j = c, j
-    j = best_j
+    j = _min_steps(n, k)[1]
     if unpebble:
         # exact mirror of the placement sequence
         sub: list[Move] = []
@@ -200,7 +197,7 @@ def knill_optimal(T: int, k: int) -> tuple[int, list[Move]]:
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    steps = _min_steps(T, k)
+    steps = _min_steps(T, k)[0]
     if steps == INF:
         kmin = 1 if T == 1 else ceil(log2(T)) + 1
         raise InfeasibleError(f"{k} pebbles cannot reach node {T} cleanly; "
@@ -252,7 +249,7 @@ def tradeoff_table(T_max: int, k_list) -> list[TradeoffRow]:
     rows = []
     for k in k_list:
         for T in range(1, T_max + 1):
-            steps = _min_steps(T, k)
+            steps = _min_steps(T, k)[0]
             rows.append(TradeoffRow(k, T, None if steps == INF else steps))
     return rows
 

@@ -49,9 +49,12 @@ block's own statements are built.  The search for the minimal
 budget takes its upper bound from the same effects: the peak live count
 of the plain forward run (`_IncrementalPlanner.peak`), which every
 budget at or above it fits with no checkpoint.  The search bisects below
-that bound, so it assumes feasibility is monotone in the budget; greedy
-placement does not promise that, but it held at every budget of the
-bundled programs.
+that bound, so it assumes feasibility is monotone in the budget, and
+greedy placement does not keep that: for `clean_chain_source(56)` of
+`tests/test_scheduler.py` budget 8 is feasible and 9 is not, and 14 of
+that family's seeds 0-199 have a feasible budget below an infeasible
+one.  Placing checkpoints by dynamic programming (ROADMAP item 1, step
+2) is meant to remove this.
 """
 
 from __future__ import annotations

@@ -495,3 +495,34 @@ def test_long_operator_chain_is_not_nested(tmp_path, capsys, op):
     value = {"&&": all, "||": any, "<>": lambda bits: sum(bits) % 2}[op]
     for bits in ([1] * n, [0] * n, [1] * (n - 1) + [0], [0] * (n - 1) + [1]):
         assert interpret_source(parse(src), bits) == [int(value(bits))]
+
+
+def test_long_integer_chain_is_not_nested(tmp_path, capsys):
+    # an integer chain folds its left spine in a loop, so 3,000 terms as a
+    # read index, and as the index of an accumulating write in an in-place
+    # body, cost no stack depth in flatten or in interpret_source
+    i = "1" + " - 1 + 1" * 1499 + " + 0"  # 3,000 terms, value 1
+    src = (f"let acc (x : bool array) =\n"
+           f"    let r = Array.zeroCreate 2\n"
+           f"    r.[{i}] <- r.[{i}] <> x.[{i}]\n"
+           f"    r\n\n"
+           f"let main (x : bool[2]) (y : bool[2]) =\n"
+           f"    let mutable h = y\n"
+           f"    h <- acc x\n"
+           f"    let out = Array.zeroCreate 1\n"
+           f"    out.[0] <- x.[{i}] && h.[{i}]\n"
+           f"    Array.append h out\n")
+    path = tmp_path / "chain.rev"
+    path.write_text(src)
+    assert any(isinstance(s, InPlaceBlock)
+               for s in flatten(parse(src)).statements)
+    for cmd in (["compile", str(path), "-o", str(tmp_path / "out.tfc")],
+                ["verify", str(path)]):
+        t0 = time.perf_counter()
+        assert main(cmd) == 0
+        assert time.perf_counter() - t0 < 2
+    assert capsys.readouterr().err == ""
+    for x1, y0, y1 in ((0, 0, 0), (1, 0, 0), (1, 1, 1), (0, 1, 1)):
+        h1 = y1 ^ x1
+        assert interpret_source(parse(src), [0, x1, y0, y1]) == [
+            y0, h1, x1 & h1]

@@ -158,13 +158,18 @@ class StatementEmitter(Emitter):
 def template_calls(zero_reads: str) -> str:
     """Calls of one template from different entry patterns: `z <- add b`
     first writes an unwritten target and `h <- add z` reads it.  The body
-    reads unwritten locals, `zero_reads` in one statement, and leaves a
-    local it wrote, zero again, mapped at the block's end."""
+    reads cleaned locals (written, zero again and released by `clean`, so
+    with no wire), `zero_reads` in one statement, and leaves a local it
+    wrote, zero again, mapped at the block's end."""
     return f"""
 let add (x : bool array) =
     let z = Array.zeroCreate 4
     let t = Array.zeroCreate 2
     let out = Array.zeroCreate 2
+    for i in 1 .. 3 do
+        z.[i] <- z.[i] <> x.[i % 2]
+        z.[i] <- z.[i] <> x.[i % 2]
+    clean z
     t.[0] <- t.[0] <> (x.[0] && x.[1])
     out.[0] <- out.[0] <> (t.[0] && ({zero_reads})) <> x.[1]
     out.[1] <- out.[1] <> (x.[0] && (z.[3] || t.[0]))
@@ -185,7 +190,7 @@ main
 """
 
 
-# with two unwritten locals read in one statement, blocks still share
+# with two cleaned locals read in one statement, blocks still share
 # recipes, since the locals take wires in register order
 @pytest.mark.parametrize("src,params", [
     (template_calls("z.[1]"), None),

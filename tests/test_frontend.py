@@ -10,7 +10,7 @@ from revc.frontend import (
     MAX_NESTING, ParseError, flatten, interpret, interpret_packed,
     interpret_source, parse,
 )
-from revc.boolexpr import bconst, bvar
+from revc.boolexpr import bconst, bvar, variables
 from revc.circuit import verify
 from revc.cli import main as cli_main
 from revc.emitter import compile_flat
@@ -422,7 +422,15 @@ main
      "h <- add b", False),
     (["out.[0] <- out.[0] <> x.[0]", "out.[1] <- out.[1] <> x.[1]"],
      "h <- add h", False),
-], ids=["leftmost", "rightmost", "reads-own-buffer", "argument-is-target"])
+    # the target's index is compared as written, not by its value
+    (["out.[1 - 1 + 0] <- out.[1 - 1 + 0] <> x.[0]",
+      "out.[1] <- out.[1] <> x.[1]"], "h <- add b", True),
+    (["out.[1 - 1 + 0] <- out.[1 - 1 - 0] <> x.[0]",
+      "out.[1] <- out.[1] <> x.[1]"], "h <- add b", False),
+    (["out.[0] <- out.[1] <> x.[0]", "out.[1] <- out.[1] <> x.[1]"],
+     "h <- add b", False),
+], ids=["leftmost", "rightmost", "reads-own-buffer", "argument-is-target",
+        "same-index", "index-written-differently", "reads-other-element"])
 def test_in_place_decision_is_shared(writes, call, in_place):
     ast = parse(in_place_program(2, writes, [call]))
     prog = flatten(ast)
@@ -824,11 +832,13 @@ let f (x : bool[2]) =
 """
 
 
-def test_read_before_write_is_an_accumulation():
+def test_read_before_write_is_a_fresh_write():
     ast = parse(READ_BEFORE_WRITE)
     prog = flatten(ast)
-    # t.[0] was read as zero, so the write is t.[0] ^= x.[1]
-    assert prog.statements[-1] == Compute(2, bvar(1), False)
+    # t.[0] reads as the constant 0, so out.[0] is 0 and the write is a
+    # fresh t.[0] := x.[1]
+    assert prog.statements == [Compute(4, bconst(False), True),
+                               Compute(2, bvar(1), True)]
     assert_compiles_like_source(ast)
 
 
@@ -851,30 +861,74 @@ def test_element_read_in_its_own_or_chain_reads_zero():
     assert_compiles_like_source(ast)
 
 
+def test_name_of_an_unwritten_bit_accumulates_onto_it():
+    # flatten reads the bit as 0 only when it emits a statement, so the
+    # write still sees that `c` is z.[0] and lands there, as in the source
+    ast = parse("let f (x : bool[2]) =\n"
+                "    let z = Array.zeroCreate 2\n"
+                "    let mutable c = z.[0]\n"
+                "    c <- c <> x.[0]\n"
+                "    z.[1] <- z.[0] <> c <> x.[1]\n"
+                "    z\n")
+    prog = flatten(ast)
+    assert prog.statements[0] == Compute(2, bvar(0), True)
+    assert_compiles_like_source(ast)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_random_reads_before_writes_compile_like_source(seed):
     assert_compiles_like_source(parse(read_before_write_program(seed)))
 
 
-def first_writes_that_accumulate(prog) -> tuple[int, int]:
-    """Computes that accumulate onto a slot nothing wrote before, at top
-    level and in blocks: writes that follow a read of an unwritten bit."""
-    written = set(prog.input_slots)
+def folded_statements(src: str, monkeypatch) -> tuple[int, int]:
+    """Statements in which flatten reads a never-written bit as 0, at top
+    level and in in-place bodies."""
     counts = [0, 0]
-    for stmt in prog.statements:
-        inner = isinstance(stmt, InPlaceBlock)
-        for s in stmt.body if inner else [stmt]:
-            if isinstance(s, Compute):
-                counts[inner] += not s.fresh and s.slot not in written
-                written.add(s.slot)
+    emit = Flattener.emit
+
+    def spy(self, stmt):
+        expr = getattr(stmt, "expr", None)
+        emit(self, stmt)
+        if expr is not None and stmt.expr is not expr:
+            counts[bool(self.enforced)] += 1
+
+    with monkeypatch.context() as m:
+        m.setattr(Flattener, "emit", spy)
+        flatten(parse(src))
     return tuple(counts)
 
 
-def test_read_before_write_family_covers_both_paths():
-    counts = [first_writes_that_accumulate(
-        flatten(parse(read_before_write_program(seed)))) for seed in range(40)]
+def test_read_before_write_family_covers_both_paths(monkeypatch):
+    counts = [folded_statements(read_before_write_program(seed), monkeypatch)
+              for seed in range(40)]
     assert sum(top > 0 for top, _ in counts) >= 5
     assert sum(inner > 0 for _, inner in counts) >= 3
+
+
+def unwritten_reads(prog) -> int:
+    """Statements, at top level or in a block body, that read a slot
+    nothing has written (an accumulation reads its target too); a
+    `clean`ed slot was written."""
+    written = set(prog.input_slots)
+    count = 0
+    for stmt in prog.statements:
+        for s in stmt.body if isinstance(stmt, InPlaceBlock) else [stmt]:
+            if isinstance(s, Compute):
+                reads = variables(s.expr)
+                count += not (reads <= written and (s.fresh
+                                                    or s.slot in written))
+                written.add(s.slot)
+    return count
+
+
+def test_no_statement_reads_a_never_written_bit():
+    # flatten reads one as the constant 0 in every statement it emits
+    progs = [flatten(parse(read_before_write_program(seed)))
+             for seed in range(40)]
+    progs += [flatten(parse(corpus(name), params=params)) for name, params in [
+        ("adder_ripple.rev", None), ("adder_select.rev", None),
+        ("sha2.rev", {"rounds": 2}), ("md5.rev", {"rounds": 2})]]
+    assert [unwritten_reads(p) for p in progs] == [0] * len(progs)
 
 
 def test_long_chain_in_an_in_place_body():

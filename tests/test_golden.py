@@ -114,14 +114,20 @@ BLIF_GOLDEN = {
 }
 
 
-# One expression reads four unwritten `Array.zeroCreate` elements (slots
-# 4, 7, 11, 15) in the order z.[11], z.[3], z.[7], z.[0].  They take wires
-# in register order, the order of first read (slots 15, 7, 11, 4), and
-# these hashes pin that.
+# One expression reads four cleaned elements (slots 4, 7, 11, 15: written,
+# zero again and released by `clean`, so with no wire) in the order
+# z.[11], z.[3], z.[7], z.[0].  They take wires in register order, the
+# order of first read (slots 15, 7, 11, 4), and these hashes pin that.
+# (flatten reads a never-written element as the constant 0, so only a
+# cleaned one reaches the emitter without a wire.)
 ZERO_READS = """\
 let f (a : bool[4]) =
     let z = Array.zeroCreate 12
     let out = Array.zeroCreate 2
+    for i in 0 .. 11 do
+        z.[i] <- z.[i] <> a.[i % 4]
+        z.[i] <- z.[i] <> a.[i % 4]
+    clean z
     out.[0] <- (z.[11] && a.[0]) <> (z.[3] && a.[1]) <> z.[7] <> (a.[2] && z.[0])
     out.[1] <- a.[3] <> out.[0]
     out
@@ -130,22 +136,26 @@ f
 """
 
 ZERO_READS_GOLDEN = {
-    "bennett": "83150ecb5f0cee994aa3a2cc985f1fa965a58cc178f3d1702aefcbb856e657c5",
-    "eager": "cfc8e738a4e2b965b18e4ec77a3f2da3308d7c597b710e2e93fa9fb3781a4f8d",
-    "incremental": "83150ecb5f0cee994aa3a2cc985f1fa965a58cc178f3d1702aefcbb856e657c5",
+    "bennett": "525588004364f86ec2e57f2ab965fe34a188e1849ad3c3362570b218ef0ff3bf",
+    "eager": "7ed50f7be9653d3a85c5d46c3986d6649cb35f45afdd0775f2298bcf4dadad8b",
+    "incremental": "525588004364f86ec2e57f2ab965fe34a188e1849ad3c3362570b218ef0ff3bf",
 }
 
 
 # An in-place function called three times with one signature, so that
-# the later calls replay the first one's template.  Its first statement
-# reads four unwritten `Array.zeroCreate` locals and its second two more;
-# they take wires in register order, which renaming keeps, so all three
-# calls run one block recipe per direction and entry pattern, although
-# their `variables(expr)` set orders differ.
+# the later calls replay the first one's template.  Its first write to
+# `out` reads four cleaned locals (no wire, as in ZERO_READS) and its
+# second two more; they take wires in register order, which renaming
+# keeps, so all three calls run one block recipe per direction and entry
+# pattern, although their `variables(expr)` set orders differ.
 ZERO_READS_IN_PLACE = """\
 let acc (a : bool array) =
     let z = Array.zeroCreate 12
     let out = Array.zeroCreate 2
+    for i in 0 .. 11 do
+        z.[i] <- z.[i] <> a.[i % 4]
+        z.[i] <- z.[i] <> a.[i % 4]
+    clean z
     out.[0] <- out.[0] <> (z.[11] && a.[0]) <> (z.[3] && a.[1]) <> z.[7] <> (a.[2] && z.[0])
     out.[1] <- out.[1] <> a.[3] <> (z.[5] && z.[9])
     out
@@ -161,8 +171,9 @@ main
 """
 
 # An in-place function that writes a name it does not bind is not
-# templated: each call's block is flattened from the AST.  Pinned before
-# block recipes existed.
+# templated: each call's block is flattened from the AST.  `t.[1]` is
+# never written, so it reads as the constant 0 and the write to `out.[1]`
+# is dropped.
 UNTEMPLATED = """\
 let main (a : bool[3]) (b : bool[2]) =
     let mutable h = b
@@ -185,17 +196,17 @@ main
 
 IN_PLACE_GOLDEN = {
     ("zero-reads", "bennett"):
-        "e51e0a5a9ba6261864f6308fce327a11690fc791dd1959274ea68fbc7bf939a9",
+        "9bca1c8b7c5fc738242b8763ac64057bd0673070ea51e605c333393c7783e317",
     ("zero-reads", "eager"):
-        "1a8fe034e8c486a54c5361b8ba60023086e5a4e57f2d038f1a6abfce2354ea97",
+        "64613d6a73a573a79f6b89340a47051754f677e1b52b4ec32719db5068123f42",
     ("zero-reads", "incremental"):
-        "e51e0a5a9ba6261864f6308fce327a11690fc791dd1959274ea68fbc7bf939a9",
+        "9bca1c8b7c5fc738242b8763ac64057bd0673070ea51e605c333393c7783e317",
     ("untemplated", "bennett"):
-        "507edbd88cb5cac37f7d7c6480b90138465fd09c873eb43eb61d4ab97a781455",
+        "d25bbd785f880229ca33be98f643b7a56124be756deae53562548316a524b7e7",
     ("untemplated", "eager"):
-        "61ccba6b4aa3a112faebe3e1e705cfb432e4574803725573d9b14e87457ec3dc",
+        "63437f29905a8f63c4ab2d0e8e220da7ff12a7f3b9231dd478faf866aa6bee62",
     ("untemplated", "incremental"):
-        "507edbd88cb5cac37f7d7c6480b90138465fd09c873eb43eb61d4ab97a781455",
+        "d25bbd785f880229ca33be98f643b7a56124be756deae53562548316a524b7e7",
 }
 
 IN_PLACE_SOURCES = {"zero-reads": ZERO_READS_IN_PLACE,
@@ -258,7 +269,7 @@ def test_in_place_edge_cases_take_the_edge_paths():
     prog = flatten(parse(ZERO_READS_IN_PLACE))
     blocks = [s for s in prog.statements if isinstance(s, InPlaceBlock)]
     assert len({b.token for b in blocks}) == 1
-    orders = [[b.local_slots.index(v) for v in variables(b.body[0].expr)
+    orders = [[b.local_slots.index(v) for v in variables(b.body[-2].expr)
                if v in b.local_slots] for b in blocks]
     assert len({tuple(o) for o in orders}) == 3
     # and yet the blocks replay one recipe per direction and entry pattern

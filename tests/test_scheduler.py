@@ -44,19 +44,26 @@ f
 
 
 def chain_program(k: int, zeros: bool = False):
-    """t_i = t_{i-1} && t_{i-2}; with `zeros`, each step also XORs in a bit
-    of a never-written array, which the emitter materializes as a zero wire."""
-    lines = ["let chain (x : bool[2]) ="]
-    if zeros:
-        lines.append(f"    let z = Array.zeroCreate {k}")
-    prev = ("x.[0]", "x.[1]")
+    """t_i = t_{i-1} && t_{i-2}; with `zeros`, each step also XORs in a
+    slot that nothing writes, which the emitter materializes as a zero
+    wire.  That program is built by hand: flatten reads a never-written
+    bit as the constant 0."""
+    if not zeros:
+        lines = ["let chain (x : bool[2]) ="]
+        prev = ("x.[0]", "x.[1]")
+        for i in range(k):
+            lines.append(f"    let t{i} = {prev[0]} && {prev[1]}")
+            prev = (f"t{i}", prev[0])
+        lines += [f"    {prev[0]}", "", "chain"]
+        return prog_of("\n".join(lines))
+    # slots 2 .. k+1 are never written; t_i is slot k+2+i
+    stmts, prev = [], (bvar(0), bvar(1))
     for i in range(k):
-        step = f"{prev[0]} && {prev[1]}"
-        lines.append(f"    let t{i} = ({step}) <> z.[{i}]" if zeros
-                     else f"    let t{i} = {step}")
-        prev = (f"t{i}", prev[0])
-    lines += [f"    {prev[0]}", "", "chain"]
-    return prog_of("\n".join(lines))
+        stmts.append(Compute(k + 2 + i, bxor([band(prev), bvar(2 + i)]), True))
+        prev = (bvar(k + 2 + i), prev[0])
+    return FlatProgram(name="chain", input_slots=[0, 1],
+                       output_slots=[2 * k + 1], statements=stmts,
+                       slot_count=2 * k + 2, input_layout=[("x", 2)])
 
 
 def test_invert_is_involutive():
