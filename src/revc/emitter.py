@@ -4,11 +4,11 @@ The emitter owns the slot-to-wire mapping and the ancilla pool.  Program
 inputs are pinned to wires 0..n-1; every other value lives on a wire taken
 from the pool when its slot first materializes and returned when the slot
 is reversed away or cleaned.  Only zero-valued wires are ever returned, so
-a freshly allocated wire always reads 0.  A statement that reads a slot
-with no wire gets such a wire for it: from `.rev` source that is a slot a
-`clean` released (flatten reads a never-written `Array.zeroCreate` bit as
-the constant 0), and a hand-built FlatProgram may also read a slot that
-nothing writes.
+a freshly allocated wire always reads 0.  Every slot a statement reads,
+accumulates onto or cleans has a wire, and the slot of a fresh write has
+none: flatten reads a slot with no wire, never-written or cleaned, as the
+constant 0 (see frontend).  A hand-built FlatProgram that breaks this
+gets a one-line RuntimeError naming the slot; no read takes a wire.
 
 Correctness is tracked per slot, not per wire: every statement, forwards
 or backwards, is synthesized against the *current* mapping, so a mirror
@@ -28,21 +28,19 @@ instead of wires, where the positions mapped at entry hold registers
 0..n-1 in position order and every wire taken is the next register.  Its
 block recipe is a `Recipe` over those registers (the heap operations and
 the gates) and each position's register at the end.  Every later run of
-the key replays it with `Recipe.run`.  Replay is gate for gate what walking the
-body on wires would emit: blocks of one token are the same statements
-with their slots renamed position by position, and the slots with no
-wire that a statement reads take wires in register order (the order in
-which its expression first reads them, see `boolexpr.shape`), which
-renaming keeps; so from one entry pattern they take and return wires in
-the same order, and the heap, which hands out its least free wire,
-answers the same sequence from the same state with the same wires.  The walk raises
-the errors of the statement rules (a fresh write to a live slot, a
-target inside its expression) on registers; replay checks that the
+the key replays it with `Recipe.run`.  Replay is gate for gate what
+walking the body on wires would emit: blocks of one token are the same
+statements with their slots renamed position by position, so from one
+entry pattern they take and return wires in the same order, and the
+heap, which hands out its least free wire, answers the same sequence
+from the same state with the same wires.  The walk raises the errors of
+the statement rules (a slot with no wire, a fresh write to a live slot,
+a target inside its expression) on registers; replay checks that the
 entry wires are distinct, so distinct registers are distinct wires.
 
-The scheduler places checkpoints without running the emitter: it counts
-live wires from per-statement effects that follow the rules below (see
-`scheduler.stmt_effect` and `scheduler.live_profile`).  That count is
+The scheduler places checkpoints without running the emitter: under the
+rules below each statement changes the live count by a constant (see
+`scheduler.stmt_delta` and `scheduler.live_profile`).  That count is
 exact because synthesis returns every scratch ancilla it takes; the
 width is not, since it also counts those scratch wires.
 """
@@ -131,13 +129,11 @@ class Emitter:
     # -- wiring helpers -----------------------------------------------------
 
     def _wire_of(self, slot: int) -> int:
-        """Current wire of a slot; a slot with no wire (cleaned, or never
-        written) gets a zero wire."""
-        w = self.slot_map.get(slot)
-        if w is None:
-            w = self.heap.alloc()
-            self.slot_map[slot] = w
-        return w
+        """Current wire of a slot, which must have one."""
+        try:
+            return self.slot_map[slot]
+        except KeyError:
+            raise RuntimeError(f"slot {slot} has no wire") from None
 
     def _learn(self, expr) -> tuple:
         """Cache entry of a first-seen expression: (expr, its recipe, *its
@@ -158,16 +154,10 @@ class Emitter:
         return w
 
     def _synth(self, expr, target_slot: int, fresh: bool) -> list[Gate]:
-        """Gates of target ^= expr on the current wires.  Slots of expr
-        with no wire (see `_wire_of`) get zero wires first, in register
-        order, then the target."""
+        """Gates of target ^= expr on the current wires."""
         entry = self.compiled.get(id(expr)) or self._learn(expr)
-        slot_map = self.slot_map
-        try:
-            wires = [slot_map[s] for s in entry[2:]]
-        except KeyError:
-            wires = [self._wire_of(s) for s in entry[2:]]
-        wires.insert(0, self._target(target_slot, fresh))
+        wires = [self._target(target_slot, fresh)]
+        wires += map(self._wire_of, entry[2:])
         return entry[1].replay(wires, self.heap, self.gate_tables)
 
     # -- actions ------------------------------------------------------------
@@ -187,8 +177,8 @@ class Emitter:
         elif isinstance(stmt, InPlaceBlock):
             self._run_block(stmt, True)
         elif isinstance(stmt, CleanSlot):
-            if stmt.slot in self.slot_map:
-                self.heap.free(self.slot_map.pop(stmt.slot))
+            self.heap.free(self._wire_of(stmt.slot))
+            del self.slot_map[stmt.slot]
         else:
             raise TypeError(stmt)
 
@@ -201,7 +191,7 @@ class Emitter:
         elif isinstance(stmt, InPlaceBlock):
             self._run_block(stmt, False)
         elif isinstance(stmt, CleanSlot):
-            self.slot_map[stmt.slot] = self.heap.alloc()
+            self._target(stmt.slot, fresh=True)
         else:
             raise TypeError(stmt)
 

@@ -41,20 +41,20 @@ width (a constant bit or compile-time integer by value), the value of
 every name the body reads before binding it (found once per definition
 by `_free_names`; a captured function adds its own such names, a
 captured bit or array its slots), which of all those slots are one slot,
-and which are unwritten `Array.zeroCreate` slots.  A body that assigns a
-name it does not bind is never replayed, and a replay that would pass the
-unrolling or allocation bound inlines instead, so that the error is the
-same.  A template's block is validated when it is inlined; a replay is
-not, since its check, drawn per body position, would be the template's
-bit for bit.
+and which are fresh (see below).  A body that assigns a name it does not
+bind is never replayed, and a replay that would pass the unrolling or
+allocation bound inlines instead, so that the error is the same.  A
+template's block is validated when it is inlined; a replay is not, since
+its check, drawn per body position, would be the template's bit for bit.
 
-An unwritten `Array.zeroCreate` slot is the constant 0: `emit` folds it
-out of every statement that reads it, at top level and in in-place
-bodies, so no flattened statement reads one and its first write is a
-fresh write (`fresh=True`).  Expressions keep its variable until then,
-so that a name aliasing it still accumulates onto it in place.  A
-flattened statement reads a slot with no wire only after a `clean`
-released it (see emitter).
+An unwritten `Array.zeroCreate` slot is the constant 0, and a `clean`ed
+slot is fresh again: `clean` emits a `CleanSlot` for each of its slots
+that is not fresh already and makes them fresh.  `emit` folds a fresh
+slot out of every statement that reads it, at top level and in in-place
+bodies, so its next write is a fresh write (`fresh=True`) and no
+flattened statement reads a slot with no wire; a fresh output slot is
+written as the constant 0.  Expressions keep its variable until then,
+so that a name aliasing it still accumulates onto it in place.
 
 An `InPlaceBlock` holds no statements of its own: it is a token and its
 distinct slots.  The token is a `BlockBody`, the body written over
@@ -68,8 +68,8 @@ touches, then its locals; a block that is not templated has a token of its
 own.  `run_statements` runs a block by gathering its slots' columns,
 running the shared body and scattering them back; the MDD and the
 scheduler read only the block's slot lists, which are views of the token
-and the slots, and the body's per-token effects, and the emitter
-compiles a block once per token (see emitter).  A block's own
+and the slots, and the body's per-token live-count delta, and the
+emitter compiles a block once per token (see emitter).  A block's own
 statements, `body`, are built on demand, for its repr and for tools and
 tests.
 
@@ -1149,7 +1149,7 @@ class _Template:
     `token` is the `BlockBody` the call emitted.  Positions index its
     slots: the call's target, argument and captured slots in key order
     (distinct), then its locals.  `fresh_after` are the positions of the
-    slots that are unwritten `Array.zeroCreate` slots after the call.
+    slots that are fresh (unwritten or cleaned) after the call.
     `iterations` and `allocated` are what the call added to the unrolling
     and allocation counters.
     """
@@ -1216,7 +1216,8 @@ class Flattener:
         if params:
             self.params.update(params)
         self.slot_count = 0
-        self.fresh: set[int] = set()  # unwritten Array.zeroCreate slots
+        # unwritten Array.zeroCreate slots and cleaned ones: they read as 0
+        self.fresh: set[int] = set()
         # fresh slots an expression built so far reads (`read`), which
         # `emit` reads as 0 in the statements it emits
         self.fresh_reads: set[int] = set()
@@ -1239,8 +1240,8 @@ class Flattener:
         return s
 
     def emit(self, stmt) -> None:
-        """Append a statement, with every unwritten `Array.zeroCreate` slot
-        it reads read as 0; a write of 0 onto a written slot is dropped."""
+        """Append a statement, with every fresh slot it reads (unwritten or
+        cleaned) read as 0; a write of 0 onto a written slot is dropped."""
         if self.branch_depth:
             raise FlattenError(
                 "conditional branches may only re-label existing values")
@@ -1511,8 +1512,10 @@ class Flattener:
             if slots is None:
                 raise FlattenError(f"clean of non-bit value {item.name!r}",
                                    item.line)
-            for s in slots:
-                self.emit(CleanSlot(s))
+            for s in slots:  # read as 0 again, written fresh next
+                if s not in self.fresh:
+                    self.emit(CleanSlot(s))
+                    self.fresh.add(s)
         elif isinstance(item, ExprItem):
             self.eval_value(item.expr, scope)
         else:
@@ -1665,8 +1668,8 @@ class Flattener:
         renaming: the key holds f (and so its result binding), each
         argument's kind and width or compile-time value, the value of every
         name f's body reads from its environment (for a function, the same
-        again), which of the slots are one slot, and which are unwritten
-        `Array.zeroCreate` slots.
+        again), which of the slots are one slot, and which are fresh
+        (unwritten or cleaned).
         """
         slots = list(target)
         try:
@@ -1861,7 +1864,9 @@ class Flattener:
         out: list[int] = []
         seen: set[int] = set()
         for s in slots:
-            if s in seen:  # outputs must land on distinct wires: copy
+            # outputs land on distinct wires, and a fresh slot has none:
+            # copy, a fresh slot as the constant 0
+            if s in seen or s in self.fresh:
                 s = self.compute(self.read(s))
             seen.add(s)
             out.append(s)
@@ -1886,7 +1891,8 @@ def flatten(program, params: dict | None = None) -> FlatProgram:
 
 
 class _Box:
-    """One wire; `fresh` while it is an unwritten Array.zeroCreate bit."""
+    """One wire; `fresh` while it is an unwritten Array.zeroCreate bit or
+    a `clean`ed one."""
     __slots__ = ("v", "fresh")
 
     def __init__(self, v: int = 0, fresh: bool = False):
@@ -2104,6 +2110,7 @@ class SourceInterpreter:
                 if box.v != 0:
                     raise InterpretError(f"clean of non-zero value "
                                          f"{item.name!r}", item.line)
+                box.fresh = True  # as in flatten: unwritten again
         elif isinstance(item, ExprItem):
             self.eval(item.expr, scope)
 

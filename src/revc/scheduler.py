@@ -36,31 +36,31 @@ Incremental planning places checkpoints without emitting.  It needs only
 the live count (inputs plus live ancillas) after each statement, and
 that count depends only on which slots are mapped, because synthesis
 returns every scratch wire it takes and the heap's least-free-index
-policy does not change the count.  So each statement's forward and
-backward run reduces, once per program, to an effect independent of the
-state at entry (`stmt_effect`): the slots it leaves mapped, those it
-leaves unmapped, and a wire delta.  Trying a statement is then
-arithmetic on one set of mapped slots, with nothing to copy or roll
-back; `live_profile` replays any plan the same way.  Blocks of one token
-run one shared body (see `InPlaceBlock` in frontend), so a block's
-effects and its `reopened_locals` are worked out once per (token,
-direction) over body positions and renamed onto each block's slots: no
-block's own statements are built.  The search for the minimal
-budget takes its upper bound from the same effects: the peak live count
+policy does not change the count.  Flatten leaves no statement that
+reads, accumulates onto or cleans a slot with no wire, or writes fresh a
+slot that has one (see frontend), so each statement changes the count by
+a constant whatever the state at entry, and running it backwards by the
+negated constant (`stmt_delta`): +1 for a fresh write, -1 for a clean, 0
+for an accumulation.  The live count of a plan is then a prefix sum
+(`live_profile`), and so is each budget the planner tries.  Blocks of one
+token run one shared body (see `InPlaceBlock` in frontend), so a block's
+delta, its body's less its `reopened_locals`, is worked out once per
+token: no block's own statements are built.  The search for the minimal
+budget takes its upper bound from the same deltas: the peak live count
 of the plain forward run (`_IncrementalPlanner.peak`), which every
 budget at or above it fits with no checkpoint.  The search bisects below
 that bound, so it assumes feasibility is monotone in the budget, and
 greedy placement does not keep that: for `clean_chain_source(56)` of
 `tests/test_scheduler.py` budget 8 is feasible and 9 is not, and 14 of
 that family's seeds 0-199 have a feasible budget below an infeasible
-one.  Placing checkpoints by dynamic programming (ROADMAP item 1, step
+one.  Placing checkpoints by dynamic programming (ROADMAP item 2, step
 2) is meant to remove this.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from itertools import accumulate
 
 from .boolexpr import variables
 from .frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
@@ -258,107 +258,28 @@ def reopened_locals(body, locals_) -> list[int]:
     return [l for l in locals_ if l in live]
 
 
-MATERIALIZE, RELEASE, REALLOC = "materialize", "release", "realloc"
-
-
-def _wire_ops(stmt, forward: bool, ops: list) -> None:
-    """Append the emitter's wire bookkeeping for running stmt to ops, in
-    order, as (op, slots): MATERIALIZE gives each unmapped slot a new wire,
-    RELEASE frees each slot's wire if it has one, REALLOC maps each slot to
-    a new wire and leaves any wire it had allocated.  A block's slots are
-    its body positions."""
+def stmt_delta(stmt, by_token: dict) -> int:
+    """The change in the live count when stmt runs forwards; running it
+    backwards negates it.  A fresh write takes a wire, a clean frees one
+    and an accumulation neither, since flatten leaves no statement that
+    reads or cleans a slot with no wire or writes fresh a slot with one
+    (see frontend).  A block takes its body's wires less those of the
+    locals it releases at its end; that sum is kept per token in
+    `by_token`."""
     if isinstance(stmt, Compute):
-        ops.append((MATERIALIZE, variables(stmt.expr)))
-        ops.append((MATERIALIZE, (stmt.slot,)))
-        if stmt.fresh and not forward:
-            ops.append((RELEASE, (stmt.slot,)))
-    elif isinstance(stmt, InPlaceBlock):
-        token = stmt.token
-        if forward:
-            for s in token.stmts:
-                _wire_ops(s, True, ops)
-            # locals not explicitly cleaned are zero again at block end
-            ops.append((RELEASE, token.local_positions))
-            return
-        ops.append((REALLOC, reopened_locals(token.stmts,
-                                             token.local_positions)))
-        for s in reversed(token.stmts):
-            _wire_ops(s, False, ops)
-    elif isinstance(stmt, CleanSlot):
-        ops.append((RELEASE if forward else REALLOC, (stmt.slot,)))
-    else:
-        raise TypeError(stmt)
-
-
-class Effect(NamedTuple):
-    """What running a statement does to the live count and the mapped
-    slots, whatever the state at entry.  From mapped slots P the run
-    changes the live count by `extra - |probe & P|` and leaves the slots
-    `(P - off) | on` mapped.
-
-    `extra` counts the wires the run allocates less those it frees when
-    no slot is mapped at entry.  A slot in `probe` is first touched by a
-    materialization or a release, either of which costs one wire less
-    when the slot is mapped already.
-    """
-    extra: int
-    probe: frozenset
-    on: frozenset
-    off: set
-
-    def delta(self, mapped: set) -> int:
-        return self.extra - len(mapped.intersection(self.probe))
-
-    def update(self, mapped: set) -> None:
-        mapped.difference_update(self.off)
-        mapped.update(self.on)
-
-    def renamed(self, slots) -> Effect:
-        """The effect with every slot p renamed to slots[p]."""
-        return Effect(self.extra, frozenset([slots[p] for p in self.probe]),
-                      frozenset([slots[p] for p in self.on]),
-                      {slots[p] for p in self.off})
-
-
-def stmt_effect(stmt, forward: bool, by_token: dict) -> Effect:
-    """The effect of running stmt forwards or backwards.  A block's effect
-    is worked out over its body positions once per (token, direction),
-    kept in `by_token`, and renamed onto the block's slots."""
+        return int(stmt.fresh)
+    if isinstance(stmt, CleanSlot):
+        return -1
     if isinstance(stmt, InPlaceBlock):
         token = stmt.token
-        e = by_token.get((token, forward))
-        if e is None:
-            e = by_token[token, forward] = _effect(stmt, forward)
-        return e.renamed(stmt.slots)
-    return _effect(stmt, forward)
-
-
-def _effect(stmt, forward: bool) -> Effect:
-    """`stmt_effect` over the slots `_wire_ops` gives."""
-    ops: list = []
-    _wire_ops(stmt, forward, ops)
-    state: dict[int, bool] = {}  # touched slot -> mapped now
-    probe: list[int] = []
-    extra = 0
-    for op, slots in ops:
-        if op is REALLOC:
-            extra += len(slots)
-            state.update(dict.fromkeys(slots, True))
-            continue
-        for s in slots:
-            m = state.get(s)
-            if m is None:
-                probe.append(s)
-            if op is MATERIALIZE:
-                if not m:
-                    extra += 1
-                    state[s] = True
-            else:
-                if m:
-                    extra -= 1
-                state[s] = False
-    on = frozenset(s for s, m in state.items() if m)
-    return Effect(extra, frozenset(probe), on, state.keys() - on)
+        d = by_token.get(token)
+        if d is None:
+            body = token.stmts
+            d = by_token[token] = (
+                sum([stmt_delta(s, by_token) for s in body])
+                - len(reopened_locals(body, token.local_positions)))
+        return d
+    raise TypeError(stmt)
 
 
 def origin(action: Action, table: dict):
@@ -374,54 +295,38 @@ def origin(action: Action, table: dict):
 
 def live_profile(plan: CleanupPlan) -> list[int]:
     """The emitter's live count (inputs plus live ancillas) after each
-    action of the plan, from statement effects alone."""
-    program = plan.program
-    live = len(program.input_slots)
-    mapped = set(program.input_slots)
-    effects: dict[tuple, Effect] = {}  # (id of stmt, kind) -> its effect
-    by_token: dict[tuple, Effect] = {}  # see stmt_effect
-    unmapped: dict[Action, list] = {}  # remap -> slots it found unmapped
+    action of the plan, from statement deltas alone."""
+    live = len(plan.program.input_slots)
+    by_token: dict = {}  # see stmt_delta
     profile = []
     for a in plan.actions:
         kind = a.kind
-        if kind == "fwd" or kind == "bwd":
-            key = (id(a.stmt), kind)
-            e = effects.get(key)
-            if e is None:
-                e = effects[key] = stmt_effect(a.stmt, kind == "fwd",
-                                               by_token)
-            live += e.delta(mapped)
-            e.update(mapped)
-        elif kind == "copy" or kind == "uncopy":
-            # both materialize their sources; copy takes a wire per slot,
-            # uncopy returns them
-            live += sum(s not in mapped for s in a.slots)
-            live += len(a.slots) if kind == "copy" else -len(a.slots)
-            mapped.update(a.slots)
-        elif kind == "remap":
-            # slots move onto the copy's wires; the wires they leave stay
-            # allocated until unremap moves them back
-            unmapped[a] = [s for s in a.slots if s not in mapped]
-            mapped.update(a.slots)
-        elif kind == "unremap":
-            mapped.difference_update(origin(a, unmapped))
-        else:
+        if kind == "fwd":
+            live += stmt_delta(a.stmt, by_token)
+        elif kind == "bwd":
+            live -= stmt_delta(a.stmt, by_token)
+        elif kind == "copy":
+            live += len(a.slots)
+        elif kind == "uncopy":
+            live -= len(a.slots)
+        elif kind != "remap" and kind != "unremap":
+            # remap moves slots onto the copy's wires, which stay counted
+            # until uncopy, and unremap moves them back
             raise ValueError(f"unknown action {kind!r}")
         profile.append(live)
     return profile
 
 
 class _IncrementalPlanner:
-    """Greedy checkpoint placement for one program.  Statement effects and
+    """Greedy checkpoint placement for one program.  Statement deltas and
     last uses are worked out once, so that each budget the search probes
-    costs a pass of set arithmetic over them."""
+    costs one pass over them."""
 
     def __init__(self, program: FlatProgram):
         self.program = program
         stmts = program.statements
-        self.by_token: dict[tuple, Effect] = {}  # see stmt_effect
-        self.fwd = [stmt_effect(s, True, self.by_token) for s in stmts]
-        self.bwd: list = [None] * len(stmts)  # made when first reversed
+        by_token: dict = {}  # see stmt_delta
+        self.delta = [stmt_delta(s, by_token) for s in stmts]
         # writes[i]: (slots statement i writes, the slot it cleans or None)
         self.writes = [(_written_slots(s),
                         s.slot if isinstance(s, CleanSlot) else None)
@@ -437,13 +342,8 @@ class _IncrementalPlanner:
     def peak(self) -> int:
         """The largest live count of the forward run with no checkpoint:
         the smallest budget that needs none."""
-        live = peak = len(self.program.input_slots)
-        mapped = set(self.program.input_slots)
-        for e in self.fwd:
-            live += e.delta(mapped)
-            e.update(mapped)
-            peak = max(peak, live)
-        return peak
+        return max(accumulate(self.delta,
+                              initial=len(self.program.input_slots)))
 
     def cuts(self, budget: int) -> list[tuple[int, tuple]]:
         """Checkpoints as (statement index, slots saved), or BudgetError.
@@ -456,19 +356,16 @@ class _IncrementalPlanner:
         number of saved slots: the budget bounds the computation segments,
         not the instantaneous fanout.
         """
-        fwd, bwd, writes, last_use = self.fwd, self.bwd, self.writes, self.last_use
+        delta, writes, last_use = self.delta, self.writes, self.last_use
         live = len(self.program.input_slots)
-        mapped = set(self.program.input_slots)
         cuts: list[tuple[int, tuple]] = []
         seg_start = 0
         seg_written: set = set()
-        i, n = 0, len(fwd)
+        i, n = 0, len(delta)
         while i < n:
-            e = fwd[i]
-            after = live + e.delta(mapped)
-            if after <= budget:
-                live = after
-                e.update(mapped)
+            d = delta[i]
+            if live + d <= budget:
+                live += d
                 written, cleaned = writes[i]
                 seg_written |= written
                 seg_written.discard(cleaned)
@@ -479,17 +376,9 @@ class _IncrementalPlanner:
                     f"budget of {budget} qubits cannot fit statement {i}")
             needed = tuple(sorted(s for s in seg_written
                                   if last_use.get(s, -1) >= i))
-            # the copy materializes its sources and fans them out
-            live += len(needed) + sum(s not in mapped for s in needed)
-            mapped.update(needed)
-            for j in range(i - 1, seg_start - 1, -1):
-                e = bwd[j]
-                if e is None:
-                    e = bwd[j] = stmt_effect(self.program.statements[j],
-                                             False, self.by_token)
-                live += e.delta(mapped)
-                e.update(mapped)
-            mapped.update(needed)  # remap onto the copies
+            # the copy fans the saved slots out, the reversal takes back
+            # what the segment added, and remap moves no wire
+            live += len(needed) - sum(delta[seg_start:i])
             cuts.append((i, needed))
             seg_start = i
             seg_written = set()

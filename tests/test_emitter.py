@@ -7,7 +7,7 @@ from revc.boolexpr import band, bvar, bxor
 from revc.circuit import CNOT, TOFFOLI, format_circuit, stats, verify
 from revc.emitter import Emitter, compile_flat, emit
 from revc.frontend import (
-    Compute, FlatProgram, InPlaceBlock, flatten, parse,
+    CleanSlot, Compute, FlatProgram, InPlaceBlock, flatten, parse,
 )
 from revc.mdd import build_mdd
 from revc.scheduler import (
@@ -155,12 +155,12 @@ class StatementEmitter(Emitter):
                 self._bwd_stmt(s)
 
 
-def template_calls(zero_reads: str) -> str:
+def template_calls(reads: str) -> str:
     """Calls of one template from different entry patterns: `z <- add b`
     first writes an unwritten target and `h <- add z` reads it.  The body
-    reads cleaned locals (written, zero again and released by `clean`, so
-    with no wire), `zero_reads` in one statement, and leaves a local it
-    wrote, zero again, mapped at the block's end."""
+    reads written locals, `reads` in one statement, then unwrites them:
+    it `clean`s `z` and leaves `t`, zero again, mapped at the block's
+    end."""
     return f"""
 let add (x : bool array) =
     let z = Array.zeroCreate 4
@@ -168,12 +168,13 @@ let add (x : bool array) =
     let out = Array.zeroCreate 2
     for i in 1 .. 3 do
         z.[i] <- z.[i] <> x.[i % 2]
-        z.[i] <- z.[i] <> x.[i % 2]
-    clean z
     t.[0] <- t.[0] <> (x.[0] && x.[1])
-    out.[0] <- out.[0] <> (t.[0] && ({zero_reads})) <> x.[1]
+    out.[0] <- out.[0] <> (t.[0] && ({reads})) <> x.[1]
     out.[1] <- out.[1] <> (x.[0] && (z.[3] || t.[0]))
     t.[0] <- t.[0] <> (x.[0] && x.[1])
+    for i in 1 .. 3 do
+        z.[i] <- z.[i] <> x.[i % 2]
+    clean z
     out
 
 let main (a : bool[2]) (b : bool[2]) =
@@ -190,8 +191,8 @@ main
 """
 
 
-# with two cleaned locals read in one statement, blocks still share
-# recipes, since the locals take wires in register order
+# with two locals read in one statement, whose `variables` set order
+# differs between blocks, blocks still share recipes
 @pytest.mark.parametrize("src,params", [
     (template_calls("z.[1]"), None),
     (template_calls("z.[1] <> z.[2]"), None),
@@ -254,23 +255,20 @@ def test_block_walk_rejects_target_inside_expression(body):
 
 
 def test_block_replay_rejects_aliased_entry_wires():
-    body = [Compute(3, bvar(0), False), Compute(2, band([bvar(3), bvar(1)]),
-                                                False),
+    body = [Compute(3, bvar(0), True), Compute(2, band([bvar(3), bvar(1)]),
+                                               False),
             Compute(3, bvar(0), False)]
     prog = block_program(body, locals_=(3,))
     block = prog.statements[1]
     em = Emitter(prog)
     run_forward(em, prog)
     assert em.block_recipes == 1
-    # the recipe with slots 2 and 3 mapped at entry, then the same entry
-    # pattern with both slots on one wire: the registers differ, the wires
-    # do not
-    em.slot_map[3] = em.heap.alloc()
-    em.apply(Action("fwd", stmt=block))
-    assert em.block_recipes == 2
-    em.slot_map[3] = em.slot_map[2]
+    # the same entry pattern with slots 1 and 2 on one wire: the registers
+    # differ, the wires do not
+    em.slot_map[1] = em.slot_map[2]
     with pytest.raises(ValueError, match="two slots on one wire"):
         em.apply(Action("fwd", stmt=block))
+    assert (em.block_recipes, em.block_replays) == (1, 1)
 
 
 def test_fresh_write_to_live_slot_is_rejected():
@@ -280,3 +278,28 @@ def test_fresh_write_to_live_slot_is_rejected():
     em.apply(Action("fwd", stmt=stmt))
     with pytest.raises(RuntimeError, match="fresh write to live slot"):
         em.apply(Action("fwd", stmt=Compute(stmt.slot, stmt.expr, True)))
+
+
+# slot 3 is never written: a program from source never touches it, since
+# flatten reads such a slot as the constant 0
+UNWRITTEN_SLOT = {  # case -> (statements, output slots)
+    "read": ([Compute(2, band([bvar(0), bvar(3)]), True)], [2]),
+    "accumulate": ([Compute(3, bvar(0), False)], [0]),
+    "clean": ([CleanSlot(3)], [0]),
+    "output": ([Compute(2, bvar(0), True)], [3]),
+}
+
+
+def unwritten_slot_program(case: str) -> FlatProgram:
+    stmts, outputs = UNWRITTEN_SLOT[case]
+    return FlatProgram(name=case, input_slots=[0, 1], output_slots=outputs,
+                       statements=stmts, slot_count=4)
+
+
+@pytest.mark.parametrize("case", UNWRITTEN_SLOT)
+def test_slot_nothing_wrote_is_an_error(case):
+    prog = unwritten_slot_program(case)
+    em = Emitter(prog)
+    with pytest.raises(RuntimeError, match=r"^slot 3 has no wire$"):
+        run_forward(em, prog)
+        em.finish()

@@ -6,15 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revc.frontend import (
-    Compute, FlatProgram, FlattenError, Flattener, InPlaceBlock, InterpretError,
-    MAX_NESTING, ParseError, flatten, interpret, interpret_packed,
-    interpret_source, parse,
+    CleanSlot, Compute, FlatProgram, FlattenError, Flattener, InPlaceBlock,
+    InterpretError, MAX_NESTING, ParseError, flatten, interpret,
+    interpret_packed, interpret_source, parse,
 )
 from revc.boolexpr import bconst, bvar, variables
 from revc.circuit import verify
 from revc.cli import main as cli_main
 from revc.emitter import compile_flat
+from revc.blif import lower, parse_blif
 from revc.randprog import random_program
+from test_emitter import UNWRITTEN_SLOT, unwritten_slot_program
+from test_scheduler import clean_chain_source, cleaned_reads_chain_source
 
 
 def corpus(name: str) -> str:
@@ -836,9 +839,12 @@ def test_read_before_write_is_a_fresh_write():
     ast = parse(READ_BEFORE_WRITE)
     prog = flatten(ast)
     # t.[0] reads as the constant 0, so out.[0] is 0 and the write is a
-    # fresh t.[0] := x.[1]
+    # fresh t.[0] := x.[1]; the output t.[1], never written, is a new slot
+    # holding 0
     assert prog.statements == [Compute(4, bconst(False), True),
-                               Compute(2, bvar(1), True)]
+                               Compute(2, bvar(1), True),
+                               Compute(5, bconst(False), True)]
+    assert prog.output_slots == [4, 2, 5]
     assert_compiles_like_source(ast)
 
 
@@ -905,30 +911,109 @@ def test_read_before_write_family_covers_both_paths(monkeypatch):
     assert sum(inner > 0 for _, inner in counts) >= 3
 
 
-def unwritten_reads(prog) -> int:
-    """Statements, at top level or in a block body, that read a slot
-    nothing has written (an accumulation reads its target too); a
-    `clean`ed slot was written."""
-    written = set(prog.input_slots)
-    count = 0
+def unwired(prog) -> list:
+    """The statements of prog that break the emitter's rule, walking it in
+    order with the slots that have a wire: a read, an accumulating target
+    or a `CleanSlot` must have one and a fresh target must not, in block
+    bodies over their positions alike; and the outputs that have none at
+    the end."""
+    bad = []
+
+    def run(stmts, mapped):
+        for s in stmts:
+            if isinstance(s, CleanSlot):
+                if s.slot not in mapped:
+                    bad.append(s)
+                mapped.discard(s.slot)
+                continue
+            if not variables(s.expr) <= mapped or (s.slot in mapped) == s.fresh:
+                bad.append(s)
+            mapped.add(s.slot)
+
+    mapped = set(prog.input_slots)
     for stmt in prog.statements:
-        for s in stmt.body if isinstance(stmt, InPlaceBlock) else [stmt]:
-            if isinstance(s, Compute):
-                reads = variables(s.expr)
-                count += not (reads <= written and (s.fresh
-                                                    or s.slot in written))
-                written.add(s.slot)
-    return count
+        if not isinstance(stmt, InPlaceBlock):
+            run([stmt], mapped)
+            continue
+        token, slots = stmt.token, stmt.slots
+        positions = {p for p, s in enumerate(slots) if s in mapped}
+        run(token.stmts, positions)
+        positions.difference_update(token.local_positions)  # released
+        mapped.difference_update(slots)
+        mapped.update(slots[p] for p in positions)
+    return bad + [s for s in prog.output_slots if s not in mapped]
 
 
 def test_no_statement_reads_a_never_written_bit():
-    # flatten reads one as the constant 0 in every statement it emits
-    progs = [flatten(parse(read_before_write_program(seed)))
-             for seed in range(40)]
-    progs += [flatten(parse(corpus(name), params=params)) for name, params in [
-        ("adder_ripple.rev", None), ("adder_select.rev", None),
-        ("sha2.rev", {"rounds": 2}), ("md5.rev", {"rounds": 2})]]
-    assert [unwritten_reads(p) for p in progs] == [0] * len(progs)
+    # flatten reads a never-written or cleaned bit as the constant 0 in
+    # every statement it emits, so no statement touches a slot against
+    # its wire
+    sources = {f"read-before-write {seed}": read_before_write_program(seed)
+               for seed in range(40)}
+    sources.update((f"clean-chain {seed}", clean_chain_source(seed))
+                   for seed in range(40))
+    sources.update((f"cleaned-reads {k}", cleaned_reads_chain_source(k))
+                   for k in (4, 24))
+    progs = {name: flatten(parse(src)) for name, src in sources.items()}
+    progs.update((name, flatten(parse(corpus(name), params=params)))
+                 for name, params in [
+                     ("adder_ripple.rev", None), ("adder_select.rev", None),
+                     ("sha2.rev", {"rounds": 2}), ("md5.rev", {"rounds": 2})])
+    progs.update(((name, optimize), lower(parse_blif(corpus(name)), optimize))
+                 for name in ("example3.blif", "majority.blif", "mux_net.blif")
+                 for optimize in (False, True))
+    progs.update((f"randprog {seed}", random_program(seed))
+                 for seed in range(40))
+    assert {name: unwired(p) for name, p in progs.items() if unwired(p)} == {}
+    # and it finds each way a hand-built program can break the rule
+    assert [len(unwired(unwritten_slot_program(case)))
+            for case in UNWRITTEN_SLOT] == [1] * len(UNWRITTEN_SLOT)
+
+
+CLEAN_THEN_RELABEL = """\
+let f (a : bool[2]) =
+    let z = Array.zeroCreate 1
+    z.[0] <- z.[0] <> (a.[0] && a.[1])
+    z.[0] <- z.[0] <> (a.[0] && a.[1])
+    clean z
+    z.[0] <- a.[1]
+    z.[0] <- z.[0] <> a.[0]
+    Array.concat [a; z]
+"""
+
+
+CLEAN_OF_ALIASED_ELEMENTS = """\
+let f (x : bool[2]) =
+    let z = Array.zeroCreate 2
+    let t = Array.zeroCreate 1
+    t.[0] <- t.[0] <> (x.[0] && x.[1])
+    z.[0] <- t.[0]
+    z.[1] <- t.[0]
+    t.[0] <- t.[0] <> (x.[0] && x.[1])
+    clean z
+    let out = Array.zeroCreate 1
+    out.[0] <- x.[0] <> z.[1]
+    out
+"""
+
+
+def test_clean_of_aliased_elements_cleans_their_slot_once():
+    # z.[0] and z.[1] are both t.[0]'s slot
+    ast = parse(CLEAN_OF_ALIASED_ELEMENTS)
+    prog = flatten(ast)
+    assert sum(isinstance(s, CleanSlot) for s in prog.statements) == 1
+    assert unwired(prog) == []
+    assert_compiles_like_source(ast)
+
+
+def test_cleaned_element_relabels_as_in_source():
+    # after `clean z`, z.[0] is unwritten again in both evaluators: the
+    # re-label shares a.[1]'s wire and the accumulation lands on a.[1]
+    ast = parse(CLEAN_THEN_RELABEL)
+    prog = flatten(ast)
+    assert prog.statements[-2:] == [Compute(1, bvar(0), False),
+                                    Compute(3, bvar(1), True)]
+    assert_compiles_like_source(ast)
 
 
 def test_long_chain_in_an_in_place_body():

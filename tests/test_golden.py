@@ -114,12 +114,10 @@ BLIF_GOLDEN = {
 }
 
 
-# One expression reads four cleaned elements (slots 4, 7, 11, 15: written,
-# zero again and released by `clean`, so with no wire) in the order
-# z.[11], z.[3], z.[7], z.[0].  They take wires in register order, the
-# order of first read (slots 15, 7, 11, 4), and these hashes pin that.
-# (flatten reads a never-written element as the constant 0, so only a
-# cleaned one reaches the emitter without a wire.)
+# One expression reads four cleaned elements (written, zero again and
+# released by `clean`).  A cleaned slot is fresh again, so flatten reads
+# them as the constant 0 and no Toffoli is left; these hashes pin that,
+# and a change that gave such reads wires again would move them.
 ZERO_READS = """\
 let f (a : bool[4]) =
     let z = Array.zeroCreate 12
@@ -136,18 +134,16 @@ f
 """
 
 ZERO_READS_GOLDEN = {
-    "bennett": "525588004364f86ec2e57f2ab965fe34a188e1849ad3c3362570b218ef0ff3bf",
-    "eager": "7ed50f7be9653d3a85c5d46c3986d6649cb35f45afdd0775f2298bcf4dadad8b",
-    "incremental": "525588004364f86ec2e57f2ab965fe34a188e1849ad3c3362570b218ef0ff3bf",
+    "bennett": "8d57e6b6bb271403a3f06f846c070a50814c3cd50055bdb4e653588b7576f75e",
+    "eager": "dd351cc325c231a2fdd485db38432983e2d957b3bc746c2d02bae43935c3313b",
+    "incremental": "8d57e6b6bb271403a3f06f846c070a50814c3cd50055bdb4e653588b7576f75e",
 }
 
 
 # An in-place function called three times with one signature, so that
-# the later calls replay the first one's template.  Its first write to
-# `out` reads four cleaned locals (no wire, as in ZERO_READS) and its
-# second two more; they take wires in register order, which renaming
-# keeps, so all three calls run one block recipe per direction and entry
-# pattern, although their `variables(expr)` set orders differ.
+# the later calls replay the first one's template.  Its writes to `out`
+# read cleaned locals, as in ZERO_READS, which fold to 0 in the template
+# body.
 ZERO_READS_IN_PLACE = """\
 let acc (a : bool array) =
     let z = Array.zeroCreate 12
@@ -174,6 +170,32 @@ main
 # templated: each call's block is flattened from the AST.  `t.[1]` is
 # never written, so it reads as the constant 0 and the write to `out.[1]`
 # is dropped.
+# An in-place function called three times whose first write to `out`
+# reads four written locals; the three calls' `variables(expr)` set orders
+# differ, and still they run one block recipe per direction and entry
+# pattern.
+LIVE_READS_IN_PLACE = """\
+let acc (a : bool array) =
+    let z = Array.zeroCreate 12
+    let out = Array.zeroCreate 2
+    for i in 0 .. 11 do
+        z.[i] <- z.[i] <> a.[i % 4]
+    out.[0] <- out.[0] <> (z.[11] && a.[0]) <> (z.[3] && a.[1]) <> z.[7] <> (a.[2] && z.[0])
+    out.[1] <- out.[1] <> a.[3] <> (z.[5] && z.[9])
+    for i in 0 .. 11 do
+        z.[i] <- z.[i] <> a.[i % 4]
+    out
+
+let main (a : bool[4]) (b : bool[2]) =
+    let mutable h = b
+    h <- acc a
+    h <- acc a
+    h <- acc a
+    h
+
+main
+"""
+
 UNTEMPLATED = """\
 let main (a : bool[3]) (b : bool[2]) =
     let mutable h = b
@@ -196,11 +218,11 @@ main
 
 IN_PLACE_GOLDEN = {
     ("zero-reads", "bennett"):
-        "9bca1c8b7c5fc738242b8763ac64057bd0673070ea51e605c333393c7783e317",
+        "7d983aaa123317bca94be8ebb29b342f734c3303f33622f6d889631dec1878b8",
     ("zero-reads", "eager"):
-        "64613d6a73a573a79f6b89340a47051754f677e1b52b4ec32719db5068123f42",
+        "4b290b593bda46fb592a21c09fd208be068237d098ab450c65c8256df7e583e1",
     ("zero-reads", "incremental"):
-        "9bca1c8b7c5fc738242b8763ac64057bd0673070ea51e605c333393c7783e317",
+        "7d983aaa123317bca94be8ebb29b342f734c3303f33622f6d889631dec1878b8",
     ("untemplated", "bennett"):
         "d25bbd785f880229ca33be98f643b7a56124be756deae53562548316a524b7e7",
     ("untemplated", "eager"):
@@ -253,7 +275,7 @@ def test_blif_gate_list_is_pinned(name, optimize, strategy):
 
 
 @pytest.mark.parametrize("strategy", sorted(ZERO_READS_GOLDEN))
-def test_unwritten_reads_materialize_in_pinned_order(strategy):
+def test_cleaned_reads_fold_to_zero_in_pinned_circuits(strategy):
     _, circ = compile_flat(flatten(parse(ZERO_READS)), strategy)
     assert digest(circ) == ZERO_READS_GOLDEN[strategy]
 
@@ -265,17 +287,20 @@ def test_in_place_edge_cases_are_pinned(case, strategy):
 
 
 def test_in_place_edge_cases_take_the_edge_paths():
-    # the pins above cover the paths only while these hold
-    prog = flatten(parse(ZERO_READS_IN_PLACE))
+    # blocks of one body whose reads come in three orders share recipes
+    prog = flatten(parse(LIVE_READS_IN_PLACE))
     blocks = [s for s in prog.statements if isinstance(s, InPlaceBlock)]
     assert len({b.token for b in blocks}) == 1
-    orders = [[b.local_slots.index(v) for v in variables(b.body[-2].expr)
+    # body[12] writes out.[0], after the twelve writes of z
+    orders = [[b.local_slots.index(v) for v in variables(b.body[12].expr)
                if v in b.local_slots] for b in blocks]
     assert len({tuple(o) for o in orders}) == 3
     # and yet the blocks replay one recipe per direction and entry pattern
     em = Emitter(prog)
-    em.run(schedule(prog, "bennett"))
+    assert verify(prog, em.run(schedule(prog, "bennett"))).ok
     assert (em.block_recipes, em.block_replays) == (2, 4)
+    # the untemplated pins cover blocks with tokens of their own only
+    # while this holds
     blocks = [s for s in flatten(parse(UNTEMPLATED)).statements
               if isinstance(s, InPlaceBlock)]
     assert len({b.token for b in blocks}) == len(blocks) == 2

@@ -43,27 +43,33 @@ f
 """
 
 
-def chain_program(k: int, zeros: bool = False):
-    """t_i = t_{i-1} && t_{i-2}; with `zeros`, each step also XORs in a
-    slot that nothing writes, which the emitter materializes as a zero
-    wire.  That program is built by hand: flatten reads a never-written
-    bit as the constant 0."""
-    if not zeros:
-        lines = ["let chain (x : bool[2]) ="]
-        prev = ("x.[0]", "x.[1]")
-        for i in range(k):
-            lines.append(f"    let t{i} = {prev[0]} && {prev[1]}")
-            prev = (f"t{i}", prev[0])
-        lines += [f"    {prev[0]}", "", "chain"]
-        return prog_of("\n".join(lines))
-    # slots 2 .. k+1 are never written; t_i is slot k+2+i
-    stmts, prev = [], (bvar(0), bvar(1))
+def chain_program(k: int):
+    """t_i = t_{i-1} && t_{i-2}"""
+    lines = ["let chain (x : bool[2]) ="]
+    prev = ("x.[0]", "x.[1]")
     for i in range(k):
-        stmts.append(Compute(k + 2 + i, bxor([band(prev), bvar(2 + i)]), True))
-        prev = (bvar(k + 2 + i), prev[0])
-    return FlatProgram(name="chain", input_slots=[0, 1],
-                       output_slots=[2 * k + 1], statements=stmts,
-                       slot_count=2 * k + 2, input_layout=[("x", 2)])
+        lines.append(f"    let t{i} = {prev[0]} && {prev[1]}")
+        prev = (f"t{i}", prev[0])
+    lines += [f"    {prev[0]}", "", "chain"]
+    return prog_of("\n".join(lines))
+
+
+def cleaned_reads_chain_source(k: int) -> str:
+    """t_i = (t_{i-1} && t_{i-2}) <> z.[i], where z is written, zero
+    again and `clean`ed before the chain reads it, and t_{-1}, t_{-2} are
+    x.[1], x.[0]."""
+    lines = ["let chain (x : bool[2]) =",
+             f"    let z = Array.zeroCreate {k}",
+             f"    for i in 0 .. {k - 1} do",
+             "        z.[i] <- z.[i] <> x.[0]",
+             "        z.[i] <- z.[i] <> x.[0]",
+             "    clean z",
+             "    let t0 = (x.[0] && x.[1]) <> z.[0]"]
+    prev = ("t0", "x.[1]")
+    for i in range(1, k):
+        lines.append(f"    let t{i} = ({prev[0]} && {prev[1]}) <> z.[{i}]")
+        prev = (f"t{i}", prev[0])
+    return "\n".join(lines + [f"    t{k - 1}", "", "chain"])
 
 
 def test_invert_is_involutive():
@@ -161,7 +167,6 @@ ORACLE_CASES = {  # id -> (program, incremental budget)
     "sha2-r4-800": (lambda: prog_of(corpus("sha2.rev"), {"rounds": 4}), 800),
     "md5-r2-800": (lambda: prog_of(corpus("md5.rev"), {"rounds": 2}), 800),
     "chain24-11": (lambda: chain_program(24), 11),
-    "zero-chain24-33": (lambda: chain_program(24, zeros=True), 33),
 }
 
 
@@ -282,6 +287,30 @@ def test_checkpoints_of_cleaned_slots_verify_at_every_budget():
             assert_profile_tracks_the_emitter(plan)
             checkpointed += plan.checkpoints > 0
     assert checkpointed > 100
+
+
+# budgets at which the chain's incremental plan crashed in the emitter
+# when a read of a `clean`ed bit took a zero wire that nothing freed
+CLEANED_READS_CRASHED_AT = {4: 9, 24: 33}
+
+
+@pytest.mark.parametrize("k", sorted(CLEANED_READS_CRASHED_AT))
+def test_cleaned_reads_verify_at_every_budget(k):
+    """The cleaned bits read as the constant 0, so every budget either
+    raises BudgetError or compiles to a circuit that verifies, with the
+    emitter's live profile."""
+    prog = prog_of(cleaned_reads_chain_source(k))
+    g = build_mdd(prog)
+    verified = []
+    for budget in range(3, 60):
+        try:
+            plan = incremental_cleanup(g, qubit_budget=budget)
+        except BudgetError:
+            continue
+        assert verify(prog, emit(plan)).ok, budget
+        assert_profile_tracks_the_emitter(plan)
+        verified.append(budget)
+    assert CLEANED_READS_CRASHED_AT[k] in verified
 
 
 def test_schedule_rejects_unknown_strategy():
