@@ -122,6 +122,8 @@ def bxor(children) -> BoolExp:
         raise ValueError("empty XOR")
     flat: list[BoolExp] = []
     parity = False
+    odd: dict[BoolExp, bool] = {}  # literal -> seen an odd number of times
+    repeated = False
     work = children[::-1]
     while work:
         c = work.pop()
@@ -130,7 +132,19 @@ def bxor(children) -> BoolExp:
         elif c.op == CONST:
             parity ^= c.args[0]
         else:
+            if c.op == VAR or c.op == NOT_ and c.args[0].op == VAR:
+                repeated = repeated or c in odd
+                odd[c] = not odd.get(c, False)
             flat.append(c)
+    if repeated:
+        # x ^ x = 0: a literal stays, at its first place, if its count is odd
+        kept = []
+        for c in flat:
+            if odd.get(c, True):
+                kept.append(c)
+                if c in odd:
+                    odd[c] = False
+        flat = kept
     # Fold constants to a single trailing Const (odd parity) or drop them.
     if parity:
         flat.append(bconst(True))

@@ -14,7 +14,9 @@
 after last use; `peak_live`: the most wires live between two actions,
 inputs included, the count `--qubits` bounds in the forward segments of
 an incremental plan, where the width also counts synthesis scratch
-wires), the dependency graph's (`mdd_nodes`, `mdd_read_edges`),
+wires), the dependency graph's (`mdd_nodes`, `mdd_read_edges`; only
+eager plans from the graph, so for the other strategies it is built for
+the report, outside the timed stages),
 the flat program's (`flat_statements`, `inplace_blocks`,
 `block_templates`: distinct block tokens, i.e. the shared block bodies
 the blocks run; `block_body_statements`: the blocks' body lengths summed,
@@ -23,8 +25,9 @@ recipes compiled, i.e. block runs that walked the body; `block_replays`:
 block runs served from an existing recipe; together, every forward and
 backward run of an in-place block), `compile_seconds` (schedule + emit)
 and `stage_seconds`: `parse`,
-`flatten` (for BLIF, lowering), `schedule` (dependency graph and cleanup
-plan) and `emit`.
+`flatten` (for BLIF, lowering), `schedule` (under eager, the dependency
+graph and the cleanup plan; under bennett and incremental, the plan from
+the flat program alone) and `emit`.
 
 Exit codes: 0 success, 1 user/compile error, 2 verification failure.
 `sim --inputs` takes only 0 and 1, and `verify --samples` at least 1.
@@ -127,11 +130,12 @@ def cmd_compile(args) -> int:
             f.write(to_dot(build_mdd(prog)))
     out = args.output or (args.file + ".tfc")
     circuit_mod.write_circuit(circ, out)
-    rep = _report(prog, plan, circ, em, stages)
-    if args.stats:
+    if args.stats:  # the full report builds the graph if the plan has none
         with open(args.stats, "w") as f:
-            json.dump(rep, f, indent=2, sort_keys=True)
+            json.dump(_report(prog, plan, circ, em, stages), f, indent=2,
+                      sort_keys=True)
             f.write("\n")
+    rep = circuit_mod.stats(circ)
     print(f"{args.file}: {rep['toffoli_count']} Toffoli, "
           f"{rep['qubit_count']} qubits, strategy {plan.strategy} -> {out}")
     return 0

@@ -53,6 +53,7 @@ from .circuit import (
     CNOT, NOT, TOFFOLI, Circuit, Gate, cnot, stats as circuit_stats,
 )
 from .frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
+from .mdd import build_mdd
 from .scheduler import (
     Action, CleanupPlan, live_profile, origin, reopened_locals,
 )
@@ -323,6 +324,10 @@ def compile_flat(program: FlatProgram, strategy: str = "bennett",
 
 
 def circuit_report(plan: CleanupPlan, circ: Circuit) -> dict:
+    """Counts of the circuit and the plan.  `mdd_*` describe the program's
+    dependency graph under every strategy: a plan that was made without
+    one (all but eager's) has its graph built here, for the report only."""
+    g = plan.mdd if plan.mdd is not None else build_mdd(plan.program)
     rep = circuit_stats(circ)
     rep.update({
         "strategy": plan.strategy,
@@ -332,8 +337,8 @@ def circuit_report(plan: CleanupPlan, circ: Circuit) -> dict:
         "unclean_count": len(plan.unclean_nodes),
         "checkpoints": plan.checkpoints,
         "reversals_inserted": plan.reversals_inserted,
-        "mdd_nodes": len(plan.mdd.nodes),
-        "mdd_read_edges": sum(map(len, plan.mdd.reads.values())),
+        "mdd_nodes": len(g.nodes),
+        "mdd_read_edges": sum(map(len, g.reads.values())),
         "peak_live": max(live_profile(plan), default=len(circ.inputs)),
     })
     return rep

@@ -49,7 +49,9 @@ its check, drawn per body position, would be the template's bit for bit.
 
 An unwritten `Array.zeroCreate` slot is the constant 0, and a `clean`ed
 slot is fresh again: `clean` emits a `CleanSlot` for each of its slots
-that is not fresh already and makes them fresh.  `emit` folds a fresh
+that is not fresh already and makes them fresh.  A `clean` that reaches
+an entry input's slot, by its name or through a re-label, is an error
+with its line: the input's wire belongs to the circuit.  `emit` folds a fresh
 slot out of every statement that reads it, at top level and in in-place
 bodies, so its next write is a fresh write (`fresh=True`) and no
 flattened statement reads a slot with no wire; a fresh output slot is
@@ -1221,6 +1223,7 @@ class Flattener:
         # fresh slots an expression built so far reads (`read`), which
         # `emit` reads as 0 in the statements it emits
         self.fresh_reads: set[int] = set()
+        self.inputs: set[int] = set()  # the entry parameters' slots
         self.stmts: list = []
         self.enforced: set[int] = set()  # in-place target: accumulate only
         self.nested = 0  # >0: inside an in-place body or an if-branch
@@ -1513,6 +1516,9 @@ class Flattener:
                 raise FlattenError(f"clean of non-bit value {item.name!r}",
                                    item.line)
             for s in slots:  # read as 0 again, written fresh next
+                if s in self.inputs:  # its wire is the circuit's input
+                    raise FlattenError(f"clean of {item.name!r} would "
+                                       f"release an input bit", item.line)
                 if s not in self.fresh:
                     self.emit(CleanSlot(s))
                     self.fresh.add(s)
@@ -1849,6 +1855,7 @@ class Flattener:
                 inputs.extend(slots)
                 args.append(_ArrVal(slots) if array else _BitVal(slots[0]))
                 layout.append((pname, n))
+            self.inputs = set(inputs)
             value = self.inline_call(entry, args, line=line)
         outputs = self.output_slots(value)
         return FlatProgram(name=name, input_slots=inputs,

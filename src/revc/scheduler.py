@@ -1,20 +1,26 @@
-"""Cleanup scheduling: turn an MDD into a linear plan of circuit actions.
+"""Cleanup scheduling: turn a flat program into a linear plan of circuit
+actions.
 
 Three strategies:
 
   bennett      compute everything, copy the outputs to fresh wires, run the
                exact mirror image;
-  eager        walk the graph backwards and, for every garbage value whose
-               inputs are still intact at its last use, insert the reversed
-               mutation path (plus a release of the wire) right after that
-               use; values that cannot be cleaned this way are marked
-               Unclean and swept up by one final copy-out + full reversal;
+  eager        build the MDD (see mdd), walk it backwards and, for every
+               garbage value whose inputs are still intact at its last
+               use, insert the reversed mutation path (plus a release of
+               the wire) right after that use; values that cannot be
+               cleaned this way are marked Unclean and swept up by one
+               final copy-out + full reversal;
   incremental  run forward under a total qubit budget; when the next step
                would exceed the budget, copy the values still needed to
                fresh wires (a checkpoint), reverse the current segment to
                release its wires, and continue from the checkpoint; the
                checkpoints themselves are cleaned by the final copy-out +
                full reversal.
+
+Only eager reads the dependency graph; Bennett and incremental plan from
+the statement sequence alone, and `schedule` builds the graph for eager
+only.
 
 A plan is a flat list of Actions executed in order by the emitter:
   fwd/bwd      run a flat statement forwards / in reverse,
@@ -64,12 +70,10 @@ from itertools import accumulate
 
 from .boolexpr import variables
 from .frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
-from .mdd import INIT, MDD, OP, OUTPUT, build_mdd
+from .mdd import MDD, OP, OUTPUT, build_mdd
 
-# node dispositions
+# node dispositions (eager)
 CLEANED_EAGERLY = "CleanedEagerly"
-BENNETT_CLEANED = "BennettCleaned"
-CHECKPOINTED = "CheckpointedThenCleaned"
 UNCLEAN = "Unclean"
 
 
@@ -99,9 +103,9 @@ def mirror(actions) -> list[Action]:
 class CleanupPlan:
     strategy: str
     program: FlatProgram
-    mdd: MDD
+    mdd: MDD | None = None  # eager's graph; None for the other strategies
     actions: list = field(default_factory=list)
-    dispositions: dict = field(default_factory=dict)  # node id -> tag
+    dispositions: dict = field(default_factory=dict)  # eager: node id -> tag
     copied_outputs: bool = False
     checkpoints: int = 0
     reversals_inserted: int = 0  # eager: bwd actions that clean a value
@@ -121,16 +125,15 @@ class BudgetError(Exception):
 # Bennett
 
 
-def bennett_cleanup(g: MDD) -> CleanupPlan:
-    program = g.program
+def bennett_cleanup(source: FlatProgram) -> CleanupPlan:
+    """Every statement forwards, the output copy, then the exact mirror:
+    planned from the statement sequence alone."""
+    program = getattr(source, "program", source)  # bench/ passes an MDD
     forward = [Action("fwd", stmt=s) for s in program.statements]
     actions = forward + [Action("copy", slots=tuple(program.output_slots),
                                 tag="output")] + mirror(forward)
-    plan = CleanupPlan("bennett", program, g, actions, copied_outputs=True)
-    for n in g.nodes:
-        if n.kind == INIT:
-            plan.dispositions[n.id] = BENNETT_CLEANED
-    return plan
+    return CleanupPlan("bennett", program, actions=actions,
+                       copied_outputs=True)
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +388,11 @@ class _IncrementalPlanner:
         return cuts
 
 
-def _checkpointed_plan(g: MDD, cuts: list) -> CleanupPlan:
+def _checkpointed_plan(program: FlatProgram, cuts: list) -> CleanupPlan:
     """The incremental plan with checkpoints at `cuts` (as
     `_IncrementalPlanner.cuts` gives them), swept by a final output copy
     and a full mirror."""
-    program = g.program
-    plan = CleanupPlan("incremental", program, g, copied_outputs=True)
+    plan = CleanupPlan("incremental", program, copied_outputs=True)
     actions: list[Action] = []
     start = 0
     for i, needed in cuts + [(len(program.statements), None)]:
@@ -404,25 +406,24 @@ def _checkpointed_plan(g: MDD, cuts: list) -> CleanupPlan:
         start = i
     out_copy = Action("copy", slots=tuple(program.output_slots), tag="output")
     plan.actions = actions + [out_copy] + mirror(actions)
-    for n in g.nodes:
-        if n.kind == INIT:
-            plan.dispositions[n.id] = (CHECKPOINTED if plan.checkpoints
-                                       else BENNETT_CLEANED)
     return plan
 
 
-def incremental_cleanup(g: MDD, qubit_budget: int | None = None) -> CleanupPlan:
-    """Checkpointing cleanup under a total-width budget.
+def incremental_cleanup(source: FlatProgram,
+                        qubit_budget: int | None = None) -> CleanupPlan:
+    """Checkpointing cleanup under a total-width budget, planned from the
+    statements and their live-count deltas.
 
     With no budget (or a budget at least the forward run's peak live
     count) this reduces to the Bennett plan.  An infeasible budget raises
     BudgetError carrying the smallest budget that does work.
     """
+    program = getattr(source, "program", source)  # bench/ passes an MDD
     if qubit_budget is None:
-        return _checkpointed_plan(g, [])
-    planner = _IncrementalPlanner(g.program)
+        return _checkpointed_plan(program, [])
+    planner = _IncrementalPlanner(program)
     try:
-        return _checkpointed_plan(g, planner.cuts(qubit_budget))
+        return _checkpointed_plan(program, planner.cuts(qubit_budget))
     except BudgetError:
         pass
     # find and report the minimal feasible budget
@@ -440,20 +441,18 @@ def incremental_cleanup(g: MDD, qubit_budget: int | None = None) -> CleanupPlan:
         f"minimum is {hi}", minimum=hi)
 
 
-STRATEGIES = {
-    "bennett": bennett_cleanup,
-    "eager": eager_cleanup,
-    "incremental": incremental_cleanup,
-}
+STRATEGIES = ("bennett", "eager", "incremental")
 
 
 def schedule(program: FlatProgram, strategy: str, qubit_budget: int | None = None) -> CleanupPlan:
+    """The plan of `strategy`; only eager builds the dependency graph."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if qubit_budget is not None and strategy != "incremental":
         raise ValueError(f"a qubit budget needs the incremental strategy, "
                          f"not {strategy!r}")
-    g = build_mdd(program)
+    if strategy == "eager":
+        return eager_cleanup(build_mdd(program))
     if strategy == "incremental":
-        return incremental_cleanup(g, qubit_budget)
-    return STRATEGIES[strategy](g)
+        return incremental_cleanup(program, qubit_budget)
+    return bennett_cleanup(program)

@@ -238,6 +238,19 @@ def test_not_and_const():
     check_exhaustive(bnot(band([bnot(bvar(0)), bnot(bvar(1)), bnot(bvar(2))])), 3)
 
 
+def test_xor_cancels_repeated_literals():
+    v1, v2 = bvar(1), bvar(2)
+    assert bxor([v1, v1]) == bconst(False)
+    assert bxor([v1, v2, v1]) == v2
+    # an odd count keeps one, at its first place; ~x pairs cancel too
+    assert bxor([v1, v2, v1, v1]) == bxor([v1, v2])
+    assert bxor([bnot(v1), v2, bnot(v1)]) == v2
+    assert bxor([bxor([v1, v2]), v1, bconst(True)]) == bxor([v2, bconst(True)])
+    # only literals: repeated cubes are left to the frontends
+    cube = band([v1, v2])
+    assert bxor([cube, cube]).args == (cube, cube)
+
+
 def test_xor_cost_zero_and_pair_one():
     assert and_cost(bxor([bvar(0), bvar(1)])) == 0
     assert and_cost(band([bvar(0), bvar(1)])) == 1

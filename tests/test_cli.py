@@ -128,6 +128,18 @@ def test_stats_constant_sha_width(capsys):
     assert rep["peak_live"] == 352
 
 
+def test_stats_report_one_dependency_graph_under_every_strategy(capsys):
+    # bennett and incremental plan without the graph; the report builds it
+    graphs = {}
+    for strategy in ("bennett", "eager", "incremental"):
+        rc = main(["stats", corpus_path("sha2.rev"), "--param", "rounds=2",
+                   "--strategy", strategy])
+        assert rc == 0
+        rep = json.loads(capsys.readouterr().out)
+        graphs[strategy] = (rep["mdd_nodes"], rep["mdd_read_edges"])
+    assert set(graphs.values()) == {(1536, 15104)}
+
+
 def test_stats_count_block_recipes_and_replays(capsys):
     rc = main(["stats", corpus_path("sha2.rev"), "--param", "rounds=4",
                "--strategy", "eager"])
@@ -284,6 +296,27 @@ def test_bad_compile_time_integer_is_user_error(tmp_path, capsys, src, message):
     rc = main(["compile", str(path), "-o", str(tmp_path / "out.tfc")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+CLEAN_OF_INPUT = """let f (x : bool[2]) =
+    let z = Array.zeroCreate 1
+    z.[0] <- x.[1]
+    clean z
+    x
+"""
+
+
+@pytest.mark.parametrize("command", ["compile", "verify"])
+def test_clean_of_an_input_bit_is_user_error(tmp_path, capsys, command):
+    # z.[0] is a re-label of x.[1]: the emitter would release an input wire
+    path = tmp_path / "clean_input.rev"
+    path.write_text(CLEAN_OF_INPUT)
+    args = [command, str(path)]
+    if command == "compile":
+        args += ["-o", str(tmp_path / "out.tfc")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "error: line 4: clean of 'z' would release an input bit\n")
 
 
 HUGE_LOOP = """let f (x : bool) =

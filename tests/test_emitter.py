@@ -61,7 +61,7 @@ def test_ripple_adder_table_numbers(strategy):
 
 def test_bennett_mirror_is_gatewise_inverse():
     prog = ripple(8)
-    circ = emit(bennett_cleanup(build_mdd(prog)))
+    circ = emit(bennett_cleanup(prog))
     half = (len(circ.gates) - len(prog.output_slots)) // 2
     fwd = circ.gates[:half]
     bwd = circ.gates[-half:]
@@ -82,7 +82,7 @@ def test_plan_emits_identically_twice(strategy, budget):
 
 def test_ancillas_balance_on_mirror():
     prog = ripple(6)
-    plan = bennett_cleanup(build_mdd(prog))
+    plan = bennett_cleanup(prog)
     em = Emitter(prog)
     for a in plan.actions:
         em.apply(a)
@@ -201,8 +201,7 @@ main
 ], ids=["template-calls", "set-order", "sha2-r2", "md5-r1"])
 def test_block_recipes_emit_what_running_the_body_does(src, params):
     prog = prog_of(src, params)
-    g = build_mdd(prog)
-    plans = [bennett_cleanup(g), eager_cleanup(g)]
+    plans = [bennett_cleanup(prog), eager_cleanup(build_mdd(prog))]
     try:
         schedule(prog, "incremental", len(prog.input_slots))
     except BudgetError as e:  # a checkpointed plan at the smallest budget

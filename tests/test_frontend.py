@@ -245,17 +245,65 @@ main
 
 def test_clean_of_nonzero_slot_fails_at_interpret():
     src = """
-let main (a : bool) =
-    let mutable t = a && a
+let main (a : bool) (b : bool) =
+    let mutable t = a && b
     clean t
     a
 
 main
 """
     prog = flatten(parse(src))
-    interpret(prog, [0])
+    interpret(prog, [0, 1])
     with pytest.raises(Exception):
-        interpret(prog, [1])
+        interpret(prog, [1, 1])
+
+
+CLEANS_OF_INPUTS = {  # id -> (source, line of the clean)
+    "direct": ("let f (x : bool[2]) =\n    clean x\n    x\n", 2),
+    # z.[0] is a re-label of x.[1]
+    "relabeled": ("let f (x : bool[2]) =\n"
+                  "    let z = Array.zeroCreate 1\n"
+                  "    z.[0] <- x.[1]\n"
+                  "    clean z\n"
+                  "    x\n", 4),
+    # a && a folds to a, so t is a
+    "folded": ("let main (a : bool) =\n"
+               "    let mutable t = a && a\n"
+               "    clean t\n"
+               "    a\n\nmain\n", 3),
+    # the clean runs inside an inlined call
+    "in-call": ("let g (y : bool) =\n"
+                "    clean y\n"
+                "    y\n\n"
+                "let main (a : bool[2]) =\n"
+                "    let c = g a.[0]\n"
+                "    a\n\nmain\n", 2),
+}
+
+
+@pytest.mark.parametrize("case", CLEANS_OF_INPUTS)
+def test_clean_of_an_input_bit_is_a_flatten_error(case):
+    # the input's wire is the circuit's: it cannot be released
+    src, line = CLEANS_OF_INPUTS[case]
+    with pytest.raises(FlattenError) as exc:
+        flatten(parse(src))
+    assert exc.value.line == line
+    assert "would release an input bit" in str(exc.value)
+
+
+def test_xor_of_a_bit_with_itself_folds_to_zero():
+    # z.[0] and z.[1] are both x.[1]: their XOR is the constant 0
+    src = """let f (x : bool[2]) =
+    let z = Array.zeroCreate 2
+    z.[0] <- x.[1]
+    z.[1] <- x.[1]
+    z.[0] <- z.[0] <> z.[1]
+    z
+"""
+    ast = parse(src)
+    prog = flatten(ast)
+    assert prog.statements == [Compute(4, bconst(False), True)]
+    assert_compiles_like_source(ast)
 
 
 def test_flatten_is_idempotent():

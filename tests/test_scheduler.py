@@ -13,7 +13,7 @@ from revc.frontend import (
 )
 from revc.mdd import OP, OUTPUT, build_mdd
 from revc.scheduler import (
-    BENNETT_CLEANED, CLEANED_EAGERLY, UNCLEAN, Action, BudgetError,
+    CLEANED_EAGERLY, UNCLEAN, Action, BudgetError,
     bennett_cleanup, eager_cleanup, incremental_cleanup, invert, live_profile,
     mirror, schedule,
 )
@@ -91,7 +91,7 @@ def test_actions_are_frozen():
 
 def test_bennett_shape():
     prog = ripple(6)
-    plan = bennett_cleanup(build_mdd(prog))
+    plan = bennett_cleanup(prog)
     acts = plan.actions
     n = len(prog.statements)
     assert len(acts) == 2 * n + 1
@@ -101,7 +101,9 @@ def test_bennett_shape():
     # exact mirror: same statements in reverse order
     for f, b in zip(acts[:n], reversed(acts[n + 1:])):
         assert f.stmt is b.stmt
-    assert set(plan.dispositions.values()) == {BENNETT_CLEANED}
+    # planned from the statements: no graph, so no node dispositions
+    assert plan.dispositions == {}
+    assert plan.mdd is None
 
 
 def test_eager_cleans_ripple_without_copy():
@@ -131,16 +133,16 @@ def test_eager_single_path_equals_bennett_on_that_path():
 
 
 def test_incremental_without_budget_equals_bennett():
-    g = build_mdd(ripple(6))
-    inc = incremental_cleanup(g)
-    ben = bennett_cleanup(g)
+    prog = ripple(6)
+    inc = incremental_cleanup(prog)
+    ben = bennett_cleanup(prog)
     assert [a.kind for a in inc.actions] == [a.kind for a in ben.actions]
     assert [a.stmt for a in inc.actions] == [a.stmt for a in ben.actions]
     assert inc.checkpoints == 0
 
 
 def test_incremental_tight_budget_inserts_reverse_segment():
-    plan = incremental_cleanup(build_mdd(chain_program(24)), qubit_budget=12)
+    plan = incremental_cleanup(chain_program(24), qubit_budget=12)
     assert plan.checkpoints >= 1
     kinds = [a.kind for a in plan.actions]
     assert "remap" in kinds and "unremap" in kinds
@@ -151,15 +153,15 @@ def test_incremental_tight_budget_inserts_reverse_segment():
 
 
 def test_incremental_infeasible_reports_minimum():
-    g = build_mdd(chain_program(24))
+    prog = chain_program(24)
     with pytest.raises(BudgetError) as exc:
-        incremental_cleanup(g, qubit_budget=4)
+        incremental_cleanup(prog, qubit_budget=4)
     minimum = exc.value.minimum
     assert minimum is not None
-    plan = incremental_cleanup(g, qubit_budget=minimum)
+    plan = incremental_cleanup(prog, qubit_budget=minimum)
     assert plan.checkpoints >= 1
     with pytest.raises(BudgetError):
-        incremental_cleanup(g, qubit_budget=minimum - 1)
+        incremental_cleanup(prog, qubit_budget=minimum - 1)
 
 
 ORACLE_CASES = {  # id -> (program, incremental budget)
@@ -185,7 +187,7 @@ def assert_profile_tracks_the_emitter(plan) -> list[int]:
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_live_profile_tracks_the_emitter(case):
     make, budget = ORACLE_CASES[case]
-    plan = incremental_cleanup(build_mdd(make()), qubit_budget=budget)
+    plan = incremental_cleanup(make(), qubit_budget=budget)
     assert plan.checkpoints >= 1
     assert_profile_tracks_the_emitter(plan)
 
@@ -218,12 +220,11 @@ PROFILE_PROGRAMS = {
 
 @pytest.mark.parametrize("case", PROFILE_PROGRAMS)
 def test_live_profile_tracks_the_emitter_on_corpus(case):
-    g = build_mdd(PROFILE_PROGRAMS[case]())
-    for plan in (bennett_cleanup(g), eager_cleanup(g)):
+    prog = PROFILE_PROGRAMS[case]()
+    for plan in (bennett_cleanup(prog), eager_cleanup(build_mdd(prog))):
         profile = assert_profile_tracks_the_emitter(plan)
         # a copy-and-reverse plan ends with inputs and output copies live
         if plan.copied_outputs:
-            prog = g.program
             assert profile[-1] == len(prog.input_slots) + len(prog.output_slots)
 
 
@@ -231,15 +232,15 @@ def test_live_profile_tracks_the_emitter_on_random_programs():
     checkpointed = 0
     for seed in range(60):
         for prog in (random_program(seed), mutating_program(seed)):
-            g = build_mdd(prog)
-            for plan in (bennett_cleanup(g), eager_cleanup(g)):
+            for plan in (bennett_cleanup(prog),
+                         eager_cleanup(build_mdd(prog))):
                 assert_profile_tracks_the_emitter(plan)
             try:
-                incremental_cleanup(g, qubit_budget=len(prog.input_slots))
+                incremental_cleanup(prog, qubit_budget=len(prog.input_slots))
                 continue
             except BudgetError as exc:
                 minimum = exc.minimum
-            plan = incremental_cleanup(g, qubit_budget=minimum)
+            plan = incremental_cleanup(prog, qubit_budget=minimum)
             checkpointed += plan.checkpoints > 0
             assert_profile_tracks_the_emitter(plan)
     assert checkpointed > 20
@@ -272,15 +273,14 @@ def test_checkpoints_of_cleaned_slots_verify_at_every_budget():
     checkpointed = 0
     for seed in range(40):
         prog = prog_of(clean_chain_source(seed))
-        g = build_mdd(prog)
         try:
-            incremental_cleanup(g, qubit_budget=len(prog.input_slots))
+            incremental_cleanup(prog, qubit_budget=len(prog.input_slots))
             minimum = len(prog.input_slots)
         except BudgetError as exc:
             minimum = exc.minimum
-        for budget in range(minimum, emit(bennett_cleanup(g)).width + 1):
+        for budget in range(minimum, emit(bennett_cleanup(prog)).width + 1):
             try:
-                plan = incremental_cleanup(g, qubit_budget=budget)
+                plan = incremental_cleanup(prog, qubit_budget=budget)
             except BudgetError:
                 continue
             assert verify(prog, emit(plan)).ok, (seed, budget)
@@ -300,17 +300,45 @@ def test_cleaned_reads_verify_at_every_budget(k):
     raises BudgetError or compiles to a circuit that verifies, with the
     emitter's live profile."""
     prog = prog_of(cleaned_reads_chain_source(k))
-    g = build_mdd(prog)
     verified = []
     for budget in range(3, 60):
         try:
-            plan = incremental_cleanup(g, qubit_budget=budget)
+            plan = incremental_cleanup(prog, qubit_budget=budget)
         except BudgetError:
             continue
         assert verify(prog, emit(plan)).ok, budget
         assert_profile_tracks_the_emitter(plan)
         verified.append(budget)
     assert CLEANED_READS_CRASHED_AT[k] in verified
+
+
+def test_only_eager_builds_the_dependency_graph(monkeypatch):
+    prog = prog_of(corpus("sha2.rev"), {"rounds": 2})
+
+    def no_graph(program):
+        raise AssertionError("build_mdd called")
+
+    monkeypatch.setattr("revc.scheduler.build_mdd", no_graph)
+    plans = [schedule(prog, "bennett"), schedule(prog, "incremental"),
+             schedule(prog, "incremental", 1000)]
+    assert plans[2].checkpoints == 0  # the forward run peaks below 1000
+    with pytest.raises(BudgetError) as exc:  # runs the minimal-budget search
+        schedule(prog, "incremental", len(prog.input_slots))
+    plans.append(schedule(prog, "incremental", exc.value.minimum))
+    assert plans[-1].checkpoints >= 1
+    for plan in plans:
+        assert plan.mdd is None and plan.dispositions == {}
+
+    calls = []
+
+    def counted(program):
+        calls.append(program)
+        return build_mdd(program)
+
+    monkeypatch.setattr("revc.scheduler.build_mdd", counted)
+    plan = schedule(prog, "eager")
+    assert calls == [prog] and plan.mdd is not None
+    assert set(plan.dispositions.values()) == {CLEANED_EAGERLY}
 
 
 def test_schedule_rejects_unknown_strategy():
