@@ -51,7 +51,9 @@ An unwritten `Array.zeroCreate` slot is the constant 0, and a `clean`ed
 slot is fresh again: `clean` emits a `CleanSlot` for each of its slots
 that is not fresh already and makes them fresh.  A `clean` that reaches
 an entry input's slot, by its name or through a re-label, is an error
-with its line: the input's wire belongs to the circuit.  `emit` folds a fresh
+with its line: the input's wire belongs to the circuit.  An operator's
+value that folds to an operand (`a && a`) is copied to a new slot, as the
+source makes a new bit, so it is never such a re-label.  `emit` folds a fresh
 slot out of every statement that reads it, at top level and in in-place
 bodies, so its next write is a fresh write (`fresh=True`) and no
 flattened statement reads a slot with no wire; a fresh output slot is
@@ -1393,7 +1395,13 @@ class Flattener:
         if isinstance(e, (EBin, ENot)):
             if isinstance(e, EBin) and e.op in "+-*/%":
                 return _IntVal(self.eval_int(e, scope, e.line))
-            return self.materialize(self.eval_scalar(e, scope))
+            be = self.eval_scalar(e, scope)
+            if be.op == "var":
+                # an operator's value is a new bit, as in the source, also
+                # when it folds to an operand (`a && a`, `a <> b <> b`):
+                # a later write or `clean` of it must not reach the operand
+                return _BitVal(self.compute(be))
+            return self.materialize(be)
         if isinstance(e, EInt):
             return _IntVal(e.value)
         if isinstance(e, EList):

@@ -244,18 +244,44 @@ main
 
 
 def test_clean_of_nonzero_slot_fails_at_interpret():
+    # a && a folds to a, but t is a new bit, as in the source: the clean
+    # releases t, not the input, and fails only where t is 1
     src = """
-let main (a : bool) (b : bool) =
-    let mutable t = a && b
+let main (a : bool) =
+    let mutable t = a && a
     clean t
     a
 
 main
 """
-    prog = flatten(parse(src))
-    interpret(prog, [0, 1])
+    ast = parse(src)
+    prog = flatten(ast)
+    assert interpret(prog, [0]) == interpret_source(ast, [0]) == [0]
     with pytest.raises(Exception):
-        interpret(prog, [1, 1])
+        interpret(prog, [1])
+    with pytest.raises(Exception):
+        interpret_source(ast, [1])
+
+
+# operators whose value folds to an operand; t is still a new bit, so its
+# accumulation leaves the input `a` (the output) as it was
+FOLDED_TO_AN_OPERAND = {
+    "xor": "let mutable t = a <> c <> c",
+    "and": "let mutable t = a && a",
+    "not-not": "let mutable t = not (not a)",
+}
+
+
+@pytest.mark.parametrize("case", FOLDED_TO_AN_OPERAND)
+def test_operator_folded_to_an_operand_is_a_new_bit(case):
+    ast = parse("let main (a : bool) (c : bool) =\n"
+                f"    {FOLDED_TO_AN_OPERAND[case]}\n"
+                "    t <- t <> c\n"
+                "    a\n\nmain\n")
+    prog = flatten(ast)
+    assert prog.statements == [Compute(2, bvar(0), True),
+                               Compute(2, bvar(1), False)]
+    assert_compiles_like_source(ast)
 
 
 CLEANS_OF_INPUTS = {  # id -> (source, line of the clean)
@@ -266,11 +292,6 @@ CLEANS_OF_INPUTS = {  # id -> (source, line of the clean)
                   "    z.[0] <- x.[1]\n"
                   "    clean z\n"
                   "    x\n", 4),
-    # a && a folds to a, so t is a
-    "folded": ("let main (a : bool) =\n"
-               "    let mutable t = a && a\n"
-               "    clean t\n"
-               "    a\n\nmain\n", 3),
     # the clean runs inside an inlined call
     "in-call": ("let g (y : bool) =\n"
                 "    clean y\n"
