@@ -32,19 +32,29 @@ NOT_ = "not"
 CONST = "const"
 
 
-@dataclass(frozen=True)
 class BoolExp:
+    """One node: `op` and `args` (child nodes; the wire of a `var`, the
+    bool of a `const`).  Nodes are never changed after they are built, and
+    two are equal when their ops and args are.  A plain slotted class, not
+    a frozen dataclass, so that building a node costs no guarded
+    attribute writes: flatten builds one per node of every statement."""
     # no per-node dict; `_hash` is set on first use only
     __slots__ = ("op", "args", "_hash")
-    op: str
-    args: tuple
+
+    def __init__(self, op: str, args: tuple):
+        self.op = op
+        self.args = args
+
+    def __eq__(self, other):
+        if other.__class__ is not BoolExp:
+            return NotImplemented
+        return self.op == other.op and self.args == other.args
 
     def __hash__(self):
         # cached, so that hashing a DAG visits each node once
         h = getattr(self, "_hash", None)
         if h is None:
-            h = hash((self.op, self.args))
-            object.__setattr__(self, "_hash", h)
+            h = self._hash = hash((self.op, self.args))
         return h
 
     def __repr__(self):

@@ -20,7 +20,10 @@ the report, outside the timed stages),
 the flat program's (`flat_statements`, `inplace_blocks`,
 `block_templates`: distinct block tokens, i.e. the shared block bodies
 the blocks run; `block_body_statements`: the blocks' body lengths summed,
-read off the shared bodies; `slots`), the emitter's (`block_recipes`: block
+read off the shared bodies; `slots`), flatten's (`call_templates`: calls
+inlined from the AST and recorded as templates; `call_replays`: calls,
+in place or not, replayed from a template of their signature; both 0 for
+BLIF), the emitter's (`block_recipes`: block
 recipes compiled, i.e. block runs that walked the body; `block_replays`:
 block runs served from an existing recipe; together, every forward and
 backward run of an in-place block), `compile_seconds` (schedule + emit)
@@ -70,9 +73,9 @@ def _parse_params(pairs) -> dict:
     return out
 
 
-def _load_flat(args, stages: dict):
+def _load_flat(args, stages: dict, counts: dict):
     """Read, parse and flatten (or lower) the input file, timing the last
-    two steps into `stages`."""
+    two steps into `stages`; flatten's call counts go into `counts`."""
     params = _parse_params(getattr(args, "param", None))
     path = args.file
     try:
@@ -88,26 +91,27 @@ def _load_flat(args, stages: dict):
     else:
         ast = parse(text, params=params or None)
         t1 = time.perf_counter()
-        prog = flatten(ast)
+        prog = flatten(ast, counts=counts)
     stages["parse"], stages["flatten"] = t1 - t0, time.perf_counter() - t1
     return prog
 
 
 def _compile(args):
     """Load, schedule and emit; returns the program, plan, circuit, the
-    emitter and the seconds of each stage."""
+    emitter, the seconds of each stage and flatten's call counts."""
     stages: dict = {}
-    prog = _load_flat(args, stages)
+    counts = {"call_templates": 0, "call_replays": 0}
+    prog = _load_flat(args, stages, counts)
     t0 = time.perf_counter()
     plan = schedule(prog, args.strategy, qubit_budget=args.qubits)
     t1 = time.perf_counter()
     em = Emitter(prog)
     circ = em.run(plan)
     stages["schedule"], stages["emit"] = t1 - t0, time.perf_counter() - t1
-    return prog, plan, circ, em, stages
+    return prog, plan, circ, em, stages, counts
 
 
-def _report(prog, plan, circ, em, stages) -> dict:
+def _report(prog, plan, circ, em, stages, counts) -> dict:
     rep = circuit_report(plan, circ)
     blocks = [s for s in prog.statements if isinstance(s, InPlaceBlock)]
     rep.update({"flat_statements": len(prog.statements),
@@ -117,14 +121,15 @@ def _report(prog, plan, circ, em, stages) -> dict:
                                              for b in blocks),
                 "slots": prog.slot_count,
                 "block_recipes": em.block_recipes,
-                "block_replays": em.block_replays})
+                "block_replays": em.block_replays, **counts})
     rep["compile_seconds"] = round(stages["schedule"] + stages["emit"], 6)
     rep["stage_seconds"] = {k: round(v, 6) for k, v in stages.items()}
     return rep
 
 
 def cmd_compile(args) -> int:
-    prog, plan, circ, em, stages = _compile(args)
+    compiled = _compile(args)
+    prog, plan, circ = compiled[:3]
     if args.emit_mdd:
         with open(args.emit_mdd, "w") as f:
             f.write(to_dot(build_mdd(prog)))
@@ -132,8 +137,7 @@ def cmd_compile(args) -> int:
     circuit_mod.write_circuit(circ, out)
     if args.stats:  # the full report builds the graph if the plan has none
         with open(args.stats, "w") as f:
-            json.dump(_report(prog, plan, circ, em, stages), f, indent=2,
-                      sort_keys=True)
+            json.dump(_report(*compiled), f, indent=2, sort_keys=True)
             f.write("\n")
     rep = circuit_mod.stats(circ)
     print(f"{args.file}: {rep['toffoli_count']} Toffoli, "
@@ -150,7 +154,7 @@ def cmd_sim(args) -> int:
     bad = next((c for c in args.inputs if c not in "01"), None)
     if bad is not None:
         raise CliError(f"--inputs takes only 0 and 1, got {bad!r}")
-    prog, plan, circ, _, _ = _compile(args)
+    prog, plan, circ, *_ = _compile(args)
     bits = [int(c) for c in args.inputs]
     if len(bits) != len(prog.input_slots):
         raise CliError(f"program takes {len(prog.input_slots)} input bits, "
@@ -173,7 +177,7 @@ def cmd_verify(args) -> int:
             seed = int(text)
         except ValueError:
             raise CliError(f"REVC_SEED must be an integer, got {text!r}")
-    prog, plan, circ, _, _ = _compile(args)
+    prog, plan, circ, *_ = _compile(args)
     rep = circuit_mod.verify(prog, circ, samples=args.samples, seed=seed)
     if rep.ok:
         print(f"{args.file}: ok ({rep.samples} samples, seed {rep.seed})")

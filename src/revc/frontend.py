@@ -31,27 +31,36 @@ Nothing is rolled back: an accepted body that breaks the contract (a
 width other than `x`'s, a write into `x` that does not accumulate,
 arguments not restored, locals not zeroed) is an error with a line.
 
-The flattener inlines an in-place call from the AST only once per call
-signature and records the block as a template; a later call with the
-same signature emits a block of the template's body on its own target,
-argument and captured slots and new locals, taken in the same order as
-inlining would, without walking the AST.  The signature holds everything
-the inline depends on: the function value, each argument's kind and
-width (a constant bit or compile-time integer by value), the value of
-every name the body reads before binding it (found once per definition
-by `_free_names`; a captured function adds its own such names, a
-captured bit or array its slots), which of all those slots are one slot,
-and which are fresh (see below).  A body that assigns a name it does not
-bind is never replayed, and a replay that would pass the unrolling or
-allocation bound inlines instead, so that the error is the same.  A
-template's block is validated when it is inlined; a replay is not, since
-its check, drawn per body position, would be the template's bit for bit.
+The flattener inlines a call from the AST only once per call signature,
+in place or not, and records what it emitted as a template
+(`Flattener.call`): its statements and its value over positions (the
+signature's distinct slots, then the slots the call allocated), the
+positions fresh after it, and what it added to the unrolling and
+allocation counts.  A later call with the same signature renames the
+template's statements onto its own slots and new locals, taken in the
+order inlining would take them, without walking the AST; a block keeps
+its token, so an in-place call is the case whose statements are one
+block.  The signature holds everything the inline depends on: the
+function value, each argument's kind and width (a constant bit or
+compile-time integer by value), the value of every name the body reads
+before binding it (found once per definition by `_free_names`; a captured
+function adds its own such names, a captured bit or array its slots),
+which of all those slots are one slot, which are fresh (see below) and
+which are in-place targets being accumulated onto, and whether the call
+is inside an in-place body or an `if`.  A body that assigns a name it does
+not bind is never recorded, nor is a call in an `if` branch or one that
+touched a slot outside its positions; a replay that would pass the
+unrolling or allocation bound, re-enter a running function or `clean` an
+entry input inlines instead, so that the error is the same.  An in-place
+call's block is validated when it is inlined; a replay is not, since its
+check, drawn per body position, would be the template's bit for bit.
 
 An unwritten `Array.zeroCreate` slot is the constant 0, and a `clean`ed
 slot is fresh again: `clean` emits a `CleanSlot` for each of its slots
 that is not fresh already and makes them fresh.  A `clean` that reaches
-an entry input's slot, by its name or through a re-label, is an error
-with its line: the input's wire belongs to the circuit.  An operator's
+an entry input's slot, by its name or through a re-label, is the same
+one-line error in both evaluators: the input's wire belongs to the
+circuit.  An operator's
 value that folds to an operand (`a && a`) is copied to a new slot, as the
 source makes a new bit, so it is never such a re-label.  `emit` folds a fresh
 slot out of every statement that reads it, at top level and in in-place
@@ -59,6 +68,12 @@ bodies, so its next write is a fresh write (`fresh=True`) and no
 flattened statement reads a slot with no wire; a fresh output slot is
 written as the constant 0.  Expressions keep its variable until then,
 so that a name aliasing it still accumulates onto it in place.
+
+The source reads each operand of `&&`, `||` and `<>` when it reaches it.
+When a later operand emits statements (a call, or the branch of a
+constant `if`) that write or `clean` a slot an earlier operand read,
+flatten copies that slot to a new one ahead of those statements, or reads
+it as 0 if it was fresh (`read_before`); no corpus program does this.
 
 An `InPlaceBlock` holds no statements of its own: it is a token and its
 distinct slots.  The token is a `BlockBody`, the body written over
@@ -924,17 +939,30 @@ def _slots_of(v) -> list[int] | None:
 # The in-place rule, shared by the flattener and the source interpreter
 
 
-def in_place_binding(defn: LetDef, target: list, args: list, nested: int):
+def in_place_binding(defn: LetDef, target: list, args: list, nested: int,
+                     results: dict):
     """Decide `x <- f args` before inlining: f's result binding if the call
     accumulates onto `x`, None if it re-binds `x`.
 
     `target` is x's slots (flattener) or boxes (interpreter), `args` the
     slots or boxes of each argument, `nested` non-zero inside an in-place
     body or an `if` branch.  f must return a body-level
-    `let r = Array.zeroCreate n` whose every write accumulates.
+    `let r = Array.zeroCreate n` whose every write accumulates; that half
+    of the rule depends on f alone, and `results` caches it by `id(defn)`.
     """
-    if nested or not target or any(set(target).intersection(a) for a in args):
+    if nested or not target:
         return None
+    bits = set(target)
+    if any(not bits.isdisjoint(a) for a in args):
+        return None
+    if id(defn) not in results:
+        results[id(defn)] = _in_place_result(defn)
+    return results[id(defn)]
+
+
+def _in_place_result(defn: LetDef):
+    """f's body-level `let r = Array.zeroCreate n` that it returns, if every
+    write to r accumulates; else None."""
     items = defn.body.items
     final = items[-1].expr if isinstance(items[-1], ExprItem) else None
     if not isinstance(final, EName):
@@ -1121,14 +1149,14 @@ def _renamed(e: BoolExp, m: dict[int, BoolExp]) -> BoolExp:
     return BoolExp(e.op, tuple([_renamed(a, m) for a in e.args]))
 
 
-def _read_as_zero(e: BoolExp, zeros: set[int]) -> BoolExp:
-    """e with the variable of every slot in `zeros` read as 0, folded
+def _substituted(e: BoolExp, m: dict[int, BoolExp]) -> BoolExp:
+    """e with the variable of every slot s in `m` replaced by m[s], folded
     again; e itself if it reads none of them."""
     if e.op == "var":
-        return bconst(False) if e.args[0] in zeros else e
+        return m.get(e.args[0], e)
     if e.op == "const":
         return e
-    args = [_read_as_zero(a, zeros) for a in e.args]
+    args = [_substituted(a, m) for a in e.args]
     if all(a is b for a, b in zip(args, e.args)):
         return e
     if e.op == "not":
@@ -1136,29 +1164,98 @@ def _read_as_zero(e: BoolExp, zeros: set[int]) -> BoolExp:
     return (band if e.op == "and" else bxor)(args)
 
 
+_ZERO = bconst(False)
+
+
+class _Leaves(dict):
+    """The variable of slot m[s], for each slot s read, built on first
+    use; a slot that `m` lacks raises KeyError."""
+    __slots__ = ("m",)
+
+    def __init__(self, m):
+        self.m = m
+
+    def __missing__(self, s: int) -> BoolExp:
+        v = self[s] = bvar(self.m[s])
+        return v
+
+
 def _renamed_stmts(stmts, m) -> list:
-    """Compute and CleanSlot statements with every slot s renamed to m[s],
-    `m` a dict or a sequence indexed by slot."""
-    var = ({s: bvar(t) for s, t in m.items()} if isinstance(m, dict)
-           else [bvar(t) for t in m])
-    return [Compute(m[s.slot], _renamed(s.expr, var), s.fresh)
-            if isinstance(s, Compute) else CleanSlot(m[s.slot])
-            for s in stmts]
+    """Flat statements with every slot s renamed to m[s], `m` a dict or a
+    sequence indexed by slot; a block keeps its token.  KeyError if `m`
+    lacks a slot they touch."""
+    leaves = _Leaves(m)
+    out = []
+    for s in stmts:
+        if type(s) is Compute:
+            out.append(Compute(m[s.slot], _renamed(s.expr, leaves), s.fresh))
+        elif type(s) is CleanSlot:
+            out.append(CleanSlot(m[s.slot]))
+        else:
+            out.append(InPlaceBlock(s.token, tuple([m[x] for x in s.slots])))
+    return out
+
+
+def _value_renamed(v, m):
+    """Value v with every slot s renamed to m[s] (KeyError if `m` lacks
+    one); a value without slots is itself."""
+    if isinstance(v, _BitVal):
+        return _BitVal(m[v.slot])
+    if isinstance(v, _ArrVal):
+        return _ArrVal([m[s] for s in v.slots])
+    return v
+
+
+def _written(stmts, kind=(Compute, CleanSlot)) -> set[int]:
+    """The slots that flat statements of `kind` (by default, any) write
+    or clean, a block's body statements counting on its slots."""
+    out: set[int] = set()
+    for s in stmts:
+        if type(s) is InPlaceBlock:
+            out.update([s.slots[x.slot] for x in s.token.stmts
+                        if isinstance(x, kind)])
+        elif isinstance(s, kind):
+            out.add(s.slot)
+    return out
+
+
+def _fresh_before(stmts, slot: int):
+    """Whether `slot` was fresh before flat statements `stmts`: True if
+    the first of them to touch it writes it fresh, False if it reads,
+    accumulates onto or cleans it (no statement reads a fresh slot), None
+    if none touches it."""
+    for s in stmts:
+        if type(s) is InPlaceBlock:
+            if slot in s.slots:
+                first = _fresh_before(s.token.stmts, s.slots.index(slot))
+                if first is not None:
+                    return first
+        elif s.slot == slot:
+            return type(s) is Compute and s.fresh
+        elif type(s) is Compute and slot in variables(s.expr):
+            return False
+    return None
 
 
 @dataclass
 class _Template:
-    """A flattened in-place call, replayed for later calls of its signature.
+    """A flattened call, replayed for later calls of its signature.
 
-    `token` is the `BlockBody` the call emitted.  Positions index its
-    slots: the call's target, argument and captured slots in key order
-    (distinct), then its locals.  `fresh_after` are the positions of the
-    slots that are fresh (unwritten or cleaned) after the call.
-    `iterations` and `allocated` are what the call added to the unrolling
-    and allocation counters.
+    Positions number the call's slots: the slots of its signature,
+    distinct and in key order, then the slots it allocated, its locals.
+    `stmts` are the statements it emitted and `value` its value (None in
+    place), both over positions; `fresh_after` are the positions of the
+    slots that are fresh (unwritten or cleaned) after it, and `cleans`
+    those of the signature's slots that it cleans.  `entered` are the ids
+    of the definitions it inlined, and `iterations` and `allocated` what
+    it added to the unrolling and allocation counters.
     """
-    token: BlockBody
+    stmts: list
+    value: object
     fresh_after: tuple
+    cleans: tuple
+    locals: int
+    entered: frozenset
     iterations: int
     allocated: int
 
@@ -1233,10 +1330,14 @@ class Flattener:
         self.journal: list[list] = []  # per open branch: (binding, old value)
         self.iterations = 0  # loop iterations unrolled so far
         self.allocated = 0  # bits allocated by arrays and entry parameters
-        self.templates: dict = {}  # in-place call signature -> _Template
+        self.templates: dict = {}  # call signature -> _Template
+        self.call_templates = 0  # calls inlined and recorded as templates
+        self.call_replays = 0  # calls replayed from a template
         self.active: set[int] = set()  # id(LetDef) of the calls being inlined
+        self.entered: list[int] = []  # id(LetDef) of every call inlined
         self.line: int | None = None  # of the item being flattened
         self.free_names: dict[int, tuple] = {}  # id(LetDef) -> _free_names()
+        self.results: dict = {}  # id(LetDef) -> _in_place_result()
 
     # -- plumbing ----------------------------------------------------------
     def new_slot(self) -> int:
@@ -1253,7 +1354,8 @@ class Flattener:
         if isinstance(stmt, Compute):
             if self.fresh_reads:
                 self.fresh_reads.intersection_update(self.fresh)
-                stmt.expr = _read_as_zero(stmt.expr, self.fresh_reads)
+                stmt.expr = _substituted(stmt.expr, dict.fromkeys(
+                    self.fresh_reads, _ZERO))
             e = stmt.expr
             if e.op == "const" and not e.args[0] and not stmt.fresh:
                 return  # x ^= 0 is a no-op
@@ -1333,7 +1435,11 @@ class Flattener:
                 # operands at once, and the chain's length costs no depth
                 args = []
                 for x in _chain(e):
-                    args.append(self.eval_scalar(x, scope))
+                    start = len(self.stmts)
+                    a = self.eval_scalar(x, scope)
+                    if args and len(self.stmts) != start:
+                        args = self.read_before(args, start)
+                    args.append(a)
                 if e.op == "<>":
                     return bxor(args)
                 be = (band if e.op == "&&" else bor)(args)
@@ -1345,6 +1451,28 @@ class Flattener:
             raise FlattenError(f"integer operator {e.op!r} in bit context",
                                e.line)
         return self.bit_expr(self.eval_value(e, scope), e)
+
+    def read_before(self, args: list, start: int) -> list:
+        """Operands `args`, read before the statements from `start` on,
+        which a later operand of their expression emitted (a call, or a
+        branch of a constant `if`): the source reads each operand when it
+        reaches it.  A slot those statements write or clean is copied to
+        a new slot ahead of them, or read as 0 if it was fresh."""
+        later = self.stmts[start:]
+        reads = _written(later).intersection(set().union(*map(variables,
+                                                               args)))
+        if not reads:
+            return args
+        m, copies = {}, []
+        for s in sorted(reads):
+            if _fresh_before(later, s):
+                m[s] = _ZERO
+            else:
+                c = self.new_slot()
+                copies.append(Compute(c, bvar(s), True))
+                m[s] = bvar(c)
+        self.stmts[start:start] = copies
+        return [_substituted(a, m) for a in args]
 
     def bit_expr(self, v, e) -> BoolExp:
         """The BoolExp of value v, which expression e evaluated to."""
@@ -1456,7 +1584,7 @@ class Flattener:
         if f is None:
             raise FlattenError(f"unknown function {fn!r}", e.line)
         args = [self.eval_value(a, scope) for a in e.args]
-        return self.inline_call(f, args, line=e.line)
+        return self.call(f, args, e.line)
 
     # -- calls -----------------------------------------------------------------
     def inline_call(self, f: _FuncVal, args: list, alias=None, line=0):
@@ -1470,6 +1598,7 @@ class Flattener:
         scope = _Scope(f.env)
         for (pname, _ann), v in zip(defn.params, args):
             scope.bind(pname, v, isinstance(v, _ArrVal))
+        self.entered.append(id(defn))
         with _entering(self.active, defn, FlattenError, line):
             value = self.run_block(defn.body, scope, want_value=True,
                                    alias=alias)
@@ -1626,7 +1755,7 @@ class Flattener:
             return v if isinstance(v, (_BitVal, _ArrVal, _ConstBitVal)) else None
         return None
 
-    # -- in-place call assignment ------------------------------------------------
+    # -- calls by template ----------------------------------------------------
     def assign_call(self, item: Assign, f: _FuncVal, scope: _Scope) -> None:
         name = item.target.name
         b = scope.get(name, FlattenError, item.line)
@@ -1636,54 +1765,84 @@ class Flattener:
         args = [self.eval_value(a, scope) for a in item.expr.args]
         target = _slots_of(b[0]) or []
         ret = in_place_binding(f.defn, target,
-                               [_slots_of(a) or [] for a in args], self.nested)
-        if ret is None:  # out of place: plain inlining, re-bind the name
-            value = self.inline_call(f, args, line=item.line)
-            if isinstance(value, (_IntVal, _IntArrVal)):
-                raise FlattenError(f"cannot assign non-bit value to {name!r}",
-                                   item.line)
-            self._assign(scope, name, value, item.line)
+                               [_slots_of(a) or [] for a in args], self.nested,
+                               self.results)
+        if ret is not None:  # the body accumulates onto the target
+            self.call(f, args, item.line, target, ret)
             return
-        # in place: the body accumulates onto the target, which keeps its name
-        sig = self.signature(f, target, args)
-        tpl = self.templates.get(sig[0]) if sig is not None else None
-        if tpl is not None and self.instantiate(tpl, sig[1]):
-            return
+        value = self.call(f, args, item.line)  # out of place: re-bind x
+        if isinstance(value, (_IntVal, _IntArrVal)):
+            raise FlattenError(f"cannot assign non-bit value to {name!r}",
+                               item.line)
+        self._assign(scope, name, value, item.line)
+
+    def call(self, f: _FuncVal, args: list, line: int, target=(), ret=None):
+        """Flatten call `f args`, in place onto `target` if `ret` (f's result
+        binding) is given, and return its value (None in place).
+
+        The first call of a signature is inlined from the AST and recorded
+        as a template; a later one replays it, unless `replayable` finds
+        that inlining would report an error.  A call inside an `if` branch
+        is neither recorded nor replayed (a replay would not meet `emit`'s
+        check there), nor is one that touched a slot outside its positions.
+        """
+        key = None
+        if not self.branch_depth:
+            sig = self.signature(f, target, args)
+            if sig is not None:
+                key, slots = sig
+                tpl = self.templates.get(key)
+                if tpl is not None and self.replayable(tpl, slots):
+                    return self.replay(tpl, slots)
+        mark = (len(self.stmts), self.slot_count, len(self.entered),
+                self.iterations, self.allocated)
+        if ret is None:
+            value = self.inline_call(f, args, line=line)
+        else:
+            value = None
+            self.inline_in_place(f, args, target, ret,
+                                 slots if key is not None else (), line)
+        if key is not None:
+            self.record(key, slots, mark, value)
+        return value
+
+    def inline_in_place(self, f: _FuncVal, args: list, target: list[int],
+                        ret: LetBind, slots, line: int) -> None:
+        """Inline f with its result `ret` bound to `target` and emit the
+        block of its statements, its slots `slots` first."""
         outer, self.stmts = self.stmts, []
-        pre_slots, iterations, allocated = (self.slot_count, self.iterations,
-                                            self.allocated)
+        pre_slots = self.slot_count
         self.nested += 1
         self.enforced = set(target)
-        self.inline_call(f, args, alias=(ret, target, item.line), line=item.line)
+        self.inline_call(f, args, alias=(ret, target, line), line=line)
         self.nested -= 1
         self.enforced = set()
         body, self.stmts = self.stmts, outer
-        locals_ = list(range(pre_slots, self.slot_count))
         block = InPlaceBlock.from_statements(
-            target, body, locals_, sig[1] if sig is not None else ())
-        self.validate_block(block, item.line, f.defn.name)
+            target, body, list(range(pre_slots, self.slot_count)), slots)
+        self.validate_block(block, line, f.defn.name)
         self.emit(block)
-        # a body that reached a slot outside its signature is not replayed
-        if sig is not None and set(block.arg_slots) <= set(sig[1]):
-            slots = block.slots
-            self.templates[sig[0]] = _Template(
-                block.token,
-                tuple(p for p, s in enumerate(slots) if s in self.fresh),
-                self.iterations - iterations, self.allocated - allocated)
 
-    # -- in-place templates ------------------------------------------------------
     def signature(self, f: _FuncVal, target: list[int], args: list):
-        """The template key of in-place call `f args` onto `target`, with
-        the slots a template renames: the target's, the arguments' and the
-        captured bits', in key order.  None if the call writes a name it
-        does not bind.
+        """The template key of call `f args` (in place onto `target` if it
+        is not empty), with the slots a template renames: the target's, the
+        arguments' and the captured bits', distinct and in key order.  None
+        if the call writes a name it does not bind.
 
         Two calls with one key inline to the same statements up to slot
         renaming: the key holds f (and so its result binding), each
         argument's kind and width or compile-time value, the value of every
         name f's body reads from its environment (for a function, the same
-        again), which of the slots are one slot, and which are fresh
-        (unwritten or cleaned).
+        again), how many slots there are (so a call in place, whose slots
+        begin with its target's, never shares a key with one out of
+        place), which of the slots are one slot, which
+        are fresh (unwritten or cleaned) and which are in-place targets
+        being accumulated onto, and whether the call is inside an in-place
+        body or an `if` (`in_place_binding` inside it depends on that).
+        Which slots are entry inputs changes only whether a `clean` is an
+        error, so `replayable` checks the slots a template cleans instead:
+        a key bit would give, say, MD5's additions of an input word and of
+        a computed one two templates, and two block bodies.
         """
         slots = list(target)
         try:
@@ -1692,9 +1851,10 @@ class Flattener:
         except _NoTemplate:
             return None
         first: dict[int, int] = {}
-        shared = tuple(first.setdefault(s, i) for i, s in enumerate(slots))
-        fresh = tuple([s in self.fresh for s in slots])
-        return (values, shared, fresh), slots
+        shared = tuple([first.setdefault(s, i) for i, s in enumerate(slots)])
+        fresh, enforced = self.fresh, self.enforced
+        states = tuple([(s in fresh) | (s in enforced) << 1 for s in first])
+        return (values, self.nested > 0, shared, states), list(first)
 
     def function_key(self, f: _FuncVal, slots: list, seen: set):
         """Key of function f: f itself and the values its body reads from
@@ -1729,23 +1889,53 @@ class Flattener:
             return "ints", tuple(v.values)
         return None  # an unbound name
 
-    def instantiate(self, tpl: _Template, slots: list[int]) -> bool:
-        """Emit a block of `tpl`'s token on `slots` and new locals, as
-        inlining its call would; False, emitting nothing, if that would
-        pass a bound, so that inlining reports the error.  The block is
-        not validated: its check would be the template's."""
-        if (self.iterations + tpl.iterations > MAX_UNROLLED_ITERATIONS
-                or self.allocated + tpl.allocated > MAX_ALLOCATED_BITS):
-            return False
+    def record(self, key, slots: list[int], mark: tuple, value) -> None:
+        """Record the call just inlined, which began at `mark`, as the
+        template of `key`, unless it touched a slot outside its positions:
+        its signature's `slots`, then the slots it allocated."""
+        start, pre_slots, entered, iterations, allocated = mark
+        pos = {s: p for p, s in enumerate(slots)}
+        n = len(pos)
+        shift = n - pre_slots
+        pos.update({s: s + shift for s in range(pre_slots, self.slot_count)})
+        try:
+            stmts = _renamed_stmts(self.stmts[start:], pos)
+            value = _value_renamed(value, pos)
+        except KeyError:
+            return
+        fresh_after = tuple([p for s, p in pos.items() if s in self.fresh])
+        self.templates[key] = _Template(
+            stmts, value, fresh_after,
+            tuple([p for p in _written(stmts, CleanSlot) if p < n]),
+            self.slot_count - pre_slots, frozenset(self.entered[entered:]),
+            self.iterations - iterations, self.allocated - allocated)
+        self.call_templates += 1
+
+    def replayable(self, tpl: _Template, slots: list[int]) -> bool:
+        """Replaying `tpl` on its signature's `slots` emits what inlining
+        the call would: it passes no bound, enters no function that is
+        running and cleans no entry input."""
+        return (self.iterations + tpl.iterations <= MAX_UNROLLED_ITERATIONS
+                and self.allocated + tpl.allocated <= MAX_ALLOCATED_BITS
+                and self.active.isdisjoint(tpl.entered)
+                and self.inputs.isdisjoint([slots[p] for p in tpl.cleans]))
+
+    def replay(self, tpl: _Template, slots: list[int]):
+        """Emit `tpl`'s statements on its signature's `slots` and new
+        locals, taken in the order inlining would take them, and return its
+        value there.  Nothing is validated or folded again: a block's
+        check and the reads of fresh slots would be the template's."""
+        self.fresh.difference_update(slots)
         base = self.slot_count
-        self.slot_count += len(tpl.token.local_positions)
+        self.slot_count += tpl.locals
         self.iterations += tpl.iterations
         self.allocated += tpl.allocated
-        block_slots = (*dict.fromkeys(slots), *range(base, self.slot_count))
-        self.fresh.difference_update(slots)
-        self.fresh.update([block_slots[p] for p in tpl.fresh_after])
-        self.emit(InPlaceBlock(tpl.token, block_slots))
-        return True
+        self.entered += tpl.entered
+        m = [*slots, *range(base, self.slot_count)]
+        self.fresh.update([m[p] for p in tpl.fresh_after])
+        self.stmts += _renamed_stmts(tpl.stmts, m)
+        self.call_replays += 1
+        return _value_renamed(tpl.value, m)
 
     @staticmethod
     def validate_block(block: InPlaceBlock, line, fname) -> None:
@@ -1888,17 +2078,24 @@ class Flattener:
         return out
 
 
-def flatten(program, params: dict | None = None) -> FlatProgram:
-    """Unroll, inline and slot-number a parsed program (idempotent)."""
+def flatten(program, params: dict | None = None,
+            counts: dict | None = None) -> FlatProgram:
+    """Unroll, inline and slot-number a parsed program (idempotent).
+    `counts`, if given, receives `call_templates` (calls inlined and
+    recorded as templates) and `call_replays` (calls replayed from one)."""
     if isinstance(program, FlatProgram):
         return program
     fl = Flattener(program, params)
     try:
-        return fl.run()
+        prog = fl.run()
     except RecursionError:
         # calls or expressions nested past Python's stack, e.g. a long
         # chain of functions each calling the one before
         raise FlattenError("program nests too deeply", fl.line) from None
+    if counts is not None:
+        counts.update(call_templates=fl.call_templates,
+                      call_replays=fl.call_replays)
+    return prog
 
 
 # ---------------------------------------------------------------------------
@@ -1941,6 +2138,8 @@ class SourceInterpreter:
         self.allocated = 0  # bits allocated by arrays and entry parameters
         self.active: set[int] = set()  # id(LetDef) of the calls running
         self.line: int | None = None  # of the item being run
+        self.inputs: set = set()  # the entry parameters' boxes
+        self.results: dict = {}  # id(LetDef) -> _in_place_result()
 
     # value model: int | list[int] (compile-time) | _Box | list[_Box] | closure
     def run(self, inputs) -> list[int]:
@@ -1962,6 +2161,7 @@ class SourceInterpreter:
                 self.allocated = _count_bits(self.allocated, n, InterpretError,
                                              entry.defn.line)
                 boxes = [_Box(b) for b in inputs[pos:pos + n]]
+                self.inputs.update(boxes)
                 # too few inputs leave `boxes` short: the count check says so
                 args.append(boxes if array or not boxes else boxes[0])
                 pos += n
@@ -2121,6 +2321,9 @@ class SourceInterpreter:
             if not isinstance(boxes, list):
                 raise InterpretError(f"clean of non-bit value {item.name!r}",
                                      item.line)
+            if not self.inputs.isdisjoint(boxes):  # as in flatten
+                raise InterpretError(f"clean of {item.name!r} would release "
+                                     f"an input bit", item.line)
             for box in boxes:
                 if box.v != 0:
                     raise InterpretError(f"clean of non-zero value "
@@ -2170,7 +2373,7 @@ class SourceInterpreter:
             args = [self.eval(a, scope) for a in rhs.args]
             target = _boxes(b[0])
             ret = in_place_binding(f.defn, target, [_boxes(a) for a in args],
-                                   self.nested)
+                                   self.nested, self.results)
             if ret is not None:  # in place: the target keeps its name
                 self.nested += 1
                 self.enforced = set(target)

@@ -157,6 +157,17 @@ def test_stats_count_block_recipes_and_replays(capsys):
     assert rep["block_recipes"] + rep["block_replays"] == runs
 
 
+def test_stats_count_call_templates_and_replays(capsys):
+    # a SHA-2 round makes 11 calls: 7 in place, all of one signature, and
+    # ch, ma, s0 and s1 out of place; only the first of each is inlined
+    assert main(["stats", corpus_path("sha2.rev"), "--param", "rounds=4"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["call_templates"], rep["call_replays"]) == (5, 4 * 11 - 5)
+    assert main(["stats", corpus_path("majority.blif")]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["call_templates"], rep["call_replays"]) == (0, 0)
+
+
 def test_empty_file_is_user_error(tmp_path, capsys):
     empty = tmp_path / "empty.rev"
     empty.write_text("")

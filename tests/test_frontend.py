@@ -312,6 +312,18 @@ def test_clean_of_an_input_bit_is_a_flatten_error(case):
     assert "would release an input bit" in str(exc.value)
 
 
+@pytest.mark.parametrize("case", CLEANS_OF_INPUTS)
+def test_source_interpreter_rejects_a_clean_of_an_input_bit(case):
+    # with flatten's one-line error, also where the released bit is 0
+    ast = parse(CLEANS_OF_INPUTS[case][0])
+    with pytest.raises(FlattenError) as flat:
+        flatten(ast)
+    for bits in ([0, 0], [1, 1]):
+        with pytest.raises(InterpretError) as exc:
+            interpret_source(ast, bits)
+        assert str(exc.value) == str(flat.value)
+
+
 def test_xor_of_a_bit_with_itself_folds_to_zero():
     # z.[0] and z.[1] are both x.[1]: their XOR is the constant 0
     src = """let f (x : bool[2]) =
@@ -656,6 +668,49 @@ let flip x =
     let out = Array.zeroCreate 1
     out.[0] <- out.[0] <> x
     out
+
+let bump (x : bool array) (y : bool array) =
+    x.[0] <- x.[0] <> y.[0]
+    y
+
+let drop (x : bool array) =
+    clean x
+    x
+
+let setw (x : bool array) (y : bool array) =
+    x.[0] <- y.[0]
+    y
+
+let adds (x : bool array) =
+    let out = Array.zeroCreate 1
+    let w = Array.zeroCreate 1
+    let u = setw w x
+    let v = setw out x
+    out
+
+let twice (x : bool array) =
+    let mutable t = Array.zeroCreate 1
+    t <- add x
+    t
+
+let addt (x : bool array) =
+    let out = Array.zeroCreate 1
+    let m = twice x
+    let n = twice x
+    out.[0] <- out.[0] <> (m.[0] && n.[0] && x.[1])
+    m.[0] <- m.[0] <> x.[0]
+    n.[0] <- n.[0] <> x.[0]
+    out
+
+let addi (x : bool array) =
+    let out = Array.zeroCreate 1
+    let m = mix x
+    let u =
+        if x.[0] then
+            mix x
+        else
+            x.[0 .. 0]
+    out
 """
 
 
@@ -672,7 +727,9 @@ main
 
 # Each case repeats a call, so that it is replayed, around a call that
 # differs from it in one part of the signature; replaying a template
-# across that difference would emit something else.
+# across that difference would emit something else.  The in-place cases
+# call `h <- f ...`; each "out-of-place" case calls f in an argument or a
+# `let`, and is the in-place case of its name otherwise.
 TEMPLATE_CASES = {
     "function": template_program(
         "h <- add b", "h <- mix b", "h <- add b"),
@@ -714,13 +771,85 @@ TEMPLATE_CASES = {
         "    out",
         "h <- addw b", "c <- a.[1]", "h <- addw b",
         "let r = Array.zeroCreate 1", "r.[0] <- c", "h <- add r"),
+    "out-of-place-function": template_program(
+        "h <- add (add b)", "h <- add (mix b)", "h <- add (add b)"),
+    "out-of-place-aliased-arguments": template_program(
+        "h <- add (and2 a.[1 .. 1] b)", "h <- add (and2 b.[0 .. 0] b)",
+        "h <- add (and2 a.[1 .. 1] b)"),
+    "out-of-place-argument-widths": template_program(
+        "h <- add (and2 b a.[1 .. 1])",
+        "h <- add (and2 b.[0 .. 0] (Array.append b.[1 .. 1] a.[1 .. 1]))",
+        "h <- add (and2 b a.[1 .. 1])"),
+    "out-of-place-argument-kind": template_program(
+        "h <- add (flip b.[0])", "h <- add (flip b.[0])",
+        "h <- add (flip b.[0 .. 0])"),
+    "out-of-place-constant-bit": template_program(
+        "h <- add (gate true b)", "h <- add (gate false b)",
+        "h <- add (gate true b)"),
+    "out-of-place-integer-arguments": template_program(
+        "h <- add (pick 0 [| 0 |] b)", "h <- add (pick 1 [| 0 |] b)",
+        "h <- add (pick 0 [| 1 |] b)", "h <- add (pick 0 [| 0 |] b)"),
+    # bump writes its first argument fresh, then accumulates onto it
+    "out-of-place-fresh-arguments": template_program(
+        "let z = Array.zeroCreate 1", "let w = Array.zeroCreate 1",
+        "let u = bump z b", "let v = bump w b", "let u2 = bump z b",
+        "h <- add z", "h <- add w"),
+    "out-of-place-captured": template_program(
+        "let mutable c = a.[1]", "let k = 0",
+        "let part (x : bool array) = x.[k]",
+        "let andc (x : bool array) =",
+        "    let t = Array.zeroCreate 1",
+        "    t.[0] <- part x && c",
+        "    t",
+        "h <- add (andc b)", "h <- add (andc b)",
+        "c <- b.[0] && b.[1]", "h <- add (andc b)",
+        "let k = 1", "h <- add (andc b)",
+        "let part (x : bool array) = x.[0]", "h <- add (andc b)",
+        "h <- add (andc b)"),
+    # the third `drop` would release an input bit: an error, not a replay
+    "clean-of-an-input": template_program(
+        "let z = Array.zeroCreate 1", "z.[0] <- b.[0] && b.[1]",
+        "z.[0] <- z.[0] <> (b.[0] && b.[1])",
+        "let w = Array.zeroCreate 1", "w.[0] <- b.[0] && b.[1]",
+        "w.[0] <- w.[0] <> (b.[0] && b.[1])",
+        "let u = drop z", "let v = drop w", "let i = drop a.[0 .. 0]"),
+    # `twice` runs `t <- add x` in place at top level and out of place in
+    # addt's in-place body; its second call there replays the first
+    "out-of-place-in-an-in-place-body": template_program(
+        "h <- add (twice b)", "h <- addt b", "h <- addt b",
+        "h <- add (twice b)"),
+    # setw re-labels an unwritten local, but writes the unwritten target
+    # of an in-place call
+    "in-place-target-argument": template_program(
+        "h <- add b", "h <- add b",
+        "let mutable z = Array.zeroCreate 1", "z <- adds b", "h <- add z"),
+    # a call in an `if` branch may not compute: an error, not a replay of
+    # the call before it, also inside addi's in-place body
+    "in-an-if-branch": template_program(
+        "h <- add b", "h <- add b", "h <- addi b"),
 }
 
-CORPUS_FLATTENS = [
-    *(("sha2.rev", {"rounds": r}) for r in (1, 2, 4, 8, 16, 64)),
-    *(("md5.rev", {"rounds": r}) for r in (1, 2, 4, 16)),
-    ("adder_ripple.rev", {"n": 4}), ("adder_ripple.rev", {"n": 40}),
-    ("adder_select.rev", {}),
+IN_PLACE, OUT_OF_PLACE = "in place", "out of place"
+# the kinds of call each case replays
+TEMPLATE_REPLAYS = {
+    **{name: {IN_PLACE} for name in TEMPLATE_CASES},
+    **{name: {IN_PLACE, OUT_OF_PLACE} for name in TEMPLATE_CASES
+       if name.startswith("out-of-place")},
+    "writes-captured": set(),
+    "clean-of-an-input": {OUT_OF_PLACE},
+}
+
+CORPUS_FLATTENS = [  # (name, params, kinds of call replayed)
+    ("sha2.rev", {"rounds": 1}, {IN_PLACE}),
+    *(("sha2.rev", {"rounds": r}, {IN_PLACE, OUT_OF_PLACE})
+      for r in (2, 4, 8, 16, 64)),
+    # md5.rev's `C <- B` makes C share B's slots from round 2 on, so
+    # `F B C D` has a new signature in round 2 and replays from round 3
+    *(("md5.rev", {"rounds": r}, {IN_PLACE}) for r in (1, 2)),
+    *(("md5.rev", {"rounds": r}, {IN_PLACE, OUT_OF_PLACE}) for r in (4, 16)),
+    ("adder_ripple.rev", {"n": 4}, set()),
+    ("adder_ripple.rev", {"n": 40}, set()),
+    ("adder_select.rev", {}, {OUT_OF_PLACE}),
 ]
 
 
@@ -732,22 +861,23 @@ def flat_outcome(ast) -> str:
 
 
 @pytest.mark.parametrize("ast,replays", [
-    *(pytest.param(parse(src), name != "writes-captured", id=name)
+    *(pytest.param(parse(src), TEMPLATE_REPLAYS[name], id=name)
       for name, src in TEMPLATE_CASES.items()),
-    *(pytest.param(parse(corpus(name), params=params), "adder" not in name,
-                   id=f"{name}-{params}") for name, params in CORPUS_FLATTENS),
+    *(pytest.param(parse(corpus(name), params=params), replays,
+                   id=f"{name}-{params}")
+      for name, params, replays in CORPUS_FLATTENS),
 ])
 def test_templates_match_fresh_inlining(monkeypatch, ast, replays):
-    replayed = []
-    instantiate = Flattener.instantiate
+    kinds = set()
+    replay = Flattener.replay
 
-    def spy(self, *args):
-        replayed.append(instantiate(self, *args))
-        return replayed[-1]
+    def spy(self, tpl, slots):
+        kinds.add(IN_PLACE if tpl.value is None else OUT_OF_PLACE)
+        return replay(self, tpl, slots)
 
-    monkeypatch.setattr(Flattener, "instantiate", spy)
+    monkeypatch.setattr(Flattener, "replay", spy)
     cached = flat_outcome(ast)
-    assert any(replayed) == replays
+    assert kinds == replays
     monkeypatch.setattr(Flattener, "signature", lambda *args: None)
     assert flat_outcome(ast) == cached
 
@@ -1104,3 +1234,96 @@ def test_long_chain_in_an_in_place_body():
     assert sum(isinstance(s, InPlaceBlock) for s in prog.statements) == 2
     for bits in ([1] * n + [0], [0] * (n - 1) + [1, 1]):
         assert interpret(prog, bits) == interpret_source(parse(src), bits)
+
+
+# A call inside an expression writes a bit that an operand before it has
+# read: the source reads the operand first, so flatten reads it before the
+# call's statements, as 0 if it was unwritten ("fresh") or from a copy
+READ_ORDER = {
+    # f writes the captured z, so it is never replayed
+    "inlined": """\
+let main (x : bool[2]) =
+    let z = Array.zeroCreate 1
+    let f (y : bool) =
+        z.[0] <- y && x.[1]
+        y
+    let out = Array.zeroCreate 1
+    out.[0] <- z.[0] <> (f x.[0])
+    Array.concat [out; z]
+""",
+    # the second call replays the first
+    "replayed": """\
+let main (x : bool[2]) =
+    let f (z : bool array) (y : bool) =
+        z.[0] <- z.[0] <> (y && x.[1])
+        y
+    let z = Array.zeroCreate 1
+    let w = Array.zeroCreate 1
+    let out = Array.zeroCreate 2
+    out.[0] <- z.[0] <> (f z x.[0])
+    out.[1] <- w.[0] <> (f w x.[0])
+    Array.concat [out; z; w]
+""",
+    # written bits: copied before the calls, one read in a nested operand
+    "copied": """\
+let main (x : bool[2]) =
+    let f (z : bool array) (y : bool) =
+        z.[0] <- z.[0] <> (y && x.[1])
+        y
+    let z = Array.zeroCreate 1
+    z.[0] <- x.[0] <> x.[1]
+    let w = Array.zeroCreate 1
+    w.[0] <- x.[0] || x.[1]
+    let out = Array.zeroCreate 2
+    out.[0] <- z.[0] <> (f z x.[0])
+    out.[1] <- (w.[0] && x.[1]) <> (f w x.[0])
+    Array.concat [out; z; w]
+""",
+    # the calls clean the bits read before them
+    "cleaned": """\
+let main (x : bool[2]) =
+    let g (z : bool array) (y : bool) =
+        z.[0] <- z.[0] <> (x.[0] <> x.[1])
+        clean z
+        y
+    let z = Array.zeroCreate 1
+    z.[0] <- x.[0] <> x.[1]
+    let w = Array.zeroCreate 1
+    w.[0] <- x.[1] <> x.[0]
+    let out = Array.zeroCreate 2
+    out.[0] <- z.[0] <> (g z x.[0])
+    out.[1] <- w.[0] <> (g w x.[0])
+    out
+""",
+}
+
+
+@pytest.mark.parametrize("case", READ_ORDER)
+def test_operand_is_read_before_a_later_call_writes_it(case):
+    ast = parse(READ_ORDER[case])
+    counts = {}
+    flatten(ast, counts=counts)
+    assert (counts["call_replays"] > 0) == (case != "inlined")
+    assert_compiles_like_source(ast)
+
+
+def test_replay_never_skips_a_recursive_call():
+    # `f 0 a` inlines d with no iteration; inside `d 1 a`, `f 0 r` has
+    # the same signature, but inlining it re-enters d
+    src = """\
+let main (a : bool[2]) =
+    let d k (y : bool array) =
+        let mutable r = y
+        for i in 1 .. k do
+            r <- f 0 r
+        r
+    let f k (y : bool array) =
+        d k y
+    let u = f 0 a
+    let v = d 1 a
+    v
+"""
+    with pytest.raises(FlattenError, match="line 8: recursive call to 'd'"):
+        flatten(parse(src))
+    with pytest.raises(InterpretError, match="line 8: recursive call to 'd'"):
+        interpret_source(parse(src), [0, 1])
