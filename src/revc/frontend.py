@@ -60,20 +60,32 @@ slot is fresh again: `clean` emits a `CleanSlot` for each of its slots
 that is not fresh already and makes them fresh.  A `clean` that reaches
 an entry input's slot, by its name or through a re-label, is the same
 one-line error in both evaluators: the input's wire belongs to the
-circuit.  An operator's
-value that folds to an operand (`a && a`) is copied to a new slot, as the
-source makes a new bit, so it is never such a re-label.  `emit` folds a fresh
-slot out of every statement that reads it, at top level and in in-place
-bodies, so its next write is a fresh write (`fresh=True`) and no
-flattened statement reads a slot with no wire; a fresh output slot is
-written as the constant 0.  Expressions keep its variable until then,
-so that a name aliasing it still accumulates onto it in place.
+circuit.  An expression reads a fresh slot as 0 (`read`), at top level
+and in in-place bodies, so the slot's next write is a fresh write
+(`fresh=True`) and no flattened statement reads a slot with no wire; a
+fresh output slot is written as the constant 0.  An operator's value is
+a new slot, as the source makes a new bit, also when it folds to an
+operand (`a && a`) or a constant (`a <> a`), so it is never such a
+re-label.  A constant is a value in both evaluators, never a bit.
+
+One rule decides every other assignment, `x <- rhs` or `x.[i] <- rhs`,
+in both evaluators (`writes_in_place`): the write lands on the bit x
+held before rhs ran when exactly one read of rhs returned that bit and
+that read is an operand of rhs's top-level `<>` chain.  Each evaluator
+records the bit that each name or element read returns as it evaluates
+it, so no read is evaluated twice.  An unwritten element is written in
+place as well, and a plain re-label (`x <- y`) re-binds x; any other
+write re-binds x, or the element, to a new bit.  Flatten writes in place
+as `x ^= rest` when the expression is `x ^ rest`, and otherwise through
+a new slot, `d := e ^ x` then `x ^= d`.
 
 The source reads each operand of `&&`, `||` and `<>` when it reaches it.
 When a later operand emits statements (a call, or the branch of a
 constant `if`) that write or `clean` a slot an earlier operand read,
-flatten copies that slot to a new one ahead of those statements, or reads
-it as 0 if it was fresh (`read_before`); no corpus program does this.
+flatten copies that slot to a new one ahead of those statements
+(`read_before`); no corpus program does this.  A write in place onto
+such a slot reads its old value from the copy, so it takes the new-slot
+path.
 
 An `InPlaceBlock` holds no statements of its own: it is a token and its
 distinct slots.  The token is a `BlockBody`, the body written over
@@ -960,6 +972,24 @@ def in_place_binding(defn: LetDef, target: list, args: list, nested: int,
     return results[id(defn)]
 
 
+def writes_in_place(rhs, bit, reads: dict, operands: dict) -> bool:
+    """Decide `x <- rhs`, after rhs ran: whether the write lands on `bit`,
+    the bit x held before rhs ran (None if it held none).
+
+    It does when exactly one read of rhs returned that bit and the read is
+    an operand of rhs's top-level `<>` chain.  `reads` maps the id of each
+    name or element read to the bit it returned when it last ran: an
+    evaluator records it as it evaluates the read, so that no read is
+    evaluated twice.  `operands` caches rhs's reads (`_reads`) by id(rhs).
+    """
+    if bit is None:
+        return False
+    if id(rhs) not in operands:
+        operands[id(rhs)] = [(id(e), top) for e, top in _reads(rhs)]
+    return [top for e, top in operands[id(rhs)]
+            if reads.get(e) == bit] == [True]
+
+
 def _in_place_result(defn: LetDef):
     """f's body-level `let r = Array.zeroCreate n` that it returns, if every
     write to r accumulates; else None."""
@@ -1219,24 +1249,6 @@ def _written(stmts, kind=(Compute, CleanSlot)) -> set[int]:
     return out
 
 
-def _fresh_before(stmts, slot: int):
-    """Whether `slot` was fresh before flat statements `stmts`: True if
-    the first of them to touch it writes it fresh, False if it reads,
-    accumulates onto or cleans it (no statement reads a fresh slot), None
-    if none touches it."""
-    for s in stmts:
-        if type(s) is InPlaceBlock:
-            if slot in s.slots:
-                first = _fresh_before(s.token.stmts, s.slots.index(slot))
-                if first is not None:
-                    return first
-        elif s.slot == slot:
-            return type(s) is Compute and s.fresh
-        elif type(s) is Compute and slot in variables(s.expr):
-            return False
-    return None
-
-
 @dataclass
 class _Template:
     """A flattened call, replayed for later calls of its signature.
@@ -1319,9 +1331,11 @@ class Flattener:
         self.slot_count = 0
         # unwritten Array.zeroCreate slots and cleaned ones: they read as 0
         self.fresh: set[int] = set()
-        # fresh slots an expression built so far reads (`read`), which
-        # `emit` reads as 0 in the statements it emits
-        self.fresh_reads: set[int] = set()
+        # id of each name or element read -> the slot it returned, or None,
+        # and id of each assignment's right side -> its reads
+        # (`writes_in_place`)
+        self.reads: dict[int, int | None] = {}
+        self.operands: dict[int, list] = {}
         self.inputs: set[int] = set()  # the entry parameters' slots
         self.stmts: list = []
         self.enforced: set[int] = set()  # in-place target: accumulate only
@@ -1346,26 +1360,20 @@ class Flattener:
         return s
 
     def emit(self, stmt) -> None:
-        """Append a statement, with every fresh slot it reads (unwritten or
-        cleaned) read as 0; a write of 0 onto a written slot is dropped."""
+        """Append a statement; a write of 0 onto a written slot is
+        dropped."""
         if self.branch_depth:
             raise FlattenError(
                 "conditional branches may only re-label existing values")
-        if isinstance(stmt, Compute):
-            if self.fresh_reads:
-                self.fresh_reads.intersection_update(self.fresh)
-                stmt.expr = _substituted(stmt.expr, dict.fromkeys(
-                    self.fresh_reads, _ZERO))
-            e = stmt.expr
-            if e.op == "const" and not e.args[0] and not stmt.fresh:
-                return  # x ^= 0 is a no-op
+        if (type(stmt) is Compute and not stmt.fresh
+                and stmt.expr.op == "const" and not stmt.expr.args[0]):
+            return  # x ^= 0 is a no-op
         self.stmts.append(stmt)
 
     def read(self, slot: int) -> BoolExp:
-        """The variable of `slot`, for an expression that reads it."""
-        if slot in self.fresh:
-            self.fresh_reads.add(slot)
-        return bvar(slot)
+        """The value of `slot` for an expression that reads it: its
+        variable, or 0 if it is fresh (unwritten or cleaned)."""
+        return _ZERO if slot in self.fresh else bvar(slot)
 
     def compute(self, e: BoolExp) -> int:
         """A new slot holding e."""
@@ -1373,11 +1381,13 @@ class Flattener:
         self.emit(Compute(t, e, True))
         return t
 
-    def _assign(self, scope: _Scope, name: str, value, line: int) -> None:
+    @staticmethod
+    def mutable(scope: _Scope, name: str, line: int) -> list:
+        """The binding of `name`, which an assignment re-binds."""
         binding = scope.get(name, FlattenError, line)
         if not binding[1]:
             raise FlattenError(f"assignment to immutable binding {name!r}", line)
-        self._set(binding, value)
+        return binding
 
     def _set(self, binding: list, value) -> None:
         """Re-bind an existing name, journaled inside if-branches."""
@@ -1457,20 +1467,16 @@ class Flattener:
         which a later operand of their expression emitted (a call, or a
         branch of a constant `if`): the source reads each operand when it
         reaches it.  A slot those statements write or clean is copied to
-        a new slot ahead of them, or read as 0 if it was fresh."""
-        later = self.stmts[start:]
-        reads = _written(later).intersection(set().union(*map(variables,
-                                                               args)))
+        a new slot ahead of them (a fresh one was read as 0 already)."""
+        reads = _written(self.stmts[start:]).intersection(
+            set().union(*map(variables, args)))
         if not reads:
             return args
         m, copies = {}, []
         for s in sorted(reads):
-            if _fresh_before(later, s):
-                m[s] = _ZERO
-            else:
-                c = self.new_slot()
-                copies.append(Compute(c, bvar(s), True))
-                m[s] = bvar(c)
+            c = self.new_slot()
+            copies.append(Compute(c, bvar(s), True))
+            m[s] = bvar(c)
         self.stmts[start:start] = copies
         return [_substituted(a, m) for a in args]
 
@@ -1493,17 +1499,20 @@ class Flattener:
         if isinstance(e, EName):
             v = scope.get(e.name, FlattenError, e.line)[0]
             if isinstance(v, _ArrVal):
-                return _ArrVal(v.slots)
+                v = _ArrVal(v.slots)
+            self.reads[id(e)] = v.slot if type(v) is _BitVal else None
             return v
         if isinstance(e, EIndex):
             v = scope.get(e.name, FlattenError, e.line)[0]
             if isinstance(v, _IntArrVal):
+                self.reads[id(e)] = None
                 return _IntVal(self.eval_int(e, scope, e.line))
             i = self.eval_int(e.index, scope, e.line)
             if isinstance(v, _ArrVal):
                 if not 0 <= i < len(v.slots):
                     raise FlattenError(f"index {i} out of range for {e.name!r}"
                                        f" (size {len(v.slots)})", e.line)
+                self.reads[id(e)] = v.slots[i]
                 return _BitVal(v.slots[i])
             raise FlattenError(f"{e.name!r} is not an array", e.line)
         if isinstance(e, ESlice):
@@ -1523,25 +1532,15 @@ class Flattener:
         if isinstance(e, (EBin, ENot)):
             if isinstance(e, EBin) and e.op in "+-*/%":
                 return _IntVal(self.eval_int(e, scope, e.line))
-            be = self.eval_scalar(e, scope)
-            if be.op == "var":
-                # an operator's value is a new bit, as in the source, also
-                # when it folds to an operand (`a && a`, `a <> b <> b`):
-                # a later write or `clean` of it must not reach the operand
-                return _BitVal(self.compute(be))
-            return self.materialize(be)
+            # an operator's value is a new bit, as in the source, also when
+            # it folds to an operand (`a && a`) or a constant (`a <> a`): a
+            # later write or `clean` of it must not reach another name
+            return _BitVal(self.compute(self.eval_scalar(e, scope)))
         if isinstance(e, EInt):
             return _IntVal(e.value)
         if isinstance(e, EList):
             raise FlattenError(_LIST_ONLY_IN_CONCAT, e.line)
         raise FlattenError(f"cannot evaluate {type(e).__name__}")
-
-    def materialize(self, be: BoolExp) -> object:
-        if be.op == "const":
-            return _ConstBitVal(be.args[0])
-        if be.op == "var":
-            return _BitVal(be.args[0])
-        return _BitVal(self.compute(be))
 
     def eval_app(self, e: EApp, scope: _Scope):
         fn = e.fn
@@ -1665,55 +1664,47 @@ class Flattener:
             raise FlattenError(f"unexpected item {type(item).__name__}")
 
     def do_assign(self, item: Assign, scope: _Scope) -> None:
-        rhs = item.expr
+        rhs, target = item.expr, item.target
         # 1. `x <- f args`: inlined once, in place or re-binding x
         f = scope.function(rhs)
-        if isinstance(item.target, EName) and f is not None:
+        if isinstance(target, EName) and f is not None:
             self.assign_call(item, f, scope)
             return
+        # the target, and the bit it holds before rhs runs
+        if isinstance(target, EName):
+            b = self.mutable(scope, target.name, item.line)
+            bit = b[0].slot if isinstance(b[0], _BitVal) else None
+        else:
+            bit, arr, i = self.element_slot(target, scope)
         # 2. pure re-labeling: RHS is an existing value (or structural op)
         v = self.relabel_value(rhs, scope)
         if v is not None:
-            if isinstance(item.target, EName):
-                self._assign(scope, item.target.name, v, item.line)
+            if isinstance(target, EName):
+                self._set(b, v)
                 return
             # element re-label onto a fresh, unwritten slot
-            tslot, arr, i = self.element_slot(item.target, scope)
-            if (isinstance(v, _BitVal) and tslot in self.fresh
-                    and tslot not in self.enforced and not self.branch_depth):
+            if (isinstance(v, _BitVal) and bit in self.fresh
+                    and bit not in self.enforced and not self.branch_depth):
                 arr.slots[i] = v.slot
                 return
             # fall through to the compute path with the value already made
             # (evaluating an `if` again would build its multiplexer twice)
-        # 3. computed assignment
+        # 3. computed assignment: in place by the shared rule or onto an
+        # unwritten element, else onto a new slot
         if self.branch_depth:
             raise FlattenError(
                 "conditional branches may only re-label existing values",
                 item.line)
         e = self.eval_scalar(rhs, scope) if v is None else self.bit_expr(v, rhs)
-        if isinstance(item.target, EName):
-            b = scope.get(item.target.name, FlattenError, item.line)
-            cur = b[0].slot if isinstance(b[0], _BitVal) else None
-            stripped = self.accumulator_strip(e, cur)
-            if stripped is not None:
-                self.write_slot(cur, stripped, item.line)
-                self._assign(scope, item.target.name, _BitVal(cur), item.line)
-            else:
-                if cur in self.enforced:
-                    raise FlattenError(_NOT_ACCUMULATING, item.line)
-                self._assign(scope, item.target.name, _BitVal(self.compute(e)),
-                             item.line)
+        if (writes_in_place(rhs, bit, self.reads, self.operands)
+                or isinstance(target, EIndex) and bit in self.fresh):
+            self.write_in_place(bit, e)
+        elif bit in self.enforced:
+            raise FlattenError(_NOT_ACCUMULATING, item.line)
+        elif isinstance(target, EName):
+            self._set(b, _BitVal(self.compute(e)))
         else:
-            tslot, arr, i = self.element_slot(item.target, scope)
-            stripped = self.accumulator_strip(e, tslot)
-            if stripped is None and tslot in self.fresh:
-                stripped = e  # it reads as 0 in its own write too (`emit`)
-            if stripped is not None:
-                self.write_slot(tslot, stripped, item.line)
-            else:
-                if tslot in self.enforced:
-                    raise FlattenError(_NOT_ACCUMULATING, item.line)
-                arr.slots[i] = self.compute(e)
+            arr.slots[i] = self.compute(e)
 
     def element_slot(self, target: EIndex, scope: _Scope):
         arr = scope.get(target.name, FlattenError, target.line)[0]
@@ -1725,26 +1716,22 @@ class Flattener:
                                f"(size {len(arr.slots)})", target.line)
         return arr.slots[i], arr, i
 
-    def write_slot(self, slot: int, e: BoolExp, line: int) -> None:
-        self.emit(Compute(slot, e, slot in self.fresh))
-        self.fresh.discard(slot)
-
-    def accumulator_strip(self, e: BoolExp, slot: int | None):
-        """If e == Var(slot) ⊕ rest with slot nowhere in rest, return rest."""
-        if slot is None:
-            return None
-        if e.op == "var" and e.args[0] == slot:
-            return bconst(False)
-        if e.op != "xor":
-            return None
-        hits = [a for a in e.args if a.op == "var" and a.args[0] == slot]
-        if len(hits) != 1:
-            return None
-        rest = [a for a in e.args if not (a.op == "var" and a.args[0] == slot)]
-        rest_e = bxor(rest) if rest else bconst(False)
-        if slot in variables(rest_e):
-            return None
-        return rest_e
+    def write_in_place(self, slot: int, e: BoolExp) -> None:
+        """Leave e's value on `slot`: slot := e if it is fresh, slot ^= rest
+        if e is slot ^ rest, else through a new slot, d := e ^ slot and
+        slot ^= d (e may read the slot's old value from a copy, say)."""
+        if slot in self.fresh:
+            self.fresh.discard(slot)
+            self.emit(Compute(slot, e, True))
+            return
+        v = bvar(slot)
+        if e == v:
+            return  # slot ^= 0
+        rest = (bxor([a for a in e.args if a != v])
+                if e.op == "xor" and e.args.count(v) == 1 else None)
+        if rest is None or slot in variables(rest):
+            rest = bvar(self.compute(bxor([e, v])))
+        self.emit(Compute(slot, rest, False))
 
     def relabel_value(self, e, scope: _Scope):
         """Value of e if it is a pure re-labeling (no gates); else None."""
@@ -1758,10 +1745,7 @@ class Flattener:
     # -- calls by template ----------------------------------------------------
     def assign_call(self, item: Assign, f: _FuncVal, scope: _Scope) -> None:
         name = item.target.name
-        b = scope.get(name, FlattenError, item.line)
-        if not b[1]:
-            raise FlattenError(f"assignment to immutable binding {name!r}",
-                               item.line)
+        b = self.mutable(scope, name, item.line)
         args = [self.eval_value(a, scope) for a in item.expr.args]
         target = _slots_of(b[0]) or []
         ret = in_place_binding(f.defn, target,
@@ -1774,7 +1758,7 @@ class Flattener:
         if isinstance(value, (_IntVal, _IntArrVal)):
             raise FlattenError(f"cannot assign non-bit value to {name!r}",
                                item.line)
-        self._assign(scope, name, value, item.line)
+        self._set(b, value)
 
     def call(self, f: _FuncVal, args: list, line: int, target=(), ret=None):
         """Flatten call `f args`, in place onto `target` if `ret` (f's result
@@ -1977,14 +1961,13 @@ class Flattener:
                                    _Scope(scope), want_value=True)
             self.nested -= 1
             return value
-        cv = self.materialize(cond)
-        c = self.read(cv.slot)
+        c = cond if cond.op == "var" else bvar(self.compute(cond))
 
         def run_branch(block):
-            """Run a branch, then undo its re-bindings and slot allocations;
-            returns its value and the re-bound names with their new values.
-            Names the branch binds itself die with its scope."""
-            slot_count, fresh = self.slot_count, set(self.fresh)
+            """Run a branch, then undo its re-bindings (the slots it
+            allocated stay, unwritten); returns its value and the re-bound
+            names with their new values.  Names the branch binds itself die
+            with its scope."""
             self.journal.append([])
             self.branch_depth += 1
             self.nested += 1
@@ -1995,25 +1978,29 @@ class Flattener:
             changes = [(binding, binding[0]) for binding, _old in log]
             for binding, old in reversed(log):
                 binding[0] = old
-            self.slot_count, self.fresh = slot_count, fresh
             return value, changes
 
         tval, tchanges = run_branch(e.then_block)
         eval_, echanges = run_branch(e.else_block)
 
         def mux_value(tv, ev, line):
-            def parts(v):
+            def parts(v):  # slots, or a constant's BoolExp
                 if isinstance(v, _ArrVal):
-                    return [self.read(s) for s in v.slots]
-                if isinstance(v, (_BitVal, _ConstBitVal)):
-                    return [self.bit_expr(v, None)]
+                    return v.slots
+                if isinstance(v, _BitVal):
+                    return [v.slot]
+                if isinstance(v, _ConstBitVal):
+                    return [bconst(v.value)]
                 raise FlattenError("branches must produce bit values", line)
+
+            def bit(p):
+                return self.read(p) if type(p) is int else p
             tp, ep = parts(tv), parts(ev)
             if len(tp) != len(ep):
                 raise FlattenError("branches produce different widths", line)
-            slots = [tx.args[0] if tx.op == "var" and tx == ex else
-                     self.compute(bxor([band([c, tx]), band([c, ex]), ex]))
-                     for tx, ex in zip(tp, ep)]
+            slots = [t if type(t) is int and t == x else self.compute(bxor(
+                        [band([c, bit(t)]), band([c, bit(x)]), bit(x)]))
+                     for t, x in zip(tp, ep)]
             if isinstance(tv, _ArrVal) or isinstance(ev, _ArrVal):
                 return _ArrVal(slots)
             return _BitVal(slots[0])
@@ -2112,6 +2099,15 @@ class _Box:
         self.fresh = fresh
 
 
+def _bit(v) -> int:
+    """The 0/1 of a bit value: a box or a constant."""
+    if isinstance(v, _Box):
+        return v.v
+    if isinstance(v, bool):
+        return int(v)
+    raise InterpretError("expected a bit value")
+
+
 def _boxes(v) -> list:
     """The boxes a value holds: a bit, a bit array, or none."""
     if isinstance(v, _Box):
@@ -2123,9 +2119,11 @@ def _boxes(v) -> list:
 
 class SourceInterpreter:
     """Big-step evaluator over the AST with the same conventions as flatten:
-    pure ops share storage (boxes), in-place calls (`in_place_binding`) bind
-    the callee's result buffer to the target's boxes, conditionals take the
-    live branch."""
+    a bit is a box, which re-labels share, and a constant stays a bool;
+    in-place calls (`in_place_binding`) bind the callee's result buffer to
+    the target's boxes, another write lands on the box the target held
+    before its right side ran when `writes_in_place` says so (or the box is
+    an unwritten element's), and conditionals take the live branch."""
 
     def __init__(self, program: Program, params: dict | None = None):
         self.program = program
@@ -2140,6 +2138,10 @@ class SourceInterpreter:
         self.line: int | None = None  # of the item being run
         self.inputs: set = set()  # the entry parameters' boxes
         self.results: dict = {}  # id(LetDef) -> _in_place_result()
+        # id of each name or element read -> what it returned, and id of
+        # each assignment's right side -> its reads (`writes_in_place`)
+        self.reads: dict = {}
+        self.operands: dict[int, list] = {}
 
     # value model: int | list[int] (compile-time) | _Box | list[_Box] | closure
     def run(self, inputs) -> list[int]:
@@ -2181,12 +2183,7 @@ class SourceInterpreter:
         return v
 
     def eval_bit(self, e, scope) -> int:
-        v = self.eval(e, scope)
-        if isinstance(v, _Box):
-            return v.v
-        if isinstance(v, bool):
-            return int(v)
-        raise InterpretError("expected a bit value")
+        return _bit(self.eval(e, scope))
 
     def eval(self, e, scope):
         if isinstance(e, EInt):
@@ -2197,7 +2194,10 @@ class SourceInterpreter:
             return [self.eval_int(x, scope) for x in e.items]
         if isinstance(e, EName):
             v = scope.get(e.name, InterpretError, e.line)[0]
-            return list(v) if isinstance(v, list) and v and isinstance(v[0], _Box) else v
+            if isinstance(v, list) and v and isinstance(v[0], _Box):
+                v = list(v)
+            self.reads[id(e)] = v
+            return v
         if isinstance(e, ENot):
             return _Box(1 ^ self.eval_bit(e.arg, scope))
         if isinstance(e, EBin):
@@ -2214,7 +2214,8 @@ class SourceInterpreter:
             v = scope.get(e.name, InterpretError, e.line)[0]
             i = self.eval_int(e.index, scope)
             if isinstance(v, list):
-                return v[i]
+                v = self.reads[id(e)] = v[i]
+                return v
             raise InterpretError(f"{e.name!r} is not an array", e.line)
         if isinstance(e, ESlice):
             v = scope.get(e.name, InterpretError, e.line)[0]
@@ -2273,8 +2274,6 @@ class SourceInterpreter:
         binds the result buffer to the in-place target."""
         scope = _Scope(f.env)
         for (pname, _ann), v in zip(f.defn.params, args):
-            if isinstance(v, bool):
-                v = _Box(int(v))
             scope.bind(pname, v, isinstance(v, list))
         with _entering(self.active, f.defn, InterpretError, line):
             return self.run_block(f.defn.body, scope, True, alias)
@@ -2302,8 +2301,6 @@ class SourceInterpreter:
             scope.bind(item.name, _FuncVal(item, scope))
         elif isinstance(item, LetBind):
             v = self.eval(item.expr, scope)
-            if isinstance(v, bool):
-                v = _Box(int(v))
             scope.bind(item.name, v, item.mutable or isinstance(v, list))
         elif isinstance(item, Assign):
             self.do_assign(item, scope)
@@ -2332,62 +2329,57 @@ class SourceInterpreter:
         elif isinstance(item, ExprItem):
             self.eval(item.expr, scope)
 
-    def accumulates(self, box: _Box, rhs, scope) -> bool:
-        """As flatten's accumulator_strip: `rhs` reads `box` once, in its
-        top-level `<>` chain."""
-        return [top for e, top in _reads(rhs)
-                if self.eval(e, scope) is box] == [True]
-
     def do_assign(self, item: Assign, scope):
-        rhs = item.expr
-        if isinstance(item.target, EIndex):
-            arr = scope.get(item.target.name, InterpretError, item.line)[0]
+        rhs, target = item.expr, item.target
+        if isinstance(target, EIndex):
+            arr = scope.get(target.name, InterpretError, item.line)[0]
             if not isinstance(arr, list):
-                raise InterpretError(f"{item.target.name!r} is not an array",
+                raise InterpretError(f"{target.name!r} is not an array",
                                      item.line)
-            i = self.eval_int(item.target.index, scope)
+            i = self.eval_int(target.index, scope)
+            box = arr[i]  # the bit the element holds before rhs runs
             v = self.eval(rhs, scope)
-            box, bit = arr[i], v.v if isinstance(v, _Box) else int(v)
             # as in flatten: an unwritten element re-labeled to a bit shares
             # its wire; the write is in place on an unwritten or target wire
-            # or when it accumulates, else the element gets a new wire
+            # or by the shared rule, else the element gets a new wire
             if (box.fresh and box not in self.enforced and isinstance(v, _Box)
                     and isinstance(rhs, (EName, EIndex))):
                 arr[i] = v
             elif (box.fresh or box in self.enforced
-                    or self.accumulates(box, rhs, scope)):
-                box.v, box.fresh = bit, False
+                    or writes_in_place(rhs, box, self.reads, self.operands)):
+                box.v, box.fresh = _bit(v), False
             else:
-                arr[i] = _Box(bit)
+                arr[i] = _Box(_bit(v))
             return
-        name = item.target.name
+        name = target.name
         b = scope.get(name, InterpretError, item.line)
         if not b[1]:
             raise InterpretError(f"assignment to immutable binding {name!r}",
                                  item.line)
         # in-place call convention
         f = scope.function(rhs)
-        if f is None:
-            v = self.eval(rhs, scope)
-        else:
+        if f is not None:
             args = [self.eval(a, scope) for a in rhs.args]
-            target = _boxes(b[0])
-            ret = in_place_binding(f.defn, target, [_boxes(a) for a in args],
+            boxes = _boxes(b[0])
+            ret = in_place_binding(f.defn, boxes, [_boxes(a) for a in args],
                                    self.nested, self.results)
             if ret is not None:  # in place: the target keeps its name
                 self.nested += 1
-                self.enforced = set(target)
-                self.call(f, args, alias=(ret, target, item.line),
+                self.enforced = set(boxes)
+                self.call(f, args, alias=(ret, boxes, item.line),
                           line=item.line)
                 self.nested -= 1
                 self.enforced = set()
-                return
-            v = self.call(f, args, line=item.line)
-        if isinstance(v, bool):
-            v = _Box(int(v))
-        if isinstance(b[0], _Box) and self.accumulates(b[0], rhs, scope):
-            # as in flatten: the write lands on the wire the name holds
-            b[0].v, b[0].fresh = v.v, False
+            else:
+                b[0] = self.call(f, args, line=item.line)
+            return
+        box = b[0] if isinstance(b[0], _Box) else None  # before rhs runs
+        v = self.eval(rhs, scope)
+        # as in flatten: a re-label re-binds the name, and a write by the
+        # shared rule lands on the bit the name held
+        if (not isinstance(rhs, (EName, EIndex))
+                and writes_in_place(rhs, box, self.reads, self.operands)):
+            box.v, box.fresh = _bit(v), False
         else:
             b[0] = v
 

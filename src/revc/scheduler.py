@@ -127,13 +127,9 @@ class BudgetError(Exception):
 
 def bennett_cleanup(source: FlatProgram) -> CleanupPlan:
     """Every statement forwards, the output copy, then the exact mirror:
-    planned from the statement sequence alone."""
+    the checkpointed plan with no checkpoint."""
     program = getattr(source, "program", source)  # bench/ passes an MDD
-    forward = [Action("fwd", stmt=s) for s in program.statements]
-    actions = forward + [Action("copy", slots=tuple(program.output_slots),
-                                tag="output")] + mirror(forward)
-    return CleanupPlan("bennett", program, actions=actions,
-                       copied_outputs=True)
+    return _checkpointed_plan(program, [], "bennett")
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +384,11 @@ class _IncrementalPlanner:
         return cuts
 
 
-def _checkpointed_plan(program: FlatProgram, cuts: list) -> CleanupPlan:
-    """The incremental plan with checkpoints at `cuts` (as
-    `_IncrementalPlanner.cuts` gives them), swept by a final output copy
-    and a full mirror."""
-    plan = CleanupPlan("incremental", program, copied_outputs=True)
+def _checkpointed_plan(program: FlatProgram, cuts: list,
+                       strategy: str = "incremental") -> CleanupPlan:
+    """The plan with checkpoints at `cuts` (as `_IncrementalPlanner.cuts`
+    gives them), swept by a final output copy and a full mirror."""
+    plan = CleanupPlan(strategy, program, copied_outputs=True)
     actions: list[Action] = []
     start = 0
     for i, needed in cuts + [(len(program.statements), None)]:

@@ -591,6 +591,32 @@ def test_if_into_written_element_builds_one_multiplexer():
     assert_evaluators_agree(ast, prog)
 
 
+# an array allocated in one branch of an `if` keeps its slots: the
+# multiplexer is a new slot, and its write does not read itself
+IF_ALLOCATIONS = {
+    "one-bit": """\
+let main (c : bool) (x : bool[1]) =
+    let r = if c then Array.zeroCreate 1 else x
+    r
+""",
+    "two-bit-written": """\
+let main (c : bool) (x : bool[2]) (y : bool) =
+    let r = if c then Array.zeroCreate 2 else x
+    r.[1] <- r.[1] <> (y && x.[0])
+    r
+""",
+}
+
+
+@pytest.mark.parametrize("case", IF_ALLOCATIONS)
+def test_if_branch_allocation_keeps_its_slots(case):
+    ast = parse(IF_ALLOCATIONS[case])
+    prog = flatten(ast)
+    assert not [s for s in prog.statements
+                if isinstance(s, Compute) and s.slot in variables(s.expr)]
+    assert_compiles_like_source(ast)
+
+
 WRITE_SHAPES = {
     "leftmost": "out.[{i}] <- out.[{i}] <> x.[{j}]",
     "rightmost": "out.[{i}] <- x.[{j}] <> out.[{i}]",
@@ -1067,8 +1093,8 @@ def test_element_read_in_its_own_or_chain_reads_zero():
 
 
 def test_name_of_an_unwritten_bit_accumulates_onto_it():
-    # flatten reads the bit as 0 only when it emits a statement, so the
-    # write still sees that `c` is z.[0] and lands there, as in the source
+    # the write's one read of `c` returned z.[0]'s bit, so it lands there,
+    # as in the source: a fresh write, the read itself folded to 0
     ast = parse("let f (x : bool[2]) =\n"
                 "    let z = Array.zeroCreate 2\n"
                 "    let mutable c = z.[0]\n"
@@ -1085,26 +1111,26 @@ def test_random_reads_before_writes_compile_like_source(seed):
     assert_compiles_like_source(parse(read_before_write_program(seed)))
 
 
-def folded_statements(src: str, monkeypatch) -> tuple[int, int]:
-    """Statements in which flatten reads a never-written bit as 0, at top
-    level and in in-place bodies."""
+def zero_reads(src: str, monkeypatch) -> tuple[int, int]:
+    """Reads in which flatten reads a never-written bit as 0, at top level
+    and in in-place bodies."""
     counts = [0, 0]
-    emit = Flattener.emit
+    read = Flattener.read
 
-    def spy(self, stmt):
-        expr = getattr(stmt, "expr", None)
-        emit(self, stmt)
-        if expr is not None and stmt.expr is not expr:
+    def spy(self, slot):
+        e = read(self, slot)
+        if e == bconst(False):
             counts[bool(self.enforced)] += 1
+        return e
 
     with monkeypatch.context() as m:
-        m.setattr(Flattener, "emit", spy)
+        m.setattr(Flattener, "read", spy)
         flatten(parse(src))
     return tuple(counts)
 
 
 def test_read_before_write_family_covers_both_paths(monkeypatch):
-    counts = [folded_statements(read_before_write_program(seed), monkeypatch)
+    counts = [zero_reads(read_before_write_program(seed), monkeypatch)
               for seed in range(40)]
     assert sum(top > 0 for top, _ in counts) >= 5
     assert sum(inner > 0 for _, inner in counts) >= 3
@@ -1327,3 +1353,102 @@ let main (a : bool[2]) =
         flatten(parse(src))
     with pytest.raises(InterpretError, match="line 8: recursive call to 'd'"):
         interpret_source(parse(src), [0, 1])
+
+
+# ---------------------------------------------------------------------------
+# one in-place rule: `x <- rhs` writes x's bit in place when exactly one
+# read of rhs returned that bit, as an operand of rhs's top-level `<>`
+
+
+ALIASED_WRITES = {
+    # `a` is z.[0]; its read is under `&&`, so the write re-binds `a` and
+    # z.[0] keeps its value, though the expression folds to z.[0] ^ x.[1]
+    "folded-wrapper": """\
+let main (x : bool[2]) =
+    let z = Array.zeroCreate 1
+    z.[0] <- x.[0] && x.[1]
+    let mutable a = z.[0]
+    a <- (a <> x.[1]) && true
+    let out = Array.zeroCreate 1
+    out.[0] <- a
+    Array.concat [z; out]
+""",
+    # the call writes z.[0] after the expression read it: the write lands
+    # on z.[0] (which w shares) from the value read before the call
+    "read-then-written": """\
+let main (x : bool[2]) =
+    let f (z : bool array) (y : bool) =
+        z.[0] <- z.[0] <> (y && x.[1])
+        y
+    let z = Array.zeroCreate 1
+    z.[0] <- x.[0] <> x.[1]
+    let w = z
+    z.[0] <- z.[0] <> (f z x.[0])
+    Array.concat [z; w]
+""",
+    # a constant is a value, not a bit: d keeps it when c is re-bound
+    "constant-alias": """\
+let main (x : bool[1]) =
+    let mutable c = false
+    let d = c
+    c <- c <> x.[0]
+    let out = Array.zeroCreate 2
+    out.[0] <- c
+    out.[1] <- d
+    out
+""",
+}
+
+
+@pytest.mark.parametrize("case", ALIASED_WRITES)
+def test_aliased_write_compiles_like_source(case):
+    assert_compiles_like_source(parse(ALIASED_WRITES[case]))
+
+
+def aliased_writes_program(seed: int) -> str:
+    """A random program of writes to names that alias `Array.zeroCreate`
+    elements or hold constants, and to the elements themselves, whose
+    right sides wrap the target's read (`&& true`, `|| false`, `<> false`,
+    `not`) or read it more than once."""
+    rng = random.Random(seed)
+    targets = ["a", "b", "c", "z.[0]", "z.[1]"]
+
+    def expr(target, depth=0):
+        if depth > 1 or rng.random() < 0.3:
+            return rng.choice([target] * 3 + targets
+                              + ["x.[0]", "x.[1]", "true", "false"])
+        e = expr(target, depth + 1)
+        k = rng.randrange(8)
+        if k < 4:
+            return [f"({e}) && true", f"({e}) || false", f"({e}) <> false",
+                    f"not ({e})"][k]
+        op = rng.choice(["<>", "<>", "&&", "||"])
+        return f"({e}) {op} ({expr(target, depth + 1)})"
+
+    lines = []
+    if rng.random() < 0.5:
+        lines.append(f"z.[{rng.randrange(2)}] <- x.[{rng.randrange(2)}]")
+    lines += [f"let mutable a = z.[{rng.randrange(2)}]",
+              f"let mutable b = {rng.choice(['z.[0]', 'z.[1]', 'x.[0]', 'a', 'false'])}",
+              f"let mutable c = {rng.choice(['false', 'true'])}",
+              f"let d = {rng.choice(['a', 'b', 'c'])}"]
+    for _ in range(rng.randint(1, 5)):
+        t = rng.choice(targets)
+        lines.append(f"{t} <- " + rng.choice([
+            f"{t} <> {expr(t)}", f"{expr(t)} <> {t}",
+            f"({t} <> {expr(t)}) && true", expr(t)]))
+    lines.append("let out = Array.zeroCreate 4")
+    lines += [f"out.[{k}] <- {n}" for k, n in enumerate("abcd")]
+    body = "".join(f"    {line}\n" for line in lines)
+    return ("let main (x : bool[2]) =\n"
+            "    let z = Array.zeroCreate 2\n"
+            f"{body}    Array.concat [z; out]\n")
+
+
+def test_aliased_writes_agree_with_source():
+    for seed in range(300):
+        ast = parse(aliased_writes_program(seed))
+        if seed < 20:
+            assert_compiles_like_source(ast)
+        else:
+            assert_evaluators_agree(ast, flatten(ast))

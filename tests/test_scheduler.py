@@ -141,6 +141,18 @@ def test_incremental_without_budget_equals_bennett():
     assert inc.checkpoints == 0
 
 
+@pytest.mark.parametrize("source", ["sha2-r1", "md5-r1", "clean-chain"])
+def test_bennett_is_the_checkpointed_plan_with_no_cuts(source):
+    prog = {"sha2-r1": lambda: prog_of(corpus("sha2.rev"), {"rounds": 1}),
+            "md5-r1": lambda: prog_of(corpus("md5.rev"), {"rounds": 1}),
+            "clean-chain": lambda: prog_of(clean_chain_source(3))}[source]()
+    ben, inc = bennett_cleanup(prog), incremental_cleanup(prog)
+    assert (ben.strategy, inc.strategy) == ("bennett", "incremental")
+    assert [(a.kind, a.stmt, a.slots, a.tag) for a in ben.actions] == [
+        (a.kind, a.stmt, a.slots, a.tag) for a in inc.actions]
+    assert ben.copied_outputs and ben.checkpoints == 0
+
+
 def test_incremental_tight_budget_inserts_reverse_segment():
     plan = incremental_cleanup(chain_program(24), qubit_budget=12)
     assert plan.checkpoints >= 1
