@@ -70,14 +70,15 @@ re-label.  A constant is a value in both evaluators, never a bit.
 
 One rule decides every other assignment, `x <- rhs` or `x.[i] <- rhs`,
 in both evaluators (`writes_in_place`): the write lands on the bit x
-held before rhs ran when exactly one read of rhs returned that bit and
-that read is an operand of rhs's top-level `<>` chain.  Each evaluator
-records the bit that each name or element read returns as it evaluates
-it, so no read is evaluated twice.  An unwritten element is written in
-place as well, and a plain re-label (`x <- y`) re-binds x; any other
-write re-binds x, or the element, to a new bit.  Flatten writes in place
-as `x ^= rest` when the expression is `x ^ rest`, and otherwise through
-a new slot, `d := e ^ x` then `x ^= d`.
+held before rhs ran when x still holds it (a call in rhs may re-bind x),
+exactly one read of rhs returned that bit, and that read is an operand
+of rhs's top-level `<>` chain.  Each evaluator records the bit that each
+name or element read returns as it evaluates it, so no read is
+evaluated twice.  An unwritten element that still holds its bit is
+written in place as well, and a plain re-label (`x <- y`) re-binds x;
+any other write re-binds x, or the element, to a new bit.  Flatten
+writes in place as `x ^= rest` when the expression is `x ^ rest`, and
+otherwise through a new slot, `d := e ^ x` then `x ^= d`.
 
 The source reads each operand of `&&`, `||` and `<>` when it reaches it.
 When a later operand emits statements (a call, or the branch of a
@@ -360,6 +361,12 @@ class Assign:
     target: object  # EName or EIndex
     expr: object
     line: int = 0
+    # each read of expr, with whether it is a top-level `<>` operand
+    # (`_reads`), for `writes_in_place`
+    reads: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.reads = list(_reads(self.expr))
 
 
 @dataclass
@@ -972,22 +979,19 @@ def in_place_binding(defn: LetDef, target: list, args: list, nested: int,
     return results[id(defn)]
 
 
-def writes_in_place(rhs, bit, reads: dict, operands: dict) -> bool:
+def writes_in_place(item: Assign, bit, reads: dict) -> bool:
     """Decide `x <- rhs`, after rhs ran: whether the write lands on `bit`,
-    the bit x held before rhs ran (None if it held none).
+    the bit x held before rhs ran and still holds (None if it holds none).
 
     It does when exactly one read of rhs returned that bit and the read is
-    an operand of rhs's top-level `<>` chain.  `reads` maps the id of each
-    name or element read to the bit it returned when it last ran: an
-    evaluator records it as it evaluates the read, so that no read is
-    evaluated twice.  `operands` caches rhs's reads (`_reads`) by id(rhs).
+    an operand of rhs's top-level `<>` chain (`item.reads`).  `reads` maps
+    the id of each name or element read to the bit it returned when it
+    last ran (None if not a bit): an evaluator records it as it evaluates
+    the read, so that no read is evaluated twice.
     """
     if bit is None:
         return False
-    if id(rhs) not in operands:
-        operands[id(rhs)] = [(id(e), top) for e, top in _reads(rhs)]
-    return [top for e, top in operands[id(rhs)]
-            if reads.get(e) == bit] == [True]
+    return [top for e, top in item.reads if reads.get(id(e)) == bit] == [True]
 
 
 def _in_place_result(defn: LetDef):
@@ -1331,11 +1335,8 @@ class Flattener:
         self.slot_count = 0
         # unwritten Array.zeroCreate slots and cleaned ones: they read as 0
         self.fresh: set[int] = set()
-        # id of each name or element read -> the slot it returned, or None,
-        # and id of each assignment's right side -> its reads
-        # (`writes_in_place`)
+        # id of each name or element read -> its slot, or None (`writes_in_place`)
         self.reads: dict[int, int | None] = {}
-        self.operands: dict[int, list] = {}
         self.inputs: set[int] = set()  # the entry parameters' slots
         self.stmts: list = []
         self.enforced: set[int] = set()  # in-place target: accumulate only
@@ -1696,8 +1697,11 @@ class Flattener:
                 "conditional branches may only re-label existing values",
                 item.line)
         e = self.eval_scalar(rhs, scope) if v is None else self.bit_expr(v, rhs)
-        if (writes_in_place(rhs, bit, self.reads, self.operands)
-                or isinstance(target, EIndex) and bit in self.fresh):
+        # whether the target still holds its bit: a call in rhs may re-bind it
+        kept = (arr.slots[i] if isinstance(target, EIndex) else
+                b[0].slot if type(b[0]) is _BitVal else None) == bit
+        if kept and (writes_in_place(item, bit, self.reads)
+                     or isinstance(target, EIndex) and bit in self.fresh):
             self.write_in_place(bit, e)
         elif bit in self.enforced:
             raise FlattenError(_NOT_ACCUMULATING, item.line)
@@ -2122,8 +2126,9 @@ class SourceInterpreter:
     a bit is a box, which re-labels share, and a constant stays a bool;
     in-place calls (`in_place_binding`) bind the callee's result buffer to
     the target's boxes, another write lands on the box the target held
-    before its right side ran when `writes_in_place` says so (or the box is
-    an unwritten element's), and conditionals take the live branch."""
+    before its right side ran, if it still holds it, when `writes_in_place`
+    says so (or the box is an unwritten element's), and conditionals take
+    the live branch."""
 
     def __init__(self, program: Program, params: dict | None = None):
         self.program = program
@@ -2138,10 +2143,8 @@ class SourceInterpreter:
         self.line: int | None = None  # of the item being run
         self.inputs: set = set()  # the entry parameters' boxes
         self.results: dict = {}  # id(LetDef) -> _in_place_result()
-        # id of each name or element read -> what it returned, and id of
-        # each assignment's right side -> its reads (`writes_in_place`)
+        # id of each name or element read -> its box, or None (`writes_in_place`)
         self.reads: dict = {}
-        self.operands: dict[int, list] = {}
 
     # value model: int | list[int] (compile-time) | _Box | list[_Box] | closure
     def run(self, inputs) -> list[int]:
@@ -2196,7 +2199,7 @@ class SourceInterpreter:
             v = scope.get(e.name, InterpretError, e.line)[0]
             if isinstance(v, list) and v and isinstance(v[0], _Box):
                 v = list(v)
-            self.reads[id(e)] = v
+            self.reads[id(e)] = v if isinstance(v, _Box) else None
             return v
         if isinstance(e, ENot):
             return _Box(1 ^ self.eval_bit(e.arg, scope))
@@ -2214,7 +2217,8 @@ class SourceInterpreter:
             v = scope.get(e.name, InterpretError, e.line)[0]
             i = self.eval_int(e.index, scope)
             if isinstance(v, list):
-                v = self.reads[id(e)] = v[i]
+                v = v[i]
+                self.reads[id(e)] = v if isinstance(v, _Box) else None
                 return v
             raise InterpretError(f"{e.name!r} is not an array", e.line)
         if isinstance(e, ESlice):
@@ -2340,13 +2344,13 @@ class SourceInterpreter:
             box = arr[i]  # the bit the element holds before rhs runs
             v = self.eval(rhs, scope)
             # as in flatten: an unwritten element re-labeled to a bit shares
-            # its wire; the write is in place on an unwritten or target wire
-            # or by the shared rule, else the element gets a new wire
+            # its wire; a write onto the element's wire, if rhs left it there,
+            # when unwritten, a target's or by the shared rule; else a new wire
             if (box.fresh and box not in self.enforced and isinstance(v, _Box)
                     and isinstance(rhs, (EName, EIndex))):
                 arr[i] = v
-            elif (box.fresh or box in self.enforced
-                    or writes_in_place(rhs, box, self.reads, self.operands)):
+            elif arr[i] is box and (box.fresh or box in self.enforced
+                                    or writes_in_place(item, box, self.reads)):
                 box.v, box.fresh = _bit(v), False
             else:
                 arr[i] = _Box(_bit(v))
@@ -2376,9 +2380,9 @@ class SourceInterpreter:
         box = b[0] if isinstance(b[0], _Box) else None  # before rhs runs
         v = self.eval(rhs, scope)
         # as in flatten: a re-label re-binds the name, and a write by the
-        # shared rule lands on the bit the name held
-        if (not isinstance(rhs, (EName, EIndex))
-                and writes_in_place(rhs, box, self.reads, self.operands)):
+        # shared rule lands on the bit the name held, if it still holds it
+        if (not isinstance(rhs, (EName, EIndex)) and b[0] is box
+                and writes_in_place(item, box, self.reads)):
             box.v, box.fresh = _bit(v), False
         else:
             b[0] = v

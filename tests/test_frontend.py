@@ -476,6 +476,15 @@ def assert_evaluators_agree(ast, prog):
         assert interpret(prog, bits) == interpret_source(ast, bits), bits
 
 
+def assert_outputs(ast, prog, expected) -> None:
+    """Both evaluators give `expected(*bits)` on every input."""
+    n = len(prog.input_slots)
+    for v in range(1 << n):
+        bits = bits_of(v, n)
+        assert interpret(prog, bits) == expected(*bits), bits
+        assert interpret_source(ast, bits) == expected(*bits), bits
+
+
 def in_place_program(width, writes, calls=("h <- add b",), target_width=None,
                      before_call=()):
     """`add` with the given writes, called by `main` onto `h` (holding `a`)
@@ -608,6 +617,14 @@ let main (c : bool) (x : bool[2]) (y : bool) =
 }
 
 
+# each case's output, worked out by hand, on inputs [c, x.[0], ..., y]
+IF_ALLOCATIONS_OUTPUT = {
+    "one-bit": lambda c, x0: [0 if c else x0],
+    "two-bit-written": lambda c, x0, x1, y: [0 if c else x0,
+                                             (0 if c else x1) ^ (y & x0)],
+}
+
+
 @pytest.mark.parametrize("case", IF_ALLOCATIONS)
 def test_if_branch_allocation_keeps_its_slots(case):
     ast = parse(IF_ALLOCATIONS[case])
@@ -615,6 +632,7 @@ def test_if_branch_allocation_keeps_its_slots(case):
     assert not [s for s in prog.statements
                 if isinstance(s, Compute) and s.slot in variables(s.expr)]
     assert_compiles_like_source(ast)
+    assert_outputs(ast, prog, IF_ALLOCATIONS_OUTPUT[case])
 
 
 WRITE_SHAPES = {
@@ -1397,12 +1415,48 @@ let main (x : bool[1]) =
     out.[1] <- d
     out
 """,
+    # the call re-binds `a` after the expression read it: the write cannot
+    # land on the bit `a` no longer holds, so `a` gets a new bit holding
+    # the old `a` xor x.[0]
+    "rebound-by-call": """\
+let main (x : bool[2]) =
+    let mutable a = x.[0] && x.[1]
+    let f (y : bool) =
+        a <- y && x.[1]
+        y
+    a <- a <> (f x.[0])
+    let out = Array.zeroCreate 1
+    out.[0] <- a
+    out
+""",
+    # the same through an element the call re-binds to a new bit
+    "element-rebound-by-call": """\
+let main (x : bool[2]) =
+    let z = Array.zeroCreate 1
+    z.[0] <- x.[0] && x.[1]
+    let f (y : bool) =
+        z.[0] <- y
+        y
+    z.[0] <- z.[0] <> (f x.[0])
+    z
+""",
+}
+
+# each case's output, worked out by hand, on inputs [x.[0], x.[1]]
+ALIASED_WRITES_OUTPUT = {
+    "folded-wrapper": lambda x0, x1: [x0 & x1, (x0 & x1) ^ x1],
+    "read-then-written": lambda x0, x1: [x1, x1],
+    "constant-alias": lambda x0: [x0, 0],
+    "rebound-by-call": lambda x0, x1: [(x0 & x1) ^ x0],
+    "element-rebound-by-call": lambda x0, x1: [(x0 & x1) ^ x0],
 }
 
 
 @pytest.mark.parametrize("case", ALIASED_WRITES)
 def test_aliased_write_compiles_like_source(case):
-    assert_compiles_like_source(parse(ALIASED_WRITES[case]))
+    ast = parse(ALIASED_WRITES[case])
+    assert_compiles_like_source(ast)
+    assert_outputs(ast, flatten(ast), ALIASED_WRITES_OUTPUT[case])
 
 
 def aliased_writes_program(seed: int) -> str:
