@@ -80,6 +80,14 @@ any other write re-binds x, or the element, to a new bit.  Flatten
 writes in place as `x ^= rest` when the expression is `x ^ rest`, and
 otherwise through a new slot, `d := e ^ x` then `x ^= d`.
 
+One rule decides an `if` in both evaluators (`if_value`): a constant
+condition (`true`, `false`, or a name, call or `if` holding one) runs its
+live branch as a block; any other is a bit, whatever flatten's
+simplifier folds it to, and both branches run re-labeling only (a write,
+`clean` or new bit in one is an error with its line).  The `if`'s value
+and each name a branch re-bound become new bits holding the live
+branch's value.  On the right of `<-` an `if` re-labels (`relabels`).
+
 The source reads each operand of `&&`, `||` and `<>` when it reaches it.
 When a later operand emits statements (a call, or the branch of a
 constant `if`) that write or `clean` a slot an earlier operand read,
@@ -955,7 +963,8 @@ def _slots_of(v) -> list[int] | None:
 
 
 # ---------------------------------------------------------------------------
-# The in-place rule, shared by the flattener and the source interpreter
+# The in-place, re-label and `if` rules, shared by the flattener and the
+# source interpreter
 
 
 def in_place_binding(defn: LetDef, target: list, args: list, nested: int,
@@ -1111,6 +1120,65 @@ def _int_expr_equal(a, b) -> bool:
                   or isinstance(a, EName) and a.name == b.name):
             return False
     return True
+
+
+_BRANCH_RELABELS = "conditional branches may only re-label existing values"
+
+
+def relabels(e) -> bool:
+    """`x <- e` re-labels: e computes no bit of its own."""
+    return isinstance(e, (EName, EIndex, ESlice, EBool, EIf)) or (
+        isinstance(e, EApp) and e.fn in (
+            "rot", "Array.append", "Array.concat", "Array.zeroCreate"))
+
+
+def rebind(ev, binding: list, value) -> None:
+    """Re-bind an existing name, journalled inside a bit-`if` branch."""
+    if ev.journal:
+        ev.journal[-1].append((binding, binding[0]))
+    binding[0] = value
+
+
+def if_value(ev, e: EIf, scope: _Scope, c):
+    """The value of `if` in evaluator `ev`, whose condition gave c: a bool
+    for a constant condition, whose live branch then runs as a block, else
+    a bit.  Then both branches run, re-labeling only (`ev.branch_depth`),
+    their re-bindings journalled and undone; the `if`'s value and each name
+    either branch re-bound become new bits, `ev.mux(c, t, x)` of each pair
+    of the branches' `ev.bits`, made a bit or an array by `ev.wrap`."""
+    ev.nested += 1
+    if type(c) is bool:
+        value = ev.run_block(e.then_block if c else e.else_block,
+                             _Scope(scope), True)
+        ev.nested -= 1
+        return value
+
+    def branch(block):  # its value, and each binding it changed: new value
+        ev.journal.append([])
+        ev.branch_depth += 1
+        value = ev.run_block(block, _Scope(scope), True)
+        ev.branch_depth -= 1
+        log = ev.journal.pop()
+        after = {id(binding): (binding, binding[0]) for binding, _old in log}
+        for binding, old in reversed(log):
+            binding[0] = old
+        return value, after
+
+    def mux(t, x):
+        tbits, xbits = ev.bits(t), ev.bits(x)
+        if tbits is None or xbits is None:
+            raise ev.error("branches must produce bit values", e.line)
+        if len(tbits) != len(xbits):
+            raise ev.error("branches produce different widths", e.line)
+        return ev.wrap([ev.mux(c, a, b) for a, b in zip(tbits, xbits)], t, x)
+
+    (tval, tafter), (xval, xafter) = branch(e.then_block), branch(e.else_block)
+    ev.nested -= 1
+    for key, (binding, _) in {**tafter, **xafter}.items():
+        t, x = (side.get(key, (binding, binding[0]))[1]
+                for side in (tafter, xafter))
+        rebind(ev, binding, mux(t, x))
+    return mux(tval, xval)
 
 
 def _free_names(defn: LetDef) -> tuple[tuple[str, ...], bool]:
@@ -1327,6 +1395,8 @@ _NOT_ACCUMULATING = "a write into an in-place target must accumulate (t <- t <> 
 
 
 class Flattener:
+    error = FlattenError  # raised by the shared rules
+
     def __init__(self, program: Program, params: dict | None = None):
         self.program = program
         self.params = dict(program.pragmas)
@@ -1364,8 +1434,7 @@ class Flattener:
         """Append a statement; a write of 0 onto a written slot is
         dropped."""
         if self.branch_depth:
-            raise FlattenError(
-                "conditional branches may only re-label existing values")
+            raise FlattenError(_BRANCH_RELABELS, self.line)
         if (type(stmt) is Compute and not stmt.fresh
                 and stmt.expr.op == "const" and not stmt.expr.args[0]):
             return  # x ^= 0 is a no-op
@@ -1389,12 +1458,6 @@ class Flattener:
         if not binding[1]:
             raise FlattenError(f"assignment to immutable binding {name!r}", line)
         return binding
-
-    def _set(self, binding: list, value) -> None:
-        """Re-bind an existing name, journaled inside if-branches."""
-        if self.journal:
-            self.journal[-1].append((binding, binding[0]))
-        binding[0] = value
 
     # -- compile-time integers ----------------------------------------------
     def eval_int(self, e, scope: _Scope, line) -> int:
@@ -1529,7 +1592,9 @@ class Flattener:
         if isinstance(e, EApp):
             return self.eval_app(e, scope)
         if isinstance(e, EIf):
-            return self.if_convert(e, scope)
+            c = self.eval_value(e.cond, scope)
+            return if_value(self, e, scope, c.value if type(c) is _ConstBitVal
+                            else self.bit_expr(c, e.cond))
         if isinstance(e, (EBin, ENot)):
             if isinstance(e, EBin) and e.op in "+-*/%":
                 return _IntVal(self.eval_int(e, scope, e.line))
@@ -1677,25 +1742,21 @@ class Flattener:
             bit = b[0].slot if isinstance(b[0], _BitVal) else None
         else:
             bit, arr, i = self.element_slot(target, scope)
-        # 2. pure re-labeling: RHS is an existing value (or structural op)
-        v = self.relabel_value(rhs, scope)
-        if v is not None:
+        if self.branch_depth and not (isinstance(target, EName)
+                                      and relabels(rhs)):
+            raise FlattenError(_BRANCH_RELABELS, item.line)
+        # 2. a re-label re-binds x, or an unwritten element
+        v = self.eval_value(rhs, scope) if relabels(rhs) else None
+        if type(v) in (_BitVal, _ArrVal, _ConstBitVal):
             if isinstance(target, EName):
-                self._set(b, v)
+                rebind(self, b, v)
                 return
-            # element re-label onto a fresh, unwritten slot
-            if (isinstance(v, _BitVal) and bit in self.fresh
-                    and bit not in self.enforced and not self.branch_depth):
+            if (type(v) is _BitVal and bit in self.fresh
+                    and bit not in self.enforced):
                 arr.slots[i] = v.slot
                 return
-            # fall through to the compute path with the value already made
-            # (evaluating an `if` again would build its multiplexer twice)
         # 3. computed assignment: in place by the shared rule or onto an
         # unwritten element, else onto a new slot
-        if self.branch_depth:
-            raise FlattenError(
-                "conditional branches may only re-label existing values",
-                item.line)
         e = self.eval_scalar(rhs, scope) if v is None else self.bit_expr(v, rhs)
         # whether the target still holds its bit: a call in rhs may re-bind it
         kept = (arr.slots[i] if isinstance(target, EIndex) else
@@ -1706,7 +1767,7 @@ class Flattener:
         elif bit in self.enforced:
             raise FlattenError(_NOT_ACCUMULATING, item.line)
         elif isinstance(target, EName):
-            self._set(b, _BitVal(self.compute(e)))
+            rebind(self, b, _BitVal(self.compute(e)))
         else:
             arr.slots[i] = self.compute(e)
 
@@ -1737,15 +1798,6 @@ class Flattener:
             rest = bvar(self.compute(bxor([e, v])))
         self.emit(Compute(slot, rest, False))
 
-    def relabel_value(self, e, scope: _Scope):
-        """Value of e if it is a pure re-labeling (no gates); else None."""
-        if isinstance(e, (EName, EIndex, ESlice, EBool, EIf)) or (
-                isinstance(e, EApp) and e.fn in (
-                    "rot", "Array.append", "Array.concat", "Array.zeroCreate")):
-            v = self.eval_value(e, scope)
-            return v if isinstance(v, (_BitVal, _ArrVal, _ConstBitVal)) else None
-        return None
-
     # -- calls by template ----------------------------------------------------
     def assign_call(self, item: Assign, f: _FuncVal, scope: _Scope) -> None:
         name = item.target.name
@@ -1762,7 +1814,7 @@ class Flattener:
         if isinstance(value, (_IntVal, _IntArrVal)):
             raise FlattenError(f"cannot assign non-bit value to {name!r}",
                                item.line)
-        self._set(b, value)
+        rebind(self, b, value)
 
     def call(self, f: _FuncVal, args: list, line: int, target=(), ret=None):
         """Flatten call `f args`, in place onto `target` if `ret` (f's result
@@ -1956,67 +2008,19 @@ class Flattener:
                 f"function {fname!r} used in an in-place update leaves "
                 f"non-zero local bits", line)
 
-    # -- conditionals -------------------------------------------------------------
-    def if_convert(self, e: EIf, scope: _Scope):
-        cond = self.eval_scalar(e.cond, scope)
-        if cond.op == "const":
-            self.nested += 1
-            value = self.run_block(e.then_block if cond.args[0] else e.else_block,
-                                   _Scope(scope), want_value=True)
-            self.nested -= 1
-            return value
-        c = cond if cond.op == "var" else bvar(self.compute(cond))
+    # -- conditionals (`if_value`) ------------------------------------------
+    @staticmethod
+    def bits(v) -> list | None:
+        """A branch's value as slots, or a constant's BoolExp."""
+        return [bconst(v.value)] if type(v) is _ConstBitVal else _slots_of(v)
 
-        def run_branch(block):
-            """Run a branch, then undo its re-bindings (the slots it
-            allocated stay, unwritten); returns its value and the re-bound
-            names with their new values.  Names the branch binds itself die
-            with its scope."""
-            self.journal.append([])
-            self.branch_depth += 1
-            self.nested += 1
-            value = self.run_block(block, _Scope(scope), want_value=True)
-            self.branch_depth -= 1
-            self.nested -= 1
-            log = self.journal.pop()
-            changes = [(binding, binding[0]) for binding, _old in log]
-            for binding, old in reversed(log):
-                binding[0] = old
-            return value, changes
+    def mux(self, c: BoolExp, t, x) -> int:
+        t, x = (self.read(p) if type(p) is int else p for p in (t, x))
+        return self.compute(bxor([band([c, t]), band([c, x]), x]))
 
-        tval, tchanges = run_branch(e.then_block)
-        eval_, echanges = run_branch(e.else_block)
-
-        def mux_value(tv, ev, line):
-            def parts(v):  # slots, or a constant's BoolExp
-                if isinstance(v, _ArrVal):
-                    return v.slots
-                if isinstance(v, _BitVal):
-                    return [v.slot]
-                if isinstance(v, _ConstBitVal):
-                    return [bconst(v.value)]
-                raise FlattenError("branches must produce bit values", line)
-
-            def bit(p):
-                return self.read(p) if type(p) is int else p
-            tp, ep = parts(tv), parts(ev)
-            if len(tp) != len(ep):
-                raise FlattenError("branches produce different widths", line)
-            slots = [t if type(t) is int and t == x else self.compute(bxor(
-                        [band([c, bit(t)]), band([c, bit(x)]), bit(x)]))
-                     for t, x in zip(tp, ep)]
-            if isinstance(tv, _ArrVal) or isinstance(ev, _ArrVal):
-                return _ArrVal(slots)
-            return _BitVal(slots[0])
-
-        # merge re-bound names: value after then vs value after else
-        merged: dict[int, list] = {}
-        for side, changes in ((1, tchanges), (2, echanges)):
-            for binding, value in changes:
-                merged.setdefault(id(binding), [binding, binding[0], binding[0]])[side] = value
-        for binding, tv, ev in merged.values():
-            self._set(binding, mux_value(tv, ev, e.line))
-        return mux_value(tval, eval_, e.line)
+    @staticmethod
+    def wrap(slots: list[int], t, x):
+        return _ArrVal(slots) if _ArrVal in (type(t), type(x)) else _BitVal(slots[0])
 
     # -- entry ---------------------------------------------------------------------
     def run(self) -> FlatProgram:
@@ -2112,13 +2116,13 @@ def _bit(v) -> int:
     raise InterpretError("expected a bit value")
 
 
-def _boxes(v) -> list:
-    """The boxes a value holds: a bit, a bit array, or none."""
+def _boxes(v) -> list | None:
+    """The boxes a value holds: a bit or a bit array; else None."""
     if isinstance(v, _Box):
         return [v]
     if isinstance(v, list) and all(isinstance(x, _Box) for x in v):
         return v
-    return []
+    return None
 
 
 class SourceInterpreter:
@@ -2127,8 +2131,9 @@ class SourceInterpreter:
     in-place calls (`in_place_binding`) bind the callee's result buffer to
     the target's boxes, another write lands on the box the target held
     before its right side ran, if it still holds it, when `writes_in_place`
-    says so (or the box is an unwritten element's), and conditionals take
-    the live branch."""
+    says so (or the box is an unwritten element's), and an `if` is decided
+    by `if_value`."""
+    error = InterpretError
 
     def __init__(self, program: Program, params: dict | None = None):
         self.program = program
@@ -2136,6 +2141,8 @@ class SourceInterpreter:
         if params:
             self.params.update(params)
         self.nested = 0  # >0: inside an in-place body or an if-branch
+        self.branch_depth = 0  # >0: inside a bit-if branch, re-labels only
+        self.journal: list[list] = []  # per open branch: (binding, old value)
         self.enforced: set = set()  # in-place target boxes
         self.iterations = 0  # loop iterations run so far
         self.allocated = 0  # bits allocated by arrays and entry parameters
@@ -2188,6 +2195,25 @@ class SourceInterpreter:
     def eval_bit(self, e, scope) -> int:
         return _bit(self.eval(e, scope))
 
+    def box(self, v) -> _Box:
+        """A new bit holding v, as flatten's `compute`."""
+        if self.branch_depth:
+            raise InterpretError(_BRANCH_RELABELS, self.line)
+        return _Box(v)
+
+    # -- conditionals (`if_value`), as in flatten
+    @staticmethod
+    def bits(v) -> list | None:
+        """A branch's value as boxes, or a constant's bool."""
+        return [v] if isinstance(v, bool) else _boxes(v)
+
+    def mux(self, c: _Box, t, x) -> _Box:
+        return self.box(_bit(t if c.v else x))
+
+    @staticmethod
+    def wrap(boxes: list, t, x):
+        return boxes if list in (type(t), type(x)) else boxes[0]
+
     def eval(self, e, scope):
         if isinstance(e, EInt):
             return e.value
@@ -2202,21 +2228,21 @@ class SourceInterpreter:
             self.reads[id(e)] = v if isinstance(v, _Box) else None
             return v
         if isinstance(e, ENot):
-            return _Box(1 ^ self.eval_bit(e.arg, scope))
+            return self.box(1 ^ self.eval_bit(e.arg, scope))
         if isinstance(e, EBin):
             if e.op in "+-*/%":
                 return _int_chain(e, lambda x: self.eval_int(x, scope),
                                   InterpretError)
             bits = [self.eval_bit(x, scope) for x in _chain(e)]
-            if e.op == "&&":
-                return _Box(all(bits))
-            if e.op == "||":
-                return _Box(any(bits))
-            return _Box(sum(bits))
+            return self.box(all(bits) if e.op == "&&" else
+                            any(bits) if e.op == "||" else sum(bits))
         if isinstance(e, EIndex):
             v = scope.get(e.name, InterpretError, e.line)[0]
             i = self.eval_int(e.index, scope)
             if isinstance(v, list):
+                if not 0 <= i < len(v):
+                    raise InterpretError(f"index {i} out of range for "
+                                         f"{e.name!r} (size {len(v)})", e.line)
                 v = v[i]
                 self.reads[id(e)] = v if isinstance(v, _Box) else None
                 return v
@@ -2226,15 +2252,16 @@ class SourceInterpreter:
             if not isinstance(v, list):
                 raise InterpretError(f"{e.name!r} is not an array", e.line)
             lo, hi = self.eval_int(e.lo, scope), self.eval_int(e.hi, scope)
+            if not (0 <= lo and hi < len(v)):
+                raise InterpretError(f"slice [{lo}..{hi}] out of range for "
+                                     f"{e.name!r} (size {len(v)})", e.line)
             return v[lo:hi + 1]
         if isinstance(e, EApp):
             return self.eval_app(e, scope)
         if isinstance(e, EIf):
-            block = e.then_block if self.eval_bit(e.cond, scope) else e.else_block
-            self.nested += 1
-            value = self.run_block(block, _Scope(scope), True)
-            self.nested -= 1
-            return value
+            c = self.eval(e.cond, scope)
+            _bit(c)  # a bit or a constant
+            return if_value(self, e, scope, c)
         if isinstance(e, EList):
             raise InterpretError(_LIST_ONLY_IN_CONCAT, e.line)
         raise InterpretError(f"cannot evaluate {type(e).__name__}")
@@ -2317,6 +2344,9 @@ class SourceInterpreter:
                 inner.bind(item.var, i)
                 self.run_block(item.body, inner, False)
         elif isinstance(item, CleanStmt):
+            if self.branch_depth:
+                raise InterpretError("clean not allowed in conditional "
+                                     "branches", item.line)
             v = scope.get(item.name, InterpretError, item.line)[0]
             boxes = [v] if isinstance(v, _Box) else v
             if not isinstance(boxes, list):
@@ -2336,18 +2366,24 @@ class SourceInterpreter:
     def do_assign(self, item: Assign, scope):
         rhs, target = item.expr, item.target
         if isinstance(target, EIndex):
-            arr = scope.get(target.name, InterpretError, item.line)[0]
-            if not isinstance(arr, list):
-                raise InterpretError(f"{target.name!r} is not an array",
-                                     item.line)
+            arr = scope.get(target.name, InterpretError, target.line)[0]
+            if not isinstance(arr, list) or arr and not isinstance(arr[0], _Box):
+                raise InterpretError(f"{target.name!r} is not a bit array",
+                                     target.line)
             i = self.eval_int(target.index, scope)
+            if not 0 <= i < len(arr):
+                raise InterpretError(f"index {i} out of range for "
+                                     f"{target.name!r} (size {len(arr)})",
+                                     target.line)
+            if self.branch_depth:
+                raise InterpretError(_BRANCH_RELABELS, item.line)
             box = arr[i]  # the bit the element holds before rhs runs
             v = self.eval(rhs, scope)
             # as in flatten: an unwritten element re-labeled to a bit shares
             # its wire; a write onto the element's wire, if rhs left it there,
             # when unwritten, a target's or by the shared rule; else a new wire
-            if (box.fresh and box not in self.enforced and isinstance(v, _Box)
-                    and isinstance(rhs, (EName, EIndex))):
+            if (relabels(rhs) and box.fresh and box not in self.enforced
+                    and isinstance(v, _Box)):
                 arr[i] = v
             elif arr[i] is box and (box.fresh or box in self.enforced
                                     or writes_in_place(item, box, self.reads)):
@@ -2364,8 +2400,9 @@ class SourceInterpreter:
         f = scope.function(rhs)
         if f is not None:
             args = [self.eval(a, scope) for a in rhs.args]
-            boxes = _boxes(b[0])
-            ret = in_place_binding(f.defn, boxes, [_boxes(a) for a in args],
+            boxes = _boxes(b[0]) or []
+            ret = in_place_binding(f.defn, boxes,
+                                   [_boxes(a) or [] for a in args],
                                    self.nested, self.results)
             if ret is not None:  # in place: the target keeps its name
                 self.nested += 1
@@ -2375,17 +2412,19 @@ class SourceInterpreter:
                 self.nested -= 1
                 self.enforced = set()
             else:
-                b[0] = self.call(f, args, line=item.line)
+                rebind(self, b, self.call(f, args, line=item.line))
             return
+        if self.branch_depth and not relabels(rhs):
+            raise InterpretError(_BRANCH_RELABELS, item.line)
         box = b[0] if isinstance(b[0], _Box) else None  # before rhs runs
         v = self.eval(rhs, scope)
         # as in flatten: a re-label re-binds the name, and a write by the
         # shared rule lands on the bit the name held, if it still holds it
-        if (not isinstance(rhs, (EName, EIndex)) and b[0] is box
+        if (not relabels(rhs) and b[0] is box
                 and writes_in_place(item, box, self.reads)):
             box.v, box.fresh = _bit(v), False
         else:
-            b[0] = v
+            rebind(self, b, v)
 
 
 def interpret_source(program: Program, inputs, params: dict | None = None) -> list[int]:

@@ -179,7 +179,7 @@ main
         assert interpret(prog, [c, a0, a1, b0, b1]) == want
 
 
-def test_if_branch_with_gates_rejected():
+def test_if_branch_with_gates_rejected(tmp_path, capsys):
     src = """
 let main (c : bool) (a : bool) (b : bool) =
     let r =
@@ -191,8 +191,36 @@ let main (c : bool) (a : bool) (b : bool) =
 
 main
 """
-    with pytest.raises(FlattenError):
-        flatten(parse(src))
+    error = "line 5: conditional branches may only re-label existing values"
+    assert_same_error(parse(src), 3, error)
+    path = tmp_path / "branch.rev"
+    path.write_text(src)
+    assert cli_main(["compile", str(path), "-o", str(tmp_path / "b.tfc")]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+# an index or slice out of range: flatten's one-line error, with its line,
+# from both evaluators
+OUT_OF_RANGE = {
+    "index-past-end": ("let f (x : bool[2]) =\n    x.[2]\n",
+                       "line 2: index 2 out of range for 'x' (size 2)"),
+    "negative-element-write": ("let f (x : bool[2]) =\n"
+                               "    let z = Array.zeroCreate 2\n"
+                               "    z.[0 - 1] <- x.[0]\n"
+                               "    z\n",
+                               "line 3: index -1 out of range for 'z' (size 2)"),
+    "slice-past-end": ("let f (x : bool[2]) =\n    x.[1 .. 3]\n",
+                       "line 2: slice [1..3] out of range for 'x' (size 2)"),
+    "slice-before-start": ("let f (x : bool[2]) =\n    x.[0 - 1 .. 1]\n",
+                           "line 2: slice [-1..1] out of range for 'x' "
+                           "(size 2)"),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_out_of_range_is_the_same_error_in_both_evaluators(case):
+    src, error = OUT_OF_RANGE[case]
+    assert_same_error(parse(src), 2, error)
 
 
 def test_relabels_emit_no_statements():
@@ -474,6 +502,18 @@ def assert_evaluators_agree(ast, prog):
     for v in range(1 << n):
         bits = bits_of(v, n)
         assert interpret(prog, bits) == interpret_source(ast, bits), bits
+
+
+def assert_same_error(ast, n: int, error: str) -> None:
+    """flatten, and interpret_source on every input of n bits, raise the
+    one-line error `error`."""
+    with pytest.raises(FlattenError) as flat:
+        flatten(ast)
+    assert str(flat.value) == error
+    for v in range(1 << n):
+        with pytest.raises(InterpretError) as source:
+            interpret_source(ast, bits_of(v, n))
+        assert str(source.value) == error, v
 
 
 def assert_outputs(ast, prog, expected) -> None:
@@ -1459,13 +1499,111 @@ def test_aliased_write_compiles_like_source(case):
     assert_outputs(ast, flatten(ast), ALIASED_WRITES_OUTPUT[case])
 
 
+# ---------------------------------------------------------------------------
+# one `if` rule: a constant condition runs its live branch; on a bit
+# condition both branches run, re-labeling only, and the `if`'s value and
+# each name either branch re-bound are new bits; an `if` right side re-labels
+
+
+IF_RULE = {
+    # a constant condition's `if` is its live branch, x.[1]: the unwritten
+    # z.[1] is re-labeled to it, and b keeps the unwritten bit
+    "element-relabel": """\
+let main (x : bool[3]) =
+    let z = Array.zeroCreate 2
+    let mutable b = z.[1]
+    z.[1] <- (if true then x.[1] else x.[2])
+    let out = Array.zeroCreate 1
+    out.[0] <- b
+    Array.concat [z; out]
+""",
+    # the else branch re-binds a, which aliased z.[0]: after the `if`, a is
+    # a new bit on either input, so the write onto a leaves z.[0] alone
+    "dead-branch-rebinding": """\
+let main (c : bool) (x : bool[2]) =
+    let z = Array.zeroCreate 1
+    z.[0] <- x.[0] && x.[1]
+    let mutable a = z.[0]
+    let r =
+        if c then
+            x.[0]
+        else
+            a <- x.[1]
+            x.[1]
+    a <- a <> x.[0]
+    let out = Array.zeroCreate 2
+    out.[0] <- a
+    out.[1] <- r
+    Array.concat [z; out]
+""",
+    # both branches give z.[0]; the `if`'s value is still a new bit
+    "same-bit-branches": """\
+let main (c : bool) (x : bool[2]) =
+    let z = Array.zeroCreate 1
+    z.[0] <- x.[1]
+    let mutable r = if c then z.[0] else z.[0]
+    r <- r <> x.[0]
+    let out = Array.zeroCreate 1
+    out.[0] <- r
+    Array.concat [z; out]
+""",
+    # a condition that flatten folds to 0 is still a bit: the else branch
+    # may not compute
+    "folded-condition": """\
+let main (x : bool[2]) =
+    let r = if x.[0] <> x.[0] then x.[1] else x.[0] && x.[1]
+    r
+""",
+}
+
+# each case's output, worked out by hand, on inputs [c, x.[0], ...], or
+# the one-line error both evaluators give
+IF_RULE_OUTPUT = {
+    "element-relabel": lambda x0, x1, x2: [0, x1, 0],
+    "dead-branch-rebinding": lambda c, x0, x1: [
+        x0 & x1, (x0 & x1 if c else x1) ^ x0, x0 if c else x1],
+    "same-bit-branches": lambda c, x0, x1: [x1, x1 ^ x0],
+    "folded-condition":
+        "line 2: conditional branches may only re-label existing values",
+}
+
+
+@pytest.mark.parametrize("case", IF_RULE)
+def test_if_rule_in_both_evaluators(case):
+    ast = parse(IF_RULE[case])
+    expected = IF_RULE_OUTPUT[case]
+    if isinstance(expected, str):
+        assert_same_error(ast, 2, expected)
+        return
+    assert_compiles_like_source(ast)
+    assert_outputs(ast, flatten(ast), expected)
+
+
 def aliased_writes_program(seed: int) -> str:
     """A random program of writes to names that alias `Array.zeroCreate`
     elements or hold constants, and to the elements themselves, whose
     right sides wrap the target's read (`&& true`, `|| false`, `<> false`,
-    `not`) or read it more than once."""
+    `not`) or read it more than once, or are an `if` on a bit, a constant
+    value or a condition that folds, with branches that re-bind a, b or
+    c, and now and then compute."""
     rng = random.Random(seed)
     targets = ["a", "b", "c", "z.[0]", "z.[1]"]
+
+    def value():
+        return rng.choice(targets + ["x.[0]", "x.[1]", "true", "false"] * 2
+                          + ["x.[0] && x.[1]"])
+
+    def branch():
+        rebinds = [f"{rng.choice('abc')} <- {value()}"
+                   for _ in range(rng.choice([0, 0, 1, 2]))]
+        return "; ".join(rebinds + [value()])
+
+    def if_expr():
+        cond = rng.choice([
+            "x.[0]", "x.[1]", "a", "z.[1]", "(if x.[0] then true else false)",
+            "true", "false", "c", "(if true then false else x.[0])",
+            "x.[0] <> x.[0]", "x.[1] && false", "(a || true)"])
+        return f"if {cond} then {branch()} else {branch()}"
 
     def expr(target, depth=0):
         if depth > 1 or rng.random() < 0.3:
@@ -1490,7 +1628,8 @@ def aliased_writes_program(seed: int) -> str:
         t = rng.choice(targets)
         lines.append(f"{t} <- " + rng.choice([
             f"{t} <> {expr(t)}", f"{expr(t)} <> {t}",
-            f"({t} <> {expr(t)}) && true", expr(t)]))
+            f"({t} <> {expr(t)}) && true", expr(t), if_expr(), if_expr(),
+            f"{t} <> ({if_expr()})"]))
     lines.append("let out = Array.zeroCreate 4")
     lines += [f"out.[{k}] <- {n}" for k, n in enumerate("abcd")]
     body = "".join(f"    {line}\n" for line in lines)
@@ -1502,7 +1641,12 @@ def aliased_writes_program(seed: int) -> str:
 def test_aliased_writes_agree_with_source():
     for seed in range(300):
         ast = parse(aliased_writes_program(seed))
+        try:
+            prog = flatten(ast)
+        except FlattenError as exc:
+            assert_same_error(ast, 2, str(exc))
+            continue
         if seed < 20:
             assert_compiles_like_source(ast)
         else:
-            assert_evaluators_agree(ast, flatten(ast))
+            assert_evaluators_agree(ast, prog)
