@@ -1554,6 +1554,39 @@ let main (x : bool[2]) =
     let r = if x.[0] <> x.[0] then x.[1] else x.[0] && x.[1]
     r
 """,
+    # both branches of a bit condition run, so the interpreter, too,
+    # rejects a `clean`, a write or a new bit in either
+    "clean-in-branch": """\
+let main (x : bool[2]) =
+    let z = Array.zeroCreate 1
+    let r =
+        if x.[0] then
+            clean z
+            x.[1]
+        else
+            x.[0]
+    r
+""",
+    "element-write-in-branch": """\
+let main (x : bool[2]) =
+    let z = Array.zeroCreate 1
+    let r =
+        if x.[0] then
+            z.[0] <- x.[1]
+            x.[1]
+        else
+            z.[0]
+    r
+""",
+    "bit-if-in-branch": """\
+let main (x : bool[2]) =
+    let r =
+        if x.[0] then
+            if x.[1] then x.[0] else x.[1]
+        else
+            x.[1]
+    r
+""",
 }
 
 # each case's output, worked out by hand, on inputs [c, x.[0], ...], or
@@ -1565,6 +1598,11 @@ IF_RULE_OUTPUT = {
     "same-bit-branches": lambda c, x0, x1: [x1, x1 ^ x0],
     "folded-condition":
         "line 2: conditional branches may only re-label existing values",
+    "clean-in-branch": "line 5: clean not allowed in conditional branches",
+    "element-write-in-branch":
+        "line 5: conditional branches may only re-label existing values",
+    "bit-if-in-branch":
+        "line 4: conditional branches may only re-label existing values",
 }
 
 
