@@ -1,4 +1,4 @@
-"""Frontend for the `.rev` language: lexer, parser, flattener, interpreters.
+"""Frontend for the `.rev` language: lexer, parser, the walk, interpreters.
 
 The language is a small F#-like surface: `<>` is XOR, `<-` assignment,
 `Array.zeroCreate`/`Array.append`/`Array.concat`/`Array.length`, `rot`,
@@ -18,18 +18,38 @@ FlatProgram over numbered bit slots.  Three statement forms survive:
 Slice/rotation/append/aliasing never compute bits; they are pure
 re-labelings of slot lists resolved entirely at flatten time.
 
+`flatten` and `interpret_source` are one walk of the AST, `_Walker`,
+over two value domains.  In both a bit is a numbered slot, which
+re-labels share, so the rules below, the bounds and every error check
+are one code path, raised as the domain's error class.  A domain
+supplies only what a slot holds: `Flattener` a BoolExp over slots,
+emitted as statements; `SourceInterpreter` a 0 or 1, on one input.  The
+walk runs the top-level items in order, then a final expression naming a
+function, or with no final expression the last function defined, takes
+the program's inputs as its parameters; any other final expression is
+the output, and a program with neither is an error.
+
+Agreement of the two domains cannot test the rules they share: the
+tests' hand-worked tables do.  It tests flatten's own machinery, which
+`interpret_source` never runs: the BoolExp simplifier, templates and
+replays, in-place blocks and their validation, `read_before` and the
+`x ^= rest` decomposition.  `run_statements` is the one, bit-sliced
+evaluator of flat statements (one sample per bit of a Python int);
+`interpret_packed` runs a FlatProgram through it and is the ground-truth
+oracle of circuit verification.
+
 The in-place convention: `x <- f args` *accumulates* onto `x` (e.g.
 `h <- add h'` means `h += h'`) when `in_place_binding` accepts the call.
-The flattener and `SourceInterpreter` both ask it once, before inlining,
-and the rule is syntactic: `f` returns a body-level
-`let r = Array.zeroCreate n`, every write to `r` has the same element as
-one operand of its top-level `<>` chain and `r` nowhere else on the
-right; `x` holds bits that no argument shares; the call is not nested in
-an in-place body or an `if` branch.  The call is then inlined once with
-`r` bound to `x`'s slots, otherwise once out of place, re-binding `x`.
-Nothing is rolled back: an accepted body that breaks the contract (a
-width other than `x`'s, a write into `x` that does not accumulate,
-arguments not restored, locals not zeroed) is an error with a line.
+The walk asks it once, before inlining, and the rule is syntactic: `f`
+returns a body-level `let r = Array.zeroCreate n`, every write to `r`
+has the same element as one operand of its top-level `<>` chain and `r`
+nowhere else on the right; `x` holds bits that no argument shares; the
+call is not nested in an in-place body or an `if` branch.  The call is
+then inlined once with `r` bound to `x`'s slots, otherwise once out of
+place, re-binding `x`.  Nothing is rolled back: an accepted body that
+breaks the contract (a width other than `x`'s, a write into `x` that
+does not accumulate, arguments not restored, locals not zeroed) is an
+error with a line.
 
 The flattener inlines a call from the AST only once per call signature,
 in place or not, and records what it emitted as a template
@@ -58,34 +78,34 @@ check, drawn per body position, would be the template's bit for bit.
 An unwritten `Array.zeroCreate` slot is the constant 0, and a `clean`ed
 slot is fresh again: `clean` emits a `CleanSlot` for each of its slots
 that is not fresh already and makes them fresh.  A `clean` that reaches
-an entry input's slot, by its name or through a re-label, is the same
-one-line error in both evaluators: the input's wire belongs to the
-circuit.  An expression reads a fresh slot as 0 (`read`), at top level
-and in in-place bodies, so the slot's next write is a fresh write
-(`fresh=True`) and no flattened statement reads a slot with no wire; a
-fresh output slot is written as the constant 0.  An operator's value is
-a new slot, as the source makes a new bit, also when it folds to an
-operand (`a && a`) or a constant (`a <> a`), so it is never such a
-re-label.  A constant is a value in both evaluators, never a bit.
+an entry input's slot, by its name or through a re-label, is a one-line
+error: the input's wire belongs to the circuit.  An expression reads a
+fresh slot as 0 (`read`), at top level and in in-place bodies, so the
+slot's next write is a fresh write (`fresh=True`) and no flattened
+statement reads a slot with no wire; a fresh output slot is written as
+the constant 0.  An operator's value is a new slot, as the source makes
+a new bit, also when it folds to an operand (`a && a`) or a constant
+(`a <> a`), so it is never such a re-label.  A constant is a value,
+never a bit.
 
-One rule decides every other assignment, `x <- rhs` or `x.[i] <- rhs`,
-in both evaluators (`writes_in_place`): the write lands on the bit x
-held before rhs ran when x still holds it (a call in rhs may re-bind x),
-exactly one read of rhs returned that bit, and that read is an operand
-of rhs's top-level `<>` chain.  Each evaluator records the bit that each
-name or element read returns as it evaluates it, so no read is
-evaluated twice.  An unwritten element that still holds its bit is
-written in place as well, and a plain re-label (`x <- y`) re-binds x;
-any other write re-binds x, or the element, to a new bit.  Flatten
-writes in place as `x ^= rest` when the expression is `x ^ rest`, and
-otherwise through a new slot, `d := e ^ x` then `x ^= d`.
+One rule decides every other assignment, `x <- rhs` or `x.[i] <- rhs`
+(`writes_in_place`): the write lands on the bit x held before rhs ran
+when x still holds it (a call in rhs may re-bind x), exactly one read of
+rhs returned that bit, and that read is an operand of rhs's top-level
+`<>` chain.  The walk records the bit that each name or element read
+returns as it evaluates it, so no read is evaluated twice.  An unwritten
+element that still holds its bit is written in place as well, and a
+plain re-label (`x <- y`) re-binds x; any other write re-binds x, or the
+element, to a new bit.  Flatten writes in place as `x ^= rest` when the
+expression is `x ^ rest`, and otherwise through a new slot, `d := e ^ x`
+then `x ^= d`.
 
-One rule decides an `if` in both evaluators (`if_value`): a constant
-condition (`true`, `false`, or a name, call or `if` holding one) runs its
-live branch as a block; any other is a bit, whatever flatten's
-simplifier folds it to, and both branches run re-labeling only (a write,
-`clean` or new bit in one is an error with its line).  The `if`'s value
-and each name a branch re-bound become new bits holding the live
+One rule decides an `if` (`if_value`): a constant condition (`true`,
+`false`, or a name, call or `if` holding one) runs its live branch as a
+block; any other is a bit, whatever flatten's simplifier folds it to,
+and both branches run re-labeling only (a write, `clean` or new bit in
+one is an error with its line).  The `if`'s value and each name bound
+before it that a branch re-bound become new bits holding the live
 branch's value.  On the right of `<-` an `if` re-labels (`relabels`).
 
 The source reads each operand of `&&`, `||` and `<>` when it reaches it.
@@ -114,35 +134,23 @@ statements, `body`, are built on demand, for its repr and for tools and
 tests.
 
 Hostile input is a one-line error with a line, never a traceback or a
-hang: the parser bounds nesting at MAX_NESTING levels, both evaluators
-reject a call to a function that is already running and turn a stack
-overflow into an error at the item being run, and the flattener rejects
-an `&&` or `||` chain whose synthesis would pass MAX_STATEMENT_GATES
-gates.  A chain of one operator (`&&`, `||` or `<>`) is gathered with an
-explicit stack (`_chain`) and evaluated in one call, and an integer chain
-(`+ -` or `* / %`) folds its left spine in a loop (`_int_chain`), so a
-chain's length costs no stack depth; `||` lowers all its operands at
-once (see `bor`).
-
-Both evaluators also share `_entry_point`: the top-level items run in
-order, then a final expression naming a function, or with no final
-expression the last function defined, takes the program's inputs as its
-parameters; any other final expression is the output, and a program with
-neither is an error.
-
-`run_statements` is the one, bit-sliced evaluator of flat statements (one
-sample per bit of a Python int); `interpret_packed` runs a FlatProgram
-through it and is the ground-truth oracle of circuit verification.
-`interpret_source` evaluates the AST directly under the same conventions
-and serves as an independent cross-check on flatten itself.
+hang: the parser bounds nesting at MAX_NESTING levels, the walk rejects
+a call to a function that is already running and turns a stack overflow
+into an error at the item being run, and flatten rejects an `&&` or `||`
+chain whose synthesis would pass MAX_STATEMENT_GATES gates.  A chain of
+one operator (`&&`, `||` or `<>`) is gathered with an explicit stack
+(`_chain`) and evaluated in one call, and an integer chain (`+ -` or
+`* / %`) folds its left spine in a loop (`_int_chain`), so a chain's
+length costs no stack depth; `||` lowers all its operands at once (see
+`bor`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .boolexpr import (
@@ -409,8 +417,9 @@ class Program:
     pragmas: dict
 
 
-BUILTINS = {"Array.zeroCreate", "Array.append", "Array.concat", "Array.length",
-            "rot", "int", "sqrt", "float"}
+# name -> number of arguments; a builtin's name cannot be re-bound
+BUILTINS = {"Array.zeroCreate": 1, "Array.append": 2, "Array.concat": 1,
+            "Array.length": 1, "rot": 2, "int": 1, "sqrt": 1, "float": 1}
 
 _ATOM_START = {"NAME", "INT"}
 
@@ -617,6 +626,9 @@ class Parser:
             args = []
             while self._at_atom_start():
                 args.append(self.parse_atom())
+            if len(args) != BUILTINS.get(e.name, len(args)):
+                raise ParseError(f"{e.name} expects {BUILTINS[e.name]} "
+                                 f"argument(s), got {len(args)}", e.line)
             return EApp(e.name, args, e.line)
         return e
 
@@ -842,13 +854,16 @@ def interpret(program: FlatProgram, inputs) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Flattener
+# The walk: scopes and values
 
 
 class _Scope:
     def __init__(self, parent: "_Scope | None"):
-        self.vars: dict[str, list] = {}  # name -> [value, mutable]
+        self.vars: dict[str, list] = {}  # name -> [value, mutable, serial]
         self.parent = parent
+        # one count of bindings per walk: a bit-`if` merges only the names
+        # bound before it began
+        self.serials = parent.serials if parent else itertools.count()
 
     def lookup(self, name: str):
         s = self
@@ -866,7 +881,7 @@ class _Scope:
         return b
 
     def bind(self, name: str, value, mutable: bool = False) -> None:
-        self.vars[name] = [value, mutable]
+        self.vars[name] = [value, mutable, next(self.serials)]
 
     def function(self, e) -> _FuncVal | None:
         """The user function that `e` calls, or None if e is no such call."""
@@ -907,16 +922,6 @@ class _FuncVal:
         self.env = env
 
 
-def _int_sqrt(x: int, error: type[FrontendError], line: int) -> int:
-    """`sqrt` of a compile-time integer: through a float, then truncated."""
-    if x < 0:
-        raise error("sqrt of a negative number", line)
-    try:
-        return int(math.sqrt(x))
-    except OverflowError:
-        raise error("sqrt argument is too large", line) from None
-
-
 # Bound on the loop iterations one program may unroll, summed over every
 # loop it runs (a loop in a function runs again at each call).  The
 # bundled corpus peaks at 35136 (sha2.rev with all 64 rounds).  A loop that
@@ -925,33 +930,11 @@ def _int_sqrt(x: int, error: type[FrontendError], line: int) -> int:
 MAX_UNROLLED_ITERATIONS = 1_000_000
 
 
-def _count_iterations(done: int, lo: int, hi: int,
-                      error: type[FrontendError], line: int) -> int:
-    """Iterations unrolled so far, `done`, plus those of loop `lo .. hi`."""
-    done += max(0, hi - lo + 1)
-    if done > MAX_UNROLLED_ITERATIONS:
-        raise error(f"loops unroll to more than {MAX_UNROLLED_ITERATIONS} "
-                    f"iterations", line)
-    return done
-
-
 # Bound on the bits one program may allocate, summed over every
 # `Array.zeroCreate` it runs and its entry parameters.  The bundled corpus
 # peaks at 8960 (sha2.rev with all 64 rounds).  An allocation that would
 # pass the bound is an error before any of its bits exist.
 MAX_ALLOCATED_BITS = 100_000
-
-
-def _count_bits(done: int, n: int, error: type[FrontendError],
-                line: int) -> int:
-    """Bits allocated so far, `done`, plus an array of `n` more."""
-    if n < 0:
-        raise error("negative array size", line)
-    done += n
-    if done > MAX_ALLOCATED_BITS:
-        raise error(f"arrays allocate more than {MAX_ALLOCATED_BITS} bits",
-                    line)
-    return done
 
 
 def _slots_of(v) -> list[int] | None:
@@ -963,8 +946,8 @@ def _slots_of(v) -> list[int] | None:
 
 
 # ---------------------------------------------------------------------------
-# The in-place, re-label and `if` rules, shared by the flattener and the
-# source interpreter
+# The in-place and re-label rules of the walk (`_Walker`, which also holds
+# the `if` rule, `if_value`)
 
 
 def in_place_binding(defn: LetDef, target: list, args: list, nested: int,
@@ -972,11 +955,11 @@ def in_place_binding(defn: LetDef, target: list, args: list, nested: int,
     """Decide `x <- f args` before inlining: f's result binding if the call
     accumulates onto `x`, None if it re-binds `x`.
 
-    `target` is x's slots (flattener) or boxes (interpreter), `args` the
-    slots or boxes of each argument, `nested` non-zero inside an in-place
-    body or an `if` branch.  f must return a body-level
-    `let r = Array.zeroCreate n` whose every write accumulates; that half
-    of the rule depends on f alone, and `results` caches it by `id(defn)`.
+    `target` is x's slots, `args` the slots of each argument, `nested`
+    non-zero inside an in-place body or an `if` branch.  f must return a
+    body-level `let r = Array.zeroCreate n` whose every write accumulates;
+    that half of the rule depends on f alone, and `results` caches it by
+    `id(defn)`.
     """
     if nested or not target:
         return None
@@ -995,8 +978,8 @@ def writes_in_place(item: Assign, bit, reads: dict) -> bool:
     It does when exactly one read of rhs returned that bit and the read is
     an operand of rhs's top-level `<>` chain (`item.reads`).  `reads` maps
     the id of each name or element read to the bit it returned when it
-    last ran (None if not a bit): an evaluator records it as it evaluates
-    the read, so that no read is evaluated twice.
+    last ran (None if not a bit): the walk records it as it evaluates the
+    read, so that no read is evaluated twice.
     """
     if bit is None:
         return False
@@ -1130,55 +1113,6 @@ def relabels(e) -> bool:
     return isinstance(e, (EName, EIndex, ESlice, EBool, EIf)) or (
         isinstance(e, EApp) and e.fn in (
             "rot", "Array.append", "Array.concat", "Array.zeroCreate"))
-
-
-def rebind(ev, binding: list, value) -> None:
-    """Re-bind an existing name, journalled inside a bit-`if` branch."""
-    if ev.journal:
-        ev.journal[-1].append((binding, binding[0]))
-    binding[0] = value
-
-
-def if_value(ev, e: EIf, scope: _Scope, c):
-    """The value of `if` in evaluator `ev`, whose condition gave c: a bool
-    for a constant condition, whose live branch then runs as a block, else
-    a bit.  Then both branches run, re-labeling only (`ev.branch_depth`),
-    their re-bindings journalled and undone; the `if`'s value and each name
-    either branch re-bound become new bits, `ev.mux(c, t, x)` of each pair
-    of the branches' `ev.bits`, made a bit or an array by `ev.wrap`."""
-    ev.nested += 1
-    if type(c) is bool:
-        value = ev.run_block(e.then_block if c else e.else_block,
-                             _Scope(scope), True)
-        ev.nested -= 1
-        return value
-
-    def branch(block):  # its value, and each binding it changed: new value
-        ev.journal.append([])
-        ev.branch_depth += 1
-        value = ev.run_block(block, _Scope(scope), True)
-        ev.branch_depth -= 1
-        log = ev.journal.pop()
-        after = {id(binding): (binding, binding[0]) for binding, _old in log}
-        for binding, old in reversed(log):
-            binding[0] = old
-        return value, after
-
-    def mux(t, x):
-        tbits, xbits = ev.bits(t), ev.bits(x)
-        if tbits is None or xbits is None:
-            raise ev.error("branches must produce bit values", e.line)
-        if len(tbits) != len(xbits):
-            raise ev.error("branches produce different widths", e.line)
-        return ev.wrap([ev.mux(c, a, b) for a, b in zip(tbits, xbits)], t, x)
-
-    (tval, tafter), (xval, xafter) = branch(e.then_block), branch(e.else_block)
-    ev.nested -= 1
-    for key, (binding, _) in {**tafter, **xafter}.items():
-        t, x = (side.get(key, (binding, binding[0]))[1]
-                for side in (tafter, xafter))
-        rebind(ev, binding, mux(t, x))
-    return mux(tval, xval)
 
 
 def _free_names(defn: LetDef) -> tuple[tuple[str, ...], bool]:
@@ -1348,54 +1282,36 @@ class _NoTemplate(Exception):
     """The call writes a name it does not bind: it cannot be replayed."""
 
 
-def _check_width(ret: LetBind, n: int, target: list, line: int,
-                 error: type[FrontendError]) -> None:
-    if n != len(target):
-        raise error(f"in-place result {ret.name!r} has {n} bit(s) but its "
-                    f"target has {len(target)}", line)
-
-
-@contextmanager
-def _entering(active: set, defn: LetDef, error: type[FrontendError], line):
-    """Mark `defn` as running for the duration; a call to a function that
-    is already running is an error, since nothing would end the
-    recursion."""
-    if id(defn) in active:
-        raise error(f"recursive call to {defn.name or '<block>'!r}",
-                    line or None)
-    active.add(id(defn))
-    try:
-        yield
-    finally:
-        active.discard(id(defn))
-
-
-def _entry_point(program: Program, scope: _Scope, do_item,
-                 error: type[FrontendError]):
-    """Run the top-level items; return `(entry, None)` with the function
-    that takes the inputs, or `(None, expr)` with the output expression."""
-    items = list(program.items)
-    final = items.pop().expr if items and isinstance(items[-1], ExprItem) else None
-    for item in items:
-        do_item(item, scope)
-    name = final.name if isinstance(final, EName) else None
-    if final is None:
-        name = next((it.name for it in reversed(items)
-                     if isinstance(it, LetDef)), None)
-    b = scope.lookup(name) if name is not None else None
-    if b is not None and isinstance(b[0], _FuncVal):
-        return b[0], None
-    if final is None:
-        raise error("no output expression")
-    return None, final
-
-
 _LIST_ONLY_IN_CONCAT = "a list [a; ...] is only allowed as the argument of Array.concat"
 _NOT_ACCUMULATING = "a write into an in-place target must accumulate (t <- t <> e)"
 
 
-class Flattener:
-    error = FlattenError  # raised by the shared rules
+# ---------------------------------------------------------------------------
+# The walk
+
+
+class _Walker:
+    """The one walk of a parsed program, over a value domain: `Flattener`
+    (a slot holds a BoolExp's statements) or `SourceInterpreter` (a slot
+    holds a bit).
+
+    In both domains a bit is a numbered slot, which re-labels share:
+    `fresh` holds the unwritten and cleaned ones, `inputs` the entry
+    parameters' and `enforced` the in-place target's being accumulated
+    onto.  The rules and every error check are here, raised as the
+    domain's `error`.  A domain supplies what a slot holds:
+
+      const(v), read(slot)     the bit expression of a constant, a slot
+      chain(op, args, line)    the `&&`, `||` or `<>` of bit expressions
+      put(slot, e)             e on a new slot (`compute`)
+      write_in_place(slot, e)  e onto a slot a target holds
+      clean_slot(slot, item)   release a slot that is not fresh
+      load(slots)              the entry slots' input values
+
+    and may override `call` and `inline_in_place` (flatten's templates and
+    blocks), and `mark` with `read_before` (see `eval_scalar`).
+    """
+    error = FrontendError
 
     def __init__(self, program: Program, params: dict | None = None):
         self.program = program
@@ -1408,56 +1324,61 @@ class Flattener:
         # id of each name or element read -> its slot, or None (`writes_in_place`)
         self.reads: dict[int, int | None] = {}
         self.inputs: set[int] = set()  # the entry parameters' slots
-        self.stmts: list = []
         self.enforced: set[int] = set()  # in-place target: accumulate only
         self.nested = 0  # >0: inside an in-place body or an if-branch
         self.branch_depth = 0  # >0: inside an if-branch, re-labelings only
         self.journal: list[list] = []  # per open branch: (binding, old value)
         self.iterations = 0  # loop iterations unrolled so far
         self.allocated = 0  # bits allocated by arrays and entry parameters
-        self.templates: dict = {}  # call signature -> _Template
-        self.call_templates = 0  # calls inlined and recorded as templates
-        self.call_replays = 0  # calls replayed from a template
-        self.active: set[int] = set()  # id(LetDef) of the calls being inlined
+        self.active: set[int] = set()  # id(LetDef) of the calls running
         self.entered: list[int] = []  # id(LetDef) of every call inlined
-        self.line: int | None = None  # of the item being flattened
-        self.free_names: dict[int, tuple] = {}  # id(LetDef) -> _free_names()
+        self.line: int | None = None  # of the item being run
         self.results: dict = {}  # id(LetDef) -> _in_place_result()
 
-    # -- plumbing ----------------------------------------------------------
+    def mark(self) -> int:
+        """The count of statements emitted so far (flatten's)."""
+        return 0
+
+    def load(self, slots: list[int]) -> None:
+        """Give the entry slots the program's inputs (the interpreter's)."""
+
+    # -- slots ----------------------------------------------------------------
     def new_slot(self) -> int:
         s = self.slot_count
         self.slot_count += 1
         return s
 
-    def emit(self, stmt) -> None:
-        """Append a statement; a write of 0 onto a written slot is
-        dropped."""
+    def new_slots(self, n: int, line) -> list[int]:
+        """An array's n new slots, within MAX_ALLOCATED_BITS."""
+        if n < 0:
+            raise self.error("negative array size", line)
+        self.allocated += n
+        if self.allocated > MAX_ALLOCATED_BITS:
+            raise self.error(f"arrays allocate more than "
+                             f"{MAX_ALLOCATED_BITS} bits", line)
+        return [self.new_slot() for _ in range(n)]
+
+    def compute(self, e) -> int:
+        """A new slot holding bit expression e; a bit-`if` branch makes
+        none."""
         if self.branch_depth:
-            raise FlattenError(_BRANCH_RELABELS, self.line)
-        if (type(stmt) is Compute and not stmt.fresh
-                and stmt.expr.op == "const" and not stmt.expr.args[0]):
-            return  # x ^= 0 is a no-op
-        self.stmts.append(stmt)
+            raise self.error(_BRANCH_RELABELS, self.line)
+        s = self.new_slot()
+        self.put(s, e)
+        return s
 
-    def read(self, slot: int) -> BoolExp:
-        """The value of `slot` for an expression that reads it: its
-        variable, or 0 if it is fresh (unwritten or cleaned)."""
-        return _ZERO if slot in self.fresh else bvar(slot)
-
-    def compute(self, e: BoolExp) -> int:
-        """A new slot holding e."""
-        t = self.new_slot()
-        self.emit(Compute(t, e, True))
-        return t
-
-    @staticmethod
-    def mutable(scope: _Scope, name: str, line: int) -> list:
+    def mutable(self, scope: _Scope, name: str, line: int) -> list:
         """The binding of `name`, which an assignment re-binds."""
-        binding = scope.get(name, FlattenError, line)
+        binding = scope.get(name, self.error, line)
         if not binding[1]:
-            raise FlattenError(f"assignment to immutable binding {name!r}", line)
+            raise self.error(f"assignment to immutable binding {name!r}", line)
         return binding
+
+    def rebind(self, binding: list, value) -> None:
+        """Re-bind an existing name, journalled inside a bit-`if` branch."""
+        if self.journal:
+            self.journal[-1].append((binding, binding[0]))
+        binding[0] = value
 
     # -- compile-time integers ----------------------------------------------
     def eval_int(self, e, scope: _Scope, line) -> int:
@@ -1471,60 +1392,524 @@ class Flattener:
                 return v[0].value
         elif isinstance(e, EBin) and e.op in "+-*/%":
             return _int_chain(e, lambda x: self.eval_int(x, scope, line),
-                              FlattenError)
+                              self.error)
         elif isinstance(e, EIndex):
             v = scope.lookup(e.name)
             if v is not None and isinstance(v[0], _IntArrVal):
                 values, i = v[0].values, self.eval_int(e.index, scope, line)
                 if not 0 <= i < len(values):
-                    raise FlattenError(f"index {i} out of range for {e.name!r}"
-                                       f" (size {len(values)})", e.line)
+                    raise self.error(f"index {i} out of range for {e.name!r}"
+                                     f" (size {len(values)})", e.line)
                 return values[i]
         elif isinstance(e, EApp):
             if e.fn in ("int", "float"):
                 return self.eval_int(e.args[0], scope, line)
-            if e.fn == "sqrt":
-                return _int_sqrt(self.eval_int(e.args[0], scope, line),
-                                 FlattenError, e.line)
+            if e.fn == "sqrt":  # through a float, then truncated
+                x = self.eval_int(e.args[0], scope, line)
+                if x < 0:
+                    raise self.error("sqrt of a negative number", e.line)
+                try:
+                    return int(math.sqrt(x))
+                except OverflowError:
+                    raise self.error("sqrt argument is too large",
+                                     e.line) from None
             if e.fn == "Array.length":
                 v = self.eval_value(e.args[0], scope)
                 if isinstance(v, _ArrVal):
                     return len(v.slots)
                 if isinstance(v, _IntArrVal):
                     return len(v.values)
-                raise FlattenError("Array.length of a non-array", e.line)
-        raise FlattenError("bound or index is not a compile-time integer",
-                           line)
+                raise self.error("Array.length of a non-array", e.line)
+        raise self.error("bound or index is not a compile-time integer", line)
 
-    # -- boolean expressions -------------------------------------------------
-    def eval_scalar(self, e, scope: _Scope) -> BoolExp:
-        """Expression in bit context, as a BoolExp over slots."""
+    # -- bit expressions -------------------------------------------------------
+    def eval_scalar(self, e, scope: _Scope):
+        """Expression in bit context, as the domain's bit expression.  An
+        operand is read when it is reached: when a later operand emits
+        statements (`mark` moved), flatten's `read_before` copies what
+        they overwrite."""
         if isinstance(e, EBool):
-            return bconst(e.value)
+            return self.const(e.value)
         if isinstance(e, ENot):
-            return bxor([self.eval_scalar(e.arg, scope), bconst(True)])
+            return self.chain("<>", [self.eval_scalar(e.arg, scope),
+                                     self.const(True)], None)
         if isinstance(e, EBin):
             if e.op in ("&&", "||", "<>"):
                 # one call per chain of one operator: `||` lowers all its
                 # operands at once, and the chain's length costs no depth
                 args = []
                 for x in _chain(e):
-                    start = len(self.stmts)
+                    start = self.mark()
                     a = self.eval_scalar(x, scope)
-                    if args and len(self.stmts) != start:
+                    if args and self.mark() != start:
                         args = self.read_before(args, start)
                     args.append(a)
-                if e.op == "<>":
-                    return bxor(args)
-                be = (band if e.op == "&&" else bor)(args)
-                if gate_count(be) > MAX_STATEMENT_GATES:
-                    raise FlattenError(
-                        f"expression synthesizes to more than "
-                        f"{MAX_STATEMENT_GATES} gates", e.line)
-                return be
-            raise FlattenError(f"integer operator {e.op!r} in bit context",
-                               e.line)
+                return self.chain(e.op, args, e.line)
+            raise self.error(f"integer operator {e.op!r} in bit context",
+                             e.line)
         return self.bit_expr(self.eval_value(e, scope), e)
+
+    def bit_expr(self, v, e):
+        """The bit expression of value v, which expression e evaluated to."""
+        if type(v) is _BitVal:
+            return self.read(v.slot)
+        if type(v) is _ConstBitVal:
+            return self.const(v.value)
+        raise self.error("expected a bit-valued expression",
+                         getattr(e, "line", 0) or self.line)
+
+    # -- general values -------------------------------------------------------
+    def eval_value(self, e, scope: _Scope):
+        if isinstance(e, EBool):
+            return _ConstBitVal(e.value)
+        if isinstance(e, EArrayLit):
+            return _IntArrVal([self.eval_int(x, scope, e.line)
+                               for x in e.items])
+        if isinstance(e, EName):
+            v = scope.get(e.name, self.error, e.line)[0]
+            if isinstance(v, _ArrVal):
+                v = _ArrVal(v.slots)
+            self.reads[id(e)] = v.slot if type(v) is _BitVal else None
+            return v
+        if isinstance(e, EIndex):
+            v = scope.get(e.name, self.error, e.line)[0]
+            if isinstance(v, _IntArrVal):
+                self.reads[id(e)] = None
+                return _IntVal(self.eval_int(e, scope, e.line))
+            i = self.eval_int(e.index, scope, e.line)
+            if isinstance(v, _ArrVal):
+                if not 0 <= i < len(v.slots):
+                    raise self.error(f"index {i} out of range for {e.name!r}"
+                                     f" (size {len(v.slots)})", e.line)
+                self.reads[id(e)] = v.slots[i]
+                return _BitVal(v.slots[i])
+            raise self.error(f"{e.name!r} is not an array", e.line)
+        if isinstance(e, ESlice):
+            v = scope.get(e.name, self.error, e.line)[0]
+            if not isinstance(v, _ArrVal):
+                raise self.error(f"{e.name!r} is not a bit array", e.line)
+            lo = self.eval_int(e.lo, scope, e.line)
+            hi = self.eval_int(e.hi, scope, e.line)
+            if not (0 <= lo and hi < len(v.slots)):
+                raise self.error(f"slice [{lo}..{hi}] out of range for "
+                                 f"{e.name!r} (size {len(v.slots)})", e.line)
+            return _ArrVal(v.slots[lo:hi + 1])
+        if isinstance(e, EApp):
+            return self.eval_app(e, scope)
+        if isinstance(e, EIf):
+            c = self.eval_value(e.cond, scope)
+            return self.if_value(e, scope, c.value if type(c) is _ConstBitVal
+                                 else self.bit_expr(c, e.cond))
+        if isinstance(e, (EBin, ENot)):
+            if isinstance(e, EBin) and e.op in "+-*/%":
+                return _IntVal(self.eval_int(e, scope, e.line))
+            # an operator's value is a new bit, as in the source, also when
+            # it folds to an operand (`a && a`) or a constant (`a <> a`): a
+            # later write or `clean` of it must not reach another name
+            return _BitVal(self.compute(self.eval_scalar(e, scope)))
+        if isinstance(e, EInt):
+            return _IntVal(e.value)
+        if isinstance(e, EList):
+            raise self.error(_LIST_ONLY_IN_CONCAT, e.line)
+        raise self.error(f"cannot evaluate {type(e).__name__}", self.line)
+
+    def eval_app(self, e: EApp, scope: _Scope):
+        fn = e.fn
+        if fn == "Array.zeroCreate":
+            slots = self.new_slots(self.eval_int(e.args[0], scope, e.line),
+                                   e.line)
+            self.fresh.update(slots)
+            return _ArrVal(slots)
+        if fn == "Array.append":
+            a = self.eval_value(e.args[0], scope)
+            b = self.eval_value(e.args[1], scope)
+            if not isinstance(a, _ArrVal) or not isinstance(b, _ArrVal):
+                raise self.error("Array.append expects bit arrays", e.line)
+            return _ArrVal(a.slots + b.slots)
+        if fn == "Array.concat":
+            (arg,) = e.args
+            if not isinstance(arg, EList):
+                raise self.error("Array.concat expects [a; b; ...]", e.line)
+            out: list[int] = []
+            for item in arg.items:
+                v = self.eval_value(item, scope)
+                if not isinstance(v, _ArrVal):
+                    raise self.error("Array.concat expects bit arrays", e.line)
+                out.extend(v.slots)
+            return _ArrVal(out)
+        if fn == "rot":
+            k = self.eval_int(e.args[0], scope, e.line)
+            v = self.eval_value(e.args[1], scope)
+            if not isinstance(v, _ArrVal):
+                raise self.error("rot expects a bit array", e.line)
+            n = len(v.slots)
+            return _ArrVal([v.slots[(i + k) % n] for i in range(n)])
+        if fn in ("Array.length", "int", "sqrt", "float"):
+            return _IntVal(self.eval_int(e, scope, e.line))
+        if fn == "__block__":
+            # desugared multi-statement binding body
+            return self.inline_call(_FuncVal(e.args[0], scope), [])
+        f = scope.function(e)
+        if f is None:
+            raise self.error(f"unknown function {fn!r}", e.line)
+        args = [self.eval_value(a, scope) for a in e.args]
+        return self.call(f, args, e.line)
+
+    # -- calls -----------------------------------------------------------------
+    def call(self, f: _FuncVal, args: list, line: int, target=(), ret=None):
+        """Run call `f args`, in place onto `target` if `ret` (f's result
+        binding) is given, and return its value (None in place)."""
+        if ret is None:
+            return self.inline_call(f, args, line=line)
+        self.inline_in_place(f, args, target, ret, line)
+        return None
+
+    def inline_in_place(self, f: _FuncVal, args: list, target: list[int],
+                        ret: LetBind, line: int) -> None:
+        """Inline f with its result `ret` bound to `target`, whose bits take
+        only accumulating writes meanwhile."""
+        self.nested += 1
+        self.enforced = set(target)
+        self.inline_call(f, args, alias=(ret, target, line), line=line)
+        self.nested -= 1
+        self.enforced = set()
+
+    def inline_call(self, f: _FuncVal, args: list, alias=None, line=0):
+        """Inline f once; `alias` = (result binding, target slots, call
+        line) binds the result buffer to the in-place target."""
+        defn = f.defn
+        if len(args) != len(defn.params):
+            raise self.error(f"{defn.name or '<block>'} expects "
+                             f"{len(defn.params)} argument(s), got {len(args)}",
+                             line)
+        scope = _Scope(f.env)
+        for (pname, _ann), v in zip(defn.params, args):
+            scope.bind(pname, v, isinstance(v, _ArrVal))
+        self.entered.append(id(defn))
+        if id(defn) in self.active:  # nothing would end the recursion
+            raise self.error(f"recursive call to {defn.name or '<block>'!r}",
+                             line or None)
+        self.active.add(id(defn))
+        try:
+            value = self.run_block(defn.body, scope, want_value=True,
+                                   alias=alias)
+        finally:
+            self.active.discard(id(defn))
+        if isinstance(value, _FuncVal):
+            raise self.error(f"{defn.name or '<block>'} returned no value",
+                             defn.line)
+        return value
+
+    # -- statements -------------------------------------------------------------
+    def run_block(self, block: Block, scope: _Scope, want_value: bool,
+                  alias=None):
+        value = None
+        for item in block.items:
+            self.line = item.line
+            if isinstance(item, ExprItem):
+                value = self.eval_value(item.expr, scope)
+            elif alias is not None and item is alias[0]:
+                ret, target, line = alias
+                n = self.eval_int(ret.expr.args[0], scope, ret.line)
+                if n != len(target):
+                    raise self.error(f"in-place result {ret.name!r} has {n} "
+                                     f"bit(s) but its target has "
+                                     f"{len(target)}", line)
+                scope.bind(ret.name, _ArrVal(target), True)
+            else:
+                self.do_item(item, scope)
+        if want_value and value is None:
+            raise self.error("block does not end in an expression", self.line)
+        return value
+
+    def do_item(self, item, scope: _Scope) -> None:
+        self.line = item.line
+        if isinstance(item, LetDef):
+            scope.bind(item.name, _FuncVal(item, scope))
+        elif isinstance(item, LetBind):
+            v = self.eval_value(item.expr, scope)
+            scope.bind(item.name, v, item.mutable or isinstance(v, _ArrVal))
+        elif isinstance(item, Assign):
+            self.do_assign(item, scope)
+        elif isinstance(item, ForLoop):
+            lo = self.eval_int(item.lo, scope, item.line)
+            hi = self.eval_int(item.hi, scope, item.line)
+            self.iterations += max(0, hi - lo + 1)
+            if self.iterations > MAX_UNROLLED_ITERATIONS:
+                raise self.error(f"loops unroll to more than "
+                                 f"{MAX_UNROLLED_ITERATIONS} iterations",
+                                 item.line)
+            for i in range(lo, hi + 1):
+                inner = _Scope(scope)
+                inner.bind(item.var, _IntVal(i))
+                self.run_block(item.body, inner, want_value=False)
+        elif isinstance(item, CleanStmt):
+            if self.branch_depth:
+                raise self.error("clean not allowed in conditional branches",
+                                 item.line)
+            slots = _slots_of(scope.get(item.name, self.error, item.line)[0])
+            if slots is None:
+                raise self.error(f"clean of non-bit value {item.name!r}",
+                                 item.line)
+            if not self.inputs.isdisjoint(slots):  # the circuit's input wire
+                raise self.error(f"clean of {item.name!r} would release an "
+                                 f"input bit", item.line)
+            for s in slots:  # read as 0 again, written fresh next
+                if s not in self.fresh:
+                    self.clean_slot(s, item)
+                    self.fresh.add(s)
+        else:
+            self.eval_value(item.expr, scope)
+
+    def do_assign(self, item: Assign, scope: _Scope) -> None:
+        rhs, target = item.expr, item.target
+        # 1. `x <- f args`: inlined once, in place or re-binding x
+        f = scope.function(rhs)
+        if isinstance(target, EName) and f is not None:
+            self.assign_call(item, f, scope)
+            return
+        # the target, and the bit it holds before rhs runs
+        if isinstance(target, EName):
+            b = self.mutable(scope, target.name, item.line)
+            bit = b[0].slot if isinstance(b[0], _BitVal) else None
+        else:
+            bit, arr, i = self.element_slot(target, scope)
+        if self.branch_depth and not (isinstance(target, EName)
+                                      and relabels(rhs)):
+            raise self.error(_BRANCH_RELABELS, item.line)
+        # 2. a re-label re-binds x, or an unwritten element
+        v = self.eval_value(rhs, scope) if relabels(rhs) else None
+        if type(v) in (_BitVal, _ArrVal, _ConstBitVal):
+            if isinstance(target, EName):
+                self.rebind(b, v)
+                return
+            if (type(v) is _BitVal and bit in self.fresh
+                    and bit not in self.enforced):
+                arr.slots[i] = v.slot
+                return
+        # 3. computed assignment: in place by the shared rule or onto an
+        # unwritten element, else onto a new slot
+        e = self.eval_scalar(rhs, scope) if v is None else self.bit_expr(v, rhs)
+        # whether the target still holds its bit: a call in rhs may re-bind it
+        kept = (arr.slots[i] if isinstance(target, EIndex) else
+                b[0].slot if type(b[0]) is _BitVal else None) == bit
+        if kept and (writes_in_place(item, bit, self.reads)
+                     or isinstance(target, EIndex) and bit in self.fresh):
+            self.write_in_place(bit, e)
+        elif bit in self.enforced:
+            raise self.error(_NOT_ACCUMULATING, item.line)
+        elif isinstance(target, EName):
+            self.rebind(b, _BitVal(self.compute(e)))
+        else:
+            arr.slots[i] = self.compute(e)
+
+    def element_slot(self, target: EIndex, scope: _Scope):
+        arr = scope.get(target.name, self.error, target.line)[0]
+        if not isinstance(arr, _ArrVal):
+            raise self.error(f"{target.name!r} is not a bit array", target.line)
+        i = self.eval_int(target.index, scope, target.line)
+        if not 0 <= i < len(arr.slots):
+            raise self.error(f"index {i} out of range for {target.name!r} "
+                             f"(size {len(arr.slots)})", target.line)
+        return arr.slots[i], arr, i
+
+    def assign_call(self, item: Assign, f: _FuncVal, scope: _Scope) -> None:
+        name = item.target.name
+        b = self.mutable(scope, name, item.line)
+        args = [self.eval_value(a, scope) for a in item.expr.args]
+        target = _slots_of(b[0]) or []
+        ret = in_place_binding(f.defn, target,
+                               [_slots_of(a) or [] for a in args], self.nested,
+                               self.results)
+        if ret is not None:  # the body accumulates onto the target
+            self.call(f, args, item.line, target, ret)
+            return
+        value = self.call(f, args, item.line)  # out of place: re-bind x
+        if isinstance(value, (_IntVal, _IntArrVal)):
+            raise self.error(f"cannot assign non-bit value to {name!r}",
+                             item.line)
+        self.rebind(b, value)
+
+    # -- conditionals -----------------------------------------------------------
+    def if_value(self, e: EIf, scope: _Scope, c):
+        """The value of `if`, whose condition gave c: a bool for a constant
+        condition, whose live branch then runs as a block, else a bit
+        expression.  Then both branches run, re-labeling only
+        (`branch_depth`), their re-bindings of names bound before the `if`
+        journalled and undone; the `if`'s value and each such name either
+        branch re-bound become new bits, `mux(c, t, x)` of each pair of the
+        branches' `bits`, a bit or an array as the branches' values are."""
+        self.nested += 1
+        if type(c) is bool:
+            value = self.run_block(e.then_block if c else e.else_block,
+                                   _Scope(scope), True)
+            self.nested -= 1
+            return value
+
+        def branch(block):  # its value, and each binding it changed: new value
+            start = next(scope.serials)
+            self.journal.append([])
+            self.branch_depth += 1
+            value = self.run_block(block, _Scope(scope), True)
+            self.branch_depth -= 1
+            log = self.journal.pop()
+            after = {id(binding): (binding, binding[0])
+                     for binding, _old in log if binding[2] < start}
+            for binding, old in reversed(log):
+                binding[0] = old
+            return value, after
+
+        def mux(t, x):
+            tbits, xbits = self.bits(t), self.bits(x)
+            if tbits is None or xbits is None:
+                raise self.error("branches must produce bit values", e.line)
+            if len(tbits) != len(xbits):
+                raise self.error("branches produce different widths", e.line)
+            slots = [self.mux(c, a, b, e.line) for a, b in zip(tbits, xbits)]
+            return (_ArrVal(slots) if _ArrVal in (type(t), type(x))
+                    else _BitVal(slots[0]))
+
+        (tval, tafter), (xval, xafter) = branch(e.then_block), branch(e.else_block)
+        self.nested -= 1
+        for key, (binding, _) in {**tafter, **xafter}.items():
+            t, x = (side.get(key, (binding, binding[0]))[1]
+                    for side in (tafter, xafter))
+            self.rebind(binding, mux(t, x))
+        return mux(tval, xval)
+
+    def bits(self, v) -> list | None:
+        """A branch's value as bit expressions, None if it holds no bits."""
+        if type(v) is _ConstBitVal:
+            return [self.const(v.value)]
+        slots = _slots_of(v)
+        return None if slots is None else [self.read(s) for s in slots]
+
+    def mux(self, c, t, x, line) -> int:
+        """A new slot holding t if c else x: c&t ^ c&x ^ x."""
+        return self.compute(self.chain("<>", [
+            self.chain("&&", [c, t], line), self.chain("&&", [c, x], line), x],
+            line))
+
+    # -- entry ---------------------------------------------------------------
+    def run(self):
+        """Walk the program: its name, input slots, their layout (name,
+        width) and output slots.  The top-level items run in order, then a
+        final expression naming a function, or with no final expression
+        the last function defined, takes the inputs as its parameters; any
+        other final expression is the output."""
+        try:
+            scope = _Scope(None)
+            for pname, pval in self.params.items():
+                scope.bind(pname, _IntVal(pval))
+            items = list(self.program.items)
+            final = items.pop() if items and isinstance(items[-1], ExprItem) else None
+            for item in items:
+                self.do_item(item, scope)
+            name = (final.expr.name if final is not None
+                    and isinstance(final.expr, EName) else None)
+            if final is None:
+                name = next((it.name for it in reversed(items)
+                             if isinstance(it, LetDef)), None)
+            b = scope.lookup(name) if name is not None else None
+            if b is None or not isinstance(b[0], _FuncVal):
+                if final is None:
+                    raise self.error("no output expression")
+                self.load([])
+                self.line = final.line
+                value = self.eval_value(final.expr, scope)
+                return "program", [], [], self.output_slots(value)
+            entry, inputs, layout, args = b[0], [], [], []
+            line = entry.defn.line
+            for pname, ann in entry.defn.params:
+                array = ann is not None and ann[0] == "array"
+                if array and ann[1] is None:
+                    raise self.error(f"entry parameter {pname!r} needs a sized "
+                                     f"annotation like (x : bool[8])", line)
+                n = self.eval_int(ann[1], scope, line) if array else 1
+                slots = self.new_slots(n, line)
+                inputs.extend(slots)
+                args.append(_ArrVal(slots) if array else _BitVal(slots[0]))
+                layout.append((pname, n))
+            self.inputs = set(inputs)
+            self.load(inputs)
+            value = self.inline_call(entry, args, line=line)
+            return entry.defn.name, inputs, layout, self.output_slots(value)
+        except RecursionError:
+            # calls or expressions nested past Python's stack, e.g. a long
+            # chain of functions each calling the one before
+            raise self.error("program nests too deeply", self.line) from None
+
+    def output_slots(self, value) -> list[int]:
+        slots = _slots_of(value)
+        if slots is None:
+            if not isinstance(value, _ConstBitVal):
+                raise self.error("program output must be a bit or bit array",
+                                 self.line)
+            slots = [self.compute(self.const(value.value))]
+        out: list[int] = []
+        seen: set[int] = set()
+        for s in slots:
+            # outputs land on distinct wires, and a fresh slot has none:
+            # copy, a fresh slot as the constant 0
+            if s in seen or s in self.fresh:
+                s = self.compute(self.read(s))
+            seen.add(s)
+            out.append(s)
+        return out
+
+
+# ---------------------------------------------------------------------------
+# Flattener: the walk over BoolExps
+
+
+class Flattener(_Walker):
+    """The walk over BoolExps: a slot holds the statements that write it
+    (`stmts`), built by the simplifier of `boolexpr`; calls are templated
+    and replayed, an in-place call is a validated block, and an operand
+    that a later operand's statements overwrite is copied first."""
+    error = FlattenError  # raised by the walk
+
+    def __init__(self, program: Program, params: dict | None = None):
+        super().__init__(program, params)
+        self.stmts: list = []
+        self.templates: dict = {}  # call signature -> _Template
+        self.call_templates = 0  # calls inlined and recorded as templates
+        self.call_replays = 0  # calls replayed from a template
+        self.free_names: dict[int, tuple] = {}  # id(LetDef) -> _free_names()
+
+    # -- the domain ------------------------------------------------------------
+    def emit(self, stmt) -> None:
+        """Append a statement; a write of 0 onto a written slot is
+        dropped."""
+        if (type(stmt) is Compute and not stmt.fresh
+                and stmt.expr.op == "const" and not stmt.expr.args[0]):
+            return  # x ^= 0 is a no-op
+        self.stmts.append(stmt)
+
+    def mark(self) -> int:
+        return len(self.stmts)
+
+    const = staticmethod(bconst)
+
+    def read(self, slot: int) -> BoolExp:
+        """The value of `slot` for an expression that reads it: its
+        variable, or 0 if it is fresh (unwritten or cleaned)."""
+        return _ZERO if slot in self.fresh else bvar(slot)
+
+    def chain(self, op: str, args: list, line) -> BoolExp:
+        if op == "<>":
+            return bxor(args)
+        be = (band if op == "&&" else bor)(args)
+        if gate_count(be) > MAX_STATEMENT_GATES:
+            raise FlattenError(f"expression synthesizes to more than "
+                               f"{MAX_STATEMENT_GATES} gates", line)
+        return be
+
+    def put(self, slot: int, e: BoolExp) -> None:
+        self.stmts.append(Compute(slot, e, True))  # `emit` drops no fresh write
+
+    def clean_slot(self, slot: int, item: CleanStmt) -> None:
+        self.emit(CleanSlot(slot))
 
     def read_before(self, args: list, start: int) -> list:
         """Operands `args`, read before the statements from `start` on,
@@ -1544,243 +1929,6 @@ class Flattener:
         self.stmts[start:start] = copies
         return [_substituted(a, m) for a in args]
 
-    def bit_expr(self, v, e) -> BoolExp:
-        """The BoolExp of value v, which expression e evaluated to."""
-        if isinstance(v, _BitVal):
-            return self.read(v.slot)
-        if isinstance(v, _ConstBitVal):
-            return bconst(v.value)
-        raise FlattenError("expected a bit-valued expression",
-                           getattr(e, "line", None))
-
-    # -- general values -------------------------------------------------------
-    def eval_value(self, e, scope: _Scope):
-        if isinstance(e, EBool):
-            return _ConstBitVal(e.value)
-        if isinstance(e, EArrayLit):
-            return _IntArrVal([self.eval_int(x, scope, e.line)
-                               for x in e.items])
-        if isinstance(e, EName):
-            v = scope.get(e.name, FlattenError, e.line)[0]
-            if isinstance(v, _ArrVal):
-                v = _ArrVal(v.slots)
-            self.reads[id(e)] = v.slot if type(v) is _BitVal else None
-            return v
-        if isinstance(e, EIndex):
-            v = scope.get(e.name, FlattenError, e.line)[0]
-            if isinstance(v, _IntArrVal):
-                self.reads[id(e)] = None
-                return _IntVal(self.eval_int(e, scope, e.line))
-            i = self.eval_int(e.index, scope, e.line)
-            if isinstance(v, _ArrVal):
-                if not 0 <= i < len(v.slots):
-                    raise FlattenError(f"index {i} out of range for {e.name!r}"
-                                       f" (size {len(v.slots)})", e.line)
-                self.reads[id(e)] = v.slots[i]
-                return _BitVal(v.slots[i])
-            raise FlattenError(f"{e.name!r} is not an array", e.line)
-        if isinstance(e, ESlice):
-            v = scope.get(e.name, FlattenError, e.line)[0]
-            if not isinstance(v, _ArrVal):
-                raise FlattenError(f"{e.name!r} is not a bit array", e.line)
-            lo = self.eval_int(e.lo, scope, e.line)
-            hi = self.eval_int(e.hi, scope, e.line)
-            if not (0 <= lo and hi < len(v.slots)):
-                raise FlattenError(f"slice [{lo}..{hi}] out of range for "
-                                   f"{e.name!r} (size {len(v.slots)})", e.line)
-            return _ArrVal(v.slots[lo:hi + 1])
-        if isinstance(e, EApp):
-            return self.eval_app(e, scope)
-        if isinstance(e, EIf):
-            c = self.eval_value(e.cond, scope)
-            return if_value(self, e, scope, c.value if type(c) is _ConstBitVal
-                            else self.bit_expr(c, e.cond))
-        if isinstance(e, (EBin, ENot)):
-            if isinstance(e, EBin) and e.op in "+-*/%":
-                return _IntVal(self.eval_int(e, scope, e.line))
-            # an operator's value is a new bit, as in the source, also when
-            # it folds to an operand (`a && a`) or a constant (`a <> a`): a
-            # later write or `clean` of it must not reach another name
-            return _BitVal(self.compute(self.eval_scalar(e, scope)))
-        if isinstance(e, EInt):
-            return _IntVal(e.value)
-        if isinstance(e, EList):
-            raise FlattenError(_LIST_ONLY_IN_CONCAT, e.line)
-        raise FlattenError(f"cannot evaluate {type(e).__name__}")
-
-    def eval_app(self, e: EApp, scope: _Scope):
-        fn = e.fn
-        if fn == "Array.zeroCreate":
-            n = self.eval_int(e.args[0], scope, e.line)
-            self.allocated = _count_bits(self.allocated, n, FlattenError, e.line)
-            slots = [self.new_slot() for _ in range(n)]
-            self.fresh.update(slots)
-            return _ArrVal(slots)
-        if fn == "Array.append":
-            a = self.eval_value(e.args[0], scope)
-            b = self.eval_value(e.args[1], scope)
-            if not isinstance(a, _ArrVal) or not isinstance(b, _ArrVal):
-                raise FlattenError("Array.append expects bit arrays", e.line)
-            return _ArrVal(a.slots + b.slots)
-        if fn == "Array.concat":
-            (arg,) = e.args
-            if not isinstance(arg, EList):
-                raise FlattenError("Array.concat expects [a; b; ...]", e.line)
-            out: list[int] = []
-            for item in arg.items:
-                v = self.eval_value(item, scope)
-                if not isinstance(v, _ArrVal):
-                    raise FlattenError("Array.concat expects bit arrays", e.line)
-                out.extend(v.slots)
-            return _ArrVal(out)
-        if fn == "rot":
-            k = self.eval_int(e.args[0], scope, e.line)
-            v = self.eval_value(e.args[1], scope)
-            if not isinstance(v, _ArrVal):
-                raise FlattenError("rot expects a bit array", e.line)
-            n = len(v.slots)
-            return _ArrVal([v.slots[(i + k) % n] for i in range(n)])
-        if fn in ("Array.length", "int", "sqrt", "float"):
-            return _IntVal(self.eval_int(e, scope, e.line))
-        if fn == "__block__":
-            # desugared multi-statement binding body
-            return self.inline_call(_FuncVal(e.args[0], scope), [])
-        f = scope.function(e)
-        if f is None:
-            raise FlattenError(f"unknown function {fn!r}", e.line)
-        args = [self.eval_value(a, scope) for a in e.args]
-        return self.call(f, args, e.line)
-
-    # -- calls -----------------------------------------------------------------
-    def inline_call(self, f: _FuncVal, args: list, alias=None, line=0):
-        """Inline f once; `alias` = (result binding, target slots, call
-        line) binds the result buffer to the in-place target."""
-        defn = f.defn
-        if len(args) != len(defn.params):
-            raise FlattenError(
-                f"{defn.name or '<block>'} expects {len(defn.params)} "
-                f"argument(s), got {len(args)}", line)
-        scope = _Scope(f.env)
-        for (pname, _ann), v in zip(defn.params, args):
-            scope.bind(pname, v, isinstance(v, _ArrVal))
-        self.entered.append(id(defn))
-        with _entering(self.active, defn, FlattenError, line):
-            value = self.run_block(defn.body, scope, want_value=True,
-                                   alias=alias)
-        if isinstance(value, _FuncVal):
-            raise FlattenError(f"{defn.name or '<block>'} returned no value",
-                               defn.line)
-        return value
-
-    # -- statements -------------------------------------------------------------
-    def run_block(self, block: Block, scope: _Scope, want_value: bool,
-                  alias=None):
-        value = None
-        for item in block.items:
-            self.line = item.line
-            if isinstance(item, ExprItem):
-                value = self.eval_value(item.expr, scope)
-            elif alias is not None and item is alias[0]:
-                ret, target, line = alias
-                n = self.eval_int(ret.expr.args[0], scope, ret.line)
-                _check_width(ret, n, target, line, FlattenError)
-                scope.bind(ret.name, _ArrVal(target), True)
-            else:
-                self.do_item(item, scope)
-        if want_value and value is None:
-            raise FlattenError("block does not end in an expression")
-        return value
-
-    def do_item(self, item, scope: _Scope) -> None:
-        self.line = item.line
-        if isinstance(item, LetDef):
-            scope.bind(item.name, _FuncVal(item, scope))
-        elif isinstance(item, LetBind):
-            v = self.eval_value(item.expr, scope)
-            scope.bind(item.name, v, item.mutable or isinstance(v, _ArrVal))
-        elif isinstance(item, Assign):
-            self.do_assign(item, scope)
-        elif isinstance(item, ForLoop):
-            lo = self.eval_int(item.lo, scope, item.line)
-            hi = self.eval_int(item.hi, scope, item.line)
-            self.iterations = _count_iterations(self.iterations, lo, hi,
-                                                FlattenError, item.line)
-            for i in range(lo, hi + 1):
-                inner = _Scope(scope)
-                inner.bind(item.var, _IntVal(i))
-                self.run_block(item.body, inner, want_value=False)
-        elif isinstance(item, CleanStmt):
-            if self.branch_depth:
-                raise FlattenError("clean not allowed in conditional branches",
-                                   item.line)
-            slots = _slots_of(scope.get(item.name, FlattenError, item.line)[0])
-            if slots is None:
-                raise FlattenError(f"clean of non-bit value {item.name!r}",
-                                   item.line)
-            for s in slots:  # read as 0 again, written fresh next
-                if s in self.inputs:  # its wire is the circuit's input
-                    raise FlattenError(f"clean of {item.name!r} would "
-                                       f"release an input bit", item.line)
-                if s not in self.fresh:
-                    self.emit(CleanSlot(s))
-                    self.fresh.add(s)
-        elif isinstance(item, ExprItem):
-            self.eval_value(item.expr, scope)
-        else:
-            raise FlattenError(f"unexpected item {type(item).__name__}")
-
-    def do_assign(self, item: Assign, scope: _Scope) -> None:
-        rhs, target = item.expr, item.target
-        # 1. `x <- f args`: inlined once, in place or re-binding x
-        f = scope.function(rhs)
-        if isinstance(target, EName) and f is not None:
-            self.assign_call(item, f, scope)
-            return
-        # the target, and the bit it holds before rhs runs
-        if isinstance(target, EName):
-            b = self.mutable(scope, target.name, item.line)
-            bit = b[0].slot if isinstance(b[0], _BitVal) else None
-        else:
-            bit, arr, i = self.element_slot(target, scope)
-        if self.branch_depth and not (isinstance(target, EName)
-                                      and relabels(rhs)):
-            raise FlattenError(_BRANCH_RELABELS, item.line)
-        # 2. a re-label re-binds x, or an unwritten element
-        v = self.eval_value(rhs, scope) if relabels(rhs) else None
-        if type(v) in (_BitVal, _ArrVal, _ConstBitVal):
-            if isinstance(target, EName):
-                rebind(self, b, v)
-                return
-            if (type(v) is _BitVal and bit in self.fresh
-                    and bit not in self.enforced):
-                arr.slots[i] = v.slot
-                return
-        # 3. computed assignment: in place by the shared rule or onto an
-        # unwritten element, else onto a new slot
-        e = self.eval_scalar(rhs, scope) if v is None else self.bit_expr(v, rhs)
-        # whether the target still holds its bit: a call in rhs may re-bind it
-        kept = (arr.slots[i] if isinstance(target, EIndex) else
-                b[0].slot if type(b[0]) is _BitVal else None) == bit
-        if kept and (writes_in_place(item, bit, self.reads)
-                     or isinstance(target, EIndex) and bit in self.fresh):
-            self.write_in_place(bit, e)
-        elif bit in self.enforced:
-            raise FlattenError(_NOT_ACCUMULATING, item.line)
-        elif isinstance(target, EName):
-            rebind(self, b, _BitVal(self.compute(e)))
-        else:
-            arr.slots[i] = self.compute(e)
-
-    def element_slot(self, target: EIndex, scope: _Scope):
-        arr = scope.get(target.name, FlattenError, target.line)[0]
-        if not isinstance(arr, _ArrVal):
-            raise FlattenError(f"{target.name!r} is not a bit array", target.line)
-        i = self.eval_int(target.index, scope, target.line)
-        if not 0 <= i < len(arr.slots):
-            raise FlattenError(f"index {i} out of range for {target.name!r} "
-                               f"(size {len(arr.slots)})", target.line)
-        return arr.slots[i], arr, i
-
     def write_in_place(self, slot: int, e: BoolExp) -> None:
         """Leave e's value on `slot`: slot := e if it is fresh, slot ^= rest
         if e is slot ^ rest, else through a new slot, d := e ^ slot and
@@ -1799,23 +1947,6 @@ class Flattener:
         self.emit(Compute(slot, rest, False))
 
     # -- calls by template ----------------------------------------------------
-    def assign_call(self, item: Assign, f: _FuncVal, scope: _Scope) -> None:
-        name = item.target.name
-        b = self.mutable(scope, name, item.line)
-        args = [self.eval_value(a, scope) for a in item.expr.args]
-        target = _slots_of(b[0]) or []
-        ret = in_place_binding(f.defn, target,
-                               [_slots_of(a) or [] for a in args], self.nested,
-                               self.results)
-        if ret is not None:  # the body accumulates onto the target
-            self.call(f, args, item.line, target, ret)
-            return
-        value = self.call(f, args, item.line)  # out of place: re-bind x
-        if isinstance(value, (_IntVal, _IntArrVal)):
-            raise FlattenError(f"cannot assign non-bit value to {name!r}",
-                               item.line)
-        rebind(self, b, value)
-
     def call(self, f: _FuncVal, args: list, line: int, target=(), ret=None):
         """Flatten call `f args`, in place onto `target` if `ret` (f's result
         binding) is given, and return its value (None in place).
@@ -1840,23 +1971,19 @@ class Flattener:
             value = self.inline_call(f, args, line=line)
         else:
             value = None
-            self.inline_in_place(f, args, target, ret,
-                                 slots if key is not None else (), line)
+            self.inline_in_place(f, args, target, ret, line,
+                                 slots if key is not None else ())
         if key is not None:
             self.record(key, slots, mark, value)
         return value
 
     def inline_in_place(self, f: _FuncVal, args: list, target: list[int],
-                        ret: LetBind, slots, line: int) -> None:
+                        ret: LetBind, line: int, slots=()) -> None:
         """Inline f with its result `ret` bound to `target` and emit the
         block of its statements, its slots `slots` first."""
         outer, self.stmts = self.stmts, []
         pre_slots = self.slot_count
-        self.nested += 1
-        self.enforced = set(target)
-        self.inline_call(f, args, alias=(ret, target, line), line=line)
-        self.nested -= 1
-        self.enforced = set()
+        super().inline_in_place(f, args, target, ret, line)
         body, self.stmts = self.stmts, outer
         block = InPlaceBlock.from_statements(
             target, body, list(range(pre_slots, self.slot_count)), slots)
@@ -2008,70 +2135,6 @@ class Flattener:
                 f"function {fname!r} used in an in-place update leaves "
                 f"non-zero local bits", line)
 
-    # -- conditionals (`if_value`) ------------------------------------------
-    @staticmethod
-    def bits(v) -> list | None:
-        """A branch's value as slots, or a constant's BoolExp."""
-        return [bconst(v.value)] if type(v) is _ConstBitVal else _slots_of(v)
-
-    def mux(self, c: BoolExp, t, x) -> int:
-        t, x = (self.read(p) if type(p) is int else p for p in (t, x))
-        return self.compute(bxor([band([c, t]), band([c, x]), x]))
-
-    @staticmethod
-    def wrap(slots: list[int], t, x):
-        return _ArrVal(slots) if _ArrVal in (type(t), type(x)) else _BitVal(slots[0])
-
-    # -- entry ---------------------------------------------------------------------
-    def run(self) -> FlatProgram:
-        scope = _Scope(None)
-        for pname, pval in self.params.items():
-            scope.bind(pname, _IntVal(pval))
-        entry, final = _entry_point(self.program, scope, self.do_item,
-                                    FlattenError)
-        name, inputs, layout = "program", [], []
-        if entry is None:
-            value = self.eval_value(final, scope)
-        else:
-            name, line = entry.defn.name, entry.defn.line
-            args = []
-            for pname, ann in entry.defn.params:
-                array = ann is not None and ann[0] == "array"
-                if array and ann[1] is None:
-                    raise FlattenError(
-                        f"entry parameter {pname!r} needs a sized "
-                        f"annotation like (x : bool[8])", line)
-                n = self.eval_int(ann[1], scope, line) if array else 1
-                self.allocated = _count_bits(self.allocated, n, FlattenError,
-                                             line)
-                slots = [self.new_slot() for _ in range(n)]
-                inputs.extend(slots)
-                args.append(_ArrVal(slots) if array else _BitVal(slots[0]))
-                layout.append((pname, n))
-            self.inputs = set(inputs)
-            value = self.inline_call(entry, args, line=line)
-        outputs = self.output_slots(value)
-        return FlatProgram(name=name, input_slots=inputs,
-                           output_slots=outputs, statements=self.stmts,
-                           slot_count=self.slot_count, input_layout=layout)
-
-    def output_slots(self, value) -> list[int]:
-        slots = _slots_of(value)
-        if slots is None:
-            if not isinstance(value, _ConstBitVal):
-                raise FlattenError("program output must be a bit or bit array")
-            slots = [self.compute(bconst(value.value))]
-        out: list[int] = []
-        seen: set[int] = set()
-        for s in slots:
-            # outputs land on distinct wires, and a fresh slot has none:
-            # copy, a fresh slot as the constant 0
-            if s in seen or s in self.fresh:
-                s = self.compute(self.read(s))
-            seen.add(s)
-            out.append(s)
-        return out
-
 
 def flatten(program, params: dict | None = None,
             counts: dict | None = None) -> FlatProgram:
@@ -2081,355 +2144,66 @@ def flatten(program, params: dict | None = None,
     if isinstance(program, FlatProgram):
         return program
     fl = Flattener(program, params)
-    try:
-        prog = fl.run()
-    except RecursionError:
-        # calls or expressions nested past Python's stack, e.g. a long
-        # chain of functions each calling the one before
-        raise FlattenError("program nests too deeply", fl.line) from None
+    name, inputs, layout, outputs = fl.run()
     if counts is not None:
         counts.update(call_templates=fl.call_templates,
                       call_replays=fl.call_replays)
-    return prog
+    return FlatProgram(name=name, input_slots=inputs, output_slots=outputs,
+                       statements=fl.stmts, slot_count=fl.slot_count,
+                       input_layout=layout)
 
 
 # ---------------------------------------------------------------------------
-# Direct AST-walking interpreter (cross-check on flatten + interpret)
+# Source interpreter: the walk over plain bits (cross-check on flatten)
 
 
-class _Box:
-    """One wire; `fresh` while it is an unwritten Array.zeroCreate bit or
-    a `clean`ed one."""
-    __slots__ = ("v", "fresh")
-
-    def __init__(self, v: int = 0, fresh: bool = False):
-        self.v = v & 1
-        self.fresh = fresh
-
-
-def _bit(v) -> int:
-    """The 0/1 of a bit value: a box or a constant."""
-    if isinstance(v, _Box):
-        return v.v
-    if isinstance(v, bool):
-        return int(v)
-    raise InterpretError("expected a bit value")
-
-
-def _boxes(v) -> list | None:
-    """The boxes a value holds: a bit or a bit array; else None."""
-    if isinstance(v, _Box):
-        return [v]
-    if isinstance(v, list) and all(isinstance(x, _Box) for x in v):
-        return v
-    return None
-
-
-class SourceInterpreter:
-    """Big-step evaluator over the AST with the same conventions as flatten:
-    a bit is a box, which re-labels share, and a constant stays a bool;
-    in-place calls (`in_place_binding`) bind the callee's result buffer to
-    the target's boxes, another write lands on the box the target held
-    before its right side ran, if it still holds it, when `writes_in_place`
-    says so (or the box is an unwritten element's), and an `if` is decided
-    by `if_value`."""
+class SourceInterpreter(_Walker):
+    """The walk over plain bits, on one input (`given`): a slot holds 0 or
+    1 (`vals`, 0 if absent), computed as its expression is reached.  It
+    shares the walk's rules, and checks flatten's own machinery (BoolExps,
+    templates, replays, blocks, `read_before`) by running without it."""
     error = InterpretError
 
-    def __init__(self, program: Program, params: dict | None = None):
-        self.program = program
-        self.params = dict(program.pragmas)
-        if params:
-            self.params.update(params)
-        self.nested = 0  # >0: inside an in-place body or an if-branch
-        self.branch_depth = 0  # >0: inside a bit-if branch, re-labels only
-        self.journal: list[list] = []  # per open branch: (binding, old value)
-        self.enforced: set = set()  # in-place target boxes
-        self.iterations = 0  # loop iterations run so far
-        self.allocated = 0  # bits allocated by arrays and entry parameters
-        self.active: set[int] = set()  # id(LetDef) of the calls running
-        self.line: int | None = None  # of the item being run
-        self.inputs: set = set()  # the entry parameters' boxes
-        self.results: dict = {}  # id(LetDef) -> _in_place_result()
-        # id of each name or element read -> its box, or None (`writes_in_place`)
-        self.reads: dict = {}
-
-    # value model: int | list[int] (compile-time) | _Box | list[_Box] | closure
-    def run(self, inputs) -> list[int]:
-        scope = _Scope(None)
-        for k, v in self.params.items():
-            scope.bind(k, v)
-        entry, final = _entry_point(self.program, scope, self.do_item,
-                                    InterpretError)
-        if entry is None:
-            if inputs:
-                raise InterpretError("program takes no inputs")
-            value = self.eval(final, scope)
-        else:
-            args = []
-            pos = 0
-            for pname, ann in entry.defn.params:
-                array = ann is not None and ann[0] == "array"
-                n = self.eval_int(ann[1], scope) if array else 1
-                self.allocated = _count_bits(self.allocated, n, InterpretError,
-                                             entry.defn.line)
-                boxes = [_Box(b) for b in inputs[pos:pos + n]]
-                self.inputs.update(boxes)
-                # too few inputs leave `boxes` short: the count check says so
-                args.append(boxes if array or not boxes else boxes[0])
-                pos += n
-            if pos != len(inputs):
-                raise InterpretError(f"expected {pos} input bits, got {len(inputs)}")
-            value = self.call(entry, args)
-        if isinstance(value, _Box):
-            return [value.v]
-        if isinstance(value, bool):
-            return [int(value)]
-        return [b.v if isinstance(b, _Box) else int(b) for b in value]
-
-    def eval_int(self, e, scope) -> int:
-        v = self.eval(e, scope)
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise InterpretError("expected a compile-time integer")
-        return v
-
-    def eval_bit(self, e, scope) -> int:
-        return _bit(self.eval(e, scope))
-
-    def box(self, v) -> _Box:
-        """A new bit holding v, as flatten's `compute`."""
-        if self.branch_depth:
-            raise InterpretError(_BRANCH_RELABELS, self.line)
-        return _Box(v)
-
-    # -- conditionals (`if_value`), as in flatten
-    @staticmethod
-    def bits(v) -> list | None:
-        """A branch's value as boxes, or a constant's bool."""
-        return [v] if isinstance(v, bool) else _boxes(v)
-
-    def mux(self, c: _Box, t, x) -> _Box:
-        return self.box(_bit(t if c.v else x))
+    def __init__(self, program: Program, params: dict | None = None,
+                 inputs=()):
+        super().__init__(program, params)
+        self.given = list(inputs)
+        self.vals: dict[int, int] = {}
 
     @staticmethod
-    def wrap(boxes: list, t, x):
-        return boxes if list in (type(t), type(x)) else boxes[0]
+    def const(v: bool) -> int:
+        return int(v)
 
-    def eval(self, e, scope):
-        if isinstance(e, EInt):
-            return e.value
-        if isinstance(e, EBool):
-            return e.value
-        if isinstance(e, EArrayLit):
-            return [self.eval_int(x, scope) for x in e.items]
-        if isinstance(e, EName):
-            v = scope.get(e.name, InterpretError, e.line)[0]
-            if isinstance(v, list) and v and isinstance(v[0], _Box):
-                v = list(v)
-            self.reads[id(e)] = v if isinstance(v, _Box) else None
-            return v
-        if isinstance(e, ENot):
-            return self.box(1 ^ self.eval_bit(e.arg, scope))
-        if isinstance(e, EBin):
-            if e.op in "+-*/%":
-                return _int_chain(e, lambda x: self.eval_int(x, scope),
-                                  InterpretError)
-            bits = [self.eval_bit(x, scope) for x in _chain(e)]
-            return self.box(all(bits) if e.op == "&&" else
-                            any(bits) if e.op == "||" else sum(bits))
-        if isinstance(e, EIndex):
-            v = scope.get(e.name, InterpretError, e.line)[0]
-            i = self.eval_int(e.index, scope)
-            if isinstance(v, list):
-                if not 0 <= i < len(v):
-                    raise InterpretError(f"index {i} out of range for "
-                                         f"{e.name!r} (size {len(v)})", e.line)
-                v = v[i]
-                self.reads[id(e)] = v if isinstance(v, _Box) else None
-                return v
-            raise InterpretError(f"{e.name!r} is not an array", e.line)
-        if isinstance(e, ESlice):
-            v = scope.get(e.name, InterpretError, e.line)[0]
-            if not isinstance(v, list):
-                raise InterpretError(f"{e.name!r} is not an array", e.line)
-            lo, hi = self.eval_int(e.lo, scope), self.eval_int(e.hi, scope)
-            if not (0 <= lo and hi < len(v)):
-                raise InterpretError(f"slice [{lo}..{hi}] out of range for "
-                                     f"{e.name!r} (size {len(v)})", e.line)
-            return v[lo:hi + 1]
-        if isinstance(e, EApp):
-            return self.eval_app(e, scope)
-        if isinstance(e, EIf):
-            c = self.eval(e.cond, scope)
-            _bit(c)  # a bit or a constant
-            return if_value(self, e, scope, c)
-        if isinstance(e, EList):
-            raise InterpretError(_LIST_ONLY_IN_CONCAT, e.line)
-        raise InterpretError(f"cannot evaluate {type(e).__name__}")
+    def read(self, slot: int) -> int:
+        return self.vals.get(slot, 0)
 
-    def eval_app(self, e: EApp, scope):
-        fn = e.fn
-        if fn == "Array.zeroCreate":
-            n = self.eval_int(e.args[0], scope)
-            self.allocated = _count_bits(self.allocated, n, InterpretError,
-                                         e.line)
-            return [_Box(fresh=True) for _ in range(n)]
-        if fn == "Array.append":
-            a, b = self.eval(e.args[0], scope), self.eval(e.args[1], scope)
-            return list(a) + list(b)
-        if fn == "Array.concat":
-            out = []
-            for x in e.args[0].items:
-                out.extend(self.eval(x, scope))
-            return out
-        if fn == "Array.length":
-            return len(self.eval(e.args[0], scope))
-        if fn == "rot":
-            k = self.eval_int(e.args[0], scope)
-            a = self.eval(e.args[1], scope)
-            n = len(a)
-            return [a[(i + k) % n] for i in range(n)]
-        if fn in ("int", "float"):
-            return self.eval(e.args[0], scope)
-        if fn == "sqrt":
-            return _int_sqrt(self.eval_int(e.args[0], scope), InterpretError,
-                             e.line)
-        if fn == "__block__":
-            return self.call(_FuncVal(e.args[0], scope), [])
-        f = scope.function(e)
-        if f is None:
-            raise InterpretError(f"unknown function {fn!r}", e.line)
-        return self.call(f, [self.eval(a, scope) for a in e.args], line=e.line)
+    @staticmethod
+    def chain(op: str, args: list, line) -> int:
+        if op == "<>":
+            return sum(args) & 1
+        return int(all(args) if op == "&&" else any(args))
 
-    def call(self, f: _FuncVal, args, alias=None, line=None):
-        """Run f once; `alias` = (result binding, target boxes, call line)
-        binds the result buffer to the in-place target."""
-        scope = _Scope(f.env)
-        for (pname, _ann), v in zip(f.defn.params, args):
-            scope.bind(pname, v, isinstance(v, list))
-        with _entering(self.active, f.defn, InterpretError, line):
-            return self.run_block(f.defn.body, scope, True, alias)
+    def put(self, slot: int, e: int) -> None:
+        self.vals[slot] = e
 
-    def run_block(self, block: Block, scope, want_value, alias=None):
-        value = None
-        for item in block.items:
-            self.line = item.line
-            if isinstance(item, ExprItem):
-                value = self.eval(item.expr, scope)
-            elif alias is not None and item is alias[0]:
-                ret, target, line = alias
-                n = self.eval_int(ret.expr.args[0], scope)
-                _check_width(ret, n, target, line, InterpretError)
-                scope.bind(ret.name, list(target), True)
-            else:
-                self.do_item(item, scope)
-        if want_value and value is None:
-            raise InterpretError("block does not end in an expression")
-        return value
+    def write_in_place(self, slot: int, e: int) -> None:
+        self.fresh.discard(slot)
+        self.vals[slot] = e
 
-    def do_item(self, item, scope):
-        self.line = item.line
-        if isinstance(item, LetDef):
-            scope.bind(item.name, _FuncVal(item, scope))
-        elif isinstance(item, LetBind):
-            v = self.eval(item.expr, scope)
-            scope.bind(item.name, v, item.mutable or isinstance(v, list))
-        elif isinstance(item, Assign):
-            self.do_assign(item, scope)
-        elif isinstance(item, ForLoop):
-            lo, hi = self.eval_int(item.lo, scope), self.eval_int(item.hi, scope)
-            self.iterations = _count_iterations(self.iterations, lo, hi,
-                                                InterpretError, item.line)
-            for i in range(lo, hi + 1):
-                inner = _Scope(scope)
-                inner.bind(item.var, i)
-                self.run_block(item.body, inner, False)
-        elif isinstance(item, CleanStmt):
-            if self.branch_depth:
-                raise InterpretError("clean not allowed in conditional "
-                                     "branches", item.line)
-            v = scope.get(item.name, InterpretError, item.line)[0]
-            boxes = [v] if isinstance(v, _Box) else v
-            if not isinstance(boxes, list):
-                raise InterpretError(f"clean of non-bit value {item.name!r}",
-                                     item.line)
-            if not self.inputs.isdisjoint(boxes):  # as in flatten
-                raise InterpretError(f"clean of {item.name!r} would release "
-                                     f"an input bit", item.line)
-            for box in boxes:
-                if box.v != 0:
-                    raise InterpretError(f"clean of non-zero value "
-                                         f"{item.name!r}", item.line)
-                box.fresh = True  # as in flatten: unwritten again
-        elif isinstance(item, ExprItem):
-            self.eval(item.expr, scope)
-
-    def do_assign(self, item: Assign, scope):
-        rhs, target = item.expr, item.target
-        if isinstance(target, EIndex):
-            arr = scope.get(target.name, InterpretError, target.line)[0]
-            if not isinstance(arr, list) or arr and not isinstance(arr[0], _Box):
-                raise InterpretError(f"{target.name!r} is not a bit array",
-                                     target.line)
-            i = self.eval_int(target.index, scope)
-            if not 0 <= i < len(arr):
-                raise InterpretError(f"index {i} out of range for "
-                                     f"{target.name!r} (size {len(arr)})",
-                                     target.line)
-            if self.branch_depth:
-                raise InterpretError(_BRANCH_RELABELS, item.line)
-            box = arr[i]  # the bit the element holds before rhs runs
-            v = self.eval(rhs, scope)
-            # as in flatten: an unwritten element re-labeled to a bit shares
-            # its wire; a write onto the element's wire, if rhs left it there,
-            # when unwritten, a target's or by the shared rule; else a new wire
-            if (relabels(rhs) and box.fresh and box not in self.enforced
-                    and isinstance(v, _Box)):
-                arr[i] = v
-            elif arr[i] is box and (box.fresh or box in self.enforced
-                                    or writes_in_place(item, box, self.reads)):
-                box.v, box.fresh = _bit(v), False
-            else:
-                arr[i] = _Box(_bit(v))
-            return
-        name = target.name
-        b = scope.get(name, InterpretError, item.line)
-        if not b[1]:
-            raise InterpretError(f"assignment to immutable binding {name!r}",
+    def clean_slot(self, slot: int, item: CleanStmt) -> None:
+        if self.read(slot):
+            raise InterpretError(f"clean of non-zero value {item.name!r}",
                                  item.line)
-        # in-place call convention
-        f = scope.function(rhs)
-        if f is not None:
-            args = [self.eval(a, scope) for a in rhs.args]
-            boxes = _boxes(b[0]) or []
-            ret = in_place_binding(f.defn, boxes,
-                                   [_boxes(a) or [] for a in args],
-                                   self.nested, self.results)
-            if ret is not None:  # in place: the target keeps its name
-                self.nested += 1
-                self.enforced = set(boxes)
-                self.call(f, args, alias=(ret, boxes, item.line),
-                          line=item.line)
-                self.nested -= 1
-                self.enforced = set()
-            else:
-                rebind(self, b, self.call(f, args, line=item.line))
-            return
-        if self.branch_depth and not relabels(rhs):
-            raise InterpretError(_BRANCH_RELABELS, item.line)
-        box = b[0] if isinstance(b[0], _Box) else None  # before rhs runs
-        v = self.eval(rhs, scope)
-        # as in flatten: a re-label re-binds the name, and a write by the
-        # shared rule lands on the bit the name held, if it still holds it
-        if (not relabels(rhs) and b[0] is box
-                and writes_in_place(item, box, self.reads)):
-            box.v, box.fresh = _bit(v), False
-        else:
-            rebind(self, b, v)
+
+    def load(self, slots: list[int]) -> None:
+        if len(self.given) != len(slots):
+            raise InterpretError(f"expected {len(slots)} input bits, got "
+                                 f"{len(self.given)}")
+        self.vals.update(zip(slots, [b & 1 for b in self.given]))
 
 
 def interpret_source(program: Program, inputs, params: dict | None = None) -> list[int]:
-    it = SourceInterpreter(program, params)
-    try:
-        return it.run(inputs)
-    except RecursionError:
-        raise InterpretError("program nests too deeply", it.line) from None
+    """Run the program on one input, a list of 0/1, without flattening it;
+    a list of 0/1 out."""
+    it = SourceInterpreter(program, params, inputs)
+    return [it.read(s) for s in it.run()[3]]

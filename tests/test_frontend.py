@@ -1,3 +1,4 @@
+import json
 import random
 from importlib import resources
 
@@ -48,6 +49,11 @@ def test_parse_errors():
     for target in ("f x", "a.[0..1]", "(x)"):  # not a name or an element
         with pytest.raises(ParseError, match="line 2: can only assign"):
             parse(f"let f (x : bool) (y : bool) =\n    {target} <- y\n    y")
+    for call, n in [("Array.append x", 2), ("rot 1", 2),
+                    ("Array.concat [x] [x]", 1), ("Array.zeroCreate 1 2", 1)]:
+        with pytest.raises(ParseError, match=f"^line 2: .* expects {n} "
+                                             f"argument"):
+            parse(f"let f (x : bool[2]) =\n    {call}\n")
 
 
 def test_parse_shapes():
@@ -221,6 +227,69 @@ OUT_OF_RANGE = {
 def test_out_of_range_is_the_same_error_in_both_evaluators(case):
     src, error = OUT_OF_RANGE[case]
     assert_same_error(parse(src), 2, error)
+
+
+# values of the wrong kind, calls of the wrong arity, bad entry points and
+# outputs: the same one-line error, with its line, from both evaluators.
+# Each program's entry takes x : bool[2], or it has none.
+MALFORMED = {
+    "int-to-bit-name": ("let main (x : bool[2]) =\n"
+                        "    let mutable a = x.[0]\n"
+                        "    a <- 3\n"
+                        "    a\n",
+                        "line 3: expected a bit-valued expression"),
+    "int-condition": ("let main (x : bool[2]) =\n"
+                      "    let r = if 3 then x.[0] else x.[1]\n"
+                      "    r\n",
+                      "line 2: expected a bit-valued expression"),
+    "append-int": ("let main (x : bool[2]) =\n    Array.append x 3\n",
+                   "line 2: Array.append expects bit arrays"),
+    "concat-int": ("let main (x : bool[2]) =\n    Array.concat [x; 3]\n",
+                   "line 2: Array.concat expects bit arrays"),
+    "rot-of-bit": ("let main (x : bool[2]) =\n    rot 1 x.[0]\n",
+                   "line 2: rot expects a bit array"),
+    "length-of-bit": ("let main (x : bool[2]) =\n"
+                      "    x.[Array.length x.[0]]\n",
+                      "line 2: Array.length of a non-array"),
+    "int-result": ("let main (x : bool[2]) =\n    3\n",
+                   "line 2: program output must be a bit or bit array"),
+    "int-final-expression": ("let k = 3\nk\n",
+                             "line 2: program output must be a bit or bit "
+                             "array"),
+    "int-array-output": ("let main (x : bool[2]) =\n    [|1; 2|]\n",
+                         "line 2: program output must be a bit or bit "
+                         "array"),
+    "int-call-assigned": ("let main (x : bool[2]) =\n"
+                          "    let g (y : bool) = 3\n"
+                          "    let mutable m = x.[0]\n"
+                          "    m <- g x.[1]\n"
+                          "    m\n",
+                          "line 4: cannot assign non-bit value to 'm'"),
+    "too-few-arguments": ("let main (x : bool[2]) =\n"
+                          "    let f (a : bool) (b : bool) = a && b\n"
+                          "    f x.[0]\n",
+                          "line 3: f expects 2 argument(s), got 1"),
+    "unsized-entry-array": ("let main (x : bool array) =\n    x\n",
+                            "line 1: entry parameter 'x' needs a sized "
+                            "annotation like (x : bool[8])"),
+    "bool-index": ("let main (x : bool[2]) =\n    x.[true]\n",
+                   "line 2: bound or index is not a compile-time integer"),
+    "function-result": ("let main (x : bool[2]) =\n"
+                        "    let f (y : bool) = y\n"
+                        "    f\n",
+                        "line 1: main returned no value"),
+    "no-final-expression": ("let main (x : bool[2]) =\n"
+                            "    let y = x\n",
+                            "line 2: block does not end in an expression"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_program_is_the_same_error_in_both_evaluators(case):
+    src, error = MALFORMED[case]
+    assert error.startswith("line ") and "\n" not in error
+    assert_same_error(parse(src), 2 if src.startswith("let main") else 0,
+                      error)
 
 
 def test_relabels_emit_no_statements():
@@ -593,9 +662,8 @@ def test_non_accumulating_write_into_target_is_an_error():
     # the write goes through another name, so the rule does not see it
     src = in_place_program(1, ["let s = out", "s.[0] <- x.[0]"])
     line = 1 + src.splitlines().index("    s.[0] <- x.[0]")
-    with pytest.raises(FlattenError, match=f"line {line}: a write into an "
-                                           "in-place target must accumulate"):
-        flatten(parse(src))
+    assert_same_error(parse(src), 2, f"line {line}: a write into an in-place "
+                                     f"target must accumulate (t <- t <> e)")
 
 
 IF_LET = """
@@ -1587,6 +1655,19 @@ let main (x : bool[2]) =
             x.[1]
     r
 """,
+    # t is bound inside the branch: only names bound before the `if` are
+    # merged after it, so t gets no multiplexer of its own
+    "own-binding-in-branch": """\
+let main (c : bool) (x : bool[2]) =
+    let r =
+        if c then
+            let mutable t = x.[0]
+            t <- x.[1]
+            t
+        else
+            x.[0]
+    r
+""",
 }
 
 # each case's output, worked out by hand, on inputs [c, x.[0], ...], or
@@ -1603,6 +1684,7 @@ IF_RULE_OUTPUT = {
         "line 5: conditional branches may only re-label existing values",
     "bit-if-in-branch":
         "line 4: conditional branches may only re-label existing values",
+    "own-binding-in-branch": lambda c, x0, x1: [x1 if c else x0],
 }
 
 
@@ -1615,6 +1697,23 @@ def test_if_rule_in_both_evaluators(case):
         return
     assert_compiles_like_source(ast)
     assert_outputs(ast, flatten(ast), expected)
+
+
+def test_binding_made_in_a_branch_costs_no_gates(tmp_path, capsys):
+    """The `if` whose branch binds and re-binds its own name compiles to
+    the gates of the `if` that returns x.[1] directly."""
+    direct = ("let main (c : bool) (x : bool[2]) =\n"
+              "    let r = if c then x.[1] else x.[0]\n"
+              "    r\n")
+    counts = []
+    for name, src in [("own", IF_RULE["own-binding-in-branch"]),
+                      ("direct", direct)]:
+        path = tmp_path / f"{name}.rev"
+        path.write_text(src)
+        assert cli_main(["stats", str(path), "--strategy", "eager"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        counts.append((report["toffoli_count"], report["gate_count"]))
+    assert counts[0] == counts[1] == (2, 3)
 
 
 def aliased_writes_program(seed: int) -> str:
