@@ -15,7 +15,7 @@ makes them, and the gates over registers (0 the target, 1..n the
 variables, then one per scratch allocation).  `Recipe.replay` runs the
 heap operations and resolves each gate's registers to wires.  A recipe
 depends only on the shape, so one recipe serves every expression of that
-shape and every wire mapping; `synthesize` is the two steps in one call.
+shape and every wire mapping.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ MAX_STATEMENT_GATES = 1_000_000
 
 
 def synthesis_cost(e: BoolExp) -> tuple[int, int]:
-    """(gates, Toffolis) that synthesize(e) emits, exactly.  Memoized on
+    """(gates, Toffolis) in the recipe of e's shape, exactly.  Memoized on
     node identity, so it is linear in the DAG even where a shared subtree
     makes the synthesized tree exponential (as the two-operand fold of
     `bor` does when nested)."""
@@ -297,14 +297,9 @@ def synthesis_cost(e: BoolExp) -> tuple[int, int]:
 
 
 def gate_count(e: BoolExp) -> int:
-    """Number of gates synthesize(e) emits, exactly (`synthesis_cost`)."""
+    """Number of gates in the recipe of e's shape, exactly
+    (`synthesis_cost`)."""
     return synthesis_cost(e)[0]
-
-
-def and_cost(e: BoolExp) -> int:
-    """Toffoli count synthesize(e) emits (`synthesis_cost`); CNOT and NOT
-    are free."""
-    return synthesis_cost(e)[1]
 
 
 def shape(e: BoolExp) -> tuple[tuple, tuple[int, ...]]:
@@ -472,15 +467,3 @@ def compile_shape(key: tuple, n_vars: int) -> Recipe:
     emit(key, 0, gates)
     return Recipe(tuple(heap_ops), tuple(gates))
 
-
-def synthesize(e: BoolExp, target: int, heap: AncillaHeap,
-               wires: dict[int, int]) -> list[Gate]:
-    """Gates mapping target y to y ^ eval(e); inputs and ancillas restored.
-
-    `wires` maps each variable of e (a value slot) to the wire holding it.
-    Every ancilla taken from the heap is uncomputed and returned before
-    the sequence ends, so the net heap state is unchanged.
-    """
-    key, slots = shape(e)
-    return compile_shape(key, len(slots)).replay(
-        [target, *[wires[s] for s in slots]], heap, gate_tables())

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -50,10 +49,10 @@ import time
 from . import blif as blif_mod
 from . import circuit as circuit_mod
 from . import pebble as pebble_mod
-from .emitter import Emitter, circuit_report, compile_flat
+from .emitter import Emitter, compile_flat
 from .frontend import FrontendError, InPlaceBlock, flatten, parse
 from .mdd import build_mdd, to_dot
-from .scheduler import BudgetError, schedule
+from .scheduler import STRATEGIES, BudgetError, live_profile, schedule
 
 
 class CliError(Exception):
@@ -112,9 +111,25 @@ def _compile(args):
 
 
 def _report(prog, plan, circ, em, stages, counts) -> dict:
-    rep = circuit_report(plan, circ)
+    """Counts of the circuit, the plan, the dependency graph, the flat
+    program and the emitter, and the seconds of each stage.  A plan that
+    was made without the graph (all but eager's) has it built here, for
+    the report only."""
+    g = plan.mdd if plan.mdd is not None else build_mdd(prog)
     blocks = [s for s in prog.statements if isinstance(s, InPlaceBlock)]
-    rep.update({"flat_statements": len(prog.statements),
+    rep = circuit_mod.stats(circ)
+    rep.update({"strategy": plan.strategy,
+                "input_count": len(circ.inputs),
+                "output_count": len(circ.outputs),
+                "gate_count": len(circ.gates),
+                "unclean_count": len(plan.unclean_nodes),
+                "checkpoints": plan.checkpoints,
+                "reversals_inserted": plan.reversals_inserted,
+                "mdd_nodes": len(g.nodes),
+                "mdd_read_edges": sum(map(len, g.reads.values())),
+                "peak_live": max(live_profile(plan),
+                                 default=len(circ.inputs)),
+                "flat_statements": len(prog.statements),
                 "inplace_blocks": len(blocks),
                 "block_templates": len({b.token for b in blocks}),
                 "block_body_statements": sum(len(b.token.stmts)
@@ -201,7 +216,7 @@ def cmd_pebble(args) -> int:
             moves, k_used = pebble_mod.incremental_strategy(T, k), k
         elif strat == "lmt":
             moves = pebble_mod.lmt_strategy(T)
-            k_used = k or (1 if T == 1 else math.ceil(math.log2(T)) + 1)
+            k_used = k or pebble_mod.log_space_pebbles(T)
         elif strat == "knill":
             if k is None:
                 raise CliError("knill needs --pebbles")
@@ -234,8 +249,6 @@ def cmd_pebble_table(args) -> int:
 
 
 def cmd_blif(args) -> int:
-    from .circuit import stats as c_stats
-
     rows = []
     for path in args.files:
         try:
@@ -250,13 +263,14 @@ def cmd_blif(args) -> int:
         opt = compile_flat(blif_mod.lower(net, optimize=True), args.strategy)[1]
         elapsed = time.perf_counter() - t0
         circ = opt if args.optimize_xor else base
-        b, o = c_stats(base)["toffoli_count"], c_stats(opt)["toffoli_count"]
+        b = circuit_mod.stats(base)["toffoli_count"]
+        o = circuit_mod.stats(opt)["toffoli_count"]
         reduction = 0.0 if b == 0 else round(100.0 * (b - o) / b, 1)
         row = {
             "file": path,
             "bits": circ.width,
             "gates": len(circ.gates),
-            "toffoli": c_stats(circ)["toffoli_count"],
+            "toffoli": circuit_mod.stats(circ)["toffoli_count"],
             "toffoli_unoptimized": b,
             "toffoli_optimized": o,
             "reduction_percent": reduction,
@@ -278,8 +292,7 @@ def _add_compile_flags(p, strategies=True):
     p.add_argument("--param", action="append", metavar="NAME=INT",
                    help="override a program parameter (repeatable)")
     if strategies:
-        p.add_argument("--strategy", default="bennett",
-                       choices=["bennett", "eager", "incremental"])
+        p.add_argument("--strategy", default="bennett", choices=STRATEGIES)
         p.add_argument("--qubits", type=int, default=None,
                        help="qubit budget for the incremental strategy")
     p.add_argument("--optimize-xor", action="store_true",
@@ -331,8 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("blif", help="batch-compile netlists and report a table")
     p.add_argument("files", nargs="+")
     p.add_argument("--optimize-xor", action="store_true")
-    p.add_argument("--strategy", default="eager",
-                   choices=["bennett", "eager", "incremental"])
+    p.add_argument("--strategy", default="eager", choices=STRATEGIES)
     p.add_argument("--report", default=None, help="write rows as JSON")
     p.set_defaults(func=cmd_blif)
 

@@ -49,14 +49,9 @@ from __future__ import annotations
 
 from .ancilla import AncillaHeap
 from .boolexpr import Recipe, compile_shape, gate_tables, shape
-from .circuit import (
-    CNOT, NOT, TOFFOLI, Circuit, Gate, cnot, stats as circuit_stats,
-)
+from .circuit import CNOT, NOT, TOFFOLI, Circuit, Gate, cnot
 from .frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
-from .mdd import build_mdd
-from .scheduler import (
-    Action, CleanupPlan, live_profile, origin, reopened_locals,
-)
+from .scheduler import Action, CleanupPlan, reopened_locals, schedule
 
 
 class _Registers:
@@ -98,9 +93,9 @@ class Emitter:
         self.slot_map: dict[int, int] = {s: i for i, s in enumerate(program.input_slots)}
         self.gates: list[Gate] = []
         self.output_wires: list[int] | None = None
-        # per-run records keyed by the action that made them, so that plans
-        # stay read-only: copy -> its fanout wires, remap -> the slot map it
-        # replaced
+        # per-run records keyed by the copy action they belong to (an
+        # action's `ref`, or the copy itself), so that plans stay read-only:
+        # its fanout wires, and the slot map its remap replaced
         self.copy_wires: dict[Action, list[int]] = {}
         self.saved_maps: dict[Action, dict] = {}
         # synthesis caches: id(expr) -> (expr, its recipe, *its slots in
@@ -245,7 +240,7 @@ class Emitter:
         src = [self._wire_of(s) for s in action.slots]
         dst = [self.heap.alloc() for _ in action.slots]
         self.gates += [cnot(a, b) for a, b in zip(src, dst)]
-        self.copy_wires[action] = dst
+        self.copy_wires[action.ref or action] = dst
         if action.tag == "output":
             self.output_wires = dst
 
@@ -253,24 +248,25 @@ class Emitter:
         # the copy's wires are those its slots held at unremap (see there),
         # but the source values may have migrated to other wires by now:
         # resolve them through the current slot map
-        dst = origin(action, self.copy_wires)
+        dst = self.copy_wires[action.ref]
         src = [self._wire_of(s) for s in action.slots]
         self.gates += [cnot(a, b) for a, b in zip(reversed(src), reversed(dst))]
         for d in dst:
             self.heap.free(d)
 
     def _do_remap(self, action: Action) -> None:
-        dst = origin(action, self.copy_wires)
-        self.saved_maps[action] = {s: self.slot_map.get(s) for s in action.slots}
+        dst = self.copy_wires[action.ref]
+        self.saved_maps[action.ref] = {s: self.slot_map.get(s)
+                                       for s in action.slots}
         for s, d in zip(action.slots, dst):
             self.slot_map[s] = d
 
     def _do_unremap(self, action: Action) -> None:
         # the copy now lives on its slots' wires: a `clean` between remap
         # and here freed a copy wire, and its reversal took another
-        origin(action, self.copy_wires)[:] = [self.slot_map[s]
-                                              for s in action.slots]
-        prev_map = origin(action, self.saved_maps)
+        self.copy_wires[action.ref][:] = [self.slot_map[s]
+                                          for s in action.slots]
+        prev_map = self.saved_maps[action.ref]
         for s in action.slots:
             prev = prev_map[s]
             if prev is None:
@@ -317,28 +313,6 @@ def emit(plan: CleanupPlan) -> Circuit:
 def compile_flat(program: FlatProgram, strategy: str = "bennett",
                  qubit_budget: int | None = None):
     """Schedule and emit in one step; returns (plan, circuit)."""
-    from .scheduler import schedule
-
     plan = schedule(program, strategy, qubit_budget)
     return plan, emit(plan)
 
-
-def circuit_report(plan: CleanupPlan, circ: Circuit) -> dict:
-    """Counts of the circuit and the plan.  `mdd_*` describe the program's
-    dependency graph under every strategy: a plan that was made without
-    one (all but eager's) has its graph built here, for the report only."""
-    g = plan.mdd if plan.mdd is not None else build_mdd(plan.program)
-    rep = circuit_stats(circ)
-    rep.update({
-        "strategy": plan.strategy,
-        "input_count": len(circ.inputs),
-        "output_count": len(circ.outputs),
-        "gate_count": len(circ.gates),
-        "unclean_count": len(plan.unclean_nodes),
-        "checkpoints": plan.checkpoints,
-        "reversals_inserted": plan.reversals_inserted,
-        "mdd_nodes": len(g.nodes),
-        "mdd_read_edges": sum(map(len, g.reads.values())),
-        "peak_live": max(live_profile(plan), default=len(circ.inputs)),
-    })
-    return rep

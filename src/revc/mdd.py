@@ -27,19 +27,16 @@ the graph, and a node's `stmt_index` places it in the plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .boolexpr import variables
-from .frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock, interpret
+from .frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
 
 INPUT = "input"
 INIT = "init"
 OP = "op"
 CLEAN = "clean"
 OUTPUT = "output"
-
-ONE_WAY = "OneWay"
-INTERDEPENDENT = "Interdependent"
 
 
 @dataclass
@@ -61,9 +58,7 @@ class MDD:
     dependents: dict = field(default_factory=dict)
     mutation_next: dict = field(default_factory=dict)
     mutation_prev: dict = field(default_factory=dict)
-    current: dict = field(default_factory=dict)  # slot -> node id (final state)
     input_ids: list = field(default_factory=list)
-    output_ids: list = field(default_factory=list)
     program: FlatProgram | None = None
 
     def node(self, nid: int) -> MddNode:
@@ -90,41 +85,6 @@ class MDD:
             out |= set(self.reads.get(nid, ())) - members
         return out
 
-    def mutation_paths(self) -> list:
-        """All maximal mutation paths (heads are Init or Input nodes)."""
-        heads = [n.id for n in self.nodes
-                 if self.mutation_prev.get(n.id) is None
-                 and (n.id in self.mutation_next or n.kind in (INIT, INPUT))]
-        paths = []
-        for h in heads:
-            p = [h]
-            while p[-1] in self.mutation_next:
-                p.append(self.mutation_next[p[-1]])
-            paths.append(p)
-        return paths
-
-    def classify_paths(self):
-        """Pairwise OneWay/Interdependent classification of mutation paths."""
-        paths = self.mutation_paths()
-        member_of = {}
-        for i, p in enumerate(paths):
-            for nid in p:
-                member_of[nid] = i
-        out = {}
-        for i in range(len(paths)):
-            for j in range(i + 1, len(paths)):
-                fwd = bwd = False  # i->j and j->i cross dependencies
-                for nid in paths[j]:
-                    for src in self.reads.get(nid, ()):
-                        if member_of.get(src) == i:
-                            fwd = True
-                for nid in paths[i]:
-                    for src in self.reads.get(nid, ()):
-                        if member_of.get(src) == j:
-                            bwd = True
-                out[(i, j)] = INTERDEPENDENT if (fwd and bwd) else ONE_WAY
-        return out
-
 
 def _add_node(g: MDD, kind: str, **kw) -> MddNode:
     n = MddNode(id=len(g.nodes), kind=kind, **kw)
@@ -148,30 +108,30 @@ def _mutate(g: MDD, prev: int, new: int) -> None:
 def build_mdd(program: FlatProgram) -> MDD:
     """One linear pass over the flat statements (O(n))."""
     g = MDD(program=program)
+    current: dict[int, int] = {}  # slot -> node id of its latest state
     for slot in program.input_slots:
         n = _add_node(g, INPUT, slot=slot)
         g.input_ids.append(n.id)
-        g.current[slot] = n.id
+        current[slot] = n.id
 
     def current_of(slot: int) -> int:
-        if slot not in g.current:
+        if slot not in current:
             # read of a never-written slot: an implicit zero init
-            n = _add_node(g, INIT, slot=slot)
-            g.current[slot] = n.id
-        return g.current[slot]
+            current[slot] = _add_node(g, INIT, slot=slot).id
+        return current[slot]
 
     for idx, stmt in enumerate(program.statements):
         if isinstance(stmt, Compute):
             srcs = [current_of(w) for w in sorted(variables(stmt.expr))]
             if stmt.fresh:
                 init = _add_node(g, INIT, slot=stmt.slot, stmt_index=idx)
-                g.current[stmt.slot] = init.id
+                current[stmt.slot] = init.id
             prev = current_of(stmt.slot)
             op = _add_node(g, OP, slot=stmt.slot, stmt_index=idx, stmt=stmt)
             _mutate(g, prev, op.id)
             for s in srcs:
                 _read(g, op.id, s)
-            g.current[stmt.slot] = op.id
+            current[stmt.slot] = op.id
         elif isinstance(stmt, InPlaceBlock):
             srcs = [current_of(w) for w in stmt.arg_slots]
             first = None
@@ -186,12 +146,12 @@ def build_mdd(program: FlatProgram) -> MDD:
                         _read(g, op.id, s)
                 else:
                     g.reads[op.id] = g.reads[first]
-                g.current[t] = op.id
+                current[t] = op.id
         elif isinstance(stmt, CleanSlot):
             prev = current_of(stmt.slot)
             cl = _add_node(g, CLEAN, slot=stmt.slot, stmt_index=idx, stmt=stmt)
             _mutate(g, prev, cl.id)
-            g.current[stmt.slot] = cl.id
+            current[stmt.slot] = cl.id
         else:
             raise TypeError(f"unknown statement {stmt!r}")
 
@@ -199,20 +159,7 @@ def build_mdd(program: FlatProgram) -> MDD:
         holder = current_of(slot)
         out = _add_node(g, OUTPUT, slot=slot)
         _mutate(g, holder, out.id)
-        g.output_ids.append(out.id)
     return g
-
-
-def evaluate_mdd(g: MDD, bits) -> list[int]:
-    """Run each emission unit once, in node (topological) order.
-
-    Cross-checks graph construction against `interpret` on the statements.
-    """
-    units: dict[int, object] = {}
-    for n in g.nodes:
-        if n.kind in (OP, CLEAN):
-            units.setdefault(n.stmt_index, n.stmt)
-    return interpret(replace(g.program, statements=list(units.values())), bits)
 
 
 def _label(n: MddNode, names: dict) -> str:

@@ -5,8 +5,7 @@ Placing or removing a pebble on node i requires a pebble on node i-1
 (the reversible rule).  Strategy generators: Bennett (place everything,
 then unwind), incremental (checkpointing under a pebble budget), a
 log-space recursive strategy, and an optimal search via the midpoint
-recursion solved with dynamic programming.  A brute-force breadth-first
-search over game states doubles as the referee for the optimizer.
+recursion solved with dynamic programming.
 """
 
 from __future__ import annotations
@@ -14,8 +13,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, log2
 
 PLACE = "place"
@@ -137,16 +135,21 @@ def _min_pebbles_for(T: int) -> int:
     return k
 
 
+def log_space_pebbles(T: int) -> int:
+    """The fewest pebbles that reach node T cleanly: ceil(log2 T)+1."""
+    return 1 if T == 1 else ceil(log2(T)) + 1
+
+
 def lmt_strategy(T: int) -> list[Move]:
-    """Log-space strategy: optimal play under a ceil(log2 T)+1 pebble budget.
+    """Log-space strategy: optimal play under the `log_space_pebbles`
+    budget.
 
     Peak pebbles is logarithmic in T; the step count grows superpolynomially
     (it is the budget-constrained optimum, e.g. 193 steps for T=32).
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    k = 1 if T == 1 else ceil(log2(T)) + 1
-    _, moves = knill_optimal(T, k)
+    _, moves = knill_optimal(T, log_space_pebbles(T))
     return moves
 
 
@@ -199,43 +202,12 @@ def knill_optimal(T: int, k: int) -> tuple[int, list[Move]]:
         raise ValueError("T must be >= 1")
     steps = _min_steps(T, k)[0]
     if steps == INF:
-        kmin = 1 if T == 1 else ceil(log2(T)) + 1
+        kmin = log_space_pebbles(T)
         raise InfeasibleError(f"{k} pebbles cannot reach node {T} cleanly; "
                               f"need at least {kmin}", minimum=kmin)
     moves: list[Move] = []
     _dp_moves(0, T, k, moves)
     return steps, moves
-
-
-def exhaustive_min_steps(T: int, k: int):
-    """Brute-force BFS referee over game states; None if unreachable.
-
-    States are bitmasks of pebbled nodes, so keep T small (<= ~20).
-    """
-    start, goal = 0, 1 << (T - 1)
-    if T == 0:
-        return 0
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        if s == goal:
-            return dist[s]
-        count = bin(s).count("1")
-        for i in range(1, T + 1):
-            if i > 1 and not (s >> (i - 2)) & 1:
-                continue
-            bit = 1 << (i - 1)
-            if s & bit:
-                t = s ^ bit
-            else:
-                if count >= k:
-                    continue
-                t = s | bit
-            if t not in dist:
-                dist[t] = dist[s] + 1
-                queue.append(t)
-    return None
 
 
 @dataclass

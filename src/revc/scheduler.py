@@ -22,14 +22,15 @@ Only eager reads the dependency graph; Bennett and incremental plan from
 the statement sequence alone, and `schedule` builds the graph for eager
 only.
 
-A plan is a flat list of Actions executed in order by the emitter:
+A plan is a tuple of Actions executed in order by the emitter:
   fwd/bwd      run a flat statement forwards / in reverse,
   copy/uncopy  CNOT-fanout a slot list onto fresh wires / undo it,
   remap/unremap  switch slots over to their checkpoint copies and back.
 
 Every action has an exact inverse, so reversing a plan segment is just
-inverting its actions in reverse order.  Actions are frozen: a plan is
-pure data that can be emitted any number of times.
+inverting its actions in reverse order.  Actions and plans are frozen:
+each strategy builds its plan in one constructor call, and a plan is pure
+data that can be emitted any number of times.
 
 Cost of the eager pass: linear in the statements plus the inserted
 reversals.  Each reversal sits in a bucket behind the fwd of the
@@ -59,7 +60,7 @@ that bound, so it assumes feasibility is monotone in the budget, and
 greedy placement does not keep that: for `clean_chain_source(56)` of
 `tests/test_scheduler.py` budget 8 is feasible and 9 is not, and 14 of
 that family's seeds 0-199 have a feasible budget below an infeasible
-one.  Placing checkpoints by dynamic programming (ROADMAP item 2, step
+one.  Placing checkpoints by dynamic programming (ROADMAP item 3, step
 2) is meant to remove this.
 """
 
@@ -87,32 +88,49 @@ class Action:
 
 
 def invert(a: Action) -> Action:
-    """Exact inverse action; `ref` links back so the emitter can recover the
-    wires it recorded when the original ran (copy fanout targets, remap's
-    saved slot map)."""
+    """Exact inverse action.  `ref` names the original action, or the copy
+    the original already named, so every uncopy, remap and unremap names
+    its copy, under which the emitter records the copy's fanout wires and
+    remap's saved slot map."""
     flip = {"fwd": "bwd", "bwd": "fwd", "copy": "uncopy", "uncopy": "copy",
             "remap": "unremap", "unremap": "remap"}
-    return Action(flip[a.kind], stmt=a.stmt, slots=a.slots, tag=a.tag, ref=a)
+    return Action(flip[a.kind], stmt=a.stmt, slots=a.slots, tag=a.tag,
+                  ref=a.ref or a)
 
 
 def mirror(actions) -> list[Action]:
     return [invert(a) for a in reversed(actions)]
 
 
-@dataclass
+def _swept(actions: list, program: FlatProgram) -> tuple:
+    """`actions`, a copy of the outputs to fresh wires, then the mirror of
+    `actions`: the final sweep that cleans whatever `actions` left."""
+    out_copy = Action("copy", slots=tuple(program.output_slots), tag="output")
+    return (*actions, out_copy, *mirror(actions))
+
+
+@dataclass(frozen=True)
 class CleanupPlan:
     strategy: str
     program: FlatProgram
+    actions: tuple
     mdd: MDD | None = None  # eager's graph; None for the other strategies
-    actions: list = field(default_factory=list)
     dispositions: dict = field(default_factory=dict)  # eager: node id -> tag
-    copied_outputs: bool = False
-    checkpoints: int = 0
     reversals_inserted: int = 0  # eager: bwd actions that clean a value
 
     @property
     def unclean_nodes(self) -> list:
         return [n for n, d in self.dispositions.items() if d == UNCLEAN]
+
+    @property
+    def copied_outputs(self) -> bool:
+        return any(a.kind == "copy" and a.tag == "output"
+                   for a in self.actions)
+
+    @property
+    def checkpoints(self) -> int:
+        return sum(a.kind == "copy" and a.tag == "checkpoint"
+                   for a in self.actions)
 
 
 class BudgetError(Exception):
@@ -149,7 +167,7 @@ def eager_cleanup(g: MDD) -> CleanupPlan:
     eager's 7600.
     """
     program = g.program
-    plan = CleanupPlan("eager", program, g)
+    dispositions: dict[int, str] = {}
 
     # The plan is one fwd per statement, each followed by a bucket of the
     # reversals inserted after it.  A reversal is named by the OP node it
@@ -174,7 +192,7 @@ def eager_cleanup(g: MDD) -> CleanupPlan:
             # the path runs through an in-place block: reversing it would
             # disturb the block's other targets, so it cannot be cleaned
             # in isolation
-            plan.dispositions[term.id] = UNCLEAN
+            dispositions[term.id] = UNCLEAN
             continue
 
         # last event reading term: a reader's forward run, or its reversal
@@ -193,7 +211,7 @@ def eager_cleanup(g: MDD) -> CleanupPlan:
         # the path's reversal comes after w's fwd
         if any(w is not None and g.node(w).kind != OUTPUT and fwd_key(w) <= d_key
                for w in map(g.mutation_next.get, g.input_nodes(path))):
-            plan.dispositions[term.id] = UNCLEAN
+            dispositions[term.id] = UNCLEAN
             continue
 
         stmt_index, place = d_key
@@ -201,20 +219,18 @@ def eager_cleanup(g: MDD) -> CleanupPlan:
         buckets[stmt_index][place:place] = undo
         for nid in undo:
             bucket_of[nid] = stmt_index
-        plan.dispositions[term.id] = CLEANED_EAGERLY
+        dispositions[term.id] = CLEANED_EAGERLY
 
-    plan.reversals_inserted = sum(map(len, buckets))
     actions = []
     for stmt, bucket in zip(program.statements, buckets):
         actions.append(Action("fwd", stmt=stmt))
         actions += [Action("bwd", stmt=g.node(nid).stmt) for nid in bucket]
-    if plan.unclean_nodes:
+    if UNCLEAN in dispositions.values():
         # copy & reverse: sweep everything that is left
-        actions = actions + [Action("copy", slots=tuple(program.output_slots),
-                                    tag="output")] + mirror(actions)
-        plan.copied_outputs = True
-    plan.actions = actions
-    return plan
+        actions = _swept(actions, program)
+    return CleanupPlan("eager", program, tuple(actions), mdd=g,
+                       dispositions=dispositions,
+                       reversals_inserted=sum(map(len, buckets)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +295,6 @@ def stmt_delta(stmt, by_token: dict) -> int:
                 - len(reopened_locals(body, token.local_positions)))
         return d
     raise TypeError(stmt)
-
-
-def origin(action: Action, table: dict):
-    """Walk the ref chain back to the action that has an entry in `table`
-    and return that entry."""
-    a = action
-    while a not in table and a.ref is not None:
-        a = a.ref
-    if a not in table:
-        raise RuntimeError(f"action {action.kind} has no recorded origin")
-    return table[a]
 
 
 def live_profile(plan: CleanupPlan) -> list[int]:
@@ -388,21 +393,17 @@ def _checkpointed_plan(program: FlatProgram, cuts: list,
                        strategy: str = "incremental") -> CleanupPlan:
     """The plan with checkpoints at `cuts` (as `_IncrementalPlanner.cuts`
     gives them), swept by a final output copy and a full mirror."""
-    plan = CleanupPlan(strategy, program, copied_outputs=True)
+    stmts = program.statements
     actions: list[Action] = []
     start = 0
-    for i, needed in cuts + [(len(program.statements), None)]:
-        segment = [Action("fwd", stmt=s) for s in program.statements[start:i]]
-        actions += segment
-        if needed is not None:
-            copy = Action("copy", slots=needed, tag="checkpoint")
-            actions += [copy] + mirror(segment) + [
-                Action("remap", slots=needed, ref=copy)]
-            plan.checkpoints += 1
+    for i, needed in cuts:
+        segment = [Action("fwd", stmt=s) for s in stmts[start:i]]
+        copy = Action("copy", slots=needed, tag="checkpoint")
+        actions += [*segment, copy, *mirror(segment),
+                    Action("remap", slots=needed, ref=copy)]
         start = i
-    out_copy = Action("copy", slots=tuple(program.output_slots), tag="output")
-    plan.actions = actions + [out_copy] + mirror(actions)
-    return plan
+    actions += [Action("fwd", stmt=s) for s in stmts[start:]]
+    return CleanupPlan(strategy, program, _swept(actions, program))
 
 
 def incremental_cleanup(source: FlatProgram,

@@ -1,0 +1,204 @@
+"""What the tests share and the compiler does not run.
+
+Programs from the bundled corpus and bit-vector conversions; references
+the tests check the compiler against (synthesis of one expression in one
+call, the dependency graph's own evaluation, a brute-force search of the
+pebble game); the paper's OneWay/Interdependent classification of
+mutation paths; and seeded random straight-line programs.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import deque
+from dataclasses import replace
+from importlib import resources
+
+from revc.ancilla import AncillaHeap
+from revc.boolexpr import (
+    BoolExp, band, bnot, bor, bvar, bxor, compile_shape, gate_tables, shape,
+    synthesis_cost,
+)
+from revc.circuit import Gate
+from revc.frontend import Compute, FlatProgram, flatten, interpret, parse
+from revc.mdd import CLEAN, INIT, INPUT, MDD, OP
+
+
+def corpus(name: str) -> str:
+    return (resources.files("revc") / "corpus" / name).read_text()
+
+
+def prog_of(src: str, params=None) -> FlatProgram:
+    return flatten(parse(src, params=params))
+
+
+def ripple(n: int) -> FlatProgram:
+    return prog_of(corpus("adder_ripple.rev"), {"n": n})
+
+
+def bits_of(value: int, n: int) -> list[int]:
+    return [(value >> i) & 1 for i in range(n)]
+
+
+def int_of(bits) -> int:
+    return sum(b << i for i, b in enumerate(bits))
+
+
+# ---------------------------------------------------------------------------
+# synthesis
+
+
+def synthesize(e: BoolExp, target: int, heap: AncillaHeap,
+               wires: dict[int, int]) -> list[Gate]:
+    """Gates mapping target y to y ^ eval(e); inputs and ancillas restored:
+    the recipe of e's shape, replayed on the wires.
+
+    `wires` maps each variable of e (a value slot) to the wire holding it.
+    Every ancilla taken from the heap is uncomputed and returned before
+    the sequence ends, so the net heap state is unchanged.
+    """
+    key, slots = shape(e)
+    return compile_shape(key, len(slots)).replay(
+        [target, *[wires[s] for s in slots]], heap, gate_tables())
+
+
+def and_cost(e: BoolExp) -> int:
+    """Toffoli count of e's recipe; CNOT and NOT are free."""
+    return synthesis_cost(e)[1]
+
+
+# ---------------------------------------------------------------------------
+# dependency graph
+
+ONE_WAY = "OneWay"
+INTERDEPENDENT = "Interdependent"
+
+
+def mutation_paths(g: MDD) -> list:
+    """All maximal mutation paths (heads are Init or Input nodes)."""
+    heads = [n.id for n in g.nodes
+             if g.mutation_prev.get(n.id) is None
+             and (n.id in g.mutation_next or n.kind in (INIT, INPUT))]
+    paths = []
+    for h in heads:
+        p = [h]
+        while p[-1] in g.mutation_next:
+            p.append(g.mutation_next[p[-1]])
+        paths.append(p)
+    return paths
+
+
+def classify_paths(g: MDD) -> dict:
+    """Pairwise OneWay/Interdependent classification of mutation paths."""
+    paths = mutation_paths(g)
+    member_of = {}
+    for i, p in enumerate(paths):
+        for nid in p:
+            member_of[nid] = i
+    out = {}
+    for i in range(len(paths)):
+        for j in range(i + 1, len(paths)):
+            fwd = bwd = False  # i->j and j->i cross dependencies
+            for nid in paths[j]:
+                for src in g.reads.get(nid, ()):
+                    if member_of.get(src) == i:
+                        fwd = True
+            for nid in paths[i]:
+                for src in g.reads.get(nid, ()):
+                    if member_of.get(src) == j:
+                        bwd = True
+            out[(i, j)] = INTERDEPENDENT if (fwd and bwd) else ONE_WAY
+    return out
+
+
+def evaluate_mdd(g: MDD, bits) -> list[int]:
+    """Run each emission unit once, in node (topological) order.
+
+    Cross-checks graph construction against `interpret` on the statements.
+    """
+    units: dict[int, object] = {}
+    for n in g.nodes:
+        if n.kind in (OP, CLEAN):
+            units.setdefault(n.stmt_index, n.stmt)
+    return interpret(replace(g.program, statements=list(units.values())), bits)
+
+
+# ---------------------------------------------------------------------------
+# pebble game
+
+
+def exhaustive_min_steps(T: int, k: int):
+    """Brute-force BFS over game states, the referee for
+    `pebble.knill_optimal`; None if unreachable.
+
+    States are bitmasks of pebbled nodes, so keep T small (<= ~20).
+    """
+    if T == 0:
+        return 0
+    start, goal = 0, 1 << (T - 1)
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        s = queue.popleft()
+        if s == goal:
+            return dist[s]
+        count = bin(s).count("1")
+        for i in range(1, T + 1):
+            if i > 1 and not (s >> (i - 2)) & 1:
+                continue
+            bit = 1 << (i - 1)
+            if s & bit:
+                t = s ^ bit
+            else:
+                if count >= k:
+                    continue
+                t = s | bit
+            if t not in dist:
+                dist[t] = dist[s] + 1
+                queue.append(t)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# seeded random straight-line programs
+#
+# Every generated statement is a fresh write over previously defined values,
+# so no value is ever mutated: each wire has a single-operation modification
+# path and all cross-path dependencies point backwards.  On such programs
+# the eager scheduler should always achieve a full early cleanup.
+
+
+def _random_expr(rng: random.Random, live: list[int], depth: int):
+    if depth <= 0 or rng.random() < 0.35:
+        return bvar(rng.choice(live))
+    op = rng.choice(("and", "xor", "or", "not"))
+    if op == "not":
+        return bnot(_random_expr(rng, live, depth - 1))
+    k = rng.randint(2, 3)
+    args = [_random_expr(rng, live, depth - 1) for _ in range(k)]
+    return {"and": band, "xor": bxor, "or": bor}[op](args)
+
+
+def random_program(seed: int, n_inputs: int | None = None,
+                   n_stmts: int | None = None) -> FlatProgram:
+    rng = random.Random(seed)
+    n = n_inputs if n_inputs is not None else rng.randint(2, 6)
+    m = n_stmts if n_stmts is not None else rng.randint(3, 12)
+    input_slots = list(range(n))
+    live = list(input_slots)
+    statements = []
+    next_slot = n
+    for _ in range(m):
+        expr = _random_expr(rng, live, depth=3)
+        if expr.op == "const":  # constant folding collapsed it; use a var
+            expr = bvar(rng.choice(live))
+        statements.append(Compute(next_slot, expr, fresh=True))
+        live.append(next_slot)
+        next_slot += 1
+    temps = live[n:]
+    n_out = rng.randint(1, max(1, len(temps)))
+    output_slots = sorted(rng.sample(temps, n_out)) if temps else [input_slots[0]]
+    return FlatProgram(name=f"rand{seed}", input_slots=input_slots,
+                       output_slots=output_slots, statements=statements,
+                       slot_count=next_slot,
+                       input_layout=[(f"x{i}", 1) for i in range(n)])

@@ -10,7 +10,6 @@ check that the verifier itself has teeth.
 import itertools
 import random
 import time
-from importlib import resources
 
 import pytest
 
@@ -18,20 +17,15 @@ from revc import pebble
 from revc.blif import clique_cover, lower, parse_blif, reorder
 from revc.circuit import Circuit, stats, verify
 from revc.emitter import compile_flat
-from revc.frontend import flatten, parse
-from revc.mdd import ONE_WAY, build_mdd
-from revc.randprog import random_program
+from revc.mdd import build_mdd
 from revc.scheduler import eager_cleanup
 
+from helpers import (
+    ONE_WAY, classify_paths, corpus, exhaustive_min_steps, prog_of,
+    random_program,
+)
+
 STRATEGIES = ("bennett", "eager", "incremental")
-
-
-def corpus(name: str) -> str:
-    return (resources.files("revc") / "corpus" / name).read_text()
-
-
-def prog_of(src: str, params=None):
-    return flatten(parse(src, params=params))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +125,7 @@ def test_optimal_steps_match_exhaustive_search():
     t0 = time.perf_counter()
     for T in range(1, 9):
         for k in range(1, 6):
-            brute = pebble.exhaustive_min_steps(T, k)
+            brute = exhaustive_min_steps(T, k)
             try:
                 steps, moves = pebble.knill_optimal(T, k)
             except pebble.InfeasibleError:
@@ -204,7 +198,7 @@ def test_eager_clean_on_all_oneway_graphs():
     for seed in range(500):
         prog = random_program(seed)
         g = build_mdd(prog)
-        assert set(g.classify_paths().values()) <= {ONE_WAY}, seed
+        assert set(classify_paths(g).values()) <= {ONE_WAY}, seed
         plan = eager_cleanup(g)
         assert not plan.unclean_nodes, seed
 

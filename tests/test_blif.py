@@ -1,5 +1,4 @@
 import itertools
-from importlib import resources
 
 import pytest
 
@@ -11,9 +10,7 @@ from revc.circuit import stats, verify
 from revc.emitter import compile_flat
 from revc.frontend import interpret
 
-
-def corpus(name: str) -> str:
-    return (resources.files("revc") / "corpus" / name).read_text()
+from helpers import corpus
 
 
 def make_blif(cubes, n=3, extra=""):

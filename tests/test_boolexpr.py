@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from revc.ancilla import AncillaHeap
 from revc.boolexpr import (
-    AND, CONST, NOT_, VAR, XOR, and_cost, band, bconst, bnot, bor, bvar, bxor,
-    compile_shape, evaluate, gate_count, gate_tables, shape, synthesize,
-    variables,
+    AND, CONST, NOT_, VAR, XOR, band, bconst, bnot, bor, bvar, bxor,
+    compile_shape, evaluate, gate_count, gate_tables, shape, variables,
 )
 from revc.circuit import TOFFOLI, Circuit, cnot, notg, simulate, toffoli
+
+from helpers import and_cost, synthesize
 
 
 def reference_synthesize(e, target, heap, wires):

@@ -12,13 +12,7 @@ from revc.circuit import (
 from revc.emitter import compile_flat
 from revc.frontend import flatten, parse
 
-
-def bits_of(value: int, n: int) -> list[int]:
-    return [(value >> i) & 1 for i in range(n)]
-
-
-def int_of(bits) -> int:
-    return sum(b << i for i, b in enumerate(bits))
+from helpers import bits_of, int_of
 
 
 def test_gate_wire_invariants():

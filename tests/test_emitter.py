@@ -1,31 +1,17 @@
-import random
-from importlib import resources
 
 import pytest
 
 from revc.boolexpr import band, bvar, bxor
 from revc.circuit import CNOT, TOFFOLI, format_circuit, stats, verify
 from revc.emitter import Emitter, compile_flat, emit
-from revc.frontend import (
-    CleanSlot, Compute, FlatProgram, InPlaceBlock, flatten, parse,
-)
+from revc.frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
 from revc.mdd import build_mdd
 from revc.scheduler import (
     Action, BudgetError, bennett_cleanup, eager_cleanup, reopened_locals,
     schedule,
 )
 
-
-def corpus(name: str) -> str:
-    return (resources.files("revc") / "corpus" / name).read_text()
-
-
-def prog_of(src: str, params=None):
-    return flatten(parse(src, params=params))
-
-
-def ripple(n: int):
-    return prog_of(corpus("adder_ripple.rev"), {"n": n})
+from helpers import corpus, prog_of, ripple
 
 
 AND_SRC = "let f (a : bool) (b : bool) = a && b\n\nf"

@@ -1,13 +1,12 @@
 import json
 import random
-from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revc.frontend import (
-    CleanSlot, Compute, FlatProgram, FlattenError, Flattener, InPlaceBlock,
+    CleanSlot, Compute, FlattenError, Flattener, InPlaceBlock,
     InterpretError, MAX_NESTING, ParseError, flatten, interpret,
     interpret_packed, interpret_source, parse,
 )
@@ -16,21 +15,10 @@ from revc.circuit import verify
 from revc.cli import main as cli_main
 from revc.emitter import compile_flat
 from revc.blif import lower, parse_blif
-from revc.randprog import random_program
+
+from helpers import bits_of, corpus, int_of, random_program, ripple
 from test_emitter import UNWRITTEN_SLOT, unwritten_slot_program
 from test_scheduler import clean_chain_source, cleaned_reads_chain_source
-
-
-def corpus(name: str) -> str:
-    return (resources.files("revc") / "corpus" / name).read_text()
-
-
-def bits_of(value: int, n: int) -> list[int]:
-    return [(value >> i) & 1 for i in range(n)]
-
-
-def int_of(bits) -> int:
-    return sum(b << i for i, b in enumerate(bits))
 
 
 # ---------------------------------------------------------------------------
@@ -65,10 +53,6 @@ def test_parse_shapes():
 
 # ---------------------------------------------------------------------------
 # ripple adder against integer addition
-
-
-def ripple(n: int) -> FlatProgram:
-    return flatten(parse(corpus("adder_ripple.rev"), params={"n": n}))
 
 
 def test_adder_is_integer_addition():

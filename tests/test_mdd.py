@@ -1,22 +1,15 @@
 import random
 import time
-from importlib import resources
 
 from revc.boolexpr import variables
-from revc.frontend import Compute, InPlaceBlock, flatten, interpret, parse
-from revc.mdd import (
-    CLEAN, INIT, INPUT, INTERDEPENDENT, ONE_WAY, OP, OUTPUT, build_mdd,
-    evaluate_mdd, to_dot,
-)
+from revc.frontend import Compute, InPlaceBlock, interpret
+from revc.mdd import CLEAN, INIT, INPUT, OP, OUTPUT, build_mdd, to_dot
 from revc.scheduler import eager_cleanup
 
-
-def corpus(name: str) -> str:
-    return (resources.files("revc") / "corpus" / name).read_text()
-
-
-def prog_of(src: str, params=None):
-    return flatten(parse(src, params=params))
+from helpers import (
+    INTERDEPENDENT, ONE_WAY, classify_paths, corpus, evaluate_mdd,
+    mutation_paths, prog_of,
+)
 
 
 AND_SRC = """
@@ -57,13 +50,13 @@ def test_mutated_input_has_mutation_edge_and_is_interdependent():
     g = build_mdd(prog_of(MUTATED_INPUT_SRC))
     b_input = g.node(g.input_ids[1])
     assert b_input.id in g.mutation_next, "mutated input must start a path"
-    cls = g.classify_paths()
+    cls = classify_paths(g)
     assert INTERDEPENDENT in cls.values()
 
 
 def test_one_way_classification():
     g = build_mdd(prog_of(AND_SRC))
-    assert set(g.classify_paths().values()) <= {ONE_WAY}
+    assert set(classify_paths(g).values()) <= {ONE_WAY}
 
 
 def test_modification_path_and_inputs():
@@ -81,7 +74,7 @@ def test_mutation_paths_are_vertex_disjoint():
     for name, params in [("adder_ripple.rev", {"n": 6}), ("sha2.rev", None)]:
         g = build_mdd(prog_of(corpus(name), params))
         seen = set()
-        for p in g.mutation_paths():
+        for p in mutation_paths(g):
             assert not (set(p) & seen)
             seen |= set(p)
 

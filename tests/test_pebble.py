@@ -1,10 +1,12 @@
 import pytest
 
 from revc.pebble import (
-    PLACE, REMOVE, InfeasibleError, Move, bennett_strategy, exhaustive_min_steps,
+    PLACE, REMOVE, InfeasibleError, Move, bennett_strategy,
     incremental_strategy, knill_optimal, lmt_strategy, tradeoff_csv, tradeoff_table,
     validate,
 )
+
+from helpers import exhaustive_min_steps
 
 
 def test_bennett_10():

@@ -1,35 +1,21 @@
 import collections
 import dataclasses
 import random
-from importlib import resources
 
 import pytest
 
 from revc.boolexpr import band, bor, bvar, bxor
 from revc.circuit import verify
 from revc.emitter import Emitter, emit
-from revc.frontend import (
-    CleanSlot, Compute, FlatProgram, InPlaceBlock, flatten, parse,
-)
+from revc.frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
 from revc.mdd import OP, OUTPUT, build_mdd
 from revc.scheduler import (
     CLEANED_EAGERLY, UNCLEAN, Action, BudgetError,
     bennett_cleanup, eager_cleanup, incremental_cleanup, invert, live_profile,
     mirror, schedule,
 )
-from revc.randprog import random_program
 
-
-def corpus(name: str) -> str:
-    return (resources.files("revc") / "corpus" / name).read_text()
-
-
-def prog_of(src: str, params=None):
-    return flatten(parse(src, params=params))
-
-
-def ripple(n: int):
-    return prog_of(corpus("adder_ripple.rev"), {"n": n})
+from helpers import corpus, prog_of, random_program, ripple
 
 
 MUTATED_INPUT_SRC = """
@@ -87,6 +73,41 @@ def test_actions_are_frozen():
         a.slots = (3,)
     with pytest.raises(dataclasses.FrozenInstanceError):
         invert(a).ref = None
+
+
+PLAN_CASES = {  # name -> (plan, its checkpoints, whether it copies outputs)
+    "bennett": (lambda: bennett_cleanup(ripple(6)), 0, True),
+    "eager": (lambda: eager_cleanup(build_mdd(ripple(8))), 0, False),
+    "eager-unclean": (
+        lambda: eager_cleanup(build_mdd(prog_of(MUTATED_INPUT_SRC))), 0, True),
+    "incremental-checkpoint": (
+        lambda: incremental_cleanup(prog_of(corpus("sha2.rev"), {"rounds": 4}),
+                                    672), 1, True),
+}
+
+
+@pytest.mark.parametrize("case", PLAN_CASES)
+def test_plans_are_immutable_data(case):
+    make, checkpoints, copied = PLAN_CASES[case]
+    plan = make()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.actions = ()
+    assert type(plan.actions) is tuple
+    # the counters are read off the actions, not kept beside them
+    fields = {f.name for f in dataclasses.fields(plan)}
+    assert not fields & {"checkpoints", "copied_outputs"}
+    copies = [a for a in plan.actions if a.kind == "copy"]
+    assert plan.checkpoints == checkpoints == sum(
+        a.tag == "checkpoint" for a in copies)
+    assert plan.copied_outputs == copied == any(
+        a.tag == "output" for a in copies)
+    # every uncopy, remap and unremap names an earlier copy of the plan
+    # directly, over the same slots
+    place = {a: i for i, a in enumerate(plan.actions)}
+    for i, a in enumerate(plan.actions):
+        if a.kind in ("uncopy", "remap", "unremap"):
+            assert a.ref.kind == "copy" and a.ref in place, (case, i)
+            assert place[a.ref] < i and a.ref.slots == a.slots, (case, i)
 
 
 def test_bennett_shape():
