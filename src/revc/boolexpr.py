@@ -11,11 +11,12 @@ Synthesis has two steps.  `shape` renames an expression's variables to
 registers in order of first use and gives the renamed tree (its shape
 key) and the variables in that order.  `compile_shape` turns a shape into
 a `Recipe`: the ancilla allocations and releases, in the order synthesis
-makes them, and the gates over registers (0 the target, 1..n the
-variables, then one per scratch allocation).  `Recipe.replay` runs the
-heap operations and resolves each gate's registers to wires.  A recipe
-depends only on the shape, so one recipe serves every expression of that
-shape and every wire mapping.
+makes them, and the gates as register triples padded with -1 (0 the
+target, 1..n the variables, then one per scratch allocation).
+`Recipe.replay` runs the heap operations and resolves each triple to its
+wire tuple, which is the gate (see circuit), interned in a `GateTable`.
+A recipe depends only on the shape, so one recipe serves every
+expression of that shape and every wire mapping.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ancilla import AncillaHeap
-from .circuit import CNOT, NOT, TOFFOLI, Gate
 
 VAR = "var"
 AND = "and"
@@ -336,54 +336,45 @@ class Recipe:
     """Synthesis of one expression shape over registers.
 
     `heap_ops` is the ancilla traffic in order: -1 allocates the next
-    scratch register, r >= 0 frees register r.  Each gate is (kind, a, b,
-    c) over registers: a Toffoli is a, b -> c, a CNOT a -> b (c = -1), and
-    a NOT acts on a (b = c = -1).
+    scratch register, r >= 0 frees register r.  Each gate is a register
+    triple (a, b, c) padded with -1: a Toffoli is a, b -> c, a CNOT a -> b
+    (c = -1), and a NOT acts on a (b = c = -1).
     """
     heap_ops: tuple[int, ...]
-    gates: tuple[tuple[str, int, int, int], ...]
+    gates: tuple[tuple[int, int, int], ...]
 
     def replay(self, wires: list[int], heap: AncillaHeap,
-               tables: dict[str, "GateTable"]) -> list[Gate]:
+               table: GateTable) -> list[tuple[int, ...]]:
         """Gates on `wires` (the target, then one wire per variable; the
         list is extended in place with the scratch wires), which are taken
-        from and returned to `heap`.  `tables` (from `gate_tables`) interns
-        the gates of each kind by wires."""
+        from and returned to `heap`, each interned in `table`."""
         if wires.count(wires[0]) != 1:
             raise ValueError(
                 f"target wire {wires[0]} appears inside the expression")
-        return self.run(wires, heap, tables)
+        return self.run(wires, heap, table)
 
     def run(self, w: list[int], heap: AncillaHeap,
-            tables: dict[str, "GateTable"]) -> list[Gate]:
+            table: GateTable) -> list[tuple[int, ...]]:
         """`replay` without the target check: run the heap operations on
-        the registers `w` (extended in place) and resolve the gates."""
+        the registers `w` (extended in place) and resolve each gate to its
+        wire tuple."""
         for op in self.heap_ops:
             if op < 0:
                 w.append(heap.alloc())
             else:
                 heap.free(w[op])
-        return [tables[k][(w[a], w[b], w[c]) if c >= 0 else
-                          (w[a], w[b]) if b >= 0 else (w[a],)]
-                for k, a, b, c in self.gates]
+        return [table[(w[a], w[b], w[c]) if c >= 0 else
+                      (w[a], w[b]) if b >= 0 else (w[a],)]
+                for a, b, c in self.gates]
 
 
 class GateTable(dict):
-    """Gates of one kind by their wires.  A gate is built, and its wires
-    validated, on the first request only; the key becomes its wires."""
+    """The gate intern table of one emission: a wire tuple is its own
+    value, so a recurring gate is one object, which keeps memory down."""
 
-    def __init__(self, kind: str):
-        super().__init__()
-        self.kind = kind
-
-    def __missing__(self, wires: tuple[int, ...]) -> Gate:
-        g = self[wires] = Gate(self.kind, wires)
+    def __missing__(self, g: tuple[int, ...]) -> tuple[int, ...]:
+        self[g] = g
         return g
-
-
-def gate_tables() -> dict[str, GateTable]:
-    """Empty per-kind intern tables for `Recipe.replay`."""
-    return {kind: GateTable(kind) for kind in (TOFFOLI, CNOT, NOT)}
 
 
 def compile_shape(key: tuple, n_vars: int) -> Recipe:
@@ -407,13 +398,13 @@ def compile_shape(key: tuple, n_vars: int) -> Recipe:
     def emit(k: tuple, t: int, gates: list) -> None:
         op = k[0]
         if op == VAR:
-            gates.append((CNOT, k[1], t, -1))
+            gates.append((k[1], t, -1))
         elif op == CONST:
             if k[1]:
-                gates.append((NOT, t, -1, -1))
+                gates.append((t, -1, -1))
         elif op == NOT_:
             emit(k[1], t, gates)
-            gates.append((NOT, t, -1, -1))
+            gates.append((t, -1, -1))
         elif op == XOR:
             for c in k[1:]:
                 emit(c, t, gates)
@@ -430,7 +421,7 @@ def compile_shape(key: tuple, n_vars: int) -> Recipe:
             elif c[0] == NOT_ and c[1][0] == VAR:
                 r = c[1][1]
                 controls.append(r)
-                toggles.append((NOT, r, -1, -1))
+                toggles.append((r, -1, -1))
             else:
                 r = alloc()
                 emit(c, r, gates)
@@ -439,19 +430,19 @@ def compile_shape(key: tuple, n_vars: int) -> Recipe:
         gates += toggles
         k = len(controls)
         if k == 1:
-            gates.append((CNOT, controls[0], t, -1))
+            gates.append((controls[0], t, -1))
         elif k == 2:
-            gates.append((TOFFOLI, controls[0], controls[1], t))
+            gates.append((controls[0], controls[1], t))
         else:
             chain: list[int] = []
             compute: list = []
             for i in range(k - 2):
                 a = alloc()
                 first = controls[0] if i == 0 else chain[-1]
-                compute.append((TOFFOLI, first, controls[i + 1], a))
+                compute.append((first, controls[i + 1], a))
                 chain.append(a)
             gates += compute
-            gates.append((TOFFOLI, chain[-1], controls[-1], t))
+            gates.append((chain[-1], controls[-1], t))
             gates += reversed(compute)
             heap_ops.extend(reversed(chain))
         gates += reversed(toggles)

@@ -1,74 +1,85 @@
-"""Gate/circuit data model, bit-exact simulation and the verification harness.
+"""Circuit data model, bit-exact simulation and the verification harness.
 
-Circuits are plain gate lists over {Toffoli, CNOT, NOT} on integer wire
-indices.  All three gates are self-inverse, so reversal is just reversing
-the gate order.  Simulation packs one sample per bit of a Python int, which
-lets `verify` run hundreds of random samples in a single pass over the
-gate list.
+A gate is the tuple of its wires, controls first and target last; its
+kind is its length (`kind`).  `Circuit` checks each distinct gate once:
+one to three distinct integer wires in [0, width).  All three gates are
+self-inverse, so reversal is just reversing the gate order.  Simulation
+packs one sample per bit of a Python int, which lets `verify` run
+hundreds of random samples in a single pass over the gate list.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import chain
 
 TOFFOLI = "tof"
 CNOT = "cnot"
 NOT = "not"
+KINDS = (None, NOT, CNOT, TOFFOLI)  # by gate length
 
 
-@dataclass(frozen=True, slots=True)
-class Gate:
-    kind: str  # TOFFOLI | CNOT | NOT
-    wires: tuple[int, ...]  # controls first, target last
-
-    def __post_init__(self):
-        if self.kind == TOFFOLI:
-            c1, c2, t = self.wires
-            if c1 == c2 or t in (c1, c2):
-                raise ValueError(f"toffoli wires must be distinct: {self.wires}")
-        elif self.kind == CNOT:
-            c, t = self.wires
-            if c == t:
-                raise ValueError(f"cnot control equals target: {self.wires}")
-        elif self.kind == NOT:
-            if len(self.wires) != 1:
-                raise ValueError("not gate takes one wire")
-        else:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-
-    @property
-    def target(self) -> int:
-        return self.wires[-1]
+def kind(g: tuple[int, ...]) -> str:
+    """TOFFOLI, CNOT or NOT: the kind of a valid gate is its length."""
+    return KINDS[len(g)]
 
 
-def toffoli(c1: int, c2: int, t: int) -> Gate:
-    return Gate(TOFFOLI, (c1, c2, t))
+def check_gate(g: tuple, width: int | None = None) -> tuple[int, ...]:
+    """g, if it is a gate: one to three distinct integer wires, none
+    negative (nor at or above `width`, if given); else a ValueError that
+    names it."""
+    if not 0 < len(g) < 4:
+        raise ValueError(f"gate {g} has {len(g)} wires, not 1 to 3")
+    if any(type(w) is not int or w < 0 for w in g):
+        raise ValueError(f"gate {g} has a negative or non-integer wire")
+    if len(set(g)) != len(g):
+        raise ValueError(f"gate {g} repeats a wire")
+    if width is not None and max(g) >= width:
+        raise ValueError(f"gate {g} outside width {width}")
+    return g
 
 
-def cnot(c: int, t: int) -> Gate:
-    return Gate(CNOT, (c, t))
+def toffoli(c1: int, c2: int, t: int) -> tuple[int, int, int]:
+    return check_gate((c1, c2, t))
 
 
-def notg(t: int) -> Gate:
-    return Gate(NOT, (t,))
+def cnot(c: int, t: int) -> tuple[int, int]:
+    return check_gate((c, t))
+
+
+def notg(t: int) -> tuple[int]:
+    return check_gate((t,))
 
 
 @dataclass
 class Circuit:
     width: int
-    gates: list[Gate] = field(default_factory=list)
+    gates: list[tuple[int, ...]] = field(default_factory=list)
     inputs: list[int] = field(default_factory=list)  # wire indices holding inputs
     outputs: list[int] = field(default_factory=list)  # wire indices holding outputs
 
     def __post_init__(self):
-        if len(set(self.outputs)) != len(self.outputs):
-            raise ValueError("output wires must be distinct")
-        wires = map(attrgetter("wires"), self.gates)
-        if self.gates and max(map(max, wires)) >= self.width:
-            g = next(g for g in self.gates if max(g.wires) >= self.width)
-            raise ValueError(f"gate {g} outside width {self.width}")
+        width = self.width
+        for role, wires in (("input", self.inputs), ("output", self.outputs)):
+            seen = set()
+            for w in wires:
+                if w in seen or type(w) is not int or not 0 <= w < width:
+                    why = "repeated" if w in seen else f"outside width {width}"
+                    raise ValueError(f"{role} wire {w!r} {why}")
+                seen.add(w)
+        # each distinct gate once, in bulk (by equality: a bool or float
+        # wire in a gate equal to an integer one passes with it); if one
+        # fails, checking in list order names the first bad gate
+        distinct = set(self.gates)
+        wires = list(chain.from_iterable(distinct))
+        if distinct and (not set(map(len, distinct)) <= {1, 2, 3}
+                      or set(map(type, wires)) != {int}
+                      or min(wires) < 0 or max(wires) >= width
+                      or sum(map(len, map(set, distinct))) != len(wires)):
+            for g in self.gates:
+                check_gate(g, width)
 
 
 def reverse(c: Circuit) -> Circuit:
@@ -77,9 +88,7 @@ def reverse(c: Circuit) -> Circuit:
 
 
 def stats(c: Circuit) -> dict:
-    counts = {TOFFOLI: 0, CNOT: 0, NOT: 0}
-    for g in c.gates:
-        counts[g.kind] += 1
+    counts = Counter(map(kind, c.gates))
     return {
         "toffoli_count": counts[TOFFOLI],
         "cnot_count": counts[CNOT],
@@ -104,14 +113,15 @@ def simulate_batch(c: Circuit, columns: list[int]) -> list[int]:
         raise ValueError(f"expected {c.width} columns, got {len(columns)}")
     cols = list(columns)
     for g in c.gates:
-        if g.kind == TOFFOLI:
-            a, b, t = g.wires
+        n = len(g)
+        if n == 3:
+            a, b, t = g
             cols[t] ^= cols[a] & cols[b]
-        elif g.kind == CNOT:
-            a, t = g.wires
-            cols[t] ^= cols[a]
+        elif n == 1:
+            cols[g[0]] ^= -1
         else:
-            cols[g.wires[0]] ^= -1
+            a, t = g
+            cols[t] ^= cols[a]
     return cols
 
 
@@ -184,37 +194,41 @@ def format_circuit(c: Circuit) -> str:
     outs = ",".join(str(w) for w in c.outputs)
     lines = [f"# width: {c.width}  inputs: {ins}  outputs: {outs}"]
     for g in c.gates:
-        lines.append(f"{g.kind} " + " ".join(str(w) for w in g.wires))
+        lines.append(f"{kind(g)} " + " ".join(map(str, g)))
     return "\n".join(lines) + "\n"
 
 
 def parse_circuit(text: str) -> Circuit:
+    """The circuit of a `format_circuit` text; a bad line is `line N: ...`."""
     width = 0
     inputs: list[int] = []
     outputs: list[int] = []
-    gates: list[Gate] = []
+    gates: list[tuple[int, ...]] = []
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if "width:" in line:
-                parts = line.lstrip("#").split() + [""]
-                for key, val in zip(parts, parts[1:]):
-                    if val.endswith(":"):  # a key with an empty list
-                        val = ""
-                    if key == "width:":
-                        width = int(val)
-                    elif key == "inputs:":
-                        inputs = _parse_wirelist(val)
-                    elif key == "outputs:":
-                        outputs = _parse_wirelist(val)
-            continue
-        toks = line.split()
-        kind, wires = toks[0], tuple(int(t) for t in toks[1:])
-        if kind not in (TOFFOLI, CNOT, NOT):
-            raise ValueError(f"line {ln}: unknown gate {kind!r}")
-        gates.append(Gate(kind, wires))
+        try:
+            if line.startswith("#"):
+                if "width:" in line:
+                    parts = line.lstrip("#").split() + [""]
+                    for key, val in zip(parts, parts[1:]):
+                        if val.endswith(":"):  # a key with an empty list
+                            val = ""
+                        if key == "width:":
+                            width = int(val)
+                        elif key == "inputs:":
+                            inputs = _parse_wirelist(val)
+                        elif key == "outputs:":
+                            outputs = _parse_wirelist(val)
+            elif line:
+                name, *wires = line.split()
+                if name not in KINDS:
+                    raise ValueError(f"unknown gate {name!r}")
+                g = check_gate(tuple(map(int, wires)))  # Circuit checks width
+                if kind(g) != name:
+                    raise ValueError(f"wrong wire count for {name}: {g}")
+                gates.append(g)
+        except ValueError as e:
+            raise ValueError(f"line {ln}: {e}") from None
     return Circuit(width, gates, inputs, outputs)
 
 

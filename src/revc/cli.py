@@ -9,7 +9,9 @@
     revc pebble-table --time-max T --pebbles 2,3,4 [-o table.csv]
     revc blif FILE [FILE...] [--optimize-xor] [--strategy S] [--report out.json]
 
-`--stats` and `revc stats` report the circuit's counts, the plan's
+`--stats` and `revc stats` report the circuit's counts (`gate_count`
+and `distinct_gates`, the number of distinct gates: the emitter interns
+each as one wire tuple), the plan's
 (`unclean_count`, `checkpoints`, `reversals_inserted`: eager's reversals
 after last use; `peak_live`: the most wires live between two actions,
 inputs included, the count `--qubits` bounds in the forward segments of
@@ -122,6 +124,7 @@ def _report(prog, plan, circ, em, stages, counts) -> dict:
                 "input_count": len(circ.inputs),
                 "output_count": len(circ.outputs),
                 "gate_count": len(circ.gates),
+                "distinct_gates": len(set(circ.gates)),
                 "unclean_count": len(plan.unclean_nodes),
                 "checkpoints": plan.checkpoints,
                 "reversals_inserted": plan.reversals_inserted,

@@ -16,8 +16,10 @@ may run on different wires than the forward pass without changing the
 computed values.  What is cached is wire-free.  Each expression is
 compiled once into a `Recipe` (see boolexpr), shared by every expression
 of the same shape; a call resolves the recipe's registers against the slot
-map of that moment and takes each gate from a per-kind intern table keyed
-by wires, so a gate that recurs is one object.
+map of that moment.  A gate is its wire tuple (see circuit): every gate,
+copies too, goes through the emission's one `GateTable`, so a gate that
+recurs is one tuple, which keeps peak memory down; `Circuit` validates
+each distinct gate once.
 
 In-place blocks are run from block recipes, one per token (a block is a
 token and its slots, see `InPlaceBlock` in frontend), direction and entry
@@ -27,16 +29,17 @@ positions, with `_Walker`: the statement rules below over registers
 instead of wires, where the positions mapped at entry hold registers
 0..n-1 in position order and every wire taken is the next register.  Its
 block recipe is a `Recipe` over those registers (the heap operations and
-the gates) and each position's register at the end.  Every later run of
-the key replays it with `Recipe.run`.  Replay is gate for gate what
-walking the body on wires would emit: blocks of one token are the same
-statements with their slots renamed position by position, so from one
-entry pattern they take and return wires in the same order, and the
-heap, which hands out its least free wire, answers the same sequence
-from the same state with the same wires.  The walk raises the errors of
-the statement rules (a slot with no wire, a fresh write to a live slot,
-a target inside its expression) on registers; replay checks that the
-entry wires are distinct, so distinct registers are distinct wires.
+the gates, padded to triples) and each position's register at the end.
+Every later run of the key replays it with `Recipe.run`.  Replay is what
+walking the body on wires would emit, gate for gate: blocks of one token
+are the same statements with their slots renamed position by position,
+so from one entry pattern they take and return wires in the same order,
+and the heap, which hands out its least free wire, answers the same
+sequence from the same state with the same wires.  The walk raises the
+errors of the statement rules (a slot with no wire, a fresh write to a
+live slot, a target inside its expression) on registers; replay checks
+that the entry wires are distinct, so distinct registers are distinct
+wires.
 
 The scheduler places checkpoints without running the emitter: under the
 rules below each statement changes the live count by a constant (see
@@ -48,8 +51,8 @@ width is not, since it also counts those scratch wires.
 from __future__ import annotations
 
 from .ancilla import AncillaHeap
-from .boolexpr import Recipe, compile_shape, gate_tables, shape
-from .circuit import CNOT, NOT, TOFFOLI, Circuit, Gate, cnot
+from .boolexpr import GateTable, Recipe, compile_shape, shape
+from .circuit import Circuit
 from .frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
 from .scheduler import Action, CleanupPlan, reopened_locals, schedule
 
@@ -71,27 +74,13 @@ class _Registers:
         self.ops.append(r)
 
 
-class _RegisterGates:
-    """A gate table of a block walk: a gate over registers stays a tuple
-    (kind, a, b, c), as in `Recipe.gates`."""
-
-    def __init__(self, kind: str):
-        self.kind = kind
-
-    def __getitem__(self, regs: tuple) -> tuple:
-        return (self.kind, *regs, -1, -1)[:4]
-
-
-_REGISTER_GATES = {kind: _RegisterGates(kind) for kind in (TOFFOLI, CNOT, NOT)}
-
-
 class Emitter:
     def __init__(self, program: FlatProgram):
         self.program = program
         n = len(program.input_slots)
         self.heap = AncillaHeap(base=n)
         self.slot_map: dict[int, int] = {s: i for i, s in enumerate(program.input_slots)}
-        self.gates: list[Gate] = []
+        self.gates: list[tuple[int, ...]] = []
         self.output_wires: list[int] | None = None
         # per-run records keyed by the copy action they belong to (an
         # action's `ref`, or the copy itself), so that plans stay read-only:
@@ -99,14 +88,14 @@ class Emitter:
         self.copy_wires: dict[Action, list[int]] = {}
         self.saved_maps: dict[Action, dict] = {}
         # synthesis caches: id(expr) -> (expr, its recipe, *its slots in
-        # register order), see `_learn`; shape key -> recipe; gate kind ->
-        # wires -> Gate.  An entry keeps its expr alive, so the id is not
+        # register order), see `_learn`; shape key -> recipe; the gate
+        # intern table.  An entry keeps its expr alive, so the id is not
         # reused.  Entries and intern keys are laid out to leave few small
         # objects to free when the emitter goes: freed in bulk, they would
         # scatter the packed columns a later verification allocates
         self.compiled: dict[int, tuple] = {}
         self.recipes: dict[tuple, Recipe] = {}
-        self.gate_tables = gate_tables()
+        self.gate_table = GateTable()
         # block recipes by (token, forward, entry pattern): (recipe, per
         # body position its register at the end or -1), see `_run_block`
         self.blocks: dict[tuple, tuple] = {}
@@ -149,12 +138,12 @@ class Emitter:
         w = self.slot_map[slot] = self.heap.alloc()
         return w
 
-    def _synth(self, expr, target_slot: int, fresh: bool) -> list[Gate]:
+    def _synth(self, expr, target_slot: int, fresh: bool) -> list[tuple]:
         """Gates of target ^= expr on the current wires."""
         entry = self.compiled.get(id(expr)) or self._learn(expr)
         wires = [self._target(target_slot, fresh)]
         wires += map(self._wire_of, entry[2:])
-        return entry[1].replay(wires, self.heap, self.gate_tables)
+        return entry[1].replay(wires, self.heap, self.gate_table)
 
     # -- actions ------------------------------------------------------------
 
@@ -209,7 +198,7 @@ class Emitter:
         if len(set(wires)) != len(wires):
             raise ValueError("in-place block entered with two slots "
                              "on one wire")
-        self.gates += recipe.run(wires, self.heap, self.gate_tables)
+        self.gates += recipe.run(wires, self.heap, self.gate_table)
         for s, r in zip(slots, exit):
             if r >= 0:
                 slot_map[s] = wires[r]
@@ -234,12 +223,13 @@ class Emitter:
             for s in reversed(body):
                 w._bwd_stmt(s)
         exit = tuple([w.slot_map.get(p, -1) for p in range(len(entry))])
-        return Recipe(tuple(w.heap.ops), tuple(w.gates)), exit
+        gates = tuple([(*g, -1, -1)[:3] for g in w.gates])
+        return Recipe(tuple(w.heap.ops), gates), exit
 
     def _do_copy(self, action: Action) -> None:
         src = [self._wire_of(s) for s in action.slots]
         dst = [self.heap.alloc() for _ in action.slots]
-        self.gates += [cnot(a, b) for a, b in zip(src, dst)]
+        self.gates += map(self.gate_table.__getitem__, zip(src, dst))
         self.copy_wires[action.ref or action] = dst
         if action.tag == "output":
             self.output_wires = dst
@@ -250,7 +240,8 @@ class Emitter:
         # resolve them through the current slot map
         dst = self.copy_wires[action.ref]
         src = [self._wire_of(s) for s in action.slots]
-        self.gates += [cnot(a, b) for a, b in zip(reversed(src), reversed(dst))]
+        self.gates += map(self.gate_table.__getitem__,
+                          zip(reversed(src), reversed(dst)))
         for d in dst:
             self.heap.free(d)
 
@@ -294,14 +285,15 @@ class Emitter:
 class _Walker(Emitter):
     """The emitter's statement rules over block registers instead of
     wires: the positions mapped at entry hold registers 0..n-1, every
-    other register is taken from `_Registers`, and gates stay register
-    tuples.  It inherits the rules and shares the emitter's expression
-    caches, but none of its plan state; a block body holds no blocks."""
+    other register is taken from `_Registers`, and its gates are register
+    tuples in a table of its own.  It inherits the rules and shares the
+    emitter's expression caches, but none of its plan state; a block body
+    holds no blocks."""
 
     def __init__(self, em: Emitter, mapped: list[int]):
         self.slot_map = {p: r for r, p in enumerate(mapped)}
         self.heap = _Registers(len(mapped))
-        self.gate_tables = _REGISTER_GATES
+        self.gate_table = GateTable()
         self.gates = []
         self.compiled, self.recipes = em.compiled, em.recipes
 

@@ -16,10 +16,9 @@ from importlib import resources
 
 from revc.ancilla import AncillaHeap
 from revc.boolexpr import (
-    BoolExp, band, bnot, bor, bvar, bxor, compile_shape, gate_tables, shape,
+    BoolExp, GateTable, band, bnot, bor, bvar, bxor, compile_shape, shape,
     synthesis_cost,
 )
-from revc.circuit import Gate
 from revc.frontend import Compute, FlatProgram, flatten, interpret, parse
 from revc.mdd import CLEAN, INIT, INPUT, MDD, OP
 
@@ -49,7 +48,7 @@ def int_of(bits) -> int:
 
 
 def synthesize(e: BoolExp, target: int, heap: AncillaHeap,
-               wires: dict[int, int]) -> list[Gate]:
+               wires: dict[int, int]) -> list[tuple[int, ...]]:
     """Gates mapping target y to y ^ eval(e); inputs and ancillas restored:
     the recipe of e's shape, replayed on the wires.
 
@@ -59,7 +58,7 @@ def synthesize(e: BoolExp, target: int, heap: AncillaHeap,
     """
     key, slots = shape(e)
     return compile_shape(key, len(slots)).replay(
-        [target, *[wires[s] for s in slots]], heap, gate_tables())
+        [target, *[wires[s] for s in slots]], heap, GateTable())
 
 
 def and_cost(e: BoolExp) -> int:

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from revc.ancilla import AncillaHeap
 from revc.boolexpr import (
     AND, CONST, NOT_, VAR, XOR, band, bconst, bnot, bor, bvar, bxor,
-    compile_shape, evaluate, gate_count, gate_tables, shape, variables,
+    GateTable, compile_shape, evaluate, gate_count, shape, variables,
 )
-from revc.circuit import TOFFOLI, Circuit, cnot, notg, simulate, toffoli
+from revc.circuit import TOFFOLI, Circuit, cnot, kind, notg, simulate, toffoli
 
 from helpers import and_cost, synthesize
 
@@ -92,7 +92,7 @@ def run_on(e, n_vars, assignment, target_value=0):
     """Simulate synthesize(e) with inputs on wires 0..n-1 and target on wire n."""
     heap = AncillaHeap(base=n_vars + 1)
     gates = synthesize(e, n_vars, heap, identity(e))
-    width = max([n_vars + 1] + [g.wires[-1] + 1 for g in gates] + [max(g.wires) + 1 for g in gates])
+    width = max([n_vars + 1] + [max(g) + 1 for g in gates])
     circ = Circuit(width, gates, list(range(n_vars)), [n_vars])
     state = list(assignment) + [target_value] + [0] * (width - n_vars - 1)
     return circ, simulate(circ, state)
@@ -106,7 +106,7 @@ def check_exhaustive(e, n_vars):
             assert out[n_vars] == y ^ evaluate(e, env)
             assert out[:n_vars] == list(bits), "inputs must be unchanged"
             assert all(b == 0 for b in out[n_vars + 1:]), "ancillas must end at 0"
-            toff = sum(1 for g in circ.gates if g.kind == TOFFOLI)
+            toff = sum(1 for g in circ.gates if kind(g) == TOFFOLI)
             assert toff == and_cost(e)
 
 
@@ -114,7 +114,7 @@ def test_and_pair_is_single_toffoli():
     e = band([bvar(0), bvar(1)])
     heap = AncillaHeap(base=3)
     gates = synthesize(e, 2, heap, identity(e))
-    assert len(gates) == 1 and gates[0].kind == TOFFOLI
+    assert len(gates) == 1 and kind(gates[0]) == TOFFOLI
     check_exhaustive(e, 2)
 
 
@@ -122,7 +122,7 @@ def test_xor_three_is_three_cnots():
     e = bxor([bvar(0), bvar(1), bvar(2)])
     heap = AncillaHeap(base=4)
     gates = synthesize(e, 3, heap, identity(e))
-    assert [g.kind for g in gates] == ["cnot"] * 3
+    assert [kind(g) for g in gates] == ["cnot"] * 3
     assert and_cost(e) == 0
     check_exhaustive(e, 3)
 
@@ -131,7 +131,7 @@ def test_and4_five_toffolis_two_ancillas():
     e = band([bvar(i) for i in range(4)])
     heap = AncillaHeap(base=5)
     gates = synthesize(e, 4, heap, identity(e))
-    assert sum(1 for g in gates if g.kind == TOFFOLI) == 2 * (4 - 2) + 1
+    assert sum(1 for g in gates if kind(g) == TOFFOLI) == 2 * (4 - 2) + 1
     assert heap.frontier - heap.base == 2
     assert heap.live_count == 0
     check_exhaustive(e, 4)
@@ -177,7 +177,7 @@ def test_k_way_or_is_one_toffoli_chain(k):
     heap = AncillaHeap(base=k + 1)
     gates = synthesize(e, k, heap, identity(e))
     # k NOTs on, the chain, k NOTs off, one NOT on the target
-    assert sum(1 for g in gates if g.kind == TOFFOLI) == 2 * (k - 2) + 1
+    assert sum(1 for g in gates if kind(g) == TOFFOLI) == 2 * (k - 2) + 1
     assert len(gates) == gate_count(e) == 2 * k + 2 * (k - 2) + 2
     assert heap.frontier - heap.base == k - 2
     if k <= 4:
@@ -228,8 +228,8 @@ def test_bor_is_or_counted_exactly_and_no_worse_than_the_fold(children):
         old = fold_or(children)
         old_gates = synthesize(old, n, AncillaHeap(base=n + 1), identity(old))
         assert len(gates) <= len(old_gates)
-        assert (sum(1 for g in gates if g.kind == TOFFOLI)
-                <= sum(1 for g in old_gates if g.kind == TOFFOLI))
+        assert (sum(1 for g in gates if kind(g) == TOFFOLI)
+                <= sum(1 for g in old_gates if kind(g) == TOFFOLI))
 
 
 def test_not_and_const():
@@ -285,7 +285,7 @@ def test_synthesis_matches_eval(e, bits_seed, y):
     assert out[n] == int(y) ^ evaluate(e, env)
     assert out[:n] == bits
     assert all(b == 0 for b in out[n + 1:])
-    assert sum(1 for g in circ.gates if g.kind == TOFFOLI) == and_cost(e)
+    assert sum(1 for g in circ.gates if kind(g) == TOFFOLI) == and_cost(e)
 
 
 @settings(max_examples=100, deadline=None)
@@ -310,9 +310,9 @@ def test_synthesis_returns_the_heap_as_it_found_it(e, perm, bits_seed, busy, y):
     gates = synthesize(e, target, heap, wires)
     assert heap.live_count == live
     assert sorted(heap.state()[0]) == free + list(range(frontier, heap.frontier))
-    assert sum(1 for g in gates if g.kind == TOFFOLI) == and_cost(e)
+    assert sum(1 for g in gates if kind(g) == TOFFOLI) == and_cost(e)
 
-    width = max([heap.frontier] + [max(g.wires) + 1 for g in gates])
+    width = max([heap.frontier] + [max(g) + 1 for g in gates])
     state = [(bits_seed >> w) & 1 for w in range(10)] + [0] * (width - 10)
     for w, keep in zip(held, busy):
         state[w] = int(keep)
@@ -408,7 +408,7 @@ def test_one_recipe_serves_every_renaming():
         wires = {s: 10 + s for s in slots}
         heap = AncillaHeap(base=30)
         got = recipe.replay([0, *(wires[s] for s in slots)], heap,
-                            gate_tables())
+                            GateTable())
         assert got == reference_synthesize(e, 0, AncillaHeap(base=30), wires)
 
 
@@ -430,7 +430,7 @@ def test_gate_count_is_linear_in_the_dag():
     small = shared_doubling(3)
     gates = synthesize(small, 3, AncillaHeap(base=4), identity(small))
     assert gate_count(small) == len(gates)
-    assert and_cost(small) == sum(1 for g in gates if g.kind == TOFFOLI)
+    assert and_cost(small) == sum(1 for g in gates if kind(g) == TOFFOLI)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,5 @@
 import random
+import re
 from importlib import resources
 
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from revc.circuit import (
-    Circuit, Gate, cnot, format_circuit, notg, parse_circuit, reverse,
-    simulate, simulate_batch, stats, toffoli, verify,
+    Circuit, cnot, format_circuit, notg, parse_circuit, reverse, simulate,
+    simulate_batch, stats, toffoli, verify,
 )
 from revc.emitter import compile_flat
 from revc.frontend import flatten, parse
@@ -23,7 +24,78 @@ def test_gate_wire_invariants():
     with pytest.raises(ValueError):
         cnot(3, 3)
     with pytest.raises(ValueError):
-        Gate("hadamard", (0,))
+        toffoli(-1, 0, 1)
+    # a gate is its wire tuple, its kind its length: one to three wires
+    for g in [(), (0, 1, 2, 3)]:
+        with pytest.raises(ValueError, match=r"not 1 to 3"):
+            Circuit(5, [g])
+
+
+# each gate the circuit must reject, named in the error, among good gates
+@pytest.mark.parametrize("bad,match", [
+    ((-1, 0, 1), "negative or non-integer wire"),
+    ((0, -2), "negative or non-integer wire"),
+    ((-1,), "negative or non-integer wire"),
+    ((0, 1, 3), "outside width 3"),
+    ((3,), "outside width 3"),
+    ((0, 0, 1), "repeats a wire"),
+    ((2, 2), "repeats a wire"),
+    ((0, 1.0), "negative or non-integer wire"),
+    ((0, True), "negative or non-integer wire"),
+], ids=["tof-negative", "cnot-negative", "not-negative", "tof-width",
+        "not-width", "tof-repeat", "cnot-repeat", "float", "bool"])
+def test_circuit_rejects_a_bad_gate(bad, match):
+    good = [(0, 1, 2), (1, 2), (0,)]
+    with pytest.raises(ValueError, match=re.escape(str(bad)) + ".*" + match):
+        Circuit(3, good + [bad] + good)
+
+
+def test_circuit_names_the_first_bad_gate_in_list_order():
+    with pytest.raises(ValueError, match=r"^gate \(5,\) outside width 3$"):
+        Circuit(3, [(0, 1), (5,), (0, 0), (0, 4)])
+
+
+@pytest.mark.parametrize("inputs,outputs,match", [
+    ([0, 9], [], "input wire 9 outside width 3"),
+    ([0, 0], [], "input wire 0 repeated"),
+    ([-1], [], "input wire -1 outside width 3"),
+    ([], [-1], "output wire -1 outside width 3"),
+    ([], [3], "output wire 3 outside width 3"),
+    ([], [1, 1], "output wire 1 repeated"),
+], ids=["input-width", "input-repeat", "input-negative", "output-negative",
+        "output-width", "output-repeat"])
+def test_circuit_rejects_bad_header_wires(inputs, outputs, match):
+    with pytest.raises(ValueError, match=match):
+        Circuit(3, [], inputs, outputs)
+    header = (f"# width: 3  inputs: {','.join(map(str, inputs))}  "
+              f"outputs: {','.join(map(str, outputs))}\n")
+    with pytest.raises(ValueError, match=match):
+        parse_circuit(header)
+
+
+@pytest.mark.parametrize("line,match", [
+    ("cnot 0", r"wrong wire count for cnot: \(0,\)"),
+    ("tof 0 1", r"wrong wire count for tof: \(0, 1\)"),
+    ("not 0 1", r"wrong wire count for not: \(0, 1\)"),
+    ("tof 0 x 1", "invalid literal for int"),
+    ("tof -1 0 1", r"gate \(-1, 0, 1\) has a negative or non-integer wire"),
+    ("tof 0 1 2 0", r"gate \(0, 1, 2, 0\) has 4 wires, not 1 to 3"),
+    ("cnot 1 1", r"gate \(1, 1\) repeats a wire"),
+    ("hadamard 0", "unknown gate 'hadamard'"),
+], ids=["cnot-arity", "tof-arity", "not-arity", "not-integer", "negative",
+        "four-wires", "repeat", "unknown"])
+def test_parse_circuit_names_the_line_of_a_bad_gate(line, match):
+    text = f"# width: 3  inputs: 0,1  outputs: 2\ncnot 0 2\n\n{line}\nnot 1\n"
+    with pytest.raises(ValueError, match=f"^line 4: {match}"):
+        parse_circuit(text)
+
+
+def test_parse_circuit_checks_width_after_the_header():
+    # the header may follow the gates; the circuit checks their width
+    c = parse_circuit("cnot 0 2\n# width: 3  inputs: 0,1  outputs: 2\n")
+    assert c == Circuit(3, [(0, 2)], [0, 1], [2])
+    with pytest.raises(ValueError, match=r"^gate \(0, 1, 3\) outside width 3$"):
+        parse_circuit("# width: 3  inputs: 0,1  outputs: 2\ntof 0 1 3\n")
 
 
 def test_toffoli_truth_table():
@@ -132,7 +204,7 @@ def circuits(draw):
         st.lists(wires, min_size=2, max_size=2, unique=True).map(
             lambda w: cnot(*w)),
         wires.map(notg)), max_size=6))
-    inputs = draw(st.lists(wires, max_size=width))
+    inputs = draw(st.lists(wires, max_size=width, unique=True))
     outputs = draw(st.lists(wires, max_size=width, unique=True))
     return Circuit(width, gates, inputs, outputs)
 

@@ -33,6 +33,8 @@ def test_compile_writes_circuit_and_stats(tmp_path, capsys):
     rep = json.loads(stats.read_text())
     assert rep["toffoli_count"] == 34
     assert rep["qubit_count"] == 40
+    # a gate that recurs (an AND computed and uncomputed) counts once
+    assert 0 < rep["distinct_gates"] < rep["gate_count"]
     assert rep["compile_seconds"] >= 0
 
 

@@ -2,7 +2,7 @@
 import pytest
 
 from revc.boolexpr import band, bvar, bxor
-from revc.circuit import CNOT, TOFFOLI, format_circuit, stats, verify
+from revc.circuit import CNOT, TOFFOLI, format_circuit, kind, stats, verify
 from revc.emitter import Emitter, compile_flat, emit
 from revc.frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
 from revc.mdd import build_mdd
@@ -21,14 +21,14 @@ def test_single_and_eager_is_one_toffoli():
     prog = prog_of(AND_SRC)
     plan, circ = compile_flat(prog, "eager")
     assert circ.width == 3
-    assert [g.kind for g in circ.gates] == [TOFFOLI]
+    assert [kind(g) for g in circ.gates] == [TOFFOLI]
     assert verify(prog, circ).ok
 
 
 def test_single_and_bennett_is_two_toffolis_one_cnot():
     prog = prog_of(AND_SRC)
     plan, circ = compile_flat(prog, "bennett")
-    kinds = [g.kind for g in circ.gates]
+    kinds = [kind(g) for g in circ.gates]
     assert kinds == [TOFFOLI, CNOT, TOFFOLI]
     assert circ.width == 4
     assert verify(prog, circ).ok
@@ -120,6 +120,13 @@ def test_gates_are_interned_and_recipes_shared():
     runs = sum(isinstance(a.stmt, InPlaceBlock) for a in actions)
     assert em.block_recipes < runs
     assert em.block_recipes + em.block_replays == runs
+
+
+def test_circuit_gates_are_interned():
+    # each distinct gate is one tuple in the finished circuit, output copy
+    # included: one tuple per gate instance would cost peak memory
+    _, c = compile_flat(prog_of(corpus("sha2.rev"), {"rounds": 4}), "bennett")
+    assert len({id(g) for g in c.gates}) == len(set(c.gates)) < len(c.gates)
 
 
 class StatementEmitter(Emitter):
