@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .boolexpr import (
-    MAX_STATEMENT_GATES, band, bconst, bnot, bor, bvar, bxor, gate_count,
+    AND, MAX_STATEMENT_GATES, BoolExp, bconst, bnot, bor, bvar, bxor,
+    canonical, gate_count,
 )
 from .frontend import Compute, FlatProgram
 
@@ -226,24 +227,38 @@ def reorder(net: BlifNetlist) -> BlifNetlist:
 # lowering
 
 
-def _cube_expr(cube: str, wires: list[int]):
-    lits = []
-    for ch, w in zip(cube, wires):
-        if ch == "1":
-            lits.append(bvar(w))
-        elif ch == "0":
-            lits.append(bnot(bvar(w)))
-    if not lits:
-        return bconst(True)
-    return band(lits)
+class _Literals(dict):
+    """The literal nodes of one cover's inputs, input -> (its variable,
+    its negation), shared by every cube that reads it so that each hash
+    is computed once.  An input's variable is its position, given in order
+    of first use (`columns` lists the inputs by position)."""
+
+    def __init__(self):
+        self.columns: list[int] = []
+
+    def __missing__(self, column: int) -> tuple:
+        v = bvar(len(self.columns))
+        self.columns.append(column)
+        pair = self[column] = (v, bnot(v))
+        return pair
 
 
-def cover_expr(cover: Cover, wires: list[int]):
-    """Boolean expression of one cover over the given input wires."""
+def _cube_expr(cube: str, lits: _Literals):
+    """The AND of a cube's literals, one per input: as `band` would fold
+    them, since no two read one input."""
+    conj = [lits[i][ch == "0"] for i, ch in enumerate(cube) if ch != "-"]
+    if len(conj) > 1:
+        return BoolExp(AND, tuple(conj))
+    return conj[0] if conj else bconst(True)
+
+
+def cover_expr(cover: Cover, lits: _Literals):
+    """Boolean expression of one cover over the positions `lits` gives
+    its inputs."""
     if not cover.cubes:
         return bconst(False)
     cliques = cover.cliques or [[i] for i in range(len(cover.cubes))]
-    groups = [bxor([_cube_expr(cover.cubes[i], wires) for i in cl])
+    groups = [bxor([_cube_expr(cover.cubes[i], lits) for i in cl])
               for cl in cliques]
     return bor(groups)
 
@@ -265,13 +280,18 @@ def lower(net: BlifNetlist, optimize: bool = False) -> FlatProgram:
     next_slot = len(net.inputs)
     statements = []
     for c in _cover_order(net):
-        wires = [slot_of[s] for s in c.inputs]
-        expr = cover_expr(c, wires)
+        lits = _Literals()
+        expr = cover_expr(c, lits)
         if gate_count(expr) > MAX_STATEMENT_GATES:
             raise BlifError(f"cover for {c.output!r} synthesizes to more than "
                             f"{MAX_STATEMENT_GATES} gates", c.line)
         slot_of[c.output] = next_slot
-        statements.append(Compute(next_slot, expr, fresh=True))
+        # the positions are in order of first use unless the simplifier
+        # dropped an input (x and not x in one De Morgan chain fold to 1),
+        # so `canonical` keeps the nodes as a rule
+        form, args = canonical(expr, [slot_of[c.inputs[i]]
+                                      for i in lits.columns])
+        statements.append(Compute.over(next_slot, form, args, True))
         next_slot += 1
     output_slots = []
     for s in net.outputs:

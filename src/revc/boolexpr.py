@@ -7,6 +7,11 @@ Synthesis respects the written structure (no factoring), so the Toffoli
 count is a direct function of the shape of the expression as the
 programmer wrote it.
 
+A statement holds its expression as a form and args (`canonical`): the
+expression with its variables renumbered 0..k-1 in order of first use,
+and those k variables.  Renaming a statement maps its args only, so every
+later stage can work once per form rather than once per statement.
+
 Synthesis has two steps.  `shape` renames an expression's variables to
 registers in order of first use and gives the renamed tree (its shape
 key) and the variables in that order.  `compile_shape` turns a shape into
@@ -212,33 +217,92 @@ def variables(e: BoolExp) -> set[int]:
     return out
 
 
+def canonical(e: BoolExp, names=None) -> tuple[BoolExp, tuple]:
+    """(form, args): e with its variables renumbered 0..k-1 in order of
+    first use, and those k variables in that order (variable v as
+    `names[v]` if `names` is given).  The order is `shape`'s, so the
+    form's shape key reads position i as register i + 1.  A node whose
+    variables keep their numbers is e's own, and a subtree shared in the
+    DAG is walked once and stays shared."""
+    leaves: dict[int, BoolExp] = {}  # variable -> the node of its position
+    args: list = []
+    memo: dict[int, BoolExp] = {}  # id of an inner node -> its form
+
+    def leaf(x: BoolExp) -> BoolExp:  # a first-seen variable
+        v = x.args[0]
+        p = len(args)
+        args.append(v if names is None else names[v])
+        n = leaves[v] = x if v == p else BoolExp(VAR, (p,))
+        return n
+
+    def walk(x: BoolExp) -> BoolExp:  # an inner node, children in the loop
+        kids = []
+        changed = False
+        for c in x.args:
+            op = c.op
+            if op == VAR:
+                k = leaves.get(c.args[0]) or leaf(c)
+            elif op == CONST:
+                k = c
+            else:
+                k = memo.get(id(c))
+                if k is None:
+                    k = memo[id(c)] = walk(c)
+            changed = changed or k is not c
+            kids.append(k)
+        return BoolExp(x.op, tuple(kids)) if changed else x
+
+    if e.op == VAR:
+        return leaf(e), tuple(args)
+    if e.op == CONST:
+        return e, ()
+    return walk(e), tuple(args)
+
+
+def instantiate(form: BoolExp, args) -> BoolExp:
+    """The expression of a form: position i read as variable args[i]."""
+    if form.op == VAR:
+        return bvar(args[form.args[0]])
+    if form.op == CONST:
+        return form
+    return BoolExp(form.op, tuple([instantiate(a, args) for a in form.args]))
+
+
 def evaluate(e: BoolExp, env, mask: int = 1) -> int:
     """Bit-sliced classical evaluation: `env[v]` packs variable v's value
     in every sample, one sample per bit (lane), and `mask` has a 1 in each
     live lane; the result is packed the same way.  With `mask=1` this is
     scalar evaluation over 0/1 values."""
-    return _evaluate(e, env, mask) & mask
+    return evaluate_form(*canonical(e), env, mask)
 
 
-def _evaluate(e: BoolExp, env, mask: int) -> int:
-    """`evaluate` with the lanes outside `mask` left undefined: every lane
-    is computed on its own, so one mask at the end suffices.  Variable
-    operands are read in the loop, without a call."""
+def evaluate_form(form: BoolExp, args, env, mask: int = 1) -> int:
+    """`evaluate` of the expression of a form: position i reads
+    env[args[i]]."""
+    return _evaluate(form, args, env, mask) & mask
+
+
+def _evaluate(e: BoolExp, args, env, mask: int) -> int:
+    """`evaluate_form` with the lanes outside `mask` left undefined: every
+    lane is computed on its own, so one mask at the end suffices.
+    Variable operands are read in the loop, without a call."""
     op = e.op
     if op == XOR:
         r = 0
         for c in e.args:
-            r ^= env[c.args[0]] if c.op == VAR else _evaluate(c, env, mask)
+            r ^= (env[args[c.args[0]]] if c.op == VAR
+                  else _evaluate(c, args, env, mask))
         return r
     if op == AND:
         r = mask
         for c in e.args:
-            r &= env[c.args[0]] if c.op == VAR else _evaluate(c, env, mask)
+            r &= (env[args[c.args[0]]] if c.op == VAR
+                  else _evaluate(c, args, env, mask))
         return r
     if op == VAR:
-        return env[e.args[0]]
+        return env[args[e.args[0]]]
     if op == NOT_:
-        return _evaluate(e.args[0], env, mask) ^ mask
+        return _evaluate(e.args[0], args, env, mask) ^ mask
     return mask if e.args[0] else 0
 
 

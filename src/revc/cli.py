@@ -22,14 +22,18 @@ the report, outside the timed stages),
 the flat program's (`flat_statements`, `inplace_blocks`,
 `block_templates`: distinct block tokens, i.e. the shared block bodies
 the blocks run; `block_body_statements`: the blocks' body lengths summed,
-read off the shared bodies; `slots`), flatten's (`call_templates`: calls
+read off the shared bodies; `slots`; `expression_forms`: distinct form
+objects among the Computes of the program and of its block bodies, where
+every statement renamed from one template shares the template's forms,
+see `frontend.Compute`), flatten's (`call_templates`: calls
 inlined from the AST and recorded as templates; `call_replays`: calls,
 in place or not, replayed from a template of their signature; both 0 for
 BLIF), the emitter's (`block_recipes`: block
 recipes compiled, i.e. block runs that walked the body; `block_replays`:
 block runs served from an existing recipe; together, every forward and
-backward run of an in-place block), `compile_seconds` (schedule + emit)
-and `stage_seconds`: `parse`,
+backward run of an in-place block; `expression_recipes`: expression
+recipes compiled, one per distinct shape of the forms it synthesized),
+`compile_seconds` (schedule + emit) and `stage_seconds`: `parse`,
 `flatten` (for BLIF, lowering), `schedule` (under eager, the dependency
 graph and the cleanup plan; under bennett and incremental, the plan from
 the flat program alone) and `emit`.
@@ -52,7 +56,7 @@ from . import blif as blif_mod
 from . import circuit as circuit_mod
 from . import pebble as pebble_mod
 from .emitter import Emitter, compile_flat
-from .frontend import FrontendError, InPlaceBlock, flatten, parse
+from .frontend import Compute, FrontendError, InPlaceBlock, flatten, parse
 from .mdd import build_mdd, to_dot
 from .scheduler import STRATEGIES, BudgetError, live_profile, schedule
 
@@ -119,6 +123,10 @@ def _report(prog, plan, circ, em, stages, counts) -> dict:
     the report only."""
     g = plan.mdd if plan.mdd is not None else build_mdd(prog)
     blocks = [s for s in prog.statements if isinstance(s, InPlaceBlock)]
+    tokens = {b.token for b in blocks}
+    forms = {id(s.form) for s in [*prog.statements,
+                                  *(x for t in tokens for x in t.stmts)]
+             if isinstance(s, Compute)}
     rep = circuit_mod.stats(circ)
     rep.update({"strategy": plan.strategy,
                 "input_count": len(circ.inputs),
@@ -134,10 +142,12 @@ def _report(prog, plan, circ, em, stages, counts) -> dict:
                                  default=len(circ.inputs)),
                 "flat_statements": len(prog.statements),
                 "inplace_blocks": len(blocks),
-                "block_templates": len({b.token for b in blocks}),
+                "block_templates": len(tokens),
                 "block_body_statements": sum(len(b.token.stmts)
                                              for b in blocks),
                 "slots": prog.slot_count,
+                "expression_forms": len(forms),
+                "expression_recipes": len(em.recipes),
                 "block_recipes": em.block_recipes,
                 "block_replays": em.block_replays, **counts})
     rep["compile_seconds"] = round(stages["schedule"] + stages["emit"], 6)

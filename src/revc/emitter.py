@@ -13,10 +13,14 @@ gets a one-line RuntimeError naming the slot; no read takes a wire.
 Correctness is tracked per slot, not per wire: every statement, forwards
 or backwards, is synthesized against the *current* mapping, so a mirror
 may run on different wires than the forward pass without changing the
-computed values.  What is cached is wire-free.  Each expression is
-compiled once into a `Recipe` (see boolexpr), shared by every expression
-of the same shape; a call resolves the recipe's registers against the slot
-map of that moment.  A gate is its wire tuple (see circuit): every gate,
+computed values.  What is cached is wire-free.  A `Compute` is a form
+and its args (see frontend), and the statements renamed from one template
+share their forms, so each form object is shaped once per emission and
+looked up by identity after that; its `Recipe` (see boolexpr) is compiled
+once per shape key and shared by every form of that shape, BLIF covers
+included.  A statement resolves the recipe's registers, its target and
+then its args, against the slot map of that moment.  A gate is its wire
+tuple (see circuit): every gate,
 copies too, goes through the emission's one `GateTable`, so a gate that
 recurs is one tuple, which keeps peak memory down; `Circuit` validates
 each distinct gate once.
@@ -87,12 +91,12 @@ class Emitter:
         # its fanout wires, and the slot map its remap replaced
         self.copy_wires: dict[Action, list[int]] = {}
         self.saved_maps: dict[Action, dict] = {}
-        # synthesis caches: id(expr) -> (expr, its recipe, *its slots in
-        # register order), see `_learn`; shape key -> recipe; the gate
-        # intern table.  An entry keeps its expr alive, so the id is not
-        # reused.  Entries and intern keys are laid out to leave few small
-        # objects to free when the emitter goes: freed in bulk, they would
-        # scatter the packed columns a later verification allocates
+        # synthesis caches: id(form) -> (form, its recipe), see `_learn`;
+        # shape key -> recipe; the gate intern table.  An entry keeps its
+        # form alive, so the id is not reused.  Intern keys are laid out to
+        # leave few small objects to free when the emitter goes: freed in
+        # bulk, they would scatter the packed columns a later verification
+        # allocates
         self.compiled: dict[int, tuple] = {}
         self.recipes: dict[tuple, Recipe] = {}
         self.gate_table = GateTable()
@@ -120,15 +124,14 @@ class Emitter:
         except KeyError:
             raise RuntimeError(f"slot {slot} has no wire") from None
 
-    def _learn(self, expr) -> tuple:
-        """Cache entry of a first-seen expression: (expr, its recipe, *its
-        slots in register order)."""
-        key, slots = shape(expr)
+    def _learn(self, form) -> Recipe:
+        """The recipe of a first-seen form, cached by its identity."""
+        key, regs = shape(form)
         recipe = self.recipes.get(key)
         if recipe is None:
-            recipe = self.recipes[key] = compile_shape(key, len(slots))
-        entry = self.compiled[id(expr)] = (expr, recipe, *slots)
-        return entry
+            recipe = self.recipes[key] = compile_shape(key, len(regs))
+        self.compiled[id(form)] = (form, recipe)
+        return recipe
 
     def _target(self, slot: int, fresh: bool) -> int:
         if not fresh:
@@ -138,12 +141,17 @@ class Emitter:
         w = self.slot_map[slot] = self.heap.alloc()
         return w
 
-    def _synth(self, expr, target_slot: int, fresh: bool) -> list[tuple]:
-        """Gates of target ^= expr on the current wires."""
-        entry = self.compiled.get(id(expr)) or self._learn(expr)
-        wires = [self._target(target_slot, fresh)]
-        wires += map(self._wire_of, entry[2:])
-        return entry[1].replay(wires, self.heap, self.gate_table)
+    def _synth(self, stmt: Compute, fresh: bool) -> list[tuple]:
+        """Gates of slot ^= expr on the current wires: the recipe of the
+        form, its registers 1..k being the wires of the args."""
+        entry = self.compiled.get(id(stmt.form))
+        recipe = entry[1] if entry is not None else self._learn(stmt.form)
+        wires = [self._target(stmt.slot, fresh)]
+        try:
+            wires += map(self.slot_map.__getitem__, stmt.args)
+        except KeyError as exc:
+            raise RuntimeError(f"slot {exc.args[0]} has no wire") from None
+        return recipe.replay(wires, self.heap, self.gate_table)
 
     # -- actions ------------------------------------------------------------
 
@@ -158,7 +166,7 @@ class Emitter:
 
     def _fwd_stmt(self, stmt) -> None:
         if isinstance(stmt, Compute):
-            self.gates += self._synth(stmt.expr, stmt.slot, stmt.fresh)
+            self.gates += self._synth(stmt, stmt.fresh)
         elif isinstance(stmt, InPlaceBlock):
             self._run_block(stmt, True)
         elif isinstance(stmt, CleanSlot):
@@ -169,7 +177,7 @@ class Emitter:
 
     def _bwd_stmt(self, stmt) -> None:
         if isinstance(stmt, Compute):
-            gates = self._synth(stmt.expr, stmt.slot, fresh=False)
+            gates = self._synth(stmt, fresh=False)
             self.gates += reversed(gates)
             if stmt.fresh:
                 self.heap.free(self.slot_map.pop(stmt.slot))

@@ -10,7 +10,10 @@ and bit arrays.
 `flatten` fully unrolls loops and inlines calls into a straight-line
 FlatProgram over numbered bit slots.  Three statement forms survive:
 
-  Compute(slot, e, fresh)   slot := e (fresh zero slot) or slot ^= e
+  Compute(slot, e, fresh)   slot := e (fresh zero slot) or slot ^= e,
+                            held as e's form (e over positions) and args
+                            (the slots it reads); a renamed copy maps the
+                            args and shares the form
   InPlaceBlock(token, slots) an inlined call whose result buffer aliases
                             the assignment target (in-place update)
   CleanSlot(slot)           explicit release of a zero-valued slot
@@ -154,8 +157,8 @@ import re
 from dataclasses import dataclass, field
 
 from .boolexpr import (
-    MAX_STATEMENT_GATES, BoolExp, band, bconst, bor, bvar, bxor, evaluate,
-    gate_count, negate, variables,
+    MAX_STATEMENT_GATES, BoolExp, band, bconst, bor, bvar, bxor, canonical,
+    evaluate_form, gate_count, instantiate, negate, variables,
 )
 
 # ---------------------------------------------------------------------------
@@ -699,11 +702,44 @@ def parse(text: str, params: dict | None = None) -> Program:
 # Flat program representation
 
 
-@dataclass
 class Compute:
-    slot: int
-    expr: BoolExp
-    fresh: bool  # True: slot was zero and expr excludes it; False: slot ^= expr
+    """slot := expr if `fresh` (the slot was zero and expr does not read
+    it), else slot ^= expr, held as expr's form and args: `form` is expr
+    over positions 0..k-1, numbered in order of first use, and `args` the
+    k distinct slots it reads, position i being args[i] (see `canonical`).
+    `Compute(slot, expr, fresh)` finds the form once; renaming a statement
+    maps only its args and shares its form (`over`), so every statement
+    replayed from one template has that template's forms.  `expr` is a
+    view, built on demand."""
+    __slots__ = ("slot", "form", "args", "fresh")
+
+    def __init__(self, slot: int, expr: BoolExp, fresh: bool):
+        self.slot = slot
+        self.form, self.args = canonical(expr)
+        self.fresh = fresh
+
+    @classmethod
+    def over(cls, slot: int, form: BoolExp, args: tuple,
+             fresh: bool) -> Compute:
+        """The statement of a form, as it is, on `args`."""
+        c = cls.__new__(cls)
+        c.slot, c.form, c.args, c.fresh = slot, form, args, fresh
+        return c
+
+    @property
+    def expr(self) -> BoolExp:
+        """The expression over slots, a new tree at each read."""
+        return instantiate(self.form, self.args)
+
+    def __eq__(self, other):
+        if other.__class__ is not Compute:
+            return NotImplemented
+        return (self.slot == other.slot and self.fresh == other.fresh
+                and self.args == other.args and self.form == other.form)
+
+    def __repr__(self) -> str:
+        return (f"Compute(slot={self.slot!r}, expr={self.expr!r}, "
+                f"fresh={self.fresh!r})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -744,7 +780,7 @@ class InPlaceBlock:
         touched: set[int] = set()
         for s in body:
             if isinstance(s, Compute):
-                touched.update(variables(s.expr))
+                touched.update(s.args)
             touched.add(s.slot)
         arg_slots = sorted(touched.difference(target_slots, local_slots))
         slots = tuple(dict.fromkeys([*slots, *target_slots, *arg_slots,
@@ -814,7 +850,7 @@ def run_statements(stmts, cols: list[int], mask: int) -> None:
     """
     for stmt in stmts:
         if isinstance(stmt, Compute):
-            v = evaluate(stmt.expr, cols, mask)
+            v = evaluate_form(stmt.form, stmt.args, cols, mask)
             cols[stmt.slot] = v if stmt.fresh else cols[stmt.slot] ^ v
         elif isinstance(stmt, InPlaceBlock):
             slots = stmt.slots
@@ -1176,15 +1212,6 @@ def _free_names(defn: LetDef) -> tuple[tuple[str, ...], bool]:
     return tuple(free), writes
 
 
-def _renamed(e: BoolExp, m: dict[int, BoolExp]) -> BoolExp:
-    """e with the variable of every slot s replaced by m[s]."""
-    if e.op == "var":
-        return m[e.args[0]]
-    if e.op == "const":
-        return e
-    return BoolExp(e.op, tuple([_renamed(a, m) for a in e.args]))
-
-
 def _substituted(e: BoolExp, m: dict[int, BoolExp]) -> BoolExp:
     """e with the variable of every slot s in `m` replaced by m[s], folded
     again; e itself if it reads none of them."""
@@ -1203,28 +1230,19 @@ def _substituted(e: BoolExp, m: dict[int, BoolExp]) -> BoolExp:
 _ZERO = bconst(False)
 
 
-class _Leaves(dict):
-    """The variable of slot m[s], for each slot s read, built on first
-    use; a slot that `m` lacks raises KeyError."""
-    __slots__ = ("m",)
-
-    def __init__(self, m):
-        self.m = m
-
-    def __missing__(self, s: int) -> BoolExp:
-        v = self[s] = bvar(self.m[s])
-        return v
-
-
 def _renamed_stmts(stmts, m) -> list:
     """Flat statements with every slot s renamed to m[s], `m` a dict or a
-    sequence indexed by slot; a block keeps its token.  KeyError if `m`
+    sequence indexed by slot that maps no two slots to one (ValueError);
+    a Compute keeps its form and a block its token.  KeyError if `m`
     lacks a slot they touch."""
-    leaves = _Leaves(m)
+    if len(set(m.values() if isinstance(m, dict) else m)) != len(m):
+        raise ValueError("a slot renaming maps two slots to one")
+    over, get = Compute.over, m.__getitem__
     out = []
     for s in stmts:
         if type(s) is Compute:
-            out.append(Compute(m[s.slot], _renamed(s.expr, leaves), s.fresh))
+            out.append(over(get(s.slot), s.form, tuple(map(get, s.args)),
+                            s.fresh))
         elif type(s) is CleanSlot:
             out.append(CleanSlot(m[s.slot]))
         else:
@@ -1882,7 +1900,7 @@ class Flattener(_Walker):
         """Append a statement; a write of 0 onto a written slot is
         dropped."""
         if (type(stmt) is Compute and not stmt.fresh
-                and stmt.expr.op == "const" and not stmt.expr.args[0]):
+                and stmt.form.op == "const" and not stmt.form.args[0]):
             return  # x ^= 0 is a no-op
         self.stmts.append(stmt)
 

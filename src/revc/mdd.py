@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .boolexpr import variables
 from .frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
 
 INPUT = "input"
@@ -122,7 +121,7 @@ def build_mdd(program: FlatProgram) -> MDD:
 
     for idx, stmt in enumerate(program.statements):
         if isinstance(stmt, Compute):
-            srcs = [current_of(w) for w in sorted(variables(stmt.expr))]
+            srcs = [current_of(w) for w in sorted(stmt.args)]
             if stmt.fresh:
                 init = _add_node(g, INIT, slot=stmt.slot, stmt_index=idx)
                 current[stmt.slot] = init.id

@@ -69,7 +69,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .boolexpr import variables
 from .frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
 from .mdd import MDD, OP, OUTPUT, build_mdd
 
@@ -87,14 +86,17 @@ class Action:
     ref: "Action | None" = None  # remap/unremap -> their copy action
 
 
+# action kind -> the kind of its inverse
+_FLIP = {"fwd": "bwd", "bwd": "fwd", "copy": "uncopy", "uncopy": "copy",
+         "remap": "unremap", "unremap": "remap"}
+
+
 def invert(a: Action) -> Action:
     """Exact inverse action.  `ref` names the original action, or the copy
     the original already named, so every uncopy, remap and unremap names
     its copy, under which the emitter records the copy's fanout wires and
     remap's saved slot map."""
-    flip = {"fwd": "bwd", "bwd": "fwd", "copy": "uncopy", "uncopy": "copy",
-            "remap": "unremap", "unremap": "remap"}
-    return Action(flip[a.kind], stmt=a.stmt, slots=a.slots, tag=a.tag,
+    return Action(_FLIP[a.kind], stmt=a.stmt, slots=a.slots, tag=a.tag,
                   ref=a.ref or a)
 
 
@@ -240,7 +242,7 @@ def eager_cleanup(g: MDD) -> CleanupPlan:
 def _slots_used_by(stmt) -> set:
     """Slots whose *current value* a statement consumes or extends."""
     if isinstance(stmt, Compute):
-        used = set(variables(stmt.expr))
+        used = set(stmt.args)
         if not stmt.fresh:
             used.add(stmt.slot)
         return used

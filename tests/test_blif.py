@@ -3,9 +3,10 @@ import itertools
 import pytest
 
 from revc.blif import (
-    BlifError, clique_cover, cover_semantics, lower, mutually_exclusive,
-    parse_blif, reorder,
+    BlifError, Cover, _Literals, clique_cover, cover_expr, cover_semantics,
+    lower, mutually_exclusive, parse_blif, reorder,
 )
+from revc.boolexpr import VAR, bconst, variables
 from revc.circuit import stats, verify
 from revc.emitter import compile_flat
 from revc.frontend import interpret
@@ -176,3 +177,45 @@ def test_long_cover_chain_listed_backwards_lowers():
     prog = lower(parse_blif(text))
     assert len(prog.statements) == n + 1
     assert [interpret(prog, [b]) for b in (0, 1)] == [[1], [0]]
+
+
+def leaves(e, out):
+    """The ids of e's literal nodes (variables and their negations), by
+    literal."""
+    if e.op == VAR or e.op == "not" and e.args[0].op == VAR:
+        out.setdefault(repr(e), set()).add(id(e))
+    if e.op != VAR and e.op != "const":
+        for a in e.args:
+            leaves(a, out)
+    return out
+
+
+def test_cover_literals_are_shared_and_numbered_by_first_use():
+    cover = Cover("y", ["a", "b", "c"], ["-11", "10-", "0-1", "11-"])
+    lits = _Literals()
+    e = cover_expr(cover, lits)
+    assert lits.columns == [1, 2, 0]
+    # one node per input and polarity, wherever the cubes read it
+    nodes = leaves(e, {})
+    assert set(nodes) == {"v0", "v1", "v2", "~v0", "~v2"}
+    assert all(len(ids) == 1 for ids in nodes.values())
+    # so the lowered statement takes its form as built, its args in order
+    # of first use
+    prog = lower(parse_blif(make_blif(cover.cubes)))
+    (stmt,) = prog.statements
+    assert stmt.args == (1, 2, 0)
+    assert variables(stmt.form) == {0, 1, 2}
+
+
+def test_cover_whose_inputs_cancel_reads_none_of_them():
+    # not x0, x0 and not x1 in one De Morgan chain: the cover is 1, and
+    # the statement reads neither input
+    net = parse_blif(make_blif(["0-", "1-", "-0"], n=2))
+    prog = lower(net)
+    (stmt,) = prog.statements
+    assert (stmt.form, stmt.args) == (bconst(True), ())
+    _, circ = compile_flat(prog, "eager")
+    for bits in itertools.product((0, 1), repeat=2):
+        assert interpret(prog, list(bits)) == cover_semantics(
+            net, list(bits)) == [1]
+    assert verify(prog, circ).ok

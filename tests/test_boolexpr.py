@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from revc.ancilla import AncillaHeap
 from revc.boolexpr import (
     AND, CONST, NOT_, VAR, XOR, band, bconst, bnot, bor, bvar, bxor,
-    GateTable, compile_shape, evaluate, gate_count, shape, variables,
+    GateTable, canonical, compile_shape, evaluate, gate_count, instantiate,
+    shape, variables,
 )
 from revc.circuit import TOFFOLI, Circuit, cnot, kind, notg, simulate, toffoli
 
@@ -444,3 +445,35 @@ def test_packed_evaluation_is_per_lane_evaluation(e, columns):
     lanes = [evaluate(e, {v: c >> i & 1 for v, c in env.items()})
              for i in range(8)]
     assert evaluate(e, env, mask) == sum(b << i for i, b in enumerate(lanes))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(exprs(n_vars=8, depth=4), branchy_exprs()),
+       st.permutations(range(8)))
+def test_canonical_form_is_the_shape_over_positions(e, names):
+    # positions in shape's order of first use, so the form's shape key is
+    # the expression's and its registers are the positions in order
+    form, args = canonical(e)
+    key, order = shape(e)
+    assert args == order
+    assert shape(form) == (key, tuple(range(len(args))))
+    assert instantiate(form, args) == e
+    # the names only relabel the args
+    assert canonical(e, names) == (form, tuple(names[v] for v in args))
+
+
+def test_canonical_keeps_nodes_that_keep_their_numbers():
+    x, y = bvar(0), bvar(1)
+    e = bxor([band([x, bnot(y)]), band([x, y]), bnot(y)])
+    form, args = canonical(e)
+    assert form is e and args == (0, 1)
+    # renumbered nodes are new, and a shared subtree stays shared
+    shared = band([bvar(4), bvar(2)])
+    e = bxor([shared, bnot(shared), bvar(3)])
+    form, args = canonical(e)
+    assert args == (4, 2, 3)
+    assert form.args[1].args[0] is form.args[0]
+    assert form == bxor([band([x, y]), bnot(band([x, y])), bvar(2)])
+    # a constant or a single variable is a form too
+    assert canonical(bconst(True)) == (bconst(True), ())
+    assert canonical(bvar(7)) == (bvar(0), (7,))

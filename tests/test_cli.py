@@ -170,6 +170,27 @@ def test_stats_count_call_templates_and_replays(capsys):
     assert (rep["call_templates"], rep["call_replays"]) == (0, 0)
 
 
+def test_stats_count_expression_forms_and_recipes(tmp_path, capsys):
+    # SHA-2's replayed calls and blocks share their templates' forms, so
+    # more rounds add none, and the emitter compiles one recipe per shape
+    reps = []
+    for rounds in (4, 16):
+        assert main(["stats", corpus_path("sha2.rev"),
+                     "--param", f"rounds={rounds}"]) == 0
+        reps.append(json.loads(capsys.readouterr().out))
+    assert [(r["expression_forms"], r["expression_recipes"])
+            for r in reps] == [(316, 5)] * 2
+    # each BLIF cover is a form of its own, and covers of one shape share
+    # a recipe
+    path = tmp_path / "ands.blif"
+    path.write_text(".model m\n.inputs a b c\n.outputs x y z\n"
+                    ".names a b x\n11 1\n.names c b y\n11 1\n"
+                    ".names a c z\n10 1\n.end\n")
+    assert main(["stats", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["expression_forms"], rep["expression_recipes"]) == (3, 2)
+
+
 def test_empty_file_is_user_error(tmp_path, capsys):
     empty = tmp_path / "empty.rev"
     empty.write_text("")

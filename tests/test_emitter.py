@@ -1,7 +1,8 @@
 
 import pytest
 
-from revc.boolexpr import band, bvar, bxor
+from revc import emitter as emitter_mod
+from revc.boolexpr import band, bvar, bxor, shape
 from revc.circuit import CNOT, TOFFOLI, format_circuit, kind, stats, verify
 from revc.emitter import Emitter, compile_flat, emit
 from revc.frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
@@ -120,6 +121,25 @@ def test_gates_are_interned_and_recipes_shared():
     runs = sum(isinstance(a.stmt, InPlaceBlock) for a in actions)
     assert em.block_recipes < runs
     assert em.block_recipes + em.block_replays == runs
+
+
+def test_each_form_is_shaped_once_per_emission(monkeypatch):
+    # the top-level statements and the block bodies of SHA-2 share a few
+    # hundred forms of five shapes, whatever the number of rounds
+    shaped = []
+    monkeypatch.setattr(emitter_mod, "shape",
+                        lambda form: shaped.append(form) or shape(form))
+    prog = prog_of(corpus("sha2.rev"), {"rounds": 4})
+    tokens = {s.token for s in prog.statements if isinstance(s, InPlaceBlock)}
+    forms = {id(s.form) for s in [*prog.statements,
+                                  *(x for t in tokens for x in t.stmts)]
+             if isinstance(s, Compute)}
+    for strategy in ("eager", "bennett"):
+        shaped.clear()
+        em = Emitter(prog)
+        em.run(schedule(prog, strategy))
+        assert sorted(map(id, shaped)) == sorted(em.compiled) == sorted(forms)
+        assert len(em.recipes) == 5
 
 
 def test_circuit_gates_are_interned():

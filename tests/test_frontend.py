@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from revc.frontend import (
     CleanSlot, Compute, FlattenError, Flattener, InPlaceBlock,
-    InterpretError, MAX_NESTING, ParseError, flatten, interpret,
-    interpret_packed, interpret_source, parse,
+    InterpretError, MAX_NESTING, ParseError, _renamed_stmts, flatten,
+    interpret, interpret_packed, interpret_source, parse,
 )
-from revc.boolexpr import bconst, bvar, variables
+from revc.boolexpr import band, bconst, bnot, bor, bvar, bxor, variables
 from revc.circuit import verify
 from revc.cli import main as cli_main
 from revc.emitter import compile_flat
@@ -1016,6 +1016,54 @@ def test_templates_match_fresh_inlining(monkeypatch, ast, replays):
     assert kinds == replays
     monkeypatch.setattr(Flattener, "signature", lambda *args: None)
     assert flat_outcome(ast) == cached
+
+
+def test_replayed_computes_share_their_templates_forms():
+    # every top-level Compute of SHA-2 comes from a replayed call and
+    # keeps its template's form: more rounds add statements, not forms
+    def forms(rounds):
+        prog = flatten(parse(corpus("sha2.rev"), params={"rounds": rounds}))
+        computes = [s for s in prog.statements if type(s) is Compute]
+        return len(computes), len({id(s.form) for s in computes})
+
+    (n4, f4), (n16, f16) = forms(4), forms(16)
+    assert n16 == 4 * n4
+    assert f16 == f4 < n4
+
+
+@pytest.mark.parametrize("expr", [
+    bvar(7), bconst(True), band([bvar(5), bnot(bvar(3))]),
+    bxor([band([bvar(4), bvar(2)]), bvar(4), bvar(2)]),
+    bor([bvar(6), bnot(bvar(1)), band([bvar(1), bvar(8)])]),
+    bnot(bxor([band([bvar(9), bvar(0)]), bnot(band([bvar(0), bvar(9)]))])),
+])
+def test_compute_holds_its_expression_as_a_form_and_args(expr):
+    c = Compute(11, expr, True)
+    assert c.expr == expr
+    # args are the slots read, in order of first use, and the form reads
+    # each one's position
+    assert sorted(c.args) == sorted(variables(expr))
+    assert len(set(c.args)) == len(c.args)
+    assert variables(c.form) == set(range(len(c.args)))
+    assert c == Compute(11, expr, True) != Compute(11, expr, False)
+    assert repr(c) == f"Compute(slot=11, expr={expr!r}, fresh=True)"
+
+
+def test_renaming_maps_the_args_and_shares_the_form():
+    stmts = [Compute(2, band([bvar(0), bvar(1)]), True),
+             Compute(0, bxor([bvar(2), bvar(1)]), False), CleanSlot(2)]
+    renamed = _renamed_stmts(stmts, [5, 6, 7])
+    assert renamed == [Compute(7, band([bvar(5), bvar(6)]), True),
+                       Compute(5, bxor([bvar(7), bvar(6)]), False),
+                       CleanSlot(7)]
+    assert all(r.form is s.form for r, s in zip(renamed[:2], stmts))
+    # the map is checked once, as a whole, to be one-to-one: a renaming
+    # that merges two slots is refused even where no statement reads both
+    for m in ([5, 5, 7], {0: 5, 1: 5, 2: 7}):
+        with pytest.raises(ValueError, match="two slots to one"):
+            _renamed_stmts(stmts, m)
+        with pytest.raises(ValueError, match="two slots to one"):
+            _renamed_stmts([CleanSlot(2)], m)
 
 
 def captured_flag_program(*reads: str) -> str:

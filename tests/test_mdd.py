@@ -129,6 +129,16 @@ f
     assert any(n.kind == CLEAN for n in g.nodes)
 
 
+def test_reads_of_a_compute_are_its_sorted_args():
+    prog = prog_of(corpus("sha2.rev"), {"rounds": 2})
+    g = build_mdd(prog)
+    ops = [n for n in g.nodes if n.kind == OP and isinstance(n.stmt, Compute)]
+    assert len(ops) == 256
+    for n in ops:
+        assert [g.node(r).slot for r in g.reads.get(n.id, [])] == sorted(
+            n.stmt.args) == sorted(variables(n.stmt.expr))
+
+
 def test_block_members_share_one_read_list():
     prog = prog_of(corpus("sha2.rev"), {"rounds": 2})
     g = build_mdd(prog)
