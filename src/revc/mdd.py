@@ -17,12 +17,20 @@ reader of `dependents` and never reverses a block node alone (a path
 through a block is Unclean before its readers are examined), so the
 other members would only repeat the first one's statement index there.
 
-The eager cleanup scheduler consumes five queries: the garbage terminals
-(`garbage_terminals`, one pass over the nodes), the mutation path leading
-to a node (`modification_path`), the inputs read along a path
-(`input_nodes`), the readers of a node (`dependents`) and the next state of
-a node (`mutation_next`).  The last three are lookups in indexes built with
-the graph, and a node's `stmt_index` places it in the plan.
+The graph is built in one pass over the statements and kept small: a
+node is a slotted record made positionally, and the pass does its node,
+read, dependent and mutation bookkeeping inline, with one lookup of the
+current state per slot read.  Only a never-written slot's implicit zero
+init and the input, clean and output nodes go through a helper.
+
+The eager cleanup scheduler reads the garbage terminals
+(`garbage_terminals`, one pass over the nodes) and then, per terminal,
+walks the indexes directly: `mutation_prev` back to the head of its
+mutation path, `reads` of the path's operations, `dependents` of the
+terminal and `mutation_next` of each value read; `nodes` is indexed by
+id, and a node's `stmt_index` places it in the plan.  `modification_path`
+(the path leading to a node, in linear time) and `input_nodes` (the
+nodes read along a path) are the same walks as plain queries.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ CLEAN = "clean"
 OUTPUT = "output"
 
 
-@dataclass
+@dataclass(slots=True)
 class MddNode:
     id: int
     kind: str
@@ -66,14 +74,17 @@ class MDD:
     def garbage_terminals(self) -> list:
         """OP nodes, in id order, that end a mutation path short of an
         output: the values left over once the program has run."""
+        mutation_next = self.mutation_next
         return [n for n in self.nodes
-                if n.kind == OP and n.id not in self.mutation_next]
+                if n.kind == OP and n.id not in mutation_next]
 
     def modification_path(self, nid: int) -> list:
         """Node ids from the Init/Input head of nid's mutation path to nid."""
+        prev = self.mutation_prev
         path = [nid]
-        while self.mutation_prev.get(path[0]) is not None:
-            path.insert(0, self.mutation_prev[path[0]])
+        while (nid := prev.get(nid)) is not None:
+            path.append(nid)
+        path.reverse()
         return path
 
     def input_nodes(self, path) -> set:
@@ -85,79 +96,94 @@ class MDD:
         return out
 
 
-def _add_node(g: MDD, kind: str, **kw) -> MddNode:
-    n = MddNode(id=len(g.nodes), kind=kind, **kw)
-    g.nodes.append(n)
-    g.reads[n.id] = []
-    g.dependents[n.id] = []
-    return n
-
-
-def _read(g: MDD, reader: int, src: int) -> None:
-    g.reads[reader].append(src)
-    g.dependents[src].append(reader)
-
-
-def _mutate(g: MDD, prev: int, new: int) -> None:
-    assert prev not in g.mutation_next, "mutation paths must be vertex-disjoint"
-    g.mutation_next[prev] = new
-    g.mutation_prev[new] = prev
-
-
 def build_mdd(program: FlatProgram) -> MDD:
     """One linear pass over the flat statements (O(n))."""
     g = MDD(program=program)
+    nodes, reads, dependents = g.nodes, g.reads, g.dependents
+    mutation_next, mutation_prev = g.mutation_next, g.mutation_prev
     current: dict[int, int] = {}  # slot -> node id of its latest state
-    for slot in program.input_slots:
-        n = _add_node(g, INPUT, slot=slot)
-        g.input_ids.append(n.id)
-        current[slot] = n.id
 
-    def current_of(slot: int) -> int:
-        if slot not in current:
-            # read of a never-written slot: an implicit zero init
-            current[slot] = _add_node(g, INIT, slot=slot).id
-        return current[slot]
+    def add(node: MddNode) -> int:
+        nid = node.id
+        nodes.append(node)
+        reads[nid] = []
+        dependents[nid] = []
+        return nid
+
+    def zero(slot: int) -> int:
+        # read of a never-written slot: an implicit zero init
+        nid = current[slot] = add(MddNode(len(nodes), INIT, slot))
+        return nid
+
+    for slot in program.input_slots:
+        current[slot] = add(MddNode(len(nodes), INPUT, slot))
+        g.input_ids.append(current[slot])
 
     for idx, stmt in enumerate(program.statements):
         if isinstance(stmt, Compute):
-            srcs = [current_of(w) for w in sorted(stmt.args)]
+            srcs = []
+            for w in sorted(stmt.args):
+                src = current.get(w)
+                srcs.append(zero(w) if src is None else src)
+            slot = stmt.slot
             if stmt.fresh:
-                init = _add_node(g, INIT, slot=stmt.slot, stmt_index=idx)
-                current[stmt.slot] = init.id
-            prev = current_of(stmt.slot)
-            op = _add_node(g, OP, slot=stmt.slot, stmt_index=idx, stmt=stmt)
-            _mutate(g, prev, op.id)
-            for s in srcs:
-                _read(g, op.id, s)
-            current[stmt.slot] = op.id
+                prev = current[slot] = len(nodes)
+                nodes.append(MddNode(prev, INIT, slot, idx))
+                reads[prev] = []
+                dependents[prev] = []
+            else:
+                prev = current.get(slot)
+                if prev is None:
+                    prev = zero(slot)
+            op = len(nodes)
+            nodes.append(MddNode(op, OP, slot, idx, stmt))
+            reads[op] = srcs
+            dependents[op] = []
+            for src in srcs:
+                dependents[src].append(op)
+            mutation_next[prev] = op
+            mutation_prev[op] = prev
+            current[slot] = op
         elif isinstance(stmt, InPlaceBlock):
-            srcs = [current_of(w) for w in stmt.arg_slots]
+            srcs = []
+            for w in stmt.arg_slots:
+                src = current.get(w)
+                srcs.append(zero(w) if src is None else src)
             first = None
             for t in stmt.target_slots:
-                prev = current_of(t)
-                op = _add_node(g, OP, slot=t, stmt_index=idx, stmt=stmt,
-                               group=idx)
-                _mutate(g, prev, op.id)
+                prev = current.get(t)
+                if prev is None:
+                    prev = zero(t)
+                op = len(nodes)
+                nodes.append(MddNode(op, OP, t, idx, stmt, idx))
+                dependents[op] = []
                 if first is None:
-                    first = op.id
-                    for s in srcs:
-                        _read(g, op.id, s)
-                else:
-                    g.reads[op.id] = g.reads[first]
-                current[t] = op.id
+                    first = op
+                    for src in srcs:
+                        dependents[src].append(op)
+                reads[op] = srcs
+                mutation_next[prev] = op
+                mutation_prev[op] = prev
+                current[t] = op
         elif isinstance(stmt, CleanSlot):
-            prev = current_of(stmt.slot)
-            cl = _add_node(g, CLEAN, slot=stmt.slot, stmt_index=idx, stmt=stmt)
-            _mutate(g, prev, cl.id)
-            current[stmt.slot] = cl.id
+            slot = stmt.slot
+            prev = current.get(slot)
+            if prev is None:
+                prev = zero(slot)
+            cl = current[slot] = add(MddNode(len(nodes), CLEAN, slot, idx, stmt))
+            mutation_next[prev] = cl
+            mutation_prev[cl] = prev
         else:
             raise TypeError(f"unknown statement {stmt!r}")
 
     for slot in program.output_slots:
-        holder = current_of(slot)
-        out = _add_node(g, OUTPUT, slot=slot)
-        _mutate(g, holder, out.id)
+        holder = current.get(slot)
+        if holder is None:
+            holder = zero(slot)
+        assert holder not in mutation_next, "mutation paths must be vertex-disjoint"
+        out = add(MddNode(len(nodes), OUTPUT, slot))
+        mutation_next[holder] = out
+        mutation_prev[out] = holder
     return g
 
 

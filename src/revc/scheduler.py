@@ -30,14 +30,26 @@ A plan is a tuple of Actions executed in order by the emitter:
 Every action has an exact inverse, so reversing a plan segment is just
 inverting its actions in reverse order.  Actions and plans are frozen:
 each strategy builds its plan in one constructor call, and a plan is pure
-data that can be emitted any number of times.
+data that can be emitted any number of times.  An Action is a named tuple
+of its five fields, cheap to build since plans hold thousands of them
+(4,321 for SHA-2 rounds=16 under Bennett).  It compares and hashes by
+identity, so two actions with equal fields stay two events of the plan
+(the emitter keys a copy's wires by the copy), and assigning to a field
+raises FrozenInstanceError.
 
 Cost of the eager pass: linear in the statements plus the inserted
-reversals.  Each reversal sits in a bucket behind the fwd of the
-statement it follows, and the only step that is not constant time is
-finding a reversal's place in its bucket.  Buckets are short: on the
-bundled corpus they hold under one reversal per statement on average and
-at most 39 (the carries of the n=40 ripple adder).
+reversals.  Each terminal's mutation path is walked once, back from the
+terminal, and the walk yields the reversal's order directly.  Each
+reversal sits in a bucket behind the fwd of the statement it follows,
+and the only step that is not constant time is finding a reversal's
+place in its bucket.  Buckets are short: on the bundled corpus they hold
+under one reversal per statement on average and at most 39 (the carries
+of the n=40 ripple adder).  On SHA-2 rounds=16 (8,256 graph nodes,
+120,832 read edges, 2,048 reversals) building the graph takes 9.5 ms and
+the eager plan 6.1 ms, against 29 ms to emit the plan; the Bennett plan
+takes 2.4 ms.  On MD5 rounds=2 the graph takes 1.4 ms and the eager plan
+0.5 ms.  (Medians of 9 in-process runs on a 2-vCPU VM under Python 3.11,
+scaled to the reference speed of the benchmark's probe, bench/speed.py.)
 
 Incremental planning places checkpoints without emitting.  It needs only
 the live count (inputs plus live ancillas) after each statement, and
@@ -66,8 +78,10 @@ one.  Placing checkpoints by dynamic programming (ROADMAP item 3, step
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import accumulate
+import time
+from dataclasses import FrozenInstanceError, dataclass, field
+from itertools import accumulate, chain
+from typing import NamedTuple
 
 from .frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
 from .mdd import MDD, OP, OUTPUT, build_mdd
@@ -77,13 +91,20 @@ CLEANED_EAGERLY = "CleanedEagerly"
 UNCLEAN = "Unclean"
 
 
-@dataclass(frozen=True, eq=False)
-class Action:
+class Action(NamedTuple):
     kind: str  # fwd | bwd | copy | uncopy | remap | unremap
     stmt: object = None
     slots: tuple = ()
     tag: str = ""  # copy purpose: "output" | "checkpoint"
     ref: "Action | None" = None  # remap/unremap -> their copy action
+
+    # one event of a plan, compared by identity (see the module docstring)
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 # action kind -> the kind of its inverse
@@ -96,8 +117,8 @@ def invert(a: Action) -> Action:
     the original already named, so every uncopy, remap and unremap names
     its copy, under which the emitter records the copy's fanout wires and
     remap's saved slot map."""
-    return Action(_FLIP[a.kind], stmt=a.stmt, slots=a.slots, tag=a.tag,
-                  ref=a.ref or a)
+    kind, stmt, slots, tag, ref = a
+    return Action(_FLIP[kind], stmt, slots, tag, ref or a)
 
 
 def mirror(actions) -> list[Action]:
@@ -169,6 +190,8 @@ def eager_cleanup(g: MDD) -> CleanupPlan:
     eager's 7600.
     """
     program = g.program
+    nodes, reads, dependents = g.nodes, g.reads, g.dependents
+    mutation_prev, mutation_next = g.mutation_prev, g.mutation_next
     dispositions: dict[int, str] = {}
 
     # The plan is one fwd per statement, each followed by a bucket of the
@@ -177,62 +200,81 @@ def eager_cleanup(g: MDD) -> CleanupPlan:
     # most once).  An event's order key is (statement, place in bucket),
     # the fwd itself taking place 0; keys of existing events keep their
     # relative order under insertion.
-    buckets: list[list[int]] = [[] for _ in program.statements]
+    buckets: dict[int, list[int]] = {}  # statement -> its reversals
     bucket_of: dict[int, int] = {}  # undone OP node -> its bucket
-
-    def fwd_key(nid: int) -> tuple:
-        return (g.node(nid).stmt_index, 0)
-
-    def bwd_key(nid: int) -> tuple:
-        b = bucket_of[nid]
-        return (b, buckets[b].index(nid) + 1)
+    on_path = [-1] * len(nodes)  # node -> the last terminal walked to it
 
     for term in reversed(g.garbage_terminals()):
-        path = g.modification_path(term.id)
-        path_ops = [g.node(x) for x in path if g.node(x).kind == OP]
-        if any(n.group is not None for n in path_ops):
+        tid = term.id
+        # walk term's mutation path back to its head, collecting its OP
+        # nodes last first: the order in which the reversal undoes them
+        undo = []
+        nid = tid
+        while nid is not None:
+            n = nodes[nid]
+            if n.group is not None:
+                break
+            if n.kind == OP:
+                undo.append(nid)
+            on_path[nid] = tid
+            nid = mutation_prev.get(nid)
+        if nid is not None:
             # the path runs through an in-place block: reversing it would
             # disturb the block's other targets, so it cannot be cleaned
             # in isolation
-            dispositions[term.id] = UNCLEAN
+            dispositions[tid] = UNCLEAN
             continue
 
         # last event reading term: a reader's forward run, or its reversal
-        # if that was inserted already
-        d_key = fwd_key(term.id)
-        for r in g.dependents[term.id]:
-            d_key = max(d_key, fwd_key(r))
-            if r in bucket_of:
-                d_key = max(d_key, bwd_key(r))
+        # if that was inserted already (which comes after the forward run)
+        d_key = (term.stmt_index, 0)
+        for r in dependents[tid]:
+            b = bucket_of.get(r)
+            key = ((nodes[r].stmt_index, 0) if b is None
+                   else (b, buckets[b].index(r) + 1))
+            if key > d_key:
+                d_key = key
+        stmt_index, place = d_key
 
         # the reversal re-reads the path inputs: they must be unmodified up
-        # to and including the last reader.  That also keeps them un-cleaned:
+        # to and including the last reader, so the next state of each must
+        # come from a statement after it.  That also keeps them un-cleaned:
         # terminals go in descending id order, so a path cleaned before this
         # one ends in a node newer than term and cannot end in an input u
         # that term's path reads; u then has a successor w on that path, and
         # the path's reversal comes after w's fwd
-        if any(w is not None and g.node(w).kind != OUTPUT and fwd_key(w) <= d_key
-               for w in map(g.mutation_next.get, g.input_nodes(path))):
-            dispositions[term.id] = UNCLEAN
-            continue
-
-        stmt_index, place = d_key
-        undo = [n.id for n in reversed(path_ops)]
-        buckets[stmt_index][place:place] = undo
-        for nid in undo:
-            bucket_of[nid] = stmt_index
-        dispositions[term.id] = CLEANED_EAGERLY
+        for u in chain.from_iterable(map(reads.__getitem__, undo)):
+            w = mutation_next.get(u)
+            if w is not None:
+                w = nodes[w]
+                if (w.kind != OUTPUT and w.stmt_index <= stmt_index
+                        and on_path[u] != tid):
+                    dispositions[tid] = UNCLEAN
+                    break
+        else:
+            bucket = buckets.get(stmt_index)
+            if bucket is None:
+                buckets[stmt_index] = undo
+            else:
+                bucket[place:place] = undo
+            for nid in undo:
+                bucket_of[nid] = stmt_index
+            dispositions[tid] = CLEANED_EAGERLY
 
     actions = []
-    for stmt, bucket in zip(program.statements, buckets):
-        actions.append(Action("fwd", stmt=stmt))
-        actions += [Action("bwd", stmt=g.node(nid).stmt) for nid in bucket]
+    append = actions.append
+    for i, stmt in enumerate(program.statements):
+        append(Action("fwd", stmt))
+        bucket = buckets.get(i)
+        if bucket is not None:
+            for nid in bucket:
+                append(Action("bwd", nodes[nid].stmt))
     if UNCLEAN in dispositions.values():
         # copy & reverse: sweep everything that is left
         actions = _swept(actions, program)
     return CleanupPlan("eager", program, tuple(actions), mdd=g,
                        dispositions=dispositions,
-                       reversals_inserted=sum(map(len, buckets)))
+                       reversals_inserted=len(bucket_of))
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +441,12 @@ def _checkpointed_plan(program: FlatProgram, cuts: list,
     actions: list[Action] = []
     start = 0
     for i, needed in cuts:
-        segment = [Action("fwd", stmt=s) for s in stmts[start:i]]
+        segment = [Action("fwd", s) for s in stmts[start:i]]
         copy = Action("copy", slots=needed, tag="checkpoint")
         actions += [*segment, copy, *mirror(segment),
                     Action("remap", slots=needed, ref=copy)]
         start = i
-    actions += [Action("fwd", stmt=s) for s in stmts[start:]]
+    actions += [Action("fwd", s) for s in stmts[start:]]
     return CleanupPlan(strategy, program, _swept(actions, program))
 
 
@@ -443,15 +485,21 @@ def incremental_cleanup(source: FlatProgram,
 STRATEGIES = ("bennett", "eager", "incremental")
 
 
-def schedule(program: FlatProgram, strategy: str, qubit_budget: int | None = None) -> CleanupPlan:
-    """The plan of `strategy`; only eager builds the dependency graph."""
+def schedule(program: FlatProgram, strategy: str, qubit_budget: int | None = None,
+             stages: dict | None = None) -> CleanupPlan:
+    """The plan of `strategy`; only eager builds the dependency graph, and
+    then puts the seconds that took into `stages`, if given, as `mdd`."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if qubit_budget is not None and strategy != "incremental":
         raise ValueError(f"a qubit budget needs the incremental strategy, "
                          f"not {strategy!r}")
     if strategy == "eager":
-        return eager_cleanup(build_mdd(program))
+        t0 = time.perf_counter()
+        g = build_mdd(program)
+        if stages is not None:
+            stages["mdd"] = time.perf_counter() - t0
+        return eager_cleanup(g)
     if strategy == "incremental":
         return incremental_cleanup(program, qubit_budget)
     return bennett_cleanup(program)

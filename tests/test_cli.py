@@ -50,6 +50,17 @@ def test_stats_report_stage_seconds(capsys):
         stages["schedule"] + stages["emit"], abs=2e-6)
 
 
+def test_stats_time_the_graph_as_its_own_stage_under_eager(capsys):
+    rc = main(["stats", corpus_path("adder_ripple.rev"), "--param", "n=6",
+               "--strategy", "eager"])
+    assert rc == 0
+    rep = json.loads(capsys.readouterr().out)
+    stages = rep["stage_seconds"]
+    assert set(stages) == {"parse", "flatten", "mdd", "schedule", "emit"}
+    assert all(v >= 0 for v in stages.values())
+    assert rep["compile_seconds"] == pytest.approx(
+        stages["mdd"] + stages["schedule"] + stages["emit"], abs=3e-6)
+
 def test_compile_emit_mdd(tmp_path):
     dot = tmp_path / "g.dot"
     rc = main(["compile", corpus_path("adder_ripple.rev"), "--param", "n=4",

@@ -1,8 +1,9 @@
+import gc
 import random
 import time
 
-from revc.boolexpr import variables
-from revc.frontend import Compute, InPlaceBlock, interpret
+from revc.boolexpr import band, bvar, variables
+from revc.frontend import Compute, FlatProgram, InPlaceBlock, interpret
 from revc.mdd import CLEAN, INIT, INPUT, OP, OUTPUT, build_mdd, to_dot
 from revc.scheduler import eager_cleanup
 
@@ -114,6 +115,51 @@ def test_build_scales_linearly_enough():
     t_big = time.perf_counter() - t0
     assert t_big < max(t_small, 1e-3) * 40
 
+
+
+def accumulation_chain(n: int) -> FlatProgram:
+    """`for i in 1 .. n do t.[0] <- t.[0] <> (a.[0] && a.[1])` over a local
+    t that is not an output, as flatten gives it: one mutation path of n
+    operations, which eager cleans with n reversals."""
+    e = band([bvar(0), bvar(1)])
+    stmts = [Compute(2, e, fresh=i == 0) for i in range(n)]
+    return FlatProgram(name="chain", input_slots=[0, 1], output_slots=[0, 1],
+                       statements=stmts, slot_count=3,
+                       input_layout=[("a", 2)])
+
+
+def test_eager_scales_linearly_on_an_accumulation_chain():
+    # 4x the chain should take well under 10x the time to walk its path
+    # and plan its cleanup; growing the path at its head made both
+    # quadratic.  Best of three, with the collector off so that it times
+    # the pass and not the heap
+    def best(f):
+        runs = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            f()
+            runs.append(time.perf_counter() - t0)
+        return min(runs)
+
+    times = {}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for n in (10_000, 40_000):
+            g = build_mdd(accumulation_chain(n))
+            term = g.garbage_terminals()[-1].id
+            path = g.modification_path(term)
+            assert len(path) == n + 1 and path[-1] == term
+            plan = eager_cleanup(g)
+            assert plan.reversals_inserted == n and not plan.unclean_nodes
+            times[n] = (best(lambda: g.modification_path(term)),
+                        best(lambda: eager_cleanup(g)))
+    finally:
+        if enabled:
+            gc.enable()
+    (path_small, plan_small), (path_big, plan_big) = times.values()
+    assert path_big < max(path_small, 1e-4) * 8
+    assert plan_big < plan_small * 8
 
 def test_clean_nodes_recorded():
     src = """

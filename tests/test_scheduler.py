@@ -75,6 +75,15 @@ def test_actions_are_frozen():
         invert(a).ref = None
 
 
+def test_equal_looking_actions_stay_distinct():
+    # two checkpoint copies of the same slots are two events, each with
+    # wires of its own in the emitter
+    a, b = (Action("copy", slots=(1, 2), tag="checkpoint") for _ in "ab")
+    assert a == a and a != b and not a == b
+    assert len({a, b}) == 2 and len({invert(a), invert(a)}) == 2
+    assert tuple(a) == tuple(b)
+
+
 PLAN_CASES = {  # name -> (plan, its checkpoints, whether it copies outputs)
     "bennett": (lambda: bennett_cleanup(ripple(6)), 0, True),
     "eager": (lambda: eager_cleanup(build_mdd(ripple(8))), 0, False),
@@ -465,3 +474,19 @@ def test_eager_matches_reference_on_mutating_programs():
         assert verify(g.program, emit(plan)).ok, seed
         unclean_seen += bool(unclean)
     assert unclean_seen > 30
+
+
+@pytest.mark.parametrize("name,params,unclean", [
+    ("md5.rev", {"rounds": 2}, 64), ("sha2.rev", {"rounds": 2}, 0),
+    ("sha2.rev", {"rounds": 4}, 0)])
+def test_eager_matches_reference_on_programs_with_blocks(name, params,
+                                                         unclean):
+    # the random programs above hold no in-place block; MD5's 64 Unclean
+    # values sit behind blocks
+    g = build_mdd(prog_of(corpus(name), params))
+    assert any(n.group is not None for n in g.nodes)
+    plan = eager_cleanup(g)
+    rows, ref_unclean = reference_eager(g)
+    assert [(a.kind, a.stmt) for a in plan.actions[:len(rows)]] == rows
+    assert set(plan.unclean_nodes) == ref_unclean
+    assert len(ref_unclean) == unclean
