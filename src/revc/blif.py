@@ -288,10 +288,12 @@ def lower(net: BlifNetlist, optimize: bool = False) -> FlatProgram:
         slot_of[c.output] = next_slot
         # the positions are in order of first use unless the simplifier
         # dropped an input (x and not x in one De Morgan chain fold to 1),
-        # so `canonical` keeps the nodes as a rule
-        form, args = canonical(expr, [slot_of[c.inputs[i]]
-                                      for i in lits.columns])
-        statements.append(Compute.over(next_slot, form, args, True))
+        # so `canonical` keeps the nodes as a rule; its args are `lits`
+        # positions, each mapped to its input's slot
+        form, pos = canonical(expr)
+        slots = [slot_of[c.inputs[i]] for i in lits.columns]
+        statements.append(Compute.over(next_slot, form,
+                                       tuple([slots[p] for p in pos]), True))
         next_slot += 1
     output_slots = []
     for s in net.outputs:

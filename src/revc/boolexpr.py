@@ -4,24 +4,21 @@ Expressions are trees over AND / XOR / NOT / variables / constants; `bor`
 writes OR in these terms.  An expression is always synthesized onto a
 target wire: the emitted gates map the target value y to y XOR e.
 Synthesis respects the written structure (no factoring), so the Toffoli
-count is a direct function of the shape of the expression as the
-programmer wrote it.
+count is a direct function of the expression as the programmer wrote it.
 
 A statement holds its expression as a form and args (`canonical`): the
 expression with its variables renumbered 0..k-1 in order of first use,
 and those k variables.  Renaming a statement maps its args only, so every
 later stage can work once per form rather than once per statement.
 
-Synthesis has two steps.  `shape` renames an expression's variables to
-registers in order of first use and gives the renamed tree (its shape
-key) and the variables in that order.  `compile_shape` turns a shape into
+The form is also what synthesis reads.  `compile_form` turns a form into
 a `Recipe`: the ancilla allocations and releases, in the order synthesis
-makes them, and the gates as register triples padded with -1 (0 the
-target, 1..n the variables, then one per scratch allocation).
-`Recipe.replay` runs the heap operations and resolves each triple to its
-wire tuple, which is the gate (see circuit), interned in a `GateTable`.
-A recipe depends only on the shape, so one recipe serves every
-expression of that shape and every wire mapping.
+makes them (recorded by `Registers`), and the gates as register triples
+padded with -1 (0 the target, p + 1 position p, then one per scratch
+allocation).  `Recipe.replay` runs the heap operations and resolves each
+triple to its wire tuple, which is the gate (see circuit), interned in a
+`GateTable`.  Forms compare by structure, so one recipe serves every
+form equal to its own and every wire mapping.
 """
 
 from __future__ import annotations
@@ -217,11 +214,9 @@ def variables(e: BoolExp) -> set[int]:
     return out
 
 
-def canonical(e: BoolExp, names=None) -> tuple[BoolExp, tuple]:
+def canonical(e: BoolExp) -> tuple[BoolExp, tuple]:
     """(form, args): e with its variables renumbered 0..k-1 in order of
-    first use, and those k variables in that order (variable v as
-    `names[v]` if `names` is given).  The order is `shape`'s, so the
-    form's shape key reads position i as register i + 1.  A node whose
+    first use, and those k variables in that order.  A node whose
     variables keep their numbers is e's own, and a subtree shared in the
     DAG is walked once and stays shared."""
     leaves: dict[int, BoolExp] = {}  # variable -> the node of its position
@@ -231,7 +226,7 @@ def canonical(e: BoolExp, names=None) -> tuple[BoolExp, tuple]:
     def leaf(x: BoolExp) -> BoolExp:  # a first-seen variable
         v = x.args[0]
         p = len(args)
-        args.append(v if names is None else names[v])
+        args.append(v)
         n = leaves[v] = x if v == p else BoolExp(VAR, (p,))
         return n
 
@@ -315,7 +310,7 @@ MAX_STATEMENT_GATES = 1_000_000
 
 
 def synthesis_cost(e: BoolExp) -> tuple[int, int]:
-    """(gates, Toffolis) in the recipe of e's shape, exactly.  Memoized on
+    """(gates, Toffolis) in the recipe of e's form, exactly.  Memoized on
     node identity, so it is linear in the DAG even where a shared subtree
     makes the synthesized tree exponential (as the two-operand fold of
     `bor` does when nested)."""
@@ -361,43 +356,15 @@ def synthesis_cost(e: BoolExp) -> tuple[int, int]:
 
 
 def gate_count(e: BoolExp) -> int:
-    """Number of gates in the recipe of e's shape, exactly
+    """Number of gates in the recipe of e's form, exactly
     (`synthesis_cost`)."""
     return synthesis_cost(e)[0]
 
 
-def shape(e: BoolExp) -> tuple[tuple, tuple[int, ...]]:
-    """(shape key, variables in order of first use).
-
-    The key is e as nested tuples `(op, *children)`, with variable i of
-    that order written `(VAR, i + 1)`.  Expressions that differ only in
-    their variables' names have the same key.  A subtree shared in the
-    DAG is walked once and gives one key object.
-    """
-    regs: dict[int, tuple] = {}  # variable -> its key
-    memo: dict[int, tuple] = {}  # id of an inner node -> its key
-
-    def walk(x: BoolExp) -> tuple:
-        op = x.op
-        if op == VAR:
-            k = regs.get(x.args[0])
-            if k is None:
-                k = regs[x.args[0]] = (VAR, len(regs) + 1)
-            return k
-        if op == CONST:
-            return (CONST, x.args[0])
-        k = memo.get(id(x))
-        if k is None:
-            k = memo[id(x)] = (op, *map(walk, x.args))
-        return k
-
-    key = walk(e)
-    return key, tuple(regs)
-
-
 @dataclass(frozen=True)
 class Recipe:
-    """Synthesis of one expression shape over registers.
+    """Synthesis of one form, or of one in-place block body, over
+    registers.
 
     `heap_ops` is the ancilla traffic in order: -1 allocates the next
     scratch register, r >= 0 frees register r.  Each gate is a register
@@ -441,8 +408,27 @@ class GateTable(dict):
         return g
 
 
-def compile_shape(key: tuple, n_vars: int) -> Recipe:
-    """The recipe of a shape key from `shape` with n_vars variables.
+class Registers:
+    """The heap of a recipe being compiled: hands out the registers after
+    `base` and records the traffic as heap ops (-1 allocates, r >= 0 frees
+    r), the `heap_ops` of a `Recipe`."""
+
+    def __init__(self, base: int):
+        self.next = base
+        self.ops: list[int] = []
+
+    def alloc(self) -> int:
+        self.ops.append(-1)
+        self.next += 1
+        return self.next - 1
+
+    def free(self, r: int) -> None:
+        self.ops.append(r)
+
+
+def compile_form(form: BoolExp, n_vars: int) -> Recipe:
+    """The recipe of a form from `canonical` over n_vars positions:
+    register 0 is the target and register p + 1 reads position p.
 
     Synthesis of AND: each conjunct becomes a control wire.  A variable is
     one as it is; a negated variable is toggled around the block; anything
@@ -450,44 +436,37 @@ def compile_shape(key: tuple, n_vars: int) -> Recipe:
     than two controls go through a left-to-right chain of k-2 scratch
     wires and 2(k-2)+1 Toffolis.
     """
-    heap_ops: list[int] = []
-    scratch = n_vars + 1
+    heap = Registers(n_vars + 1)
 
-    def alloc() -> int:
-        nonlocal scratch
-        heap_ops.append(-1)
-        scratch += 1
-        return scratch - 1
-
-    def emit(k: tuple, t: int, gates: list) -> None:
-        op = k[0]
+    def emit(x: BoolExp, t: int, gates: list) -> None:
+        op = x.op
         if op == VAR:
-            gates.append((k[1], t, -1))
+            gates.append((x.args[0] + 1, t, -1))
         elif op == CONST:
-            if k[1]:
+            if x.args[0]:
                 gates.append((t, -1, -1))
         elif op == NOT_:
-            emit(k[1], t, gates)
+            emit(x.args[0], t, gates)
             gates.append((t, -1, -1))
         elif op == XOR:
-            for c in k[1:]:
+            for c in x.args:
                 emit(c, t, gates)
         else:
-            emit_and(k[1:], t, gates)
+            emit_and(x.args, t, gates)
 
     def emit_and(children: tuple, t: int, gates: list) -> None:
         controls: list[int] = []
         toggles: list[tuple] = []
-        temps: list[tuple[int, tuple]] = []
+        temps: list[tuple[int, BoolExp]] = []
         for c in children:
-            if c[0] == VAR:
-                controls.append(c[1])
-            elif c[0] == NOT_ and c[1][0] == VAR:
-                r = c[1][1]
+            if c.op == VAR:
+                controls.append(c.args[0] + 1)
+            elif c.op == NOT_ and c.args[0].op == VAR:
+                r = c.args[0].args[0] + 1
                 controls.append(r)
                 toggles.append((r, -1, -1))
             else:
-                r = alloc()
+                r = heap.alloc()
                 emit(c, r, gates)
                 temps.append((r, c))
                 controls.append(r)
@@ -501,14 +480,15 @@ def compile_shape(key: tuple, n_vars: int) -> Recipe:
             chain: list[int] = []
             compute: list = []
             for i in range(k - 2):
-                a = alloc()
+                a = heap.alloc()
                 first = controls[0] if i == 0 else chain[-1]
                 compute.append((first, controls[i + 1], a))
                 chain.append(a)
             gates += compute
             gates.append((chain[-1], controls[-1], t))
             gates += reversed(compute)
-            heap_ops.extend(reversed(chain))
+            for a in reversed(chain):
+                heap.free(a)
         gates += reversed(toggles)
         for r, c in reversed(temps):
             # uncompute by synthesizing again, scratch and all, and
@@ -516,9 +496,8 @@ def compile_shape(key: tuple, n_vars: int) -> Recipe:
             sub: list = []
             emit(c, r, sub)
             gates += reversed(sub)
-            heap_ops.append(r)
+            heap.free(r)
 
     gates: list = []
-    emit(key, 0, gates)
-    return Recipe(tuple(heap_ops), tuple(gates))
-
+    emit(form, 0, gates)
+    return Recipe(tuple(heap.ops), tuple(gates))

@@ -32,7 +32,7 @@ BLIF), the emitter's (`block_recipes`: block
 recipes compiled, i.e. block runs that walked the body; `block_replays`:
 block runs served from an existing recipe; together, every forward and
 backward run of an in-place block; `expression_recipes`: expression
-recipes compiled, one per distinct shape of the forms it synthesized),
+recipes compiled, one per distinct form it synthesized),
 `compile_seconds` (mdd + schedule + emit) and `stage_seconds`: `parse`,
 `flatten` (for BLIF, lowering), `mdd` (under eager only: building the
 dependency graph), `schedule` (the cleanup plan alone; under bennett and

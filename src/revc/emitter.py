@@ -15,15 +15,15 @@ or backwards, is synthesized against the *current* mapping, so a mirror
 may run on different wires than the forward pass without changing the
 computed values.  What is cached is wire-free.  A `Compute` is a form
 and its args (see frontend), and the statements renamed from one template
-share their forms, so each form object is shaped once per emission and
-looked up by identity after that; its `Recipe` (see boolexpr) is compiled
-once per shape key and shared by every form of that shape, BLIF covers
-included.  A statement resolves the recipe's registers, its target and
-then its args, against the slot map of that moment.  A gate is its wire
-tuple (see circuit): every gate,
-copies too, goes through the emission's one `GateTable`, so a gate that
-recurs is one tuple, which keeps peak memory down; `Circuit` validates
-each distinct gate once.
+share their forms.  Each form object is looked up once per emission by
+the form itself, which compares by structure, and by identity after
+that; its `Recipe` (see boolexpr) is compiled once per distinct form and
+shared by every equal form, BLIF covers included.  A statement
+resolves the recipe's registers, its target and then its args, against
+the slot map of that moment.  A gate is its wire tuple (see circuit):
+every gate, copies too, goes through the emission's one `GateTable`, so
+a gate that recurs is one tuple, which keeps peak memory down; `Circuit`
+validates each distinct gate once.
 
 In-place blocks are run from block recipes, one per token (a block is a
 token and its slots, see `InPlaceBlock` in frontend), direction and entry
@@ -31,9 +31,11 @@ pattern (which of the block's slots are mapped to wires as it starts).
 The first run of a key walks the token's shared body, over body
 positions, with `_Walker`: the statement rules below over registers
 instead of wires, where the positions mapped at entry hold registers
-0..n-1 in position order and every wire taken is the next register.  Its
-block recipe is a `Recipe` over those registers (the heap operations and
-the gates, padded to triples) and each position's register at the end.
+0..n-1 in position order and every wire taken is the next register,
+recorded by the `Registers` that records an expression recipe's heap
+traffic too.  Its block recipe is a `Recipe` over those registers (the
+heap operations and the gates, padded to triples) and each position's
+register at the end.
 Every later run of the key replays it with `Recipe.run`.  Replay is what
 walking the body on wires would emit, gate for gate: blocks of one token
 are the same statements with their slots renamed position by position,
@@ -55,27 +57,10 @@ width is not, since it also counts those scratch wires.
 from __future__ import annotations
 
 from .ancilla import AncillaHeap
-from .boolexpr import GateTable, Recipe, compile_shape, shape
+from .boolexpr import BoolExp, GateTable, Recipe, Registers, compile_form
 from .circuit import Circuit
 from .frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
 from .scheduler import Action, CleanupPlan, reopened_locals, schedule
-
-
-class _Registers:
-    """The heap of a block walk: hands out registers after the entry ones
-    and records the traffic as heap ops (-1 allocates, r >= 0 frees r)."""
-
-    def __init__(self, base: int):
-        self.next = base
-        self.ops: list[int] = []
-
-    def alloc(self) -> int:
-        self.ops.append(-1)
-        self.next += 1
-        return self.next - 1
-
-    def free(self, r: int) -> None:
-        self.ops.append(r)
 
 
 class Emitter:
@@ -92,13 +77,13 @@ class Emitter:
         self.copy_wires: dict[Action, list[int]] = {}
         self.saved_maps: dict[Action, dict] = {}
         # synthesis caches: id(form) -> (form, its recipe), see `_learn`;
-        # shape key -> recipe; the gate intern table.  An entry keeps its
+        # form -> recipe; the gate intern table.  An entry keeps its
         # form alive, so the id is not reused.  Intern keys are laid out to
         # leave few small objects to free when the emitter goes: freed in
         # bulk, they would scatter the packed columns a later verification
         # allocates
         self.compiled: dict[int, tuple] = {}
-        self.recipes: dict[tuple, Recipe] = {}
+        self.recipes: dict[BoolExp, Recipe] = {}
         self.gate_table = GateTable()
         # block recipes by (token, forward, entry pattern): (recipe, per
         # body position its register at the end or -1), see `_run_block`
@@ -124,12 +109,13 @@ class Emitter:
         except KeyError:
             raise RuntimeError(f"slot {slot} has no wire") from None
 
-    def _learn(self, form) -> Recipe:
-        """The recipe of a first-seen form, cached by its identity."""
-        key, regs = shape(form)
-        recipe = self.recipes.get(key)
+    def _learn(self, stmt: Compute) -> Recipe:
+        """The recipe of a first-seen form object, looked up by the form
+        and cached by its identity."""
+        form = stmt.form
+        recipe = self.recipes.get(form)
         if recipe is None:
-            recipe = self.recipes[key] = compile_shape(key, len(regs))
+            recipe = self.recipes[form] = compile_form(form, len(stmt.args))
         self.compiled[id(form)] = (form, recipe)
         return recipe
 
@@ -145,7 +131,7 @@ class Emitter:
         """Gates of slot ^= expr on the current wires: the recipe of the
         form, its registers 1..k being the wires of the args."""
         entry = self.compiled.get(id(stmt.form))
-        recipe = entry[1] if entry is not None else self._learn(stmt.form)
+        recipe = entry[1] if entry is not None else self._learn(stmt)
         wires = [self._target(stmt.slot, fresh)]
         try:
             wires += map(self.slot_map.__getitem__, stmt.args)
@@ -293,14 +279,14 @@ class Emitter:
 class _Walker(Emitter):
     """The emitter's statement rules over block registers instead of
     wires: the positions mapped at entry hold registers 0..n-1, every
-    other register is taken from `_Registers`, and its gates are register
+    other register is taken from `Registers`, and its gates are register
     tuples in a table of its own.  It inherits the rules and shares the
     emitter's expression caches, but none of its plan state; a block body
     holds no blocks."""
 
     def __init__(self, em: Emitter, mapped: list[int]):
         self.slot_map = {p: r for r, p in enumerate(mapped)}
-        self.heap = _Registers(len(mapped))
+        self.heap = Registers(len(mapped))
         self.gate_table = GateTable()
         self.gates = []
         self.compiled, self.recipes = em.compiled, em.recipes

@@ -2127,15 +2127,25 @@ class Flattener(_Walker):
         """An in-place call must restore its arguments and zero its locals.
 
         Runs the block's body once over 64 packed lanes: every position
-        but the locals gets lane 0 zero, lane 1 one and lanes 2-63 random,
-        drawn in position order, so that blocks of one token get the same
-        columns and the same verdict.
+        but the zero ones gets lane 0 zero, lane 1 one and lanes 2-63
+        random, drawn in position order, so that blocks of one token get
+        the same columns and the same verdict.  The zero positions are the
+        locals and those fresh (unwritten or cleaned) at entry, which are
+        0 at run time: the body's first touch of such a position is a
+        fresh write, and of any other a read, an accumulation or a clean.
         """
         rng = random.Random(0xB10C)
         mask = (1 << 64) - 1
         token = block.token
-        locals_ = set(token.local_positions)
-        cols = [0 if p in locals_ else rng.getrandbits(62) << 2 | 0b10
+        zero = set(token.local_positions)
+        touched: set[int] = set()
+        for s in token.stmts:
+            if type(s) is Compute:
+                touched.update(s.args)
+                if s.fresh and s.slot not in touched:
+                    zero.add(s.slot)
+            touched.add(s.slot)
+        cols = [0 if p in zero else rng.getrandbits(62) << 2 | 0b10
                 for p in range(len(block.slots))]
         before = [cols[p] for p in token.arg_positions]
         try:

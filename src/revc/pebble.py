@@ -20,6 +20,29 @@ PLACE = "place"
 REMOVE = "remove"
 INF = float("inf")
 
+# The longest line a strategy lists move by move: about 2T moves, which at
+# this bound take 0.5 s and under 50 MiB to build and validate (measured on
+# a shared 2-vCPU VM).
+MAX_LINE_NODES = 100_000
+# The most work the midpoint DP may take, counted as T^2 * min(k, T) for T
+# nodes and k pebbles.  At this bound, on the same VM: 1.7 s for lmt at
+# T=603, whose k is ceil(log2 T) + 1, and 0.6 s for T=158 at k >= T.
+MAX_DP_WORK = 4_000_000
+
+
+def check_line(T: int) -> None:
+    """Reject a line longer than MAX_LINE_NODES."""
+    if T > MAX_LINE_NODES:
+        raise ValueError(f"pebble line of {T} nodes is longer than "
+                         f"{MAX_LINE_NODES}")
+
+
+def check_dp(T: int, k: int) -> None:
+    """Reject a midpoint DP over T nodes and k pebbles above MAX_DP_WORK."""
+    if T * T * max(min(k, T), 1) > MAX_DP_WORK:
+        raise ValueError(f"pebble DP over {T} nodes and {k} pebbles takes "
+                         f"more than {MAX_DP_WORK} steps (T^2 * min(k, T))")
+
 
 @dataclass(frozen=True)
 class Move:
@@ -96,6 +119,7 @@ def bennett_strategy(T: int) -> list[Move]:
     """Place 1..T, then remove T-1..1: 2T-1 moves, peak T."""
     if T < 1:
         raise ValueError("T must be >= 1")
+    check_line(T)
     moves = [Move(PLACE, i) for i in range(1, T + 1)]
     moves += [Move(REMOVE, i) for i in range(T - 1, 0, -1)]
     return moves
@@ -110,6 +134,7 @@ def incremental_strategy(T: int, k: int) -> list[Move]:
     """
     if k < 1:
         raise ValueError("need at least one pebble")
+    check_line(T)
     reach = k * (k + 1) // 2
     if T > reach:
         raise InfeasibleError(f"{k} pebbles reach at most node {reach}, not {T}",
@@ -195,11 +220,12 @@ def _dp_moves(base: int, n: int, k: int, out: list[Move], unpebble: bool = False
 def knill_optimal(T: int, k: int) -> tuple[int, list[Move]]:
     """Minimal-step strategy under a budget of k pebbles (DP over midpoints).
 
-    Feasible exactly when T <= 2^(k-1).  Practical for T up to a few
-    hundred (the table is O(T*k) entries of O(T) work each).
+    Feasible exactly when T <= 2^(k-1).  The table is O(T*k) entries of
+    O(T) work each, bounded by MAX_DP_WORK.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
+    check_dp(T, k)
     steps = _min_steps(T, k)[0]
     if steps == INF:
         kmin = log_space_pebbles(T)
@@ -218,6 +244,8 @@ class TradeoffRow:
 
 
 def tradeoff_table(T_max: int, k_list) -> list[TradeoffRow]:
+    for k in k_list:
+        check_dp(T_max, k)
     rows = []
     for k in k_list:
         for T in range(1, T_max + 1):

@@ -16,7 +16,7 @@ from importlib import resources
 
 from revc.ancilla import AncillaHeap
 from revc.boolexpr import (
-    BoolExp, GateTable, band, bnot, bor, bvar, bxor, compile_shape, shape,
+    BoolExp, GateTable, band, bnot, bor, bvar, bxor, canonical, compile_form,
     synthesis_cost,
 )
 from revc.frontend import Compute, FlatProgram, flatten, interpret, parse
@@ -50,14 +50,14 @@ def int_of(bits) -> int:
 def synthesize(e: BoolExp, target: int, heap: AncillaHeap,
                wires: dict[int, int]) -> list[tuple[int, ...]]:
     """Gates mapping target y to y ^ eval(e); inputs and ancillas restored:
-    the recipe of e's shape, replayed on the wires.
+    the recipe of e's form, replayed on the wires.
 
     `wires` maps each variable of e (a value slot) to the wire holding it.
     Every ancilla taken from the heap is uncomputed and returned before
     the sequence ends, so the net heap state is unchanged.
     """
-    key, slots = shape(e)
-    return compile_shape(key, len(slots)).replay(
+    form, slots = canonical(e)
+    return compile_form(form, len(slots)).replay(
         [target, *[wires[s] for s in slots]], heap, GateTable())
 
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from revc.ancilla import AncillaHeap
 from revc.boolexpr import (
     AND, CONST, NOT_, VAR, XOR, band, bconst, bnot, bor, bvar, bxor,
-    GateTable, canonical, compile_shape, evaluate, gate_count, instantiate,
-    shape, variables,
+    GateTable, canonical, compile_form, evaluate, gate_count, instantiate,
+    variables,
 )
 from revc.circuit import TOFFOLI, Circuit, cnot, kind, notg, simulate, toffoli
 
@@ -401,10 +401,10 @@ def test_one_recipe_serves_every_renaming():
     a, b, c = bvar(3), bvar(9), bvar(5)
     e1 = bxor([band([a, bxor([b, c])]), band([b, c])])
     e2 = bxor([band([c, bxor([a, b])]), band([a, b])])
-    (k1, s1), (k2, s2) = shape(e1), shape(e2)
-    assert k1 == k2
+    (f1, s1), (f2, s2) = canonical(e1), canonical(e2)
+    assert f1 is not f2 and f1 == f2 and hash(f1) == hash(f2)
     assert (s1, s2) == ((3, 9, 5), (5, 3, 9))
-    recipe = compile_shape(k1, 3)
+    recipe = compile_form(f1, 3)
     for e, slots in ((e1, s1), (e2, s2)):
         wires = {s: 10 + s for s in slots}
         heap = AncillaHeap(base=30)
@@ -450,16 +450,27 @@ def test_packed_evaluation_is_per_lane_evaluation(e, columns):
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(exprs(n_vars=8, depth=4), branchy_exprs()),
        st.permutations(range(8)))
-def test_canonical_form_is_the_shape_over_positions(e, names):
-    # positions in shape's order of first use, so the form's shape key is
-    # the expression's and its registers are the positions in order
+def test_canonical_form_is_the_expression_over_positions(e, names):
+    # the form reads positions 0..k-1 in order of first use, position i
+    # standing for args[i]
     form, args = canonical(e)
-    key, order = shape(e)
-    assert args == order
-    assert shape(form) == (key, tuple(range(len(args))))
     assert instantiate(form, args) == e
-    # the names only relabel the args
-    assert canonical(e, names) == (form, tuple(names[v] for v in args))
+    assert first_uses(form, []) == list(range(len(args)))
+    assert first_uses(e, []) == list(args)
+    # relabelled variables give the same form, with the args relabelled
+    relabelled = instantiate(form, [names[v] for v in args])
+    assert canonical(relabelled) == (form, tuple(names[v] for v in args))
+
+
+def first_uses(e, out):
+    """The variables of e in order of first use, appended to `out`."""
+    if e.op == VAR:
+        if e.args[0] not in out:
+            out.append(e.args[0])
+    elif e.op != CONST:
+        for c in e.args:
+            first_uses(c, out)
+    return out
 
 
 def test_canonical_keeps_nodes_that_keep_their_numbers():

@@ -153,6 +153,42 @@ def test_stats_report_one_dependency_graph_under_every_strategy(capsys):
     assert set(graphs.values()) == {(1536, 15104)}
 
 
+def stats_of(capsys, name: str, *flags: str) -> dict:
+    """The `revc stats` report of a corpus program."""
+    assert main(["stats", corpus_path(name), *flags]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_stats_pin_the_sha2_incremental_plan_at_its_minimum_budget(capsys):
+    # at the minimum budget of 672 one checkpoint is saved; the most wires
+    # live between actions, and the width, are above the budget, which
+    # bounds the forward segments only
+    rep = stats_of(capsys, "sha2.rev", "--param", "rounds=4",
+                   "--strategy", "incremental", "--qubits", "672")
+    assert (rep["checkpoints"], rep["peak_live"], rep["qubit_count"]) == (
+        1, 1120, 1121)
+
+
+def test_stats_pin_the_md5_eager_plan_counters(capsys):
+    rep = stats_of(capsys, "md5.rev", "--param", "rounds=2",
+                   "--strategy", "eager")
+    assert (rep["reversals_inserted"], rep["unclean_count"]) == (64, 64)
+
+
+def test_stats_pin_the_sha2_rounds16_eager_plan_and_graph(capsys):
+    rep = stats_of(capsys, "sha2.rev", "--param", "rounds=16",
+                   "--strategy", "eager")
+    assert (rep["reversals_inserted"], rep["unclean_count"], rep["mdd_nodes"],
+            rep["mdd_read_edges"]) == (2048, 0, 8256, 120832)
+
+
+def test_stats_report_the_eager_graph_under_bennett(capsys):
+    # bennett plans without the graph; the report builds the same one
+    eager, bennett = (stats_of(capsys, "sha2.rev", "--param", "rounds=4",
+                               "--strategy", s) for s in ("eager", "bennett"))
+    assert bennett["mdd_nodes"] == eager["mdd_nodes"]
+
+
 def test_stats_count_block_recipes_and_replays(capsys):
     rc = main(["stats", corpus_path("sha2.rev"), "--param", "rounds=4",
                "--strategy", "eager"])
@@ -183,16 +219,17 @@ def test_stats_count_call_templates_and_replays(capsys):
 
 def test_stats_count_expression_forms_and_recipes(tmp_path, capsys):
     # SHA-2's replayed calls and blocks share their templates' forms, so
-    # more rounds add none, and the emitter compiles one recipe per shape
+    # more rounds add none, and the emitter compiles one recipe per
+    # distinct form
     reps = []
-    for rounds in (4, 16):
-        assert main(["stats", corpus_path("sha2.rev"),
+    for name, rounds in (("sha2.rev", 4), ("sha2.rev", 16), ("md5.rev", 2)):
+        assert main(["stats", corpus_path(name),
                      "--param", f"rounds={rounds}"]) == 0
         reps.append(json.loads(capsys.readouterr().out))
     assert [(r["expression_forms"], r["expression_recipes"])
-            for r in reps] == [(316, 5)] * 2
-    # each BLIF cover is a form of its own, and covers of one shape share
-    # a recipe
+            for r in reps] == [(316, 5), (316, 5), (504, 4)]
+    # each BLIF cover is a form object of its own, and covers of equal
+    # forms share a recipe
     path = tmp_path / "ands.blif"
     path.write_text(".model m\n.inputs a b c\n.outputs x y z\n"
                     ".names a b x\n11 1\n.names c b y\n11 1\n"
@@ -245,6 +282,27 @@ def test_pebble_table(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "pebbles,gates,min_steps"
     assert len(lines) == 11
+
+
+@pytest.mark.parametrize("argv", [
+    *(["pebble", "--time", str(10 ** 9), "--pebbles", "64", "--strategy", s]
+      for s in ("bennett", "incremental", "lmt", "knill")),
+    ["pebble-table", "--time-max", str(10 ** 9), "--pebbles", "2,64"],
+], ids=["bennett", "incremental", "lmt", "knill", "pebble-table"])
+def test_pebble_past_its_bound_is_user_error(argv, capsys):
+    # a line too long to list, or a DP too large to solve, is one line,
+    # not a hang or a MemoryError
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pebble ") and err.count("\n") == 1
+
+
+def test_pebble_bounds_keep_the_readme_example(capsys):
+    assert main(["pebble", "--time", "32", "--strategy", "lmt"]) == 0
+    assert capsys.readouterr().out == (
+        "lmt T=32: 193 steps, peak 6 pebbles, 97 placements, clean=True\n")
 
 
 def test_blif_batch_report(tmp_path, capsys):

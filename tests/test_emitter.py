@@ -2,7 +2,7 @@
 import pytest
 
 from revc import emitter as emitter_mod
-from revc.boolexpr import band, bvar, bxor, shape
+from revc.boolexpr import band, bvar, bxor, compile_form
 from revc.circuit import CNOT, TOFFOLI, format_circuit, kind, stats, verify
 from revc.emitter import Emitter, compile_flat, emit
 from revc.frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
@@ -114,7 +114,7 @@ def test_gates_are_interned_and_recipes_shared():
     actions = eager_cleanup(build_mdd(prog)).actions
     for a in actions:
         em.apply(a)
-    # one object per distinct gate, one recipe per expression shape
+    # one object per distinct gate, one recipe per distinct form
     assert len({id(g) for g in em.gates}) == len(set(em.gates))
     assert len(em.recipes) < len(em.compiled)
     # and one block recipe per template, direction and entry pattern
@@ -123,23 +123,25 @@ def test_gates_are_interned_and_recipes_shared():
     assert em.block_recipes + em.block_replays == runs
 
 
-def test_each_form_is_shaped_once_per_emission(monkeypatch):
+def test_each_distinct_form_is_compiled_once_per_emission(monkeypatch):
     # the top-level statements and the block bodies of SHA-2 share a few
-    # hundred forms of five shapes, whatever the number of rounds
-    shaped = []
-    monkeypatch.setattr(emitter_mod, "shape",
-                        lambda form: shaped.append(form) or shape(form))
+    # hundred form objects of five distinct forms, whatever the number of
+    # rounds; each object costs one lookup, each distinct form one recipe
+    compiled = []
+    monkeypatch.setattr(emitter_mod, "compile_form",
+                        lambda form, n: compiled.append(form)
+                        or compile_form(form, n))
     prog = prog_of(corpus("sha2.rev"), {"rounds": 4})
     tokens = {s.token for s in prog.statements if isinstance(s, InPlaceBlock)}
     forms = {id(s.form) for s in [*prog.statements,
                                   *(x for t in tokens for x in t.stmts)]
              if isinstance(s, Compute)}
     for strategy in ("eager", "bennett"):
-        shaped.clear()
+        compiled.clear()
         em = Emitter(prog)
         em.run(schedule(prog, strategy))
-        assert sorted(map(id, shaped)) == sorted(em.compiled) == sorted(forms)
-        assert len(em.recipes) == 5
+        assert sorted(em.compiled) == sorted(forms)
+        assert len(compiled) == len(set(compiled)) == len(em.recipes) == 5
 
 
 def test_circuit_gates_are_interned():

@@ -276,6 +276,62 @@ def test_malformed_program_is_the_same_error_in_both_evaluators(case):
                       error)
 
 
+# programs that must compile: each matches interpret_source on every input
+# and passes `revc verify` under every strategy
+MUST_COMPILE = {
+    # an in-place call whose argument t holds a bit never written: t.[0]
+    # reads as 0, so the body's first write onto it is a fresh write, and
+    # the block restores it to 0
+    "unwritten-argument-bit": """\
+let f (x : bool[2]) (y : bool[2]) =
+    let inc (a : bool array) =
+        let r = Array.zeroCreate 2
+        a.[0] <- a.[0] <> a.[1]
+        r.[0] <- r.[0] <> a.[0]
+        a.[0] <- a.[0] <> a.[1]
+        r.[1] <- r.[1] <> a.[1]
+        r
+    let t = Array.zeroCreate 2
+    t.[1] <- y.[0] && y.[1]
+    x <- inc t
+    x
+f
+""",
+}
+
+# each case's output, worked out by hand
+MUST_COMPILE_OUTPUT = {
+    "unwritten-argument-bit": lambda x0, x1, y0, y1: [x0 ^ (y0 & y1),
+                                                      x1 ^ (y0 & y1)],
+}
+
+
+@pytest.mark.parametrize("case", MUST_COMPILE)
+def test_program_compiles_like_source_and_verifies(case, tmp_path, capsys):
+    ast = parse(MUST_COMPILE[case])
+    assert_outputs(ast, flatten(ast), MUST_COMPILE_OUTPUT[case])
+    path = tmp_path / f"{case}.rev"
+    path.write_text(MUST_COMPILE[case])
+    for strategy in ("bennett", "eager", "incremental"):
+        assert cli_main(["verify", str(path), "--strategy", strategy]) == 0
+        assert ": ok (16 samples" in capsys.readouterr().out
+
+
+def test_unwritten_argument_bit_compiles_as_its_explicit_false_form():
+    # with `t.[0] <- false` first, t.[0] takes its wire (4) before t.[1]
+    # does (5): the circuits are the same up to swapping those two wires
+    src = MUST_COMPILE["unwritten-argument-bit"]
+    explicit = src.replace("    t.[1] <-", "    t.[0] <- false\n    t.[1] <-")
+    swap = {4: 5, 5: 4}
+    for strategy in ("bennett", "eager", "incremental"):
+        _, got = compile_flat(flatten(parse(src)), strategy)
+        _, want = compile_flat(flatten(parse(explicit)), strategy)
+        assert got.width == want.width
+        assert [tuple(swap.get(w, w) for w in g) for g in got.gates] == \
+            want.gates, strategy
+        assert [swap.get(w, w) for w in got.outputs] == want.outputs
+
+
 def test_relabels_emit_no_statements():
     src = """
 let main (a : bool[4]) =
