@@ -15,15 +15,19 @@ The form is also what synthesis reads.  `compile_form` turns a form into
 a `Recipe`: the ancilla allocations and releases, in the order synthesis
 makes them (recorded by `Registers`), and the gates as register triples
 padded with -1 (0 the target, p + 1 position p, then one per scratch
-allocation).  `Recipe.replay` runs the heap operations and resolves each
-triple to its wire tuple, which is the gate (see circuit), interned in a
-`GateTable`.  Forms compare by structure, so one recipe serves every
-form equal to its own and every wire mapping.
+allocation).  Gates are valid by construction, checked where they are
+made rather than gate by gate in the circuit: a recipe is checked once,
+when it is built (see `Recipe`), and `Recipe.replay` checks that the
+target and args of one statement are on distinct wires, then runs the
+heap operations and resolves each triple to its wire tuple, which is the
+gate (see circuit), interned by the caller's table.  Forms compare by
+structure, so one recipe serves every form equal to its own and every
+wire mapping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .ancilla import AncillaHeap
 
@@ -364,48 +368,96 @@ def gate_count(e: BoolExp) -> int:
 @dataclass(frozen=True)
 class Recipe:
     """Synthesis of one form, or of one in-place block body, over
-    registers.
+    registers: the `base` registers a run starts from (the target and one
+    per position, or a block's entry registers), then one per allocation.
 
     `heap_ops` is the ancilla traffic in order: -1 allocates the next
-    scratch register, r >= 0 frees register r.  Each gate is a register
-    triple (a, b, c) padded with -1: a Toffoli is a, b -> c, a CNOT a -> b
+    register, r >= 0 frees register r.  Each gate is a register triple
+    (a, b, c) padded with -1: a Toffoli is a, b -> c, a CNOT a -> b
     (c = -1), and a NOT acts on a (b = c = -1).
+
+    A recipe is checked once, where it is built: every heap op frees a
+    live register, and every gate names one to three distinct registers
+    below the register count that are live at once (taken before any of
+    them is freed).  A run on distinct entry wires then gives valid gates
+    only: live registers hold distinct wires, since the heap hands out no
+    live wire, though a freed register's wire may come back for a later
+    one.  `compile_form` checks its gates where it makes them, which costs
+    less than a pass over them; a block recipe is passed through
+    `check_recipe` (see emitter).
     """
+    base: int
     heap_ops: tuple[int, ...]
     gates: tuple[tuple[int, int, int], ...]
+    # the gates in reverse order, which a backward run emits
+    backward: tuple = field(init=False, repr=False, compare=False)
 
-    def replay(self, wires: list[int], heap: AncillaHeap,
-               table: GateTable) -> list[tuple[int, ...]]:
-        """Gates on `wires` (the target, then one wire per variable; the
-        list is extended in place with the scratch wires), which are taken
-        from and returned to `heap`, each interned in `table`."""
-        if wires.count(wires[0]) != 1:
-            raise ValueError(
-                f"target wire {wires[0]} appears inside the expression")
-        return self.run(wires, heap, table)
+    def __post_init__(self):
+        object.__setattr__(self, "backward", self.gates[::-1])
 
-    def run(self, w: list[int], heap: AncillaHeap,
-            table: GateTable) -> list[tuple[int, ...]]:
-        """`replay` without the target check: run the heap operations on
-        the registers `w` (extended in place) and resolve each gate to its
-        wire tuple."""
+    def replay(self, w: list[int], heap: AncillaHeap, gates: list,
+               intern, forward: bool = True) -> None:
+        """`run`, with the check that makes its gates valid: the entry
+        wires `w`, the target and then one wire per variable, are
+        distinct."""
+        if len(set(w)) != len(w):
+            if w.count(w[0]) != 1:
+                raise ValueError(
+                    f"target wire {w[0]} appears inside the expression")
+            raise ValueError("expression reads two slots on one wire")
+        self.run(w, heap, gates, intern, forward)
+
+    def run(self, w: list[int], heap: AncillaHeap, gates: list,
+            intern, forward: bool = True) -> None:
+        """Run the heap operations on the registers `w`, which start as
+        the entry wires and are extended in place with the scratch wires
+        taken from `heap`, and append each gate's wire tuple to `gates`,
+        in reverse order if not `forward`.  `intern(g, g)` is the gate
+        object kept for g (a dict's `setdefault`), so a recurring gate is
+        one tuple, which keeps memory down."""
         for op in self.heap_ops:
             if op < 0:
                 w.append(heap.alloc())
             else:
                 heap.free(w[op])
-        return [table[(w[a], w[b], w[c]) if c >= 0 else
-                      (w[a], w[b]) if b >= 0 else (w[a],)]
-                for a, b, c in self.gates]
+        gates += [intern(g, g)
+                  for a, b, c in (self.gates if forward else self.backward)
+                  for g in [(w[a], w[b], w[c]) if c >= 0 else
+                            (w[a], w[b]) if b >= 0 else (w[a],)]]
 
 
-class GateTable(dict):
-    """The gate intern table of one emission: a wire tuple is its own
-    value, so a recurring gate is one object, which keeps memory down."""
-
-    def __missing__(self, g: tuple[int, ...]) -> tuple[int, ...]:
-        self[g] = g
-        return g
+def check_recipe(recipe: Recipe) -> None:
+    """A ValueError, naming the first bad heap op or gate, unless every
+    heap op of `recipe` frees a live register and every gate is a triple
+    of distinct registers, padded with -1, that are live at once."""
+    count = recipe.base
+    freed: dict[int, int] = {}  # register -> the register count at its free
+    for i, op in enumerate(recipe.heap_ops):
+        if op == -1:
+            count += 1
+        elif type(op) is int and 0 <= op < count and op not in freed:
+            freed[op] = count
+        else:
+            raise ValueError(f"recipe heap op {i} frees {op!r}, not a live "
+                             f"register")
+    # registers are numbered in the order they are taken, so register y
+    # is taken before register x is freed iff y <= limit[x]: a gate's
+    # registers are live at once iff its highest is within each one's
+    # limit.  The last entry, index -1, stands for the padding
+    limit = [count - 1] * (count + 1)
+    for r, n in freed.items():
+        limit[r] = n - 1
+    for g in recipe.gates:
+        a, b, c = g if type(g) is tuple and len(g) == 3 else (None,) * 3
+        if not (type(a) is type(b) is type(c) is int and 0 <= a < count
+                and -1 <= b < count and -1 <= c < count and (b >= 0 or c < 0)):
+            raise ValueError(f"recipe gate {g!r} is not a triple of "
+                             f"registers below {count} padded with -1")
+        if a == b or a == c or b == c >= 0:
+            raise ValueError(f"recipe gate {g} repeats a register")
+        if max(g) > min(limit[a], limit[b], limit[c]):
+            raise ValueError(f"recipe gate {g} names registers that are "
+                             f"not live at once")
 
 
 class Registers:
@@ -414,7 +466,7 @@ class Registers:
     r), the `heap_ops` of a `Recipe`."""
 
     def __init__(self, base: int):
-        self.next = base
+        self.base = self.next = base
         self.ops: list[int] = []
 
     def alloc(self) -> int:
@@ -435,13 +487,20 @@ def compile_form(form: BoolExp, n_vars: int) -> Recipe:
     else is computed onto a scratch wire first and uncomputed after.  More
     than two controls go through a left-to-right chain of k-2 scratch
     wires and 2(k-2)+1 Toffolis.
+
+    The recipe passes `check_recipe` by construction, so it is not
+    passed through it.  The target is never a control, every scratch register
+    is new and freed after the last gate that names it, and only the
+    first gate of an AND names two controls, which are checked to differ.
+    A variable past the last position is an IndexError.
     """
     heap = Registers(n_vars + 1)
+    reg = list(range(1, n_vars + 1))  # the register of each position
 
     def emit(x: BoolExp, t: int, gates: list) -> None:
         op = x.op
         if op == VAR:
-            gates.append((x.args[0] + 1, t, -1))
+            gates.append((reg[x.args[0]], t, -1))
         elif op == CONST:
             if x.args[0]:
                 gates.append((t, -1, -1))
@@ -460,9 +519,9 @@ def compile_form(form: BoolExp, n_vars: int) -> Recipe:
         temps: list[tuple[int, BoolExp]] = []
         for c in children:
             if c.op == VAR:
-                controls.append(c.args[0] + 1)
+                controls.append(reg[c.args[0]])
             elif c.op == NOT_ and c.args[0].op == VAR:
-                r = c.args[0].args[0] + 1
+                r = reg[c.args[0].args[0]]
                 controls.append(r)
                 toggles.append((r, -1, -1))
             else:
@@ -470,8 +529,10 @@ def compile_form(form: BoolExp, n_vars: int) -> Recipe:
                 emit(c, r, gates)
                 temps.append((r, c))
                 controls.append(r)
-        gates += toggles
         k = len(controls)
+        if k > 1 and controls[0] == controls[1]:
+            raise ValueError(f"AND reads variable {controls[0] - 1} twice")
+        gates += toggles
         if k == 1:
             gates.append((controls[0], t, -1))
         elif k == 2:
@@ -500,4 +561,7 @@ def compile_form(form: BoolExp, n_vars: int) -> Recipe:
 
     gates: list = []
     emit(form, 0, gates)
-    return Recipe(tuple(heap.ops), tuple(gates))
+    # the two closures refer to each other: break the cycle, so that they
+    # are freed now rather than left to the cyclic collector
+    emit = emit_and = None
+    return Recipe(heap.base, tuple(heap.ops), tuple(gates))

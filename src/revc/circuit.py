@@ -1,8 +1,12 @@
 """Circuit data model, bit-exact simulation and the verification harness.
 
 A gate is the tuple of its wires, controls first and target last; its
-kind is its length (`kind`).  `Circuit` checks each distinct gate once:
-one to three distinct integer wires in [0, width).  All three gates are
+kind is its length (`kind`): one to three distinct integer wires in
+[0, width).  `Circuit(...)` checks each distinct gate once, as
+`parse_circuit` and `reverse` do through it.  The emitter's gates are
+valid by construction (each recipe is checked once and each statement's
+wires where it runs, see boolexpr and emitter), so `built_circuit` takes
+them without checking each gate again.  All three gates are
 self-inverse, so reversal is just reversing the gate order.  Simulation
 packs one sample per bit of a Python int, which lets `verify` run
 hundreds of random samples in a single pass over the gate list.
@@ -61,17 +65,11 @@ class Circuit:
     outputs: list[int] = field(default_factory=list)  # wire indices holding outputs
 
     def __post_init__(self):
-        width = self.width
-        for role, wires in (("input", self.inputs), ("output", self.outputs)):
-            seen = set()
-            for w in wires:
-                if w in seen or type(w) is not int or not 0 <= w < width:
-                    why = "repeated" if w in seen else f"outside width {width}"
-                    raise ValueError(f"{role} wire {w!r} {why}")
-                seen.add(w)
+        _check_header(self)
         # each distinct gate once, in bulk (by equality: a bool or float
         # wire in a gate equal to an integer one passes with it); if one
         # fails, checking in list order names the first bad gate
+        width = self.width
         distinct = set(self.gates)
         wires = list(chain.from_iterable(distinct))
         if distinct and (not set(map(len, distinct)) <= {1, 2, 3}
@@ -80,6 +78,30 @@ class Circuit:
                       or sum(map(len, map(set, distinct))) != len(wires)):
             for g in self.gates:
                 check_gate(g, width)
+
+
+def _check_header(c: Circuit) -> None:
+    """Distinct input and output wires in [0, width)."""
+    width = c.width
+    for role, wires in (("input", c.inputs), ("output", c.outputs)):
+        seen = set()
+        for w in wires:
+            if w in seen or type(w) is not int or not 0 <= w < width:
+                why = "repeated" if w in seen else f"outside width {width}"
+                raise ValueError(f"{role} wire {w!r} {why}")
+            seen.add(w)
+
+
+def built_circuit(width: int, gates: list, inputs: list,
+                  outputs: list) -> Circuit:
+    """`Circuit(width, gates, inputs, outputs)` for gates that are valid
+    by construction, as the emitter's are: the header wires are checked,
+    the gates are not checked again.  The circuit takes `gates` as it
+    is."""
+    c = object.__new__(Circuit)
+    c.width, c.gates, c.inputs, c.outputs = width, gates, inputs, outputs
+    _check_header(c)
+    return c
 
 
 def reverse(c: Circuit) -> Circuit:
@@ -95,6 +117,28 @@ def stats(c: Circuit) -> dict:
         "not_count": counts[NOT],
         "qubit_count": c.width,
     }
+
+
+def depth(c: Circuit) -> tuple[int, int]:
+    """(depth, Toffoli depth), in one pass: the depth is the number of
+    ASAP layers, where a gate occupies all its wires and goes one layer
+    after the latest gate on any of them; the Toffoli depth is the same
+    over the Toffolis alone, the CNOTs and NOTs dropped."""
+    layer = [0] * c.width  # per wire, the layer of its latest gate
+    tof_layer = [0] * c.width  # the same over the Toffolis
+    for g in c.gates:
+        if len(g) == 3:
+            a, b, t = g
+            layer[a] = layer[b] = layer[t] = max(
+                layer[a], layer[b], layer[t]) + 1
+            tof_layer[a] = tof_layer[b] = tof_layer[t] = max(
+                tof_layer[a], tof_layer[b], tof_layer[t]) + 1
+        elif len(g) == 2:
+            a, t = g
+            layer[a] = layer[t] = max(layer[a], layer[t]) + 1
+        else:
+            layer[g[0]] += 1
+    return max(layer, default=0), max(tof_layer, default=0)
 
 
 def simulate(c: Circuit, input_bits) -> list[int]:

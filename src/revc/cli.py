@@ -11,7 +11,9 @@
 
 `--stats` and `revc stats` report the circuit's counts (`gate_count`
 and `distinct_gates`, the number of distinct gates: the emitter interns
-each as one wire tuple), the plan's
+each as one wire tuple, valid by construction, see emitter; `depth`, the
+ASAP layers where a gate occupies all its wires, and `toffoli_depth`,
+the same over the Toffolis alone), the plan's
 (`unclean_count`, `checkpoints`, `reversals_inserted`: eager's reversals
 after last use; `peak_live`: the most wires live between two actions,
 inputs included, the count `--qubits` bounds in the forward segments of
@@ -130,6 +132,7 @@ def _report(prog, plan, circ, em, stages, counts) -> dict:
                                   *(x for t in tokens for x in t.stmts)]
              if isinstance(s, Compute)}
     rep = circuit_mod.stats(circ)
+    rep["depth"], rep["toffoli_depth"] = circuit_mod.depth(circ)
     rep.update({"strategy": plan.strategy,
                 "input_count": len(circ.inputs),
                 "output_count": len(circ.outputs),
@@ -224,15 +227,21 @@ def cmd_pebble(args) -> int:
     T, k = args.time, args.pebbles
     strat = args.strategy
     try:
-        if strat == "bennett":
-            moves, k_used = pebble_mod.bennett_strategy(T), (k or T)
+        if strat in ("bennett", "lmt"):
+            # a fixed play: its peak is all the pebbles it needs
+            if strat == "bennett":
+                moves, need = pebble_mod.bennett_strategy(T), T
+            else:
+                moves = pebble_mod.lmt_strategy(T)
+                need = pebble_mod.log_space_pebbles(T)
+            if k is not None and k < need:
+                raise CliError(f"{strat} needs {need} pebbles for T={T}, "
+                               f"got {k}")
+            k_used = k or need
         elif strat == "incremental":
             if k is None:
                 raise CliError("incremental needs --pebbles")
             moves, k_used = pebble_mod.incremental_strategy(T, k), k
-        elif strat == "lmt":
-            moves = pebble_mod.lmt_strategy(T)
-            k_used = k or pebble_mod.log_space_pebbles(T)
         elif strat == "knill":
             if k is None:
                 raise CliError("knill needs --pebbles")

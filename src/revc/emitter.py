@@ -21,9 +21,21 @@ that; its `Recipe` (see boolexpr) is compiled once per distinct form and
 shared by every equal form, BLIF covers included.  A statement
 resolves the recipe's registers, its target and then its args, against
 the slot map of that moment.  A gate is its wire tuple (see circuit):
-every gate, copies too, goes through the emission's one `GateTable`, so
-a gate that recurs is one tuple, which keeps peak memory down; `Circuit`
-validates each distinct gate once.
+every gate, copies too, goes through the emission's one intern table, so
+a gate that recurs is one tuple, which keeps peak memory down.
+
+Gates are valid by construction, so `finish` builds the circuit without
+checking each gate again.  Every recipe, of an expression or of a block,
+is checked once when it is built: each gate names distinct registers,
+below the register count, that are live at once.  Each run checks its
+entry wires (a statement's target and args, a block's mapped slots) for
+distinct wires before its heap operations; it cannot check after them,
+since a scratch wire a recipe frees may come back for a later register.
+Every other wire is one the heap hands out, never a live one, so the
+registers live at once hold distinct wires, each below the width.  A
+copy's gates pair a slot's wire with a fresh one, and an uncopy checks
+each pair.  `Circuit(...)`, `parse_circuit` and `reverse` still check
+every gate.
 
 In-place blocks are run from block recipes, one per token (a block is a
 token and its slots, see `InPlaceBlock` in frontend), direction and entry
@@ -44,8 +56,8 @@ and the heap, which hands out its least free wire, answers the same
 sequence from the same state with the same wires.  The walk raises the
 errors of the statement rules (a slot with no wire, a fresh write to a
 live slot, a target inside its expression) on registers; replay checks
-that the entry wires are distinct, so distinct registers are distinct
-wires.
+that the entry wires are distinct, so registers live at once are
+distinct wires.
 
 The scheduler places checkpoints without running the emitter: under the
 rules below each statement changes the live count by a constant (see
@@ -57,8 +69,8 @@ width is not, since it also counts those scratch wires.
 from __future__ import annotations
 
 from .ancilla import AncillaHeap
-from .boolexpr import BoolExp, GateTable, Recipe, Registers, compile_form
-from .circuit import Circuit
+from .boolexpr import BoolExp, Recipe, Registers, check_recipe, compile_form
+from .circuit import Circuit, built_circuit
 from .frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
 from .scheduler import Action, CleanupPlan, reopened_locals, schedule
 
@@ -77,14 +89,15 @@ class Emitter:
         self.copy_wires: dict[Action, list[int]] = {}
         self.saved_maps: dict[Action, dict] = {}
         # synthesis caches: id(form) -> (form, its recipe), see `_learn`;
-        # form -> recipe; the gate intern table.  An entry keeps its
-        # form alive, so the id is not reused.  Intern keys are laid out to
-        # leave few small objects to free when the emitter goes: freed in
-        # bulk, they would scatter the packed columns a later verification
-        # allocates
+        # form -> recipe.  An entry keeps its form alive, so the id is not
+        # reused
         self.compiled: dict[int, tuple] = {}
         self.recipes: dict[BoolExp, Recipe] = {}
-        self.gate_table = GateTable()
+        # the gate intern table's `setdefault`: a wire tuple is its own
+        # value.  Intern keys are laid out to leave few small objects to
+        # free when the emitter goes: freed in bulk, they would scatter the
+        # packed columns a later verification allocates
+        self.intern = {}.setdefault
         # block recipes by (token, forward, entry pattern): (recipe, per
         # body position its register at the end or -1), see `_run_block`
         self.blocks: dict[tuple, tuple] = {}
@@ -119,60 +132,39 @@ class Emitter:
         self.compiled[id(form)] = (form, recipe)
         return recipe
 
-    def _target(self, slot: int, fresh: bool) -> int:
-        if not fresh:
-            return self._wire_of(slot)
+    def _fresh_wire(self, slot: int) -> int:
         if slot in self.slot_map:
             raise RuntimeError(f"fresh write to live slot {slot}")
         w = self.slot_map[slot] = self.heap.alloc()
         return w
 
-    def _synth(self, stmt: Compute, fresh: bool) -> list[tuple]:
-        """Gates of slot ^= expr on the current wires: the recipe of the
-        form, its registers 1..k being the wires of the args."""
+    # -- statement rules: (self, statement, forward) ------------------------
+
+    def _compute(self, stmt: Compute, forward: bool) -> None:
+        """slot ^= expr on the current wires: the recipe of the form, its
+        registers 1..k being the wires of the args.  Forwards, a fresh
+        write first takes the slot a wire; backwards, the gates run in
+        reverse and a fresh write then frees it."""
         entry = self.compiled.get(id(stmt.form))
         recipe = entry[1] if entry is not None else self._learn(stmt)
-        wires = [self._target(stmt.slot, fresh)]
+        slot_map = self.slot_map
+        fresh = stmt.fresh
+        w = [self._fresh_wire(stmt.slot) if fresh and forward
+             else self._wire_of(stmt.slot)]
         try:
-            wires += map(self.slot_map.__getitem__, stmt.args)
+            w += map(slot_map.__getitem__, stmt.args)
         except KeyError as exc:
             raise RuntimeError(f"slot {exc.args[0]} has no wire") from None
-        return recipe.replay(wires, self.heap, self.gate_table)
+        recipe.replay(w, self.heap, self.gates, self.intern, forward)
+        if fresh and not forward:
+            self.heap.free(slot_map.pop(stmt.slot))
 
-    # -- actions ------------------------------------------------------------
-
-    def apply(self, action: Action) -> None:
-        getattr(self, f"_do_{action.kind}")(action)
-
-    def _do_fwd(self, action: Action) -> None:
-        self._fwd_stmt(action.stmt)
-
-    def _do_bwd(self, action: Action) -> None:
-        self._bwd_stmt(action.stmt)
-
-    def _fwd_stmt(self, stmt) -> None:
-        if isinstance(stmt, Compute):
-            self.gates += self._synth(stmt, stmt.fresh)
-        elif isinstance(stmt, InPlaceBlock):
-            self._run_block(stmt, True)
-        elif isinstance(stmt, CleanSlot):
+    def _clean(self, stmt: CleanSlot, forward: bool) -> None:
+        if forward:
             self.heap.free(self._wire_of(stmt.slot))
             del self.slot_map[stmt.slot]
         else:
-            raise TypeError(stmt)
-
-    def _bwd_stmt(self, stmt) -> None:
-        if isinstance(stmt, Compute):
-            gates = self._synth(stmt, fresh=False)
-            self.gates += reversed(gates)
-            if stmt.fresh:
-                self.heap.free(self.slot_map.pop(stmt.slot))
-        elif isinstance(stmt, InPlaceBlock):
-            self._run_block(stmt, False)
-        elif isinstance(stmt, CleanSlot):
-            self._target(stmt.slot, fresh=True)
-        else:
-            raise TypeError(stmt)
+            self._fresh_wire(stmt.slot)
 
     def _run_block(self, block: InPlaceBlock, forward: bool) -> None:
         """Run an in-place block from the recipe of its token, direction
@@ -192,7 +184,7 @@ class Emitter:
         if len(set(wires)) != len(wires):
             raise ValueError("in-place block entered with two slots "
                              "on one wire")
-        self.gates += recipe.run(wires, self.heap, self.gate_table)
+        recipe.run(wires, self.heap, self.gates, self.intern)
         for s, r in zip(slots, exit):
             if r >= 0:
                 slot_map[s] = wires[r]
@@ -205,8 +197,7 @@ class Emitter:
         body, locals_ = token.stmts, token.local_positions
         w = _Walker(self, [p for p, m in enumerate(entry) if m])
         if forward:
-            for s in body:
-                w._fwd_stmt(s)
+            w.apply_all([Action("fwd", stmt=s) for s in body])
             # locals not explicitly cleaned are zero again at block end
             for l in locals_:
                 if l in w.slot_map:
@@ -214,66 +205,104 @@ class Emitter:
         else:
             for l in reopened_locals(body, locals_):
                 w.slot_map[l] = w.heap.alloc()
-            for s in reversed(body):
-                w._bwd_stmt(s)
+            w.apply_all([Action("bwd", stmt=s) for s in reversed(body)])
         exit = tuple([w.slot_map.get(p, -1) for p in range(len(entry))])
         gates = tuple([(*g, -1, -1)[:3] for g in w.gates])
-        return Recipe(tuple(w.heap.ops), gates), exit
+        recipe = Recipe(w.heap.base, tuple(w.heap.ops), gates)
+        check_recipe(recipe)
+        return recipe, exit
 
-    def _do_copy(self, action: Action) -> None:
+    # -- plan rules: (self, action, forward) --------------------------------
+
+    def _copy(self, action: Action, forward: bool) -> None:
+        """A copy fans the slots out onto fresh wires; its uncopy runs the
+        gates in reverse and returns the wires."""
         src = [self._wire_of(s) for s in action.slots]
-        dst = [self.heap.alloc() for _ in action.slots]
-        self.gates += map(self.gate_table.__getitem__, zip(src, dst))
-        self.copy_wires[action.ref or action] = dst
-        if action.tag == "output":
-            self.output_wires = dst
-
-    def _do_uncopy(self, action: Action) -> None:
-        # the copy's wires are those its slots held at unremap (see there),
-        # but the source values may have migrated to other wires by now:
-        # resolve them through the current slot map
+        intern = self.intern
+        if forward:
+            dst = [self.heap.alloc() for _ in action.slots]
+            self.gates += [intern(g, g) for g in zip(src, dst)]
+            self.copy_wires[action.ref or action] = dst
+            if action.tag == "output":
+                self.output_wires = dst
+            return
+        # the copy's wires are those its slots held at unremap (see
+        # `_remap`), but the source values may have migrated to other
+        # wires by now: they are resolved through the current slot map.
+        # A copy wire is not fresh here, so each pair is checked
         dst = self.copy_wires[action.ref]
-        src = [self._wire_of(s) for s in action.slots]
-        self.gates += map(self.gate_table.__getitem__,
-                          zip(reversed(src), reversed(dst)))
+        if any(map(int.__eq__, src, dst)):
+            raise RuntimeError("uncopy of a slot onto its own wire")
+        self.gates += [intern(g, g) for g in zip(reversed(src), reversed(dst))]
         for d in dst:
             self.heap.free(d)
 
-    def _do_remap(self, action: Action) -> None:
-        dst = self.copy_wires[action.ref]
-        self.saved_maps[action.ref] = {s: self.slot_map.get(s)
-                                       for s in action.slots}
-        for s, d in zip(action.slots, dst):
-            self.slot_map[s] = d
-
-    def _do_unremap(self, action: Action) -> None:
+    def _remap(self, action: Action, forward: bool) -> None:
+        """Remap points the slots at their copy's wires; unremap points
+        them back."""
+        slot_map = self.slot_map
+        if forward:
+            dst = self.copy_wires[action.ref]
+            self.saved_maps[action.ref] = {s: slot_map.get(s)
+                                           for s in action.slots}
+            for s, d in zip(action.slots, dst):
+                slot_map[s] = d
+            return
         # the copy now lives on its slots' wires: a `clean` between remap
         # and here freed a copy wire, and its reversal took another
-        self.copy_wires[action.ref][:] = [self.slot_map[s]
-                                          for s in action.slots]
+        self.copy_wires[action.ref][:] = [slot_map[s] for s in action.slots]
         prev_map = self.saved_maps[action.ref]
         for s in action.slots:
             prev = prev_map[s]
             if prev is None:
-                del self.slot_map[s]
+                del slot_map[s]
             else:
-                self.slot_map[s] = prev
+                slot_map[s] = prev
+
+    # (action kind, class of its statement) -> (the name of its rule,
+    # forward); a rule takes the statement, or the action if it has none.
+    # Rules are looked up by name, so that a subclass may override one
+    RULES = {**{(kind, cls): (name, kind == "fwd")
+                for cls, name in ((Compute, "_compute"),
+                                  (InPlaceBlock, "_run_block"),
+                                  (CleanSlot, "_clean"))
+                for kind in ("fwd", "bwd")},
+             ("copy", type(None)): ("_copy", True),
+             ("uncopy", type(None)): ("_copy", False),
+             ("remap", type(None)): ("_remap", True),
+             ("unremap", type(None)): ("_remap", False)}
+
+    # -- running a plan -----------------------------------------------------
+
+    def apply(self, action: Action) -> None:
+        self.apply_all((action,))
+
+    def apply_all(self, actions) -> None:
+        """Run the rule of each action in order, through `RULES` bound to
+        this emitter once per call."""
+        rules = {key: (getattr(self, name), forward)
+                 for key, (name, forward) in self.RULES.items()}
+        for a in actions:
+            stmt = a.stmt
+            rule, forward = rules[a.kind, stmt.__class__]
+            rule(a if stmt is None else stmt, forward)
 
     def run(self, plan: CleanupPlan) -> Circuit:
         """Apply every action of the plan; the finished circuit."""
-        for a in plan.actions:
-            self.apply(a)
+        self.apply_all(plan.actions)
         return self.finish()
 
     def finish(self) -> Circuit:
+        """The circuit of the gates so far, which are valid by
+        construction (see the module docstring), so it is built without
+        checking each gate again."""
         program = self.program
         if self.output_wires is not None:
             outputs = list(self.output_wires)
         else:
             outputs = [self._wire_of(s) for s in program.output_slots]
-        return Circuit(width=self.width, gates=list(self.gates),
-                       inputs=list(range(len(program.input_slots))),
-                       outputs=outputs)
+        return built_circuit(self.width, list(self.gates),
+                             list(range(len(program.input_slots))), outputs)
 
 
 class _Walker(Emitter):
@@ -287,7 +316,7 @@ class _Walker(Emitter):
     def __init__(self, em: Emitter, mapped: list[int]):
         self.slot_map = {p: r for r, p in enumerate(mapped)}
         self.heap = Registers(len(mapped))
-        self.gate_table = GateTable()
+        self.intern = {}.setdefault
         self.gates = []
         self.compiled, self.recipes = em.compiled, em.recipes
 

@@ -46,7 +46,7 @@ place in its bucket.  Buckets are short: on the bundled corpus they hold
 under one reversal per statement on average and at most 39 (the carries
 of the n=40 ripple adder).  On SHA-2 rounds=16 (8,256 graph nodes,
 120,832 read edges, 2,048 reversals) building the graph takes 9.5 ms and
-the eager plan 6.1 ms, against 29 ms to emit the plan; the Bennett plan
+the eager plan 6.1 ms, against 21 ms to emit the plan; the Bennett plan
 takes 2.4 ms.  On MD5 rounds=2 the graph takes 1.4 ms and the eager plan
 0.5 ms.  (Medians of 9 in-process runs on a 2-vCPU VM under Python 3.11,
 scaled to the reference speed of the benchmark's probe, bench/speed.py.)

@@ -16,7 +16,7 @@ from importlib import resources
 
 from revc.ancilla import AncillaHeap
 from revc.boolexpr import (
-    BoolExp, GateTable, band, bnot, bor, bvar, bxor, canonical, compile_form,
+    BoolExp, band, bnot, bor, bvar, bxor, canonical, compile_form,
     synthesis_cost,
 )
 from revc.frontend import Compute, FlatProgram, flatten, interpret, parse
@@ -57,8 +57,10 @@ def synthesize(e: BoolExp, target: int, heap: AncillaHeap,
     the sequence ends, so the net heap state is unchanged.
     """
     form, slots = canonical(e)
-    return compile_form(form, len(slots)).replay(
-        [target, *[wires[s] for s in slots]], heap, GateTable())
+    gates: list = []
+    compile_form(form, len(slots)).replay(
+        [target, *[wires[s] for s in slots]], heap, gates, {}.setdefault)
+    return gates
 
 
 def and_cost(e: BoolExp) -> int:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from revc.ancilla import AncillaHeap
 from revc.boolexpr import (
     AND, CONST, NOT_, VAR, XOR, band, bconst, bnot, bor, bvar, bxor,
-    GateTable, canonical, compile_form, evaluate, gate_count, instantiate,
+    canonical, check_recipe, compile_form, evaluate, gate_count, instantiate,
     variables,
 )
 from revc.circuit import TOFFOLI, Circuit, cnot, kind, notg, simulate, toffoli
@@ -383,6 +383,15 @@ def test_recipe_replay_matches_recursive_synthesis(e, perm, busy):
     check_replay(e, perm, busy)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(exprs(n_vars=8, depth=4), branchy_exprs()))
+def test_synthesized_recipes_pass_the_recipe_check(e):
+    # `compile_form` does not call `check_recipe`, which its recipes pass
+    # by construction; the whole-recipe check is the reference
+    form, args = canonical(e)
+    check_recipe(compile_form(form, len(args)))
+
+
 V = [bvar(i) for i in range(8)]
 
 
@@ -408,8 +417,9 @@ def test_one_recipe_serves_every_renaming():
     for e, slots in ((e1, s1), (e2, s2)):
         wires = {s: 10 + s for s in slots}
         heap = AncillaHeap(base=30)
-        got = recipe.replay([0, *(wires[s] for s in slots)], heap,
-                            GateTable())
+        got = []
+        recipe.replay([0, *(wires[s] for s in slots)], heap, got,
+                      {}.setdefault)
         assert got == reference_synthesize(e, 0, AncillaHeap(base=30), wires)
 
 

@@ -12,6 +12,7 @@ import pytest
 import revc
 from revc.cli import main
 from revc.boolexpr import MAX_STATEMENT_GATES
+from revc.circuit import Circuit, depth, format_circuit, parse_circuit
 from revc.frontend import (
     MAX_ALLOCATED_BITS, MAX_NESTING, MAX_UNROLLED_ITERATIONS, FlattenError,
     InPlaceBlock, InterpretError, flatten, interpret_source, parse,
@@ -182,6 +183,21 @@ def test_stats_pin_the_sha2_rounds16_eager_plan_and_graph(capsys):
             rep["mdd_read_edges"]) == (2048, 0, 8256, 120832)
 
 
+def test_stats_report_depth_and_toffoli_depth(capsys):
+    # depth counts ASAP layers, a gate occupying all its wires; Toffoli
+    # depth the same over the Toffolis alone, CNOTs and NOTs dropped
+    reps = [stats_of(capsys, name, "--param", f"rounds={rounds}",
+                     "--strategy", "eager")
+            for name, rounds in (("sha2.rev", 16), ("md5.rev", 2))]
+    assert [(r["depth"], r["toffoli_depth"]) for r in reps] == [
+        (27504, 9536), (6065, 2388)]
+    # a NOT, a CNOT and a Toffoli in a row, and a CNOT beside them
+    c = Circuit(5, [(0,), (0, 1), (3, 4), (0, 1, 2)])
+    assert depth(c) == (3, 1)
+    assert depth(Circuit(3, [(0, 1), (1, 2)])) == (2, 0)
+    assert depth(Circuit(0)) == (0, 0)
+
+
 def test_stats_report_the_eager_graph_under_bennett(capsys):
     # bennett plans without the graph; the report builds the same one
     eager, bennett = (stats_of(capsys, "sha2.rev", "--param", "rounds=4",
@@ -255,6 +271,28 @@ def test_infeasible_budget_is_user_error(capsys):
     assert "minimum" in capsys.readouterr().err
 
 
+def test_infeasible_sha2_budget_names_the_minimum(tmp_path, capsys):
+    out = tmp_path / "sha2.tfc"
+    rc = main(["compile", corpus_path("sha2.rev"), "--param", "rounds=4",
+               "--strategy", "incremental", "--qubits", "600",
+               "-o", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "minimum is 672" in err
+    assert not out.exists()
+
+
+def test_compiled_circuit_reads_back_byte_for_byte(tmp_path):
+    # the emitter's circuit, built without the per-gate check, goes
+    # through the checked path of `parse_circuit` and back
+    out = tmp_path / "sha2_eager.tfc"
+    assert main(["compile", corpus_path("sha2.rev"), "--param", "rounds=4",
+                 "--strategy", "eager", "-o", str(out)]) == 0
+    text = out.read_text()
+    assert format_circuit(parse_circuit(text)) == text
+
+
 @pytest.mark.parametrize("strategy", ["bennett", "eager"])
 def test_qubits_needs_the_incremental_strategy(tmp_path, capsys, strategy):
     out = tmp_path / "a.tfc"
@@ -297,6 +335,23 @@ def test_pebble_past_its_bound_is_user_error(argv, capsys):
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert err.startswith("error: pebble ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("strategy,time_,pebbles,need", [
+    ("bennett", 10, 5, 10), ("lmt", 32, 3, 6)])
+def test_pebble_budget_below_a_fixed_play_is_user_error(capsys, strategy,
+                                                       time_, pebbles, need):
+    # bennett and lmt play a fixed game: a smaller budget is a user error
+    # naming what the play needs, not a verification failure (exit 2)
+    assert main(["pebble", "--time", str(time_), "--pebbles", str(pebbles),
+                 "--strategy", strategy]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {strategy} needs {need} pebbles for T={time_}, "
+                   f"got {pebbles}\n")
+    # at what it needs the play runs
+    assert main(["pebble", "--time", str(time_), "--pebbles", str(need),
+                 "--strategy", strategy]) == 0
+    assert f"peak {need} pebbles" in capsys.readouterr().out
 
 
 def test_pebble_bounds_keep_the_readme_example(capsys):

@@ -1,9 +1,15 @@
 
 import pytest
 
+from revc import blif
 from revc import emitter as emitter_mod
-from revc.boolexpr import band, bvar, bxor, compile_form
-from revc.circuit import CNOT, TOFFOLI, format_circuit, kind, stats, verify
+from revc.boolexpr import (
+    AND, BoolExp, Recipe, band, bnot, bvar, bxor, check_recipe, compile_form,
+)
+from revc.circuit import (
+    CNOT, TOFFOLI, Circuit, built_circuit, check_gate, format_circuit, kind,
+    reverse, stats, verify,
+)
 from revc.emitter import Emitter, compile_flat, emit
 from revc.frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
 from revc.mdd import build_mdd
@@ -159,7 +165,7 @@ class StatementEmitter(Emitter):
         body = block.body
         if forward:
             for s in body:
-                self._fwd_stmt(s)
+                self.apply(Action("fwd", stmt=s))
             for l in block.local_slots:
                 if l in self.slot_map:
                     self.heap.free(self.slot_map.pop(l))
@@ -167,7 +173,7 @@ class StatementEmitter(Emitter):
             for l in reopened_locals(body, block.local_slots):
                 self.slot_map[l] = self.heap.alloc()
             for s in reversed(body):
-                self._bwd_stmt(s)
+                self.apply(Action("bwd", stmt=s))
 
 
 def template_calls(reads: str) -> str:
@@ -227,8 +233,10 @@ def test_block_recipes_emit_what_running_the_body_does(src, params):
         runs = sum(isinstance(a.stmt, InPlaceBlock) for a in plan.actions)
         assert em.block_recipes + em.block_replays == runs
         assert em.block_replays > 0
-        assert format_circuit(circ) == format_circuit(
-            StatementEmitter(prog).run(plan)), plan.strategy
+        ref = StatementEmitter(prog)
+        assert format_circuit(circ) == format_circuit(ref.run(plan)), \
+            plan.strategy
+        assert ref.block_recipes == ref.block_replays == 0
         assert verify(prog, circ).ok
 
 
@@ -317,3 +325,142 @@ def test_slot_nothing_wrote_is_an_error(case):
     with pytest.raises(RuntimeError, match=r"^slot 3 has no wire$"):
         run_forward(em, prog)
         em.finish()
+
+
+# The emitter's circuits are valid by construction: `finish` does not
+# check each gate again.  The full per-gate check is the reference.
+CORPUS_CASES = [("adder_ripple.rev", {"n": 40}), ("adder_select.rev", None),
+                ("sha2.rev", {"rounds": 4}), ("sha2.rev", {"rounds": 16}),
+                ("md5.rev", {"rounds": 2})]
+BY_CONSTRUCTION = [
+    *((name, params, s, None) for name, params in CORPUS_CASES
+      for s in ("bennett", "eager")),
+    ("sha2.rev", {"rounds": 4}, "incremental", 672),
+    ("md5.rev", {"rounds": 2}, "incremental", 800),
+    *((name, xor, "eager", None)
+      for name in ("example3.blif", "majority.blif", "mux_net.blif")
+      for xor in (False, True)),
+]
+
+
+def by_construction_id(case) -> str:
+    name, params, strategy, budget = case
+    if name.endswith(".blif"):
+        extra = ["xor" if params else "or"]
+    else:
+        extra = [f"{k}={v}" for k, v in (params or {}).items()]
+    return "-".join([name.split(".")[0], *extra, strategy,
+                     *([str(budget)] if budget else [])])
+
+
+@pytest.mark.parametrize("case", BY_CONSTRUCTION, ids=by_construction_id)
+def test_emitted_gates_pass_the_full_check(case):
+    name, params, strategy, budget = case
+    if name.endswith(".blif"):
+        prog = blif.lower(blif.parse_blif(corpus(name)), optimize=params)
+    else:
+        prog = prog_of(corpus(name), params)
+    _, circ = compile_flat(prog, strategy, budget)
+    for g in circ.gates:
+        check_gate(g, circ.width)
+    assert Circuit(circ.width, list(circ.gates), circ.inputs,
+                   circ.outputs) == circ
+
+
+@pytest.mark.parametrize("heap_ops,gates,match", [
+    ((), ((0, 0, -1),), "repeats a register"),
+    ((), ((1, 0, 1),), "repeats a register"),
+    ((), ((0, 2, -1),), "not a triple of registers below 2"),
+    ((), ((-1, 0, -1),), "not a triple"),
+    ((), ((0, -1, 1),), "not a triple"),
+    ((), ((0, 1),), "not a triple"),
+    ((), ((0, True, -1),), "not a triple"),
+    # register 2 is freed before register 3 is taken: they may share a wire
+    ((-1, 2, -1), ((2, 3, -1),), "not live at once"),
+    ((1, -1), ((1, 2, -1),), "not live at once"),
+    ((-1, 3), (), "frees 3, not a live register"),
+    ((-1, 2, 2), (), "frees 2, not a live register"),
+], ids=["cnot-repeat", "tof-repeat", "above-count", "negative", "gap",
+        "pair", "bool", "freed-scratch", "freed-entry", "unknown-free",
+        "double-free"])
+def test_check_recipe_rejects_a_bad_recipe(heap_ops, gates, match):
+    with pytest.raises(ValueError, match=match):
+        check_recipe(Recipe(2, heap_ops, gates))
+
+
+def test_recipe_check_keeps_registers_live_at_once():
+    # a scratch register and the one taken after it is freed never meet
+    # in a gate; with both live at once they may
+    check_recipe(Recipe(2, (-1, 2, -1, 3),
+                        ((0, 2, -1), (1, 3, -1), (0, 1, -1))))
+    check_recipe(Recipe(2, (-1, -1, 3, 2), ((2, 3, 0), (1, -1, -1))))
+
+
+def test_each_block_recipe_is_checked_when_walked(monkeypatch):
+    # the walk of a block body is where a block recipe is built, and it
+    # passes the recipe through `check_recipe` once
+    checked = []
+    monkeypatch.setattr(emitter_mod, "check_recipe", checked.append)
+    em = Emitter(prog_of(corpus("sha2.rev"), {"rounds": 4}))
+    em.run(schedule(em.program, "eager"))
+    assert em.block_recipes > 0
+    assert checked == [recipe for recipe, _ in em.blocks.values()]
+
+
+@pytest.mark.parametrize("form,n_vars,error,match", [
+    (BoolExp(AND, (bvar(0), bvar(0))), 1, ValueError, "variable 0 twice"),
+    (BoolExp(AND, (bvar(1), bnot(bvar(1)), bvar(0))), 2, ValueError,
+     "variable 1 twice"),
+    (band([bvar(0), bvar(2)]), 2, IndexError, "out of range"),
+    (bxor([bvar(0), bvar(1)]), 1, IndexError, "out of range"),
+], ids=["and-repeat", "and-negated-repeat", "and-past-positions",
+        "var-past-positions"])
+def test_synthesis_checks_what_it_reads_from_the_form(form, n_vars, error,
+                                                      match):
+    # a form from `canonical` never does this; a hand-built one may
+    with pytest.raises(error, match=match):
+        compile_form(form, n_vars)
+
+
+def test_compute_with_two_args_on_one_wire_raises_before_any_gate():
+    # x0 && x1 && x2 takes a scratch wire for its Toffoli chain
+    stmt = Compute(3, band([bvar(0), bvar(1), bvar(2)]), True)
+    prog = FlatProgram(name="and3", input_slots=[0, 1, 2], output_slots=[3],
+                       statements=[stmt], slot_count=4)
+    em = Emitter(prog)
+    em.slot_map[2] = em.slot_map[1]
+    with pytest.raises(ValueError, match="two slots on one wire"):
+        em.apply(Action("fwd", stmt=stmt))
+    assert em.gates == []
+    # the fresh target took its wire, and the recipe's heap ops did not run
+    assert em.heap.state() == ([], 4, {em.slot_map[3]})
+
+
+@pytest.mark.parametrize("bad,match", [
+    ((-1, 0, 1), "negative or non-integer wire"),
+    ((0, 1.0), "negative or non-integer wire"),
+    ((0, True), "negative or non-integer wire"),
+    ((0, 0, 1), "repeats a wire"),
+    ((2, 2), "repeats a wire"),
+    ((99,), "outside width"),
+    ((0, 1, 2, 3), "not 1 to 3"),
+], ids=["negative", "float", "bool", "tof-repeat", "cnot-repeat", "width",
+        "four-wires"])
+def test_circuits_from_outside_the_emitter_keep_the_full_check(bad, match):
+    # an emitted circuit with one bad gate added is rejected by
+    # `Circuit(...)` and by `reverse`, which `built_circuit` does not weaken
+    _, c = compile_flat(ripple(4), "eager")
+    gates = [*c.gates, bad]
+    with pytest.raises(ValueError, match=match):
+        Circuit(c.width, gates, c.inputs, c.outputs)
+    with pytest.raises(ValueError, match=match):
+        reverse(built_circuit(c.width, gates, c.inputs, c.outputs))
+
+
+def test_the_emitted_circuit_still_checks_its_header_wires():
+    # only the gates are valid by construction; a hand-built program may
+    # name one output slot twice
+    prog = FlatProgram(name="dup", input_slots=[0, 1], output_slots=[0, 0],
+                       statements=[], slot_count=2)
+    with pytest.raises(ValueError, match="output wire 0 repeated"):
+        Emitter(prog).finish()
