@@ -45,7 +45,9 @@ positions, with `_Walker`: the statement rules below over registers
 instead of wires, where the positions mapped at entry hold registers
 0..n-1 in position order and every wire taken is the next register,
 recorded by the `Registers` that records an expression recipe's heap
-traffic too.  Its block recipe is a `Recipe` over those registers (the
+traffic too; a forward walk releases the token's `open_locals` at its
+end, and a backward one takes their wires first (see `BlockBody` in
+frontend).  Its block recipe is a `Recipe` over those registers (the
 heap operations and the gates, padded to triples) and each position's
 register at the end.
 Every later run of the key replays it with `Recipe.run`.  Replay is what
@@ -60,8 +62,8 @@ that the entry wires are distinct, so registers live at once are
 distinct wires.
 
 The scheduler places checkpoints without running the emitter: under the
-rules below each statement changes the live count by a constant (see
-`scheduler.stmt_delta` and `scheduler.live_profile`).  That count is
+rules below each statement changes the live count by a constant, a block
+by its token's `delta` (see `scheduler.stmt_delta`).  That count is
 exact because synthesis returns every scratch ancilla it takes; the
 width is not, since it also counts those scratch wires.
 """
@@ -72,7 +74,7 @@ from .ancilla import AncillaHeap
 from .boolexpr import BoolExp, Recipe, Registers, check_recipe, compile_form
 from .circuit import Circuit, built_circuit
 from .frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
-from .scheduler import Action, CleanupPlan, reopened_locals, schedule
+from .scheduler import Action, CleanupPlan, schedule
 
 
 class Emitter:
@@ -194,18 +196,16 @@ class Emitter:
     def _walk(self, token, forward: bool, entry: tuple) -> tuple:
         """The block recipe of `token`'s body, over body positions, for
         one entry pattern."""
-        body, locals_ = token.stmts, token.local_positions
         w = _Walker(self, [p for p, m in enumerate(entry) if m])
         if forward:
-            w.apply_all([Action("fwd", stmt=s) for s in body])
-            # locals not explicitly cleaned are zero again at block end
-            for l in locals_:
-                if l in w.slot_map:
-                    w.heap.free(w.slot_map.pop(l))
+            w.apply_all([Action("fwd", stmt=s) for s in token.stmts])
+            # the locals left open are zero again at block end
+            for l in token.open_locals:
+                w.heap.free(w.slot_map.pop(l))
         else:
-            for l in reopened_locals(body, locals_):
+            for l in token.open_locals:
                 w.slot_map[l] = w.heap.alloc()
-            w.apply_all([Action("bwd", stmt=s) for s in reversed(body)])
+            w.apply_all([Action("bwd", stmt=s) for s in reversed(token.stmts)])
         exit = tuple([w.slot_map.get(p, -1) for p in range(len(entry))])
         gates = tuple([(*g, -1, -1)[:3] for g in w.gates])
         recipe = Recipe(w.heap.base, tuple(w.heap.ops), gates)

@@ -66,17 +66,18 @@ its token, so an in-place call is the case whose statements are one
 block.  The signature holds everything the inline depends on: the
 function value, each argument's kind and width (a constant bit or
 compile-time integer by value), the value of every name the body reads
-before binding it (found once per definition by `_free_names`; a captured
-function adds its own such names, a captured bit or array its slots),
-which of all those slots are one slot, which are fresh (see below) and
-which are in-place targets being accumulated onto, and whether the call
-is inside an in-place body or an `if`.  A body that assigns a name it does
-not bind is never recorded, nor is a call in an `if` branch or one that
-touched a slot outside its positions; a replay that would pass the
-unrolling or allocation bound, re-enter a running function or `clean` an
-entry input inlines instead, so that the error is the same.  An in-place
-call's block is validated when it is inlined; a replay is not, since its
-check, drawn per body position, would be the template's bit for bit.
+before binding it (`LetDef.free_names`, found once per definition; a
+captured function adds its own such names, a captured bit or array its
+slots), which of all those slots are one slot, which are fresh (see
+below) and which are in-place targets being accumulated onto, and
+whether the call is inside an in-place body or an `if`.  A body that
+assigns a name it does not bind is never recorded, nor is a call in an
+`if` branch or one that touched a slot outside its positions; a replay
+that would pass the unrolling or allocation bound, re-enter a running
+function or `clean` an entry input inlines instead, so that the error is
+the same.  An in-place call's block is validated when it is inlined; a
+replay is not, since its check, drawn per body position, would be the
+template's bit for bit.
 
 An unwritten `Array.zeroCreate` slot is the constant 0, and a `clean`ed
 slot is fresh again: `clean` emits a `CleanSlot` for each of its slots
@@ -122,19 +123,22 @@ path.
 An `InPlaceBlock` holds no statements of its own: it is a token and its
 distinct slots.  The token is a `BlockBody`, the body written over
 positions (slot p of the body stands for the block's `slots[p]`)
-together with the positions of the targets, arguments and locals.  It is
-shared by a template's block and every block replayed from it, so
-position i of one block is the renaming of position i of another's.  A
-block's slots are the slots of its call's signature in key order (or,
-for a call without one, its target slots), then any other slot its body
-touches, then its locals; a block that is not templated has a token of its
-own.  `run_statements` runs a block by gathering its slots' columns,
-running the shared body and scattering them back; the MDD and the
-scheduler read only the block's slot lists, which are views of the token
-and the slots, and the body's per-token live-count delta, and the
-emitter compiles a block once per token (see emitter).  A block's own
-statements, `body`, are built on demand, for its repr and for tools and
-tests.
+together with the positions of the targets, arguments and locals, and
+the body's effects: the positions zero at entry, the locals left open at
+exit and the live-count delta, found in the one pass that builds the
+token, so that no later stage walks a body for them.  It is shared by a
+template's block and every block replayed from it, so position i of one
+block is the renaming of position i of another's.  A block's slots are
+the slots of its call's signature in key order (or, for a call without
+one, its target slots), then any other slot its body touches, then its
+locals; a block that is not templated has a token of its own.
+`run_statements` runs a block by gathering its slots' columns, running
+the shared body and scattering them back; `validate_block` reads the
+zero positions, the MDD and the scheduler read only the block's slot
+lists, which are views of the token and the slots, and its delta, and
+the emitter compiles a block once per token (see emitter).  A block's
+own statements, `body`, are built on demand, for its repr and for tools
+and tests.
 
 Hostile input is a one-line error with a line, never a traceback or a
 hang: the parser bounds nesting at MAX_NESTING levels, the walk rejects
@@ -155,6 +159,7 @@ import math
 import random
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .boolexpr import (
     MAX_STATEMENT_GATES, BoolExp, band, bconst, bor, bvar, bxor, canonical,
@@ -360,11 +365,97 @@ class EIf:
 
 
 @dataclass
+class EBlock:
+    body: "Block"  # a `let` body of more than one item, run in a child scope
+    line: int = 0
+
+
+@dataclass
 class LetDef:
+    """A function definition.  What the walk asks of its body is found
+    on first use and kept, as `Assign.reads` is on an `Assign`."""
     name: str
     params: list  # (name, annotation) with annotation None | ("bool",) | ("array", size_expr|None)
     body: "Block"
     line: int = 0
+
+    @cached_property
+    def in_place_result(self) -> LetBind | None:
+        """The body-level `let r = Array.zeroCreate n` that it returns, if
+        every write to r accumulates; else None (`in_place_binding`)."""
+        items = self.body.items
+        final = items[-1].expr if isinstance(items[-1], ExprItem) else None
+        if not isinstance(final, EName):
+            return None
+        ret = next((it for it in reversed(items)
+                    if isinstance(it, (LetBind, LetDef))
+                    and it.name == final.name), None)
+        if not (isinstance(ret, LetBind) and isinstance(ret.expr, EApp)
+                and ret.expr.fn == "Array.zeroCreate"):
+            return None
+        return ret if _writes_accumulate(items, final.name) else None
+
+    @cached_property
+    def free_names(self) -> tuple[tuple[str, ...], bool]:
+        """The names the body reads before it binds them, in first-read
+        order, and whether it assigns a name it does not bind.
+
+        A scope-ordered walk: parameters, `let`s and loop variables bind as
+        the flattener binds them, and a branch, block, loop body or nested
+        definition gets its own scope.  A nested definition sees only the
+        names bound before it; one bound later counts as free, which can
+        only make a key finer.
+        """
+        free: dict[str, None] = {}
+        writes = False
+
+        def expr(e, bound: set) -> None:
+            if isinstance(e, EIf):
+                expr(e.cond, bound)
+                items(e.then_block.items, set(bound))
+                items(e.else_block.items, set(bound))
+                return
+            if isinstance(e, EBlock):
+                items(e.body.items, set(bound))
+                return
+            if isinstance(e, (EName, EIndex, ESlice)) and e.name not in bound:
+                free.setdefault(e.name)
+            if (isinstance(e, EApp) and e.fn not in BUILTINS
+                    and e.fn not in bound):
+                free.setdefault(e.fn)
+            for sub in (e.args if isinstance(e, EApp) else
+                        e.items if isinstance(e, (EList, EArrayLit)) else
+                        _chain(e) if isinstance(e, EBin) else
+                        [e.arg] if isinstance(e, ENot) else
+                        [e.index] if isinstance(e, EIndex) else
+                        [e.lo, e.hi] if isinstance(e, ESlice) else []):
+                expr(sub, bound)
+
+        def items(its, bound: set) -> None:
+            nonlocal writes
+            for it in its:
+                if isinstance(it, LetDef):
+                    bound.add(it.name)
+                    items(it.body.items, bound | {p for p, _ann in it.params})
+                elif isinstance(it, LetBind):
+                    expr(it.expr, bound)
+                    bound.add(it.name)
+                elif isinstance(it, Assign):
+                    writes = writes or it.target.name not in bound
+                    expr(it.target, bound)
+                    expr(it.expr, bound)
+                elif isinstance(it, ForLoop):
+                    expr(it.lo, bound)
+                    expr(it.hi, bound)
+                    items(it.body.items, bound | {it.var})
+                elif isinstance(it, CleanStmt):
+                    if it.name not in bound:
+                        free.setdefault(it.name)
+                else:
+                    expr(it.expr, bound)
+
+        items(self.body.items, {p for p, _ann in self.params})
+        return tuple(free), writes
 
 
 @dataclass
@@ -531,9 +622,8 @@ class Parser:
             return LetBind(name, mutable, body.items[0].expr, t.line)
         if len(body.items) == 1 and isinstance(body.items[0], (LetBind, Assign)):
             raise ParseError(f"binding for {name!r} must be an expression", t.line)
-        # multi-statement binding bodies (e.g. `let sum = if ...` blocks) are
-        # represented as a zero-argument definition applied on the spot
-        return LetBind(name, mutable, EApp("__block__", [LetDef("", [], body, t.line)], t.line), t.line)
+        # a body of more than one item is a block expression
+        return LetBind(name, mutable, EBlock(body, t.line), t.line)
 
     def parse_param(self):
         if self.at("NAME"):
@@ -748,11 +838,20 @@ class BlockBody:
     slot p stands for `slots[p]` of a block that runs it.  It is the token
     of every such block, and `target_positions` (in target order),
     `arg_positions` and `local_positions` are the positions of those
-    blocks' targets, arguments and locals."""
+    blocks' targets, arguments and locals.  Its effects are found when
+    it is built (`InPlaceBlock.from_statements`): `zero_positions`, those
+    zero at entry (the locals, and those first touched by a fresh write);
+    `open_locals`, the locals a fresh write leaves live at exit, in local
+    order, which a block releases at its end; and `delta`, a forward
+    run's change in the live count: the fresh writes less the cleans and
+    the open locals."""
     stmts: tuple  # Compute | CleanSlot
     target_positions: tuple
     arg_positions: tuple
     local_positions: tuple
+    zero_positions: frozenset
+    open_locals: tuple
+    delta: int
 
 
 class InPlaceBlock:
@@ -776,20 +875,35 @@ class InPlaceBlock:
         """A block of `body`, Compute and CleanSlot statements on slots,
         with a token of its own.  Its arguments are the other slots the
         body touches.  Its slots are `slots`, then its target, argument and
-        local slots, made distinct."""
+        local slots, made distinct.  The one pass over the body also finds
+        the token's effects (see `BlockBody`)."""
         touched: set[int] = set()
+        zero = set(local_slots)  # zero at entry
+        live: set[int] = set()  # written fresh and not cleaned since
+        delta = 0
         for s in body:
             if isinstance(s, Compute):
                 touched.update(s.args)
+                if s.fresh:
+                    delta += 1
+                    live.add(s.slot)
+                    if s.slot not in touched:
+                        zero.add(s.slot)
+            else:
+                delta -= 1
+                live.discard(s.slot)
             touched.add(s.slot)
         arg_slots = sorted(touched.difference(target_slots, local_slots))
         slots = tuple(dict.fromkeys([*slots, *target_slots, *arg_slots,
                                      *local_slots]))
         pos = {s: p for p, s in enumerate(slots)}
+        open_locals = tuple([pos[l] for l in local_slots if l in live])
         token = BlockBody(tuple(_renamed_stmts(body, pos)),
                           tuple(pos[t] for t in target_slots),
                           tuple(pos[a] for a in arg_slots),
-                          tuple(pos[l] for l in local_slots))
+                          tuple(pos[l] for l in local_slots),
+                          frozenset(map(pos.__getitem__, zero)), open_locals,
+                          delta - len(open_locals))
         return cls(token, slots)
 
     @property
@@ -921,7 +1035,7 @@ class _Scope:
 
     def function(self, e) -> _FuncVal | None:
         """The user function that `e` calls, or None if e is no such call."""
-        if not isinstance(e, EApp) or e.fn in BUILTINS or e.fn == "__block__":
+        if not isinstance(e, EApp) or e.fn in BUILTINS:
             return None
         b = self.lookup(e.fn)
         return b[0] if b is not None and isinstance(b[0], _FuncVal) else None
@@ -986,25 +1100,21 @@ def _slots_of(v) -> list[int] | None:
 # the `if` rule, `if_value`)
 
 
-def in_place_binding(defn: LetDef, target: list, args: list, nested: int,
-                     results: dict):
+def in_place_binding(defn: LetDef, target: list, args: list, nested: int):
     """Decide `x <- f args` before inlining: f's result binding if the call
     accumulates onto `x`, None if it re-binds `x`.
 
     `target` is x's slots, `args` the slots of each argument, `nested`
     non-zero inside an in-place body or an `if` branch.  f must return a
     body-level `let r = Array.zeroCreate n` whose every write accumulates;
-    that half of the rule depends on f alone, and `results` caches it by
-    `id(defn)`.
+    that half of the rule depends on f alone (`LetDef.in_place_result`).
     """
     if nested or not target:
         return None
     bits = set(target)
     if any(not bits.isdisjoint(a) for a in args):
         return None
-    if id(defn) not in results:
-        results[id(defn)] = _in_place_result(defn)
-    return results[id(defn)]
+    return defn.in_place_result
 
 
 def writes_in_place(item: Assign, bit, reads: dict) -> bool:
@@ -1020,21 +1130,6 @@ def writes_in_place(item: Assign, bit, reads: dict) -> bool:
     if bit is None:
         return False
     return [top for e, top in item.reads if reads.get(id(e)) == bit] == [True]
-
-
-def _in_place_result(defn: LetDef):
-    """f's body-level `let r = Array.zeroCreate n` that it returns, if every
-    write to r accumulates; else None."""
-    items = defn.body.items
-    final = items[-1].expr if isinstance(items[-1], ExprItem) else None
-    if not isinstance(final, EName):
-        return None
-    ret = next((it for it in reversed(items) if isinstance(it, (LetBind, LetDef))
-                and it.name == final.name), None)
-    if not (isinstance(ret, LetBind) and isinstance(ret.expr, EApp)
-            and ret.expr.fn == "Array.zeroCreate"):
-        return None
-    return ret if _writes_accumulate(items, final.name) else None
 
 
 def _writes_accumulate(items, name: str) -> bool:
@@ -1149,67 +1244,6 @@ def relabels(e) -> bool:
     return isinstance(e, (EName, EIndex, ESlice, EBool, EIf)) or (
         isinstance(e, EApp) and e.fn in (
             "rot", "Array.append", "Array.concat", "Array.zeroCreate"))
-
-
-def _free_names(defn: LetDef) -> tuple[tuple[str, ...], bool]:
-    """The names `defn`'s body reads before it binds them, in first-read
-    order, and whether it assigns a name it does not bind.
-
-    A scope-ordered walk: parameters, `let`s and loop variables bind as
-    the flattener binds them, and a branch, loop body or nested definition
-    gets its own scope.  A nested definition sees only the names bound
-    before it; one bound later counts as free, which can only make a key
-    finer.
-    """
-    free: dict[str, None] = {}
-    writes = False
-
-    def expr(e, bound: set) -> None:
-        if isinstance(e, EIf):
-            expr(e.cond, bound)
-            items(e.then_block.items, set(bound))
-            items(e.else_block.items, set(bound))
-            return
-        if isinstance(e, EApp) and e.fn == "__block__":
-            items(e.args[0].body.items, set(bound))
-            return
-        if isinstance(e, (EName, EIndex, ESlice)) and e.name not in bound:
-            free.setdefault(e.name)
-        if isinstance(e, EApp) and e.fn not in BUILTINS and e.fn not in bound:
-            free.setdefault(e.fn)
-        for sub in (e.args if isinstance(e, EApp) else
-                    e.items if isinstance(e, (EList, EArrayLit)) else
-                    _chain(e) if isinstance(e, EBin) else
-                    [e.arg] if isinstance(e, ENot) else
-                    [e.index] if isinstance(e, EIndex) else
-                    [e.lo, e.hi] if isinstance(e, ESlice) else []):
-            expr(sub, bound)
-
-    def items(its, bound: set) -> None:
-        nonlocal writes
-        for it in its:
-            if isinstance(it, LetDef):
-                bound.add(it.name)
-                items(it.body.items, bound | {p for p, _ann in it.params})
-            elif isinstance(it, LetBind):
-                expr(it.expr, bound)
-                bound.add(it.name)
-            elif isinstance(it, Assign):
-                writes = writes or it.target.name not in bound
-                expr(it.target, bound)
-                expr(it.expr, bound)
-            elif isinstance(it, ForLoop):
-                expr(it.lo, bound)
-                expr(it.hi, bound)
-                items(it.body.items, bound | {it.var})
-            elif isinstance(it, CleanStmt):
-                if it.name not in bound:
-                    free.setdefault(it.name)
-            else:
-                expr(it.expr, bound)
-
-    items(defn.body.items, {p for p, _ann in defn.params})
-    return tuple(free), writes
 
 
 def _substituted(e: BoolExp, m: dict[int, BoolExp]) -> BoolExp:
@@ -1351,7 +1385,6 @@ class _Walker:
         self.active: set[int] = set()  # id(LetDef) of the calls running
         self.entered: list[int] = []  # id(LetDef) of every call inlined
         self.line: int | None = None  # of the item being run
-        self.results: dict = {}  # id(LetDef) -> _in_place_result()
 
     def mark(self) -> int:
         """The count of statements emitted so far (flatten's)."""
@@ -1527,6 +1560,11 @@ class _Walker:
             return _BitVal(self.compute(self.eval_scalar(e, scope)))
         if isinstance(e, EInt):
             return _IntVal(e.value)
+        if isinstance(e, EBlock):
+            value = self.run_block(e.body, _Scope(scope), want_value=True)
+            if isinstance(value, _FuncVal):
+                raise self.error("block returned no value", e.line)
+            return value
         if isinstance(e, EList):
             raise self.error(_LIST_ONLY_IN_CONCAT, e.line)
         raise self.error(f"cannot evaluate {type(e).__name__}", self.line)
@@ -1564,9 +1602,6 @@ class _Walker:
             return _ArrVal([v.slots[(i + k) % n] for i in range(n)])
         if fn in ("Array.length", "int", "sqrt", "float"):
             return _IntVal(self.eval_int(e, scope, e.line))
-        if fn == "__block__":
-            # desugared multi-statement binding body
-            return self.inline_call(_FuncVal(e.args[0], scope), [])
         f = scope.function(e)
         if f is None:
             raise self.error(f"unknown function {fn!r}", e.line)
@@ -1597,7 +1632,7 @@ class _Walker:
         line) binds the result buffer to the in-place target."""
         defn = f.defn
         if len(args) != len(defn.params):
-            raise self.error(f"{defn.name or '<block>'} expects "
+            raise self.error(f"{defn.name} expects "
                              f"{len(defn.params)} argument(s), got {len(args)}",
                              line)
         scope = _Scope(f.env)
@@ -1605,7 +1640,7 @@ class _Walker:
             scope.bind(pname, v, isinstance(v, _ArrVal))
         self.entered.append(id(defn))
         if id(defn) in self.active:  # nothing would end the recursion
-            raise self.error(f"recursive call to {defn.name or '<block>'!r}",
+            raise self.error(f"recursive call to {defn.name!r}",
                              line or None)
         self.active.add(id(defn))
         try:
@@ -1614,7 +1649,7 @@ class _Walker:
         finally:
             self.active.discard(id(defn))
         if isinstance(value, _FuncVal):
-            raise self.error(f"{defn.name or '<block>'} returned no value",
+            raise self.error(f"{defn.name} returned no value",
                              defn.line)
         return value
 
@@ -1737,8 +1772,7 @@ class _Walker:
         args = [self.eval_value(a, scope) for a in item.expr.args]
         target = _slots_of(b[0]) or []
         ret = in_place_binding(f.defn, target,
-                               [_slots_of(a) or [] for a in args], self.nested,
-                               self.results)
+                               [_slots_of(a) or [] for a in args], self.nested)
         if ret is not None:  # the body accumulates onto the target
             self.call(f, args, item.line, target, ret)
             return
@@ -1893,7 +1927,6 @@ class Flattener(_Walker):
         self.templates: dict = {}  # call signature -> _Template
         self.call_templates = 0  # calls inlined and recorded as templates
         self.call_replays = 0  # calls replayed from a template
-        self.free_names: dict[int, tuple] = {}  # id(LetDef) -> _free_names()
 
     # -- the domain ------------------------------------------------------------
     def emit(self, stmt) -> None:
@@ -2047,9 +2080,7 @@ class Flattener(_Walker):
         if f in seen:  # recursion: its values are in the key already
             return f
         seen.add(f)
-        if id(f.defn) not in self.free_names:
-            self.free_names[id(f.defn)] = _free_names(f.defn)
-        names, writes = self.free_names[id(f.defn)]
+        names, writes = f.defn.free_names
         if writes:
             raise _NoTemplate()
         return f, tuple(self.value_key(b[0] if b is not None else None,
@@ -2129,22 +2160,16 @@ class Flattener(_Walker):
         Runs the block's body once over 64 packed lanes: every position
         but the zero ones gets lane 0 zero, lane 1 one and lanes 2-63
         random, drawn in position order, so that blocks of one token get
-        the same columns and the same verdict.  The zero positions are the
-        locals and those fresh (unwritten or cleaned) at entry, which are
-        0 at run time: the body's first touch of such a position is a
-        fresh write, and of any other a read, an accumulation or a clean.
+        the same columns and the same verdict.  The zero positions (the
+        token's `zero_positions`) are the locals and those fresh (unwritten
+        or cleaned) at entry, which are 0 at run time: the body's first
+        touch of such a position is a fresh write, and of any other a read,
+        an accumulation or a clean.
         """
         rng = random.Random(0xB10C)
         mask = (1 << 64) - 1
         token = block.token
-        zero = set(token.local_positions)
-        touched: set[int] = set()
-        for s in token.stmts:
-            if type(s) is Compute:
-                touched.update(s.args)
-                if s.fresh and s.slot not in touched:
-                    zero.add(s.slot)
-            touched.add(s.slot)
+        zero = token.zero_positions
         cols = [0 if p in zero else rng.getrandbits(62) << 2 | 0b10
                 for p in range(len(block.slots))]
         before = [cols[p] for p in token.arg_positions]

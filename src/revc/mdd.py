@@ -180,7 +180,8 @@ def build_mdd(program: FlatProgram) -> MDD:
         holder = current.get(slot)
         if holder is None:
             holder = zero(slot)
-        assert holder not in mutation_next, "mutation paths must be vertex-disjoint"
+        if holder in mutation_next:  # mutation paths are vertex-disjoint
+            raise ValueError(f"output slot {slot} repeated")
         out = add(MddNode(len(nodes), OUTPUT, slot))
         mutation_next[holder] = out
         mutation_prev[out] = holder

@@ -61,10 +61,10 @@ slot that has one (see frontend), so each statement changes the count by
 a constant whatever the state at entry, and running it backwards by the
 negated constant (`stmt_delta`): +1 for a fresh write, -1 for a clean, 0
 for an accumulation.  The live count of a plan is then a prefix sum
-(`live_profile`), and so is each budget the planner tries.  Blocks of one
-token run one shared body (see `InPlaceBlock` in frontend), so a block's
-delta, its body's less its `reopened_locals`, is worked out once per
-token: no block's own statements are built.  The search for the minimal
+(`live_profile`), and so is each budget the planner tries.  A block's
+delta is a field of its token (`BlockBody.delta` in frontend), found
+when flatten builds the token, so the scheduler reads no block body and
+builds no block's own statements.  The search for the minimal
 budget takes its upper bound from the same deltas: the peak live count
 of the plain forward run (`_IncrementalPlanner.peak`), which every
 budget at or above it fits with no checkpoint.  The search bisects below
@@ -281,63 +281,18 @@ def eager_cleanup(g: MDD) -> CleanupPlan:
 # Incremental (checkpointing under a qubit budget)
 
 
-def _slots_used_by(stmt) -> set:
-    """Slots whose *current value* a statement consumes or extends."""
-    if isinstance(stmt, Compute):
-        used = set(stmt.args)
-        if not stmt.fresh:
-            used.add(stmt.slot)
-        return used
-    if isinstance(stmt, InPlaceBlock):
-        return set(stmt.arg_slots) | set(stmt.target_slots)
-    if isinstance(stmt, CleanSlot):
-        return {stmt.slot}
-    raise TypeError(stmt)
-
-
-def _written_slots(stmt) -> set:
-    if isinstance(stmt, Compute):
-        return {stmt.slot}
-    if isinstance(stmt, InPlaceBlock):
-        return set(stmt.target_slots)
-    return set()
-
-
-def reopened_locals(body, locals_) -> list[int]:
-    """The locals a block's backward run takes wires for before it starts:
-    those of `locals_` that `body` writes fresh and does not clean
-    afterwards, which the forward run released at the block's end.  The
-    slots are a block's own or its body positions."""
-    live: set[int] = set()
-    for s in body:
-        if isinstance(s, Compute) and s.fresh:
-            live.add(s.slot)
-        elif isinstance(s, CleanSlot):
-            live.discard(s.slot)
-    return [l for l in locals_ if l in live]
-
-
-def stmt_delta(stmt, by_token: dict) -> int:
+def stmt_delta(stmt) -> int:
     """The change in the live count when stmt runs forwards; running it
     backwards negates it.  A fresh write takes a wire, a clean frees one
     and an accumulation neither, since flatten leaves no statement that
     reads or cleans a slot with no wire or writes fresh a slot with one
-    (see frontend).  A block takes its body's wires less those of the
-    locals it releases at its end; that sum is kept per token in
-    `by_token`."""
+    (see frontend).  A block's is its token's `delta`."""
     if isinstance(stmt, Compute):
         return int(stmt.fresh)
     if isinstance(stmt, CleanSlot):
         return -1
     if isinstance(stmt, InPlaceBlock):
-        token = stmt.token
-        d = by_token.get(token)
-        if d is None:
-            body = token.stmts
-            d = by_token[token] = (
-                sum([stmt_delta(s, by_token) for s in body])
-                - len(reopened_locals(body, token.local_positions)))
-        return d
+        return stmt.token.delta
     raise TypeError(stmt)
 
 
@@ -345,14 +300,13 @@ def live_profile(plan: CleanupPlan) -> list[int]:
     """The emitter's live count (inputs plus live ancillas) after each
     action of the plan, from statement deltas alone."""
     live = len(plan.program.input_slots)
-    by_token: dict = {}  # see stmt_delta
     profile = []
     for a in plan.actions:
         kind = a.kind
         if kind == "fwd":
-            live += stmt_delta(a.stmt, by_token)
+            live += stmt_delta(a.stmt)
         elif kind == "bwd":
-            live -= stmt_delta(a.stmt, by_token)
+            live -= stmt_delta(a.stmt)
         elif kind == "copy":
             live += len(a.slots)
         elif kind == "uncopy":
@@ -373,19 +327,27 @@ class _IncrementalPlanner:
     def __init__(self, program: FlatProgram):
         self.program = program
         stmts = program.statements
-        by_token: dict = {}  # see stmt_delta
-        self.delta = [stmt_delta(s, by_token) for s in stmts]
-        # writes[i]: (slots statement i writes, the slot it cleans or None)
-        self.writes = [(_written_slots(s),
-                        s.slot if isinstance(s, CleanSlot) else None)
-                       for s in stmts]
-        # last_use[s]: the last statement that consumes slot s's current
-        # value, len(stmts) for an output
-        last_use: dict[int, int] = {}
-        for i, stmt in enumerate(stmts):
-            last_use.update(dict.fromkeys(_slots_used_by(stmt), i))
+        # delta[i]: statement i's `stmt_delta`; writes[i]: (slots it writes,
+        # the slot it cleans or None); last_use[s]: the last statement that
+        # consumes or extends slot s's current value, len(stmts) for an
+        # output
+        delta, writes, last_use = [], [], {}
+        for i, s in enumerate(stmts):
+            delta.append(stmt_delta(s))
+            if isinstance(s, Compute):
+                writes.append(({s.slot}, None))
+                last_use.update(dict.fromkeys(s.args, i))
+                if not s.fresh:
+                    last_use[s.slot] = i
+            elif isinstance(s, InPlaceBlock):
+                targets = s.target_slots
+                writes.append((set(targets), None))
+                last_use.update(dict.fromkeys([*targets, *s.arg_slots], i))
+            else:
+                writes.append((set(), s.slot))
+                last_use[s.slot] = i
         last_use.update(dict.fromkeys(program.output_slots, len(stmts)))
-        self.last_use = last_use
+        self.delta, self.writes, self.last_use = delta, writes, last_use
 
     def peak(self) -> int:
         """The largest live count of the forward run with no checkpoint:

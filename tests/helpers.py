@@ -2,8 +2,9 @@
 
 Programs from the bundled corpus and bit-vector conversions; references
 the tests check the compiler against (synthesis of one expression in one
-call, the dependency graph's own evaluation, a brute-force search of the
-pebble game); the paper's OneWay/Interdependent classification of
+call, the effects of an in-place block's body found by walking it, the
+dependency graph's own evaluation, a brute-force search of the pebble
+game); the paper's OneWay/Interdependent classification of
 mutation paths; and seeded random straight-line programs.
 """
 
@@ -19,7 +20,9 @@ from revc.boolexpr import (
     BoolExp, band, bnot, bor, bvar, bxor, canonical, compile_form,
     synthesis_cost,
 )
-from revc.frontend import Compute, FlatProgram, flatten, interpret, parse
+from revc.frontend import (
+    CleanSlot, Compute, FlatProgram, flatten, interpret, parse,
+)
 from revc.mdd import CLEAN, INIT, INPUT, MDD, OP
 
 
@@ -66,6 +69,43 @@ def synthesize(e: BoolExp, target: int, heap: AncillaHeap,
 def and_cost(e: BoolExp) -> int:
     """Toffoli count of e's recipe; CNOT and NOT are free."""
     return synthesis_cost(e)[1]
+
+
+# ---------------------------------------------------------------------------
+# in-place block bodies
+
+
+def zero_at_entry(body, locals_) -> set[int]:
+    """The slots of a block body that are zero at entry: `locals_`, and
+    those whose first touch is a fresh write."""
+    zero, touched = set(locals_), set()
+    for s in body:
+        if isinstance(s, Compute):
+            touched.update(s.args)
+            if s.fresh and s.slot not in touched:
+                zero.add(s.slot)
+        touched.add(s.slot)
+    return zero
+
+
+def reopened_locals(body, locals_) -> list[int]:
+    """The locals a block's backward run takes wires for before it starts:
+    those of `locals_` that `body` writes fresh and does not clean
+    afterwards, which the forward run released at the block's end."""
+    live: set[int] = set()
+    for s in body:
+        if isinstance(s, Compute) and s.fresh:
+            live.add(s.slot)
+        elif isinstance(s, CleanSlot):
+            live.discard(s.slot)
+    return [l for l in locals_ if l in live]
+
+
+def block_delta(body, locals_) -> int:
+    """The live-count change of a block's forward run: a wire per fresh
+    write of its body, less one per clean and one per reopened local."""
+    return (sum(s.fresh if isinstance(s, Compute) else -1 for s in body)
+            - len(reopened_locals(body, locals_)))
 
 
 # ---------------------------------------------------------------------------

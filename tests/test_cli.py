@@ -548,6 +548,12 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: revc")
+    done = subprocess.run([sys.executable, "-m", "revc", "verify",
+                           corpus_path("adder_ripple.rev"), "--param", "n=8",
+                           "--strategy", "eager"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert re.search(r": ok \(\d+ samples, seed -?\d+\)\n\Z", done.stdout)
 
 
 def repeated_in_place_call(calls: int, local: str) -> str:
@@ -717,3 +723,209 @@ def test_long_integer_chain_is_not_nested(tmp_path, capsys):
         h1 = y1 ^ x1
         assert interpret_source(parse(src), [0, x1, y0, y1]) == [
             y0, h1, x1 & h1]
+
+
+# ---------------------------------------------------------------------------
+# programs once checked only through the console script
+
+
+def test_sha2_eager_stats_show_call_replays_and_shared_gates(capsys):
+    rep = stats_of(capsys, "sha2.rev", "--param", "rounds=4",
+                   "--strategy", "eager")
+    assert rep["call_replays"] > 0
+    assert rep["distinct_gates"] < rep["gate_count"]
+
+
+def source_file(tmp_path, name: str, src: str) -> str:
+    path = tmp_path / name
+    path.write_text(src)
+    return str(path)
+
+
+READ_BEFORE_WRITE = """\
+let f (x : bool[2]) =
+    let t = Array.zeroCreate 2
+    let out = Array.zeroCreate 1
+    out.[0] <- x.[0] && t.[0]
+    t.[0] <- t.[0] <> x.[1]
+    Array.concat [out; t]
+"""
+
+
+def test_bit_read_before_its_write_is_zero_and_costs_no_toffoli(tmp_path,
+                                                                 capsys):
+    path = source_file(tmp_path, "read_before_write.rev", READ_BEFORE_WRITE)
+    eager = ["--strategy", "eager"]
+    assert main(["compile", path, *eager,
+                 "-o", str(tmp_path / "read_before_write.tfc")]) == 0
+    assert main(["verify", path, *eager]) == 0
+    capsys.readouterr()
+    assert main(["stats", path, *eager]) == 0
+    assert json.loads(capsys.readouterr().out)["toffoli_count"] == 0
+
+
+TWO_ZERO_READS = """\
+let acc (a : bool array) =
+    let z = Array.zeroCreate 4
+    let out = Array.zeroCreate 2
+    out.[0] <- out.[0] <> (z.[3] && a.[0]) <> (z.[1] && a.[1])
+    out.[1] <- out.[1] <> a.[0]
+    out
+
+let main (a : bool[2]) (b : bool[2]) =
+    let mutable h = b
+    h <- acc a
+    h <- acc a
+    h <- acc a
+    h
+
+main
+"""
+
+
+def test_two_unwritten_locals_in_one_statement_replay_block_recipes(
+        tmp_path, capsys):
+    path = source_file(tmp_path, "two_zero_reads.rev", TWO_ZERO_READS)
+    assert main(["verify", path]) == 0
+    capsys.readouterr()
+    assert main(["stats", path]) == 0
+    assert json.loads(capsys.readouterr().out)["block_replays"] > 0
+
+
+CLEAN_CHAIN = """\
+let main (a : bool[8]) =
+    let mutable acc = a.[0]
+    for i in 1 .. 7 do
+        let t = Array.zeroCreate 1
+        t.[0] <- t.[0] <> (a.[i] && a.[(i + 1) % 8])
+        let s = Array.zeroCreate 1
+        s.[0] <- s.[0] <> (acc && t.[0])
+        t.[0] <- t.[0] <> (a.[i] && a.[(i + 1) % 8])
+        clean t
+        acc <- s.[0] <> a.[i]
+    acc
+
+main
+"""
+
+
+def test_checkpoint_of_a_slot_a_later_clean_releases_verifies(tmp_path):
+    path = source_file(tmp_path, "clean_chain.rev", CLEAN_CHAIN)
+    assert main(["verify", path, "--strategy", "incremental",
+                 "--qubits", "14"]) == 0
+
+
+CLEANED_READS = """\
+let chain (x : bool[2]) =
+    let z = Array.zeroCreate 4
+    for i in 0 .. 3 do
+        z.[i] <- z.[i] <> x.[0]
+        z.[i] <- z.[i] <> x.[0]
+    clean z
+    let t0 = (x.[0] && x.[1]) <> z.[0]
+    let t1 = (t0 && x.[1]) <> z.[1]
+    let t2 = (t1 && t0) <> z.[2]
+    let t3 = (t2 && t1) <> z.[3]
+    t3
+"""
+
+
+def test_reads_of_cleaned_bits_compile_and_verify_at_9_qubits(tmp_path):
+    # a read of a cleaned bit once took a zero wire and crashed here
+    path = source_file(tmp_path, "cleaned_reads.rev", CLEANED_READS)
+    budget = ["--strategy", "incremental", "--qubits", "9"]
+    assert main(["compile", path, *budget,
+                 "-o", str(tmp_path / "cleaned_reads.tfc")]) == 0
+    assert main(["verify", path, *budget]) == 0
+
+
+SIMULATED_LIKE_SOURCE = {
+    "read_order": """\
+let main (x : bool[2]) =
+    let z = Array.zeroCreate 1
+    let f (y : bool) =
+        z.[0] <- y && x.[1]
+        y
+    let out = Array.zeroCreate 1
+    out.[0] <- z.[0] <> (f x.[0])
+    Array.concat [out; z]
+""",
+    "alias": """\
+let main (x : bool[2]) =
+    let z = Array.zeroCreate 1
+    z.[0] <- x.[0] && x.[1]
+    let mutable a = z.[0]
+    a <- (a <> x.[1]) && true
+    let out = Array.zeroCreate 1
+    out.[0] <- a
+    Array.concat [z; out]
+""",
+    "if_alloc": """\
+let main (c : bool) (x : bool[1]) =
+    let r = if c then Array.zeroCreate 1 else x
+    r
+""",
+    "if_relabel": """\
+let main (x : bool[3]) =
+    let z = Array.zeroCreate 2
+    let mutable b = z.[1]
+    z.[1] <- (if true then x.[1] else x.[2])
+    let out = Array.zeroCreate 1
+    out.[0] <- b
+    Array.concat [z; out]
+""",
+    "if_dead_branch": """\
+let main (c : bool) (x : bool[2]) =
+    let z = Array.zeroCreate 1
+    z.[0] <- x.[0] && x.[1]
+    let mutable a = z.[0]
+    let r =
+        if c then
+            x.[0]
+        else
+            a <- x.[1]
+            x.[1]
+    a <- a <> x.[0]
+    let out = Array.zeroCreate 2
+    out.[0] <- a
+    out.[1] <- r
+    Array.concat [z; out]
+""",
+}
+
+
+@pytest.mark.parametrize("name", SIMULATED_LIKE_SOURCE)
+def test_sim_agrees_with_the_source_on_every_input(tmp_path, capsys, name):
+    # a call writing a bit an earlier operand read, a name aliasing an
+    # element through `&& true`, an array allocated in an `if` branch, an
+    # unwritten element re-labeled to a constant-condition `if` that a
+    # name aliased, and a dead branch re-binding a name aliasing an element
+    src = SIMULATED_LIKE_SOURCE[name]
+    path = source_file(tmp_path, f"{name}.rev", src)
+    n = len(flatten(parse(src)).input_slots)
+    for v in range(1 << n):
+        bits = [(v >> i) & 1 for i in range(n)]
+        assert main(["sim", path, "--inputs", "".join(map(str, bits))]) == 0
+        want = "".join(map(str, interpret_source(parse(src), bits)))
+        assert capsys.readouterr().out == want + "\n", bits
+
+
+@pytest.mark.parametrize("name", ["if_alloc", "if_relabel", "if_dead_branch"])
+@pytest.mark.parametrize("strategy", ["bennett", "eager", "incremental"])
+def test_programs_with_ifs_verify_under_every_strategy(tmp_path, name,
+                                                       strategy):
+    path = source_file(tmp_path, f"{name}.rev", SIMULATED_LIKE_SOURCE[name])
+    assert main(["verify", path, "--strategy", strategy]) == 0
+
+
+@pytest.mark.parametrize("src", [
+    "let main (x : bool[2]) =\n    let mutable a = x.[0]\n    a <- 3\n"
+    "    a\n",
+    "let main (x : bool[2]) =\n    Array.append x 3\n",
+    "let main (x : bool[2]) =\n    [|1; 2|]\n",
+], ids=["int-to-bit", "append-int", "int-array-output"])
+def test_integer_where_bits_belong_is_a_one_line_error(tmp_path, capsys, src):
+    path = source_file(tmp_path, "malformed.rev", src)
+    assert main(["compile", path, "-o", str(tmp_path / "malformed.tfc")]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: line \d+: [^\n]*\n", err), err

@@ -14,8 +14,7 @@ from revc.emitter import Emitter, compile_flat, emit
 from revc.frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
 from revc.mdd import build_mdd
 from revc.scheduler import (
-    Action, BudgetError, bennett_cleanup, eager_cleanup, reopened_locals,
-    schedule,
+    Action, BudgetError, bennett_cleanup, eager_cleanup, schedule,
 )
 
 from helpers import corpus, prog_of, ripple
@@ -170,8 +169,8 @@ class StatementEmitter(Emitter):
                 if l in self.slot_map:
                     self.heap.free(self.slot_map.pop(l))
         else:
-            for l in reopened_locals(body, block.local_slots):
-                self.slot_map[l] = self.heap.alloc()
+            for p in block.token.open_locals:
+                self.slot_map[block.slots[p]] = self.heap.alloc()
             for s in reversed(body):
                 self.apply(Action("bwd", stmt=s))
 

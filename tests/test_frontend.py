@@ -16,9 +16,14 @@ from revc.cli import main as cli_main
 from revc.emitter import compile_flat
 from revc.blif import lower, parse_blif
 
-from helpers import bits_of, corpus, int_of, random_program, ripple
-from test_emitter import UNWRITTEN_SLOT, unwritten_slot_program
-from test_scheduler import clean_chain_source, cleaned_reads_chain_source
+from helpers import (
+    bits_of, block_delta, corpus, int_of, random_program, reopened_locals,
+    ripple, zero_at_entry,
+)
+from test_emitter import UNWRITTEN_SLOT, template_calls, unwritten_slot_program
+from test_scheduler import (
+    block_program, clean_chain_source, cleaned_reads_chain_source,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +267,12 @@ MALFORMED = {
                         "    let f (y : bool) = y\n"
                         "    f\n",
                         "line 1: main returned no value"),
+    "function-block": ("let main (x : bool[2]) =\n"
+                       "    let r =\n"
+                       "        let f (y : bool) = y\n"
+                       "        f\n"
+                       "    r\n",
+                       "line 2: block returned no value"),
     "no-final-expression": ("let main (x : bool[2]) =\n"
                             "    let y = x\n",
                             "line 2: block does not end in an expression"),
@@ -1409,6 +1420,59 @@ def test_no_statement_reads_a_never_written_bit():
             for case in UNWRITTEN_SLOT] == [1] * len(UNWRITTEN_SLOT)
 
 
+def random_block(seed: int) -> InPlaceBlock:
+    """A seeded random in-place block onto slot 0, reading slots 1 and 2:
+    its target and its locals 3-5 are accumulated onto, cleaned and
+    written fresh again in random order, some locals left written at its
+    end."""
+    rng = random.Random(seed)
+    body, live = [], {0}  # the slots with a wire, the target's at entry
+    for _ in range(rng.randint(1, 12)):
+        slot = rng.choice((0, 3, 4, 5))
+        others = [1, 2, *sorted(live - {slot})]
+        e = bxor([bvar(rng.choice(others)),
+                  band([bvar(s) for s in rng.sample(others, 2)])])
+        if slot not in live:
+            body.append(Compute(slot, e, True))
+            live.add(slot)
+        elif rng.random() < 0.6:
+            body.append(Compute(slot, e, False))
+        else:
+            body.append(CleanSlot(slot))
+            live.discard(slot)
+    return InPlaceBlock.from_statements([0], body, [3, 4, 5])
+
+
+def test_block_tokens_state_the_effects_of_their_bodies():
+    # each token's zero positions, open locals and live-count delta, found
+    # when the token is built, are what walking its body finds
+    sources = [(corpus("sha2.rev"), {"rounds": 4}),
+               (corpus("sha2.rev"), {"rounds": 16}),
+               (corpus("md5.rev"), {"rounds": 2}),
+               (MUST_COMPILE["unwritten-argument-bit"], None),
+               (template_calls("z.[1]"), None),
+               (template_calls("z.[1] <> z.[2]"), None)]
+    sources += [(read_before_write_program(seed), None) for seed in range(40)]
+    progs = [flatten(parse(src, params=params)) for src, params in sources]
+    progs.append(block_program())
+    blocks = [s for p in progs for s in p.statements
+              if isinstance(s, InPlaceBlock)]
+    blocks += [random_block(seed) for seed in range(200)]
+    tokens = list(dict.fromkeys(b.token for b in blocks))
+    for token in tokens:
+        body, locals_ = token.stmts, token.local_positions
+        assert token.zero_positions == zero_at_entry(body, locals_)
+        assert list(token.open_locals) == reopened_locals(body, locals_)
+        assert token.delta == block_delta(body, locals_)
+    # the families hold locals left open, cleaned and both, and zero
+    # positions other than locals
+    opened = [len(t.open_locals) for t in tokens]
+    assert 0 in opened and max(opened) == 3
+    assert any(0 < n < len(t.local_positions)
+               for t, n in zip(tokens, opened))
+    assert any(t.zero_positions - set(t.local_positions) for t in tokens)
+
+
 CLEAN_THEN_RELABEL = """\
 let f (a : bool[2]) =
     let z = Array.zeroCreate 1
@@ -1456,8 +1520,9 @@ def test_cleaned_element_relabels_as_in_source():
 
 
 def test_long_chain_in_an_in_place_body():
-    # the in-place check (`_reads`) and the template key (`_free_names`)
-    # walk a 3,000-operand `<>` chain without recursion
+    # the in-place check (`_reads`) and the template key
+    # (`LetDef.free_names`) walk a 3,000-operand `<>` chain without
+    # recursion
     n = 3000
     chain = " <> ".join(f"x.[{i}]" for i in range(n))
     src = (f"let acc (x : bool array) =\n"

@@ -1,8 +1,18 @@
 import gc
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
+
+import pytest
+
+import revc
 
 from revc.boolexpr import band, bvar, variables
+from revc.circuit import verify
+from revc.emitter import compile_flat
 from revc.frontend import Compute, FlatProgram, InPlaceBlock, interpret
 from revc.mdd import CLEAN, INIT, INPUT, OP, OUTPUT, build_mdd, to_dot
 from revc.scheduler import eager_cleanup
@@ -216,3 +226,37 @@ def test_block_members_share_one_read_list():
     assert plan.dispositions == ref_plan.dispositions
     assert [(a.kind, id(a.stmt)) for a in plan.actions] == [
         (a.kind, id(a.stmt)) for a in ref_plan.actions]
+
+
+# a hand-built program may name one output slot twice: the graph would
+# give the slot's last state two output successors
+REPEATED_OUTPUT = ('FlatProgram(name="dup", input_slots=[0, 1], '
+                   'output_slots=[0, 0], statements=[], slot_count=2)')
+
+
+def test_repeated_output_slot_is_a_value_error_under_eager():
+    prog = FlatProgram(name="dup", input_slots=[0, 1], output_slots=[0, 0],
+                       statements=[], slot_count=2)
+    with pytest.raises(ValueError, match="^output slot 0 repeated$"):
+        compile_flat(prog, "eager")
+    # bennett and incremental copy each output to a wire of its own
+    for strategy in ("bennett", "incremental"):
+        _, circ = compile_flat(prog, strategy)
+        assert verify(prog, circ).ok
+
+
+def test_repeated_output_slot_is_a_value_error_without_asserts():
+    # the check holds under `python -O`, which skips assert statements
+    src = str(Path(revc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("from revc.emitter import compile_flat\n"
+            "from revc.frontend import FlatProgram\n"
+            "try:\n"
+            f"    compile_flat({REPEATED_OUTPUT}, 'eager')\n"
+            "except ValueError as e:\n"
+            "    print(e)\n")
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "output slot 0 repeated\n", "")
