@@ -29,8 +29,11 @@ objects among the Computes of the program and of its block bodies, where
 every statement renamed from one template shares the template's forms,
 see `frontend.Compute`), flatten's (`call_templates`: calls
 inlined from the AST and recorded as templates; `call_replays`: calls,
-in place or not, replayed from a template of their signature; both 0 for
-BLIF), the emitter's (`block_recipes`: block
+in place or not, replayed from a template of their signature;
+`assign_templates`: assignments of a bit expression walked from the AST
+and recorded as templates; `assign_replays`: such assignments, loop
+iterations' above all, replayed from the template of their key; all four
+0 for BLIF), the emitter's (`block_recipes`: block
 recipes compiled, i.e. block runs that walked the body; `block_replays`:
 block runs served from an existing recipe; together, every forward and
 backward run of an in-place block; `expression_recipes`: expression
@@ -82,7 +85,7 @@ def _parse_params(pairs) -> dict:
 
 def _load_flat(args, stages: dict, counts: dict):
     """Read, parse and flatten (or lower) the input file, timing the last
-    two steps into `stages`; flatten's call counts go into `counts`."""
+    two steps into `stages`; flatten's template counts go into `counts`."""
     params = _parse_params(getattr(args, "param", None))
     path = args.file
     try:
@@ -105,9 +108,10 @@ def _load_flat(args, stages: dict, counts: dict):
 
 def _compile(args):
     """Load, schedule and emit; returns the program, plan, circuit, the
-    emitter, the seconds of each stage and flatten's call counts."""
+    emitter, the seconds of each stage and flatten's template counts."""
     stages: dict = {}
-    counts = {"call_templates": 0, "call_replays": 0}
+    counts = {"call_templates": 0, "call_replays": 0,
+              "assign_templates": 0, "assign_replays": 0}
     prog = _load_flat(args, stages, counts)
     t0 = time.perf_counter()
     plan = schedule(prog, args.strategy, qubit_budget=args.qubits,

@@ -79,6 +79,20 @@ the same.  An in-place call's block is validated when it is inlined; a
 replay is not, since its check, drawn per body position, would be the
 template's bit for bit.
 
+An assignment is templated the same way, once per slot pattern
+(`Flattener.do_assign`): `x <- rhs` or `x.[i] <- rhs` outside any `if`
+branch, where rhs is a `not` or an `&&`, `||` or `<>` chain over names,
+elements and constants, with no call, `if`, slice or re-label.  Its key
+is the `Assign` node, the slots it names in walk order (the target's bit
+first) reduced to the pattern a call signature uses (which are one slot,
+fresh or in-place targets), the values of the names that hold a constant
+bit, and whether it is nested.  A pass that only reads finds the key;
+where the walk would raise an error it finds none, so the walk raises it.
+The first assignment of a key is walked and recorded over positions, and
+a later one renames the template's statements onto its slots and new
+slots and re-binds its target, so the unrolled iterations of a loop, and
+the statements of inlined calls, cost a lookup and a renaming each.
+
 An unwritten `Array.zeroCreate` slot is the constant 0, and a `clean`ed
 slot is fresh again: `clean` emits a `CleanSlot` for each of its slots
 that is not fresh already and makes them fresh.  A `clean` that reaches
@@ -474,9 +488,13 @@ class Assign:
     # each read of expr, with whether it is a top-level `<>` operand
     # (`_reads`), for `writes_in_place`
     reads: list = field(init=False, repr=False, compare=False)
+    # the names and elements a templated assignment reads, or None
+    # (`_template_leaves`), for `Flattener.assign_key`
+    leaves: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.reads = list(_reads(self.expr))
+        self.leaves = _template_leaves(self.target, self.expr)
 
 
 @dataclass
@@ -1174,6 +1192,51 @@ def _reads(e, top: bool = True):
             yield from _reads(sub, False)
 
 
+_BIT_OPS = ("&&", "||", "<>")
+
+
+def _template_leaves(target, rhs) -> tuple | None:
+    """The names and elements that `target <- rhs` reads, in the order
+    the walk reads them, if flatten may template it (`Flattener.do_assign`):
+    rhs is a `not` or an `&&`, `||` or `<>` chain over names, elements,
+    `true`, `false` and such expressions, and every index is an integer
+    expression of names, literals and integer-array elements.  Else None:
+    rhs may call, branch, slice or re-label."""
+    if isinstance(target, EIndex) and not _plain_int(target.index):
+        return None
+    if not (isinstance(rhs, ENot) or isinstance(rhs, EBin)
+            and rhs.op in _BIT_OPS):
+        return None
+    out, work = [], [rhs]
+    while work:
+        x = work.pop()
+        if isinstance(x, EBin) and x.op in _BIT_OPS:
+            work += reversed(_chain(x))
+        elif isinstance(x, ENot):
+            work.append(x.arg)
+        elif isinstance(x, EName) or (isinstance(x, EIndex)
+                                      and _plain_int(x.index)):
+            out.append(x)
+        elif not isinstance(x, EBool):
+            return None
+    return tuple(out)
+
+
+def _plain_int(e) -> bool:
+    """e is an integer expression that `eval_int` evaluates without
+    running anything: literals, names, `+ - * / %` and elements."""
+    work = [e]
+    while work:
+        x = work.pop()
+        if isinstance(x, EBin) and x.op in "+-*/%":
+            work += (x.left, x.right)
+        elif isinstance(x, EIndex):
+            work.append(x.index)
+        elif not isinstance(x, (EInt, EName)):
+            return False
+    return True
+
+
 def _chain(e: EBin) -> list:
     """The operands of the chain rooted at e, left to right: the leaves of
     the largest subtree of operators of e's precedence level (`&&`, `||`,
@@ -1309,14 +1372,15 @@ def _written(stmts, kind=(Compute, CleanSlot)) -> set[int]:
 
 @dataclass
 class _Template:
-    """A flattened call, replayed for later calls of its signature.
+    """A flattened call or assignment, replayed for later ones of its key.
 
-    Positions number the call's slots: the slots of its signature,
-    distinct and in key order, then the slots it allocated, its locals.
-    `stmts` are the statements it emitted and `value` its value (None in
-    place), both over positions; `fresh_after` are the positions of the
-    slots that are fresh (unwritten or cleaned) after it, and `cleans`
-    those of the signature's slots that it cleans.  `entered` are the ids
+    Positions number its slots: the slots of its key, distinct and in key
+    order, then the slots it allocated, its locals.  `stmts` are the
+    statements it emitted and `value` its value (None in place; for an
+    assignment, its target's bit after it), both over positions;
+    `fresh_after` are the positions of the slots that are fresh
+    (unwritten or cleaned) after it, and `cleans` those of the key's
+    slots that it cleans.  `entered` are the ids
     of the definitions it inlined, and `iterations` and `allocated` what
     it added to the unrolling and allocation counters.
     """
@@ -1360,8 +1424,9 @@ class _Walker:
       clean_slot(slot, item)   release a slot that is not fresh
       load(slots)              the entry slots' input values
 
-    and may override `call` and `inline_in_place` (flatten's templates and
-    blocks), and `mark` with `read_before` (see `eval_scalar`).
+    and may override `call`, `do_assign` and `inline_in_place` (flatten's
+    templates and blocks), and `mark` with `read_before` (see
+    `eval_scalar`).
     """
     error = FrontendError
 
@@ -1916,17 +1981,28 @@ class _Walker:
 
 class Flattener(_Walker):
     """The walk over BoolExps: a slot holds the statements that write it
-    (`stmts`), built by the simplifier of `boolexpr`; calls are templated
-    and replayed, an in-place call is a validated block, and an operand
-    that a later operand's statements overwrite is copied first."""
+    (`stmts`), built by the simplifier of `boolexpr`; calls and
+    assignments of a bit expression are templated and replayed, an
+    in-place call is a validated block, and an operand that a later
+    operand's statements overwrite is copied first.
+
+    One table, `templates`, holds both kinds of template: a call's is
+    keyed by its signature (`signature`), an assignment's by its node and
+    slot pattern (`assign_key`); both are recorded over positions by
+    `record` and emitted on new slots by `emit_template`.  A replayed
+    statement shares its template's form object, so the emitter meets one
+    form per template, not one per statement."""
     error = FlattenError  # raised by the walk
 
     def __init__(self, program: Program, params: dict | None = None):
         super().__init__(program, params)
         self.stmts: list = []
-        self.templates: dict = {}  # call signature -> _Template
+        # call signature or assignment key -> _Template
+        self.templates: dict = {}
         self.call_templates = 0  # calls inlined and recorded as templates
         self.call_replays = 0  # calls replayed from a template
+        self.assign_templates = 0  # assignments walked and recorded
+        self.assign_replays = 0  # assignments replayed from a template
 
     # -- the domain ------------------------------------------------------------
     def emit(self, stmt) -> None:
@@ -1997,6 +2073,81 @@ class Flattener(_Walker):
             rest = bvar(self.compute(bxor([e, v])))
         self.emit(Compute(slot, rest, False))
 
+    # -- assignments by template ----------------------------------------------
+    def do_assign(self, item: Assign, scope: _Scope) -> None:
+        """Run `x <- rhs` or `x.[i] <- rhs`: from the template of its key
+        (`assign_key`) if there is one, else by the walk, recording a
+        template when it has a key.  A replay re-binds x, or the element,
+        to the slot the template leaves it on."""
+        found = self.assign_key(item, scope)
+        if found is None:
+            return super().do_assign(item, scope)
+        key, slots, (holder, i) = found
+        tpl = self.templates.get(key)
+        if tpl is not None:
+            self.assign_replays += 1
+            s = self.emit_template(tpl, slots).slot
+            if i is not None:
+                holder.slots[i] = s
+            elif type(holder[0]) is not _BitVal or holder[0].slot != s:
+                self.rebind(holder, _BitVal(s))
+            return
+        mark = self.template_mark()
+        super().do_assign(item, scope)
+        after = holder[0] if i is None else _BitVal(holder.slots[i])
+        self.assign_templates += self.record(key, slots, mark, after)
+
+    def assign_key(self, item: Assign, scope: _Scope):
+        """The template key of assignment `item`, the distinct slots a
+        template renames and where its target is bound (the binding of x
+        and None, or x's array and the element's index); None if it has
+        none.  Only reads: nothing is emitted, bound or allocated.
+
+        An assignment outside any `if` branch whose right side is a bit
+        expression (`Assign.leaves`) emits the same statements up to slot
+        renaming whenever its key is the same: the node, which of the
+        target's bit (if x holds one) and the slots it reads, in walk
+        order, are one slot, which are fresh and which are in-place targets
+        (`slot_pattern`), the value of each name that holds a constant bit,
+        and whether it runs inside an in-place body or an `if`.  Where the
+        walk would raise an error it has no key, so the walk raises it."""
+        leaves = item.leaves
+        if leaves is None or self.branch_depth:
+            return None
+        target = item.target
+        try:
+            if type(target) is EName:
+                where = (self.mutable(scope, target.name, item.line), None)
+                v = where[0][0]
+                slots = [v.slot] if type(v) is _BitVal else []
+            else:
+                bit, arr, i = self.element_slot(target, scope)
+                where, slots = (arr, i), [bit]
+            consts = [not slots]  # x holds no bit, then each name's value
+            for e in leaves:
+                b = scope.lookup(e.name)
+                v = b[0] if b is not None else None
+                if type(e) is EName:
+                    if type(v) is _BitVal:
+                        slots.append(v.slot)
+                        consts.append(None)
+                    elif type(v) is _ConstBitVal:
+                        consts.append(v.value)
+                    else:
+                        return None
+                elif type(v) is _ArrVal:
+                    k = self.eval_int(e.index, scope, e.line)
+                    if not 0 <= k < len(v.slots):
+                        return None
+                    slots.append(v.slots[k])
+                else:
+                    return None
+        except FlattenError:
+            return None
+        shared, states, distinct = self.slot_pattern(slots)
+        return ((id(item), tuple(consts), shared, states, self.nested > 0),
+                distinct, where)
+
     # -- calls by template ----------------------------------------------------
     def call(self, f: _FuncVal, args: list, line: int, target=(), ret=None):
         """Flatten call `f args`, in place onto `target` if `ret` (f's result
@@ -2016,8 +2167,7 @@ class Flattener(_Walker):
                 tpl = self.templates.get(key)
                 if tpl is not None and self.replayable(tpl, slots):
                     return self.replay(tpl, slots)
-        mark = (len(self.stmts), self.slot_count, len(self.entered),
-                self.iterations, self.allocated)
+        mark = self.template_mark()
         if ret is None:
             value = self.inline_call(f, args, line=line)
         else:
@@ -2025,7 +2175,7 @@ class Flattener(_Walker):
             self.inline_in_place(f, args, target, ret, line,
                                  slots if key is not None else ())
         if key is not None:
-            self.record(key, slots, mark, value)
+            self.call_templates += self.record(key, slots, mark, value)
         return value
 
     def inline_in_place(self, f: _FuncVal, args: list, target: list[int],
@@ -2068,11 +2218,19 @@ class Flattener(_Walker):
                       self.function_key(f, slots, set()))
         except _NoTemplate:
             return None
+        shared, states, distinct = self.slot_pattern(slots)
+        return (values, self.nested > 0, shared, states), distinct
+
+    def slot_pattern(self, slots: list) -> tuple:
+        """`slots` reduced to what a template depends on: which of them
+        are one slot, and of each distinct one whether it is fresh and
+        whether it is an in-place target being accumulated onto; with the
+        distinct slots, in order, which a replay renames."""
         first: dict[int, int] = {}
         shared = tuple([first.setdefault(s, i) for i, s in enumerate(slots)])
         fresh, enforced = self.fresh, self.enforced
         states = tuple([(s in fresh) | (s in enforced) << 1 for s in first])
-        return (values, self.nested > 0, shared, states), list(first)
+        return shared, states, list(first)
 
     def function_key(self, f: _FuncVal, slots: list, seen: set):
         """Key of function f: f itself and the values its body reads from
@@ -2105,10 +2263,11 @@ class Flattener(_Walker):
             return "ints", tuple(v.values)
         return None  # an unbound name
 
-    def record(self, key, slots: list[int], mark: tuple, value) -> None:
-        """Record the call just inlined, which began at `mark`, as the
-        template of `key`, unless it touched a slot outside its positions:
-        its signature's `slots`, then the slots it allocated."""
+    def record(self, key, slots: list[int], mark: tuple, value) -> bool:
+        """Record the call or assignment just run, which began at `mark`,
+        as the template of `key`, unless it touched a slot outside its
+        positions: the distinct `slots` of its key, then the slots it
+        allocated.  Whether it was recorded."""
         start, pre_slots, entered, iterations, allocated = mark
         pos = {s: p for p, s in enumerate(slots)}
         n = len(pos)
@@ -2118,14 +2277,19 @@ class Flattener(_Walker):
             stmts = _renamed_stmts(self.stmts[start:], pos)
             value = _value_renamed(value, pos)
         except KeyError:
-            return
+            return False
         fresh_after = tuple([p for s, p in pos.items() if s in self.fresh])
         self.templates[key] = _Template(
             stmts, value, fresh_after,
             tuple([p for p in _written(stmts, CleanSlot) if p < n]),
             self.slot_count - pre_slots, frozenset(self.entered[entered:]),
             self.iterations - iterations, self.allocated - allocated)
-        self.call_templates += 1
+        return True
+
+    def template_mark(self) -> tuple:
+        """Where a template recorded from now on begins (`record`)."""
+        return (len(self.stmts), self.slot_count, len(self.entered),
+                self.iterations, self.allocated)
 
     def replayable(self, tpl: _Template, slots: list[int]) -> bool:
         """Replaying `tpl` on its signature's `slots` emits what inlining
@@ -2137,9 +2301,15 @@ class Flattener(_Walker):
                 and self.inputs.isdisjoint([slots[p] for p in tpl.cleans]))
 
     def replay(self, tpl: _Template, slots: list[int]):
-        """Emit `tpl`'s statements on its signature's `slots` and new
-        locals, taken in the order inlining would take them, and return its
-        value there.  Nothing is validated or folded again: a block's
+        """Replay a call from `tpl` on its signature's `slots`
+        (`emit_template`) and return its value there."""
+        self.call_replays += 1
+        return self.emit_template(tpl, slots)
+
+    def emit_template(self, tpl: _Template, slots: list[int]):
+        """Emit `tpl`'s statements on its key's distinct `slots` and new
+        locals, taken in the order the walk would take them, and return
+        its value there.  Nothing is validated or folded again: a block's
         check and the reads of fresh slots would be the template's."""
         self.fresh.difference_update(slots)
         base = self.slot_count
@@ -2150,7 +2320,6 @@ class Flattener(_Walker):
         m = [*slots, *range(base, self.slot_count)]
         self.fresh.update([m[p] for p in tpl.fresh_after])
         self.stmts += _renamed_stmts(tpl.stmts, m)
-        self.call_replays += 1
         return _value_renamed(tpl.value, m)
 
     @staticmethod
@@ -2193,14 +2362,18 @@ def flatten(program, params: dict | None = None,
             counts: dict | None = None) -> FlatProgram:
     """Unroll, inline and slot-number a parsed program (idempotent).
     `counts`, if given, receives `call_templates` (calls inlined and
-    recorded as templates) and `call_replays` (calls replayed from one)."""
+    recorded as templates), `call_replays` (calls replayed from one),
+    `assign_templates` (assignments walked and recorded as templates) and
+    `assign_replays` (assignments replayed from one)."""
     if isinstance(program, FlatProgram):
         return program
     fl = Flattener(program, params)
     name, inputs, layout, outputs = fl.run()
     if counts is not None:
         counts.update(call_templates=fl.call_templates,
-                      call_replays=fl.call_replays)
+                      call_replays=fl.call_replays,
+                      assign_templates=fl.assign_templates,
+                      assign_replays=fl.assign_replays)
     return FlatProgram(name=name, input_slots=inputs, output_slots=outputs,
                        statements=fl.stmts, slot_count=fl.slot_count,
                        input_layout=layout)

@@ -24,9 +24,10 @@ INF = float("inf")
 # this bound take 0.5 s and under 50 MiB to build and validate (measured on
 # a shared 2-vCPU VM).
 MAX_LINE_NODES = 100_000
-# The most work the midpoint DP may take, counted as T^2 * min(k, T) for T
-# nodes and k pebbles.  At this bound, on the same VM: 1.7 s for lmt at
-# T=603, whose k is ceil(log2 T) + 1, and 0.6 s for T=158 at k >= T.
+# The most work the midpoint DP may take, counted as T^2 * k for T nodes
+# and k < T pebbles; with k >= T it takes none (Bennett's play, see
+# `_min_steps`).  At this bound, on the same VM: 1.7 s for lmt at T=603,
+# whose k is ceil(log2 T) + 1.
 MAX_DP_WORK = 4_000_000
 
 
@@ -38,10 +39,14 @@ def check_line(T: int) -> None:
 
 
 def check_dp(T: int, k: int) -> None:
-    """Reject a midpoint DP over T nodes and k pebbles above MAX_DP_WORK."""
-    if T * T * max(min(k, T), 1) > MAX_DP_WORK:
+    """Reject a midpoint DP over T nodes and k pebbles above MAX_DP_WORK,
+    or with k >= T, which plays the line without one, a line longer than
+    MAX_LINE_NODES."""
+    if k >= T:
+        check_line(T)
+    elif T * T * max(k, 1) > MAX_DP_WORK:
         raise ValueError(f"pebble DP over {T} nodes and {k} pebbles takes "
-                         f"more than {MAX_DP_WORK} steps (T^2 * min(k, T))")
+                         f"more than {MAX_DP_WORK} steps (T^2 * k)")
 
 
 @dataclass(frozen=True)
@@ -182,13 +187,17 @@ def lmt_strategy(T: int) -> list[Move]:
 def _min_steps(n: int, k: int) -> tuple:
     """Minimal moves to pebble distance n past a fixed base and clean up,
     using at most k pebbles beyond the base (the midpoint recursion), and
-    the first midpoint j that achieves them (0 when there is none)."""
+    the first midpoint j that achieves them (0 when there is none).  With
+    k >= n that is Bennett's play, 2n - 1 moves: midpoint 1 reaches it,
+    and no play of n placements and n - 1 removals has fewer."""
     if n == 0:
         return 0, 0
     if k <= 0:
         return INF, 0
     if n == 1:
         return 1, 0
+    if k >= n:
+        return 2 * n - 1, 1
     best, best_j = INF, 0
     for j in range(1, n):
         c = (_min_steps(j, k)[0] + _min_steps(n - j, k - 1)[0]
@@ -203,6 +212,10 @@ def _dp_moves(base: int, n: int, k: int, out: list[Move], unpebble: bool = False
         return
     if n == 1:
         out.append(Move(REMOVE if unpebble else PLACE, base + 1))
+        return
+    if k >= n and not unpebble:  # midpoint 1 at every level: Bennett's play
+        out += [Move(PLACE, base + i) for i in range(1, n + 1)]
+        out += [Move(REMOVE, base + i) for i in range(n - 1, 0, -1)]
         return
     j = _min_steps(n, k)[1]
     if unpebble:
@@ -221,7 +234,8 @@ def knill_optimal(T: int, k: int) -> tuple[int, list[Move]]:
     """Minimal-step strategy under a budget of k pebbles (DP over midpoints).
 
     Feasible exactly when T <= 2^(k-1).  The table is O(T*k) entries of
-    O(T) work each, bounded by MAX_DP_WORK.
+    O(T) work each for k < T, bounded by MAX_DP_WORK; with k >= T there is
+    none to fill, and the play's T is bounded by MAX_LINE_NODES.
     """
     if T < 1:
         raise ValueError("T must be >= 1")

@@ -4,12 +4,13 @@ Programs from the bundled corpus and bit-vector conversions; references
 the tests check the compiler against (synthesis of one expression in one
 call, the effects of an in-place block's body found by walking it, the
 dependency graph's own evaluation, a brute-force search of the pebble
-game); the paper's OneWay/Interdependent classification of
+game and its midpoint DP filled for every budget); the paper's OneWay/Interdependent classification of
 mutation paths; and seeded random straight-line programs.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import deque
 from dataclasses import replace
@@ -24,6 +25,7 @@ from revc.frontend import (
     CleanSlot, Compute, FlatProgram, flatten, interpret, parse,
 )
 from revc.mdd import CLEAN, INIT, INPUT, MDD, OP
+from revc.pebble import PLACE, REMOVE
 
 
 def corpus(name: str) -> str:
@@ -198,6 +200,38 @@ def exhaustive_min_steps(T: int, k: int):
                 dist[t] = dist[s] + 1
                 queue.append(t)
     return None
+
+
+@functools.lru_cache(maxsize=None)
+def reference_min_steps(n: int, k: int) -> tuple:
+    """`pebble._min_steps` filled by the midpoint DP for every k, k >= n
+    included: the minimal moves and the first midpoint reaching them."""
+    if n == 0:
+        return 0, 0
+    if k <= 0:
+        return float("inf"), 0
+    if n == 1:
+        return 1, 0
+    best, best_j = float("inf"), 0
+    for j in range(1, n):
+        c = (reference_min_steps(j, k)[0] + reference_min_steps(n - j, k - 1)[0]
+             + reference_min_steps(j, k - 1)[0])
+        if c < best:
+            best, best_j = c, j
+    return best, best_j
+
+
+def reference_moves(n: int, k: int, base: int = 0) -> list[tuple[str, int]]:
+    """The play of `reference_min_steps`' midpoints, as (action, node)."""
+    if n == 0:
+        return []
+    if n == 1:
+        return [(PLACE, base + 1)]
+    j = reference_min_steps(n, k)[1]
+    back = [(REMOVE if a == PLACE else PLACE, node)
+            for a, node in reversed(reference_moves(j, k - 1, base))]
+    return (reference_moves(j, k, base)
+            + reference_moves(n - j, k - 1, base + j) + back)
 
 
 # ---------------------------------------------------------------------------

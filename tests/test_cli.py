@@ -228,22 +228,34 @@ def test_stats_count_call_templates_and_replays(capsys):
     assert main(["stats", corpus_path("sha2.rev"), "--param", "rounds=4"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert (rep["call_templates"], rep["call_replays"]) == (5, 4 * 11 - 5)
+    # the 18 assignments of addMod2_32, ch, ma, s0 and s1 run 316 times,
+    # all while their calls are first inlined; each meets one slot
+    # pattern, so each is walked once and replayed after
+    assert (rep["assign_templates"], rep["assign_replays"]) == (18, 316 - 18)
+    # MD5 rounds=2: the 15 assignments of addMod2_32 and F run 440 times;
+    # three writes onto the target meet it fresh in the first addition
+    # onto a new `t`, and F's meets C sharing B's slots in round 2
+    assert main(["stats", corpus_path("md5.rev"), "--param", "rounds=2"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["assign_templates"], rep["assign_replays"]) == (19, 440 - 19)
     assert main(["stats", corpus_path("majority.blif")]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert (rep["call_templates"], rep["call_replays"]) == (0, 0)
+    assert (rep["assign_templates"], rep["assign_replays"]) == (0, 0)
 
 
 def test_stats_count_expression_forms_and_recipes(tmp_path, capsys):
-    # SHA-2's replayed calls and blocks share their templates' forms, so
-    # more rounds add none, and the emitter compiles one recipe per
-    # distinct form
+    # replayed calls, blocks and assignments share their templates' forms:
+    # a form object is made once per assignment template, so SHA-2's
+    # loops make 18 and more rounds add none, and the emitter compiles one
+    # recipe per distinct form
     reps = []
     for name, rounds in (("sha2.rev", 4), ("sha2.rev", 16), ("md5.rev", 2)):
         assert main(["stats", corpus_path(name),
                      "--param", f"rounds={rounds}"]) == 0
         reps.append(json.loads(capsys.readouterr().out))
     assert [(r["expression_forms"], r["expression_recipes"])
-            for r in reps] == [(316, 5), (316, 5), (504, 4)]
+            for r in reps] == [(18, 5), (18, 5), (83, 4)]
     # each BLIF cover is a form object of its own, and covers of equal
     # forms share a recipe
     path = tmp_path / "ands.blif"
@@ -326,7 +338,12 @@ def test_pebble_table(tmp_path):
     *(["pebble", "--time", str(10 ** 9), "--pebbles", "64", "--strategy", s]
       for s in ("bennett", "incremental", "lmt", "knill")),
     ["pebble-table", "--time-max", str(10 ** 9), "--pebbles", "2,64"],
-], ids=["bennett", "incremental", "lmt", "knill", "pebble-table"])
+    # a pebble per node needs no DP, but its play lists the line
+    ["pebble", "--time", str(10 ** 9), "--pebbles", str(10 ** 9),
+     "--strategy", "knill"],
+    ["pebble-table", "--time-max", str(10 ** 9), "--pebbles", str(10 ** 9)],
+], ids=["bennett", "incremental", "lmt", "knill", "pebble-table",
+        "knill-pebble-per-node", "pebble-table-pebble-per-node"])
 def test_pebble_past_its_bound_is_user_error(argv, capsys):
     # a line too long to list, or a DP too large to solve, is one line,
     # not a hang or a MemoryError

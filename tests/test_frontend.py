@@ -1940,3 +1940,155 @@ def test_aliased_writes_agree_with_source():
             assert_compiles_like_source(ast)
         else:
             assert_evaluators_agree(ast, prog)
+
+
+# ---------------------------------------------------------------------------
+# assignment templates: a replayed assignment emits what walking it would
+
+
+def looped_writes_program(seed: int) -> str:
+    """A random program of `for` loops whose bodies read and write
+    elements of `Array.zeroCreate` arrays and of the input at i, i-1 and
+    i+1, and mutable bits that accumulate across iterations or hold a
+    constant again, with `clean`s between loops (now and then of an array
+    that may not be zero) and in loop bodies, of a scratch array `u` that
+    only such a body writes, twice over with one value, so that each
+    iteration's writes meet it fresh again."""
+    rng = random.Random(seed)
+
+    def elem(names="xzwu"):
+        return f"{rng.choice(names)}.[{rng.choice(['i', 'i-1', 'i+1'])}]"
+
+    def expr(names="xzwu", depth=0):
+        if depth > 1 or rng.random() < 0.35:
+            return rng.choice([elem(names), elem(names), rng.choice("abc"),
+                               "true", "false"])
+        if rng.randrange(6) == 0:
+            return f"not ({expr(names, depth + 1)})"
+        op = rng.choice(["<>", "<>", "&&", "||"])
+        return f"({expr(names, depth + 1)}) {op} ({expr(names, depth + 1)})"
+
+    def write():
+        t = rng.choice([elem("xzw"), elem("xzw"), rng.choice("abc")])
+        if t in "abc" and rng.random() < 0.2:  # a constant again
+            return f"{t} <- {rng.choice(['true', 'false'])}"
+        return f"{t} <- " + rng.choice([
+            f"{t} <> ({expr()})", f"({expr()}) <> {t}", expr(), f"not {t}"])
+
+    lines = ["let z = Array.zeroCreate 5", "let w = Array.zeroCreate 5",
+             "let u = Array.zeroCreate 5",
+             f"let mutable a = x.[{rng.randrange(5)}]",
+             "let mutable b = false",
+             f"let mutable c = {rng.choice(['z.[1]', 'true', 'x.[2]'])}"]
+    for _ in range(rng.randint(2, 4)):
+        body = [write() for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.4:
+            k, e = rng.choice(["1", "i"]), expr("xzw")
+            at = rng.randint(0, len(body))  # writes on both sides read u
+            body[at:at] = [f"u.[{k}] <- u.[{k}] <> ({e})"] * 2 + ["clean u"]
+        lines.append(f"for i in 1 .. {rng.choice([1, 2, 3, 3])} do")
+        lines += [f"    {line}" for line in body]
+        if rng.random() < 0.1:
+            lines.append(f"clean {rng.choice('zw')}")
+    lines.append("let out = Array.zeroCreate 3")
+    lines += [f"out.[{k}] <- {n}" for k, n in enumerate("abc")]
+    body = "".join(f"    {line}\n" for line in lines)
+    return ("let main (x : bool[5]) =\n"
+            f"{body}    Array.concat [x; z; w; u; out]\n")
+
+
+def assignment_program(*lines: str) -> str:
+    body = "".join(f"    {line}\n" for line in lines)
+    return ("let main (x : bool[3]) =\n"
+            "    let z = Array.zeroCreate 3\n"
+            f"{body}    Array.concat [x; z]\n")
+
+
+# Each case runs one assignment in a loop whose iterations differ in one
+# part of the assignment's key; replaying across that difference would
+# emit something else
+ASSIGNMENT_CASES = {
+    # x.[i] shares its slot with x.[0], then with x.[1], each way twice
+    "one-slot-pattern": assignment_program(
+        "let mutable t = x.[2]",
+        "for i in 0 .. 1 do",
+        "    for j in 0 .. 1 do",
+        "        t <- (x.[i] && x.[1]) <> x.[0]",
+        "z.[0] <- t"),
+    # b holds false, then true
+    "constant-values": assignment_program(
+        "let mutable b = false",
+        "z.[1] <- x.[1] && x.[2]",
+        "z.[2] <- x.[0] <> x.[2]",
+        "for i in 0 .. 2 do",
+        "    z.[1] <- z.[1] <> (b || x.[i])",
+        "    z.[2] <- z.[2] <> (b && x.[i])",
+        "    b <- true"),
+    # the target holds a constant, then a bit
+    "target-holds-no-bit": assignment_program(
+        "let mutable c = false",
+        "for i in 0 .. 2 do",
+        "    c <- c <> x.[i]",
+        "z.[0] <- c"),
+    # each iteration writes z.[0] fresh again, and reads z.[1] fresh
+    "clean-in-the-body": assignment_program(
+        "for i in 0 .. 2 do",
+        "    z.[0] <- z.[0] <> (x.[i] && z.[1])",
+        "    z.[0] <- z.[0] <> x.[i]",
+        "    z.[0] <- z.[0] <> (x.[i] <> (x.[i] && z.[1]))",
+        "    clean z",
+        "z.[2] <- x.[0] && x.[1]"),
+}
+
+
+@pytest.mark.parametrize("case", ASSIGNMENT_CASES)
+def test_assignment_cases_compile_like_source(case):
+    ast = parse(ASSIGNMENT_CASES[case])
+    counts = {}
+    flatten(ast, counts=counts)
+    assert counts["assign_replays"] > 0
+    assert_compiles_like_source(ast)
+
+
+def run_outcome(run):
+    """A run's outputs, or "error" if a `clean` meets a non-zero bit."""
+    try:
+        return run()
+    except InterpretError:
+        return "error"
+
+
+def test_looped_writes_agree_with_source():
+    replayed = 0
+    for seed in range(120):
+        ast = parse(looped_writes_program(seed))
+        counts = {}
+        try:
+            prog = flatten(ast, counts=counts)
+        except FlattenError as exc:
+            assert_same_error(ast, 5, str(exc))
+            continue
+        replayed += counts["assign_replays"] > 0
+        for v in range(1 << 5):
+            bits = bits_of(v, 5)
+            assert (run_outcome(lambda: interpret(prog, bits))
+                    == run_outcome(lambda: interpret_source(ast, bits))), (
+                        seed, bits)
+    assert replayed >= 100
+
+
+@pytest.mark.parametrize("ast", [
+    *(pytest.param(parse(src), id=name) for name, src in TEMPLATE_CASES.items()),
+    *(pytest.param(parse(corpus(name), params=params), id=f"{name}-{params}")
+      for name, params, _ in CORPUS_FLATTENS),
+    *(pytest.param(parse(src), id=name)
+      for name, src in ASSIGNMENT_CASES.items()),
+    *(pytest.param(parse(looped_writes_program(seed)), id=f"looped-{seed}")
+      for seed in range(40)),
+    *(pytest.param(parse(aliased_writes_program(seed)), id=f"aliased-{seed}")
+      for seed in range(20)),
+])
+def test_assignment_templates_match_the_walk(monkeypatch, ast):
+    cached = flat_outcome(ast)
+    monkeypatch.setattr(Flattener, "assign_key", lambda *args: None)
+    assert flat_outcome(ast) == cached

@@ -13,7 +13,9 @@ import revc
 from revc.boolexpr import band, bvar, variables
 from revc.circuit import verify
 from revc.emitter import compile_flat
-from revc.frontend import Compute, FlatProgram, InPlaceBlock, interpret
+from revc.frontend import (
+    Compute, FlatProgram, InPlaceBlock, flatten, interpret, parse,
+)
 from revc.mdd import CLEAN, INIT, INPUT, OP, OUTPUT, build_mdd, to_dot
 from revc.scheduler import eager_cleanup
 
@@ -125,6 +127,44 @@ def test_build_scales_linearly_enough():
     t_big = time.perf_counter() - t0
     assert t_big < max(t_small, 1e-3) * 40
 
+
+ACCUMULATION_LOOP = """\
+let chain (a : bool[2]) =
+    let t = Array.zeroCreate 1
+    for i in 1 .. N do
+        t.[0] <- t.[0] <> (a.[0] && a.[1])
+    t
+"""
+
+
+def test_flatten_scales_linearly_on_a_loop():
+    # 4x the iterations should take well under 10x the time to flatten:
+    # the loop's write is walked once per slot pattern (fresh, then
+    # written) and replayed after.  Best of three, with the collector off
+    def best(ast):
+        runs = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            flatten(ast)
+            runs.append(time.perf_counter() - t0)
+        return min(runs)
+
+    times = []
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for n in (5_000, 20_000):
+            ast = parse(ACCUMULATION_LOOP.replace("N", str(n)))
+            counts = {}
+            assert len(flatten(ast, counts=counts).statements) == n
+            assert (counts["assign_templates"],
+                    counts["assign_replays"]) == (2, n - 2)
+            times.append(best(ast))
+    finally:
+        if enabled:
+            gc.enable()
+    small, big = times
+    assert big < max(small, 1e-3) * 8
 
 
 def accumulation_chain(n: int) -> FlatProgram:

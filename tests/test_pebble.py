@@ -1,12 +1,12 @@
 import pytest
 
 from revc.pebble import (
-    PLACE, REMOVE, InfeasibleError, Move, bennett_strategy,
+    PLACE, REMOVE, InfeasibleError, Move, _min_steps, bennett_strategy,
     incremental_strategy, knill_optimal, lmt_strategy, tradeoff_csv, tradeoff_table,
     validate,
 )
 
-from helpers import exhaustive_min_steps
+from helpers import exhaustive_min_steps, reference_min_steps, reference_moves
 
 
 def test_bennett_10():
@@ -110,3 +110,25 @@ def test_tradeoff_table_csv():
     assert table[(2, 2)] == "3"
     assert table[(2, 3)] == ""  # unreachable with 2 pebbles
     assert table[(3, 4)] == "9"
+
+
+def test_min_steps_keeps_the_dp_midpoints():
+    # the closed form for k >= n gives the DP's value and first midpoint,
+    # so every play, and every `revc pebble` table, is the DP's
+    for n in range(41):
+        for k in range(n + 3):
+            assert _min_steps(n, k) == reference_min_steps(n, k), (n, k)
+    for T in range(1, 41):
+        for k in range(1, T + 3):
+            if reference_min_steps(T, k)[0] != float("inf"):
+                moves = knill_optimal(T, k)[1]
+                assert [(m.action, m.node) for m in moves] == \
+                    reference_moves(T, k), (T, k)
+
+
+def test_knill_with_a_pebble_per_node_is_bennett():
+    # no table to fill: a line far past the DP's work bound plays at once
+    steps, moves = knill_optimal(2000, 2000)
+    assert steps == 3999 and moves == bennett_strategy(2000)
+    assert [r.min_steps for r in tradeoff_table(400, [400])][-3:] == \
+        [795, 797, 799]
