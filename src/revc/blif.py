@@ -58,6 +58,7 @@ def parse_blif(text: str) -> BlifNetlist:
     model = ""
     inputs: list[str] = []
     outputs: list[str] = []
+    output_lines: dict[str, int] = {}  # each output's first .outputs line
     covers: list[Cover] = []
     cur: Cover | None = None
 
@@ -92,10 +93,17 @@ def parse_blif(text: str) -> BlifNetlist:
             inputs += tok[1:]
         elif key == ".outputs":
             outputs += tok[1:]
+            for s in tok[1:]:
+                output_lines.setdefault(s, ln)
         elif key == ".names":
             if len(tok) < 2:
                 raise BlifError(".names needs at least an output", ln)
-            cur = Cover(output=tok[-1], inputs=tok[1:-1], cubes=[], line=ln)
+            ins = tok[1:-1]
+            if len(set(ins)) != len(ins):  # a cube's columns read distinct inputs
+                s = next(s for i, s in enumerate(ins) if s in ins[:i])
+                raise BlifError(f"signal {s!r} appears twice in the cover "
+                                f"for {tok[-1]!r}", ln)
+            cur = Cover(output=tok[-1], inputs=ins, cubes=[], line=ln)
             covers.append(cur)
         elif key == ".end":
             cur = None
@@ -124,21 +132,24 @@ def parse_blif(text: str) -> BlifNetlist:
             cur.cubes.append(pattern)
 
     net = BlifNetlist(model=model, inputs=inputs, outputs=outputs, covers=covers)
-    _check_signals(net)
+    _check_signals(net, output_lines)
     return net
 
 
-def _check_signals(net: BlifNetlist) -> None:
+def _check_signals(net: BlifNetlist, output_lines: dict[str, int]) -> None:
+    """Every signal read is defined and the covers have no cycle; an error
+    names the line of the cover, or of the output's `.outputs`."""
     defined = set(net.inputs)
     for c in net.covers:
         defined.add(c.output)
     for c in net.covers:
         for s in c.inputs:
             if s not in defined:
-                raise BlifError(f"undefined signal {s!r} in cover for {c.output!r}")
+                raise BlifError(f"undefined signal {s!r} in cover for "
+                                f"{c.output!r}", c.line)
     for s in net.outputs:
         if s not in defined:
-            raise BlifError(f"undefined output signal {s!r}")
+            raise BlifError(f"undefined output signal {s!r}", output_lines[s])
     _cover_order(net)  # raises on cycles
 
 
@@ -163,7 +174,8 @@ def _cover_order(net: BlifNetlist) -> list[Cover]:
                     continue
                 if state.get(d.output) == 1:
                     raise BlifError(
-                        f"cyclic signal dependency through {d.output!r}")
+                        f"cyclic signal dependency through {d.output!r}",
+                        d.line)
                 state[d.output] = 1
                 stack.append((d, iter(d.inputs)))
                 break
@@ -245,7 +257,8 @@ class _Literals(dict):
 
 def _cube_expr(cube: str, lits: _Literals):
     """The AND of a cube's literals, one per input: as `band` would fold
-    them, since no two read one input."""
+    them, since no two read one input (`parse_blif` rejects a cover that
+    names an input twice)."""
     conj = [lits[i][ch == "0"] for i, ch in enumerate(cube) if ch != "-"]
     if len(conj) > 1:
         return BoolExp(AND, tuple(conj))

@@ -61,7 +61,9 @@ from . import blif as blif_mod
 from . import circuit as circuit_mod
 from . import pebble as pebble_mod
 from .emitter import Emitter, compile_flat
-from .frontend import Compute, FrontendError, InPlaceBlock, flatten, parse
+from .frontend import (
+    ASSIGN, CALL, Compute, FrontendError, InPlaceBlock, flatten, parse,
+)
 from .mdd import build_mdd, to_dot
 from .scheduler import STRATEGIES, BudgetError, live_profile, schedule
 
@@ -110,8 +112,7 @@ def _compile(args):
     """Load, schedule and emit; returns the program, plan, circuit, the
     emitter, the seconds of each stage and flatten's template counts."""
     stages: dict = {}
-    counts = {"call_templates": 0, "call_replays": 0,
-              "assign_templates": 0, "assign_replays": 0}
+    counts = dict.fromkeys([*CALL, *ASSIGN], 0)
     prog = _load_flat(args, stages, counts)
     t0 = time.perf_counter()
     plan = schedule(prog, args.strategy, qubit_budget=args.qubits,

@@ -54,44 +54,47 @@ breaks the contract (a width other than `x`'s, a write into `x` that
 does not accumulate, arguments not restored, locals not zeroed) is an
 error with a line.
 
-The flattener inlines a call from the AST only once per call signature,
-in place or not, and records what it emitted as a template
-(`Flattener.call`): its statements and its value over positions (the
-signature's distinct slots, then the slots the call allocated), the
+The flattener walks a call, in place or not, or an assignment of a bit
+expression from the AST only once per template key, and records what it
+emitted as a template; one method, `Flattener.templated`, runs both
+kinds.  A template holds the statements and the value over positions
+(the key's distinct slots, then the slots the walk allocated), the
 positions fresh after it, and what it added to the unrolling and
-allocation counts.  A later call with the same signature renames the
-template's statements onto its own slots and new locals, taken in the
-order inlining would take them, without walking the AST; a block keeps
-its token, so an in-place call is the case whose statements are one
-block.  The signature holds everything the inline depends on: the
-function value, each argument's kind and width (a constant bit or
-compile-time integer by value), the value of every name the body reads
-before binding it (`LetDef.free_names`, found once per definition; a
-captured function adds its own such names, a captured bit or array its
-slots), which of all those slots are one slot, which are fresh (see
-below) and which are in-place targets being accumulated onto, and
-whether the call is inside an in-place body or an `if`.  A body that
-assigns a name it does not bind is never recorded, nor is a call in an
-`if` branch or one that touched a slot outside its positions; a replay
-that would pass the unrolling or allocation bound, re-enter a running
-function or `clean` an entry input inlines instead, so that the error is
-the same.  An in-place call's block is validated when it is inlined; a
-replay is not, since its check, drawn per body position, would be the
-template's bit for bit.
+allocation counts.  A later call or assignment with the same key renames
+the template's statements onto its own slots and new locals, taken in
+the order the walk would take them, without walking the AST; a block
+keeps its token, so an in-place call is the case whose statements are
+one block.  A key is a head, whether the call or assignment is inside an
+in-place body or an `if`, and its slots reduced to a pattern: which are
+one slot, which are fresh (see below) and which are in-place targets
+being accumulated onto (`slot_pattern`).
 
-An assignment is templated the same way, once per slot pattern
-(`Flattener.do_assign`): `x <- rhs` or `x.[i] <- rhs` outside any `if`
-branch, where rhs is a `not` or an `&&`, `||` or `<>` chain over names,
-elements and constants, with no call, `if`, slice or re-label.  Its key
-is the `Assign` node, the slots it names in walk order (the target's bit
-first) reduced to the pattern a call signature uses (which are one slot,
-fresh or in-place targets), the values of the names that hold a constant
-bit, and whether it is nested.  A pass that only reads finds the key;
-where the walk would raise an error it finds none, so the walk raises it.
-The first assignment of a key is walked and recorded over positions, and
-a later one renames the template's statements onto its slots and new
-slots and re-binds its target, so the unrolled iterations of a loop, and
-the statements of inlined calls, cost a lookup and a renaming each.
+A call's head is its signature's values (`Flattener.call`): the function
+value, each argument's kind and width (a constant bit or compile-time
+integer by value) and the value of every name the body reads before
+binding it (`LetDef.free_names`, found once per definition; a captured
+function adds its own such names, a captured bit or array its slots).  A
+body that assigns a name it does not bind is never recorded, nor is a
+call in an `if` branch or one that touched a slot outside its positions;
+a replay that would pass the unrolling or allocation bound, re-enter a
+running function or `clean` an entry input walks instead, so that the
+error is the same.  An in-place call's block is validated when it is
+inlined; a replay is not, since its check, drawn per body position,
+would be the template's bit for bit.
+
+An assignment is templated once per slot pattern (`Flattener.do_assign`):
+`x <- rhs` or `x.[i] <- rhs` outside any `if` branch, where rhs is a
+`not` or an `&&`, `||` or `<>` chain over names, elements and constants,
+with no call, `if`, slice or re-label.  Its head is the `Assign` node,
+whether x holds a bit and the values of the names that hold a constant
+bit, and its slots are the ones it names in walk order, the target's bit
+first.  A pass that only
+reads finds the key, reading the target, and any leaf that holds no bit,
+as the walk does, so that an error there is the walk's.  A replay
+re-binds the target, so the unrolled iterations of a loop, and the
+statements of inlined calls, cost a lookup and a renaming each; an
+assignment's template passes no bound, enters no function and cleans
+nothing, so its replay checks nothing.
 
 An unwritten `Array.zeroCreate` slot is the constant 0, and a `clean`ed
 slot is fresh again: `clean` emits a `CleanSlot` for each of its slots
@@ -143,9 +146,8 @@ exit and the live-count delta, found in the one pass that builds the
 token, so that no later stage walks a body for them.  It is shared by a
 template's block and every block replayed from it, so position i of one
 block is the renaming of position i of another's.  A block's slots are
-the slots of its call's signature in key order (or, for a call without
-one, its target slots), then any other slot its body touches, then its
-locals; a block that is not templated has a token of its own.
+its target slots, then any other slot its body touches, then its locals;
+a block that is not templated has a token of its own.
 `run_statements` runs a block by gathering its slots' columns, running
 the shared body and scattering them back; `validate_block` reads the
 zero positions, the MDD and the scheduler read only the block's slot
@@ -889,12 +891,12 @@ class InPlaceBlock:
 
     @classmethod
     def from_statements(cls, target_slots: list[int], body: list,
-                        local_slots: list[int], slots=()) -> InPlaceBlock:
+                        local_slots: list[int]) -> InPlaceBlock:
         """A block of `body`, Compute and CleanSlot statements on slots,
         with a token of its own.  Its arguments are the other slots the
-        body touches.  Its slots are `slots`, then its target, argument and
-        local slots, made distinct.  The one pass over the body also finds
-        the token's effects (see `BlockBody`)."""
+        body touches.  Its slots are its target, argument and local slots,
+        made distinct.  The one pass over the body also finds the token's
+        effects (see `BlockBody`)."""
         touched: set[int] = set()
         zero = set(local_slots)  # zero at entry
         live: set[int] = set()  # written fresh and not cleaned since
@@ -912,7 +914,7 @@ class InPlaceBlock:
                 live.discard(s.slot)
             touched.add(s.slot)
         arg_slots = sorted(touched.difference(target_slots, local_slots))
-        slots = tuple(dict.fromkeys([*slots, *target_slots, *arg_slots,
+        slots = tuple(dict.fromkeys([*target_slots, *arg_slots,
                                      *local_slots]))
         pos = {s: p for p, s in enumerate(slots)}
         open_locals = tuple([pos[l] for l in local_slots if l in live])
@@ -1329,11 +1331,10 @@ _ZERO = bconst(False)
 
 def _renamed_stmts(stmts, m) -> list:
     """Flat statements with every slot s renamed to m[s], `m` a dict or a
-    sequence indexed by slot that maps no two slots to one (ValueError);
-    a Compute keeps its form and a block its token.  KeyError if `m`
-    lacks a slot they touch."""
-    if len(set(m.values() if isinstance(m, dict) else m)) != len(m):
-        raise ValueError("a slot renaming maps two slots to one")
+    sequence indexed by slot; a Compute keeps its form and a block its
+    token.  KeyError if `m` lacks a slot they touch.  `m` maps no two slots
+    to one, which every caller's map is by construction (distinct slots,
+    then new ones), so it is not checked here."""
     over, get = Compute.over, m.__getitem__
     out = []
     for s in stmts:
@@ -1382,7 +1383,9 @@ class _Template:
     (unwritten or cleaned) after it, and `cleans` those of the key's
     slots that it cleans.  `entered` are the ids
     of the definitions it inlined, and `iterations` and `allocated` what
-    it added to the unrolling and allocation counters.
+    it added to the unrolling and allocation counters.  `checked` is
+    whether any of those four is not empty, so that a replay must pass
+    `replayable`; no assignment's is.
     """
     stmts: list
     value: object
@@ -1392,6 +1395,13 @@ class _Template:
     entered: frozenset
     iterations: int
     allocated: int
+    checked: bool
+
+
+# the counters of a kind of template (`Flattener.templated`): templates
+# recorded, replays
+CALL = ("call_templates", "call_replays")
+ASSIGN = ("assign_templates", "assign_replays")
 
 
 class _NoTemplate(Exception):
@@ -1986,12 +1996,15 @@ class Flattener(_Walker):
     in-place call is a validated block, and an operand that a later
     operand's statements overwrite is copied first.
 
-    One table, `templates`, holds both kinds of template: a call's is
-    keyed by its signature (`signature`), an assignment's by its node and
-    slot pattern (`assign_key`); both are recorded over positions by
-    `record` and emitted on new slots by `emit_template`.  A replayed
-    statement shares its template's form object, so the emitter meets one
-    form per template, not one per statement."""
+    One table, `templates`, holds both kinds of template and one method,
+    `templated`, runs both: it replays the template of a key on the key's
+    slots (`emit_template`), or walks and records one over positions
+    (`record`).  A key is built by `slot_pattern` from its head, for a
+    call its signature's values (`signature`), for an assignment its node
+    and constant values (`assign_key`), and its slots.  `counts` counts
+    each kind's templates and replays.  A replayed statement shares its
+    template's form object, so the emitter meets one form per template,
+    not one per statement."""
     error = FlattenError  # raised by the walk
 
     def __init__(self, program: Program, params: dict | None = None):
@@ -1999,10 +2012,9 @@ class Flattener(_Walker):
         self.stmts: list = []
         # call signature or assignment key -> _Template
         self.templates: dict = {}
-        self.call_templates = 0  # calls inlined and recorded as templates
-        self.call_replays = 0  # calls replayed from a template
-        self.assign_templates = 0  # assignments walked and recorded
-        self.assign_replays = 0  # assignments replayed from a template
+        # calls and assignments walked and recorded as templates, and
+        # replayed from one (`templated`)
+        self.counts = dict.fromkeys([*CALL, *ASSIGN], 0)
 
     # -- the domain ------------------------------------------------------------
     def emit(self, stmt) -> None:
@@ -2073,121 +2085,184 @@ class Flattener(_Walker):
             rest = bvar(self.compute(bxor([e, v])))
         self.emit(Compute(slot, rest, False))
 
+    # -- templates -------------------------------------------------------------
+    def templated(self, kind: tuple, key, slots: list[int], walk, *args):
+        """Run a call or an assignment of template key `key`, `kind` (`CALL`
+        or `ASSIGN`) naming its counters, and return its value: replay the
+        key's template on the key's distinct `slots` if there is one and,
+        unless it has nothing to check, `replayable` allows it; else run
+        `walk(*args)`, which returns the value, and record a template."""
+        tpl = self.templates.get(key)
+        if tpl is not None and (not tpl.checked
+                                or self.replayable(tpl, slots)):
+            self.counts[kind[1]] += 1
+            return self.emit_template(tpl, slots)
+        mark = self.template_mark()
+        value = walk(*args)
+        self.counts[kind[0]] += self.record(key, slots, mark, value)
+        return value
+
+    def slot_pattern(self, head, slots: list) -> tuple:
+        """The template key of a call or assignment, and its distinct
+        `slots` in order, which a replay renames.  The key is `head`,
+        whether it runs inside an in-place body or an `if`, and `slots`
+        reduced to what a template depends on: which of them are one slot,
+        and of each distinct one whether it is fresh and whether it is an
+        in-place target being accumulated onto."""
+        first: dict[int, int] = {}
+        shared = tuple([first.setdefault(s, i) for i, s in enumerate(slots)])
+        fresh, enforced = self.fresh, self.enforced
+        states = tuple([(s in fresh) | (s in enforced) << 1 for s in first])
+        return (head, self.nested > 0, shared, states), list(first)
+
+    def record(self, key, slots: list[int], mark: tuple, value) -> bool:
+        """Record the call or assignment just run, which began at `mark`,
+        as the template of `key`, unless it touched a slot outside its
+        positions: the distinct `slots` of its key, then the slots it
+        allocated.  Whether it was recorded."""
+        start, pre_slots, entered, iterations, allocated = mark
+        pos = {s: p for p, s in enumerate(slots)}
+        n = len(pos)
+        shift = n - pre_slots
+        pos.update({s: s + shift for s in range(pre_slots, self.slot_count)})
+        try:
+            stmts = _renamed_stmts(self.stmts[start:], pos)
+            value = _value_renamed(value, pos)
+        except KeyError:
+            return False
+        fresh_after = tuple([p for s, p in pos.items() if s in self.fresh])
+        cleans = tuple([p for p in _written(stmts, CleanSlot) if p < n])
+        entered = frozenset(self.entered[entered:])
+        iterations = self.iterations - iterations
+        allocated = self.allocated - allocated
+        self.templates[key] = _Template(
+            stmts, value, fresh_after, cleans, self.slot_count - pre_slots,
+            entered, iterations, allocated,
+            bool(cleans or entered or iterations or allocated))
+        return True
+
+    def template_mark(self) -> tuple:
+        """Where a template recorded from now on begins (`record`)."""
+        return (len(self.stmts), self.slot_count, len(self.entered),
+                self.iterations, self.allocated)
+
+    def replayable(self, tpl: _Template, slots: list[int]) -> bool:
+        """Replaying `tpl` on its key's `slots` emits what the walk would:
+        it passes no bound, enters no function that is running and cleans
+        no entry input."""
+        return (self.iterations + tpl.iterations <= MAX_UNROLLED_ITERATIONS
+                and self.allocated + tpl.allocated <= MAX_ALLOCATED_BITS
+                and self.active.isdisjoint(tpl.entered)
+                and self.inputs.isdisjoint([slots[p] for p in tpl.cleans]))
+
+    def emit_template(self, tpl: _Template, slots: list[int]):
+        """Emit `tpl`'s statements on its key's distinct `slots` and new
+        locals, taken in the order the walk would take them, and return
+        its value there.  Nothing is validated or folded again: a block's
+        check and the reads of fresh slots would be the template's."""
+        self.fresh.difference_update(slots)
+        base = self.slot_count
+        self.slot_count += tpl.locals
+        self.iterations += tpl.iterations
+        self.allocated += tpl.allocated
+        self.entered += tpl.entered
+        m = [*slots, *range(base, self.slot_count)]
+        self.fresh.update([m[p] for p in tpl.fresh_after])
+        self.stmts += _renamed_stmts(tpl.stmts, m)
+        return _value_renamed(tpl.value, m)
+
     # -- assignments by template ----------------------------------------------
     def do_assign(self, item: Assign, scope: _Scope) -> None:
-        """Run `x <- rhs` or `x.[i] <- rhs`: from the template of its key
-        (`assign_key`) if there is one, else by the walk, recording a
-        template when it has a key.  A replay re-binds x, or the element,
-        to the slot the template leaves it on."""
+        """Run `x <- rhs` or `x.[i] <- rhs` by `templated` if it has a key
+        (`assign_key`), else by the walk.  A replay re-binds x, or the
+        element, to the slot the template leaves it on."""
         found = self.assign_key(item, scope)
         if found is None:
             return super().do_assign(item, scope)
-        key, slots, (holder, i) = found
-        tpl = self.templates.get(key)
-        if tpl is not None:
-            self.assign_replays += 1
-            s = self.emit_template(tpl, slots).slot
-            if i is not None:
-                holder.slots[i] = s
-            elif type(holder[0]) is not _BitVal or holder[0].slot != s:
-                self.rebind(holder, _BitVal(s))
-            return
-        mark = self.template_mark()
+        key, slots, holder, i = found
+        s = self.templated(ASSIGN, key, slots, self.walk_assign, item, scope,
+                           holder, i).slot
+        if i is not None:
+            holder.slots[i] = s
+        elif type(holder[0]) is not _BitVal or holder[0].slot != s:
+            self.rebind(holder, _BitVal(s))
+
+    def walk_assign(self, item: Assign, scope: _Scope, holder, i):
+        """Walk assignment `item` and return its target's bit after it,
+        the target bound where `assign_key` found it (`holder`, `i`)."""
         super().do_assign(item, scope)
-        after = holder[0] if i is None else _BitVal(holder.slots[i])
-        self.assign_templates += self.record(key, slots, mark, after)
+        return holder[0] if i is None else _BitVal(holder.slots[i])
 
     def assign_key(self, item: Assign, scope: _Scope):
         """The template key of assignment `item`, the distinct slots a
-        template renames and where its target is bound (the binding of x
-        and None, or x's array and the element's index); None if it has
-        none.  Only reads: nothing is emitted, bound or allocated.
+        template renames, and where its target is bound: the binding of x
+        and None, or x's array and the element's index.  None if it is in
+        an `if` branch or its right side is not a bit expression that
+        flatten templates (`Assign.leaves`).  Only reads: nothing is
+        emitted, bound or allocated.
 
-        An assignment outside any `if` branch whose right side is a bit
-        expression (`Assign.leaves`) emits the same statements up to slot
-        renaming whenever its key is the same: the node, which of the
-        target's bit (if x holds one) and the slots it reads, in walk
-        order, are one slot, which are fresh and which are in-place targets
-        (`slot_pattern`), the value of each name that holds a constant bit,
-        and whether it runs inside an in-place body or an `if`.  Where the
-        walk would raise an error it has no key, so the walk raises it."""
+        The key's head is the node, whether x holds a bit and the value of
+        each name that holds a constant bit; its slots are the target's
+        bit (if x holds one) and the slots it reads, in walk order.  The
+        target is read as the walk reads it (`mutable`, `element_slot`),
+        and so is a leaf that holds no bit or constant (`eval_value`,
+        `bit_expr`): an error there is the walk's, with its message and
+        line."""
         leaves = item.leaves
         if leaves is None or self.branch_depth:
             return None
         target = item.target
-        try:
-            if type(target) is EName:
-                where = (self.mutable(scope, target.name, item.line), None)
-                v = where[0][0]
-                slots = [v.slot] if type(v) is _BitVal else []
-            else:
-                bit, arr, i = self.element_slot(target, scope)
-                where, slots = (arr, i), [bit]
-            consts = [not slots]  # x holds no bit, then each name's value
-            for e in leaves:
-                b = scope.lookup(e.name)
-                v = b[0] if b is not None else None
-                if type(e) is EName:
-                    if type(v) is _BitVal:
-                        slots.append(v.slot)
-                        consts.append(None)
-                    elif type(v) is _ConstBitVal:
-                        consts.append(v.value)
-                    else:
-                        return None
-                elif type(v) is _ArrVal:
-                    k = self.eval_int(e.index, scope, e.line)
-                    if not 0 <= k < len(v.slots):
-                        return None
+        if type(target) is EName:
+            holder, i = self.mutable(scope, target.name, item.line), None
+            v = holder[0]
+            slots = [v.slot] if type(v) is _BitVal else []
+        else:
+            bit, holder, i = self.element_slot(target, scope)
+            slots = [bit]
+        consts = [not slots]  # x holds no bit, then each name's value
+        for e in leaves:
+            b = scope.lookup(e.name)
+            v = b[0] if b is not None else None
+            if type(e) is EName:
+                if type(v) is _BitVal:
+                    slots.append(v.slot)
+                    consts.append(None)
+                    continue
+                if type(v) is _ConstBitVal:
+                    consts.append(v.value)
+                    continue
+            elif type(v) is _ArrVal:
+                k = self.eval_int(e.index, scope, e.line)
+                if 0 <= k < len(v.slots):
                     slots.append(v.slots[k])
-                else:
-                    return None
-        except FlattenError:
-            return None
-        shared, states, distinct = self.slot_pattern(slots)
-        return ((id(item), tuple(consts), shared, states, self.nested > 0),
-                distinct, where)
+                    continue
+            self.bit_expr(self.eval_value(e, scope), e)  # the walk's error
+        key, distinct = self.slot_pattern((id(item), tuple(consts)), slots)
+        return key, distinct, holder, i
 
     # -- calls by template ----------------------------------------------------
     def call(self, f: _FuncVal, args: list, line: int, target=(), ret=None):
         """Flatten call `f args`, in place onto `target` if `ret` (f's result
-        binding) is given, and return its value (None in place).
-
-        The first call of a signature is inlined from the AST and recorded
-        as a template; a later one replays it, unless `replayable` finds
-        that inlining would report an error.  A call inside an `if` branch
-        is neither recorded nor replayed (a replay would not meet `emit`'s
-        check there), nor is one that touched a slot outside its positions.
-        """
-        key = None
-        if not self.branch_depth:
-            sig = self.signature(f, target, args)
-            if sig is not None:
-                key, slots = sig
-                tpl = self.templates.get(key)
-                if tpl is not None and self.replayable(tpl, slots):
-                    return self.replay(tpl, slots)
-        mark = self.template_mark()
-        if ret is None:
-            value = self.inline_call(f, args, line=line)
-        else:
-            value = None
-            self.inline_in_place(f, args, target, ret, line,
-                                 slots if key is not None else ())
-        if key is not None:
-            self.call_templates += self.record(key, slots, mark, value)
-        return value
+        binding) is given, and return its value (None in place): by
+        `templated` if it has a signature, else by the walk.  A call in an
+        `if` branch has none: a replay would not meet `emit`'s check
+        there."""
+        sig = None if self.branch_depth else self.signature(f, target, args)
+        if sig is None:
+            return super().call(f, args, line, target, ret)
+        return self.templated(CALL, *sig, super().call, f, args, line,
+                              target, ret)
 
     def inline_in_place(self, f: _FuncVal, args: list, target: list[int],
-                        ret: LetBind, line: int, slots=()) -> None:
+                        ret: LetBind, line: int) -> None:
         """Inline f with its result `ret` bound to `target` and emit the
-        block of its statements, its slots `slots` first."""
+        block of its statements."""
         outer, self.stmts = self.stmts, []
         pre_slots = self.slot_count
         super().inline_in_place(f, args, target, ret, line)
         body, self.stmts = self.stmts, outer
         block = InPlaceBlock.from_statements(
-            target, body, list(range(pre_slots, self.slot_count)), slots)
+            target, body, list(range(pre_slots, self.slot_count)))
         self.validate_block(block, line, f.defn.name)
         self.emit(block)
 
@@ -2198,39 +2273,24 @@ class Flattener(_Walker):
         if the call writes a name it does not bind.
 
         Two calls with one key inline to the same statements up to slot
-        renaming: the key holds f (and so its result binding), each
-        argument's kind and width or compile-time value, the value of every
-        name f's body reads from its environment (for a function, the same
-        again), how many slots there are (so a call in place, whose slots
-        begin with its target's, never shares a key with one out of
-        place), which of the slots are one slot, which
-        are fresh (unwritten or cleaned) and which are in-place targets
-        being accumulated onto, and whether the call is inside an in-place
-        body or an `if` (`in_place_binding` inside it depends on that).
-        Which slots are entry inputs changes only whether a `clean` is an
-        error, so `replayable` checks the slots a template cleans instead:
-        a key bit would give, say, MD5's additions of an input word and of
-        a computed one two templates, and two block bodies.
+        renaming: the key's head holds f (and so its result binding), each
+        argument's kind and width or compile-time value and the value of
+        every name f's body reads from its environment (for a function, the
+        same again); `slot_pattern` adds the rest (how many slots there
+        are, so a call in place, whose slots begin with its target's, never
+        shares a key with one out of place).  Which slots are entry inputs
+        changes only whether a `clean` is an error, so `replayable` checks
+        the slots a template cleans instead: a key bit would give, say,
+        MD5's additions of an input word and of a computed one two
+        templates, and two block bodies.
         """
         slots = list(target)
         try:
-            values = (tuple(self.value_key(v, slots, set()) for v in args),
-                      self.function_key(f, slots, set()))
+            head = (tuple(self.value_key(v, slots, set()) for v in args),
+                    self.function_key(f, slots, set()))
         except _NoTemplate:
             return None
-        shared, states, distinct = self.slot_pattern(slots)
-        return (values, self.nested > 0, shared, states), distinct
-
-    def slot_pattern(self, slots: list) -> tuple:
-        """`slots` reduced to what a template depends on: which of them
-        are one slot, and of each distinct one whether it is fresh and
-        whether it is an in-place target being accumulated onto; with the
-        distinct slots, in order, which a replay renames."""
-        first: dict[int, int] = {}
-        shared = tuple([first.setdefault(s, i) for i, s in enumerate(slots)])
-        fresh, enforced = self.fresh, self.enforced
-        states = tuple([(s in fresh) | (s in enforced) << 1 for s in first])
-        return shared, states, list(first)
+        return self.slot_pattern(head, slots)
 
     def function_key(self, f: _FuncVal, slots: list, seen: set):
         """Key of function f: f itself and the values its body reads from
@@ -2262,65 +2322,6 @@ class Flattener(_Walker):
         if isinstance(v, _IntArrVal):
             return "ints", tuple(v.values)
         return None  # an unbound name
-
-    def record(self, key, slots: list[int], mark: tuple, value) -> bool:
-        """Record the call or assignment just run, which began at `mark`,
-        as the template of `key`, unless it touched a slot outside its
-        positions: the distinct `slots` of its key, then the slots it
-        allocated.  Whether it was recorded."""
-        start, pre_slots, entered, iterations, allocated = mark
-        pos = {s: p for p, s in enumerate(slots)}
-        n = len(pos)
-        shift = n - pre_slots
-        pos.update({s: s + shift for s in range(pre_slots, self.slot_count)})
-        try:
-            stmts = _renamed_stmts(self.stmts[start:], pos)
-            value = _value_renamed(value, pos)
-        except KeyError:
-            return False
-        fresh_after = tuple([p for s, p in pos.items() if s in self.fresh])
-        self.templates[key] = _Template(
-            stmts, value, fresh_after,
-            tuple([p for p in _written(stmts, CleanSlot) if p < n]),
-            self.slot_count - pre_slots, frozenset(self.entered[entered:]),
-            self.iterations - iterations, self.allocated - allocated)
-        return True
-
-    def template_mark(self) -> tuple:
-        """Where a template recorded from now on begins (`record`)."""
-        return (len(self.stmts), self.slot_count, len(self.entered),
-                self.iterations, self.allocated)
-
-    def replayable(self, tpl: _Template, slots: list[int]) -> bool:
-        """Replaying `tpl` on its signature's `slots` emits what inlining
-        the call would: it passes no bound, enters no function that is
-        running and cleans no entry input."""
-        return (self.iterations + tpl.iterations <= MAX_UNROLLED_ITERATIONS
-                and self.allocated + tpl.allocated <= MAX_ALLOCATED_BITS
-                and self.active.isdisjoint(tpl.entered)
-                and self.inputs.isdisjoint([slots[p] for p in tpl.cleans]))
-
-    def replay(self, tpl: _Template, slots: list[int]):
-        """Replay a call from `tpl` on its signature's `slots`
-        (`emit_template`) and return its value there."""
-        self.call_replays += 1
-        return self.emit_template(tpl, slots)
-
-    def emit_template(self, tpl: _Template, slots: list[int]):
-        """Emit `tpl`'s statements on its key's distinct `slots` and new
-        locals, taken in the order the walk would take them, and return
-        its value there.  Nothing is validated or folded again: a block's
-        check and the reads of fresh slots would be the template's."""
-        self.fresh.difference_update(slots)
-        base = self.slot_count
-        self.slot_count += tpl.locals
-        self.iterations += tpl.iterations
-        self.allocated += tpl.allocated
-        self.entered += tpl.entered
-        m = [*slots, *range(base, self.slot_count)]
-        self.fresh.update([m[p] for p in tpl.fresh_after])
-        self.stmts += _renamed_stmts(tpl.stmts, m)
-        return _value_renamed(tpl.value, m)
 
     @staticmethod
     def validate_block(block: InPlaceBlock, line, fname) -> None:
@@ -2370,10 +2371,7 @@ def flatten(program, params: dict | None = None,
     fl = Flattener(program, params)
     name, inputs, layout, outputs = fl.run()
     if counts is not None:
-        counts.update(call_templates=fl.call_templates,
-                      call_replays=fl.call_replays,
-                      assign_templates=fl.assign_templates,
-                      assign_replays=fl.assign_replays)
+        counts.update(fl.counts)
     return FlatProgram(name=name, input_slots=inputs, output_slots=outputs,
                        statements=fl.stmts, slot_count=fl.slot_count,
                        input_layout=layout)

@@ -75,6 +75,33 @@ def test_cyclic_netlist_rejected():
         parse_blif(src)
 
 
+# a signal error names the line of its cover, or of its `.outputs`
+SIGNAL_ERRORS = {
+    "repeated-input": (".model m\n.inputs a\n.outputs c\n"
+                       ".names a a c\n11 1\n.end\n",
+                       "line 4: signal 'a' appears twice in the cover "
+                       "for 'c'"),
+    "undefined-input": (".model m\n.inputs x\n.outputs a\n"
+                        ".names x a\n1 1\n.names b x2\n1 1\n.end\n",
+                        "line 6: undefined signal 'b' in cover for 'x2'"),
+    "undefined-output": (".model m\n.inputs a\n.outputs a\n.outputs z\n"
+                         ".names a y\n1 1\n.end\n",
+                         "line 4: undefined output signal 'z'"),
+    "cycle": (".model m\n.inputs a\n.outputs y\n"
+              ".names a p y\n11 1\n.names a c p\n11 1\n"
+              ".names a p c\n11 1\n.end\n",
+              "line 6: cyclic signal dependency through 'p'"),
+}
+
+
+@pytest.mark.parametrize("case", SIGNAL_ERRORS)
+def test_signal_errors_name_their_line(case):
+    src, error = SIGNAL_ERRORS[case]
+    with pytest.raises(BlifError) as exc:
+        parse_blif(src)
+    assert str(exc.value) == error
+
+
 def test_mutually_exclusive():
     assert mutually_exclusive("0-1", "1--")
     assert not mutually_exclusive("0-1", "-0-")

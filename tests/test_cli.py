@@ -238,6 +238,21 @@ def test_stats_count_call_templates_and_replays(capsys):
     assert main(["stats", corpus_path("md5.rev"), "--param", "rounds=2"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert (rep["assign_templates"], rep["assign_replays"]) == (19, 440 - 19)
+    # every .rev job of the benchmark: a lost replay fails here, not only
+    # as a slower compile
+    for name, params, counters in [
+            ("sha2.rev", ["rounds=4"], (5, 39, 18, 298)),
+            ("sha2.rev", ["rounds=8"], (5, 83, 18, 298)),
+            ("sha2.rev", ["rounds=16"], (5, 171, 18, 298)),
+            ("md5.rev", ["rounds=2"], (4, 8, 19, 421)),
+            ("adder_ripple.rev", ["n=40"], (0, 0, 4, 74)),
+            ("adder_select.rev", [], (2, 3, 4, 6))]:
+        args = [a for p in params for a in ("--param", p)]
+        assert main(["stats", corpus_path(name), *args]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert (rep["call_templates"], rep["call_replays"],
+                rep["assign_templates"], rep["assign_replays"]) == counters, (
+                    name, params)
     assert main(["stats", corpus_path("majority.blif")]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert (rep["call_templates"], rep["call_replays"]) == (0, 0)
@@ -385,6 +400,22 @@ def test_blif_batch_report(tmp_path, capsys):
     rows = json.loads(report.read_text())
     assert len(rows) == 2
     assert all(r["toffoli_optimized"] <= r["toffoli_unoptimized"] for r in rows)
+
+
+def test_blif_cover_naming_an_input_twice_is_user_error(tmp_path, capsys):
+    # `.names a a c` would read one wire twice in a cube: it is rejected
+    # with its line, not met by the emitter
+    path = tmp_path / "twice.blif"
+    path.write_text(".model m\n.inputs a\n.outputs c\n"
+                    ".names a a c\n11 1\n.end\n")
+    error = "line 4: signal 'a' appears twice in the cover for 'c'"
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    report = tmp_path / "rows.json"
+    assert main(["blif", str(path), "--report", str(report)]) == 0
+    assert capsys.readouterr().err == f"{path}: skipped ({error})\n"
+    assert json.loads(report.read_text()) == [{"file": str(path),
+                                               "skipped": error}]
 
 
 def test_bad_param_is_user_error(capsys):

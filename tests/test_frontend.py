@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revc import frontend
 from revc.frontend import (
     CleanSlot, Compute, FlattenError, Flattener, InPlaceBlock,
     InterpretError, MAX_NESTING, ParseError, _renamed_stmts, flatten,
@@ -209,6 +210,32 @@ OUT_OF_RANGE = {
     "slice-before-start": ("let f (x : bool[2]) =\n    x.[0 - 1 .. 1]\n",
                            "line 2: slice [-1..1] out of range for 'x' "
                            "(size 2)"),
+    # the assignment is templated by its first iterations, and the key of
+    # its last raises the walk's error
+    "element-read-on-a-later-iteration": (
+        "let f (x : bool[2]) =\n"
+        "    let t = Array.zeroCreate 1\n"
+        "    for i in 0 .. 2 do\n"
+        "        t.[0] <- t.[0] <> x.[i]\n"
+        "    t\n",
+        "line 4: index 2 out of range for 'x' (size 2)"),
+    "element-write-on-a-later-iteration": (
+        "let f (x : bool[2]) =\n"
+        "    let t = Array.zeroCreate 2\n"
+        "    for i in 0 .. 2 do\n"
+        "        t.[i] <- x.[0] <> x.[1]\n"
+        "    t\n",
+        "line 4: index 2 out of range for 't' (size 2)"),
+    # the key pass of a templated assignment reads every leaf before the
+    # walk synthesizes the `&&` before x.[5] (past MAX_STATEMENT_GATES), so
+    # flatten's error is the source's, which has no gate bound
+    "element-read-after-a-gate-bound": (
+        "let f (x : bool[2]) =\n"
+        "    let t = Array.zeroCreate 1\n"
+        "    t.[0] <- "
+        + "(" * 40 + "x.[0]" + " <> x.[1] && x.[0])" * 40 + " <> x.[5]\n"
+        "    t\n",
+        "line 3: index 5 out of range for 'x' (size 2)"),
 }
 
 
@@ -1063,6 +1090,38 @@ def flat_outcome(ast) -> str:
         return f"error: {exc}"
 
 
+def assert_templates_match_the_walk(monkeypatch, ast, replays,
+                                    offs) -> None:
+    """The reference check of flatten's templates: the calls replayed are
+    of the kinds `replays` (seen on the one template path,
+    `Flattener.templated`), and the flat program (or error) is the same
+    with each list of key methods in `offs` switched off."""
+    kinds = set()
+    templated = Flattener.templated
+
+    def spy(self, kind, key, slots, walk, *args):
+        walked = []
+        value = templated(self, kind, key, slots,
+                          lambda *a: walked.append(a) or walk(*a), *args)
+        if kind is frontend.CALL and not walked:
+            kinds.add(IN_PLACE if value is None else OUT_OF_PLACE)
+        return value
+
+    with monkeypatch.context() as m:
+        m.setattr(Flattener, "templated", spy)
+        cached = flat_outcome(ast)
+    assert kinds == replays
+    for off in offs:
+        with monkeypatch.context() as m:
+            for name in off:
+                m.setattr(Flattener, name, lambda *args: None)
+            assert flat_outcome(ast) == cached, off
+
+
+# The reference check switches off call keys, assignment keys and both on
+# every input of the two tests below: the first test's inputs, which are
+# also the second's, with call keys off there, the rest in the second.  A
+# program without calls has no call keys to switch off.
 @pytest.mark.parametrize("ast,replays", [
     *(pytest.param(parse(src), TEMPLATE_REPLAYS[name], id=name)
       for name, src in TEMPLATE_CASES.items()),
@@ -1071,18 +1130,8 @@ def flat_outcome(ast) -> str:
       for name, params, replays in CORPUS_FLATTENS),
 ])
 def test_templates_match_fresh_inlining(monkeypatch, ast, replays):
-    kinds = set()
-    replay = Flattener.replay
-
-    def spy(self, tpl, slots):
-        kinds.add(IN_PLACE if tpl.value is None else OUT_OF_PLACE)
-        return replay(self, tpl, slots)
-
-    monkeypatch.setattr(Flattener, "replay", spy)
-    cached = flat_outcome(ast)
-    assert kinds == replays
-    monkeypatch.setattr(Flattener, "signature", lambda *args: None)
-    assert flat_outcome(ast) == cached
+    assert_templates_match_the_walk(monkeypatch, ast, replays,
+                                    [["signature"]])
 
 
 def test_replayed_computes_share_their_templates_forms():
@@ -1124,13 +1173,30 @@ def test_renaming_maps_the_args_and_shares_the_form():
                        Compute(5, bxor([bvar(7), bvar(6)]), False),
                        CleanSlot(7)]
     assert all(r.form is s.form for r, s in zip(renamed[:2], stmts))
-    # the map is checked once, as a whole, to be one-to-one: a renaming
-    # that merges two slots is refused even where no statement reads both
-    for m in ([5, 5, 7], {0: 5, 1: 5, 2: 7}):
-        with pytest.raises(ValueError, match="two slots to one"):
-            _renamed_stmts(stmts, m)
-        with pytest.raises(ValueError, match="two slots to one"):
-            _renamed_stmts([CleanSlot(2)], m)
+
+
+def test_every_slot_renaming_is_one_to_one(monkeypatch):
+    # `_renamed_stmts` does not check its map: each caller's is one-to-one
+    # by construction (distinct key or block slots, then new slots)
+    maps = {dict: 0, list: 0, tuple: 0}
+    renamed = frontend._renamed_stmts
+
+    def checked(stmts, m):
+        values = list(m.values() if isinstance(m, dict) else m)
+        assert len(set(values)) == len(values)
+        maps[type(m)] += 1
+        return renamed(stmts, m)
+
+    monkeypatch.setattr(frontend, "_renamed_stmts", checked)
+    sources = [*(parse(corpus(name), params=params)
+                 for name, params, _ in CORPUS_FLATTENS),
+               *(parse(looped_writes_program(seed)) for seed in range(40)),
+               *(parse(aliased_writes_program(seed)) for seed in range(20))]
+    for ast in sources:
+        flat_outcome(ast)  # a block's repr renames its body too
+    # recorded templates and new blocks (dicts), replays (lists) and
+    # blocks' bodies (tuples)
+    assert min(maps.values()) > 100, maps
 
 
 def captured_flag_program(*reads: str) -> str:
@@ -2077,18 +2143,20 @@ def test_looped_writes_agree_with_source():
     assert replayed >= 100
 
 
-@pytest.mark.parametrize("ast", [
-    *(pytest.param(parse(src), id=name) for name, src in TEMPLATE_CASES.items()),
-    *(pytest.param(parse(corpus(name), params=params), id=f"{name}-{params}")
-      for name, params, _ in CORPUS_FLATTENS),
-    *(pytest.param(parse(src), id=name)
+@pytest.mark.parametrize("ast,replays", [
+    *(pytest.param(parse(src), TEMPLATE_REPLAYS[name], id=name)
+      for name, src in TEMPLATE_CASES.items()),
+    *(pytest.param(parse(corpus(name), params=params), replays,
+                   id=f"{name}-{params}")
+      for name, params, replays in CORPUS_FLATTENS),
+    # programs without calls
+    *(pytest.param(parse(src), set(), id=name)
       for name, src in ASSIGNMENT_CASES.items()),
-    *(pytest.param(parse(looped_writes_program(seed)), id=f"looped-{seed}")
-      for seed in range(40)),
-    *(pytest.param(parse(aliased_writes_program(seed)), id=f"aliased-{seed}")
-      for seed in range(20)),
+    *(pytest.param(parse(looped_writes_program(seed)), set(),
+                   id=f"looped-{seed}") for seed in range(40)),
+    *(pytest.param(parse(aliased_writes_program(seed)), set(),
+                   id=f"aliased-{seed}") for seed in range(20)),
 ])
-def test_assignment_templates_match_the_walk(monkeypatch, ast):
-    cached = flat_outcome(ast)
-    monkeypatch.setattr(Flattener, "assign_key", lambda *args: None)
-    assert flat_outcome(ast) == cached
+def test_assignment_templates_match_the_walk(monkeypatch, ast, replays):
+    assert_templates_match_the_walk(monkeypatch, ast, replays, [
+        ["assign_key"], ["signature", "assign_key"]])
