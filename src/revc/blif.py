@@ -137,10 +137,16 @@ def parse_blif(text: str) -> BlifNetlist:
 
 
 def _check_signals(net: BlifNetlist, output_lines: dict[str, int]) -> None:
-    """Every signal read is defined and the covers have no cycle; an error
-    names the line of the cover, or of the output's `.outputs`."""
-    defined = set(net.inputs)
+    """Every signal is driven once, by a primary input or a cover, every
+    signal read is defined and the covers have no cycle; an error names
+    the line of the cover, or of the output's `.outputs`."""
+    inputs = set(net.inputs)
+    defined = set(inputs)
     for c in net.covers:
+        if c.output in inputs:
+            raise BlifError(f"cover for primary input {c.output!r}", c.line)
+        if c.output in defined:
+            raise BlifError(f"second cover for signal {c.output!r}", c.line)
         defined.add(c.output)
     for c in net.covers:
         for s in c.inputs:

@@ -15,12 +15,13 @@ each as one wire tuple, valid by construction, see emitter; `depth`, the
 ASAP layers where a gate occupies all its wires, and `toffoli_depth`,
 the same over the Toffolis alone), the plan's
 (`unclean_count`, `checkpoints`, `reversals_inserted`: eager's reversals
-after last use; `peak_live`: the most wires live between two actions,
-inputs included, the count `--qubits` bounds in the forward segments of
-an incremental plan, where the width also counts synthesis scratch
-wires), the dependency graph's (`mdd_nodes`, `mdd_read_edges`; only
-eager plans from the graph, so for the other strategies it is built for
-the report, outside the timed stages),
+after last use; `peak_live`: the most wires live after any forward or
+backward run of a statement of the plan, inputs included, the count
+`--qubits` bounds in the forward segments of an incremental plan, where
+the width also counts synthesis scratch wires), the dependency graph's
+(`mdd_nodes`, `mdd_read_edges`; only eager plans from the graph, so for
+the other strategies it is built for the report, outside the timed
+stages),
 the flat program's (`flat_statements`, `inplace_blocks`,
 `block_templates`: distinct block tokens, i.e. the shared block bodies
 the blocks run; `block_body_statements`: the blocks' body lengths summed,

@@ -33,9 +33,9 @@ distinct wires before its heap operations; it cannot check after them,
 since a scratch wire a recipe frees may come back for a later register.
 Every other wire is one the heap hands out, never a live one, so the
 registers live at once hold distinct wires, each below the width.  A
-copy's gates pair a slot's wire with a fresh one, and an uncopy checks
-each pair.  `Circuit(...)`, `parse_circuit` and `reverse` still check
-every gate.
+forward copy's gates pair a slot's wire with a fresh one, and a
+backward copy checks each pair.  `Circuit(...)`, `parse_circuit` and
+`reverse` still check every gate.
 
 In-place blocks are run from block recipes, one per token (a block is a
 token and its slots, see `InPlaceBlock` in frontend), direction and entry
@@ -61,6 +61,13 @@ live slot, a target inside its expression) on registers; replay checks
 that the entry wires are distinct, so registers live at once are
 distinct wires.
 
+A plan is forward and backward runs of statements (see scheduler), and
+each runs by the rule of its class: a `Compute`, an `InPlaceBlock`, a
+`CleanSlot` or a plan's `Copy`.  A copy's new slots are fresh writes,
+so a checkpoint needs no rule of its own: the scheduler has renamed the
+statements after it onto the copies.  The outputs are read off the
+plan's `output_slots`.
+
 The scheduler places checkpoints without running the emitter: under the
 rules below each statement changes the live count by a constant, a block
 by its token's `delta` (see `scheduler.stmt_delta`).  That count is
@@ -74,7 +81,7 @@ from .ancilla import AncillaHeap
 from .boolexpr import BoolExp, Recipe, Registers, check_recipe, compile_form
 from .circuit import Circuit, built_circuit
 from .frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
-from .scheduler import Action, CleanupPlan, schedule
+from .scheduler import Action, CleanupPlan, Copy, schedule
 
 
 class Emitter:
@@ -84,12 +91,6 @@ class Emitter:
         self.heap = AncillaHeap(base=n)
         self.slot_map: dict[int, int] = {s: i for i, s in enumerate(program.input_slots)}
         self.gates: list[tuple[int, ...]] = []
-        self.output_wires: list[int] | None = None
-        # per-run records keyed by the copy action they belong to (an
-        # action's `ref`, or the copy itself), so that plans stay read-only:
-        # its fanout wires, and the slot map its remap replaced
-        self.copy_wires: dict[Action, list[int]] = {}
-        self.saved_maps: dict[Action, dict] = {}
         # synthesis caches: id(form) -> (form, its recipe), see `_learn`;
         # form -> recipe.  An entry keeps its form alive, so the id is not
         # reused
@@ -212,65 +213,31 @@ class Emitter:
         check_recipe(recipe)
         return recipe, exit
 
-    # -- plan rules: (self, action, forward) --------------------------------
-
-    def _copy(self, action: Action, forward: bool) -> None:
-        """A copy fans the slots out onto fresh wires; its uncopy runs the
-        gates in reverse and returns the wires."""
-        src = [self._wire_of(s) for s in action.slots]
+    def _copy(self, copy: Copy, forward: bool) -> None:
+        """dst ^= src, slot by slot: forwards each dst is a fresh write;
+        backwards the gates run in reverse and free the dst wires."""
+        src = [self._wire_of(s) for s in copy.src]
         intern = self.intern
         if forward:
-            dst = [self.heap.alloc() for _ in action.slots]
+            dst = [self._fresh_wire(d) for d in copy.dst]
             self.gates += [intern(g, g) for g in zip(src, dst)]
-            self.copy_wires[action.ref or action] = dst
-            if action.tag == "output":
-                self.output_wires = dst
             return
-        # the copy's wires are those its slots held at unremap (see
-        # `_remap`), but the source values may have migrated to other
-        # wires by now: they are resolved through the current slot map.
-        # A copy wire is not fresh here, so each pair is checked
-        dst = self.copy_wires[action.ref]
+        # a dst wire is not fresh here, so each pair is checked
+        dst = [self._wire_of(d) for d in copy.dst]
         if any(map(int.__eq__, src, dst)):
-            raise RuntimeError("uncopy of a slot onto its own wire")
+            raise RuntimeError("copy of a slot onto its own wire")
         self.gates += [intern(g, g) for g in zip(reversed(src), reversed(dst))]
-        for d in dst:
-            self.heap.free(d)
+        for d in copy.dst:
+            self.heap.free(self.slot_map.pop(d))
 
-    def _remap(self, action: Action, forward: bool) -> None:
-        """Remap points the slots at their copy's wires; unremap points
-        them back."""
-        slot_map = self.slot_map
-        if forward:
-            dst = self.copy_wires[action.ref]
-            self.saved_maps[action.ref] = {s: slot_map.get(s)
-                                           for s in action.slots}
-            for s, d in zip(action.slots, dst):
-                slot_map[s] = d
-            return
-        # the copy now lives on its slots' wires: a `clean` between remap
-        # and here freed a copy wire, and its reversal took another
-        self.copy_wires[action.ref][:] = [slot_map[s] for s in action.slots]
-        prev_map = self.saved_maps[action.ref]
-        for s in action.slots:
-            prev = prev_map[s]
-            if prev is None:
-                del slot_map[s]
-            else:
-                slot_map[s] = prev
-
-    # (action kind, class of its statement) -> (the name of its rule,
-    # forward); a rule takes the statement, or the action if it has none.
-    # Rules are looked up by name, so that a subclass may override one
-    RULES = {**{(kind, cls): (name, kind == "fwd")
-                for cls, name in ((Compute, "_compute"),
-                                  (InPlaceBlock, "_run_block"),
-                                  (CleanSlot, "_clean"))
-                for kind in ("fwd", "bwd")},
-             ("copy", type(None)): ("_copy", True),
-             ("uncopy", type(None)): ("_copy", False),
-             ("remap", type(None)): ("_remap", True),
-             ("unremap", type(None)): ("_remap", False)}
+    # (direction, class of the statement) -> (the name of its rule,
+    # forward).  Rules are looked up by name, so that a subclass may
+    # override one
+    RULES = {(kind, cls): (name, kind == "fwd")
+             for cls, name in ((Compute, "_compute"),
+                               (InPlaceBlock, "_run_block"),
+                               (CleanSlot, "_clean"), (Copy, "_copy"))
+             for kind in ("fwd", "bwd")}
 
     # -- running a plan -----------------------------------------------------
 
@@ -283,26 +250,22 @@ class Emitter:
         rules = {key: (getattr(self, name), forward)
                  for key, (name, forward) in self.RULES.items()}
         for a in actions:
-            stmt = a.stmt
-            rule, forward = rules[a.kind, stmt.__class__]
-            rule(a if stmt is None else stmt, forward)
+            rule, forward = rules[a.kind, a.stmt.__class__]
+            rule(a.stmt, forward)
 
     def run(self, plan: CleanupPlan) -> Circuit:
         """Apply every action of the plan; the finished circuit."""
         self.apply_all(plan.actions)
-        return self.finish()
+        return self.finish(plan.output_slots)
 
-    def finish(self) -> Circuit:
-        """The circuit of the gates so far, which are valid by
-        construction (see the module docstring), so it is built without
-        checking each gate again."""
-        program = self.program
-        if self.output_wires is not None:
-            outputs = list(self.output_wires)
-        else:
-            outputs = [self._wire_of(s) for s in program.output_slots]
+    def finish(self, output_slots) -> Circuit:
+        """The circuit of the gates so far, its outputs on the wires of
+        `output_slots`.  The gates are valid by construction (see the
+        module docstring), so it is built without checking each gate
+        again."""
         return built_circuit(self.width, list(self.gates),
-                             list(range(len(program.input_slots))), outputs)
+                             list(range(len(self.program.input_slots))),
+                             [self._wire_of(s) for s in output_slots])
 
 
 class _Walker(Emitter):

@@ -159,13 +159,13 @@ and tests.
 Hostile input is a one-line error with a line, never a traceback or a
 hang: the parser bounds nesting at MAX_NESTING levels, the walk rejects
 a call to a function that is already running and turns a stack overflow
-into an error at the item being run, and flatten rejects an `&&` or `||`
-chain whose synthesis would pass MAX_STATEMENT_GATES gates.  A chain of
-one operator (`&&`, `||` or `<>`) is gathered with an explicit stack
-(`_chain`) and evaluated in one call, and an integer chain (`+ -` or
-`* / %`) folds its left spine in a loop (`_int_chain`), so a chain's
-length costs no stack depth; `||` lowers all its operands at once (see
-`bor`).
+into an error at the item being run, and flatten rejects a statement
+whose synthesis would pass MAX_STATEMENT_GATES gates, once its operands
+are read.  A chain of one operator (`&&`, `||` or `<>`) is gathered with
+an explicit stack (`_chain`) and evaluated in one call, and an integer
+chain (`+ -` or `* / %`) folds its left spine in a loop (`_int_chain`),
+so a chain's length costs no stack depth; `||` lowers all its operands
+at once (see `bor`).
 """
 
 from __future__ import annotations
@@ -1428,7 +1428,7 @@ class _Walker:
     domain's `error`.  A domain supplies what a slot holds:
 
       const(v), read(slot)     the bit expression of a constant, a slot
-      chain(op, args, line)    the `&&`, `||` or `<>` of bit expressions
+      chain(op, args)          the `&&`, `||` or `<>` of bit expressions
       put(slot, e)             e on a new slot (`compute`)
       write_in_place(slot, e)  e onto a slot a target holds
       clean_slot(slot, item)   release a slot that is not fresh
@@ -1558,7 +1558,7 @@ class _Walker:
             return self.const(e.value)
         if isinstance(e, ENot):
             return self.chain("<>", [self.eval_scalar(e.arg, scope),
-                                     self.const(True)], None)
+                                     self.const(True)])
         if isinstance(e, EBin):
             if e.op in ("&&", "||", "<>"):
                 # one call per chain of one operator: `||` lowers all its
@@ -1570,7 +1570,7 @@ class _Walker:
                     if args and self.mark() != start:
                         args = self.read_before(args, start)
                     args.append(a)
-                return self.chain(e.op, args, e.line)
+                return self.chain(e.op, args)
             raise self.error(f"integer operator {e.op!r} in bit context",
                              e.line)
         return self.bit_expr(self.eval_value(e, scope), e)
@@ -1686,11 +1686,17 @@ class _Walker:
     # -- calls -----------------------------------------------------------------
     def call(self, f: _FuncVal, args: list, line: int, target=(), ret=None):
         """Run call `f args`, in place onto `target` if `ret` (f's result
-        binding) is given, and return its value (None in place)."""
+        binding) is given, and return its value (None in place).  The
+        calling item's line is the line again after it, as after a call
+        replayed from a template."""
+        outer = self.line
+        value = None
         if ret is None:
-            return self.inline_call(f, args, line=line)
-        self.inline_in_place(f, args, target, ret, line)
-        return None
+            value = self.inline_call(f, args, line=line)
+        else:
+            self.inline_in_place(f, args, target, ret, line)
+        self.line = outer
+        return value
 
     def inline_in_place(self, f: _FuncVal, args: list, target: list[int],
                         ret: LetBind, line: int) -> None:
@@ -1892,7 +1898,7 @@ class _Walker:
                 raise self.error("branches must produce bit values", e.line)
             if len(tbits) != len(xbits):
                 raise self.error("branches produce different widths", e.line)
-            slots = [self.mux(c, a, b, e.line) for a, b in zip(tbits, xbits)]
+            slots = [self.mux(c, a, b) for a, b in zip(tbits, xbits)]
             return (_ArrVal(slots) if _ArrVal in (type(t), type(x))
                     else _BitVal(slots[0]))
 
@@ -1911,11 +1917,10 @@ class _Walker:
         slots = _slots_of(v)
         return None if slots is None else [self.read(s) for s in slots]
 
-    def mux(self, c, t, x, line) -> int:
+    def mux(self, c, t, x) -> int:
         """A new slot holding t if c else x: c&t ^ c&x ^ x."""
         return self.compute(self.chain("<>", [
-            self.chain("&&", [c, t], line), self.chain("&&", [c, x], line), x],
-            line))
+            self.chain("&&", [c, t]), self.chain("&&", [c, x]), x]))
 
     # -- entry ---------------------------------------------------------------
     def run(self):
@@ -2035,17 +2040,24 @@ class Flattener(_Walker):
         variable, or 0 if it is fresh (unwritten or cleaned)."""
         return _ZERO if slot in self.fresh else bvar(slot)
 
-    def chain(self, op: str, args: list, line) -> BoolExp:
+    @staticmethod
+    def chain(op: str, args: list) -> BoolExp:
         if op == "<>":
             return bxor(args)
-        be = (band if op == "&&" else bor)(args)
-        if gate_count(be) > MAX_STATEMENT_GATES:
+        return (band if op == "&&" else bor)(args)
+
+    def bounded(self, e: BoolExp) -> BoolExp:
+        """e, the expression of a statement, if it synthesizes to at most
+        MAX_STATEMENT_GATES gates; checked once a statement's operands are
+        all read, so that an error in one comes first."""
+        if gate_count(e) > MAX_STATEMENT_GATES:
             raise FlattenError(f"expression synthesizes to more than "
-                               f"{MAX_STATEMENT_GATES} gates", line)
-        return be
+                               f"{MAX_STATEMENT_GATES} gates", self.line)
+        return e
 
     def put(self, slot: int, e: BoolExp) -> None:
-        self.stmts.append(Compute(slot, e, True))  # `emit` drops no fresh write
+        # `emit` drops no fresh write
+        self.stmts.append(Compute(slot, self.bounded(e), True))
 
     def clean_slot(self, slot: int, item: CleanStmt) -> None:
         self.emit(CleanSlot(slot))
@@ -2074,7 +2086,7 @@ class Flattener(_Walker):
         slot ^= d (e may read the slot's old value from a copy, say)."""
         if slot in self.fresh:
             self.fresh.discard(slot)
-            self.emit(Compute(slot, e, True))
+            self.emit(Compute(slot, self.bounded(e), True))
             return
         v = bvar(slot)
         if e == v:
@@ -2083,7 +2095,7 @@ class Flattener(_Walker):
                 if e.op == "xor" and e.args.count(v) == 1 else None)
         if rest is None or slot in variables(rest):
             rest = bvar(self.compute(bxor([e, v])))
-        self.emit(Compute(slot, rest, False))
+        self.emit(Compute(slot, self.bounded(rest), False))
 
     # -- templates -------------------------------------------------------------
     def templated(self, kind: tuple, key, slots: list[int], walk, *args):
@@ -2402,7 +2414,7 @@ class SourceInterpreter(_Walker):
         return self.vals.get(slot, 0)
 
     @staticmethod
-    def chain(op: str, args: list, line) -> int:
+    def chain(op: str, args: list) -> int:
         if op == "<>":
             return sum(args) & 1
         return int(all(args) if op == "&&" else any(args))

@@ -12,9 +12,9 @@ Three strategies:
                cleaned this way are marked Unclean and swept up by one
                final copy-out + full reversal;
   incremental  run forward under a total qubit budget; when the next step
-               would exceed the budget, copy the values still needed to
-               fresh wires (a checkpoint), reverse the current segment to
-               release its wires, and continue from the checkpoint; the
+               would exceed the budget, copy the values still needed onto
+               new slots (a checkpoint), reverse the current segment to
+               release its wires, and continue on the copies; the
                checkpoints themselves are cleaned by the final copy-out +
                full reversal.
 
@@ -22,20 +22,19 @@ Only eager reads the dependency graph; Bennett and incremental plan from
 the statement sequence alone, and `schedule` builds the graph for eager
 only.
 
-A plan is a tuple of Actions executed in order by the emitter:
-  fwd/bwd      run a flat statement forwards / in reverse,
-  copy/uncopy  CNOT-fanout a slot list onto fresh wires / undo it,
-  remap/unremap  switch slots over to their checkpoint copies and back.
-
-Every action has an exact inverse, so reversing a plan segment is just
-inverting its actions in reverse order.  Actions and plans are frozen:
-each strategy builds its plan in one constructor call, and a plan is pure
-data that can be emitted any number of times.  An Action is a named tuple
-of its five fields, cheap to build since plans hold thousands of them
-(4,321 for SHA-2 rounds=16 under Bennett).  It compares and hashes by
-identity, so two actions with equal fields stay two events of the plan
-(the emitter keys a copy's wires by the copy), and assigning to a field
-raises FrozenInstanceError.
+A plan is a tuple of Actions executed in order by the emitter, each a
+forward (`fwd`) or backward (`bwd`) run of a statement: a flat statement
+(see frontend) or a `Copy`, which only plans hold.  A copy fans slots
+out onto new slots, numbered from the program's `slot_count` up; its
+backward run uncomputes them.  Every action's inverse flips its
+direction, so reversing a plan segment is inverting its actions in
+reverse order.  A checkpoint renames: every statement after it reads
+and writes the copies instead of the slots they copy, and a segment and
+its mirror share the renamed statements.  The outputs end on the slots
+of the final output copy (`CleanupPlan.output_slots`), or on the
+program's own for an eager plan with no Unclean value.  Actions and
+plans are frozen: each strategy builds its plan in one constructor call,
+and a plan is pure data that can be emitted any number of times.
 
 Cost of the eager pass: linear in the statements plus the inserted
 reversals.  Each terminal's mutation path is walked once, back from the
@@ -79,11 +78,13 @@ one.  Placing checkpoints by dynamic programming (ROADMAP item 3, step
 from __future__ import annotations
 
 import time
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from typing import NamedTuple
 
-from .frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
+from .frontend import (
+    CleanSlot, Compute, FlatProgram, InPlaceBlock, _renamed_stmts,
+)
 from .mdd import MDD, OP, OUTPUT, build_mdd
 
 # node dispositions (eager)
@@ -91,45 +92,36 @@ CLEANED_EAGERLY = "CleanedEagerly"
 UNCLEAN = "Unclean"
 
 
+class Copy(NamedTuple):
+    """dst[k] := src[k] for each k, `dst` being new slots: the fanout of a
+    checkpoint or of the outputs."""
+    src: tuple
+    dst: tuple
+
+
 class Action(NamedTuple):
-    kind: str  # fwd | bwd | copy | uncopy | remap | unremap
-    stmt: object = None
-    slots: tuple = ()
-    tag: str = ""  # copy purpose: "output" | "checkpoint"
-    ref: "Action | None" = None  # remap/unremap -> their copy action
-
-    # one event of a plan, compared by identity (see the module docstring)
-    __eq__ = object.__eq__
-    __ne__ = object.__ne__
-    __hash__ = object.__hash__
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    kind: str  # fwd | bwd
+    stmt: object  # a flat statement or a Copy
 
 
-# action kind -> the kind of its inverse
-_FLIP = {"fwd": "bwd", "bwd": "fwd", "copy": "uncopy", "uncopy": "copy",
-         "remap": "unremap", "unremap": "remap"}
+_FLIP = {"fwd": "bwd", "bwd": "fwd"}
 
 
 def invert(a: Action) -> Action:
-    """Exact inverse action.  `ref` names the original action, or the copy
-    the original already named, so every uncopy, remap and unremap names
-    its copy, under which the emitter records the copy's fanout wires and
-    remap's saved slot map."""
-    kind, stmt, slots, tag, ref = a
-    return Action(_FLIP[kind], stmt, slots, tag, ref or a)
+    """The action with the other direction."""
+    return Action(_FLIP[a.kind], a.stmt)
 
 
 def mirror(actions) -> list[Action]:
     return [invert(a) for a in reversed(actions)]
 
 
-def _swept(actions: list, program: FlatProgram) -> tuple:
-    """`actions`, a copy of the outputs to fresh wires, then the mirror of
-    `actions`: the final sweep that cleans whatever `actions` left."""
-    out_copy = Action("copy", slots=tuple(program.output_slots), tag="output")
-    return (*actions, out_copy, *mirror(actions))
+def _swept(actions: list, outputs, base: int) -> tuple:
+    """`actions`, a copy of the slots `outputs` onto new slots from `base`
+    up, then the mirror of `actions`: the final sweep that cleans whatever
+    `actions` left.  Also the new slots, where the outputs end."""
+    out = Copy(tuple(outputs), tuple(range(base, base + len(outputs))))
+    return (*actions, Action("fwd", out), *mirror(actions)), out.dst
 
 
 @dataclass(frozen=True)
@@ -137,6 +129,8 @@ class CleanupPlan:
     strategy: str
     program: FlatProgram
     actions: tuple
+    output_slots: tuple  # where the outputs end
+    cuts: tuple = ()  # checkpoints as (statement index, slots saved)
     mdd: MDD | None = None  # eager's graph; None for the other strategies
     dispositions: dict = field(default_factory=dict)  # eager: node id -> tag
     reversals_inserted: int = 0  # eager: bwd actions that clean a value
@@ -146,14 +140,8 @@ class CleanupPlan:
         return [n for n, d in self.dispositions.items() if d == UNCLEAN]
 
     @property
-    def copied_outputs(self) -> bool:
-        return any(a.kind == "copy" and a.tag == "output"
-                   for a in self.actions)
-
-    @property
     def checkpoints(self) -> int:
-        return sum(a.kind == "copy" and a.tag == "checkpoint"
-                   for a in self.actions)
+        return len(self.cuts)
 
 
 class BudgetError(Exception):
@@ -269,10 +257,11 @@ def eager_cleanup(g: MDD) -> CleanupPlan:
         if bucket is not None:
             for nid in bucket:
                 append(Action("bwd", nodes[nid].stmt))
+    outputs = tuple(program.output_slots)
     if UNCLEAN in dispositions.values():
         # copy & reverse: sweep everything that is left
-        actions = _swept(actions, program)
-    return CleanupPlan("eager", program, tuple(actions), mdd=g,
+        actions, outputs = _swept(actions, outputs, program.slot_count)
+    return CleanupPlan("eager", program, tuple(actions), outputs, mdd=g,
                        dispositions=dispositions,
                        reversals_inserted=len(bucket_of))
 
@@ -286,37 +275,26 @@ def stmt_delta(stmt) -> int:
     backwards negates it.  A fresh write takes a wire, a clean frees one
     and an accumulation neither, since flatten leaves no statement that
     reads or cleans a slot with no wire or writes fresh a slot with one
-    (see frontend).  A block's is its token's `delta`."""
+    (see frontend).  A block's is its token's `delta`, a copy's the
+    number of slots it writes."""
     if isinstance(stmt, Compute):
         return int(stmt.fresh)
     if isinstance(stmt, CleanSlot):
         return -1
     if isinstance(stmt, InPlaceBlock):
         return stmt.token.delta
+    if isinstance(stmt, Copy):
+        return len(stmt.dst)
     raise TypeError(stmt)
 
 
 def live_profile(plan: CleanupPlan) -> list[int]:
     """The emitter's live count (inputs plus live ancillas) after each
     action of the plan, from statement deltas alone."""
-    live = len(plan.program.input_slots)
-    profile = []
-    for a in plan.actions:
-        kind = a.kind
-        if kind == "fwd":
-            live += stmt_delta(a.stmt)
-        elif kind == "bwd":
-            live -= stmt_delta(a.stmt)
-        elif kind == "copy":
-            live += len(a.slots)
-        elif kind == "uncopy":
-            live -= len(a.slots)
-        elif kind != "remap" and kind != "unremap":
-            # remap moves slots onto the copy's wires, which stay counted
-            # until uncopy, and unremap moves them back
-            raise ValueError(f"unknown action {kind!r}")
-        profile.append(live)
-    return profile
+    sign = {"fwd": 1, "bwd": -1}
+    return list(accumulate(
+        [sign[a.kind] * stmt_delta(a.stmt) for a in plan.actions],
+        initial=len(plan.program.input_slots)))[1:]
 
 
 class _IncrementalPlanner:
@@ -360,8 +338,8 @@ class _IncrementalPlanner:
 
         Run forward while the next statement keeps the live count within
         the budget.  When it would not, copy the segment's values needed
-        later to fresh wires, run the segment backwards to release its
-        wires, and continue with the saved values remapped onto the copies.
+        later to new slots, run the segment backwards to release its
+        wires, and continue with the statements renamed onto the copies.
         The copy itself may push the count past the budget by up to the
         number of saved slots: the budget bounds the computation segments,
         not the instantaneous fanout.
@@ -386,8 +364,8 @@ class _IncrementalPlanner:
                     f"budget of {budget} qubits cannot fit statement {i}")
             needed = tuple(sorted(s for s in seg_written
                                   if last_use.get(s, -1) >= i))
-            # the copy fans the saved slots out, the reversal takes back
-            # what the segment added, and remap moves no wire
+            # the copy fans the saved slots out, and the reversal takes
+            # back what the segment added
             live += len(needed) - sum(delta[seg_start:i])
             cuts.append((i, needed))
             seg_start = i
@@ -398,18 +376,33 @@ class _IncrementalPlanner:
 def _checkpointed_plan(program: FlatProgram, cuts: list,
                        strategy: str = "incremental") -> CleanupPlan:
     """The plan with checkpoints at `cuts` (as `_IncrementalPlanner.cuts`
-    gives them), swept by a final output copy and a full mirror."""
+    gives them), swept by a final output copy and a full mirror.  Each
+    statement after a checkpoint is renamed once, onto the copies; those
+    before the first checkpoint are the program's own."""
     stmts = program.statements
+    names = list(range(program.slot_count))  # slot -> the slot of its value
+    top = program.slot_count  # the least slot no copy has written
+
+    def forward(start: int, end: int) -> list[Action]:
+        run = stmts[start:end]
+        return [Action("fwd", s)
+                for s in (_renamed_stmts(run, names) if start else run)]
+
     actions: list[Action] = []
     start = 0
     for i, needed in cuts:
-        segment = [Action("fwd", s) for s in stmts[start:i]]
-        copy = Action("copy", slots=needed, tag="checkpoint")
-        actions += [*segment, copy, *mirror(segment),
-                    Action("remap", slots=needed, ref=copy)]
+        segment = forward(start, i)
+        copy = Copy(tuple([names[s] for s in needed]),
+                    tuple(range(top, top + len(needed))))
+        actions += [*segment, Action("fwd", copy), *mirror(segment)]
+        for s, d in zip(needed, copy.dst):
+            names[s] = d
+        top += len(needed)
         start = i
-    actions += [Action("fwd", s) for s in stmts[start:]]
-    return CleanupPlan(strategy, program, _swept(actions, program))
+    actions, outputs = _swept(
+        [*actions, *forward(start, len(stmts))],
+        [names[s] for s in program.output_slots], top)
+    return CleanupPlan(strategy, program, actions, outputs, tuple(cuts))
 
 
 def incremental_cleanup(source: FlatProgram,

@@ -40,6 +40,17 @@ def ripple(n: int) -> FlatProgram:
     return prog_of(corpus("adder_ripple.rev"), {"n": n})
 
 
+def chain_program(k: int) -> FlatProgram:
+    """t_i = t_{i-1} && t_{i-2}"""
+    lines = ["let chain (x : bool[2]) ="]
+    prev = ("x.[0]", "x.[1]")
+    for i in range(k):
+        lines.append(f"    let t{i} = {prev[0]} && {prev[1]}")
+        prev = (f"t{i}", prev[0])
+    lines += [f"    {prev[0]}", "", "chain"]
+    return prog_of("\n".join(lines))
+
+
 def bits_of(value: int, n: int) -> list[int]:
     return [(value >> i) & 1 for i in range(n)]
 

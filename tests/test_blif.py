@@ -87,6 +87,12 @@ SIGNAL_ERRORS = {
     "undefined-output": (".model m\n.inputs a\n.outputs a\n.outputs z\n"
                          ".names a y\n1 1\n.end\n",
                          "line 4: undefined output signal 'z'"),
+    "two-covers": (".model m\n.inputs a b\n.outputs y\n"
+                   ".names a y\n1 1\n.names b y\n1 1\n.end\n",
+                   "line 6: second cover for signal 'y'"),
+    "cover-of-input": (".model m\n.inputs a b\n.outputs b\n"
+                       ".names a b\n1 1\n.end\n",
+                       "line 4: cover for primary input 'b'"),
     "cycle": (".model m\n.inputs a\n.outputs y\n"
               ".names a p y\n11 1\n.names a c p\n11 1\n"
               ".names a p c\n11 1\n.end\n",

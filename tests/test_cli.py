@@ -418,6 +418,24 @@ def test_blif_cover_naming_an_input_twice_is_user_error(tmp_path, capsys):
                                                "skipped": error}]
 
 
+@pytest.mark.parametrize("src,error", [
+    (".model m\n.inputs a b\n.outputs y\n.names a y\n1 1\n"
+     ".names b y\n1 1\n.end\n", "line 6: second cover for signal 'y'"),
+    (".model m\n.inputs a b\n.outputs b\n.names a b\n1 1\n.end\n",
+     "line 4: cover for primary input 'b'"),
+], ids=["two-covers", "cover-of-input"])
+@pytest.mark.parametrize("command", ["sim", "verify"])
+def test_blif_signal_driven_twice_is_user_error(tmp_path, capsys, src, error,
+                                                command):
+    # a second driver of a signal, cover or primary input, would silently
+    # override the first
+    path = tmp_path / "twice.blif"
+    path.write_text(src)
+    extra = ["--inputs", "01"] if command == "sim" else []
+    assert main([command, str(path), *extra]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_bad_param_is_user_error(capsys):
     rc = main(["compile", corpus_path("adder_ripple.rev"), "--param", "n=ten"])
     assert rc == 1

@@ -14,7 +14,7 @@ from revc.emitter import Emitter, compile_flat, emit
 from revc.frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
 from revc.mdd import build_mdd
 from revc.scheduler import (
-    Action, BudgetError, bennett_cleanup, eager_cleanup, schedule,
+    Action, BudgetError, Copy, bennett_cleanup, eager_cleanup, schedule,
 )
 
 from helpers import corpus, prog_of, ripple
@@ -63,7 +63,7 @@ def test_bennett_mirror_is_gatewise_inverse():
 @pytest.mark.parametrize("strategy,budget", [
     ("bennett", None), ("eager", None), ("incremental", 672)])
 def test_plan_emits_identically_twice(strategy, budget):
-    # emission keeps its per-run records off the plan, so a plan is reusable
+    # a plan is data that emission does not change, so it is reusable
     prog = prog_of(corpus("sha2.rev"), {"rounds": 4})
     plan = schedule(prog, strategy, budget)
     first, second = emit(plan), emit(plan)
@@ -301,6 +301,18 @@ def test_fresh_write_to_live_slot_is_rejected():
         em.apply(Action("fwd", stmt=Compute(stmt.slot, stmt.expr, True)))
 
 
+def test_copy_onto_its_own_slot_is_rejected_before_any_gate():
+    # a plan's copies write new slots; a hand-built one may not
+    prog = prog_of(AND_SRC)
+    em = Emitter(prog)
+    copy = Copy((0,), (0,))
+    with pytest.raises(RuntimeError, match="fresh write to live slot 0"):
+        em.apply(Action("fwd", copy))
+    with pytest.raises(RuntimeError, match="copy of a slot onto its own wire"):
+        em.apply(Action("bwd", copy))
+    assert em.gates == [] and em.live == len(prog.input_slots)
+
+
 # slot 3 is never written: a program from source never touches it, since
 # flatten reads such a slot as the constant 0
 UNWRITTEN_SLOT = {  # case -> (statements, output slots)
@@ -323,7 +335,7 @@ def test_slot_nothing_wrote_is_an_error(case):
     em = Emitter(prog)
     with pytest.raises(RuntimeError, match=r"^slot 3 has no wire$"):
         run_forward(em, prog)
-        em.finish()
+        em.finish(prog.output_slots)
 
 
 # The emitter's circuits are valid by construction: `finish` does not
@@ -462,4 +474,4 @@ def test_the_emitted_circuit_still_checks_its_header_wires():
     prog = FlatProgram(name="dup", input_slots=[0, 1], output_slots=[0, 0],
                        statements=[], slot_count=2)
     with pytest.raises(ValueError, match="output wire 0 repeated"):
-        Emitter(prog).finish()
+        Emitter(prog).finish(prog.output_slots)

@@ -236,6 +236,14 @@ OUT_OF_RANGE = {
         + "(" * 40 + "x.[0]" + " <> x.[1] && x.[0])" * 40 + " <> x.[5]\n"
         "    t\n",
         "line 3: index 5 out of range for 'x' (size 2)"),
+    # flatten checks the gate bound once the statement's operands are all
+    # read, so the `&&` chains past it do not raise before x.[5] does
+    "read-after-a-gate-bound-in-a-let": (
+        "let f (x : bool[2]) =\n"
+        "    let t = "
+        + "(" * 40 + "x.[0]" + " <> x.[1] && x.[0])" * 40 + " <> x.[5]\n"
+        "    t\n",
+        "line 2: index 5 out of range for 'x' (size 2)"),
 }
 
 
@@ -243,6 +251,24 @@ OUT_OF_RANGE = {
 def test_out_of_range_is_the_same_error_in_both_evaluators(case):
     src, error = OUT_OF_RANGE[case]
     assert_same_error(parse(src), 2, error)
+
+
+@pytest.mark.parametrize("first", ["walked", "replayed"])
+def test_gate_bound_names_the_item_that_makes_the_statement(first):
+    # after a call, walked or replayed from its template, the line is
+    # the calling item's again
+    big = "(" * 40 + "x.[0]" + " <> x.[1] && x.[0])" * 40
+    src = ("let f (x : bool[2]) =\n"
+           "    let g (a : bool) =\n"
+           "        a && x.[1]\n"
+           + ("    let u = g x.[0]\n" if first == "replayed" else "")
+           + f"    let t = g x.[0] && {big}\n"
+           "    t\n")
+    with pytest.raises(FlattenError) as exc:
+        flatten(parse(src))
+    line = 5 if first == "replayed" else 4
+    assert str(exc.value) == (f"line {line}: expression synthesizes to more "
+                              f"than {frontend.MAX_STATEMENT_GATES} gates")
 
 
 # values of the wrong kind, calls of the wrong arity, bad entry points and

@@ -17,11 +17,11 @@ from revc.frontend import (
     Compute, FlatProgram, InPlaceBlock, flatten, interpret, parse,
 )
 from revc.mdd import CLEAN, INIT, INPUT, OP, OUTPUT, build_mdd, to_dot
-from revc.scheduler import eager_cleanup
+from revc.scheduler import eager_cleanup, incremental_cleanup
 
 from helpers import (
-    INTERDEPENDENT, ONE_WAY, classify_paths, corpus, evaluate_mdd,
-    mutation_paths, prog_of,
+    INTERDEPENDENT, ONE_WAY, chain_program, classify_paths, corpus,
+    evaluate_mdd, mutation_paths, prog_of,
 )
 
 
@@ -178,19 +178,21 @@ def accumulation_chain(n: int) -> FlatProgram:
                        input_layout=[("a", 2)])
 
 
+def best(f) -> float:
+    """The fastest of three runs of f, in seconds."""
+    runs = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        f()
+        runs.append(time.perf_counter() - t0)
+    return min(runs)
+
+
 def test_eager_scales_linearly_on_an_accumulation_chain():
     # 4x the chain should take well under 10x the time to walk its path
     # and plan its cleanup; growing the path at its head made both
     # quadratic.  Best of three, with the collector off so that it times
     # the pass and not the heap
-    def best(f):
-        runs = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            f()
-            runs.append(time.perf_counter() - t0)
-        return min(runs)
-
     times = {}
     enabled = gc.isenabled()
     gc.disable()
@@ -210,6 +212,32 @@ def test_eager_scales_linearly_on_an_accumulation_chain():
     (path_small, plan_small), (path_big, plan_big) = times.values()
     assert path_big < max(path_small, 1e-4) * 8
     assert plan_big < plan_small * 8
+
+
+def test_checkpoint_renaming_scales_linearly_on_a_chain():
+    # each statement after a checkpoint is renamed once.  4x the chain at
+    # its minimum budget, 86 checkpoints to 39, should plan in well under
+    # 8x the time; and 86 checkpoints of the long chain in well under
+    # 2.5x the time of 4.  Renaming the rest of the program at every cut
+    # grows with the statements times the checkpoints: about 5x on the
+    # second ratio, 7x to 11x on the first.  Best of three, with the
+    # collector off
+    times = {}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for k, budget, checkpoints in ((2000, 91, 39), (8000, 180, 86),
+                                       (8000, 2000, 4)):
+            prog = chain_program(k)
+            plan = incremental_cleanup(prog, budget)
+            assert plan.checkpoints == checkpoints
+            times[k, budget] = best(lambda: incremental_cleanup(prog, budget))
+    finally:
+        if enabled:
+            gc.enable()
+    assert times[8000, 180] < times[2000, 91] * 8
+    assert times[8000, 180] < times[8000, 2000] * 2.5
+
 
 def test_clean_nodes_recorded():
     src = """

@@ -10,12 +10,12 @@ from revc.emitter import Emitter, emit
 from revc.frontend import CleanSlot, Compute, FlatProgram, InPlaceBlock
 from revc.mdd import OP, OUTPUT, build_mdd
 from revc.scheduler import (
-    CLEANED_EAGERLY, UNCLEAN, Action, BudgetError,
+    CLEANED_EAGERLY, UNCLEAN, Action, BudgetError, Copy,
     bennett_cleanup, eager_cleanup, incremental_cleanup, invert, live_profile,
     mirror, schedule,
 )
 
-from helpers import corpus, prog_of, random_program, ripple
+from helpers import chain_program, corpus, prog_of, random_program, ripple
 
 
 MUTATED_INPUT_SRC = """
@@ -27,17 +27,6 @@ let f (a : bool) (bin : bool) =
 
 f
 """
-
-
-def chain_program(k: int):
-    """t_i = t_{i-1} && t_{i-2}"""
-    lines = ["let chain (x : bool[2]) ="]
-    prev = ("x.[0]", "x.[1]")
-    for i in range(k):
-        lines.append(f"    let t{i} = {prev[0]} && {prev[1]}")
-        prev = (f"t{i}", prev[0])
-    lines += [f"    {prev[0]}", "", "chain"]
-    return prog_of("\n".join(lines))
 
 
 def cleaned_reads_chain_source(k: int) -> str:
@@ -60,28 +49,19 @@ def cleaned_reads_chain_source(k: int) -> str:
 
 def test_invert_is_involutive():
     a = Action("fwd", stmt="s")
-    assert invert(a).kind == "bwd"
-    assert invert(invert(a)).kind == "fwd"
-    c = Action("copy", slots=(1, 2), tag="output")
-    assert invert(c).kind == "uncopy"
-    assert invert(c).ref is c
+    assert invert(a) == Action("bwd", "s")
+    assert invert(invert(a)) == a
+    c = Action("fwd", Copy((1, 2), (5, 6)))
+    assert invert(c).kind == "bwd" and invert(c).stmt is c.stmt
+    assert invert(invert(c)) == c
 
 
 def test_actions_are_frozen():
-    a = Action("copy", slots=(1, 2), tag="output")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        a.slots = (3,)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        invert(a).ref = None
-
-
-def test_equal_looking_actions_stay_distinct():
-    # two checkpoint copies of the same slots are two events, each with
-    # wires of its own in the emitter
-    a, b = (Action("copy", slots=(1, 2), tag="checkpoint") for _ in "ab")
-    assert a == a and a != b and not a == b
-    assert len({a, b}) == 2 and len({invert(a), invert(a)}) == 2
-    assert tuple(a) == tuple(b)
+    a = Action("fwd", Copy((1, 2), (5, 6)))
+    with pytest.raises(AttributeError):
+        a.stmt = None
+    with pytest.raises(AttributeError):
+        a.stmt.dst = (3,)
 
 
 PLAN_CASES = {  # name -> (plan, its checkpoints, whether it copies outputs)
@@ -92,7 +72,20 @@ PLAN_CASES = {  # name -> (plan, its checkpoints, whether it copies outputs)
     "incremental-checkpoint": (
         lambda: incremental_cleanup(prog_of(corpus("sha2.rev"), {"rounds": 4}),
                                     672), 1, True),
+    "incremental-chain": (
+        lambda: incremental_cleanup(chain_program(24), 11), 3, True),
 }
+
+
+def named_slots(stmt) -> set:
+    """The slots a statement of a plan reads or writes."""
+    if isinstance(stmt, Compute):
+        return {stmt.slot, *stmt.args}
+    if isinstance(stmt, CleanSlot):
+        return {stmt.slot}
+    if isinstance(stmt, InPlaceBlock):
+        return set(stmt.slots)
+    return {*stmt.src, *stmt.dst}
 
 
 @pytest.mark.parametrize("case", PLAN_CASES)
@@ -102,21 +95,51 @@ def test_plans_are_immutable_data(case):
     with pytest.raises(dataclasses.FrozenInstanceError):
         plan.actions = ()
     assert type(plan.actions) is tuple
-    # the counters are read off the actions, not kept beside them
+    # the counters are read off the plan's data, not kept beside it
     fields = {f.name for f in dataclasses.fields(plan)}
-    assert not fields & {"checkpoints", "copied_outputs"}
-    copies = [a for a in plan.actions if a.kind == "copy"]
-    assert plan.checkpoints == checkpoints == sum(
-        a.tag == "checkpoint" for a in copies)
-    assert plan.copied_outputs == copied == any(
-        a.tag == "output" for a in copies)
-    # every uncopy, remap and unremap names an earlier copy of the plan
-    # directly, over the same slots
-    place = {a: i for i, a in enumerate(plan.actions)}
+    assert "checkpoints" not in fields
+    assert plan.checkpoints == checkpoints == len(plan.cuts)
+    copies = [a.stmt for a in plan.actions
+              if a.kind == "fwd" and isinstance(a.stmt, Copy)]
+    assert len(copies) == checkpoints + copied
+    assert mirror(mirror(plan.actions)) == list(plan.actions)
+
+
+@pytest.mark.parametrize("case", PLAN_CASES)
+def test_checkpoints_rename_onto_new_slots(case):
+    plan = PLAN_CASES[case][0]()
+    prog = plan.program
+    stmt_classes = (Compute, CleanSlot, InPlaceBlock, Copy)
+    assert all(a.kind in ("fwd", "bwd") and isinstance(a.stmt, stmt_classes)
+               for a in plan.actions)
+    named: set = set(range(prog.slot_count))  # by the actions so far
+    taken: set = set()  # slots whose values a copy took over
+    copies = []
     for i, a in enumerate(plan.actions):
-        if a.kind in ("uncopy", "remap", "unremap"):
-            assert a.ref.kind == "copy" and a.ref in place, (case, i)
-            assert place[a.ref] < i and a.ref.slots == a.slots, (case, i)
+        stmt = a.stmt
+        if isinstance(stmt, Copy):
+            if a.kind == "fwd":
+                # distinct new slots, named by no action before
+                assert len(set(stmt.dst)) == len(stmt.dst), (case, i)
+                assert min(stmt.dst) >= prog.slot_count, (case, i)
+                assert not named & set(stmt.dst), (case, i)
+                copies.append(stmt)
+                if len(copies) > plan.checkpoints:  # the output copy
+                    break
+                taken |= set(stmt.src)
+        elif a.kind == "fwd":
+            # the forward runs of the statements after a checkpoint
+            assert not named_slots(stmt) & taken, (case, i)
+        named |= named_slots(stmt)
+    assert len(copies) == plan.checkpoints + (plan.output_slots
+                                              != tuple(prog.output_slots))
+    if len(copies) > plan.checkpoints:
+        assert plan.output_slots == copies[-1].dst
+    # every copy is run backwards once, after it ran forwards
+    backward = [a.stmt for a in plan.actions
+                if a.kind == "bwd" and isinstance(a.stmt, Copy)]
+    assert backward == copies[:plan.checkpoints][::-1]
+    assert verify(prog, emit(plan)).ok
 
 
 def test_bennett_shape():
@@ -125,8 +148,13 @@ def test_bennett_shape():
     acts = plan.actions
     n = len(prog.statements)
     assert len(acts) == 2 * n + 1
-    assert [a.kind for a in acts[:n]] == ["fwd"] * n
-    assert acts[n].kind == "copy" and acts[n].tag == "output"
+    # the program's own statements forwards, then backwards
+    assert all(a.kind == "fwd" and a.stmt is s
+               for a, s in zip(acts[:n], prog.statements))
+    outputs = tuple(prog.output_slots)
+    new = tuple(range(prog.slot_count, prog.slot_count + len(outputs)))
+    assert acts[n] == Action("fwd", Copy(outputs, new))
+    assert plan.output_slots == new
     assert [a.kind for a in acts[n + 1:]] == ["bwd"] * n
     # exact mirror: same statements in reverse order
     for f, b in zip(acts[:n], reversed(acts[n + 1:])):
@@ -137,9 +165,11 @@ def test_bennett_shape():
 
 
 def test_eager_cleans_ripple_without_copy():
-    plan = eager_cleanup(build_mdd(ripple(8)))
+    prog = ripple(8)
+    plan = eager_cleanup(build_mdd(prog))
     assert not plan.unclean_nodes
-    assert not plan.copied_outputs
+    assert plan.output_slots == tuple(prog.output_slots)
+    assert not any(isinstance(a.stmt, Copy) for a in plan.actions)
     # every carry reversal is present: bwd count equals garbage count
     bwd = sum(1 for a in plan.actions if a.kind == "bwd")
     assert bwd == 7  # n-1 garbage carries
@@ -147,12 +177,19 @@ def test_eager_cleans_ripple_without_copy():
 
 
 def test_eager_marks_mutated_input_dependency_unclean():
-    plan = eager_cleanup(build_mdd(prog_of(MUTATED_INPUT_SRC)))
+    prog = prog_of(MUTATED_INPUT_SRC)
+    plan = eager_cleanup(build_mdd(prog))
     assert len(plan.unclean_nodes) == 1
-    assert plan.copied_outputs
-    # copy & reverse: the residue is swept by a full mirror
-    kinds = [a.kind for a in plan.actions]
-    assert kinds.count("copy") == 1
+    # copy & reverse: the residue is swept by a full mirror, after one
+    # copy of the outputs onto new slots
+    copies = [i for i, a in enumerate(plan.actions)
+              if isinstance(a.stmt, Copy)]
+    assert len(copies) == 1
+    (i,) = copies
+    assert plan.actions[i].kind == "fwd"
+    assert plan.actions[i].stmt.src == tuple(prog.output_slots)
+    assert plan.output_slots == plan.actions[i].stmt.dst
+    assert list(plan.actions[i + 1:]) == mirror(plan.actions[:i])
 
 
 def test_eager_single_path_equals_bennett_on_that_path():
@@ -178,20 +215,29 @@ def test_bennett_is_the_checkpointed_plan_with_no_cuts(source):
             "clean-chain": lambda: prog_of(clean_chain_source(3))}[source]()
     ben, inc = bennett_cleanup(prog), incremental_cleanup(prog)
     assert (ben.strategy, inc.strategy) == ("bennett", "incremental")
-    assert [(a.kind, a.stmt, a.slots, a.tag) for a in ben.actions] == [
-        (a.kind, a.stmt, a.slots, a.tag) for a in inc.actions]
-    assert ben.copied_outputs and ben.checkpoints == 0
+    assert ben.actions == inc.actions
+    assert ben.output_slots == inc.output_slots
+    assert ben.cuts == inc.cuts == () and ben.checkpoints == 0
+    # with no cut nothing is renamed: both run the program's own statements
+    stmts = [a.stmt for a in inc.actions if not isinstance(a.stmt, Copy)]
+    assert all(s is t for s, t in zip(stmts, prog.statements))
 
 
 def test_incremental_tight_budget_inserts_reverse_segment():
-    plan = incremental_cleanup(chain_program(24), qubit_budget=12)
+    prog = chain_program(24)
+    plan = incremental_cleanup(prog, qubit_budget=12)
     assert plan.checkpoints >= 1
-    kinds = [a.kind for a in plan.actions]
-    assert "remap" in kinds and "unremap" in kinds
+    stmts = [a.stmt for a in plan.actions]
     # a reverse segment appears before the final output copy
-    out_pos = next(i for i, a in enumerate(plan.actions)
-                   if a.kind == "copy" and a.tag == "output")
-    assert "bwd" in kinds[:out_pos]
+    out_pos = stmts.index(next(s for s in stmts if isinstance(s, Copy)
+                               and s.dst == plan.output_slots))
+    assert "bwd" in [a.kind for a in plan.actions[:out_pos]]
+    # the statements after the first checkpoint are renamed, those before
+    # it are the program's own
+    first = plan.cuts[0][0]
+    assert all(a.stmt is s for a, s in zip(plan.actions[:first],
+                                           prog.statements))
+    assert all(s is not t for s in stmts for t in prog.statements[first:])
 
 
 def test_incremental_infeasible_reports_minimum():
@@ -266,7 +312,7 @@ def test_live_profile_tracks_the_emitter_on_corpus(case):
     for plan in (bennett_cleanup(prog), eager_cleanup(build_mdd(prog))):
         profile = assert_profile_tracks_the_emitter(plan)
         # a copy-and-reverse plan ends with inputs and output copies live
-        if plan.copied_outputs:
+        if plan.output_slots != tuple(prog.output_slots):
             assert profile[-1] == len(prog.input_slots) + len(prog.output_slots)
 
 
