@@ -12,33 +12,36 @@ class AncillaHeap:
     free index is handed out first, the frontier moves only when every
     index below it is live: `frontier - base` is the peak number of live
     ancillas.
+
+    The pool keeps no set of live wires: a wire in [base, frontier) is
+    live unless it is in the free heap.  Every free the emitter makes is
+    valid by construction.  It frees a wire it pops from the slot map,
+    which maps each wire once, or a wire of a recipe register, and a
+    recipe frees only live registers: `compile_form` by construction, a
+    block recipe by `check_recipe` (see boolexpr).  The one bad free a
+    hand-built program can reach is a `CleanSlot` of an input slot, whose
+    wire is reserved; `free` rejects that.
     """
 
     def __init__(self, base: int = 0):
         self.base = base
         self._free: list[int] = []  # freed indices below the frontier
         self._frontier = base  # next never-used index
-        self._live: set[int] = set()
 
     def alloc(self) -> int:
         if self._free:
-            w = heapq.heappop(self._free)
-        else:
-            w = self._frontier
-            self._frontier += 1
-        self._live.add(w)
-        return w
+            return heapq.heappop(self._free)
+        self._frontier += 1
+        return self._frontier - 1
 
     def free(self, w: int) -> None:
-        try:
-            self._live.remove(w)
-        except KeyError:
-            raise ValueError(f"wire {w} is not allocated") from None
+        if w < self.base:
+            raise ValueError(f"wire {w} is not allocated")
         heapq.heappush(self._free, w)
 
     @property
     def live_count(self) -> int:
-        return len(self._live)
+        return self._frontier - self.base - len(self._free)
 
     @property
     def frontier(self) -> int:
@@ -46,4 +49,4 @@ class AncillaHeap:
         return self._frontier
 
     def state(self) -> tuple:
-        return (list(self._free), self._frontier, set(self._live))
+        return (list(self._free), self._frontier)

@@ -27,7 +27,7 @@ wire mapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ancilla import AncillaHeap
 
@@ -382,18 +382,14 @@ class Recipe:
     them is freed).  A run on distinct entry wires then gives valid gates
     only: live registers hold distinct wires, since the heap hands out no
     live wire, though a freed register's wire may come back for a later
-    one.  `compile_form` checks its gates where it makes them, which costs
-    less than a pass over them; a block recipe is passed through
-    `check_recipe` (see emitter).
+    one.  Nor does a run free a wire that is not live, so the pool does
+    not check the frees again (see ancilla).  `compile_form` checks its
+    gates where it makes them, which costs less than a pass over them; a
+    block recipe is passed through `check_recipe` (see emitter).
     """
     base: int
     heap_ops: tuple[int, ...]
     gates: tuple[tuple[int, int, int], ...]
-    # the gates in reverse order, which a backward run emits
-    backward: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "backward", self.gates[::-1])
 
     def replay(self, w: list[int], heap: AncillaHeap, gates: list,
                intern, forward: bool = True) -> None:
@@ -420,8 +416,8 @@ class Recipe:
                 w.append(heap.alloc())
             else:
                 heap.free(w[op])
-        gates += [intern(g, g)
-                  for a, b, c in (self.gates if forward else self.backward)
+        order = self.gates if forward else reversed(self.gates)
+        gates += [intern(g, g) for a, b, c in order
                   for g in [(w[a], w[b], w[c]) if c >= 0 else
                             (w[a], w[b]) if b >= 0 else (w[a],)]]
 

@@ -2,14 +2,14 @@
 
 A gate is the tuple of its wires, controls first and target last; its
 kind is its length (`kind`): one to three distinct integer wires in
-[0, width).  `Circuit(...)` checks each distinct gate once, as
-`parse_circuit` and `reverse` do through it.  The emitter's gates are
-valid by construction (each recipe is checked once and each statement's
-wires where it runs, see boolexpr and emitter), so `built_circuit` takes
-them without checking each gate again.  All three gates are
-self-inverse, so reversal is just reversing the gate order.  Simulation
-packs one sample per bit of a Python int, which lets `verify` run
-hundreds of random samples in a single pass over the gate list.
+[0, width).  `Circuit(...)` checks every gate in list order and names
+the first bad one; `parse_circuit` and `reverse` go through it.  The
+emitter's gates are valid by construction (each recipe is checked once
+and each statement's wires where it runs, see boolexpr and emitter), so
+`built_circuit` takes them without checking each gate again.  All three
+gates are self-inverse, so reversal is just reversing the gate order.
+Simulation packs one sample per bit of a Python int, which lets `verify`
+run hundreds of random samples in a single pass over the gate list.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 
 TOFFOLI = "tof"
 CNOT = "cnot"
@@ -66,18 +65,8 @@ class Circuit:
 
     def __post_init__(self):
         _check_header(self)
-        # each distinct gate once, in bulk (by equality: a bool or float
-        # wire in a gate equal to an integer one passes with it); if one
-        # fails, checking in list order names the first bad gate
-        width = self.width
-        distinct = set(self.gates)
-        wires = list(chain.from_iterable(distinct))
-        if distinct and (not set(map(len, distinct)) <= {1, 2, 3}
-                      or set(map(type, wires)) != {int}
-                      or min(wires) < 0 or max(wires) >= width
-                      or sum(map(len, map(set, distinct))) != len(wires)):
-            for g in self.gates:
-                check_gate(g, width)
+        for g in self.gates:
+            check_gate(g, self.width)
 
 
 def _check_header(c: Circuit) -> None:

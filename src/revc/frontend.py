@@ -92,9 +92,10 @@ first.  A pass that only
 reads finds the key, reading the target, and any leaf that holds no bit,
 as the walk does, so that an error there is the walk's.  A replay
 re-binds the target, so the unrolled iterations of a loop, and the
-statements of inlined calls, cost a lookup and a renaming each; an
-assignment's template passes no bound, enters no function and cleans
-nothing, so its replay checks nothing.
+statements of inlined calls, cost a lookup and a renaming each.  An
+assignment unrolls no loop, allocates no array, enters no function and
+cleans nothing, so `Flattener.templated` replays an assignment's
+template unchecked and a call's only if `replayable` allows it.
 
 An unwritten `Array.zeroCreate` slot is the constant 0, and a `clean`ed
 slot is fresh again: `clean` emits a `CleanSlot` for each of its slots
@@ -1383,9 +1384,10 @@ class _Template:
     (unwritten or cleaned) after it, and `cleans` those of the key's
     slots that it cleans.  `entered` are the ids
     of the definitions it inlined, and `iterations` and `allocated` what
-    it added to the unrolling and allocation counters.  `checked` is
-    whether any of those four is not empty, so that a replay must pass
-    `replayable`; no assignment's is.
+    it added to the unrolling and allocation counters.  A call's template
+    enters its own function at least, so its replay must pass
+    `replayable`; an assignment's enters no function, unrolls no loop,
+    allocates nothing and cleans nothing, so its replay checks nothing.
     """
     stmts: list
     value: object
@@ -1395,7 +1397,6 @@ class _Template:
     entered: frozenset
     iterations: int
     allocated: int
-    checked: bool
 
 
 # the counters of a kind of template (`Flattener.templated`): templates
@@ -2102,10 +2103,11 @@ class Flattener(_Walker):
         """Run a call or an assignment of template key `key`, `kind` (`CALL`
         or `ASSIGN`) naming its counters, and return its value: replay the
         key's template on the key's distinct `slots` if there is one and,
-        unless it has nothing to check, `replayable` allows it; else run
-        `walk(*args)`, which returns the value, and record a template."""
+        for a call, `replayable` allows it (an assignment's template has
+        nothing to check, see `_Template`); else run `walk(*args)`, which
+        returns the value, and record a template."""
         tpl = self.templates.get(key)
-        if tpl is not None and (not tpl.checked
+        if tpl is not None and (kind is ASSIGN
                                 or self.replayable(tpl, slots)):
             self.counts[kind[1]] += 1
             return self.emit_template(tpl, slots)
@@ -2149,8 +2151,7 @@ class Flattener(_Walker):
         allocated = self.allocated - allocated
         self.templates[key] = _Template(
             stmts, value, fresh_after, cleans, self.slot_count - pre_slots,
-            entered, iterations, allocated,
-            bool(cleans or entered or iterations or allocated))
+            entered, iterations, allocated)
         return True
 
     def template_mark(self) -> tuple:

@@ -1,11 +1,12 @@
 """What the tests share and the compiler does not run.
 
 Programs from the bundled corpus and bit-vector conversions; references
-the tests check the compiler against (synthesis of one expression in one
-call, the effects of an in-place block's body found by walking it, the
-dependency graph's own evaluation, a brute-force search of the pebble
-game and its midpoint DP filled for every budget); the paper's OneWay/Interdependent classification of
-mutation paths; and seeded random straight-line programs.
+the tests check the compiler against (a SHA-256 round, synthesis of one
+expression in one call, the effects of an in-place block's body found by
+walking it, the dependency graph's own evaluation, a brute-force search
+of the pebble game and its midpoint DP filled for every budget); the
+paper's OneWay/Interdependent classification of mutation paths; and
+seeded random straight-line programs.
 """
 
 from __future__ import annotations
@@ -57,6 +58,32 @@ def bits_of(value: int, n: int) -> list[int]:
 
 def int_of(bits) -> int:
     return sum(b << i for i, b in enumerate(bits))
+
+
+# ---------------------------------------------------------------------------
+# hash specifications
+
+
+def sha256_rounds(k: int, w: int, state: list[int], rounds: int) -> list[int]:
+    """The state words a..h after `rounds` SHA-256 rounds (FIPS 180-4,
+    section 6.2.2 step 3), each reading the same constant `k` and message
+    word `w`, as `sha2.rev` does."""
+    mask = (1 << 32) - 1
+
+    def rotr(x, n):
+        return (x >> n | x << (32 - n)) & mask
+
+    a, b, c, d, e, f, g, h = state
+    for _ in range(rounds):
+        s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)
+        ch = (e & f) ^ (~e & g)
+        t1 = (h + s1 + ch + k + w) & mask
+        s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)
+        maj = (a & b) ^ (a & c) ^ (b & c)
+        t2 = (s0 + maj) & mask
+        e, f, g, h = (d + t1) & mask, e, f, g
+        a, b, c, d = (t1 + t2) & mask, a, b, c
+    return [a, b, c, d, e, f, g, h]
 
 
 # ---------------------------------------------------------------------------

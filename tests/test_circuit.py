@@ -42,8 +42,11 @@ def test_gate_wire_invariants():
     ((2, 2), "repeats a wire"),
     ((0, 1.0), "negative or non-integer wire"),
     ((0, True), "negative or non-integer wire"),
+    # equal to the good gate (1, 2): a check by equality would pass it
+    ((True, 2), "negative or non-integer wire"),
 ], ids=["tof-negative", "cnot-negative", "not-negative", "tof-width",
-        "not-width", "tof-repeat", "cnot-repeat", "float", "bool"])
+        "not-width", "tof-repeat", "cnot-repeat", "float", "bool",
+        "bool-equal-to-good"])
 def test_circuit_rejects_a_bad_gate(bad, match):
     good = [(0, 1, 2), (1, 2), (0,)]
     with pytest.raises(ValueError, match=re.escape(str(bad)) + ".*" + match):

@@ -190,7 +190,7 @@ def test_stats_report_depth_and_toffoli_depth(capsys):
                      "--strategy", "eager")
             for name, rounds in (("sha2.rev", 16), ("md5.rev", 2))]
     assert [(r["depth"], r["toffoli_depth"]) for r in reps] == [
-        (27504, 9536), (6065, 2388)]
+        (27414, 9536), (6065, 2388)]
     # a NOT, a CNOT and a Toffoli in a row, and a CNOT beside them
     c = Circuit(5, [(0,), (0, 1), (3, 4), (0, 1, 2)])
     assert depth(c) == (3, 1)

@@ -444,7 +444,7 @@ def test_compute_with_two_args_on_one_wire_raises_before_any_gate():
         em.apply(Action("fwd", stmt=stmt))
     assert em.gates == []
     # the fresh target took its wire, and the recipe's heap ops did not run
-    assert em.heap.state() == ([], 4, {em.slot_map[3]})
+    assert em.heap.state() == ([], 4) and em.heap.live_count == 1
 
 
 @pytest.mark.parametrize("bad,match", [
@@ -466,6 +466,18 @@ def test_circuits_from_outside_the_emitter_keep_the_full_check(bad, match):
         Circuit(c.width, gates, c.inputs, c.outputs)
     with pytest.raises(ValueError, match=match):
         reverse(built_circuit(c.width, gates, c.inputs, c.outputs))
+
+
+@pytest.mark.parametrize("strategy", ["bennett", "eager"])
+def test_cleaning_an_input_slot_is_an_error(strategy):
+    # the one bad free a hand-built program can reach: a clean of an input
+    # slot, whose wire is below the pool's base
+    prog = FlatProgram(name="clean-input", input_slots=[0, 1],
+                       output_slots=[2],
+                       statements=[Compute(2, bvar(1), True), CleanSlot(0)],
+                       slot_count=3)
+    with pytest.raises(ValueError, match=r"^wire 0 is not allocated$"):
+        compile_flat(prog, strategy)
 
 
 def test_the_emitted_circuit_still_checks_its_header_wires():

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -12,14 +14,14 @@ from revc.frontend import (
     interpret, interpret_packed, interpret_source, parse,
 )
 from revc.boolexpr import band, bconst, bnot, bor, bvar, bxor, variables
-from revc.circuit import verify
+from revc.circuit import simulate, verify
 from revc.cli import main as cli_main
 from revc.emitter import compile_flat
 from revc.blif import lower, parse_blif
 
 from helpers import (
     bits_of, block_delta, corpus, int_of, random_program, reopened_locals,
-    ripple, zero_at_entry,
+    ripple, sha256_rounds, zero_at_entry,
 )
 from test_emitter import UNWRITTEN_SLOT, template_calls, unwritten_slot_program
 from test_scheduler import (
@@ -572,34 +574,93 @@ def test_interpreters_agree(name, params):
         assert interpret(prog, bits) == interpret_source(ast, bits, params=params)
 
 
-def test_sha2_round_matches_reference():
-    src = corpus("sha2.rev")
-    prog = flatten(parse(src, params={"rounds": 1}))
-    assert len(prog.input_slots) == 320
-    mask = (1 << 32) - 1
-
-    def ror(x, k):
-        return ((x >> k) | (x << (32 - k))) & mask
-
+def sha2_states(n: int = 10) -> list[list[int]]:
+    """n random words k, w, a..h: the inputs of `sha2.rev`, in order."""
     rng = random.Random(99)
-    for _ in range(10):
-        words = [rng.randrange(1 << 32) for _ in range(10)]
-        k, w, a, b, c, d, e, f, g, h = words
-        ch = ((e & f) ^ (~e & g)) & mask
-        ma = (a & (b ^ c)) ^ (b & c)
-        s0 = ror(a, 2) ^ ror(a, 13) ^ ror(a, 22)
-        s1 = ror(e, 6) ^ ror(e, 11) ^ ror(e, 25)
-        h1 = (h + ch + s0 + w + k) & mask
-        d1 = (d + h1) & mask
-        h2 = (h1 + ma + s1) & mask
-        # shuffle: h<-g g<-f f<-e e<-d d<-c c<-b b<-a a<-t(=h2)
-        want = [h2, a, b, c, d1, e, f, g]
-        bits = []
-        for wv in words:
-            bits += bits_of(wv, 32)
-        out = interpret(prog, bits)
-        got = [int_of(out[32 * i:32 * i + 32]) for i in range(8)]
-        assert got == want
+    return [[rng.randrange(1 << 32) for _ in range(10)] for _ in range(n)]
+
+
+def sha2_bits(words: list[int]) -> list[int]:
+    return [b for wv in words for b in bits_of(wv, 32)]
+
+
+def sha2_words(bits: list[int]) -> list[int]:
+    return [int_of(bits[32 * i:32 * i + 32]) for i in range(8)]
+
+
+def test_sha2_round_matches_reference():
+    # the reference is FIPS 180-4's round (`sha256_rounds`), with the
+    # same k and w in every round
+    src = corpus("sha2.rev")
+    states = sha2_states()
+    want = {r: [sha256_rounds(k, w, st, r) for k, w, *st in states]
+            for r in (1, 2, 4, 16)}
+    for r in (1, 2):
+        ast = parse(src, params={"rounds": r})
+        assert [sha2_words(interpret_source(ast, sha2_bits(words),
+                                            params={"rounds": r}))
+                for words in states] == want[r]
+    for r in (1, 4, 16):
+        prog = flatten(parse(src, params={"rounds": r}))
+        assert len(prog.input_slots) == 320
+        assert [sha2_words(interpret(prog, sha2_bits(words)))
+                for words in states] == want[r]
+    prog = flatten(parse(src, params={"rounds": 4}))
+    for strategy in ("bennett", "eager"):
+        _, circ = compile_flat(prog, strategy)
+        got = []
+        for words in states:
+            bits = [0] * circ.width
+            for wire, b in zip(circ.inputs, sha2_bits(words)):
+                bits[wire] = b
+            out = simulate(circ, bits)
+            got.append(sha2_words([out[wire] for wire in circ.outputs]))
+        assert got == want[4], strategy
+
+
+def test_sha256_round_reference_matches_hashlib():
+    # 64 rounds of the reference, with the schedule, constants and
+    # feed-forward of FIPS 180-4, give hashlib's digest of one block
+    def primes(n):
+        out = []
+        p = 2
+        while len(out) < n:
+            if all(p % q for q in out):
+                out.append(p)
+            p += 1
+        return out
+
+    def icbrt(n):
+        x = int(round(n ** (1 / 3)))
+        while x ** 3 > n:
+            x -= 1
+        while (x + 1) ** 3 <= n:
+            x += 1
+        return x
+
+    mask = (1 << 32) - 1
+    ks = [icbrt(p << 96) & mask for p in primes(64)]
+    iv = [math.isqrt(p << 64) & mask for p in primes(8)]
+
+    def rotr(x, n):
+        return (x >> n | x << (32 - n)) & mask
+
+    rng = random.Random(5)
+    for size in (0, 3, 55):
+        msg = rng.randbytes(size)
+        block = (msg + b"\x80" + bytes(55 - size)
+                 + (8 * size).to_bytes(8, "big"))
+        w = [int.from_bytes(block[4 * i:4 * i + 4], "big") for i in range(16)]
+        for t in range(16, 64):
+            s0 = rotr(w[t - 15], 7) ^ rotr(w[t - 15], 18) ^ w[t - 15] >> 3
+            s1 = rotr(w[t - 2], 17) ^ rotr(w[t - 2], 19) ^ w[t - 2] >> 10
+            w.append((w[t - 16] + s0 + w[t - 7] + s1) & mask)
+        state = iv
+        for t in range(64):
+            state = sha256_rounds(ks[t], w[t], state, 1)
+        digest = b"".join(((x + y) & mask).to_bytes(4, "big")
+                          for x, y in zip(state, iv))
+        assert digest == hashlib.sha256(msg).digest()
 
 
 @pytest.mark.parametrize("op,word", [("/", "division"), ("%", "modulo")])
@@ -1131,6 +1192,14 @@ def assert_templates_match_the_walk(monkeypatch, ast, replays,
                           lambda *a: walked.append(a) or walk(*a), *args)
         if kind is frontend.CALL and not walked:
             kinds.add(IN_PLACE if value is None else OUT_OF_PLACE)
+        # a replay needs `replayable` by its kind alone: a call's template
+        # enters its function, an assignment's has nothing to check
+        tpl = self.templates.get(key)
+        if kind is frontend.CALL:
+            assert tpl is None or tpl.entered
+        else:
+            assert tpl is None or not (tpl.cleans or tpl.entered
+                                       or tpl.iterations or tpl.allocated)
         return value
 
     with monkeypatch.context() as m:

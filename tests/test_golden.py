@@ -37,19 +37,19 @@ REV_GOLDEN = {
     ("adder_select.rev", "", "incremental", None):
         "6d34b2b45c662f0cac372b3c6539fd1c4155b4811da96535ed26970b283e54b0",
     ("sha2.rev", "rounds=4", "bennett", None):
-        "c59357dd137042d5669bed7288b7b1ca9370e17a5c8fa4d114b420738c4da828",
+        "da6da95df0161e0743ef2519abd56a99eee338811871018b9eaa0ee9cd6dbdec",
     ("sha2.rev", "rounds=4", "eager", None):
-        "448e18037a3fc4ee85951abbeec0923543b42cf13587f8ac7563072e07b2a066",
+        "185f2ec3c49c2fa852f71e33d5288301adab6eeec6c3241560e8b1d3953647cd",
     ("sha2.rev", "rounds=4", "incremental", None):
-        "c59357dd137042d5669bed7288b7b1ca9370e17a5c8fa4d114b420738c4da828",
+        "da6da95df0161e0743ef2519abd56a99eee338811871018b9eaa0ee9cd6dbdec",
     ("sha2.rev", "rounds=4", "incremental", 672):
-        "448ea6e2fdbbbf414cd55c748810533dee7bf73aee08ba4fd988e6511f9924af",
+        "c4085bfa687b5a709945b44cca9472ca12cf3483f8d8cf6ff1e19cdd7aafd2ca",
     ("sha2.rev", "rounds=8", "incremental", 900):
-        "99a07f643fda5b7811c4c7bf9ba2d34b8c3debeecc0321020fdbc9e8bd4b35f8",
+        "67e720c01bf54c855cccf2c76a07476ed0c2248e314a8aacfb35ffc6ac1cfd65",
     ("sha2.rev", "rounds=8", "incremental", 1200):
-        "69de0d43fe28122dcbf05fadf8dde7f1b1545982f33b046b1ae32c1d245d8915",
+        "3684878aea14ae0721798f7f226d2d7266ef1de3d19db262dd1463887c45fb18",
     ("sha2.rev", "rounds=16", "eager", None):
-        "4cebb5b47f1ee37cd330672a20bdaac2a0d0ec9eca3e1a4ba516c4df0e3bb750",
+        "f1f6c3f0feea0b5b6a13b657eb5120a553a29f3de766577f1ba4391ae8424c21",
     ("md5.rev", "rounds=2", "bennett", None):
         "ad10d2cbdc9dc17f3d1ce3ddc3ec2a15ccb8da20f558f907d75699965f781ba6",
     ("md5.rev", "rounds=2", "eager", None):
