@@ -224,11 +224,6 @@ def reorder(net: BlifNetlist) -> BlifNetlist:
     covers = []
     for c in net.covers:
         cliques = clique_cover(c.cubes)
-        for cl in cliques:
-            for i in cl:
-                for j in cl:
-                    if i < j:
-                        assert mutually_exclusive(c.cubes[i], c.cubes[j])
         new_cubes: list[str] = []
         new_cliques: list[list[int]] = []
         for cl in cliques:

@@ -3,13 +3,15 @@
 A gate is the tuple of its wires, controls first and target last; its
 kind is its length (`kind`): one to three distinct integer wires in
 [0, width).  `Circuit(...)` checks every gate in list order and names
-the first bad one; `parse_circuit` and `reverse` go through it.  The
-emitter's gates are valid by construction (each recipe is checked once
-and each statement's wires where it runs, see boolexpr and emitter), so
-`built_circuit` takes them without checking each gate again.  All three
-gates are self-inverse, so reversal is just reversing the gate order.
-Simulation packs one sample per bit of a Python int, which lets `verify`
-run hundreds of random samples in a single pass over the gate list.
+the first bad one; `reverse` goes through it.  `parse_circuit` checks
+each gate on its line and every gate's width once the header is read.
+The emitter's gates are valid by construction (each recipe is checked
+once and each statement's wires where it runs, see boolexpr and
+emitter).  Both build through `built_circuit`, which checks no gate
+again.  All three gates are self-inverse, so reversal is just reversing
+the gate order.  Simulation packs one sample per bit of a Python int,
+which lets `verify` run hundreds of random samples in a single pass over
+the gate list.
 """
 
 from __future__ import annotations
@@ -256,13 +258,17 @@ def parse_circuit(text: str) -> Circuit:
                 name, *wires = line.split()
                 if name not in KINDS:
                     raise ValueError(f"unknown gate {name!r}")
-                g = check_gate(tuple(map(int, wires)))  # Circuit checks width
+                g = check_gate(tuple(map(int, wires)))  # width: see below
                 if kind(g) != name:
                     raise ValueError(f"wrong wire count for {name}: {g}")
                 gates.append(g)
         except ValueError as e:
             raise ValueError(f"line {ln}: {e}") from None
-    return Circuit(width, gates, inputs, outputs)
+    # the header may follow the gates, so their width is checked here
+    bad = next((g for g in gates if max(g) >= width), None)
+    if bad is not None:
+        raise ValueError(f"gate {bad} outside width {width}")
+    return built_circuit(width, gates, inputs, outputs)
 
 
 def _parse_wirelist(text: str) -> list[int]:

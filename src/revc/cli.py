@@ -19,9 +19,8 @@ after last use; `peak_live`: the most wires live after any forward or
 backward run of a statement of the plan, inputs included, the count
 `--qubits` bounds in the forward segments of an incremental plan, where
 the width also counts synthesis scratch wires), the dependency graph's
-(`mdd_nodes`, `mdd_read_edges`; only eager plans from the graph, so for
-the other strategies it is built for the report, outside the timed
-stages),
+(`mdd_nodes`, `mdd_read_edges`; only eager plans from the graph, and
+no plan keeps it, so the report builds it, outside the timed stages),
 the flat program's (`flat_statements`, `inplace_blocks`,
 `block_templates`: distinct block tokens, i.e. the shared block bodies
 the blocks run; `block_body_statements`: the blocks' body lengths summed,
@@ -89,7 +88,7 @@ def _parse_params(pairs) -> dict:
 def _load_flat(args, stages: dict, counts: dict):
     """Read, parse and flatten (or lower) the input file, timing the last
     two steps into `stages`; flatten's template counts go into `counts`."""
-    params = _parse_params(getattr(args, "param", None))
+    params = _parse_params(args.param)
     path = args.file
     try:
         with open(path) as f:
@@ -100,7 +99,7 @@ def _load_flat(args, stages: dict, counts: dict):
     if path.endswith(".blif"):
         net = blif_mod.parse_blif(text)
         t1 = time.perf_counter()
-        prog = blif_mod.lower(net, optimize=getattr(args, "optimize_xor", False))
+        prog = blif_mod.lower(net, optimize=args.optimize_xor)
     else:
         ast = parse(text, params=params or None)
         t1 = time.perf_counter()
@@ -128,10 +127,9 @@ def _compile(args):
 
 def _report(prog, plan, circ, em, stages, counts) -> dict:
     """Counts of the circuit, the plan, the dependency graph, the flat
-    program and the emitter, and the seconds of each stage.  A plan that
-    was made without the graph (all but eager's) has it built here, for
-    the report only."""
-    g = plan.mdd if plan.mdd is not None else build_mdd(prog)
+    program and the emitter, and the seconds of each stage.  No plan
+    keeps the graph, so it is built here, for the report only."""
+    g = build_mdd(prog)
     blocks = [s for s in prog.statements if isinstance(s, InPlaceBlock)]
     tokens = {b.token for b in blocks}
     forms = {id(s.form) for s in [*prog.statements,
@@ -175,7 +173,7 @@ def cmd_compile(args) -> int:
             f.write(to_dot(build_mdd(prog)))
     out = args.output or (args.file + ".tfc")
     circuit_mod.write_circuit(circ, out)
-    if args.stats:  # the full report builds the graph if the plan has none
+    if args.stats:  # the full report builds the graph
         with open(args.stats, "w") as f:
             json.dump(_report(*compiled), f, indent=2, sort_keys=True)
             f.write("\n")
@@ -248,13 +246,11 @@ def cmd_pebble(args) -> int:
             if k is None:
                 raise CliError("incremental needs --pebbles")
             moves, k_used = pebble_mod.incremental_strategy(T, k), k
-        elif strat == "knill":
+        else:  # knill, the last of argparse's choices
             if k is None:
                 raise CliError("knill needs --pebbles")
             _, moves = pebble_mod.knill_optimal(T, k)
             k_used = k
-        else:
-            raise CliError(f"unknown pebble strategy {strat!r}")
     except pebble_mod.InfeasibleError as e:
         raise CliError(f"{e} (minimum pebbles: {e.minimum})")
     rep = pebble_mod.validate(moves, T, k_used)
@@ -318,14 +314,13 @@ def cmd_blif(args) -> int:
     return 0
 
 
-def _add_compile_flags(p, strategies=True):
+def _add_compile_flags(p):
     p.add_argument("file")
     p.add_argument("--param", action="append", metavar="NAME=INT",
                    help="override a program parameter (repeatable)")
-    if strategies:
-        p.add_argument("--strategy", default="bennett", choices=STRATEGIES)
-        p.add_argument("--qubits", type=int, default=None,
-                       help="qubit budget for the incremental strategy")
+    p.add_argument("--strategy", default="bennett", choices=STRATEGIES)
+    p.add_argument("--qubits", type=int, default=None,
+                   help="qubit budget for the incremental strategy")
     p.add_argument("--optimize-xor", action="store_true",
                    help="apply the exclusive-cube XOR grouping to BLIF input")
 

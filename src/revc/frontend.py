@@ -180,7 +180,7 @@ from functools import cached_property
 
 from .boolexpr import (
     MAX_STATEMENT_GATES, BoolExp, band, bconst, bor, bvar, bxor, canonical,
-    evaluate_form, gate_count, instantiate, negate, variables,
+    evaluate_form, gate_count, instantiate, variables,
 )
 
 # ---------------------------------------------------------------------------
@@ -1312,21 +1312,6 @@ def relabels(e) -> bool:
             "rot", "Array.append", "Array.concat", "Array.zeroCreate"))
 
 
-def _substituted(e: BoolExp, m: dict[int, BoolExp]) -> BoolExp:
-    """e with the variable of every slot s in `m` replaced by m[s], folded
-    again; e itself if it reads none of them."""
-    if e.op == "var":
-        return m.get(e.args[0], e)
-    if e.op == "const":
-        return e
-    args = [_substituted(a, m) for a in e.args]
-    if all(a is b for a, b in zip(args, e.args)):
-        return e
-    if e.op == "not":
-        return negate(args[0])
-    return (band if e.op == "and" else bxor)(args)
-
-
 _ZERO = bconst(False)
 
 
@@ -2013,8 +1998,8 @@ class Flattener(_Walker):
     not one per statement."""
     error = FlattenError  # raised by the walk
 
-    def __init__(self, program: Program, params: dict | None = None):
-        super().__init__(program, params)
+    def __init__(self, program: Program):
+        super().__init__(program)
         self.stmts: list = []
         # call signature or assignment key -> _Template
         self.templates: dict = {}
@@ -2068,18 +2053,21 @@ class Flattener(_Walker):
         which a later operand of their expression emitted (a call, or a
         branch of a constant `if`): the source reads each operand when it
         reaches it.  A slot those statements write or clean is copied to
-        a new slot ahead of them (a fresh one was read as 0 already)."""
+        a new slot ahead of them (a fresh one was read as 0 already), and
+        an operand is rebuilt from its form on the copies: the renaming is
+        one-to-one onto slots no expression reads, so nothing folds anew."""
+        forms = [canonical(a) for a in args]
         reads = _written(self.stmts[start:]).intersection(
-            set().union(*map(variables, args)))
+            itertools.chain.from_iterable(fa for _, fa in forms))
         if not reads:
             return args
-        m, copies = {}, []
+        copy, copies = {}, []
         for s in sorted(reads):
-            c = self.new_slot()
+            c = copy[s] = self.new_slot()
             copies.append(Compute(c, bvar(s), True))
-            m[s] = bvar(c)
         self.stmts[start:start] = copies
-        return [_substituted(a, m) for a in args]
+        return [instantiate(f, [copy.get(s, s) for s in fa])
+                for f, fa in forms]
 
     def write_in_place(self, slot: int, e: BoolExp) -> None:
         """Leave e's value on `slot`: slot := e if it is fresh, slot ^= rest
@@ -2372,8 +2360,7 @@ class Flattener(_Walker):
                 f"non-zero local bits", line)
 
 
-def flatten(program, params: dict | None = None,
-            counts: dict | None = None) -> FlatProgram:
+def flatten(program, *, counts: dict | None = None) -> FlatProgram:
     """Unroll, inline and slot-number a parsed program (idempotent).
     `counts`, if given, receives `call_templates` (calls inlined and
     recorded as templates), `call_replays` (calls replayed from one),
@@ -2381,7 +2368,7 @@ def flatten(program, params: dict | None = None,
     `assign_replays` (assignments replayed from one)."""
     if isinstance(program, FlatProgram):
         return program
-    fl = Flattener(program, params)
+    fl = Flattener(program)
     name, inputs, layout, outputs = fl.run()
     if counts is not None:
         counts.update(fl.counts)

@@ -121,13 +121,9 @@ def validate(moves, T: int, k: int, require_clean: bool = False) -> ValidationRe
 
 
 def bennett_strategy(T: int) -> list[Move]:
-    """Place 1..T, then remove T-1..1: 2T-1 moves, peak T."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    check_line(T)
-    moves = [Move(PLACE, i) for i in range(1, T + 1)]
-    moves += [Move(REMOVE, i) for i in range(T - 1, 0, -1)]
-    return moves
+    """Place 1..T, then remove T-1..1: 2T-1 moves, peak T.  It is the
+    DP's play with a pebble per node."""
+    return knill_optimal(T, T)[1]
 
 
 def incremental_strategy(T: int, k: int) -> list[Move]:

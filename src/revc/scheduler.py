@@ -20,7 +20,7 @@ Three strategies:
 
 Only eager reads the dependency graph; Bennett and incremental plan from
 the statement sequence alone, and `schedule` builds the graph for eager
-only.
+only.  The graph is working data of the eager pass: no plan keeps it.
 
 A plan is a tuple of Actions executed in order by the emitter, each a
 forward (`fwd`) or backward (`bwd`) run of a statement: a flat statement
@@ -46,8 +46,8 @@ under one reversal per statement on average and at most 39 (the carries
 of the n=40 ripple adder).  On SHA-2 rounds=16 (8,256 graph nodes,
 120,832 read edges, 2,048 reversals) building the graph takes 9.5 ms and
 the eager plan 6.1 ms, against 21 ms to emit the plan; the Bennett plan
-takes 2.4 ms.  On MD5 rounds=2 the graph takes 1.4 ms and the eager plan
-0.5 ms.  (Medians of 9 in-process runs on a 2-vCPU VM under Python 3.11,
+takes 2.4 ms.  On MD5 rounds=2 the graph takes 1.2 ms and the eager plan
+0.2 ms.  (Medians of 9 in-process runs on a 2-vCPU VM under Python 3.11,
 scaled to the reference speed of the benchmark's probe, bench/speed.py.)
 
 Incremental planning places checkpoints without emitting.  It needs only
@@ -131,7 +131,6 @@ class CleanupPlan:
     actions: tuple
     output_slots: tuple  # where the outputs end
     cuts: tuple = ()  # checkpoints as (statement index, slots saved)
-    mdd: MDD | None = None  # eager's graph; None for the other strategies
     dispositions: dict = field(default_factory=dict)  # eager: node id -> tag
     reversals_inserted: int = 0  # eager: bwd actions that clean a value
 
@@ -168,14 +167,16 @@ def bennett_cleanup(source: FlatProgram) -> CleanupPlan:
 def eager_cleanup(g: MDD) -> CleanupPlan:
     """The eager plan (see the module docstring).
 
-    Its reversals pay for themselves even when Unclean values force the
-    final mirror, which replays every one of them.  On MD5 rounds=2 eager
-    reverses the 64 bits of the two `F` outputs and leaves the 64 bits of
-    `t` Unclean: `t` is built by in-place additions, and a path through an
-    in-place block is not reversed.  Each reversal saves one qubit: without
-    any one of them the circuit is 929 wires wide instead of 928, and
-    without all of them it is Bennett's, 992 wires and 5808 gates against
-    eager's 7600.
+    Its reversals pay for themselves in width even when Unclean values
+    force the final mirror, which replays every one of them.  On MD5
+    rounds=8 eager reverses the 256 bits of the eight `F` outputs and
+    leaves 128 bits Unclean: the words `t` of rounds 0-3, which leave the
+    state in rounds 4-7 (a round's `t` moves from B to C, D and A, then
+    out).  `t` is built by in-place additions, and a path through an
+    in-place block is not reversed.  Each reversal of rounds 0-6 saves one
+    qubit: without any one of them the circuit is 1,092 wires wide instead
+    of 1,091.  Without all of them it is Bennett's, 1,315 wires and 22,848
+    gates against eager's 30,528.
     """
     program = g.program
     nodes, reads, dependents = g.nodes, g.reads, g.dependents
@@ -261,7 +262,7 @@ def eager_cleanup(g: MDD) -> CleanupPlan:
     if UNCLEAN in dispositions.values():
         # copy & reverse: sweep everything that is left
         actions, outputs = _swept(actions, outputs, program.slot_count)
-    return CleanupPlan("eager", program, tuple(actions), outputs, mdd=g,
+    return CleanupPlan("eager", program, tuple(actions), outputs,
                        dispositions=dispositions,
                        reversals_inserted=len(bucket_of))
 

@@ -1,10 +1,11 @@
 """What the tests share and the compiler does not run.
 
 Programs from the bundled corpus and bit-vector conversions; references
-the tests check the compiler against (a SHA-256 round, synthesis of one
-expression in one call, the effects of an in-place block's body found by
-walking it, the dependency graph's own evaluation, a brute-force search
-of the pebble game and its midpoint DP filled for every budget); the
+the tests check the compiler against (a SHA-256 round, MD5 steps,
+synthesis of one expression in one call, the effects of an in-place
+block's body found by walking it, the dependency graph's own evaluation,
+a brute-force search of the pebble game and its midpoint DP filled for
+every budget); the
 paper's OneWay/Interdependent classification of mutation paths; and
 seeded random straight-line programs.
 """
@@ -84,6 +85,34 @@ def sha256_rounds(k: int, w: int, state: list[int], rounds: int) -> list[int]:
         e, f, g, h = (d + t1) & mask, e, f, g
         a, b, c, d = (t1 + t2) & mask, a, b, c
     return [a, b, c, d, e, f, g, h]
+
+
+MD5_SHIFTS = ((7, 12, 17, 22), (5, 9, 14, 20), (4, 11, 16, 23),
+              (6, 10, 15, 21))
+
+
+def md5_steps(m: list[int], ks: list[int], state: list[int],
+              steps: int) -> list[int]:
+    """The state words A..D after the first `steps` steps of MD5's
+    compression (RFC 1321, section 3.4) of the message words m[0..15],
+    step i adding the constant ks[i].  `md5.rev` runs the round-1 steps
+    (F, message word i) with one constant in each."""
+    mask = (1 << 32) - 1
+    a, b, c, d = state
+    for i in range(steps):
+        r = i // 16
+        if r == 0:
+            f, x = (b & c) | (~b & d), i
+        elif r == 1:
+            f, x = (b & d) | (c & ~d), (5 * i + 1) % 16
+        elif r == 2:
+            f, x = b ^ c ^ d, (3 * i + 5) % 16
+        else:
+            f, x = c ^ (b | ~d), 7 * i % 16
+        t = (a + f + ks[i] + m[x]) & mask
+        s = MD5_SHIFTS[r][i % 4]
+        a, b, c, d = d, (b + (t << s | t >> (32 - s))) & mask, b, c
+    return [a, b, c, d]
 
 
 # ---------------------------------------------------------------------------

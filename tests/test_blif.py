@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revc.blif import (
     BlifError, Cover, _Literals, clique_cover, cover_expr, cover_semantics,
@@ -127,6 +129,18 @@ def test_clique_cover_degenerate_cases():
     cubes = [f"{b:03b}"[0] + f"{b:03b}"[1:] for b in range(5)]
     cubes = ["000", "001", "010", "011", "100"]
     assert clique_cover(cubes) == [[0, 1, 2, 3, 4]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.text(alphabet="01-", min_size=n, max_size=n), max_size=12)))
+def test_clique_cover_partitions_into_exclusive_cliques(cubes):
+    # `reorder` relies on this without checking it again
+    cliques = clique_cover(cubes)
+    assert sorted(i for cl in cliques for i in cl) == list(range(len(cubes)))
+    for cl in cliques:
+        for i, j in itertools.combinations(cl, 2):
+            assert mutually_exclusive(cubes[i], cubes[j])
 
 
 def test_reorder_preserves_semantics_and_groups_cliques():

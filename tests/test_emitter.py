@@ -97,7 +97,7 @@ def test_inplace_block_strategies_verify():
 
 
 def test_unclean_fallback_verifies():
-    prog = prog_of(corpus("md5.rev"), {"rounds": 1})
+    prog = prog_of(corpus("md5.rev"), {"rounds": 8})
     plan, circ = compile_flat(prog, "eager")
     assert plan.unclean_nodes
     assert verify(prog, circ, samples=10, seed=4).ok
